@@ -18,6 +18,7 @@ raise ConfigError naming the offending field.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -122,12 +123,28 @@ def _parse_band(section) -> UncertaintyBand:
         raise ConfigError(f"band: {exc}") from exc
 
 
-def _parse_schedule(entry, where: str) -> TenorSchedule:
+def _parse_schedule(entry, where: str, name: str) -> TenorSchedule:
     dates = _require(entry, "schedule", where)
     try:
         return TenorSchedule(dates=tuple(float(d) for d in dates))
     except RobustRatesError as exc:
         raise ConfigError(f"{where}.schedule: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{where}.schedule: contract '{name}': expected a list of dates, got {dates!r}"
+        ) from exc
+
+
+def _parse_notional(entry, where: str) -> float:
+    """Prices are reported per unit notional, so it must be finite and nonzero."""
+    value = entry.get("notional", 1.0)
+    try:
+        notional = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.notional: expected a number, got {value!r}") from exc
+    if notional == 0.0 or not math.isfinite(notional):
+        raise ConfigError(f"{where}.notional: must be finite and nonzero, got {value!r}")
+    return notional
 
 
 def _parse_leg(leg: dict, accrual: float, where: str):
@@ -163,8 +180,8 @@ def _parse_contract(entry: dict, idx: int) -> ConfiguredContract:
         raise ConfigError(f"{where}: expected an object")
     kind = _require(entry, "kind", where)
     name = str(entry.get("name", f"contract-{idx}"))
-    notional = float(entry.get("notional", 1.0))
-    schedule = _parse_schedule(entry, where)
+    notional = _parse_notional(entry, where)
+    schedule = _parse_schedule(entry, where, name)
     mc = None
     if "mc" in entry:
         m = entry["mc"]

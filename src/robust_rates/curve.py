@@ -187,9 +187,3 @@ def load_curve(
         raise DomainError(f"{path}: maturities must be strictly increasing")
     return DiscountCurve(knots=tuple(knots), horizon=horizon, interpolation=interpolation)
 
-
-def save_curve(curve: DiscountCurve, path: str) -> None:
-    """Write the knots back out in the same ``maturity,rate`` CSV format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for m, r in curve.knots:
-            fh.write(f"{m!r},{r!r}\n")

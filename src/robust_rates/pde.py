@@ -12,7 +12,10 @@ diffusion coefficient switches between the band extremes on the sign of the
 second derivative, which is the scalar form of the band's generator.  Both
 discretizations (explicit, implicit with Howard policy iteration) are
 monotone, the standard sufficient condition for convergence to the unique
-viscosity solution.
+viscosity solution.  Each policy iteration of the implicit scheme solves one
+tridiagonal system with a direct LAPACK ?gtsv call (``solve_banded`` below),
+the routine ``scipy.linalg.solve_banded`` uses for (1, 1) bands, so the
+results are those of that call without its per-call argument handling.
 
 The lower expectation is the negated solve of -phi.
 """
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .curve import DiscountCurve
 from .errors import ConvergenceError, DomainError, StabilityError
@@ -41,6 +44,8 @@ _GL5_NODES = np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
                        0.5384693101056831, 0.9061798459386640])
 _GL5_WEIGHTS = np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
                          0.4786286704993665, 0.2369268850561891])
+
+_GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -188,44 +193,68 @@ def _explicit_sweep(u, xs, dx, a_up, a_dn, keep):
     return u, frames
 
 
+def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and superdiagonals
+    (dl, d, du) and right-hand side b, overwriting all four arrays.
+
+    This is the LAPACK ?gtsv call that ``scipy.linalg.solve_banded`` makes
+    for (1, 1) bands, without its argument handling, so the solution is the
+    same to the last bit.  Like it, a non-finite input raises ValueError and
+    a singular matrix LinAlgError, and a 1x1 system is a division.
+    """
+    if not np.isfinite(np.concatenate((dl, d, du, b))).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if len(b) == 1:
+        b /= d[0]
+        return b
+    _, _, _, x, info = _GTSV(dl, d, du, b, 1, 1, 1, 1)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
+
+
 def _implicit_sweep(u, xs, dx, a_up, a_dn, keep):
     nt = len(a_up)
-    nx = len(xs)
     x2 = xs[1:-1] ** 2
+    dx2 = dx**2
     frames = [u.copy()] if keep is not None else None
     lo_bc, hi_bc = u[0], u[-1]
+    # u holds the previous time level; work takes each policy iterate with
+    # the boundary values in place and becomes the next u.
+    u = u.copy()
+    work = u.copy()
+    d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx2
+    # The policy a step starts from is read off the previous level, which is
+    # the last iterate of the previous step: its policy carries over.
+    policy = d2 >= 0.0
     for k in range(nt - 1, -1, -1):
-        rhs_full = u
-        d2 = (rhs_full[2:] - 2.0 * rhs_full[1:-1] + rhs_full[:-2]) / dx**2
-        policy = d2 >= 0.0
-        prev = rhs_full[1:-1]
-        solved = None
+        # The step's coefficients at both band extremes; each policy
+        # iteration picks one of the two per cell.
+        alpha_up = 0.5 * a_up[k] * x2 / dx2
+        alpha_dn = 0.5 * a_dn[k] * x2 / dx2
+        prev = u[1:-1]
         for _ in range(POLICY_ITERATION_CAP):
-            a = np.where(policy, a_up[k], a_dn[k])
-            alpha = 0.5 * a * x2 / dx**2
-            band_mat = np.zeros((3, nx - 2))
-            band_mat[0, 1:] = -alpha[:-1]          # superdiagonal
-            band_mat[1, :] = 1.0 + 2.0 * alpha     # diagonal
-            band_mat[2, :-1] = -alpha[1:]          # subdiagonal
-            rhs = rhs_full[1:-1].copy()
+            alpha = np.where(policy, alpha_up, alpha_dn)
+            rhs = u[1:-1].copy()
             rhs[0] += alpha[0] * lo_bc
             rhs[-1] += alpha[-1] * hi_bc
-            solved = solve_banded((1, 1), band_mat, rhs)
-            full = np.concatenate(([lo_bc], solved, [hi_bc]))
-            d2 = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / dx**2
+            solved = solve_banded(-alpha[1:], 1.0 + 2.0 * alpha, -alpha[:-1], rhs)
+            work[1:-1] = solved
+            d2 = (work[2:] - 2.0 * solved + work[:-2]) / dx2
             new_policy = d2 >= 0.0
-            value_change = float(np.max(np.abs(solved - prev)))
-            if np.array_equal(new_policy, policy) or value_change < POLICY_VALUE_TOL:
-                policy = new_policy
-                break
+            stable = (new_policy == policy).all()
             policy = new_policy
+            if stable or float(np.max(np.abs(solved - prev))) < POLICY_VALUE_TOL:
+                break
             prev = solved
         else:
             raise ConvergenceError(
                 f"policy iteration did not converge within {POLICY_ITERATION_CAP} "
                 f"iterations at time step {k}"
             )
-        u = np.concatenate(([lo_bc], solved, [hi_bc]))
+        u, work = work, u
         if frames is not None:
             frames.append(u.copy())
     return u, frames
@@ -241,15 +270,14 @@ def solve_single_option(
     payoff: PayoffSpec,
     grid: PDEGrid,
     keep_surface: bool = False,
-    cell_average: bool = True,
 ) -> PDESolution:
     """Upper expectation of phi(X_{t1}) for X = P(T_i)/P(T), plus the cash
     price P(T) * u(0, x0).
 
     T is the maturity of the pricing measure (X is a driftless martingale
-    under it), t1 <= min(T, T_i) the option expiry.  cell_average smooths
-    the terminal condition over grid cells (monotone and consistent), which
-    removes the O(dx) noise a kink otherwise injects.
+    under it), t1 <= min(T, T_i) the option expiry.  The terminal condition
+    is averaged over grid cells (monotone and consistent), which removes the
+    O(dx) noise a kink otherwise injects.
     """
     if vs.dim != band.dim:
         raise DomainError(f"volatility structure has {vs.dim} factors but band has {band.dim}")
@@ -275,7 +303,7 @@ def solve_single_option(
             surface=u[None, :] if keep_surface else None,
         )
 
-    u = _cell_averaged_terminal(payoff, xs, dx) if cell_average else payoff(xs)
+    u = _cell_averaged_terminal(payoff, xs, dx)
     a_up, a_dn = _step_variances(vs, band, t1, grid.nt, T, T_i)
     sweep = _explicit_sweep if grid.scheme == "explicit" else _implicit_sweep
     u, frames = sweep(u, xs, dx, a_up, a_dn, keep_surface or None)
@@ -306,15 +334,11 @@ def solve_lower(
     payoff: PayoffSpec,
     grid: PDEGrid,
     keep_surface: bool = False,
-    cell_average: bool = True,
 ) -> PDESolution:
     """Lower expectation: the negated upper solve of -phi (equivalently the
     band extremes swap roles on the Hessian sign)."""
     neg = PayoffSpec(evaluator=lambda x: -payoff(x), growth=payoff.growth)
-    sol = solve_single_option(
-        curve, vs, band, T, t1, T_i, neg, grid,
-        keep_surface=keep_surface, cell_average=cell_average,
-    )
+    sol = solve_single_option(curve, vs, band, T, t1, T_i, neg, grid, keep_surface=keep_surface)
     return PDESolution(
         value=-sol.value,
         x0=sol.x0,

@@ -15,7 +15,10 @@ the band extremes.  Mixed or general tags force the literal backward
 recursion: the last option leg is a one-dimensional nonlinear PDE solve,
 and the coupling of two adjacent option legs lives on a two-dimensional
 tensor grid whose single driver makes the diffusion rank one (the grid
-aspect ratio absorbs the perfect correlation into a diagonal stencil).
+aspect ratio absorbs the perfect correlation into a diagonal stencil).  Only
+the centre value of that grid is wanted, so each explicit step updates just
+the cells that can still reach the centre (its domain of dependence, a
+square shrinking by one cell per step), in place.
 Because pricing is sublinear, the recursion result is sandwiched between
 the per-leg lower-bound sum and the per-leg upper-bound sum.
 """
@@ -376,19 +379,49 @@ def _pair_recursion_upper(
     ts = np.linspace(0.0, t_start, nt_eff + 1)
     vu = np.array([vs.integrated_variance(band.upper, ts[k], ts[k + 1], *pair1) for k in range(nt_eff)])
     vd = np.array([vs.integrated_variance(band.lower, ts[k], ts[k + 1], *pair1) for k in range(nt_eff)])
+    return curve.bond_price(t_start) * _pair_sweep(terminal, h1, h2, drift2, vu, vd)
 
-    u = terminal.copy()
-    for k in range(nt_eff - 1, -1, -1):
-        c = u[1:-1, 1:-1]
-        diag = (u[2:, 2:] - 2.0 * c + u[:-2, :-2]) / h1**2
-        up1 = (c - u[:-2, 1:-1]) / h1
-        up2 = (c - u[1:-1, :-2]) / h2
-        hh = diag - up1 - drift2 * up2
-        gen = np.maximum(0.5 * vu[k] * hh, 0.5 * vd[k] * hh)
-        u = u.copy()
-        u[1:-1, 1:-1] = c + gen
-    value = float(u[n // 2, n // 2])
-    return curve.bond_price(t_start) * value
+
+def _pair_sweep(u, h1, h2, drift2, vu, vd) -> float:
+    """Explicit backward steps of the two-state solve from the terminal grid
+    u (overwritten); returns the value at the centre cell.
+
+    The stencil reaches one cell per step, so the centre value after step k
+    depends only on the cells within Chebyshev radius k of it.  Each step
+    updates that square (clipped to the interior) in place and leaves the
+    cells outside it stale.  Every updated cell sees the full-grid update's
+    operations in the same order, so the result is the same to the last bit.
+    """
+    n = len(u)
+    m = n // 2
+    h1_sq = h1**2
+    hh_buf = np.empty((n - 2, n - 2))
+    tmp_buf = np.empty((n - 2, n - 2))
+    for k in range(len(vu) - 1, -1, -1):
+        r = min(k, m - 1)
+        lo, hi, w = m - r, m + r + 1, 2 * r + 1
+        c = u[lo:hi, lo:hi]
+        hh = hh_buf[:w, :w]
+        tmp = tmp_buf[:w, :w]
+        # hh = (u[i+1,j+1] - 2c + u[i-1,j-1]) / h1^2 - (c - u[i-1,j]) / h1
+        #      - drift2 * ((c - u[i,j-1]) / h2)
+        np.multiply(2.0, c, out=tmp)
+        np.subtract(u[lo + 1:hi + 1, lo + 1:hi + 1], tmp, out=hh)
+        np.add(hh, u[lo - 1:hi - 1, lo - 1:hi - 1], out=hh)
+        np.divide(hh, h1_sq, out=hh)
+        np.subtract(c, u[lo - 1:hi - 1, lo:hi], out=tmp)
+        np.divide(tmp, h1, out=tmp)
+        np.subtract(hh, tmp, out=hh)
+        np.subtract(c, u[lo:hi, lo - 1:hi - 1], out=tmp)
+        np.divide(tmp, h2, out=tmp)
+        np.multiply(drift2, tmp, out=tmp)
+        np.subtract(hh, tmp, out=hh)
+        # c += max(vu/2 * hh, vd/2 * hh)
+        np.multiply(0.5 * vu[k], hh, out=tmp)
+        np.multiply(0.5 * vd[k], hh, out=hh)
+        np.maximum(tmp, hh, out=tmp)
+        np.add(c, tmp, out=c)
+    return float(u[m, m])
 
 
 def _window_value(

@@ -94,6 +94,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="sabr"):
             load_config(write_config(tmp_path, cfg))
 
+    @pytest.mark.parametrize("notional", [0, -0.0, math.nan, math.inf, -math.inf])
+    def test_zero_or_nonfinite_notional_rejected(self, tmp_path, notional):
+        cfg = json.loads(json.dumps(BOOK))
+        cfg["contracts"][1]["notional"] = notional
+        with pytest.raises(ConfigError, match=r"contracts\[1\]\.notional"):
+            load_config(write_config(tmp_path, cfg))
+
+    @pytest.mark.parametrize("schedule", ["abc", 5, [1.0, "x"], [[1.0], [2.0]]])
+    def test_malformed_schedule_names_contract(self, tmp_path, schedule):
+        cfg = json.loads(json.dumps(BOOK))
+        cfg["contracts"][1]["schedule"] = schedule
+        with pytest.raises(ConfigError, match=r"contracts\[1\]\.schedule.*'cap'"):
+            load_config(write_config(tmp_path, cfg))
+
     def test_band_independence_of_linear_contracts(self, tmp_path):
         setup = load_config(write_config(tmp_path, BOOK))
         frn = setup.contracts[0]
@@ -134,6 +148,13 @@ class TestPriceCommand:
         cfg["contracts"][0]["schedule"] = [2.0, 1.0]
         assert main(["price", write_config(tmp_path, cfg)]) == 2
         assert "strictly increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("notional", 0), ("schedule", "abc")])
+    def test_bad_contract_field_exit_2(self, tmp_path, capsys, field, value):
+        cfg = json.loads(json.dumps(BOOK))
+        cfg["contracts"][0][field] = value
+        assert main(["price", write_config(tmp_path, cfg)]) == 2
+        assert f"contracts[0].{field}" in capsys.readouterr().err
 
     def test_pricing_error_exit_3(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BOOK))

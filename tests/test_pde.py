@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from robust_rates import pde
 from robust_rates.curve import flat_curve
-from robust_rates.errors import DomainError, StabilityError
+from robust_rates.errors import ConvergenceError, DomainError, StabilityError
 from robust_rates.lognormal import lognormal_call, lognormal_put
 from robust_rates.oracle import lattice_price
 from robust_rates.pde import (
@@ -198,6 +200,89 @@ class TestSchemes:
         grid = default_grid(x0, 0.01, nx=101, nt=10)
         sol = solve_single_option(CURVE, VS, BAND, 1.0, 0.0, 1.5, put_payoff(), grid)
         assert sol.value == pytest.approx(max(KI - x0, 0.0), abs=1e-12)
+
+
+def reference_implicit_sweep(u, xs, dx, a_up, a_dn, keep):
+    """Reference: the policy-iteration sweep with a fresh banded matrix per
+    iteration, solved by scipy.linalg.solve_banded."""
+    nx = len(xs)
+    x2 = xs[1:-1] ** 2
+    frames = [u.copy()] if keep is not None else None
+    lo_bc, hi_bc = u[0], u[-1]
+    for k in range(len(a_up) - 1, -1, -1):
+        d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
+        policy = d2 >= 0.0
+        prev = u[1:-1]
+        for _ in range(pde.POLICY_ITERATION_CAP):
+            alpha = 0.5 * np.where(policy, a_up[k], a_dn[k]) * x2 / dx**2
+            band_mat = np.zeros((3, nx - 2))
+            band_mat[0, 1:] = -alpha[:-1]
+            band_mat[1, :] = 1.0 + 2.0 * alpha
+            band_mat[2, :-1] = -alpha[1:]
+            rhs = u[1:-1].copy()
+            rhs[0] += alpha[0] * lo_bc
+            rhs[-1] += alpha[-1] * hi_bc
+            solved = scipy.linalg.solve_banded((1, 1), band_mat, rhs)
+            full = np.concatenate(([lo_bc], solved, [hi_bc]))
+            d2 = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / dx**2
+            new_policy = d2 >= 0.0
+            value_change = float(np.max(np.abs(solved - prev)))
+            if np.array_equal(new_policy, policy) or value_change < pde.POLICY_VALUE_TOL:
+                policy = new_policy
+                break
+            policy = new_policy
+            prev = solved
+        else:
+            raise ConvergenceError(f"no convergence at time step {k}")
+        u = np.concatenate(([lo_bc], solved, [hi_bc]))
+        if frames is not None:
+            frames.append(u.copy())
+    return u, frames
+
+
+class TestImplicitSweepBitExact:
+    """The sweep calls LAPACK gtsv directly and reuses its buffers; it must
+    reproduce the solve_banded loop exactly, not approximately."""
+
+    @pytest.mark.parametrize("vs", [VS, hull_white(0.015, 0.4)], ids=["ho-lee", "hull-white"])
+    @pytest.mark.parametrize("nx", [3, 4, 41])
+    @pytest.mark.parametrize("solve", [solve_single_option, solve_lower], ids=["upper", "lower"])
+    def test_matches_solve_banded_loop(self, monkeypatch, vs, nx, solve):
+        x0 = CURVE.forward_price(1.0, 1.5)
+        grid = default_grid(x0, v_total(vs, 1.5, 1.0, 1.0, 1.5), nx=nx, nt=30)
+
+        def run():
+            return solve(CURVE, vs, BAND, 1.0, 1.0, 1.5, spread_payoff(), grid, keep_surface=True)
+
+        got = run()
+        monkeypatch.setattr(pde, "_implicit_sweep", reference_implicit_sweep)
+        ref = run()
+        assert got.value == ref.value
+        assert np.array_equal(got.surface, ref.surface)
+
+    def test_tridiagonal_solve_matches_scipy(self):
+        rng = np.random.Generator(np.random.Philox(key=3))
+        for n in (1, 2, 7, 50):
+            dl, du = rng.normal(size=n - 1), rng.normal(size=n - 1)
+            d, b = rng.normal(size=n) + 4.0, rng.normal(size=n)
+            band_mat = np.zeros((3, n))
+            band_mat[0, 1:], band_mat[1], band_mat[2, :-1] = du, d, dl
+            ref = scipy.linalg.solve_banded((1, 1), band_mat, b)
+            assert np.array_equal(pde.solve_banded(dl.copy(), d.copy(), du.copy(), b.copy()), ref)
+
+    def test_tridiagonal_solve_errors(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            pde.solve_banded(np.ones(2), np.array([1.0, np.inf, 1.0]), np.ones(2), np.ones(3))
+        with pytest.raises(scipy.linalg.LinAlgError, match="singular"):
+            pde.solve_banded(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
+
+    def test_nan_payoff_raises_value_error(self):
+        x0 = CURVE.forward_price(1.0, 1.5)
+        grid = default_grid(x0, v_total(VS, 1.5, 1.0, 1.0, 1.5), nx=41, nt=10)
+        nan_above = PayoffSpec(evaluator=lambda x: np.where(x > x0, np.nan, x), growth=(1.0, 1))
+        with pytest.raises(ValueError, match="infs or NaNs") as info:
+            solve_single_option(CURVE, VS, BAND, 1.0, 1.0, 1.5, nan_above, grid)
+        assert type(info.value) is ValueError
 
 
 class TestValidation:

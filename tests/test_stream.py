@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from robust_rates import stream
 from robust_rates.curve import flat_curve
 from robust_rates.errors import DomainError, UnsupportedMethodError
 from robust_rates.linear_pricing import LinearContract, TenorSchedule
@@ -27,7 +28,7 @@ from robust_rates.linear_pricing import (
     price_floating_rate_note,
 )
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
-from robust_rates.vol_structure import ho_lee
+from robust_rates.vol_structure import ho_lee, hull_white
 
 CURVE = flat_curve(0.02)
 VS = ho_lee(0.01)
@@ -224,6 +225,53 @@ class TestCoupledRecursion:
         got = price_stream(CURVE, VS, degenerate_band((1.0,)), st, nx=121, nt=120)
         assert got.symmetric
         assert abs(got.upper - got.lower) <= 1e-9
+
+
+def full_grid_pair_sweep(u, h1, h2, drift2, vu, vd):
+    """Reference: the explicit pair steps over the whole interior, one fresh
+    grid per step."""
+    n = len(u)
+    for k in range(len(vu) - 1, -1, -1):
+        c = u[1:-1, 1:-1]
+        diag = (u[2:, 2:] - 2.0 * c + u[:-2, :-2]) / h1**2
+        up1 = (c - u[:-2, 1:-1]) / h1
+        up2 = (c - u[1:-1, :-2]) / h2
+        hh = diag - up1 - drift2 * up2
+        gen = np.maximum(0.5 * vu[k] * hh, 0.5 * vd[k] * hh)
+        u = u.copy()
+        u[1:-1, 1:-1] = c + gen
+    return float(u[n // 2, n // 2])
+
+
+class TestPairSweepBitExact:
+    """The pair sweep steps only the centre's domain of dependence, in place;
+    it must reproduce the full-grid steps exactly, not approximately."""
+
+    @pytest.mark.parametrize("vs", [VS2, hull_white(0.02, 0.3)], ids=["ho-lee", "hull-white"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
+    def test_pair_recursion_matches_full_grid(self, monkeypatch, vs, sign):
+        g1, g2 = capped_call_spread_leg(0.985, 0.01), caplet_leg(0.5, 0.04)
+
+        def value():
+            return stream._pair_recursion_upper(
+                CURVE, vs, BAND, SCHED, 0,
+                lambda p: sign * g1(p), g1.growth, lambda p: sign * g2(p), g2.growth, 37, 36,
+            )
+
+        got = value()
+        monkeypatch.setattr(stream, "_pair_sweep", full_grid_pair_sweep)
+        assert got == value()
+
+    @pytest.mark.parametrize("steps", [3, 30], ids=["unclipped", "clipped"])
+    def test_sweep_matches_full_grid_on_random_grid(self, steps):
+        rng = np.random.Generator(np.random.Philox(key=7))
+        u = rng.normal(size=(21, 21))
+        vu = rng.uniform(0.05, 0.1, size=steps)
+        vd = vu * rng.uniform(0.1, 0.9, size=steps)
+        # Unit-order spacings keep every term of the stencil at the same
+        # scale, so a change in any one rounding shows in the result.
+        args = (1.0, 0.7, 1.3, vu, vd)
+        assert stream._pair_sweep(u.copy(), *args) == full_grid_pair_sweep(u, *args)
 
 
 class TestUnsupportedShapes:
