@@ -27,6 +27,7 @@ from .errors import ConfigError, RobustRatesError
 from .linear_pricing import LINEAR_KINDS, LinearContract, TenorSchedule, price_linear
 from .mc import MCConfig, child_seed
 from .option_pricing import OPTION_KINDS, OptionContract, price_option
+from .pde import check_resolution
 from .stream import (
     CashflowStream,
     ConstantLeg,
@@ -72,22 +73,60 @@ def _require(section: dict, field: str, where: str):
     return section[field]
 
 
+def _number(value, where: str) -> float:
+    """A finite float.  JSON's NaN and Infinity literals parse, so they are
+    rejected here rather than surfacing later as pricing errors."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
+    return x
+
+
+def _number_field(section: dict, field: str, where: str, default: float | None = None) -> float:
+    """The finite number section[field]; required unless a default is given."""
+    value = _require(section, field, where) if default is None else section.get(field, default)
+    return _number(value, f"{where}.{field}")
+
+
+def _numbers(values, where: str) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{where}: expected a list of numbers, got {values!r}")
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+
+def _integer_field(section: dict, field: str, where: str, default: int) -> int:
+    value = section.get(field, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}.{field}: expected an integer, got {value!r}") from None
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object")
+    return value
+
+
 def _parse_curve(section, base_dir: str) -> DiscountCurve:
-    if not isinstance(section, dict):
-        raise ConfigError("curve: expected an object")
+    _object(section, "curve")
+    horizon = None if section.get("horizon") is None else _number_field(section, "horizon", "curve")
     if "csv" in section:
         path = os.path.join(base_dir, section["csv"])
         return load_curve(
             path,
             interpolation=section.get("interpolation", "linear"),
-            horizon=section.get("horizon"),
+            horizon=horizon,
         )
     knots = _require(section, "knots", "curve")
     try:
         return DiscountCurve(
             knots=tuple((float(m), float(r)) for m, r in knots),
             interpolation=section.get("interpolation", "linear"),
-            horizon=section.get("horizon"),
+            horizon=horizon,
         )
     except RobustRatesError as exc:
         raise ConfigError(f"curve: {exc}") from exc
@@ -95,30 +134,30 @@ def _parse_curve(section, base_dir: str) -> DiscountCurve:
         raise ConfigError(f"curve.knots: expected [[maturity, rate], ...]: {exc}") from exc
 
 
-def _parse_factor(f: dict, idx: int, base_dir: str):
-    kind = _require(f, "kind", f"vol_structure.factors[{idx}]")
+def _parse_factor(f, idx: int, base_dir: str):
+    where = f"vol_structure.factors[{idx}]"
+    kind = _require(_object(f, where), "kind", where)
     try:
         if kind == "ho-lee":
-            return HoLeeFactor(c=float(_require(f, "c", f"factors[{idx}]")))
+            return HoLeeFactor(c=_number_field(f, "c", where))
         if kind == "hull-white":
             return HullWhiteFactor(
-                c=float(_require(f, "c", f"factors[{idx}]")),
-                kappa=float(_require(f, "kappa", f"factors[{idx}]")),
+                c=_number_field(f, "c", where), kappa=_number_field(f, "kappa", where)
             )
         if kind == "tabulated":
-            return load_tabulated_factor(
-                os.path.join(base_dir, _require(f, "csv", f"factors[{idx}]"))
-            )
+            return load_tabulated_factor(os.path.join(base_dir, _require(f, "csv", where)))
+    except ConfigError:
+        raise
     except RobustRatesError as exc:
-        raise ConfigError(f"vol_structure.factors[{idx}]: {exc}") from exc
-    raise ConfigError(f"vol_structure.factors[{idx}].kind: unknown kind {kind!r}")
+        raise ConfigError(f"{where}: {exc}") from exc
+    raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
 
 
 def _parse_band(section) -> UncertaintyBand:
-    lo = _require(section, "sigma_lower", "band")
-    hi = _require(section, "sigma_upper", "band")
+    lo = _numbers(_require(section, "sigma_lower", "band"), "band.sigma_lower")
+    hi = _numbers(_require(section, "sigma_upper", "band"), "band.sigma_upper")
     try:
-        return UncertaintyBand(lower=tuple(map(float, lo)), upper=tuple(map(float, hi)))
+        return UncertaintyBand(lower=lo, upper=hi)
     except RobustRatesError as exc:
         raise ConfigError(f"band: {exc}") from exc
 
@@ -126,84 +165,90 @@ def _parse_band(section) -> UncertaintyBand:
 def _parse_schedule(entry, where: str, name: str) -> TenorSchedule:
     dates = _require(entry, "schedule", where)
     try:
-        return TenorSchedule(dates=tuple(float(d) for d in dates))
+        schedule = TenorSchedule(dates=tuple(float(d) for d in dates))
     except RobustRatesError as exc:
         raise ConfigError(f"{where}.schedule: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(
             f"{where}.schedule: contract '{name}': expected a list of dates, got {dates!r}"
         ) from exc
+    if not all(map(math.isfinite, schedule.dates)):  # NaN passes the ordering checks
+        raise ConfigError(f"{where}.schedule: contract '{name}': dates must be finite")
+    return schedule
 
 
 def _parse_notional(entry, where: str) -> float:
     """Prices are reported per unit notional, so it must be finite and nonzero."""
-    value = entry.get("notional", 1.0)
-    try:
-        notional = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.notional: expected a number, got {value!r}") from exc
-    if notional == 0.0 or not math.isfinite(notional):
-        raise ConfigError(f"{where}.notional: must be finite and nonzero, got {value!r}")
+    notional = _number_field(entry, "notional", where, 1.0)
+    if notional == 0.0:
+        raise ConfigError(f"{where}.notional: must be nonzero, got {entry['notional']!r}")
     return notional
 
 
-def _parse_leg(leg: dict, accrual: float, where: str):
-    kind = _require(leg, "type", where)
+def _parse_leg(leg, accrual: float, where: str):
+    kind = _require(_object(leg, where), "type", where)
+
+    def num(field: str, default: float | None = None) -> float:
+        return _number_field(leg, field, where, default)
+
     try:
         if kind == "constant":
-            return ConstantLeg(amount=float(_require(leg, "amount", where)))
+            return ConstantLeg(amount=num("amount"))
         if kind == "floating":
-            return FloatingLinearLeg(
-                slope=float(_require(leg, "slope", where)),
-                intercept=float(leg.get("intercept", 0.0)),
-            )
+            return FloatingLinearLeg(slope=num("slope"), intercept=num("intercept", 0.0))
         if kind == "caplet":
-            return caplet_leg(accrual, float(_require(leg, "strike_rate", where)))
+            return caplet_leg(accrual, num("strike_rate"))
         if kind == "floorlet":
-            return floorlet_leg(accrual, float(_require(leg, "strike_rate", where)))
+            return floorlet_leg(accrual, num("strike_rate"))
         if kind == "in-arrears":
-            return in_arrears_leg(accrual, float(_require(leg, "strike_rate", where)))
+            return in_arrears_leg(accrual, num("strike_rate"))
         if kind == "capped-call-spread":
-            return capped_call_spread_leg(
-                float(_require(leg, "strike", where)), float(_require(leg, "cap", where))
-            )
+            return capped_call_spread_leg(num("strike"), num("cap"))
         if kind == "capped-forward":
-            return capped_forward_leg(float(_require(leg, "cap", where)))
+            return capped_forward_leg(num("cap"))
+    except ConfigError:
+        raise
     except RobustRatesError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}.type: unknown leg type {kind!r}")
 
 
-def _parse_contract(entry: dict, idx: int) -> ConfiguredContract:
+def _parse_contract(entry, idx: int) -> ConfiguredContract:
     where = f"contracts[{idx}]"
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected an object")
-    kind = _require(entry, "kind", where)
+    kind = _require(_object(entry, where), "kind", where)
     name = str(entry.get("name", f"contract-{idx}"))
     notional = _parse_notional(entry, where)
     schedule = _parse_schedule(entry, where, name)
     mc = None
     if "mc" in entry:
-        m = entry["mc"]
-        mc = MCConfig(
-            paths=int(m.get("paths", 100_000)),
-            seed=int(m.get("seed", 0)),
-            antithetic=bool(m.get("antithetic", True)),
-        )
+        m = _object(entry["mc"], f"{where}.mc")
+        paths = _integer_field(m, "paths", f"{where}.mc", 100_000)
+        seed = _integer_field(m, "seed", f"{where}.mc", 0)
+        try:
+            mc = MCConfig(paths=paths, seed=seed, antithetic=bool(m.get("antithetic", True)))
+        except RobustRatesError as exc:
+            raise ConfigError(f"{where}.mc: {exc}") from exc
+    grid = _object(entry.get("grid", {}), f"{where}.grid")
+    nx = _integer_field(grid, "nx", f"{where}.grid", 241)
+    nt = _integer_field(grid, "nt", f"{where}.grid", 240)
+    try:
+        check_resolution(nx, nt)
+    except RobustRatesError as exc:
+        raise ConfigError(f"{where}.grid: {exc}") from exc
     try:
         if kind in LINEAR_KINDS:
             rate = entry.get("fixed_rate")
             contract = LinearContract(
                 kind=kind,
                 schedule=schedule,
-                fixed_rate=None if rate is None else float(rate),
+                fixed_rate=None if rate is None else _number(rate, f"{where}.fixed_rate"),
                 notional=notional,
             )
         elif kind in OPTION_KINDS:
             contract = OptionContract(
                 kind=kind,
                 schedule=schedule,
-                strike_rate=float(_require(entry, "strike_rate", where)),
+                strike_rate=_number_field(entry, "strike_rate", where),
                 notional=notional,
             )
         elif kind == "stream":
@@ -223,14 +268,13 @@ def _parse_contract(entry: dict, idx: int) -> ConfiguredContract:
         raise
     except RobustRatesError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    grid = entry.get("grid", {})
     return ConfiguredContract(
         name=name,
         contract=contract,
         method=entry.get("method", "quadrature-1f"),
         mc=mc,
-        nx=int(grid.get("nx", 241)),
-        nt=int(grid.get("nt", 240)),
+        nx=nx,
+        nt=nt,
         seed_pinned="mc" in entry and "seed" in entry["mc"],
     )
 
@@ -256,6 +300,8 @@ def load_config(path: str) -> PricingSetup:
             f"band: dimension {band.dim} does not match vol_structure dimension {vol.dim}"
         )
     entries = _require(raw, "contracts", "config")
+    if not isinstance(entries, list):
+        raise ConfigError("contracts: expected a list")
     if not entries:
         raise ConfigError("contracts: need at least one contract")
     contracts = tuple(_parse_contract(e, i) for i, e in enumerate(entries))

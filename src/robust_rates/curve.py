@@ -8,15 +8,18 @@ f(T) on [0, horizon].  Zero-coupon bond prices follow by exact integration,
 and forward bond prices are ratios P(T_tilde)/P(T).  Both supported
 interpolation modes (flat-left and linear) admit closed-form antiderivatives,
 so no quadrature error enters at this layer.
+
+Scalar evaluation is exact and runs in plain Python over cached tuples of
+knot maturities, rates and cumulative integrals: on a handful of knots,
+numpy's per-call overhead would dominate the cost.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .errors import DomainError, ParseError
 
@@ -65,32 +68,22 @@ class DiscountCurve:
                 f"got {self.interpolation!r}"
             )
 
-    # -- cached knot arrays ------------------------------------------------
+    # -- cached knot tuples ------------------------------------------------
 
     @cached_property
-    def _mats(self) -> np.ndarray:
-        return np.array([m for m, _ in self.knots])
-
-    @cached_property
-    def _rates(self) -> np.ndarray:
-        return np.array([r for _, r in self.knots])
-
-    @cached_property
-    def _cum_integral(self) -> np.ndarray:
-        """integral_0^{m_k} f(s) ds at each knot maturity m_k (exact)."""
-        mats, rates = self._mats, self._rates
-        out = np.zeros(len(mats))
+    def _table(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """(maturities, rates, integral_0^{m_k} f(s) ds at each knot m_k)."""
+        mats, rates = zip(*self.knots)
         # Segment before the first knot: flat at the first rate.
-        head = mats[0] * rates[0]
-        out[0] = head
+        cum = [mats[0] * rates[0]]
         for k in range(1, len(mats)):
             dt = mats[k] - mats[k - 1]
             if self.interpolation == "flat-left":
                 seg = rates[k - 1] * dt
             else:
                 seg = 0.5 * (rates[k - 1] + rates[k]) * dt
-            out[k] = out[k - 1] + seg
-        return out
+            cum.append(cum[-1] + seg)
+        return mats, rates, tuple(cum)
 
     # -- operations ---------------------------------------------------------
 
@@ -105,32 +98,33 @@ class DiscountCurve:
     def forward_rate(self, T: float) -> float:
         """Instantaneous forward rate f(T), exact at knots."""
         T = self._check_maturity(T)
-        mats, rates = self._mats, self._rates
+        mats, rates, _ = self._table
         if T <= mats[0]:
-            return float(rates[0])
+            return rates[0]
         if T >= mats[-1]:
-            return float(rates[-1])
-        k = int(np.searchsorted(mats, T, side="right")) - 1
+            return rates[-1]
+        k = bisect_right(mats, T) - 1
         if self.interpolation == "flat-left":
-            return float(rates[k])
+            return rates[k]
         w = (T - mats[k]) / (mats[k + 1] - mats[k])
-        return float(rates[k] + w * (rates[k + 1] - rates[k]))
+        return rates[k] + w * (rates[k + 1] - rates[k])
 
     def forward_integral(self, T: float) -> float:
         """integral_0^T f(s) ds, evaluated with closed-form antiderivatives."""
         T = self._check_maturity(T)
-        mats, rates = self._mats, self._rates
+        mats, rates, cum = self._table
         if T <= mats[0]:
-            return float(T * rates[0])
+            return T * rates[0]
         if T >= mats[-1]:
-            return float(self._cum_integral[-1] + (T - mats[-1]) * rates[-1])
-        k = int(np.searchsorted(mats, T, side="right")) - 1
+            return cum[-1] + (T - mats[-1]) * rates[-1]
+        k = bisect_right(mats, T) - 1
         dt = T - mats[k]
         if self.interpolation == "flat-left":
             seg = rates[k] * dt
         else:
-            seg = 0.5 * (rates[k] + self.forward_rate(T)) * dt
-        return float(self._cum_integral[k] + seg)
+            w = dt / (mats[k + 1] - mats[k])
+            seg = 0.5 * (rates[k] + (rates[k] + w * (rates[k + 1] - rates[k]))) * dt
+        return cum[k] + seg
 
     def bond_price(self, T: float) -> float:
         """Time-0 zero-coupon bond price P(T) = exp(-integral_0^T f)."""

@@ -48,6 +48,14 @@ _GL5_WEIGHTS = np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888
 _GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
+def check_resolution(nx: int, nt: int) -> None:
+    """Smallest usable grid: three space nodes and one time step."""
+    if nx < 3:
+        raise DomainError(f"nx must be at least 3, got {nx}")
+    if nt < 1:
+        raise DomainError(f"nt must be at least 1, got {nt}")
+
+
 @dataclass(frozen=True)
 class PDEGrid:
     """Spatial/temporal resolution and scheme choice for one solve."""
@@ -63,10 +71,7 @@ class PDEGrid:
             raise DomainError(f"x_min must be positive, got {self.x_min}")
         if not self.x_max > self.x_min:
             raise DomainError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
-        if self.nx < 3:
-            raise DomainError(f"nx must be at least 3, got {self.nx}")
-        if self.nt < 1:
-            raise DomainError(f"nt must be at least 1, got {self.nt}")
+        check_resolution(self.nx, self.nt)
         if self.scheme not in SCHEMES:
             raise DomainError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 

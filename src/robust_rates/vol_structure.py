@@ -219,7 +219,11 @@ def load_tabulated_factor(path: str) -> TabulatedFactor:
 
 @dataclass(frozen=True)
 class VolStructure:
-    """Ordered collection of diffusion factors; dimension d = len(factors)."""
+    """Ordered collection of diffusion factors; dimension d = len(factors).
+
+    A ``scale`` argument (factor j is multiplied by scale_j) is a sequence of
+    d numbers (tuple, list or 1-D array) or, when d == 1, a single number.
+    """
 
     factors: tuple[VolFactor, ...]
 
@@ -237,10 +241,16 @@ class VolStructure:
             raise DomainError(f"factor index {i} out of range for d={self.dim}")
         return self.factors[i]
 
-    def _check_scale(self, scale) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(scale, dtype=float))
-        if s.shape != (self.dim,):
-            raise DomainError(f"scale must have {self.dim} entries, got shape {s.shape}")
+    def _check_scale(self, scale) -> tuple[float, ...]:
+        """The d per-factor scales as a tuple of floats (see the class doc)."""
+        if isinstance(scale, np.ndarray):
+            scale = scale.tolist()
+        try:
+            s = tuple(map(float, scale if isinstance(scale, (tuple, list)) else (scale,)))
+        except (TypeError, ValueError):
+            raise DomainError(f"scale entries must be numbers, got {scale!r}") from None
+        if len(s) != self.dim:
+            raise DomainError(f"scale must have {self.dim} entries, got {len(s)}")
         return s
 
     def bond_vol(self, i: int, t: float, T: float) -> float:
@@ -276,13 +286,11 @@ class VolStructure:
             )
         if t1 == t0:
             return 0.0
-        pair = (float(T), float(T_tilde))
-        return float(
-            sum(
-                s[j] ** 2 * self.factors[j].fp_cov_integral(float(t0), float(t1), pair, pair)
-                for j in range(self.dim)
-            )
-        )
+        t0, t1, pair = float(t0), float(t1), (float(T), float(T_tilde))
+        total = 0.0
+        for sj, f in zip(s, self.factors):
+            total += sj ** 2 * f.fp_cov_integral(t0, t1, pair, pair)
+        return total
 
     def integrated_covariance(
         self, scale, t0: float, t1: float, pair_a, pair_b
@@ -293,14 +301,13 @@ class VolStructure:
             raise DomainError(f"integrated_covariance requires t0 <= t1, got {t0} > {t1}")
         if t1 == t0:
             return 0.0
+        t0, t1 = float(t0), float(t1)
         a = (float(pair_a[0]), float(pair_a[1]))
         b = (float(pair_b[0]), float(pair_b[1]))
-        return float(
-            sum(
-                s[j] ** 2 * self.factors[j].fp_cov_integral(float(t0), float(t1), a, b)
-                for j in range(self.dim)
-            )
-        )
+        total = 0.0
+        for sj, f in zip(s, self.factors):
+            total += sj ** 2 * f.fp_cov_integral(t0, t1, a, b)
+        return total
 
     def short_rate_var_integral(self, scale, t0: float, t1: float, T: float) -> float:
         """sum_j scale_j^2 * integral_t0^t1 beta_j(u, T)^2 du: the variance of
@@ -309,12 +316,11 @@ class VolStructure:
         s = self._check_scale(scale)
         if t0 > t1:
             raise DomainError(f"short_rate_var_integral requires t0 <= t1, got {t0} > {t1}")
-        return float(
-            sum(
-                s[j] ** 2 * self.factors[j].beta_var_integral(float(t0), float(t1), float(T))
-                for j in range(self.dim)
-            )
-        )
+        t0, t1, T = float(t0), float(t1), float(T)
+        total = 0.0
+        for sj, f in zip(s, self.factors):
+            total += sj ** 2 * f.beta_var_integral(t0, t1, T)
+        return total
 
     def is_separable(self) -> bool:
         """True when every factor's forward-price vol factorizes as

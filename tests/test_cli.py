@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -20,6 +21,13 @@ BOOK = {
         {"name": "swaption", "kind": "swaption-payer", "schedule": [1.0, 1.5, 2.0],
          "strike_rate": 0.04, "method": "quadrature-1f"},
     ],
+}
+
+
+STREAM = {
+    "name": "st", "kind": "stream", "schedule": [1.0, 1.5, 2.0],
+    "legs": [{"type": "capped-call-spread", "strike": math.nan, "cap": 0.02},
+             {"type": "caplet", "strike_rate": 0.04}],
 }
 
 
@@ -155,6 +163,66 @@ class TestPriceCommand:
         cfg["contracts"][0][field] = value
         assert main(["price", write_config(tmp_path, cfg)]) == 2
         assert f"contracts[0].{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda c: c["contracts"][0].update(kind="payer-swap", fixed_rate=math.inf),
+         "contracts[0].fixed_rate"),
+        (lambda c: c["contracts"][0].update(kind="payer-swap", fixed_rate=math.nan),
+         "contracts[0].fixed_rate"),
+        (lambda c: c["contracts"][1].update(strike_rate=math.inf), "contracts[1].strike_rate"),
+        (lambda c: c["vol_structure"]["factors"][0].update(c=math.inf),
+         "vol_structure.factors[0].c"),
+        (lambda c: c["vol_structure"].update(factors=[{"kind": "hull-white", "c": 0.01,
+                                                       "kappa": math.nan}]),
+         "vol_structure.factors[0].kappa"),
+        (lambda c: c["band"].update(sigma_upper=[math.inf]), "band.sigma_upper"),
+        (lambda c: c["band"].update(sigma_lower=[math.nan]), "band.sigma_lower"),
+        (lambda c: c["contracts"].append(STREAM), None),
+        (lambda c: c["contracts"][1].update(schedule=[1.0, math.nan, 2.0]),
+         "contracts[1].schedule: contract 'cap': dates must be"),
+        (lambda c: c["curve"].update(horizon=math.nan), "curve.horizon"),
+    ])
+    def test_nonfinite_number_exit_2(self, tmp_path, capsys, mutate, field):
+        cfg = json.loads(json.dumps(BOOK))
+        mutate(cfg)
+        assert main(["price", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert (field or "contracts[3].legs[0].strike") in err
+        assert "finite" in err
+
+    @pytest.mark.parametrize("leg, field", [
+        ({"type": "capped-call-spread", "strike": math.nan, "cap": 0.02}, "strike"),
+        ({"type": "capped-call-spread", "strike": 0.01, "cap": math.inf}, "cap"),
+        ({"type": "constant", "amount": math.inf}, "amount"),
+        ({"type": "floating", "slope": 1.0, "intercept": -math.inf}, "intercept"),
+        ({"type": "caplet", "strike_rate": math.nan}, "strike_rate"),
+    ])
+    def test_nonfinite_leg_parameter_exit_2(self, tmp_path, capsys, leg, field):
+        cfg = json.loads(json.dumps(BOOK))
+        cfg["contracts"] = [dict(STREAM, legs=[leg, {"type": "constant", "amount": 0.01}])]
+        assert main(["price", write_config(tmp_path, cfg)]) == 2
+        assert f"contracts[0].legs[0].{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value, field", [
+        ("mc", {"paths": 1}, "contracts[2].mc: need at least 2 paths"),
+        ("mc", {"paths": "many"}, "contracts[2].mc.paths: expected an integer"),
+        ("grid", {"nx": 2}, "contracts[2].grid: nx must be at least 3"),
+        ("grid", {"nt": 0}, "contracts[2].grid: nt must be at least 1"),
+        ("grid", {"nx": math.nan}, "contracts[2].grid.nx: expected an integer"),
+    ])
+    def test_bad_resolution_is_config_error(self, tmp_path, capsys, section, value, field):
+        cfg = json.loads(json.dumps(BOOK))
+        cfg["contracts"][2][section] = value
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_config(write_config(tmp_path, cfg))
+        assert main(["price", write_config(tmp_path, cfg)]) == 2
+
+    def test_contracts_object_reports_expected_list(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(BOOK))
+        cfg["contracts"] = {"cap": cfg["contracts"][1]}
+        with pytest.raises(ConfigError, match="contracts: expected a list"):
+            load_config(write_config(tmp_path, cfg))
+        assert main(["price", write_config(tmp_path, cfg)]) == 2
 
     def test_pricing_error_exit_3(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BOOK))

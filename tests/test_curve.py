@@ -42,6 +42,10 @@ class TestForwardRate:
         with pytest.raises(DomainError):
             flat_curve(0.02, horizon=30.0).forward_rate(31.0)
         with pytest.raises(DomainError):
+            linear_curve().bond_price(30.0 + 1e-11)
+        with pytest.raises(DomainError):
+            linear_curve().forward_price(1.0, 30.0 + 1e-11)
+        with pytest.raises(DomainError):
             flat_curve(0.02).forward_rate(-0.5)
 
 
@@ -158,3 +162,84 @@ def test_nonnegative_rates_give_nonincreasing_positive_prices(rates, gaps, inter
     prices = [curve.bond_price(t) for t in ts]
     assert all(p > 0.0 for p in prices)
     assert all(a >= b - 1e-12 for a, b in zip(prices, prices[1:]))
+
+
+# -- bit-exactness of the pure-Python scalar path ----------------------------
+#
+# The reference functions below evaluate the same formulas with numpy arrays
+# and searchsorted.  The pure-Python path must agree with them to the last
+# bit, because byte-identical outputs across releases depend on it.
+
+
+def _reference_forward_rate(curve, T):
+    T = min(float(T), curve.horizon)
+    mats = np.array([m for m, _ in curve.knots])
+    rates = np.array([r for _, r in curve.knots])
+    if T <= mats[0]:
+        return float(rates[0])
+    if T >= mats[-1]:
+        return float(rates[-1])
+    k = int(np.searchsorted(mats, T, side="right")) - 1
+    if curve.interpolation == "flat-left":
+        return float(rates[k])
+    w = (T - mats[k]) / (mats[k + 1] - mats[k])
+    return float(rates[k] + w * (rates[k + 1] - rates[k]))
+
+
+def _reference_forward_integral(curve, T):
+    T = min(float(T), curve.horizon)
+    mats = np.array([m for m, _ in curve.knots])
+    rates = np.array([r for _, r in curve.knots])
+    cum = np.zeros(len(mats))
+    cum[0] = mats[0] * rates[0]
+    for k in range(1, len(mats)):
+        dt = mats[k] - mats[k - 1]
+        if curve.interpolation == "flat-left":
+            seg = rates[k - 1] * dt
+        else:
+            seg = 0.5 * (rates[k - 1] + rates[k]) * dt
+        cum[k] = cum[k - 1] + seg
+    if T <= mats[0]:
+        return float(T * rates[0])
+    if T >= mats[-1]:
+        return float(cum[-1] + (T - mats[-1]) * rates[-1])
+    k = int(np.searchsorted(mats, T, side="right")) - 1
+    dt = T - mats[k]
+    if curve.interpolation == "flat-left":
+        seg = rates[k] * dt
+    else:
+        seg = 0.5 * (rates[k] + _reference_forward_rate(curve, T)) * dt
+    return float(cum[k] + seg)
+
+
+def _exactness_curves():
+    rng = np.random.default_rng(11)
+    knot_sets = [
+        ((0.0, 0.021),),
+        ((2.5, 0.013),),
+        ((0.0, 0.015), (5.0, 0.025), (10.0, 0.03), (30.0, 0.035)),
+        tuple(zip(np.cumsum(rng.uniform(0.05, 3.0, 12)).tolist(),
+                  rng.uniform(-0.01, 0.07, 12).tolist())),
+    ]
+    for knots in knot_sets:
+        for interp in ("flat-left", "linear"):
+            yield DiscountCurve(knots=knots, horizon=knots[-1][0] + 3.7, interpolation=interp)
+
+
+@pytest.mark.parametrize("curve", list(_exactness_curves()),
+                         ids=lambda c: f"{len(c.knots)}knots-{c.interpolation}")
+def test_scalar_path_bit_identical_to_numpy_reference(curve):
+    rng = np.random.default_rng(len(curve.knots))
+    h = curve.horizon
+    points = [0.0, h, h + 1e-13] + [m for m, _ in curve.knots]
+    points += rng.uniform(0.0, h, 400).tolist()
+    for T in points + [np.float64(points[-1]), np.int64(1)]:
+        rate, integral = curve.forward_rate(T), curve.forward_integral(T)
+        assert type(rate) is float and type(integral) is float
+        assert rate == _reference_forward_rate(curve, T)
+        assert integral == _reference_forward_integral(curve, T)
+        assert curve.bond_price(T) == math.exp(-_reference_forward_integral(curve, T))
+    for T, S in zip(points, reversed(points)):
+        expected = math.exp(_reference_forward_integral(curve, T) - _reference_forward_integral(curve, S))
+        assert curve.forward_price(T, S) == expected
+

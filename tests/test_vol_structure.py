@@ -168,3 +168,64 @@ class TestValidation:
     def test_scale_length_checked(self):
         with pytest.raises(DomainError):
             ho_lee(0.01).integrated_variance((1.0, 1.0), 0.0, 1.0, 1.0, 2.0)
+
+
+# -- bit-exactness of the pure-Python scalar path ----------------------------
+
+
+def _reference_integrated_variance(vs, scale, t0, t1, T, T_tilde):
+    """Numpy evaluation of the same sum: numpy-scalar scales, left to right."""
+    s = np.atleast_1d(np.asarray(scale, dtype=float))
+    if t1 == t0:
+        return 0.0
+    pair = (float(T), float(T_tilde))
+    return float(sum(
+        s[j] ** 2 * vs.factors[j].fp_cov_integral(float(t0), float(t1), pair, pair)
+        for j in range(vs.dim)
+    ))
+
+
+class TestScalarPathExactness:
+    STRUCTURES = [
+        ho_lee(0.01),
+        hull_white(0.012, 0.1),
+        VolStructure(factors=(HullWhiteFactor(c=0.012, kappa=0.1), HoLeeFactor(c=0.007))),
+        VolStructure(factors=(HullWhiteFactor(c=0.02, kappa=0.7), HoLeeFactor(c=0.004),
+                              HullWhiteFactor(c=0.011, kappa=0.05))),
+    ]
+
+    @pytest.mark.parametrize("vs", STRUCTURES, ids=lambda v: f"d{v.dim}-{v.factors[0].kind}")
+    def test_integrated_variance_bit_identical(self, vs):
+        rng = np.random.default_rng(vs.dim)
+        for _ in range(300):
+            sc = rng.uniform(0.3, 2.0, vs.dim)
+            T = rng.uniform(0.0, 30.0)
+            Tt = T + rng.uniform(0.0, 10.0)
+            t1 = rng.uniform(0.0, T)
+            t0 = rng.uniform(0.0, t1)
+            forms = [tuple(sc.tolist()), sc.tolist(), sc]
+            if vs.dim == 1:
+                forms += [float(sc[0]), sc[0], np.array(sc[0])]
+            expected = _reference_integrated_variance(vs, sc, t0, t1, T, Tt)
+            for form in forms:
+                got = vs.integrated_variance(form, t0, t1, T, Tt)
+                assert type(got) is float
+                assert got == expected
+
+    def test_covariance_on_equal_pairs_is_the_variance(self):
+        for vs in self.STRUCTURES:
+            sc = (1.3,) * vs.dim
+            v = vs.integrated_variance(sc, 0.2, 0.9, 1.0, 2.5)
+            assert vs.integrated_covariance(sc, 0.2, 0.9, (1.0, 2.5), (1.0, 2.5)) == v
+            assert type(vs.short_rate_var_integral(list(sc), 0.2, 0.9, 2.5)) is float
+
+    @pytest.mark.parametrize("scale", [(1.0,), [1.0, 1.0, 1.0], np.ones(3), 1.0, [[1.0, 1.0]],
+                                       ("a", "b")])
+    def test_wrong_scale_rejected(self, scale):
+        vs = self.STRUCTURES[2]
+        with pytest.raises(DomainError):
+            vs.integrated_variance(scale, 0.0, 1.0, 1.0, 2.0)
+        with pytest.raises(DomainError):
+            vs.integrated_covariance(scale, 0.0, 1.0, (1.0, 2.0), (1.0, 3.0))
+        with pytest.raises(DomainError):
+            vs.short_rate_var_integral(scale, 0.0, 1.0, 2.0)
