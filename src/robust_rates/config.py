@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 
 from .curve import DiscountCurve, load_curve
-from .errors import ConfigError, RobustRatesError
+from .errors import ConfigError, DomainError, RobustRatesError
 from .linear_pricing import LINEAR_KINDS, LinearContract, TenorSchedule, price_linear
 from .mc import MCConfig, child_seed
 from .option_pricing import OPTION_KINDS, OptionContract, price_option
@@ -111,13 +111,23 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _load_file(loader, base_dir: str, name, where: str, **kwargs):
+    """loader applied to a data file the config names, relative to its directory."""
+    path = os.path.join(base_dir, str(name))
+    try:
+        return loader(path, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"{where}: cannot read {path}: {exc.strerror}") from exc
+    except RobustRatesError as exc:  # a malformed file
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _parse_curve(section, base_dir: str) -> DiscountCurve:
     _object(section, "curve")
     horizon = None if section.get("horizon") is None else _number_field(section, "horizon", "curve")
     if "csv" in section:
-        path = os.path.join(base_dir, section["csv"])
-        return load_curve(
-            path,
+        return _load_file(
+            load_curve, base_dir, section["csv"], "curve.csv",
             interpolation=section.get("interpolation", "linear"),
             horizon=horizon,
         )
@@ -145,7 +155,8 @@ def _parse_factor(f, idx: int, base_dir: str):
                 c=_number_field(f, "c", where), kappa=_number_field(f, "kappa", where)
             )
         if kind == "tabulated":
-            return load_tabulated_factor(os.path.join(base_dir, _require(f, "csv", where)))
+            csv = _require(f, "csv", where)
+            return _load_file(load_tabulated_factor, base_dir, csv, f"{where}.csv")
     except ConfigError:
         raise
     except RobustRatesError as exc:
@@ -268,6 +279,8 @@ def _parse_contract(entry, idx: int) -> ConfiguredContract:
         raise
     except RobustRatesError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if "method" in entry and kind != "swaption-payer":
+        raise ConfigError(f"{where}.method: only swaption-payer contracts take a method")
     return ConfiguredContract(
         name=name,
         contract=contract,
@@ -325,11 +338,15 @@ def price_configured(
     run seed and the contract index unless the config pinned one."""
     band = band or setup.band
     contract = cc.contract
-    if isinstance(contract, LinearContract):
-        return price_linear(setup.curve, contract)
-    if isinstance(contract, OptionContract):
-        mc = cc.mc or MCConfig()
-        if not cc.seed_pinned:
-            mc = MCConfig(paths=mc.paths, seed=child_seed(default_seed, index), antithetic=mc.antithetic)
-        return price_option(setup.curve, setup.vol, band, contract, method=cc.method, mc=mc)
-    return price_stream(setup.curve, setup.vol, band, contract, nx=cc.nx, nt=cc.nt)
+    try:
+        if isinstance(contract, LinearContract):
+            return price_linear(setup.curve, contract)
+        if isinstance(contract, OptionContract):
+            mc = cc.mc or MCConfig()
+            if not cc.seed_pinned:
+                seed = child_seed(default_seed, index)
+                mc = MCConfig(paths=mc.paths, seed=seed, antithetic=mc.antithetic)
+            return price_option(setup.curve, setup.vol, band, contract, method=cc.method, mc=mc)
+        return price_stream(setup.curve, setup.vol, band, contract, nx=cc.nx, nt=cc.nt)
+    except OverflowError as exc:  # a factor level too large for its variance integral
+        raise DomainError(f"contract '{cc.name}': numerical overflow ({exc})") from exc

@@ -26,8 +26,9 @@ class UnsupportedMethodError(RobustRatesError, ValueError):
 
 
 class StabilityError(RobustRatesError, RuntimeError):
-    """An explicit finite-difference step violates its stability bound.
-    The message suggests a sufficient number of time steps."""
+    """A lattice step's branch probabilities leave [0, 1] (the step
+    variance is too large for the node spacing).  The message suggests a
+    sufficient number of time steps."""
 
 
 class ConvergenceError(RobustRatesError, RuntimeError):

@@ -33,6 +33,7 @@ from .errors import DomainError, StabilityError, UnsupportedMethodError
 from .linear_pricing import LinearContract
 from .mc import MCConfig, child_seed, mean_and_se, normals
 from .option_pricing import OptionContract, transformed_strike
+from .pde import step_variances
 from .stream import CashflowStream, ConstantLeg, FloatingLinearLeg
 from .uncertainty import UncertaintyBand
 from .vol_structure import VolStructure
@@ -81,13 +82,7 @@ def lattice_price(
         raise DomainError(f"expiry t1={t1} must not exceed min(T, T_i)=({T}, {T_i})")
 
     x0 = curve.forward_price(T, T_i)
-    ts = np.linspace(0.0, t1, steps + 1)
-    v_up = np.array(
-        [vs.integrated_variance(band.upper, ts[k], ts[k + 1], T, T_i) for k in range(steps)]
-    )
-    v_dn = np.array(
-        [vs.integrated_variance(band.lower, ts[k], ts[k + 1], T, T_i) for k in range(steps)]
-    )
+    v_up, v_dn = step_variances(vs, band, np.linspace(0.0, t1, steps + 1), T, T_i)
     v_max = float(np.max(v_up))
     if v_max <= 0.0:
         return float(np.asarray(payoff(np.array([x0])), dtype=float)[0])
@@ -232,48 +227,37 @@ class ScenarioResult:
 
 def _scenario_price(curve, vs, segments, contract, mc: MCConfig, seed: int) -> tuple[float, float]:
     """Linear Monte Carlo price of one contract under one scenario."""
+    def forwards(t_end, pairs, key):
+        """(paths, len(pairs)) forward prices at t_end from the draws keyed by key."""
+        nseg = len(segments)
+        z = normals(key, mc.paths, nseg * vs.dim, mc.antithetic).reshape(mc.paths, nseg, vs.dim)
+        x0s = [curve.forward_price(*p) for p in pairs]
+        return _terminal_forward_prices(vs, segments, t_end, pairs, x0s, z)
+
+    def period(i, pair):
+        return forwards(contract.schedule.dates[i], [pair], child_seed(seed, i))[:, 0]
+
     if isinstance(contract, OptionContract):
         s = contract.schedule
-        if contract.kind in ("cap", "floor"):
-            per = []
-            for i in range(s.periods):
-                t_reset, t_pay = s.dates[i], s.dates[i + 1]
-                ki = transformed_strike(t_pay - t_reset, contract.strike_rate)
-                pair = (t_reset, t_pay)
-                nseg = len(segments)
-                z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
-                z = z.reshape(mc.paths, nseg, vs.dim)
-                x = _terminal_forward_prices(
-                    vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
-                )[:, 0]
-                raw = np.maximum(ki - x, 0.0) if contract.kind == "cap" else np.maximum(x - ki, 0.0)
-                per.append(curve.bond_price(t_reset) / ki * raw)
-            samples = np.sum(per, axis=0)
-        elif contract.kind == "in-arrears-payer-swap":
-            per = []
-            for i in range(s.periods):
-                t_reset, t_pay = s.dates[i], s.dates[i + 1]
-                ki = transformed_strike(t_pay - t_reset, contract.strike_rate)
-                pair = (t_pay, t_reset)  # reversed: the T_i-forward measure
-                nseg = len(segments)
-                z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
-                z = z.reshape(mc.paths, nseg, vs.dim)
-                x = _terminal_forward_prices(
-                    vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
-                )[:, 0]
-                per.append(curve.bond_price(t_pay) * x * (x - 1.0 / ki))
-            samples = np.sum(per, axis=0)
-        else:  # swaption-payer
+        if contract.kind == "swaption-payer":
             t0 = s.start
-            pairs = [(t0, t) for t in s.dates[1:]]
-            x0s = [curve.forward_price(*p) for p in pairs]
-            nseg = len(segments)
-            z = normals(seed, mc.paths, nseg * vs.dim, mc.antithetic)
-            z = z.reshape(mc.paths, nseg, vs.dim)
-            x = _terminal_forward_prices(vs, segments, t0, pairs, x0s, z)
+            x = forwards(t0, [(t0, t) for t in s.dates[1:]], seed)
             coefs = np.array(s.accruals) * contract.strike_rate
             coefs[-1] += 1.0
             samples = curve.bond_price(t0) * np.maximum(1.0 - x @ coefs, 0.0)
+        else:
+            per = []
+            for i in range(s.periods):
+                t_reset, t_pay = s.dates[i], s.dates[i + 1]
+                ki = transformed_strike(t_pay - t_reset, contract.strike_rate)
+                if contract.kind == "in-arrears-payer-swap":
+                    x = period(i, (t_pay, t_reset))  # reversed: the T_i-forward measure
+                    per.append(curve.bond_price(t_pay) * x * (x - 1.0 / ki))
+                    continue
+                x = period(i, (t_reset, t_pay))
+                raw = np.maximum(ki - x, 0.0) if contract.kind == "cap" else np.maximum(x - ki, 0.0)
+                per.append(curve.bond_price(t_reset) / ki * raw)
+            samples = np.sum(per, axis=0)
         mean, se = mean_and_se(samples)
         return contract.notional * mean, abs(contract.notional) * se
 
@@ -287,14 +271,7 @@ def _scenario_price(curve, vs, segments, contract, mc: MCConfig, seed: int) -> t
             if contract.kind == "fixed-coupon-bond":  # deterministic cashflows
                 principal += curve.bond_price(t_pay) * delta * contract.fixed_rate
                 continue
-            pair = (t_pay, t_reset)
-            nseg = len(segments)
-            z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
-            z = z.reshape(mc.paths, nseg, vs.dim)
-            x = _terminal_forward_prices(
-                vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
-            )[:, 0]
-            float_leg = curve.bond_price(t_pay) * (x - 1.0)  # delta * L payoff
+            float_leg = curve.bond_price(t_pay) * (period(i, (t_pay, t_reset)) - 1.0)  # delta * L
             if contract.kind == "floating-rate-note":
                 samples += float_leg
             else:  # payer-swap
@@ -310,27 +287,15 @@ def _scenario_price(curve, vs, segments, contract, mc: MCConfig, seed: int) -> t
         fixed = 0.0
         for i, leg in enumerate(contract.legs):
             t_reset, t_pay = s.dates[i], s.dates[i + 1]
-            delta = t_pay - t_reset
             if isinstance(leg, ConstantLeg):
                 fixed += leg.amount * curve.bond_price(t_pay)
-                continue
-            nseg = len(segments)
-            z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
-            z = z.reshape(mc.paths, nseg, vs.dim)
-            if isinstance(leg, FloatingLinearLeg):
-                pair = (t_pay, t_reset)
-                x = _terminal_forward_prices(
-                    vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
-                )[:, 0]
+            elif isinstance(leg, FloatingLinearLeg):
+                x = period(i, (t_pay, t_reset))
                 samples += curve.bond_price(t_pay) * (
-                    leg.slope / delta * (x - 1.0) + leg.intercept
+                    leg.slope / (t_pay - t_reset) * (x - 1.0) + leg.intercept
                 )
             else:
-                pair = (t_reset, t_pay)
-                x = _terminal_forward_prices(
-                    vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
-                )[:, 0]
-                samples += curve.bond_price(t_reset) * leg(x)
+                samples += curve.bond_price(t_reset) * leg(period(i, (t_reset, t_pay)))
         mean, se = mean_and_se(samples)
         return contract.notional * (mean + fixed), abs(contract.notional) * se
 

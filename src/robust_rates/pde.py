@@ -9,15 +9,19 @@ uncertain-volatility PDE
 where a_up(t) = sum_j upper_j^2 s_j(t)^2 and a_dn(t) uses the lower band,
 with s_j(t) the forward-price vol of X = P(T_i)/P(T) on factor j.  The
 diffusion coefficient switches between the band extremes on the sign of the
-second derivative, which is the scalar form of the band's generator.  Both
-discretizations (explicit, implicit with Howard policy iteration) are
-monotone, the standard sufficient condition for convergence to the unique
-viscosity solution.  Each policy iteration of the implicit scheme solves one
-tridiagonal system with a direct LAPACK ?gtsv call (``solve_banded`` below),
-the routine ``scipy.linalg.solve_banded`` uses for (1, 1) bands, so the
-results are those of that call without its per-call argument handling.
+second derivative, which is the scalar form of the band's generator.  The
+fully implicit discretization with Howard policy iteration is monotone, the
+standard sufficient condition for convergence to the unique viscosity
+solution.  Each policy iteration solves one tridiagonal system with a
+direct LAPACK ?gtsv call (``solve_banded`` below), the routine
+``scipy.linalg.solve_banded`` uses for (1, 1) bands, so the results are
+those of that call without its per-call argument handling.
 
-The lower expectation is the negated solve of -phi.
+``window_value`` is the one 1D core: it cell-averages the terminal payoff,
+builds the per-step variance tables (``step_variances``) and runs the
+implicit sweep over any window [t_from, t_to].  ``solve_single_option`` and
+the stream recursion both call it.  The lower expectation is the negated
+solve of -phi on the same grid.
 """
 
 from __future__ import annotations
@@ -30,11 +34,10 @@ import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .curve import DiscountCurve
-from .errors import ConvergenceError, DomainError, StabilityError
+from .errors import ConvergenceError, DomainError
 from .uncertainty import UncertaintyBand
 from .vol_structure import VolStructure
 
-SCHEMES = ("explicit", "implicit-policy-iteration")
 POLICY_ITERATION_CAP = 50
 POLICY_VALUE_TOL = 1e-12
 
@@ -58,13 +61,12 @@ def check_resolution(nx: int, nt: int) -> None:
 
 @dataclass(frozen=True)
 class PDEGrid:
-    """Spatial/temporal resolution and scheme choice for one solve."""
+    """Spatial/temporal resolution of one solve."""
 
     x_min: float
     x_max: float
     nx: int
     nt: int
-    scheme: str = "implicit-policy-iteration"
 
     def __post_init__(self) -> None:
         if not self.x_min > 0.0:
@@ -72,8 +74,6 @@ class PDEGrid:
         if not self.x_max > self.x_min:
             raise DomainError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
         check_resolution(self.nx, self.nt)
-        if self.scheme not in SCHEMES:
-            raise DomainError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
     @property
     def xs(self) -> np.ndarray:
@@ -89,7 +89,6 @@ def default_grid(
     v_total: float,
     nx: int = 400,
     nt: int = 400,
-    scheme: str = "implicit-policy-iteration",
 ) -> PDEGrid:
     """Six-standard-deviation truncation around the spot forward price:
     x in [x0 e^{-6v}, x0 e^{6v}] bounds the truncation error far below the
@@ -100,7 +99,6 @@ def default_grid(
         x_max=x0 * math.exp(6.0 * v),
         nx=nx,
         nt=nt,
-        scheme=scheme,
     )
 
 
@@ -151,51 +149,29 @@ class PDESolution:
                     fh.write(f"{t!r},{x!r},{self.surface[k, i]!r}\n")
 
 
-def _cell_averaged_terminal(payoff: PayoffSpec, xs: np.ndarray, dx: float) -> np.ndarray:
-    u = np.array(payoff(xs), dtype=float)
+def cell_average(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, dx: float) -> np.ndarray:
+    """f on the grid xs, its interior values replaced by their Gauss-Legendre
+    averages over the cells [x - dx/2, x + dx/2]."""
+    u = np.array(f(xs), dtype=float)
     if len(xs) < 3:
         return u
     interior = xs[1:-1]
     acc = np.zeros_like(interior)
     for node, weight in zip(_GL5_NODES, _GL5_WEIGHTS):
-        acc += weight * payoff(interior + 0.5 * dx * node)
+        acc += weight * f(interior + 0.5 * dx * node)
     u[1:-1] = 0.5 * acc
     return u
 
 
-def _step_variances(
-    vs: VolStructure, band: UncertaintyBand, t1: float, nt: int, T: float, T_i: float
+def step_variances(
+    vs: VolStructure, band: UncertaintyBand, ts: np.ndarray, T: float, T_i: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step integrated variances at the band extremes (exact in time)."""
-    ts = np.linspace(0.0, t1, nt + 1)
-    a_up = np.array(
-        [vs.integrated_variance(band.upper, ts[k], ts[k + 1], T, T_i) for k in range(nt)]
-    )
-    a_dn = np.array(
-        [vs.integrated_variance(band.lower, ts[k], ts[k + 1], T, T_i) for k in range(nt)]
-    )
+    """Integrated variances of X = P(T_i)/P(T) over each step [ts[k], ts[k+1]]
+    at the band extremes (exact in time)."""
+    steps = range(len(ts) - 1)
+    a_up = np.array([vs.integrated_variance(band.upper, ts[k], ts[k + 1], T, T_i) for k in steps])
+    a_dn = np.array([vs.integrated_variance(band.lower, ts[k], ts[k + 1], T, T_i) for k in steps])
     return a_up, a_dn
-
-
-def _explicit_sweep(u, xs, dx, a_up, a_dn, keep):
-    nt = len(a_up)
-    x2 = xs[1:-1] ** 2
-    stability = np.max(a_up) * xs[-1] ** 2 / dx**2
-    if stability > 1.0 + 1e-12:
-        suggested = math.ceil(nt * stability * 1.01)
-        raise StabilityError(
-            f"explicit step violates the stability bound by factor {stability:.3g}; "
-            f"use nt >= {suggested} or the implicit-policy-iteration scheme"
-        )
-    frames = [u.copy()] if keep is not None else None
-    for k in range(nt - 1, -1, -1):
-        d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
-        gen = 0.5 * x2 * (a_up[k] * np.maximum(d2, 0.0) - a_dn[k] * np.maximum(-d2, 0.0))
-        u = u.copy()
-        u[1:-1] += gen
-        if frames is not None:
-            frames.append(u.copy())
-    return u, frames
 
 
 def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -224,7 +200,7 @@ def _implicit_sweep(u, xs, dx, a_up, a_dn, keep):
     nt = len(a_up)
     x2 = xs[1:-1] ** 2
     dx2 = dx**2
-    frames = [u.copy()] if keep is not None else None
+    frames = [u.copy()] if keep else None
     lo_bc, hi_bc = u[0], u[-1]
     # u holds the previous time level; work takes each policy iterate with
     # the boundary values in place and becomes the next u.
@@ -265,6 +241,26 @@ def _implicit_sweep(u, xs, dx, a_up, a_dn, keep):
     return u, frames
 
 
+def window_value(
+    vs: VolStructure,
+    band: UncertaintyBand,
+    pair: tuple[float, float],
+    t_from: float,
+    t_to: float,
+    payoff: Callable[[np.ndarray], np.ndarray],
+    grid: PDEGrid,
+    keep: bool = False,
+) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """Upper value function at t_from of payoff(X_{t_to}) for the forward
+    price X = P(pair[1])/P(pair[0]), on grid.xs with grid.nt steps; with keep
+    set, also every time level, backward in time from the terminal one."""
+    xs = grid.xs
+    dx = grid.dx
+    u = cell_average(payoff, xs, dx)
+    a_up, a_dn = step_variances(vs, band, np.linspace(t_from, t_to, grid.nt + 1), *pair)
+    return _implicit_sweep(u, xs, dx, a_up, a_dn, keep)
+
+
 def solve_single_option(
     curve: DiscountCurve,
     vs: VolStructure,
@@ -295,37 +291,25 @@ def solve_single_option(
 
     x0 = curve.forward_price(T, T_i)
     xs = grid.xs
-    dx = grid.dx
     if not (grid.x_min <= x0 <= grid.x_max):
         raise DomainError(f"spot forward price {x0} lies outside the grid [{grid.x_min}, {grid.x_max}]")
 
     if t1 == 0.0:
         u = payoff(xs)
-        value = float(np.interp(x0, xs, u))
-        return PDESolution(
-            value=value, x0=x0, cash_price=curve.bond_price(T) * value,
-            xs=xs, u0=u, times=np.array([0.0]),
-            surface=u[None, :] if keep_surface else None,
-        )
-
-    u = _cell_averaged_terminal(payoff, xs, dx)
-    a_up, a_dn = _step_variances(vs, band, t1, grid.nt, T, T_i)
-    sweep = _explicit_sweep if grid.scheme == "explicit" else _implicit_sweep
-    u, frames = sweep(u, xs, dx, a_up, a_dn, keep_surface or None)
-
+        frames, times = [u], np.array([0.0])
+    else:
+        u, frames = window_value(vs, band, (T, T_i), 0.0, t1, payoff, grid, keep_surface)
+        times = np.linspace(0.0, t1, grid.nt + 1)
     value = float(np.interp(x0, xs, u))
-    surface = None
-    if keep_surface and frames is not None:
-        # frames were appended backward in time; reorder to increasing t.
-        surface = np.array(frames[::-1])
     return PDESolution(
         value=value,
         x0=x0,
         cash_price=curve.bond_price(T) * value,
         xs=xs,
         u0=u,
-        times=np.linspace(0.0, t1, grid.nt + 1),
-        surface=surface,
+        times=times,
+        # frames were appended backward in time; reorder to increasing t.
+        surface=np.array(frames[::-1]) if keep_surface else None,
     )
 
 

@@ -37,15 +37,14 @@ from .linear_pricing import TenorSchedule
 from .lognormal import lognormal_call, lognormal_put, lognormal_reciprocal_mean
 from .option_pricing import transformed_strike
 from .pde import (
-    _GL5_NODES,
-    _GL5_WEIGHTS,
-    _cell_averaged_terminal,
-    _implicit_sweep,
     PayoffSpec,
     PDEGrid,
+    cell_average,
     default_grid,
     solve_lower,
     solve_single_option,
+    step_variances,
+    window_value,
 )
 from .uncertainty import PriceBounds, UncertaintyBand, degenerate_band
 from .vol_structure import VolStructure
@@ -257,14 +256,12 @@ def price_leg_bounds(
     if not isinstance(leg, OptionLeg):
         v = _symmetric_leg_value(curve, stream, i)
         return PriceBounds(lower=v, upper=v, symmetric=True, diagnostics={"method": "closed-form"})
-    if leg.convexity == "convex":
-        upper = _leg_classical_value(curve, vs, band.upper, stream, i, nx, nt)
-        lower = _leg_classical_value(curve, vs, band.lower, stream, i, nx, nt)
-        method = "convex-decoupled"
-    elif leg.convexity == "concave":
-        upper = _leg_classical_value(curve, vs, band.lower, stream, i, nx, nt)
-        lower = _leg_classical_value(curve, vs, band.upper, stream, i, nx, nt)
-        method = "concave-decoupled"
+    if leg.convexity != "general":
+        convex = leg.convexity == "convex"
+        hi_scale, lo_scale = (band.upper, band.lower) if convex else (band.lower, band.upper)
+        upper = _leg_classical_value(curve, vs, hi_scale, stream, i, nx, nt)
+        lower = _leg_classical_value(curve, vs, lo_scale, stream, i, nx, nt)
+        method = f"{leg.convexity}-decoupled"
     else:
         t_reset, t_pay = stream.schedule.dates[i], stream.schedule.dates[i + 1]
         x0, lo, hi = _leg_domain(curve, vs, band, stream.schedule, i)
@@ -282,25 +279,25 @@ def price_leg_bounds(
 # -- the coupled two-leg recursion ---------------------------------------------
 
 
-def _pair_recursion_upper(
+def _pair_recursion(
     curve: DiscountCurve,
     vs: VolStructure,
     band: UncertaintyBand,
     schedule: TenorSchedule,
     i: int,
-    g1: Callable[[np.ndarray], np.ndarray],
-    g1_growth: tuple[float, int],
-    g2: Callable[[np.ndarray], np.ndarray],
-    g2_growth: tuple[float, int],
+    g1: OptionLeg,
+    g2: OptionLeg,
     nx: int,
     nt: int,
-) -> float:
-    """Upper expectation of g1 settled at T_{i-1} plus g2 settled at T_i,
-    for adjacent periods i and i+1 (0-based), via the backward recursion.
+) -> tuple[float, float]:
+    """Upper expectations of g1 settled at T_{i-1} plus g2 settled at T_i,
+    and of their negation, for adjacent periods i and i+1 (0-based), via the
+    backward recursion; the lower bound is minus the second value.
 
     Step 1 solves the one-dimensional problem for g2 over [T_{i-1}, T_i]
     under its own forward measure; step 2 couples it into the terminal
     condition g1(x1) + x1 * h(x2) of a two-state solve over [0, T_{i-1}].
+    Both signs share the grids and the variance tables.
     """
     if vs.dim != 1:
         raise UnsupportedMethodError(
@@ -328,13 +325,6 @@ def _pair_recursion_upper(
         nx=nx,
         nt=max(nt // 2, 40),
     )
-    h_grid_x = inner_grid.xs
-    h_values = _window_value(
-        curve, vs, band, pair2, t_start, t_mid, PayoffSpec(evaluator=g2, growth=g2_growth), inner_grid
-    )
-
-    def h_interp(x2: np.ndarray) -> np.ndarray:
-        return np.interp(x2, h_grid_x, h_values)
 
     # Outer two-state solve on log coordinates with aspect locked to the
     # constant vol ratio rho = sigma2 / sigma1.
@@ -353,17 +343,7 @@ def _pair_recursion_upper(
     h2 = rho * h1
     y2 = math.log(x2_0) + (np.arange(n) - n // 2) * h2
     x1g = np.exp(y1)[:, None]
-    x2g = np.exp(y2)[None, :]
-
-    # Cell-average the (possibly kinked) own payoff along y1; the coupling
-    # factor x1 * h(x2) is smooth, so pointwise sampling suffices there.
-    g1_avg = np.zeros(n)
-    for node, weight in zip(_GL5_NODES, _GL5_WEIGHTS):
-        g1_avg += weight * np.asarray(g1(np.exp(y1 + 0.5 * h1 * node)), dtype=float)
-    g1_avg *= 0.5
-    g1_avg[0] = float(np.asarray(g1(np.array([x1g[0, 0]])), dtype=float)[0])
-    g1_avg[-1] = float(np.asarray(g1(np.array([x1g[-1, 0]])), dtype=float)[0])
-    terminal = g1_avg[:, None] + x1g * h_interp(np.broadcast_to(x2g, (n, n)))
+    x2g = np.broadcast_to(np.exp(y2)[None, :], (n, n))
 
     # Per-step variances of the driver integrated against sigma1^2.  The
     # stability bound must hold at the *peak* local variance (hull-white
@@ -376,10 +356,19 @@ def _pair_recursion_upper(
         for t in sample[1:]
     )
     nt_eff = max(nt, int(math.ceil(0.5 * peak_rate * t_start * weight * 1.05)), 1)
-    ts = np.linspace(0.0, t_start, nt_eff + 1)
-    vu = np.array([vs.integrated_variance(band.upper, ts[k], ts[k + 1], *pair1) for k in range(nt_eff)])
-    vd = np.array([vs.integrated_variance(band.lower, ts[k], ts[k + 1], *pair1) for k in range(nt_eff)])
-    return curve.bond_price(t_start) * _pair_sweep(terminal, h1, h2, drift2, vu, vd)
+    vu, vd = step_variances(vs, band, np.linspace(0.0, t_start, nt_eff + 1), *pair1)
+
+    values = []
+    for sign in (1.0, -1.0):
+        h_values, _ = window_value(
+            vs, band, pair2, t_start, t_mid, lambda x: sign * g2(x), inner_grid
+        )
+        # Cell-average the (possibly kinked) own payoff along y1; the coupling
+        # factor x1 * h(x2) is smooth, so pointwise sampling suffices there.
+        g1_avg = cell_average(lambda y: sign * g1(np.exp(y)), y1, h1)
+        terminal = g1_avg[:, None] + x1g * np.interp(x2g, inner_grid.xs, h_values)
+        values.append(curve.bond_price(t_start) * _pair_sweep(terminal, h1, h2, drift2, vu, vd))
+    return values[0], values[1]
 
 
 def _pair_sweep(u, h1, h2, drift2, vu, vd) -> float:
@@ -422,25 +411,6 @@ def _pair_sweep(u, h1, h2, drift2, vu, vd) -> float:
         np.maximum(tmp, hh, out=tmp)
         np.add(c, tmp, out=c)
     return float(u[m, m])
-
-
-def _window_value(
-    curve, vs, band, pair, t_from, t_to, payoff: PayoffSpec, grid: PDEGrid
-) -> np.ndarray:
-    """Upper value function at t_from of payoff(X_{t_to}) for the forward
-    price X over the window [t_from, t_to], returned on grid.xs."""
-    xs = grid.xs
-    dx = grid.dx
-    u = _cell_averaged_terminal(payoff, xs, dx)
-    ts = np.linspace(t_from, t_to, grid.nt + 1)
-    a_up = np.array(
-        [vs.integrated_variance(band.upper, ts[k], ts[k + 1], *pair) for k in range(grid.nt)]
-    )
-    a_dn = np.array(
-        [vs.integrated_variance(band.lower, ts[k], ts[k + 1], *pair) for k in range(grid.nt)]
-    )
-    u, _ = _implicit_sweep(u, xs, dx, a_up, a_dn, None)
-    return u
 
 
 # -- public pricer ---------------------------------------------------------------
@@ -529,16 +499,11 @@ def price_stream(
                 )
             leg1: OptionLeg = stream.legs[i]
             leg2: OptionLeg = stream.legs[j]
-            upper = sym_value + _pair_recursion_upper(
-                curve, vs, band, stream.schedule, i,
-                leg1.payoff, leg1.growth, leg2.payoff, leg2.growth, nx, nt,
+            pair_upper, pair_neg = _pair_recursion(
+                curve, vs, band, stream.schedule, i, leg1, leg2, nx, nt
             )
-            neg1 = lambda p: -leg1(p)
-            neg2 = lambda p: -leg2(p)
-            lower = sym_value - _pair_recursion_upper(
-                curve, vs, band, stream.schedule, i,
-                neg1, leg1.growth, neg2, leg2.growth, nx, nt,
-            )
+            upper = sym_value + pair_upper
+            lower = sym_value - pair_neg
             diag.update(method="coupled-pair-pde", option_legs=2, nx=nx, nt=nt)
     if warnings:
         diag["warnings"] = warnings

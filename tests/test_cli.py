@@ -224,6 +224,49 @@ class TestPriceCommand:
             load_config(write_config(tmp_path, cfg))
         assert main(["price", write_config(tmp_path, cfg)]) == 2
 
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda c: c.update(curve={"csv": "nope.csv"}), "curve.csv"),
+        (lambda c: c["vol_structure"].update(factors=[{"kind": "tabulated", "csv": "nope.csv"}]),
+         "vol_structure.factors[0].csv"),
+    ])
+    def test_missing_csv_is_config_error(self, tmp_path, capsys, mutate, field):
+        cfg = json.loads(json.dumps(BOOK))
+        mutate(cfg)
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError, match=re.escape(field) + ".*nope.csv"):
+            load_config(path)
+        assert main(["price", path]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["0,0.02\n30,abc\n", "1,0.02\n1,0.03\n"],
+                             ids=["non-numeric", "duplicate-maturity"])
+    def test_malformed_curve_csv_is_config_error(self, tmp_path, capsys, text):
+        (tmp_path / "bad.csv").write_text(text)
+        path = write_config(tmp_path, dict(BOOK, curve={"csv": "bad.csv"}))
+        with pytest.raises(ConfigError, match=r"curve\.csv: .*bad\.csv"):
+            load_config(path)
+        assert main(["price", path]) == 2
+
+    @pytest.mark.parametrize("factor", [
+        {"kind": "ho-lee", "c": 1e200},
+        {"kind": "hull-white", "c": 0.01, "kappa": 1e6},
+    ], ids=["ho-lee", "hull-white"])
+    def test_overflowing_factor_level_is_pricing_error(self, tmp_path, capsys, factor):
+        cfg = json.loads(json.dumps(BOOK))
+        cfg["vol_structure"]["factors"] = [factor]
+        assert main(["price", write_config(tmp_path, cfg)]) == 3
+        assert "contract 'cap': numerical overflow" in capsys.readouterr().err
+
+    def test_method_on_non_swaption_is_config_error(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(BOOK))
+        cfg["contracts"][1]["method"] = "bogus"
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError, match=r"contracts\[1\]\.method"):
+            load_config(path)
+        assert main(["price", path]) == 2
+        assert "swaption-payer" in capsys.readouterr().err
+
     def test_pricing_error_exit_3(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BOOK))
         # quadrature with two factors fails at pricing time

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from robust_rates.curve import flat_curve
+from robust_rates import oracle
+from robust_rates.curve import DiscountCurve, flat_curve
 from robust_rates.errors import DomainError, StabilityError, UnsupportedMethodError
 from robust_rates.linear_pricing import LinearContract, TenorSchedule
 from robust_rates.lognormal import lognormal_put
-from robust_rates.mc import MCConfig
+from robust_rates.mc import MCConfig, child_seed, mean_and_se, normals
 from robust_rates.option_pricing import OptionContract, price_cap, price_floor, transformed_strike
 from robust_rates.oracle import (
     ConstantControls,
@@ -18,6 +19,12 @@ from robust_rates.oracle import (
     expectations_hypothesis_check,
     lattice_price,
     scenario_sup,
+)
+from robust_rates.stream import (
+    CashflowStream,
+    ConstantLeg,
+    FloatingLinearLeg,
+    capped_call_spread_leg,
 )
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
 from robust_rates.vol_structure import HoLeeFactor, HullWhiteFactor, VolStructure, ho_lee
@@ -154,6 +161,159 @@ class TestScenarioSup:
         # The piecewise family strictly improves on constants for this
         # mixed-curvature stream (low vol early, high vol late).
         assert pw.value > const.value + 3.0 * max(pw.se, const.se)
+
+
+def reference_scenario_price(curve, vs, segments, contract, mc, seed):
+    """Reference: the per-contract sampling blocks written out one by one,
+    each drawing its normals and forward prices itself."""
+    if isinstance(contract, OptionContract):
+        s = contract.schedule
+        if contract.kind in ("cap", "floor"):
+            per = []
+            for i in range(s.periods):
+                t_reset, t_pay = s.dates[i], s.dates[i + 1]
+                ki = transformed_strike(t_pay - t_reset, contract.strike_rate)
+                pair = (t_reset, t_pay)
+                nseg = len(segments)
+                z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
+                z = z.reshape(mc.paths, nseg, vs.dim)
+                x = oracle._terminal_forward_prices(
+                    vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
+                )[:, 0]
+                raw = np.maximum(ki - x, 0.0) if contract.kind == "cap" else np.maximum(x - ki, 0.0)
+                per.append(curve.bond_price(t_reset) / ki * raw)
+            samples = np.sum(per, axis=0)
+        elif contract.kind == "in-arrears-payer-swap":
+            per = []
+            for i in range(s.periods):
+                t_reset, t_pay = s.dates[i], s.dates[i + 1]
+                ki = transformed_strike(t_pay - t_reset, contract.strike_rate)
+                pair = (t_pay, t_reset)  # reversed: the T_i-forward measure
+                nseg = len(segments)
+                z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
+                z = z.reshape(mc.paths, nseg, vs.dim)
+                x = oracle._terminal_forward_prices(
+                    vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
+                )[:, 0]
+                per.append(curve.bond_price(t_pay) * x * (x - 1.0 / ki))
+            samples = np.sum(per, axis=0)
+        else:  # swaption-payer
+            t0 = s.start
+            pairs = [(t0, t) for t in s.dates[1:]]
+            x0s = [curve.forward_price(*p) for p in pairs]
+            nseg = len(segments)
+            z = normals(seed, mc.paths, nseg * vs.dim, mc.antithetic)
+            z = z.reshape(mc.paths, nseg, vs.dim)
+            x = oracle._terminal_forward_prices(vs, segments, t0, pairs, x0s, z)
+            coefs = np.array(s.accruals) * contract.strike_rate
+            coefs[-1] += 1.0
+            samples = curve.bond_price(t0) * np.maximum(1.0 - x @ coefs, 0.0)
+        mean, se = mean_and_se(samples)
+        return contract.notional * mean, abs(contract.notional) * se
+
+    if isinstance(contract, LinearContract):
+        s = contract.schedule
+        samples = np.zeros(mc.paths)
+        principal = 0.0
+        for i in range(s.periods):
+            t_reset, t_pay = s.dates[i], s.dates[i + 1]
+            delta = t_pay - t_reset
+            if contract.kind == "fixed-coupon-bond":  # deterministic cashflows
+                principal += curve.bond_price(t_pay) * delta * contract.fixed_rate
+                continue
+            pair = (t_pay, t_reset)
+            nseg = len(segments)
+            z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
+            z = z.reshape(mc.paths, nseg, vs.dim)
+            x = oracle._terminal_forward_prices(
+                vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
+            )[:, 0]
+            float_leg = curve.bond_price(t_pay) * (x - 1.0)  # delta * L payoff
+            if contract.kind == "floating-rate-note":
+                samples += float_leg
+            else:  # payer-swap
+                samples += float_leg - curve.bond_price(t_pay) * delta * contract.fixed_rate
+        if contract.kind in ("floating-rate-note", "fixed-coupon-bond"):
+            principal += curve.bond_price(s.end)
+        mean, se = mean_and_se(samples)
+        return contract.notional * (mean + principal), abs(contract.notional) * se
+
+    if isinstance(contract, CashflowStream):
+        s = contract.schedule
+        samples = np.zeros(mc.paths)
+        fixed = 0.0
+        for i, leg in enumerate(contract.legs):
+            t_reset, t_pay = s.dates[i], s.dates[i + 1]
+            delta = t_pay - t_reset
+            if isinstance(leg, ConstantLeg):
+                fixed += leg.amount * curve.bond_price(t_pay)
+                continue
+            nseg = len(segments)
+            z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
+            z = z.reshape(mc.paths, nseg, vs.dim)
+            if isinstance(leg, FloatingLinearLeg):
+                pair = (t_pay, t_reset)
+                x = oracle._terminal_forward_prices(
+                    vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
+                )[:, 0]
+                samples += curve.bond_price(t_pay) * (
+                    leg.slope / delta * (x - 1.0) + leg.intercept
+                )
+            else:
+                pair = (t_reset, t_pay)
+                x = oracle._terminal_forward_prices(
+                    vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
+                )[:, 0]
+                samples += curve.bond_price(t_reset) * leg(x)
+        mean, se = mean_and_se(samples)
+        return contract.notional * (mean + fixed), abs(contract.notional) * se
+
+    raise DomainError(f"scenario pricing does not understand {type(contract).__name__}")
+
+
+SCENARIO_CONTRACTS = {
+    "cap": OptionContract(kind="cap", schedule=SCHED, strike_rate=0.04, notional=2.0),
+    "floor": OptionContract(kind="floor", schedule=SCHED, strike_rate=0.03),
+    "in-arrears": OptionContract(kind="in-arrears-payer-swap", schedule=SCHED, strike_rate=0.03),
+    "swaption": OptionContract(
+        kind="swaption-payer", schedule=TenorSchedule(dates=(1.0, 1.5, 2.0, 3.0)),
+        strike_rate=0.025, notional=-3.0,
+    ),
+    "frn": LinearContract(kind="floating-rate-note", schedule=SCHED),
+    "fixed-coupon-bond": LinearContract(kind="fixed-coupon-bond", schedule=SCHED, fixed_rate=0.05),
+    "payer-swap": LinearContract(kind="payer-swap", schedule=SCHED, fixed_rate=0.03),
+    "stream": CashflowStream(
+        schedule=TenorSchedule(dates=(0.5, 1.2, 1.5, 2.0)),
+        legs=(ConstantLeg(0.01), FloatingLinearLeg(1.3, 0.002), capped_call_spread_leg(0.97, 0.02)),
+        notional=5.0,
+    ),
+}
+SCENARIO_MODELS = {
+    "1f-ho-lee": (ho_lee(0.015), BAND),
+    "2f-hw-hl": (
+        VolStructure(factors=(HullWhiteFactor(c=0.01, kappa=0.2), HoLeeFactor(c=0.006))),
+        UncertaintyBand((0.5, 0.8), (1.5, 1.2)),
+    ),
+}
+
+
+class TestScenarioSamplerBitExact:
+    """The scenario pricer draws every period through one sampler; it must
+    reproduce the written-out blocks exactly, not approximately."""
+
+    @pytest.mark.parametrize("controls", [ConstantControls(3), PiecewiseControls(2, (0.7, 1.2))],
+                             ids=["constant", "piecewise"])
+    @pytest.mark.parametrize("model", list(SCENARIO_MODELS))
+    @pytest.mark.parametrize("name", list(SCENARIO_CONTRACTS))
+    def test_matches_reference(self, monkeypatch, name, model, controls):
+        vs, band = SCENARIO_MODELS[model]
+        curve = DiscountCurve(knots=((0.0, 0.015), (2.0, 0.025), (10.0, 0.03)))
+        args = (curve, vs, band, SCENARIO_CONTRACTS[name], controls, MCConfig(paths=500, seed=17))
+        got = scenario_sup(*args)
+        monkeypatch.setattr(oracle, "_scenario_price", reference_scenario_price)
+        ref = scenario_sup(*args)
+        assert got.table == ref.table
+        assert (got.value, got.se, got.control) == (ref.value, ref.se, ref.control)
 
 
 class TestExpectationsHypothesis:

@@ -1,4 +1,4 @@
-"""Nonlinear PDE engine: martingale identity, convex reduction, schemes."""
+"""Nonlinear PDE engine: martingale identity, convex reduction, the implicit sweep."""
 
 import math
 
@@ -8,7 +8,7 @@ import scipy.linalg
 
 from robust_rates import pde
 from robust_rates.curve import flat_curve
-from robust_rates.errors import ConvergenceError, DomainError, StabilityError
+from robust_rates.errors import ConvergenceError, DomainError
 from robust_rates.lognormal import lognormal_call, lognormal_put
 from robust_rates.oracle import lattice_price
 from robust_rates.pde import (
@@ -48,10 +48,9 @@ def v_total(vs, scale, t1, T, Ti):
 class TestMartingaleIdentity:
     def test_identity_payoff_returns_spot_forward_price(self):
         x0 = CURVE.forward_price(1.0, 1.5)
-        for scheme in ("explicit", "implicit-policy-iteration"):
-            grid = default_grid(x0, v_total(VS, 1.5, 1.0, 1.0, 1.5), nx=201, nt=900, scheme=scheme)
-            sol = solve_single_option(CURVE, VS, BAND, 1.0, 1.0, 1.5, identity_payoff(), grid)
-            assert sol.value == pytest.approx(x0, abs=1e-10)
+        grid = default_grid(x0, v_total(VS, 1.5, 1.0, 1.0, 1.5), nx=201, nt=900)
+        sol = solve_single_option(CURVE, VS, BAND, 1.0, 1.0, 1.5, identity_payoff(), grid)
+        assert sol.value == pytest.approx(x0, abs=1e-10)
 
     def test_linear_payoff_lower_equals_upper(self):
         x0 = CURVE.forward_price(1.0, 1.5)
@@ -159,27 +158,6 @@ class TestComparisonPrinciple:
 
 
 class TestSchemes:
-    def test_explicit_matches_implicit(self):
-        x0 = CURVE.forward_price(1.0, 1.5)
-        v = v_total(VS, 1.5, 1.0, 1.0, 1.5)
-        imp = solve_single_option(
-            CURVE, VS, BAND, 1.0, 1.0, 1.5, put_payoff(),
-            default_grid(x0, v, nx=101, nt=2000, scheme="implicit-policy-iteration"),
-        )
-        exp = solve_single_option(
-            CURVE, VS, BAND, 1.0, 1.0, 1.5, put_payoff(),
-            default_grid(x0, v, nx=101, nt=2000, scheme="explicit"),
-        )
-        # Forward and backward Euler sit on opposite sides of the limit;
-        # at this resolution they agree to the shared spatial error.
-        assert exp.value == pytest.approx(imp.value, rel=3e-3)
-
-    def test_explicit_stability_violation_raises(self):
-        x0 = CURVE.forward_price(1.0, 1.5)
-        grid = default_grid(x0, v_total(VS, 1.5, 1.0, 1.0, 1.5), nx=400, nt=10, scheme="explicit")
-        with pytest.raises(StabilityError, match="nt >="):
-            solve_single_option(CURVE, VS, BAND, 1.0, 1.0, 1.5, put_payoff(), grid)
-
     def test_degenerate_band_matches_black_within_dt_error(self):
         # Backward Euler is O(dx^2 + dt); on this out-of-the-money fixture
         # the dt term dominates and halves with the step count.
@@ -293,8 +271,6 @@ class TestValidation:
             PDEGrid(x_min=0.5, x_max=1.0, nx=2, nt=10)
         with pytest.raises(DomainError):
             PDEGrid(x_min=0.5, x_max=1.0, nx=10, nt=0)
-        with pytest.raises(DomainError):
-            PDEGrid(x_min=0.5, x_max=1.0, nx=10, nt=10, scheme="spectral")
 
     def test_growth_certificate_required(self):
         with pytest.raises(DomainError):

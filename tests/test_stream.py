@@ -248,19 +248,17 @@ class TestPairSweepBitExact:
     it must reproduce the full-grid steps exactly, not approximately."""
 
     @pytest.mark.parametrize("vs", [VS2, hull_white(0.02, 0.3)], ids=["ho-lee", "hull-white"])
-    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
-    def test_pair_recursion_matches_full_grid(self, monkeypatch, vs, sign):
+    @pytest.mark.parametrize("part", [0, 1], ids=["upper", "lower"])
+    def test_pair_recursion_matches_full_grid(self, monkeypatch, vs, part):
         g1, g2 = capped_call_spread_leg(0.985, 0.01), caplet_leg(0.5, 0.04)
 
-        def value():
-            return stream._pair_recursion_upper(
-                CURVE, vs, BAND, SCHED, 0,
-                lambda p: sign * g1(p), g1.growth, lambda p: sign * g2(p), g2.growth, 37, 36,
-            )
+        def values():
+            return stream._pair_recursion(CURVE, vs, BAND, SCHED, 0, g1, g2, 37, 36)
 
-        got = value()
+        got = values()
         monkeypatch.setattr(stream, "_pair_sweep", full_grid_pair_sweep)
-        assert got == value()
+        # part 0 is the upper value, part 1 the value of the negated payoffs
+        assert got[part] == values()[part]
 
     @pytest.mark.parametrize("steps", [3, 30], ids=["unclipped", "clipped"])
     def test_sweep_matches_full_grid_on_random_grid(self, steps):
