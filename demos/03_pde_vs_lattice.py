@@ -21,18 +21,17 @@ band = rr.UncertaintyBand((0.5,), (1.5,))
 T, Ti = 1.0, 2.0           # expiry and underlying bond maturity
 lo, width = 0.97, 0.02     # spread strikes around the forward price
 
-payoff_fn = lambda x: np.minimum(np.maximum(x - lo, 0.0), width)
+payoff = lambda x: np.minimum(np.maximum(x - lo, 0.0), width)
 x0 = curve.forward_price(T, Ti)
 print(f"underlying forward bond price today: {x0:.6f}, payoff kinks at {lo} and {lo + width}")
 
-payoff = rr.PayoffSpec(evaluator=payoff_fn, growth=(1.0, 1))
 v_up = math.sqrt(vol.integrated_variance(band.upper, 0.0, T, T, Ti))
 grid = rr.default_grid(x0, v_up, nx=700, nt=700)
 
 pde_up = rr.solve_single_option(curve, vol, band, T, T, Ti, payoff, grid).value
 pde_lo = rr.solve_lower(curve, vol, band, T, T, Ti, payoff, grid).value
-lat_up = rr.lattice_price(curve, vol, band, T, T, Ti, payoff_fn, 2000)
-lat_lo = -rr.lattice_price(curve, vol, band, T, T, Ti, lambda x: -payoff_fn(x), 2000)
+lat_up = rr.lattice_price(curve, vol, band, T, T, Ti, payoff, 2000)
+lat_lo = -rr.lattice_price(curve, vol, band, T, T, Ti, lambda x: -payoff(x), 2000)
 
 print()
 print(f"PDE bounds     [{pde_lo:.8f}, {pde_up:.8f}]")

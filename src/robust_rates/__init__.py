@@ -46,7 +46,7 @@ from .oracle import (
     lattice_price,
     scenario_sup,
 )
-from .pde import PayoffSpec, PDEGrid, default_grid, solve_lower, solve_single_option
+from .pde import PDEGrid, default_grid, solve_lower, solve_single_option
 from .stream import (
     CashflowStream,
     ConstantLeg,

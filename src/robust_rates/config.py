@@ -26,7 +26,7 @@ from .curve import DiscountCurve, load_curve
 from .errors import ConfigError, DomainError, RobustRatesError
 from .linear_pricing import LINEAR_KINDS, LinearContract, TenorSchedule, price_linear
 from .mc import MCConfig, child_seed
-from .option_pricing import OPTION_KINDS, OptionContract, price_option
+from .option_pricing import OPTION_KINDS, SWAPTION_METHODS, OptionContract, price_option
 from .pde import check_resolution
 from .stream import (
     CashflowStream,
@@ -111,6 +111,12 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list")
+    return value
+
+
 def _load_file(loader, base_dir: str, name, where: str, **kwargs):
     """loader applied to a data file the config names, relative to its directory."""
     path = os.path.join(base_dir, str(name))
@@ -165,6 +171,7 @@ def _parse_factor(f, idx: int, base_dir: str):
 
 
 def _parse_band(section) -> UncertaintyBand:
+    _object(section, "band")
     lo = _numbers(_require(section, "sigma_lower", "band"), "band.sigma_lower")
     hi = _numbers(_require(section, "sigma_upper", "band"), "band.sigma_upper")
     try:
@@ -235,8 +242,11 @@ def _parse_contract(entry, idx: int) -> ConfiguredContract:
         m = _object(entry["mc"], f"{where}.mc")
         paths = _integer_field(m, "paths", f"{where}.mc", 100_000)
         seed = _integer_field(m, "seed", f"{where}.mc", 0)
+        antithetic = m.get("antithetic", True)
+        if not isinstance(antithetic, bool):
+            raise ConfigError(f"{where}.mc.antithetic: expected true or false, got {antithetic!r}")
         try:
-            mc = MCConfig(paths=paths, seed=seed, antithetic=bool(m.get("antithetic", True)))
+            mc = MCConfig(paths=paths, seed=seed, antithetic=antithetic)
         except RobustRatesError as exc:
             raise ConfigError(f"{where}.mc: {exc}") from exc
     grid = _object(entry.get("grid", {}), f"{where}.grid")
@@ -263,7 +273,7 @@ def _parse_contract(entry, idx: int) -> ConfiguredContract:
                 notional=notional,
             )
         elif kind == "stream":
-            legs_cfg = _require(entry, "legs", where)
+            legs_cfg = _list(_require(entry, "legs", where), f"{where}.legs")
             if len(legs_cfg) != schedule.periods:
                 raise ConfigError(
                     f"{where}.legs: need {schedule.periods} legs, got {len(legs_cfg)}"
@@ -279,12 +289,17 @@ def _parse_contract(entry, idx: int) -> ConfiguredContract:
         raise
     except RobustRatesError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    method = entry.get("method", "quadrature-1f")
     if "method" in entry and kind != "swaption-payer":
         raise ConfigError(f"{where}.method: only swaption-payer contracts take a method")
+    if method not in SWAPTION_METHODS:
+        raise ConfigError(
+            f"{where}.method: unknown swaption method {method!r}; use one of {SWAPTION_METHODS}"
+        )
     return ConfiguredContract(
         name=name,
         contract=contract,
-        method=entry.get("method", "quadrature-1f"),
+        method=method,
         mc=mc,
         nx=nx,
         nt=nt,
@@ -302,8 +317,10 @@ def load_config(path: str) -> PricingSetup:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     base_dir = os.path.dirname(os.path.abspath(path))
+    _object(raw, "config")
     curve = _parse_curve(_require(raw, "curve", "config"), base_dir)
-    factors = _require(_require(raw, "vol_structure", "config"), "factors", "vol_structure")
+    vol_section = _object(_require(raw, "vol_structure", "config"), "vol_structure")
+    factors = _list(_require(vol_section, "factors", "vol_structure"), "vol_structure.factors")
     if not factors:
         raise ConfigError("vol_structure.factors: need at least one factor")
     vol = VolStructure(factors=tuple(_parse_factor(f, i, base_dir) for i, f in enumerate(factors)))
@@ -312,9 +329,7 @@ def load_config(path: str) -> PricingSetup:
         raise ConfigError(
             f"band: dimension {band.dim} does not match vol_structure dimension {vol.dim}"
         )
-    entries = _require(raw, "contracts", "config")
-    if not isinstance(entries, list):
-        raise ConfigError("contracts: expected a list")
+    entries = _list(_require(raw, "contracts", "config"), "contracts")
     if not entries:
         raise ConfigError("contracts: need at least one contract")
     contracts = tuple(_parse_contract(e, i) for i, e in enumerate(entries))

@@ -39,6 +39,7 @@ from .uncertainty import PriceBounds, UncertaintyBand
 from .vol_structure import VolStructure
 
 OPTION_KINDS = ("cap", "floor", "swaption-payer", "in-arrears-payer-swap")
+SWAPTION_METHODS = ("quadrature-1f", "monte-carlo")
 
 _W_FLOOR = 1e-14
 
@@ -237,8 +238,9 @@ def _swaption_value_comonotone(xs, ws, coefs) -> float:
     if gap(zmax) <= 0.0:
         return 0.0  # never exercised within machine-precision tail mass
     if gap(-zmax) >= 0.0:
-        return 1.0 - float(np.dot(coefs, xs))  # always exercised
-    z_star = brentq(gap, -zmax, zmax, xtol=1e-15, rtol=8.9e-16)
+        z_star = -zmax  # always exercised; the N(zmax - w_i) vanish once w_i >> zmax
+    else:
+        z_star = brentq(gap, -zmax, zmax, xtol=1e-15, rtol=8.9e-16)
     return float(ndtr(-z_star) - np.dot(coefs * xs, ndtr(-z_star - ws)))
 
 
@@ -331,7 +333,7 @@ def price_swaption(
         )
     else:
         raise UnsupportedMethodError(
-            f"unknown swaption method {method!r}; use 'quadrature-1f' or 'monte-carlo'"
+            f"unknown swaption method {method!r}; use one of {SWAPTION_METHODS}"
         )
     return PriceBounds(
         lower=lower, upper=upper, symmetric=band.is_degenerate, diagnostics=diag

@@ -103,30 +103,6 @@ def default_grid(
 
 
 @dataclass(frozen=True)
-class PayoffSpec:
-    """Terminal payoff with its polynomial-Lipschitz growth certificate.
-
-    The evaluator maps an array of forward prices to payoff values.  The
-    certificate (C, m) asserts |phi(x) - phi(y)| <= C (1 + |x|^m + |y|^m)
-    |x - y|, which is what guarantees a unique viscosity solution; it is
-    declared by the caller, not verified pointwise.
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    growth: tuple[float, int]
-
-    def __post_init__(self) -> None:
-        if self.growth is None:
-            raise DomainError("payoff requires a (C, m) growth certificate")
-        C, m = self.growth
-        if not (C > 0.0 and int(m) == m and m >= 0):
-            raise DomainError(f"growth certificate needs C > 0 and integer m >= 0, got {self.growth}")
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
-
-
-@dataclass(frozen=True)
 class PDESolution:
     """Value at the spot forward price plus the full t=0 grid slice."""
 
@@ -135,18 +111,6 @@ class PDESolution:
     cash_price: float
     xs: np.ndarray
     u0: np.ndarray
-    times: np.ndarray
-    surface: np.ndarray | None = None
-
-    def save_surface_csv(self, path: str) -> None:
-        """Dump ``t,x,u`` rows for plotting; requires keep_surface=True."""
-        if self.surface is None:
-            raise DomainError("solve was run without keep_surface=True")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,x,u\n")
-            for k, t in enumerate(self.times):
-                for i, x in enumerate(self.xs):
-                    fh.write(f"{t!r},{x!r},{self.surface[k, i]!r}\n")
 
 
 def cell_average(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, dx: float) -> np.ndarray:
@@ -196,11 +160,10 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     return x
 
 
-def _implicit_sweep(u, xs, dx, a_up, a_dn, keep):
+def _implicit_sweep(u, xs, dx, a_up, a_dn):
     nt = len(a_up)
     x2 = xs[1:-1] ** 2
     dx2 = dx**2
-    frames = [u.copy()] if keep else None
     lo_bc, hi_bc = u[0], u[-1]
     # u holds the previous time level; work takes each policy iterate with
     # the boundary values in place and becomes the next u.
@@ -236,9 +199,7 @@ def _implicit_sweep(u, xs, dx, a_up, a_dn, keep):
                 f"iterations at time step {k}"
             )
         u, work = work, u
-        if frames is not None:
-            frames.append(u.copy())
-    return u, frames
+    return u
 
 
 def window_value(
@@ -249,16 +210,14 @@ def window_value(
     t_to: float,
     payoff: Callable[[np.ndarray], np.ndarray],
     grid: PDEGrid,
-    keep: bool = False,
-) -> tuple[np.ndarray, list[np.ndarray] | None]:
+) -> np.ndarray:
     """Upper value function at t_from of payoff(X_{t_to}) for the forward
-    price X = P(pair[1])/P(pair[0]), on grid.xs with grid.nt steps; with keep
-    set, also every time level, backward in time from the terminal one."""
+    price X = P(pair[1])/P(pair[0]), on grid.xs with grid.nt steps."""
     xs = grid.xs
     dx = grid.dx
     u = cell_average(payoff, xs, dx)
     a_up, a_dn = step_variances(vs, band, np.linspace(t_from, t_to, grid.nt + 1), *pair)
-    return _implicit_sweep(u, xs, dx, a_up, a_dn, keep)
+    return _implicit_sweep(u, xs, dx, a_up, a_dn)
 
 
 def solve_single_option(
@@ -268,9 +227,8 @@ def solve_single_option(
     T: float,
     t1: float,
     T_i: float,
-    payoff: PayoffSpec,
+    payoff: Callable[[np.ndarray], np.ndarray],
     grid: PDEGrid,
-    keep_surface: bool = False,
 ) -> PDESolution:
     """Upper expectation of phi(X_{t1}) for X = P(T_i)/P(T), plus the cash
     price P(T) * u(0, x0).
@@ -295,11 +253,9 @@ def solve_single_option(
         raise DomainError(f"spot forward price {x0} lies outside the grid [{grid.x_min}, {grid.x_max}]")
 
     if t1 == 0.0:
-        u = payoff(xs)
-        frames, times = [u], np.array([0.0])
+        u = np.asarray(payoff(xs), dtype=float)
     else:
-        u, frames = window_value(vs, band, (T, T_i), 0.0, t1, payoff, grid, keep_surface)
-        times = np.linspace(0.0, t1, grid.nt + 1)
+        u = window_value(vs, band, (T, T_i), 0.0, t1, payoff, grid)
     value = float(np.interp(x0, xs, u))
     return PDESolution(
         value=value,
@@ -307,9 +263,6 @@ def solve_single_option(
         cash_price=curve.bond_price(T) * value,
         xs=xs,
         u0=u,
-        times=times,
-        # frames were appended backward in time; reorder to increasing t.
-        surface=np.array(frames[::-1]) if keep_surface else None,
     )
 
 
@@ -320,20 +273,16 @@ def solve_lower(
     T: float,
     t1: float,
     T_i: float,
-    payoff: PayoffSpec,
+    payoff: Callable[[np.ndarray], np.ndarray],
     grid: PDEGrid,
-    keep_surface: bool = False,
 ) -> PDESolution:
     """Lower expectation: the negated upper solve of -phi (equivalently the
     band extremes swap roles on the Hessian sign)."""
-    neg = PayoffSpec(evaluator=lambda x: -payoff(x), growth=payoff.growth)
-    sol = solve_single_option(curve, vs, band, T, t1, T_i, neg, grid, keep_surface=keep_surface)
+    sol = solve_single_option(curve, vs, band, T, t1, T_i, lambda x: -payoff(x), grid)
     return PDESolution(
         value=-sol.value,
         x0=sol.x0,
         cash_price=-sol.cash_price,
         xs=sol.xs,
         u0=-sol.u0,
-        times=sol.times,
-        surface=None if sol.surface is None else -sol.surface,
     )

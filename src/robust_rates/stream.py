@@ -37,7 +37,6 @@ from .linear_pricing import TenorSchedule
 from .lognormal import lognormal_call, lognormal_put, lognormal_reciprocal_mean
 from .option_pricing import transformed_strike
 from .pde import (
-    PayoffSpec,
     PDEGrid,
     cell_average,
     default_grid,
@@ -50,7 +49,6 @@ from .uncertainty import PriceBounds, UncertaintyBand, degenerate_band
 from .vol_structure import VolStructure
 
 CONVEXITY_TAGS = ("convex", "concave", "general")
-CHORD_TRIPLES = 3
 MAX_CONTROL_DIM = 2  # live forward prices carried on the tensor grid
 
 
@@ -74,16 +72,15 @@ class FloatingLinearLeg:
 class OptionLeg:
     """g(p) settled at the period start, p the period-end bond price there.
 
-    convexity is caller-asserted ('convex' | 'concave' | 'general') and spot
-    checked by a random chord test; a contradiction downgrades the tag to
-    'general' with a warning in the diagnostics.  expected_value(x, v), when
-    provided, is the closed-form lognormal expectation E[g(X)] used on the
-    decoupled path.
+    convexity is caller-asserted ('convex' | 'concave' | 'general') and
+    checked against the signs of g's second differences on the leg's own
+    grid; a contradiction downgrades the tag to 'general' with a warning in
+    the diagnostics.  expected_value(x, v), when provided, is the
+    closed-form lognormal expectation E[g(X)] used on the decoupled path.
     """
 
     payoff: Callable[[np.ndarray], np.ndarray]
     convexity: str
-    growth: tuple[float, int] = (1.0, 1)
     expected_value: Callable[[float, float], float] | None = None
     label: str = "option"
 
@@ -124,7 +121,6 @@ def caplet_leg(accrual: float, strike_rate: float) -> OptionLeg:
     return OptionLeg(
         payoff=lambda p: np.maximum(ki - p, 0.0) / ki,
         convexity="convex",
-        growth=(1.0 / ki, 1),
         expected_value=lambda x, v: lognormal_put(x, ki, v) / ki,
         label=f"caplet(K={strike_rate})",
     )
@@ -136,7 +132,6 @@ def floorlet_leg(accrual: float, strike_rate: float) -> OptionLeg:
     return OptionLeg(
         payoff=lambda p: np.maximum(p - ki, 0.0) / ki,
         convexity="convex",
-        growth=(1.0 / ki, 1),
         expected_value=lambda x, v: lognormal_call(x, ki, v) / ki,
         label=f"floorlet(K={strike_rate})",
     )
@@ -148,7 +143,6 @@ def in_arrears_leg(accrual: float, strike_rate: float) -> OptionLeg:
     return OptionLeg(
         payoff=lambda p: 1.0 / p - 1.0 / ki,
         convexity="convex",
-        growth=(400.0, 2),  # Lipschitz on the truncated positive domain
         expected_value=lambda x, v: lognormal_reciprocal_mean(x, v) - 1.0 / ki,
         label=f"in-arrears(K={strike_rate})",
     )
@@ -161,7 +155,6 @@ def capped_call_spread_leg(strike: float, cap: float) -> OptionLeg:
     return OptionLeg(
         payoff=lambda p: np.minimum(np.maximum(p - strike, 0.0), cap),
         convexity="general",
-        growth=(1.0, 1),
         label=f"capped-spread({strike},{cap})",
     )
 
@@ -173,7 +166,6 @@ def capped_forward_leg(cap: float) -> OptionLeg:
     return OptionLeg(
         payoff=lambda p: np.minimum(p, cap),
         convexity="concave",
-        growth=(1.0, 1),
         label=f"capped-forward({cap})",
     )
 
@@ -194,34 +186,33 @@ def _symmetric_leg_value(curve: DiscountCurve, stream: CashflowStream, i: int) -
     )
 
 
-def _chord_check(leg: OptionLeg, lo: float, hi: float, seed: int) -> bool:
-    """Spot check the declared curvature on 3 random chords; True if consistent."""
-    if leg.convexity == "general":
-        return True
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    for _ in range(CHORD_TRIPLES):
-        a, b = np.sort(rng.uniform(lo, hi, size=2))
-        if b - a < 1e-12:
-            continue
-        lam = rng.uniform(0.1, 0.9)
-        mid = lam * a + (1 - lam) * b
-        chord = lam * float(leg(np.array([a]))[0]) + (1 - lam) * float(leg(np.array([b]))[0])
-        val = float(leg(np.array([mid]))[0])
-        scale = 1e-9 * (1.0 + abs(chord))
-        if leg.convexity == "convex" and val > chord + scale:
-            return False
-        if leg.convexity == "concave" and val < chord - scale:
-            return False
-    return True
-
-
-def _leg_domain(curve, vs, band, schedule, i) -> tuple[float, float, float]:
-    """Spot forward price and a 6-sigma bracket for period i's underlying."""
-    t_reset, t_pay = schedule.dates[i], schedule.dates[i + 1]
-    x0 = curve.forward_price(t_reset, t_pay)
+def _leg_grid(curve, vs, band, stream, i, nx: int, nt: int) -> PDEGrid:
+    """Period i's single-option grid: six sigma of the band's upper variance
+    around the spot forward price."""
+    t_reset, t_pay = stream.schedule.dates[i], stream.schedule.dates[i + 1]
     v = math.sqrt(vs.integrated_variance(band.upper, 0.0, t_reset, t_reset, t_pay))
-    v = max(v, 1e-6)
-    return x0, x0 * math.exp(-6.0 * v), x0 * math.exp(6.0 * v)
+    return default_grid(curve.forward_price(t_reset, t_pay), v, nx=nx, nt=nt)
+
+
+def _checked_tag(curve, vs, band, stream, i, nx: int, nt: int) -> str:
+    """Leg i's declared convexity if the second differences of its payoff on
+    its own grid all have that sign (up to rounding), else 'general'."""
+    leg = stream.legs[i]
+    if leg.convexity == "general":
+        return "general"
+    g = leg(_leg_grid(curve, vs, band, stream, i, nx, nt).xs)
+    d2 = g[2:] - 2.0 * g[1:-1] + g[:-2]
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(g))))
+    holds = (d2 >= -tol).all() if leg.convexity == "convex" else (d2 <= tol).all()
+    return leg.convexity if holds else "general"
+
+
+def _downgrade_warning(stream, i) -> str:
+    leg = stream.legs[i]
+    return (
+        f"leg {i} ({leg.label}): declared {leg.convexity} failed the chord "
+        "(second-difference) check; treated as general"
+    )
 
 
 def _leg_classical_value(
@@ -231,15 +222,38 @@ def _leg_classical_value(
     leg = stream.legs[i]
     t_reset, t_pay = stream.schedule.dates[i], stream.schedule.dates[i + 1]
     x0 = curve.forward_price(t_reset, t_pay)
-    v2 = vs.integrated_variance(scale, 0.0, t_reset, t_reset, t_pay)
+    v = math.sqrt(vs.integrated_variance(scale, 0.0, t_reset, t_reset, t_pay))
     if leg.expected_value is not None:
-        return curve.bond_price(t_reset) * leg.expected_value(x0, math.sqrt(v2))
-    payoff = PayoffSpec(evaluator=leg.payoff, growth=leg.growth)
-    grid = default_grid(x0, math.sqrt(v2), nx=nx, nt=nt)
+        return curve.bond_price(t_reset) * leg.expected_value(x0, v)
+    grid = default_grid(x0, v, nx=nx, nt=nt)
     sol = solve_single_option(
-        curve, vs, degenerate_band(scale), t_reset, t_reset, t_pay, payoff, grid
+        curve, vs, degenerate_band(scale), t_reset, t_reset, t_pay, leg, grid
     )
     return sol.cash_price
+
+
+def _leg_bounds(curve, vs, band, stream, i, tag: str, nx: int, nt: int) -> tuple[float, float]:
+    """(lower, upper) of option leg i on its own, for its checked tag.
+
+    A convex (concave) leg's bounds are its classical values at the band
+    extremes, the upper bound at the upper (lower) one; a general leg needs
+    the single-option PDE.
+    """
+    if tag == "general":
+        leg = stream.legs[i]
+        t_reset, t_pay = stream.schedule.dates[i], stream.schedule.dates[i + 1]
+        grid = _leg_grid(curve, vs, band, stream, i, nx, nt)
+        upper = solve_single_option(curve, vs, band, t_reset, t_reset, t_pay, leg, grid).cash_price
+        lower = solve_lower(curve, vs, band, t_reset, t_reset, t_pay, leg, grid).cash_price
+        return lower, upper
+    hi_scale, lo_scale = (band.upper, band.lower) if tag == "convex" else (band.lower, band.upper)
+    upper = _leg_classical_value(curve, vs, hi_scale, stream, i, nx, nt)
+    lower = _leg_classical_value(curve, vs, lo_scale, stream, i, nx, nt)
+    return lower, upper
+
+
+def _leg_method(tag: str) -> str:
+    return "single-option-pde" if tag == "general" else f"{tag}-decoupled"
 
 
 def price_leg_bounds(
@@ -256,23 +270,14 @@ def price_leg_bounds(
     if not isinstance(leg, OptionLeg):
         v = _symmetric_leg_value(curve, stream, i)
         return PriceBounds(lower=v, upper=v, symmetric=True, diagnostics={"method": "closed-form"})
-    if leg.convexity != "general":
-        convex = leg.convexity == "convex"
-        hi_scale, lo_scale = (band.upper, band.lower) if convex else (band.lower, band.upper)
-        upper = _leg_classical_value(curve, vs, hi_scale, stream, i, nx, nt)
-        lower = _leg_classical_value(curve, vs, lo_scale, stream, i, nx, nt)
-        method = f"{leg.convexity}-decoupled"
-    else:
-        t_reset, t_pay = stream.schedule.dates[i], stream.schedule.dates[i + 1]
-        x0, lo, hi = _leg_domain(curve, vs, band, stream.schedule, i)
-        payoff = PayoffSpec(evaluator=leg.payoff, growth=leg.growth)
-        grid = PDEGrid(x_min=lo, x_max=hi, nx=nx, nt=nt)
-        upper = solve_single_option(curve, vs, band, t_reset, t_reset, t_pay, payoff, grid).cash_price
-        lower = solve_lower(curve, vs, band, t_reset, t_reset, t_pay, payoff, grid).cash_price
-        method = "single-option-pde"
+    tag = _checked_tag(curve, vs, band, stream, i, nx, nt)
+    lower, upper = _leg_bounds(curve, vs, band, stream, i, tag, nx, nt)
+    diag: dict[str, Any] = {"method": _leg_method(tag)}
+    if tag != leg.convexity:
+        diag["warnings"] = [_downgrade_warning(stream, i)]
     return PriceBounds(
         lower=lower, upper=upper,
-        symmetric=band.is_degenerate, diagnostics={"method": method},
+        symmetric=band.is_degenerate, diagnostics=diag,
     )
 
 
@@ -360,7 +365,7 @@ def _pair_recursion(
 
     values = []
     for sign in (1.0, -1.0):
-        h_values, _ = window_value(
+        h_values = window_value(
             vs, band, pair2, t_start, t_mid, lambda x: sign * g2(x), inner_grid
         )
         # Cell-average the (possibly kinked) own payoff along y1; the coupling
@@ -436,7 +441,6 @@ def price_stream(
         raise DomainError(f"volatility structure has {vs.dim} factors but band has {band.dim}")
 
     diag: dict[str, Any] = {}
-    warnings: list[str] = []
     sym_value = sum(
         _symmetric_leg_value(curve, stream, i)
         for i, leg in enumerate(stream.legs)
@@ -444,20 +448,12 @@ def price_stream(
     )
     option_idx = [i for i, leg in enumerate(stream.legs) if isinstance(leg, OptionLeg)]
 
-    # Advisory chord test; a contradiction downgrades the tag (not silently:
-    # the warning lands in the diagnostics).
-    tags: dict[int, str] = {}
-    for i in option_idx:
-        leg = stream.legs[i]
-        _, lo, hi = _leg_domain(curve, vs, band, stream.schedule, i)
-        if _chord_check(leg, lo, hi, seed=1000 + i):
-            tags[i] = leg.convexity
-        else:
-            tags[i] = "general"
-            warnings.append(
-                f"leg {i} ({leg.label}): declared {leg.convexity} failed the chord "
-                "spot-check; treated as general"
-            )
+    # The checked tags pick the method.  A downgrade is not silent: its
+    # warning lands in the diagnostics.
+    tags = {i: _checked_tag(curve, vs, band, stream, i, nx, nt) for i in option_idx}
+    warnings = [
+        _downgrade_warning(stream, i) for i in option_idx if tags[i] != stream.legs[i].convexity
+    ]
 
     if not option_idx:
         diag.update(method="symmetric-closed-form")
@@ -465,17 +461,13 @@ def price_stream(
             lower=sym_value, upper=sym_value, symmetric=True, diagnostics=diag
         ).scaled(stream.notional)
 
-    tag_set = {tags[i] for i in option_idx}
-    if tag_set == {"convex"} or tag_set == {"concave"}:
-        tag = tag_set.pop()
-        hi_scale, lo_scale = (band.upper, band.lower) if tag == "convex" else (band.lower, band.upper)
-        upper = sym_value + sum(
-            _leg_classical_value(curve, vs, hi_scale, stream, i, nx, nt) for i in option_idx
-        )
-        lower = sym_value + sum(
-            _leg_classical_value(curve, vs, lo_scale, stream, i, nx, nt) for i in option_idx
-        )
-        diag.update(method=f"{tag}-decoupled", option_legs=len(option_idx))
+    tag_set = set(tags.values())
+    if len(option_idx) == 1 or tag_set == {"convex"} or tag_set == {"concave"}:
+        # One leg, or legs sharing a convexity: every leg is priced on its own.
+        bounds = [_leg_bounds(curve, vs, band, stream, i, tags[i], nx, nt) for i in option_idx]
+        upper = sym_value + sum(hi for _, hi in bounds)
+        lower = sym_value + sum(lo for lo, _ in bounds)
+        diag.update(method=_leg_method(tag_set.pop()), option_legs=len(option_idx))
     else:
         if len(option_idx) > MAX_CONTROL_DIM:
             raise UnsupportedMethodError(
@@ -483,28 +475,19 @@ def price_stream(
                 f"(got {len(option_idx)}): larger instances exceed the tensor-grid "
                 "state dimension this engine carries"
             )
-        if len(option_idx) == 1:
-            i = option_idx[0]
-            leg_bounds = price_leg_bounds(curve, vs, band, stream, i, nx=nx, nt=nt)
-            upper = sym_value + leg_bounds.upper
-            lower = sym_value + leg_bounds.lower
-            diag.update(method="single-option-pde", option_legs=1)
-        else:
-            i, j = option_idx
-            if j != i + 1:
-                raise UnsupportedMethodError(
-                    "two general-tag option legs must sit on adjacent periods; "
-                    "non-adjacent pairs add a third coupling state beyond the "
-                    "tensor grid carried here"
-                )
-            leg1: OptionLeg = stream.legs[i]
-            leg2: OptionLeg = stream.legs[j]
-            pair_upper, pair_neg = _pair_recursion(
-                curve, vs, band, stream.schedule, i, leg1, leg2, nx, nt
+        i, j = option_idx
+        if j != i + 1:
+            raise UnsupportedMethodError(
+                "two general-tag option legs must sit on adjacent periods; "
+                "non-adjacent pairs add a third coupling state beyond the "
+                "tensor grid carried here"
             )
-            upper = sym_value + pair_upper
-            lower = sym_value - pair_neg
-            diag.update(method="coupled-pair-pde", option_legs=2, nx=nx, nt=nt)
+        pair_upper, pair_neg = _pair_recursion(
+            curve, vs, band, stream.schedule, i, stream.legs[i], stream.legs[j], nx, nt
+        )
+        upper = sym_value + pair_upper
+        lower = sym_value - pair_neg
+        diag.update(method="coupled-pair-pde", option_legs=2, nx=nx, nt=nt)
     if warnings:
         diag["warnings"] = warnings
     symmetric = band.is_degenerate and not warnings

@@ -20,7 +20,7 @@ from .lognormal import lognormal_put
 from .mc import MCConfig
 from .option_pricing import OptionContract, price_cap, price_caplet_sigma, price_floor, transformed_strike
 from .oracle import expectations_hypothesis_check, lattice_price
-from .pde import PayoffSpec, default_grid, solve_single_option
+from .pde import default_grid, solve_single_option
 from .stream import CashflowStream, capped_call_spread_leg, caplet_leg, price_leg_bounds, price_stream
 from .uncertainty import UncertaintyBand, degenerate_band
 from .vol_structure import ho_lee
@@ -139,15 +139,14 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
 
     # Capped call spread: PDE vs lattice at two bands.
     vs2 = ho_lee(0.02)
-    payoff_fn = lambda x: np.minimum(np.maximum(x - 0.97, 0.0), 0.02)
-    payoff = PayoffSpec(evaluator=payoff_fn, growth=(1.0, 1))
+    payoff = lambda x: np.minimum(np.maximum(x - 0.97, 0.0), 0.02)
     x0 = curve.forward_price(1.0, 2.0)
     for lo, hi in ((0.5, 1.5), (0.8, 1.2)):
         b = UncertaintyBand((lo,), (hi,))
         v_up = math.sqrt(vs2.integrated_variance((hi,), 0.0, 1.0, 1.0, 2.0))
         grid = default_grid(x0, v_up, nx=500, nt=500)
         pde = solve_single_option(curve, vs2, b, 1.0, 1.0, 2.0, payoff, grid).value
-        lat = lattice_price(curve, vs2, b, 1.0, 1.0, 2.0, payoff_fn, 1200)
+        lat = lattice_price(curve, vs2, b, 1.0, 1.0, 2.0, payoff, 1200)
         rel = abs(pde / lat - 1.0)
         out.append(CheckResult(
             f"capped spread PDE vs lattice, band ({lo},{hi})",
@@ -180,7 +179,7 @@ def suite_convergence(seed: int = 0) -> list[CheckResult]:
     x0 = curve.forward_price(1.0, 1.5)
     v2 = vs.integrated_variance((1.5,), 0.0, 1.0, 1.0, 1.5)
     black = lognormal_put(x0, ki, math.sqrt(v2))
-    payoff = PayoffSpec(evaluator=lambda x: np.maximum(ki - x, 0.0), growth=(1.0, 1))
+    payoff = lambda x: np.maximum(ki - x, 0.0)
     errs = []
     for n in (100, 200, 400):
         grid = default_grid(x0, math.sqrt(v2), nx=n, nt=n)

@@ -39,7 +39,7 @@ from robust_rates.oracle import (
     lattice_price,
     scenario_sup,
 )
-from robust_rates.pde import PayoffSpec, default_grid, solve_single_option
+from robust_rates.pde import default_grid, solve_single_option
 from robust_rates.stream import (
     CashflowStream,
     capped_call_spread_leg,
@@ -164,7 +164,7 @@ def test_criterion_3_convex_reduction():
     x0 = curve.forward_price(1.0, 1.5)
     v_up = math.sqrt(vs.integrated_variance((1.5,), 0.0, 1.0, 1.0, 1.5))
     black = lognormal_put(x0, ki, v_up)
-    payoff = PayoffSpec(evaluator=lambda x: np.maximum(ki - x, 0.0), growth=(1.0, 1))
+    payoff = lambda x: np.maximum(ki - x, 0.0)
     errs = {}
     for n in (100, 200, 400):
         grid = default_grid(x0, v_up, nx=n, nt=n)
@@ -185,8 +185,7 @@ def test_criterion_4_oracle_agreement():
     curve, vs = flat_curve(0.02), ho_lee(0.02)
     T, Ti = 1.0, 2.0
     lo_strike, width = 0.97, 0.02
-    payoff_fn = lambda x: np.minimum(np.maximum(x - lo_strike, 0.0), width)
-    payoff = PayoffSpec(evaluator=payoff_fn, growth=(1.0, 1))
+    payoff = lambda x: np.minimum(np.maximum(x - lo_strike, 0.0), width)
     x0 = curve.forward_price(T, Ti)
     details = []
     for bl, bu in ((0.5, 1.5), (0.8, 1.2)):
@@ -194,7 +193,7 @@ def test_criterion_4_oracle_agreement():
         v_up = math.sqrt(vs.integrated_variance((bu,), 0.0, T, T, Ti))
         grid = default_grid(x0, v_up, nx=700, nt=700)
         pde = solve_single_option(curve, vs, band, T, T, Ti, payoff, grid).value
-        lat = lattice_price(curve, vs, band, T, T, Ti, payoff_fn, 2000)
+        lat = lattice_price(curve, vs, band, T, T, Ti, payoff, 2000)
         rel = abs(pde / lat - 1.0)
         assert rel <= 1e-3, f"band ({bl},{bu}): PDE vs lattice rel {rel:.2e} > 0.1%"
         classics = [

@@ -267,6 +267,27 @@ class TestPriceCommand:
         assert main(["price", path]) == 2
         assert "swaption-payer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda c: 5, "config: expected an object"),
+        (lambda c: dict(c, vol_structure=5), "vol_structure: expected an object"),
+        (lambda c: dict(c, band=5), "band: expected an object"),
+        (lambda c: dict(c, vol_structure={"factors": 5}), "vol_structure.factors: expected a list"),
+        (lambda c: dict(c, contracts=[dict(STREAM, legs=5)]), "contracts[0].legs: expected a list"),
+        (lambda c: c["contracts"][2].update(mc={"antithetic": "no"}) or c,
+         "contracts[2].mc.antithetic: expected true or false"),
+        (lambda c: c["contracts"][2].update(method="montecarlo") or c,
+         "contracts[2].method: unknown swaption method 'montecarlo'"),
+        (lambda c: c["contracts"][2].update(method=5) or c,
+         "contracts[2].method: unknown swaption method 5"),
+    ], ids=["root", "vol_structure", "band", "factors", "legs", "antithetic",
+            "method-name", "method-type"])
+    def test_malformed_section_is_config_error(self, tmp_path, capsys, mutate, field):
+        path = write_config(tmp_path, mutate(json.loads(json.dumps(BOOK))))
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_config(path)
+        assert main(["price", path]) == 2
+        assert field in capsys.readouterr().err
+
     def test_pricing_error_exit_3(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BOOK))
         # quadrature with two factors fails at pricing time

@@ -259,6 +259,15 @@ class TestSwaption:
         with pytest.raises(UnsupportedMethodError):
             price_swaption(CURVE, VS, BAND, self.contract(), method="binomial")
 
+    @pytest.mark.parametrize("c", [1e3, 1e150])
+    def test_huge_factor_level_stays_within_no_arbitrage_range(self, c):
+        # Every w_i is far beyond the root bracket, so the swap rate is
+        # ~surely below the strike and the payer pays the whole bond: the
+        # tail formula gives P(T_0), never the negative intrinsic value.
+        s = TenorSchedule(dates=(1.0, 2.0))
+        q = price_swaption(CURVE, ho_lee(c), BAND, self.contract(sched=s))
+        assert 0.0 <= q.lower <= q.upper <= CURVE.bond_price(1.0)
+
     def test_non_separable_mc_agrees_with_quadrature(self):
         # A constant tabulated surface is a ho-lee factor in disguise but
         # routes through the eigen-factorized joint-covariance sampler.

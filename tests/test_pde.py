@@ -12,7 +12,6 @@ from robust_rates.errors import ConvergenceError, DomainError
 from robust_rates.lognormal import lognormal_call, lognormal_put
 from robust_rates.oracle import lattice_price
 from robust_rates.pde import (
-    PayoffSpec,
     PDEGrid,
     default_grid,
     solve_lower,
@@ -28,17 +27,15 @@ KI = 1.0 / 1.02  # transformed strike for delta=0.5, K=0.04
 
 
 def put_payoff():
-    return PayoffSpec(evaluator=lambda x: np.maximum(KI - x, 0.0), growth=(1.0, 1))
+    return lambda x: np.maximum(KI - x, 0.0)
 
 
 def identity_payoff():
-    return PayoffSpec(evaluator=lambda x: x, growth=(1.0, 1))
+    return lambda x: x
 
 
 def spread_payoff(lo=0.97, width=0.02):
-    return PayoffSpec(
-        evaluator=lambda x: np.minimum(np.maximum(x - lo, 0.0), width), growth=(1.0, 1)
-    )
+    return lambda x: np.minimum(np.maximum(x - lo, 0.0), width)
 
 
 def v_total(vs, scale, t1, T, Ti):
@@ -72,7 +69,7 @@ class TestConvexReduction:
     def test_lower_matches_black_at_lower_extreme(self):
         # At-the-money strike keeps the sigma-lower value well scaled.
         x0 = CURVE.forward_price(1.0, 1.5)
-        atm = PayoffSpec(evaluator=lambda x: np.maximum(x0 - x, 0.0), growth=(1.0, 1))
+        atm = lambda x: np.maximum(x0 - x, 0.0)
         v_up = v_total(VS, 1.5, 1.0, 1.0, 1.5)
         grid = default_grid(x0, v_up, nx=400, nt=400)
         sol = solve_lower(CURVE, VS, BAND, 1.0, 1.0, 1.5, atm, grid)
@@ -150,8 +147,8 @@ class TestComparisonPrinciple:
     def test_pointwise_ordered_payoffs_give_ordered_values(self):
         x0 = CURVE.forward_price(1.0, 1.5)
         grid = default_grid(x0, v_total(VS, 1.5, 1.0, 1.0, 1.5), nx=151, nt=150)
-        lo_strike = PayoffSpec(evaluator=lambda x: np.maximum(0.97 - x, 0.0), growth=(1.0, 1))
-        hi_strike = PayoffSpec(evaluator=lambda x: np.maximum(0.99 - x, 0.0), growth=(1.0, 1))
+        lo_strike = lambda x: np.maximum(0.97 - x, 0.0)
+        hi_strike = lambda x: np.maximum(0.99 - x, 0.0)
         a = solve_single_option(CURVE, VS, BAND, 1.0, 1.0, 1.5, lo_strike, grid)
         b = solve_single_option(CURVE, VS, BAND, 1.0, 1.0, 1.5, hi_strike, grid)
         assert np.all(a.u0 <= b.u0 + 1e-14)
@@ -180,12 +177,11 @@ class TestSchemes:
         assert sol.value == pytest.approx(max(KI - x0, 0.0), abs=1e-12)
 
 
-def reference_implicit_sweep(u, xs, dx, a_up, a_dn, keep):
+def reference_implicit_sweep(u, xs, dx, a_up, a_dn):
     """Reference: the policy-iteration sweep with a fresh banded matrix per
     iteration, solved by scipy.linalg.solve_banded."""
     nx = len(xs)
     x2 = xs[1:-1] ** 2
-    frames = [u.copy()] if keep is not None else None
     lo_bc, hi_bc = u[0], u[-1]
     for k in range(len(a_up) - 1, -1, -1):
         d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
@@ -213,9 +209,7 @@ def reference_implicit_sweep(u, xs, dx, a_up, a_dn, keep):
         else:
             raise ConvergenceError(f"no convergence at time step {k}")
         u = np.concatenate(([lo_bc], solved, [hi_bc]))
-        if frames is not None:
-            frames.append(u.copy())
-    return u, frames
+    return u
 
 
 class TestImplicitSweepBitExact:
@@ -230,13 +224,13 @@ class TestImplicitSweepBitExact:
         grid = default_grid(x0, v_total(vs, 1.5, 1.0, 1.0, 1.5), nx=nx, nt=30)
 
         def run():
-            return solve(CURVE, vs, BAND, 1.0, 1.0, 1.5, spread_payoff(), grid, keep_surface=True)
+            return solve(CURVE, vs, BAND, 1.0, 1.0, 1.5, spread_payoff(), grid)
 
         got = run()
         monkeypatch.setattr(pde, "_implicit_sweep", reference_implicit_sweep)
         ref = run()
         assert got.value == ref.value
-        assert np.array_equal(got.surface, ref.surface)
+        assert np.array_equal(got.u0, ref.u0)
 
     def test_tridiagonal_solve_matches_scipy(self):
         rng = np.random.Generator(np.random.Philox(key=3))
@@ -257,7 +251,7 @@ class TestImplicitSweepBitExact:
     def test_nan_payoff_raises_value_error(self):
         x0 = CURVE.forward_price(1.0, 1.5)
         grid = default_grid(x0, v_total(VS, 1.5, 1.0, 1.0, 1.5), nx=41, nt=10)
-        nan_above = PayoffSpec(evaluator=lambda x: np.where(x > x0, np.nan, x), growth=(1.0, 1))
+        nan_above = lambda x: np.where(x > x0, np.nan, x)
         with pytest.raises(ValueError, match="infs or NaNs") as info:
             solve_single_option(CURVE, VS, BAND, 1.0, 1.0, 1.5, nan_above, grid)
         assert type(info.value) is ValueError
@@ -272,25 +266,7 @@ class TestValidation:
         with pytest.raises(DomainError):
             PDEGrid(x_min=0.5, x_max=1.0, nx=10, nt=0)
 
-    def test_growth_certificate_required(self):
-        with pytest.raises(DomainError):
-            PayoffSpec(evaluator=lambda x: x, growth=None)
-        with pytest.raises(DomainError):
-            PayoffSpec(evaluator=lambda x: x, growth=(-1.0, 1))
-
     def test_expiry_ordering(self):
         grid = PDEGrid(x_min=0.5, x_max=1.5, nx=11, nt=10)
         with pytest.raises(DomainError):
             solve_single_option(CURVE, VS, BAND, 1.0, 2.0, 1.5, put_payoff(), grid)
-
-    def test_surface_dump(self, tmp_path):
-        x0 = CURVE.forward_price(1.0, 1.5)
-        grid = default_grid(x0, 0.01, nx=21, nt=5)
-        sol = solve_single_option(
-            CURVE, VS, BAND, 1.0, 1.0, 1.5, put_payoff(), grid, keep_surface=True
-        )
-        out = tmp_path / "surface.csv"
-        sol.save_surface_csv(str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "t,x,u"
-        assert len(lines) == 1 + 6 * 21

@@ -38,7 +38,7 @@ SCHED = TenorSchedule(dates=(1.0, 1.5, 2.0))
 
 
 def as_general(leg: OptionLeg) -> OptionLeg:
-    return OptionLeg(payoff=leg.payoff, convexity="general", growth=leg.growth, label=leg.label)
+    return OptionLeg(payoff=leg.payoff, convexity="general", label=leg.label)
 
 
 class TestSymmetricPath:
@@ -128,13 +128,40 @@ class TestChordCheck:
         bad = OptionLeg(
             payoff=lambda p: np.minimum(np.maximum(p - 0.97, 0.0), 0.02),
             convexity="convex",  # wrong on purpose: the cap side is concave
-            growth=(1.0, 1),
             label="mistagged-spread",
         )
         st = CashflowStream(schedule=SCHED, legs=(bad, caplet_leg(0.5, 0.04)))
         got = price_stream(CURVE, VS2, BAND, st, nx=121, nt=120)
         assert any("chord" in w for w in got.diagnostics.get("warnings", ()))
         assert got.diagnostics["method"] == "coupled-pair-pde"
+
+    def test_mistagged_single_leg_priced_as_general(self):
+        # A downgraded tag must reach the pricer: the capped spread is not
+        # convex, so its bounds are the single-option PDE's, not the
+        # band-extreme values a convex tag would give.
+        def spread(p):
+            return np.minimum(np.maximum(p - 0.975, 0.0), 0.02)
+
+        sched = TenorSchedule(dates=(1.0, 2.0))
+        bad = CashflowStream(schedule=sched, legs=(OptionLeg(payoff=spread, convexity="convex"),))
+        ref = CashflowStream(schedule=sched, legs=(OptionLeg(payoff=spread, convexity="general"),))
+        want = price_stream(CURVE, VS2, BAND, ref)
+        got = price_stream(CURVE, VS2, BAND, bad)
+        assert (got.lower, got.upper) == (want.lower, want.upper)
+        assert got.diagnostics["method"] == "single-option-pde"
+        assert any("chord" in w for w in got.diagnostics["warnings"])
+        leg = price_leg_bounds(CURVE, VS2, BAND, bad, 0)
+        assert (leg.lower, leg.upper) == (want.lower, want.upper)
+
+    @pytest.mark.parametrize("vs", [VS2, hull_white(0.02, 0.3)], ids=["ho-lee", "hull-white"])
+    @pytest.mark.parametrize("start", [0.5, 1.0, 3.0])
+    def test_builtin_legs_keep_their_tags(self, vs, start):
+        sched = TenorSchedule(dates=(start, start + 0.5))
+        for leg in (caplet_leg(0.5, 0.04), floorlet_leg(0.5, 0.02), in_arrears_leg(0.5, 0.025),
+                    capped_forward_leg(0.985)):
+            got = price_stream(CURVE, vs, BAND, CashflowStream(schedule=sched, legs=(leg,)))
+            assert got.diagnostics["method"] == f"{leg.convexity}-decoupled"
+            assert "warnings" not in got.diagnostics
 
 
 class TestCoupledRecursion:
@@ -310,7 +337,7 @@ class TestUnsupportedShapes:
 
     def test_bad_convexity_tag(self):
         with pytest.raises(DomainError):
-            OptionLeg(payoff=lambda p: p, convexity="monotone", growth=(1.0, 1))
+            OptionLeg(payoff=lambda p: p, convexity="monotone")
 
 
 class TestNotional:
