@@ -31,13 +31,10 @@ from .mc import MCConfig
 from .option_pricing import (
     OptionContract,
     price_cap,
-    price_caplet_sigma,
     price_floor,
-    price_floorlet_sigma,
     price_in_arrears_swap,
     price_option,
     price_swaption,
-    transformed_strike,
 )
 from .oracle import (
     ConstantControls,
@@ -59,6 +56,7 @@ from .stream import (
     in_arrears_leg,
     price_leg_bounds,
     price_stream,
+    transformed_strike,
 )
 from .uncertainty import PriceBounds, UncertaintyBand, degenerate_band
 from .vol_structure import (

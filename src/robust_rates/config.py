@@ -73,13 +73,26 @@ def _require(section: dict, field: str, where: str):
     return section[field]
 
 
-def _number(value, where: str) -> float:
-    """A finite float.  JSON's NaN and Infinity literals parse, so they are
-    rejected here rather than surfacing later as pricing errors."""
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, never a bool or a numeric string."""
+    return type(value) in (int, float)
+
+
+def _floats(values: list) -> tuple[float, ...]:
+    """JSON numbers as floats; an int beyond the float range reads as inf."""
     try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+        return tuple(map(float, values))
+    except OverflowError:
+        return (math.inf,)
+
+
+def _number(value, where: str) -> float:
+    """A JSON number as a finite float.  JSON's NaN and Infinity literals
+    parse, so they are rejected here rather than surfacing later as pricing
+    errors."""
+    if not _is_number(value):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    (x,) = _floats([value])
     if not math.isfinite(x):
         raise ConfigError(f"{where}: must be finite, got {value!r}")
     return x
@@ -98,11 +111,11 @@ def _numbers(values, where: str) -> tuple[float, ...]:
 
 
 def _integer_field(section: dict, field: str, where: str, default: int) -> int:
+    """section[field], a JSON number with an integral value, as an int."""
     value = section.get(field, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}.{field}: expected an integer, got {value!r}") from None
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{where}.{field}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def _object(value, where: str) -> dict:
@@ -137,10 +150,10 @@ def _parse_curve(section, base_dir: str) -> DiscountCurve:
             interpolation=section.get("interpolation", "linear"),
             horizon=horizon,
         )
-    knots = _require(section, "knots", "curve")
+    knots = _list(_require(section, "knots", "curve"), "curve.knots")
     try:
         return DiscountCurve(
-            knots=tuple((float(m), float(r)) for m, r in knots),
+            knots=tuple(_numbers(k, f"curve.knots[{i}]") for i, k in enumerate(knots)),
             interpolation=section.get("interpolation", "linear"),
             horizon=horizon,
         )
@@ -182,17 +195,17 @@ def _parse_band(section) -> UncertaintyBand:
 
 def _parse_schedule(entry, where: str, name: str) -> TenorSchedule:
     dates = _require(entry, "schedule", where)
-    try:
-        schedule = TenorSchedule(dates=tuple(float(d) for d in dates))
-    except RobustRatesError as exc:
-        raise ConfigError(f"{where}.schedule: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    if not isinstance(dates, list) or not set(map(type, dates)) <= {int, float}:
         raise ConfigError(
             f"{where}.schedule: contract '{name}': expected a list of dates, got {dates!r}"
-        ) from exc
-    if not all(map(math.isfinite, schedule.dates)):  # NaN passes the ordering checks
+        )
+    floats = _floats(dates)
+    if not all(map(math.isfinite, floats)):  # NaN passes the ordering checks
         raise ConfigError(f"{where}.schedule: contract '{name}': dates must be finite")
-    return schedule
+    try:
+        return TenorSchedule(dates=floats)
+    except RobustRatesError as exc:
+        raise ConfigError(f"{where}.schedule: {exc}") from exc
 
 
 def _parse_notional(entry, where: str) -> float:

@@ -30,6 +30,8 @@ class MCConfig:
     def __post_init__(self) -> None:
         if self.paths < 2:
             raise DomainError(f"need at least 2 paths, got {self.paths}")
+        if not 0 <= self.seed < 2**128:  # the Philox key is 128 bits
+            raise DomainError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
 def child_seed(seed: int, *indices: int) -> int:

@@ -3,13 +3,14 @@
 Each contract reduces to a sum of expectations of forward bond prices under
 their natural forward measures.  With a deterministic diffusion the forward
 prices are driftless lognormals, so the bound at each band extreme is a
-classical closed form:
+classical closed form.  Caps, floors and in-arrears swaps are streams of
+one advance-settled leg per period (``stream.caplet_leg``, ``floorlet_leg``,
+``in_arrears_leg``), each a function of X = P(T_i)/P(T_{i-1}) under the
+reset-date measure, K_i = 1/(1 + delta_i K), discounted by P(T_{i-1}):
 
-  * caplet i   : (1/K_i) E[(K_i - X)^+]      put on X = P(T_i)/P(T_{i-1}),
-                 K_i = 1/(1 + delta_i K), discounted by P(T_{i-1});
+  * caplet i   : (1/K_i) E[(K_i - X)^+], a put on X;
   * floorlet i : the matching call, via put-call parity against the swap;
-  * in-arrears : E[X (X - 1/K_i)] = x^2 e^V - x/K_i on the reversed forward
-                 price X = P(T_{i-1})/P(T_i), discounted by P(T_i);
+  * in-arrears : E[1/X - 1/K_i] = e^V/x - 1/K_i;
   * swaption   : E[(1 - X^N - K sum_i delta_i X^i)^+] on the family
                  X^i = P(T_i)/P(T_0), discounted by P(T_0).
 
@@ -22,7 +23,6 @@ the multi-factor case falls back to Monte Carlo on the joint terminal law.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -33,8 +33,8 @@ from scipy.special import ndtr
 from .curve import DiscountCurve
 from .errors import DomainError, UnsupportedMethodError
 from .linear_pricing import TenorSchedule
-from .lognormal import lognormal_call, lognormal_put, lognormal_second_moment
 from .mc import MCConfig, mean_and_se, normals
+from .stream import CashflowStream, caplet_leg, floorlet_leg, in_arrears_leg, leg_bounds
 from .uncertainty import PriceBounds, UncertaintyBand
 from .vol_structure import VolStructure
 
@@ -60,15 +60,6 @@ class OptionContract:
             raise DomainError(f"strike rate must be positive, got {self.strike_rate}")
 
 
-def transformed_strike(accrual: float, strike_rate: float) -> float:
-    """K_i = 1 / (1 + delta_i K), the bond-price strike of a rate option."""
-    if accrual <= 0.0 or strike_rate <= 0.0:
-        raise DomainError(
-            f"transformed strike needs positive accrual and rate, got {accrual}, {strike_rate}"
-        )
-    return 1.0 / (1.0 + accrual * strike_rate)
-
-
 def _check_band(vs: VolStructure, band: UncertaintyBand) -> None:
     if vs.dim != band.dim:
         raise DomainError(
@@ -76,85 +67,23 @@ def _check_band(vs: VolStructure, band: UncertaintyBand) -> None:
         )
 
 
-def _period(schedule: TenorSchedule, i: int) -> tuple[float, float, float]:
-    """(T_{i-1}, T_i, delta_i) for 0-based period index i."""
-    if not 0 <= i < schedule.periods:
-        raise DomainError(f"period index {i} out of range for {schedule.periods} periods")
-    t0, t1 = schedule.dates[i], schedule.dates[i + 1]
-    return t0, t1, t1 - t0
+def _leg_stream_bounds(curve, vs, band, contract, make_leg, label: str) -> PriceBounds:
+    """The contract as a stream of one make_leg(delta_i, K) leg per period.
 
-
-def price_caplet_sigma(
-    curve: DiscountCurve,
-    vs: VolStructure,
-    sigma,
-    i: int,
-    schedule: TenorSchedule,
-    strike_rate: float,
-) -> float:
-    """Classical caplet value for period i at a fixed per-factor scaling sigma.
-
-    P(T_{i-1}) / K_i * E[(K_i - X)^+] with X the lognormal forward bond
-    price started at P(T_i)/P(T_{i-1}) and total variance accumulated over
-    [0, T_{i-1}].
+    Every leg is convex, so the bounds are the sums of the per-leg values at
+    the band extremes.
     """
+    schedule = contract.schedule
     schedule.check_within(curve)
-    t_reset, t_pay, delta = _period(schedule, i)
-    ki = transformed_strike(delta, strike_rate)
-    x = curve.forward_price(t_reset, t_pay)
-    v2 = vs.integrated_variance(sigma, 0.0, t_reset, t_reset, t_pay)
-    return curve.bond_price(t_reset) / ki * lognormal_put(x, ki, math.sqrt(v2))
-
-
-def price_floorlet_sigma(
-    curve: DiscountCurve,
-    vs: VolStructure,
-    sigma,
-    i: int,
-    schedule: TenorSchedule,
-    strike_rate: float,
-) -> float:
-    """Classical floorlet value for period i: the call counterpart."""
-    schedule.check_within(curve)
-    t_reset, t_pay, delta = _period(schedule, i)
-    ki = transformed_strike(delta, strike_rate)
-    x = curve.forward_price(t_reset, t_pay)
-    v2 = vs.integrated_variance(sigma, 0.0, t_reset, t_reset, t_pay)
-    return curve.bond_price(t_reset) / ki * lognormal_call(x, ki, math.sqrt(v2))
-
-
-def _inarrears_period_sigma(
-    curve: DiscountCurve,
-    vs: VolStructure,
-    sigma,
-    i: int,
-    schedule: TenorSchedule,
-    strike_rate: float,
-) -> float:
-    """P(T_i) * (x^2 e^V - x / K_i) with x = P(T_{i-1})/P(T_i) > 1 on
-    positive curves; V is the variance of the reversed forward price."""
-    t_reset, t_pay, delta = _period(schedule, i)
-    ki = transformed_strike(delta, strike_rate)
-    x = curve.forward_price(t_pay, t_reset)
-    v2 = vs.integrated_variance(sigma, 0.0, t_reset, t_pay, t_reset)
-    return curve.bond_price(t_pay) * (
-        lognormal_second_moment(x, math.sqrt(v2)) - x / ki
-    )
-
-
-def _summed_bounds(per_period_fn, curve, vs, band, contract, label: str) -> PriceBounds:
-    contract.schedule.check_within(curve)
     _check_band(vs, band)
-    n = contract.schedule.periods
-    upper = sum(
-        per_period_fn(curve, vs, band.upper, i, contract.schedule, contract.strike_rate)
-        for i in range(n)
-    )
-    lower = sum(
-        per_period_fn(curve, vs, band.lower, i, contract.schedule, contract.strike_rate)
-        for i in range(n)
-    )
-    diag = {"method": label, "periods": n}
+    legs = tuple(make_leg(delta, contract.strike_rate) for delta in schedule.accruals)
+    stream = CashflowStream(schedule=schedule, legs=legs)
+    bounds = [
+        leg_bounds(curve, vs, band, stream, i, leg.convexity) for i, leg in enumerate(legs)
+    ]
+    upper = sum(hi for _, hi in bounds)
+    lower = sum(lo for lo, _ in bounds)
+    diag = {"method": label, "periods": schedule.periods}
     return PriceBounds(
         lower=lower, upper=upper, symmetric=band.is_degenerate, diagnostics=diag
     ).scaled(contract.notional)
@@ -169,7 +98,7 @@ def price_cap(
     """Sum of caplet closed forms at the band extremes."""
     if contract.kind != "cap":
         raise DomainError(f"expected cap, got {contract.kind}")
-    return _summed_bounds(price_caplet_sigma, curve, vs, band, contract, "caplet-closed-form")
+    return _leg_stream_bounds(curve, vs, band, contract, caplet_leg, "caplet-closed-form")
 
 
 def price_floor(
@@ -181,7 +110,7 @@ def price_floor(
     """Sum of floorlet closed forms; satisfies cap - floor = swap at each bound."""
     if contract.kind != "floor":
         raise DomainError(f"expected floor, got {contract.kind}")
-    return _summed_bounds(price_floorlet_sigma, curve, vs, band, contract, "floorlet-closed-form")
+    return _leg_stream_bounds(curve, vs, band, contract, floorlet_leg, "floorlet-closed-form")
 
 
 def price_in_arrears_swap(
@@ -192,14 +121,14 @@ def price_in_arrears_swap(
 ) -> PriceBounds:
     """Payer swap with the floating rate fixed and paid at the same date.
 
-    The convexity of x(x - 1/K_i) makes the bounds sit at the band extremes;
-    the e^V term is the lognormal second moment, so the spread is strictly
+    The convexity of 1/x - 1/K_i makes the bounds sit at the band extremes;
+    E[1/X] = e^V/x grows with the variance, so the spread is strictly
     positive whenever the band is nondegenerate and some variance accrues.
     """
     if contract.kind != "in-arrears-payer-swap":
         raise DomainError(f"expected in-arrears-payer-swap, got {contract.kind}")
-    return _summed_bounds(
-        _inarrears_period_sigma, curve, vs, band, contract, "inarrears-second-moment"
+    return _leg_stream_bounds(
+        curve, vs, band, contract, in_arrears_leg, "inarrears-second-moment"
     )
 
 

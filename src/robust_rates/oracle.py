@@ -32,9 +32,9 @@ from .curve import DiscountCurve
 from .errors import DomainError, StabilityError, UnsupportedMethodError
 from .linear_pricing import LinearContract
 from .mc import MCConfig, child_seed, mean_and_se, normals
-from .option_pricing import OptionContract, transformed_strike
+from .option_pricing import OptionContract
 from .pde import step_variances
-from .stream import CashflowStream, ConstantLeg, FloatingLinearLeg
+from .stream import CashflowStream, ConstantLeg, FloatingLinearLeg, transformed_strike
 from .uncertainty import UncertaintyBand
 from .vol_structure import VolStructure
 

@@ -35,7 +35,6 @@ from .curve import DiscountCurve
 from .errors import DomainError, UnsupportedMethodError
 from .linear_pricing import TenorSchedule
 from .lognormal import lognormal_call, lognormal_put, lognormal_reciprocal_mean
-from .option_pricing import transformed_strike
 from .pde import (
     PDEGrid,
     cell_average,
@@ -113,6 +112,15 @@ class CashflowStream:
 
 
 # -- standard leg constructors -----------------------------------------------
+
+
+def transformed_strike(accrual: float, strike_rate: float) -> float:
+    """K_i = 1 / (1 + delta_i K), the bond-price strike of a rate option."""
+    if accrual <= 0.0 or strike_rate <= 0.0:
+        raise DomainError(
+            f"transformed strike needs positive accrual and rate, got {accrual}, {strike_rate}"
+        )
+    return 1.0 / (1.0 + accrual * strike_rate)
 
 
 def caplet_leg(accrual: float, strike_rate: float) -> OptionLeg:
@@ -215,41 +223,37 @@ def _downgrade_warning(stream, i) -> str:
     )
 
 
-def _leg_classical_value(
-    curve, vs, scale, stream, i, nx: int, nt: int
-) -> float:
-    """Classical (single-sigma) value of option leg i at a constant scaling."""
-    leg = stream.legs[i]
-    t_reset, t_pay = stream.schedule.dates[i], stream.schedule.dates[i + 1]
-    x0 = curve.forward_price(t_reset, t_pay)
-    v = math.sqrt(vs.integrated_variance(scale, 0.0, t_reset, t_reset, t_pay))
-    if leg.expected_value is not None:
-        return curve.bond_price(t_reset) * leg.expected_value(x0, v)
-    grid = default_grid(x0, v, nx=nx, nt=nt)
-    sol = solve_single_option(
-        curve, vs, degenerate_band(scale), t_reset, t_reset, t_pay, leg, grid
-    )
-    return sol.cash_price
-
-
-def _leg_bounds(curve, vs, band, stream, i, tag: str, nx: int, nt: int) -> tuple[float, float]:
-    """(lower, upper) of option leg i on its own, for its checked tag.
+def leg_bounds(
+    curve, vs, band, stream, i, tag: str, nx: int = 241, nt: int = 240
+) -> tuple[float, float]:
+    """(lower, upper) of option leg i on its own, for the given tag.
 
     A convex (concave) leg's bounds are its classical values at the band
-    extremes, the upper bound at the upper (lower) one; a general leg needs
-    the single-option PDE.
+    extremes, the upper bound at the upper (lower) one: the closed form
+    E[g(X)] when the leg has one, else the single-option PDE at that one
+    scaling.  A general leg needs the single-option PDE over the band.
     """
+    leg = stream.legs[i]
+    t_reset, t_pay = stream.schedule.dates[i], stream.schedule.dates[i + 1]
     if tag == "general":
-        leg = stream.legs[i]
-        t_reset, t_pay = stream.schedule.dates[i], stream.schedule.dates[i + 1]
         grid = _leg_grid(curve, vs, band, stream, i, nx, nt)
         upper = solve_single_option(curve, vs, band, t_reset, t_reset, t_pay, leg, grid).cash_price
         lower = solve_lower(curve, vs, band, t_reset, t_reset, t_pay, leg, grid).cash_price
         return lower, upper
+    x0 = curve.forward_price(t_reset, t_pay)
+    p_reset = curve.bond_price(t_reset)
+
+    def classical(scale) -> float:
+        v = math.sqrt(vs.integrated_variance(scale, 0.0, t_reset, t_reset, t_pay))
+        if leg.expected_value is not None:
+            return p_reset * leg.expected_value(x0, v)
+        grid = default_grid(x0, v, nx=nx, nt=nt)
+        return solve_single_option(
+            curve, vs, degenerate_band(scale), t_reset, t_reset, t_pay, leg, grid
+        ).cash_price
+
     hi_scale, lo_scale = (band.upper, band.lower) if tag == "convex" else (band.lower, band.upper)
-    upper = _leg_classical_value(curve, vs, hi_scale, stream, i, nx, nt)
-    lower = _leg_classical_value(curve, vs, lo_scale, stream, i, nx, nt)
-    return lower, upper
+    return classical(lo_scale), classical(hi_scale)
 
 
 def _leg_method(tag: str) -> str:
@@ -271,7 +275,7 @@ def price_leg_bounds(
         v = _symmetric_leg_value(curve, stream, i)
         return PriceBounds(lower=v, upper=v, symmetric=True, diagnostics={"method": "closed-form"})
     tag = _checked_tag(curve, vs, band, stream, i, nx, nt)
-    lower, upper = _leg_bounds(curve, vs, band, stream, i, tag, nx, nt)
+    lower, upper = leg_bounds(curve, vs, band, stream, i, tag, nx, nt)
     diag: dict[str, Any] = {"method": _leg_method(tag)}
     if tag != leg.convexity:
         diag["warnings"] = [_downgrade_warning(stream, i)]
@@ -351,15 +355,13 @@ def _pair_recursion(
     x2g = np.broadcast_to(np.exp(y2)[None, :], (n, n))
 
     # Per-step variances of the driver integrated against sigma1^2.  The
-    # stability bound must hold at the *peak* local variance (hull-white
-    # vols grow with t), not just on average.
+    # stability bound must hold at the *peak* local variance, not just on
+    # average.  The forward-price vol is G * h(t) with h = 1 (ho-lee) or
+    # e^{kappa t}, kappa > 0 (hull-white): nondecreasing, so the peak over
+    # [0, T_{i-1}] sits at T_{i-1}.
     drift2 = rho * (rho + 2.0)
     weight = 2.0 / h1**2 + 1.0 / h1 + drift2 / h2
-    sample = np.linspace(0.0, t_start, 65)
-    peak_rate = max(
-        vs.integrated_variance(band.upper, max(t - 1e-6, 0.0), t, *pair1) / 1e-6
-        for t in sample[1:]
-    )
+    peak_rate = band.upper[0] ** 2 * vs.forward_price_vol(0, t_start, *pair1) ** 2
     nt_eff = max(nt, int(math.ceil(0.5 * peak_rate * t_start * weight * 1.05)), 1)
     vu, vd = step_variances(vs, band, np.linspace(0.0, t_start, nt_eff + 1), *pair1)
 
@@ -464,7 +466,7 @@ def price_stream(
     tag_set = set(tags.values())
     if len(option_idx) == 1 or tag_set == {"convex"} or tag_set == {"concave"}:
         # One leg, or legs sharing a convexity: every leg is priced on its own.
-        bounds = [_leg_bounds(curve, vs, band, stream, i, tags[i], nx, nt) for i in option_idx]
+        bounds = [leg_bounds(curve, vs, band, stream, i, tags[i], nx, nt) for i in option_idx]
         upper = sym_value + sum(hi for _, hi in bounds)
         lower = sym_value + sum(lo for lo, _ in bounds)
         diag.update(method=_leg_method(tag_set.pop()), option_legs=len(option_idx))

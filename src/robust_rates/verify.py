@@ -18,10 +18,17 @@ from .errors import DomainError
 from .linear_pricing import LinearContract, TenorSchedule, price_swap
 from .lognormal import lognormal_put
 from .mc import MCConfig
-from .option_pricing import OptionContract, price_cap, price_caplet_sigma, price_floor, transformed_strike
+from .option_pricing import OptionContract, price_cap, price_floor
 from .oracle import expectations_hypothesis_check, lattice_price
 from .pde import default_grid, solve_single_option
-from .stream import CashflowStream, capped_call_spread_leg, caplet_leg, price_leg_bounds, price_stream
+from .stream import (
+    CashflowStream,
+    capped_call_spread_leg,
+    caplet_leg,
+    price_leg_bounds,
+    price_stream,
+    transformed_strike,
+)
 from .uncertainty import UncertaintyBand, degenerate_band
 from .vol_structure import ho_lee
 
@@ -119,11 +126,12 @@ def suite_sublinearity(seed: int = 0) -> list[CheckResult]:
 
 def suite_oracle(seed: int = 0) -> list[CheckResult]:
     out = []
-    curve, vs, band, sched = _fixture()
+    curve, vs, _, _ = _fixture()
     K = 0.04
 
-    # Caplet closed form vs the lattice run at a collapsed band (4 digits).
-    closed = price_caplet_sigma(curve, vs, (1.5,), 0, sched, K)
+    # Caplet closed form (a one-period cap) vs the collapsed-band lattice (4 digits).
+    caplet = OptionContract(kind="cap", schedule=TenorSchedule(dates=(1.0, 1.5)), strike_rate=K)
+    closed = price_cap(curve, vs, degenerate_band((1.5,)), caplet).upper
     ki = transformed_strike(0.5, K)
     lat = (
         curve.bond_price(1.0) / ki

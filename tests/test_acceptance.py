@@ -31,7 +31,6 @@ from robust_rates.option_pricing import (
     price_floor,
     price_in_arrears_swap,
     price_swaption,
-    transformed_strike,
 )
 from robust_rates.oracle import (
     ConstantControls,
@@ -46,6 +45,7 @@ from robust_rates.stream import (
     caplet_leg,
     price_leg_bounds,
     price_stream,
+    transformed_strike,
 )
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
 from robust_rates.vol_structure import ho_lee

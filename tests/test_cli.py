@@ -352,3 +352,51 @@ class TestVerifyCommand:
         assert main(["verify", "parity"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+class TestConfigNumbers:
+    """Numbers are JSON numbers; integer fields take integral values."""
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda c: c["contracts"][2].update(grid={"nx": 30.7}), "contracts[2].grid.nx: expected an integer"),
+        (lambda c: c["contracts"][2].update(grid={"nt": True}), "contracts[2].grid.nt: expected an integer"),
+        (lambda c: c["contracts"][2].update(mc={"paths": 1000.5}), "contracts[2].mc.paths: expected an integer"),
+        (lambda c: c["contracts"][2].update(mc={"seed": True}), "contracts[2].mc.seed: expected an integer"),
+        (lambda c: c["contracts"][2].update(method="monte-carlo", mc={"paths": 1000, "seed": -1}),
+         "contracts[2].mc: seed must be in [0, 2**128)"),
+        (lambda c: c["contracts"][2].update(method="monte-carlo", mc={"paths": 1000, "seed": 2**128}),
+         "contracts[2].mc: seed must be in [0, 2**128)"),
+        (lambda c: c["contracts"][1].update(strike_rate=True), "contracts[1].strike_rate: expected a number"),
+        (lambda c: c["contracts"][1].update(strike_rate="0.04"), "contracts[1].strike_rate: expected a number"),
+        (lambda c: c["contracts"][1].update(strike_rate=2**1100), "contracts[1].strike_rate: must be finite"),
+        (lambda c: c["vol_structure"]["factors"][0].update(c=True),
+         "vol_structure.factors[0].c: expected a number"),
+        (lambda c: c["band"].update(sigma_upper=[True]), "band.sigma_upper[0]: expected a number"),
+        (lambda c: c["contracts"][1].update(schedule=[True, "1.5", 2]),
+         "contracts[1].schedule: contract 'cap': expected a list of dates"),
+        (lambda c: c["contracts"][1].update(schedule="123"),
+         "contracts[1].schedule: contract 'cap': expected a list of dates"),
+        (lambda c: c["contracts"][1].update(schedule=[1, 2**1100]),
+         "contracts[1].schedule: contract 'cap': dates must be finite"),
+        (lambda c: c["curve"].update(knots=[[True, 0.02], [30.0, 0.02]]), "curve.knots[0][0]: expected a number"),
+        (lambda c: c["curve"].update(knots=[[0.0, "0.02"], [30.0, 0.02]]), "curve.knots[0][1]: expected a number"),
+        (lambda c: c["curve"].update(knots=[[0.0, 0.02, 0.03]]), "curve.knots: expected [[maturity, rate], ...]"),
+    ], ids=["nx-fraction", "nt-bool", "paths-fraction", "seed-bool", "seed-negative", "seed-2**128",
+            "strike-bool", "strike-string", "strike-huge", "factor-bool", "band-bool", "schedule-mixed",
+            "schedule-string", "schedule-huge", "knot-bool", "knot-string", "knot-triple"])
+    def test_non_numbers_are_config_errors(self, tmp_path, capsys, mutate, field):
+        cfg = json.loads(json.dumps(BOOK))
+        mutate(cfg)
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_config(path)
+        assert main(["price", path]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_integral_numbers_load_as_integers(self, tmp_path):
+        cfg = json.loads(json.dumps(BOOK))
+        cfg["contracts"][2].update(grid={"nx": 31.0, "nt": 30}, mc={"paths": 1000.0, "seed": 2**128 - 1})
+        cc = load_config(write_config(tmp_path, cfg)).contracts[2]
+        assert (cc.nx, cc.nt, cc.mc.paths, cc.mc.seed) == (31, 30, 1000, 2**128 - 1)
+        assert all(type(v) is int for v in (cc.nx, cc.nt, cc.mc.paths, cc.mc.seed))

@@ -1,11 +1,14 @@
-"""Caps, floors, in-arrears swaps, swaptions: closed forms and their oracles."""
+"""Caps, floors, in-arrears swaps, swaptions: closed forms, their oracles, and
+properties over random markets."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from robust_rates.curve import flat_curve
+from robust_rates.config import ConfiguredContract, PricingSetup, price_configured
+from robust_rates.curve import DiscountCurve, flat_curve
 from robust_rates.errors import DomainError, UnsupportedMethodError
 from robust_rates.linear_pricing import LinearContract, TenorSchedule, price_swap
 from robust_rates.lognormal import (
@@ -17,14 +20,19 @@ from robust_rates.mc import MCConfig
 from robust_rates.option_pricing import (
     OptionContract,
     price_cap,
-    price_caplet_sigma,
     price_floor,
-    price_floorlet_sigma,
     price_in_arrears_swap,
+    price_option,
     price_swaption,
-    transformed_strike,
 )
 from robust_rates.oracle import lattice_price
+from robust_rates.stream import (
+    CashflowStream,
+    ConstantLeg,
+    FloatingLinearLeg,
+    price_stream,
+    transformed_strike,
+)
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
 from robust_rates.vol_structure import HoLeeFactor, HullWhiteFactor, VolStructure, ho_lee, hull_white
 
@@ -32,6 +40,39 @@ CURVE = flat_curve(0.02)
 VS = ho_lee(0.01)
 BAND = UncertaintyBand((0.5,), (1.5,))
 SCHED = TenorSchedule(dates=(1.0, 1.5, 2.0))
+
+
+# -- per-period closed forms coded directly, as references for the pricers ----
+# The pricers build the same values from the stream's leg constructors; these
+# keep the textbook forms, the in-arrears one on the reversed forward price
+# under the payment-date measure.
+
+
+def price_caplet_sigma(curve, vs, sigma, i, schedule, strike_rate):
+    """P(T_{i-1}) / K_i * E[(K_i - X)^+], X = P(T_i)/P(T_{i-1}) at scaling sigma."""
+    t_reset, t_pay = schedule.dates[i], schedule.dates[i + 1]
+    ki = transformed_strike(t_pay - t_reset, strike_rate)
+    x = curve.forward_price(t_reset, t_pay)
+    v2 = vs.integrated_variance(sigma, 0.0, t_reset, t_reset, t_pay)
+    return curve.bond_price(t_reset) / ki * lognormal_put(x, ki, math.sqrt(v2))
+
+
+def price_floorlet_sigma(curve, vs, sigma, i, schedule, strike_rate):
+    """The call counterpart of price_caplet_sigma."""
+    t_reset, t_pay = schedule.dates[i], schedule.dates[i + 1]
+    ki = transformed_strike(t_pay - t_reset, strike_rate)
+    x = curve.forward_price(t_reset, t_pay)
+    v2 = vs.integrated_variance(sigma, 0.0, t_reset, t_reset, t_pay)
+    return curve.bond_price(t_reset) / ki * lognormal_call(x, ki, math.sqrt(v2))
+
+
+def inarrears_period_sigma(curve, vs, sigma, i, schedule, strike_rate):
+    """P(T_i) * (x^2 e^V - x / K_i), x = P(T_{i-1})/P(T_i) the reversed forward."""
+    t_reset, t_pay = schedule.dates[i], schedule.dates[i + 1]
+    ki = transformed_strike(t_pay - t_reset, strike_rate)
+    x = curve.forward_price(t_pay, t_reset)
+    v2 = vs.integrated_variance(sigma, 0.0, t_reset, t_pay, t_reset)
+    return curve.bond_price(t_pay) * (lognormal_second_moment(x, math.sqrt(v2)) - x / ki)
 
 
 def cap(k=0.04, sched=SCHED):
@@ -76,7 +117,8 @@ class TestCaplet:
     def test_closed_form_vs_lattice_oracle(self):
         # Degenerate lattice at the same constant scaling is the independent
         # numerical route; agreement to 4 significant digits.
-        closed = price_caplet_sigma(CURVE, VS, (1.5,), 0, SCHED, 0.04)
+        caplet = cap(sched=TenorSchedule(dates=(1.0, 1.5)))
+        closed = price_cap(CURVE, VS, degenerate_band((1.5,)), caplet).upper
         ki = transformed_strike(0.5, 0.04)
         lat = (
             CURVE.bond_price(1.0)
@@ -89,12 +131,9 @@ class TestCaplet:
         assert lat == pytest.approx(closed, rel=5e-4)
 
     def test_monotone_in_scaling(self):
-        vals = [price_caplet_sigma(CURVE, VS, (s,), 0, SCHED, 0.04) for s in (0.5, 1.0, 1.5)]
+        caplet = cap(sched=TenorSchedule(dates=(1.0, 1.5)))
+        vals = [price_cap(CURVE, VS, degenerate_band((s,)), caplet).upper for s in (0.5, 1.0, 1.5)]
         assert vals[0] < vals[1] < vals[2]
-
-    def test_period_index_checked(self):
-        with pytest.raises(DomainError):
-            price_caplet_sigma(CURVE, VS, (1.0,), 2, SCHED, 0.04)
 
 
 class TestCap:
@@ -305,16 +344,12 @@ class TestBoundsInvariants:
             OptionContract(kind="in-arrears-payer-swap", schedule=SCHED, strike_rate=0.04),
             OptionContract(kind="swaption-payer", schedule=SCHED, strike_rate=0.04),
         ]
-        from robust_rates.option_pricing import price_option
-
         for c in contracts:
             b = price_option(CURVE, VS, BAND, c)
             assert b.upper >= b.lower
             assert not b.symmetric
 
     def test_degenerate_band_collapse_within_tolerance(self):
-        from robust_rates.option_pricing import price_option
-
         deg = degenerate_band((1.0,))
         for kind in ("cap", "floor", "in-arrears-payer-swap", "swaption-payer"):
             c = OptionContract(kind=kind, schedule=SCHED, strike_rate=0.04)
@@ -326,3 +361,124 @@ class TestBoundsInvariants:
         band2 = UncertaintyBand((0.5, 0.5), (1.5, 1.5))
         with pytest.raises(DomainError):
             price_cap(CURVE, VS, band2, cap())
+
+
+# -- properties over random markets ---------------------------------------------
+
+SETTINGS = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def markets(draw):
+    """A random curve (flat or linear knots), ho-lee or hull-white factor,
+    schedule of 1-40 periods and strike rate."""
+    accrual = draw(st.sampled_from((0.25, 0.5, 1.0)))
+    start = draw(st.sampled_from((0.25, 0.5, 1.0, 2.0, 5.0)))
+    periods = draw(st.integers(1, 40))
+    dates = tuple(start + accrual * k for k in range(periods + 1))
+    horizon = dates[-1] + 1.0
+    rates = draw(st.lists(st.floats(0.0, 0.06), min_size=1, max_size=2))
+    knots = ((0.0, rates[0]),) if len(rates) == 1 else ((0.0, rates[0]), (horizon, rates[1]))
+    c = draw(st.floats(0.001, 0.02))
+    vs = hull_white(c, draw(st.floats(0.01, 0.5))) if draw(st.booleans()) else ho_lee(c)
+    strike = draw(st.floats(0.005, 0.05))
+    return DiscountCurve(knots=knots, horizon=horizon), vs, TenorSchedule(dates=dates), strike
+
+
+@st.composite
+def bands(draw):
+    """A one-factor band, degenerate about one time in five."""
+    lo = draw(st.floats(0.1, 1.5))
+    widen = 0.0 if draw(st.integers(0, 4)) == 0 else draw(st.floats(0.0, 2.0))
+    return UncertaintyBand((lo,), (lo * (1.0 + widen),))
+
+
+@st.composite
+def nested_bands(draw):
+    """(inner, outer) with inner inside outer."""
+    outer = draw(bands())
+    lo, hi = outer.lower[0], outer.upper[0]
+    a, b = sorted((draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))))
+    inner = UncertaintyBand((lo + a * (hi - lo),), (min(lo + b * (hi - lo), hi),))
+    return inner, outer
+
+
+REFERENCES = {
+    "cap": price_caplet_sigma,
+    "floor": price_floorlet_sigma,
+    "in-arrears-payer-swap": inarrears_period_sigma,
+}
+ALL_KINDS = tuple(REFERENCES) + ("swaption-payer",)
+
+
+class TestRandomMarkets:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(market=markets(), band=bands())
+    def test_leg_streams_equal_reference_sums(self, market, band):
+        curve, vs, sched, strike = market
+        for kind, reference in REFERENCES.items():
+            b = price_option(curve, vs, band, OptionContract(kind=kind, schedule=sched, strike_rate=strike))
+            for sigma, bound in ((band.lower, b.lower), (band.upper, b.upper)):
+                ref = sum(reference(curve, vs, sigma, i, sched, strike) for i in range(sched.periods))
+                assert abs(bound - ref) <= 1e-13, (kind, sigma, bound, ref)
+            assert b.diagnostics["periods"] == sched.periods
+
+    @SETTINGS
+    @given(market=markets(), band=bands())
+    def test_cap_minus_floor_is_payer_swap(self, market, band):
+        curve, vs, sched, strike = market
+        cb = price_cap(curve, vs, band, cap(strike, sched))
+        fb = price_floor(curve, vs, band, floor(strike, sched))
+        sw = price_swap(curve, LinearContract(kind="payer-swap", schedule=sched, fixed_rate=strike))
+        assert abs(cb.upper - fb.upper - sw.upper) <= 1e-12
+        assert abs(cb.lower - fb.lower - sw.lower) <= 1e-12
+
+    @SETTINGS
+    @given(market=markets(), nested=nested_bands())
+    def test_nested_bands_give_nested_bounds(self, market, nested):
+        curve, vs, sched, strike = market
+        inner, outer = nested
+        for kind in ALL_KINDS:
+            c = OptionContract(kind=kind, schedule=sched, strike_rate=strike)
+            bi, bo = price_option(curve, vs, inner, c), price_option(curve, vs, outer, c)
+            tol = 1e-12 if kind == "swaption-payer" else 1e-14
+            assert bo.lower <= bi.lower + tol, (kind, bo.lower, bi.lower)
+            assert bi.upper <= bo.upper + tol, (kind, bi.upper, bo.upper)
+            assert bi.lower <= bi.upper
+
+    @SETTINGS
+    @given(market=markets(), sigma=st.floats(0.1, 3.0))
+    def test_degenerate_band_collapses(self, market, sigma):
+        curve, vs, sched, strike = market
+        for kind in ALL_KINDS:
+            c = OptionContract(kind=kind, schedule=sched, strike_rate=strike)
+            b = price_option(curve, vs, degenerate_band((sigma,)), c)
+            assert b.lower == b.upper and b.symmetric, kind
+
+    @SETTINGS
+    @given(market=markets(), band_a=bands(), band_b=bands())
+    def test_symmetric_prices_do_not_depend_on_the_band(self, market, band_a, band_b):
+        """FCB, FRN and swap through the configured-pricing entry point, and
+        the same cashflows as streams of constant and floating legs."""
+        curve, vs, sched, strike = market
+        deltas = sched.accruals
+        n = sched.periods
+        cases = {
+            "fixed-coupon-bond": [ConstantLeg(strike * d + (i == n - 1)) for i, d in enumerate(deltas)],
+            "floating-rate-note": [FloatingLinearLeg(d, float(i == n - 1)) for i, d in enumerate(deltas)],
+            "payer-swap": [FloatingLinearLeg(d, -strike * d) for d in deltas],
+        }
+        for kind, legs in cases.items():
+            rate = None if kind == "floating-rate-note" else strike
+            contract = LinearContract(kind=kind, schedule=sched, fixed_rate=rate)
+            setup = PricingSetup(curve=curve, vol=vs, band=band_a,
+                                 contracts=(ConfiguredContract(name=kind, contract=contract),))
+            stream = CashflowStream(schedule=sched, legs=legs)
+            prices = []
+            for band in (band_a, band_b):
+                b = price_configured(setup, setup.contracts[0], band=band)
+                s = price_stream(curve, vs, band, stream)
+                assert b.lower == b.upper and s.lower == s.upper and s.symmetric
+                assert abs(s.upper - b.upper) <= 1e-12, (kind, s.upper, b.upper)
+                prices.append((b.upper, s.upper))
+            assert prices[0] == prices[1], kind

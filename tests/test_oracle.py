@@ -11,7 +11,7 @@ from robust_rates.errors import DomainError, StabilityError, UnsupportedMethodEr
 from robust_rates.linear_pricing import LinearContract, TenorSchedule
 from robust_rates.lognormal import lognormal_put
 from robust_rates.mc import MCConfig, child_seed, mean_and_se, normals
-from robust_rates.option_pricing import OptionContract, price_cap, price_floor, transformed_strike
+from robust_rates.option_pricing import OptionContract, price_cap, price_floor
 from robust_rates.oracle import (
     ConstantControls,
     PiecewiseControls,
@@ -25,6 +25,7 @@ from robust_rates.stream import (
     ConstantLeg,
     FloatingLinearLeg,
     capped_call_spread_leg,
+    transformed_strike,
 )
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
 from robust_rates.vol_structure import HoLeeFactor, HullWhiteFactor, VolStructure, ho_lee
