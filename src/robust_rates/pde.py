@@ -15,7 +15,9 @@ standard sufficient condition for convergence to the unique viscosity
 solution.  Each policy iteration solves one tridiagonal system with a
 direct LAPACK ?gtsv call (``solve_banded`` below), the routine
 ``scipy.linalg.solve_banded`` uses for (1, 1) bands, so the results are
-those of that call without its per-call argument handling.
+those of that call without its per-call argument handling.  A step whose
+band extremes coincide gives a system that does not depend on the policy, so
+it takes one solve.
 
 ``window_value`` is the one 1D core: it cell-averages the terminal payoff,
 builds the per-step variance tables (``step_variances``) and runs the
@@ -131,9 +133,14 @@ def step_variances(
     vs: VolStructure, band: UncertaintyBand, ts: np.ndarray, T: float, T_i: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrated variances of X = P(T_i)/P(T) over each step [ts[k], ts[k+1]]
-    at the band extremes (exact in time)."""
+    at the band extremes (exact in time).
+
+    A degenerate band has one extreme, so both tables are the same array:
+    callers only read them."""
     steps = range(len(ts) - 1)
     a_up = np.array([vs.integrated_variance(band.upper, ts[k], ts[k + 1], T, T_i) for k in steps])
+    if band.is_degenerate:
+        return a_up, a_up
     a_dn = np.array([vs.integrated_variance(band.lower, ts[k], ts[k + 1], T, T_i) for k in steps])
     return a_up, a_dn
 
@@ -190,7 +197,10 @@ def _implicit_sweep(u, xs, dx, a_up, a_dn):
             new_policy = d2 >= 0.0
             stable = (new_policy == policy).all()
             policy = new_policy
-            if stable or float(np.max(np.abs(solved - prev))) < POLICY_VALUE_TOL:
+            # At a degenerate step both extremes give the same system, so a
+            # second iteration would repeat this solve exactly.
+            if (stable or a_up[k] == a_dn[k]
+                    or float(np.max(np.abs(solved - prev))) < POLICY_VALUE_TOL):
                 break
             prev = solved
         else:

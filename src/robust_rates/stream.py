@@ -18,7 +18,9 @@ tensor grid whose single driver makes the diffusion rank one (the grid
 aspect ratio absorbs the perfect correlation into a diagonal stencil).  Only
 the centre value of that grid is wanted, so each explicit step updates just
 the cells that can still reach the centre (its domain of dependence, a
-square shrinking by one cell per step), in place.
+square shrinking by one cell per step), in place, as one contiguous range of
+the flattened grid; the boundary columns that range overwrites get their
+terminal values back after every step.
 Because pricing is sublinear, the recursion result is sandwiched between
 the per-leg lower-bound sum and the per-leg upper-bound sum.
 """
@@ -288,6 +290,12 @@ def price_leg_bounds(
 # -- the coupled two-leg recursion ---------------------------------------------
 
 
+def _pair_nodes(nx: int) -> int:
+    """Nodes per axis of the pair grid: nx, made odd so that the spot lies on
+    the centre cell."""
+    return nx if nx % 2 == 1 else nx + 1
+
+
 def _pair_recursion(
     curve: DiscountCurve,
     vs: VolStructure,
@@ -346,7 +354,7 @@ def _pair_recursion(
 
     v1_up = vs.integrated_variance(band.upper, 0.0, t_start, *pair1)
     half1 = 6.0 * max(math.sqrt(v1_up), 1e-6)
-    n = nx if nx % 2 == 1 else nx + 1
+    n = _pair_nodes(nx)
     y1 = np.linspace(math.log(x1_0) - half1, math.log(x1_0) + half1, n)
     h1 = y1[1] - y1[0]
     h2 = rho * h1
@@ -380,35 +388,44 @@ def _pair_recursion(
 
 def _pair_sweep(u, h1, h2, drift2, vu, vd) -> float:
     """Explicit backward steps of the two-state solve from the terminal grid
-    u (overwritten); returns the value at the centre cell.
+    u (overwritten when C-contiguous); returns the value at the centre cell.
 
     The stencil reaches one cell per step, so the centre value after step k
     depends only on the cells within Chebyshev radius k of it.  Each step
-    updates that square (clipped to the interior) in place and leaves the
-    cells outside it stale.  Every updated cell sees the full-grid update's
-    operations in the same order, so the result is the same to the last bit.
+    updates, in place, one contiguous range of the flattened grid: from the
+    corner (m - r, m - r) of that square (clipped to the interior, radius r)
+    to its corner (m + r, m + r).  The four neighbours are the same range
+    shifted by +-(n + 1), -n and -1.  The range also covers cells outside the
+    square; they lie outside the centre's domain of dependence, so what they
+    hold never reaches it.  The exception is the boundary columns, which a
+    full-interior step reads: their terminal values are copied back after
+    every step.  Every square cell sees the full-grid update's operations in
+    the same order, so the result is the same to the last bit.
     """
+    u = np.ascontiguousarray(u)
     n = len(u)
     m = n // 2
+    f = u.reshape(-1)
+    first, last = u[:, 0].copy(), u[:, -1].copy()
     h1_sq = h1**2
-    hh_buf = np.empty((n - 2, n - 2))
-    tmp_buf = np.empty((n - 2, n - 2))
+    hh_buf = np.empty((n - 2) * n)
+    tmp_buf = np.empty((n - 2) * n)
     for k in range(len(vu) - 1, -1, -1):
         r = min(k, m - 1)
-        lo, hi, w = m - r, m + r + 1, 2 * r + 1
-        c = u[lo:hi, lo:hi]
-        hh = hh_buf[:w, :w]
-        tmp = tmp_buf[:w, :w]
+        lo, hi = (m - r) * (n + 1), (m + r) * (n + 1) + 1
+        c = f[lo:hi]
+        hh = hh_buf[:hi - lo]
+        tmp = tmp_buf[:hi - lo]
         # hh = (u[i+1,j+1] - 2c + u[i-1,j-1]) / h1^2 - (c - u[i-1,j]) / h1
         #      - drift2 * ((c - u[i,j-1]) / h2)
         np.multiply(2.0, c, out=tmp)
-        np.subtract(u[lo + 1:hi + 1, lo + 1:hi + 1], tmp, out=hh)
-        np.add(hh, u[lo - 1:hi - 1, lo - 1:hi - 1], out=hh)
+        np.subtract(f[lo + n + 1:hi + n + 1], tmp, out=hh)
+        np.add(hh, f[lo - n - 1:hi - n - 1], out=hh)
         np.divide(hh, h1_sq, out=hh)
-        np.subtract(c, u[lo - 1:hi - 1, lo:hi], out=tmp)
+        np.subtract(c, f[lo - n:hi - n], out=tmp)
         np.divide(tmp, h1, out=tmp)
         np.subtract(hh, tmp, out=hh)
-        np.subtract(c, u[lo:hi, lo - 1:hi - 1], out=tmp)
+        np.subtract(c, f[lo - 1:hi - 1], out=tmp)
         np.divide(tmp, h2, out=tmp)
         np.multiply(drift2, tmp, out=tmp)
         np.subtract(hh, tmp, out=hh)
@@ -417,6 +434,8 @@ def _pair_sweep(u, h1, h2, drift2, vu, vd) -> float:
         np.multiply(0.5 * vd[k], hh, out=hh)
         np.maximum(tmp, hh, out=tmp)
         np.add(c, tmp, out=c)
+        u[:, 0] = first
+        u[:, -1] = last
     return float(u[m, m])
 
 
@@ -489,7 +508,7 @@ def price_stream(
         )
         upper = sym_value + pair_upper
         lower = sym_value - pair_neg
-        diag.update(method="coupled-pair-pde", option_legs=2, nx=nx, nt=nt)
+        diag.update(method="coupled-pair-pde", option_legs=2, nx=_pair_nodes(nx), nt=nt)
     if warnings:
         diag["warnings"] = warnings
     symmetric = band.is_degenerate and not warnings

@@ -212,6 +212,19 @@ def reference_implicit_sweep(u, xs, dx, a_up, a_dn):
     return u
 
 
+def count_banded_solves(monkeypatch) -> list[int]:
+    """Wrap pde.solve_banded; the returned one-element list counts its calls."""
+    calls = [0]
+    solve = pde.solve_banded
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(pde, "solve_banded", counted)
+    return calls
+
+
 class TestImplicitSweepBitExact:
     """The sweep calls LAPACK gtsv directly and reuses its buffers; it must
     reproduce the solve_banded loop exactly, not approximately."""
@@ -231,6 +244,44 @@ class TestImplicitSweepBitExact:
         ref = run()
         assert got.value == ref.value
         assert np.array_equal(got.u0, ref.u0)
+
+    @pytest.mark.parametrize("vs", [VS, hull_white(0.015, 0.4)], ids=["ho-lee", "hull-white"])
+    @pytest.mark.parametrize("nx", [3, 4, 41])
+    @pytest.mark.parametrize("solve", [solve_single_option, solve_lower], ids=["upper", "lower"])
+    def test_degenerate_band_one_solve_per_step(self, monkeypatch, vs, nx, solve):
+        # Both band extremes give the same system, so each step is one solve,
+        # and its result is the reference's, whose second iteration repeats it.
+        x0 = CURVE.forward_price(1.0, 1.5)
+        nt = 30
+        grid = default_grid(x0, v_total(vs, 1.2, 1.0, 1.0, 1.5), nx=nx, nt=nt)
+        band = degenerate_band((1.2,))
+        calls = count_banded_solves(monkeypatch)
+
+        def run():
+            return solve(CURVE, vs, band, 1.0, 1.0, 1.5, spread_payoff(), grid)
+
+        got = run()
+        assert calls == [nt]
+        monkeypatch.setattr(pde, "_implicit_sweep", reference_implicit_sweep)
+        ref = run()
+        assert got.value == ref.value
+        assert np.array_equal(got.u0, ref.u0)
+
+    @pytest.mark.parametrize("vs", [VS, hull_white(0.015, 0.4)], ids=["ho-lee", "hull-white"])
+    def test_degenerate_band_builds_one_variance_table(self, vs):
+        ts = np.linspace(0.0, 1.0, 31)
+        a_up, a_dn = pde.step_variances(vs, degenerate_band((1.2,)), ts, 1.0, 1.5)
+        assert a_dn is a_up
+        want = [vs.integrated_variance((1.2,), ts[k], ts[k + 1], 1.0, 1.5) for k in range(30)]
+        assert a_up.tolist() == want
+
+    def test_kinked_payoff_on_a_band_iterates(self, monkeypatch):
+        x0 = CURVE.forward_price(1.0, 1.5)
+        nt = 30
+        grid = default_grid(x0, v_total(VS, 1.5, 1.0, 1.0, 1.5), nx=41, nt=nt)
+        calls = count_banded_solves(monkeypatch)
+        solve_single_option(CURVE, VS, BAND, 1.0, 1.0, 1.5, spread_payoff(), grid)
+        assert calls[0] > nt
 
     def test_tridiagonal_solve_matches_scipy(self):
         rng = np.random.Generator(np.random.Philox(key=3))

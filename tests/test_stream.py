@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robust_rates import stream
-from robust_rates.curve import flat_curve
+from robust_rates.curve import DiscountCurve, flat_curve
 from robust_rates.errors import DomainError, UnsupportedMethodError
 from robust_rates.linear_pricing import LinearContract, TenorSchedule
 from robust_rates.mc import MCConfig
@@ -271,8 +272,9 @@ def full_grid_pair_sweep(u, h1, h2, drift2, vu, vd):
 
 
 class TestPairSweepBitExact:
-    """The pair sweep steps only the centre's domain of dependence, in place;
-    it must reproduce the full-grid steps exactly, not approximately."""
+    """The pair sweep steps one flat range around the centre's domain of
+    dependence, in place; it must reproduce the full-grid steps exactly, not
+    approximately."""
 
     @pytest.mark.parametrize("vs", [VS2, hull_white(0.02, 0.3)], ids=["ho-lee", "hull-white"])
     @pytest.mark.parametrize("part", [0, 1], ids=["upper", "lower"])
@@ -287,16 +289,109 @@ class TestPairSweepBitExact:
         # part 0 is the upper value, part 1 the value of the negated payoffs
         assert got[part] == values()[part]
 
-    @pytest.mark.parametrize("steps", [3, 30], ids=["unclipped", "clipped"])
-    def test_sweep_matches_full_grid_on_random_grid(self, steps):
+    @pytest.mark.parametrize("n, steps", [
+        pytest.param(21, 3, id="unclipped"),
+        pytest.param(21, 30, id="clipped"),
+        pytest.param(21, 20, id="21-m-to-3m"),
+        pytest.param(21, 40, id="21-above-3m"),
+        pytest.param(41, 10, id="41-below-m"),
+        pytest.param(41, 40, id="41-m-to-3m"),
+        pytest.param(41, 70, id="41-above-3m"),
+    ])
+    def test_sweep_matches_full_grid_on_random_grid(self, n, steps):
+        # Below m steps the updated range never reaches the boundary; from m
+        # steps on, the full-interior steps read the boundary columns.
         rng = np.random.Generator(np.random.Philox(key=7))
-        u = rng.normal(size=(21, 21))
+        u = rng.normal(size=(n, n))
         vu = rng.uniform(0.05, 0.1, size=steps)
         vd = vu * rng.uniform(0.1, 0.9, size=steps)
         # Unit-order spacings keep every term of the stencil at the same
         # scale, so a change in any one rounding shows in the result.
         args = (1.0, 0.7, 1.3, vu, vd)
         assert stream._pair_sweep(u.copy(), *args) == full_grid_pair_sweep(u, *args)
+
+    @pytest.mark.parametrize("layout", ["transposed", "strided"])
+    def test_non_contiguous_input(self, layout):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        raw = rng.normal(size=(41, 41))
+        u = raw.T if layout == "transposed" else raw[::2, ::2]
+        assert not u.flags.c_contiguous
+        steps = 25
+        vu = rng.uniform(0.05, 0.1, size=steps)
+        vd = vu * rng.uniform(0.1, 0.9, size=steps)
+        args = (1.0, 0.7, 1.3, vu, vd)
+        assert stream._pair_sweep(u, *args) == full_grid_pair_sweep(np.array(u), *args)
+
+    @pytest.mark.parametrize("vs", [VS2, hull_white(0.02, 0.3)], ids=["ho-lee", "hull-white"])
+    def test_even_nx_pair_path(self, monkeypatch, vs):
+        # An even nx runs on nx + 1 nodes, and the diagnostics say so.
+        st = CashflowStream(
+            schedule=SCHED, legs=(capped_call_spread_leg(0.985, 0.01), caplet_leg(0.5, 0.04))
+        )
+        got = price_stream(CURVE, vs, BAND, st, nx=36, nt=36)
+        assert got.diagnostics["nx"] == 37
+        monkeypatch.setattr(stream, "_pair_sweep", full_grid_pair_sweep)
+        ref = price_stream(CURVE, vs, BAND, st, nx=36, nt=36)
+        assert (got.lower, got.upper) == (ref.lower, ref.upper)
+
+
+ZERO_LEG = OptionLeg(payoff=np.zeros_like, convexity="general", label="zero")
+
+
+@st.composite
+def mixed_pairs(draw):
+    """A capped spread next to a caplet or floorlet on two adjacent periods,
+    in either order, with a random curve, ho-lee or hull-white factor, band
+    (degenerate about one time in five) and coarse grid."""
+    accrual = draw(st.sampled_from((0.25, 0.5, 1.0)))
+    start = draw(st.sampled_from((0.25, 0.5, 1.0, 2.0, 5.0)))
+    dates = (start, start + accrual, start + 2.0 * accrual)
+    horizon = dates[-1] + 1.0
+    rates = draw(st.lists(st.floats(0.0, 0.06), min_size=1, max_size=2))
+    knots = ((0.0, rates[0]),) if len(rates) == 1 else ((0.0, rates[0]), (horizon, rates[1]))
+    curve = DiscountCurve(knots=knots, horizon=horizon)
+    c = draw(st.floats(0.001, 0.02))
+    vs = hull_white(c, draw(st.floats(0.01, 0.5))) if draw(st.booleans()) else ho_lee(c)
+    spread_at = draw(st.integers(0, 1))
+    x0 = curve.forward_price(dates[spread_at], dates[spread_at + 1])
+    spread = capped_call_spread_leg(x0 * (1.0 + draw(st.floats(-0.03, 0.01))),
+                                    draw(st.floats(0.001, 0.03)))
+    other = draw(st.sampled_from((caplet_leg, floorlet_leg)))(accrual, draw(st.floats(0.005, 0.05)))
+    legs = (spread, other) if spread_at == 0 else (other, spread)
+    lo = draw(st.floats(0.1, 1.5))
+    widen = 0.0 if draw(st.integers(0, 4)) == 0 else draw(st.floats(0.0, 2.0))
+    band = UncertaintyBand((lo,), (lo * (1.0 + widen),))
+    nx = draw(st.sampled_from((21, 31, 41)))
+    return curve, vs, band, CashflowStream(schedule=TenorSchedule(dates=dates), legs=legs), nx
+
+
+class TestRandomMixedPairs:
+    """The sublinearity sandwich as a property of the coupled recursion.
+
+    Each leg alone is priced by the same recursion, the other leg replaced by
+    a zero payoff, so both sides of the sandwich carry the same grid error.
+    Per-leg solves on their own grids differ from the pair by grid error
+    (about 1e-3 at these node counts), far above rounding.
+    """
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(case=mixed_pairs())
+    def test_sandwich_between_leg_bounds(self, case):
+        curve, vs, band, pair, nx = case
+        sb = price_stream(curve, vs, band, pair, nx=nx, nt=nx - 1)
+        assert sb.diagnostics["method"] == "coupled-pair-pde"
+        alone = [
+            CashflowStream(schedule=pair.schedule, legs=(pair.legs[0], ZERO_LEG)),
+            CashflowStream(schedule=pair.schedule, legs=(ZERO_LEG, pair.legs[1])),
+        ]
+        legs = [price_stream(curve, vs, band, s, nx=nx, nt=nx - 1) for s in alone]
+        lo_sum = sum(b.lower for b in legs)
+        hi_sum = sum(b.upper for b in legs)
+        assert lo_sum <= sb.lower + 1e-9
+        assert sb.lower <= sb.upper + 1e-9
+        assert sb.upper <= hi_sum + 1e-9
+        if band.is_degenerate:
+            assert sb.lower == sb.upper and sb.symmetric
 
 
 class TestUnsupportedShapes:
