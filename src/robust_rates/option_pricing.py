@@ -78,9 +78,7 @@ def _leg_stream_bounds(curve, vs, band, contract, make_leg, label: str) -> Price
     _check_band(vs, band)
     legs = tuple(make_leg(delta, contract.strike_rate) for delta in schedule.accruals)
     stream = CashflowStream(schedule=schedule, legs=legs)
-    bounds = [
-        leg_bounds(curve, vs, band, stream, i, leg.convexity) for i, leg in enumerate(legs)
-    ]
+    bounds = leg_bounds(curve, vs, band, stream, {i: leg.convexity for i, leg in enumerate(legs)})
     upper = sum(hi for _, hi in bounds)
     lower = sum(lo for lo, _ in bounds)
     diag = {"method": label, "periods": schedule.periods}

@@ -19,11 +19,19 @@ those of that call without its per-call argument handling.  A step whose
 band extremes coincide gives a system that does not depend on the policy, so
 it takes one solve.
 
-``window_value`` is the one 1D core: it cell-averages the terminal payoff,
-builds the per-step variance tables (``step_variances``) and runs the
-implicit sweep over any window [t_from, t_to].  ``solve_single_option`` and
-the stream recursion both call it.  The lower expectation is the negated
-solve of -phi on the same grid.
+``window_values`` is the one 1D core: it cell-averages each terminal payoff
+and runs the implicit sweep over the step-variance tables of its window
+[t_from, t_to] (``window_tables``, closed form for Ho-Lee and Hull-White
+factors).  The sweep takes one problem or a stack of independent ones, each
+row with its own grid and tables: every policy iteration solves the rows
+still iterating as one block-diagonal tridiagonal system, and each row stops
+on its own rule, so a stacked row equals its own sweep to the last bit.
+Stacking pays at degenerate bands, where every step is one solve:
+``solve_options`` prices many such options with one sweep, and the stream
+pricer sends both band extremes of its PDE-priced convex or concave legs
+through it.  ``solve_single_option`` prices one option; the lower
+expectation (``solve_lower``) is the negated solve of -phi on the same grid
+and tables.
 """
 
 from __future__ import annotations
@@ -133,16 +141,29 @@ def step_variances(
     vs: VolStructure, band: UncertaintyBand, ts: np.ndarray, T: float, T_i: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrated variances of X = P(T_i)/P(T) over each step [ts[k], ts[k+1]]
-    at the band extremes (exact in time).
+    at the band extremes (exact in time), from
+    ``VolStructure.integrated_variances`` (closed form for Ho-Lee and
+    Hull-White factors).
 
     A degenerate band has one extreme, so both tables are the same array:
     callers only read them."""
-    steps = range(len(ts) - 1)
-    a_up = np.array([vs.integrated_variance(band.upper, ts[k], ts[k + 1], T, T_i) for k in steps])
+    a_up = vs.integrated_variances(band.upper, ts, T, T_i)
     if band.is_degenerate:
         return a_up, a_up
-    a_dn = np.array([vs.integrated_variance(band.lower, ts[k], ts[k + 1], T, T_i) for k in steps])
-    return a_up, a_dn
+    return a_up, vs.integrated_variances(band.lower, ts, T, T_i)
+
+
+def window_tables(
+    vs: VolStructure,
+    band: UncertaintyBand,
+    pair: tuple[float, float],
+    t_from: float,
+    t_to: float,
+    nt: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """step_variances of X = P(pair[1])/P(pair[0]) over nt equal steps of
+    [t_from, t_to]: the tables a sweep over that window reads."""
+    return step_variances(vs, band, np.linspace(t_from, t_to, nt + 1), *pair)
 
 
 def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,66 +188,134 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     return x
 
 
+def _convex(u: np.ndarray, dx2) -> np.ndarray:
+    """Where u has a nonnegative second difference along its last axis: the
+    policy that picks the upper band extreme."""
+    return (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx2 >= 0.0
+
+
+def _solve_rows(alpha: np.ndarray, u: np.ndarray, edges: list) -> np.ndarray:
+    """One implicit step of each row: coefficients alpha (m,) or (S, m),
+    right-hand sides the interior of u plus the boundary terms of each row's
+    (lo, hi) boundary values in edges.  A stack goes into one tridiagonal
+    solve with zeroed couplings between consecutive rows; ?gtsv eliminates a
+    block-diagonal system block by block, so each row gets the values of its
+    own solve."""
+    m = alpha.shape[-1]
+    a = alpha.reshape(-1)
+    b = u[..., 1:-1].flatten()
+    for first, (lo, hi) in zip(range(0, len(b), m), edges):
+        b[first] += a[first] * lo
+        b[first + m - 1] += a[first + m - 1] * hi
+    dl, du = -a[1:], -a[:-1]
+    if alpha.ndim > 1:
+        dl[m - 1::m] = 0.0
+        du[m - 1::m] = 0.0
+    return solve_banded(dl, 1.0 + 2.0 * a, du, b).reshape(alpha.shape)
+
+
+def _policy_iteration(k, u, work, up, dn, edges, dx2, degenerate, policy, prev, first=0):
+    """Howard policy iteration of time step k for the rows of the previous
+    level u, from iteration number `first` and the policy `policy`, with
+    coefficients up and dn at the band extremes.  Each iterate goes into
+    work; returns the last one's interior values and policy.
+
+    A row stops on its own: on a stable policy, on a step whose extremes
+    coincide (degenerate) or on a value change below POLICY_VALUE_TOL.  The
+    rows that go on iterate as a smaller stack, so every row takes the
+    iterates of its one-row sweep."""
+    for it in range(first, POLICY_ITERATION_CAP):
+        solved = _solve_rows(np.where(policy, up, dn), u, edges)
+        work[..., 1:-1] = solved
+        new = _convex(work, dx2)
+        # The tests over the whole stack come first: they decide a single row.
+        if (new == policy).all():
+            return solved, new
+        change = np.abs(solved - prev)
+        if change.max() < POLICY_VALUE_TOL:
+            return solved, new
+        if solved.ndim > 1:
+            stable = (new == policy).all(axis=1)
+            done = stable | degenerate | (change.max(axis=1) < POLICY_VALUE_TOL)
+            if done.any():
+                go = ~done
+                if go.any():
+                    solved[go], new[go] = _policy_iteration(
+                        k, u[go], work[go], up[go], dn[go],
+                        [e for e, g in zip(edges, go) if g], dx2[go], degenerate[go],
+                        new[go], solved[go], it + 1,
+                    )
+                    work[go, 1:-1] = solved[go]
+                return solved, new
+        policy, prev = new, solved
+    raise ConvergenceError(
+        f"policy iteration did not converge within {POLICY_ITERATION_CAP} "
+        f"iterations at time step {k}"
+    )
+
+
 def _implicit_sweep(u, xs, dx, a_up, a_dn):
-    nt = len(a_up)
-    x2 = xs[1:-1] ** 2
-    dx2 = dx**2
-    lo_bc, hi_bc = u[0], u[-1]
+    """Step one problem, or a stack of independent ones, back from its
+    terminal values u over the step-variance tables a_up, a_dn.
+
+    One problem has u and xs of shape (nx,), a spacing dx and tables of
+    shape (nt,).  A stack has u and xs of shape (S, nx), dx of shape (S,)
+    and tables of shape (S, nt): its rows share nx and nt but have their own
+    grids and tables, and each row's result equals its one-problem sweep to
+    the last bit.  A step at which every row's band extremes coincide is one
+    solve with no policy work.  (One problem runs on 1D arrays: at these
+    sizes a numpy call on a stack of one costs more.)
+    """
+    x2 = xs[..., 1:-1] ** 2
+    # Each row squares dx as a scalar power, as one problem does: an array
+    # square can differ from it in the last bit.
+    dx2 = dx**2 if u.ndim == 1 else np.array([d**2 for d in dx.tolist()])[:, None]
+    edges = list(zip(u[..., 0].reshape(-1).tolist(), u[..., -1].reshape(-1).tolist()))
     # u holds the previous time level; work takes each policy iterate with
     # the boundary values in place and becomes the next u.
     u = u.copy()
     work = u.copy()
-    d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx2
+    # half[k] holds both extremes' 0.5 * a[k], shaped to scale x2 / dx2.
+    half = np.moveaxis(0.5 * np.stack((a_up, a_dn)), -1, 0)[..., None]
+    degenerate = a_up == a_dn
+    one_system = degenerate.reshape(-1, degenerate.shape[-1]).all(axis=0)
     # The policy a step starts from is read off the previous level, which is
-    # the last iterate of the previous step: its policy carries over.
-    policy = d2 >= 0.0
-    for k in range(nt - 1, -1, -1):
-        # The step's coefficients at both band extremes; each policy
-        # iteration picks one of the two per cell.
-        alpha_up = 0.5 * a_up[k] * x2 / dx2
-        alpha_dn = 0.5 * a_dn[k] * x2 / dx2
-        prev = u[1:-1]
-        for _ in range(POLICY_ITERATION_CAP):
-            alpha = np.where(policy, alpha_up, alpha_dn)
-            rhs = u[1:-1].copy()
-            rhs[0] += alpha[0] * lo_bc
-            rhs[-1] += alpha[-1] * hi_bc
-            solved = solve_banded(-alpha[1:], 1.0 + 2.0 * alpha, -alpha[:-1], rhs)
-            work[1:-1] = solved
-            d2 = (work[2:] - 2.0 * solved + work[:-2]) / dx2
-            new_policy = d2 >= 0.0
-            stable = (new_policy == policy).all()
-            policy = new_policy
-            # At a degenerate step both extremes give the same system, so a
-            # second iteration would repeat this solve exactly.
-            if (stable or a_up[k] == a_dn[k]
-                    or float(np.max(np.abs(solved - prev))) < POLICY_VALUE_TOL):
-                break
-            prev = solved
+    # the last iterate of the previous step: its policy carries over.  After
+    # a step without policy work it is read off u when next needed.
+    policy = None
+    for k in range(len(half) - 1, -1, -1):
+        if one_system[k]:
+            work[..., 1:-1] = _solve_rows(half[k, 0] * x2 / dx2, u, edges)
+            policy = None
         else:
-            raise ConvergenceError(
-                f"policy iteration did not converge within {POLICY_ITERATION_CAP} "
-                f"iterations at time step {k}"
+            if policy is None:
+                policy = _convex(u, dx2)
+            up, dn = half[k] * x2 / dx2
+            _, policy = _policy_iteration(
+                k, u, work, up, dn, edges, dx2, degenerate[..., k], policy, u[..., 1:-1]
             )
         u, work = work, u
     return u
 
 
-def window_value(
-    vs: VolStructure,
-    band: UncertaintyBand,
-    pair: tuple[float, float],
-    t_from: float,
-    t_to: float,
-    payoff: Callable[[np.ndarray], np.ndarray],
-    grid: PDEGrid,
+def window_values(
+    payoffs: list[Callable[[np.ndarray], np.ndarray]],
+    grids: list[PDEGrid],
+    tables: list[tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """Upper value function at t_from of payoff(X_{t_to}) for the forward
-    price X = P(pair[1])/P(pair[0]), on grid.xs with grid.nt steps."""
-    xs = grid.xs
-    dx = grid.dx
-    u = cell_average(payoff, xs, dx)
-    a_up, a_dn = step_variances(vs, band, np.linspace(t_from, t_to, grid.nt + 1), *pair)
+    """Upper value functions at the start of their windows, one row per
+    payoff: payoffs[s] cell-averaged on grids[s].xs and swept back over the
+    window tables tables[s] (``window_tables``).  The rows go through one
+    stacked sweep, so the grids share nx and nt."""
+    if len(grids) == 1:
+        (grid,), (payoff,), ((a_up, a_dn),) = grids, payoffs, tables
+        u = cell_average(payoff, grid.xs, grid.dx)
+        return _implicit_sweep(u, grid.xs, grid.dx, a_up, a_dn)[None]
+    u = np.array([cell_average(f, g.xs, g.dx) for f, g in zip(payoffs, grids)])
+    xs = np.array([g.xs for g in grids])
+    dx = np.array([g.dx for g in grids])
+    a_up = np.array([up for up, _ in tables])
+    a_dn = np.array([dn for _, dn in tables])
     return _implicit_sweep(u, xs, dx, a_up, a_dn)
 
 
@@ -239,6 +328,7 @@ def solve_single_option(
     T_i: float,
     payoff: Callable[[np.ndarray], np.ndarray],
     grid: PDEGrid,
+    tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PDESolution:
     """Upper expectation of phi(X_{t1}) for X = P(T_i)/P(T), plus the cash
     price P(T) * u(0, x0).
@@ -246,34 +336,58 @@ def solve_single_option(
     T is the maturity of the pricing measure (X is a driftless martingale
     under it), t1 <= min(T, T_i) the option expiry.  The terminal condition
     is averaged over grid cells (monotone and consistent), which removes the
-    O(dx) noise a kink otherwise injects.
+    O(dx) noise a kink otherwise injects.  tables are the window's
+    ``window_tables(vs, band, (T, T_i), 0.0, t1, grid.nt)`` when the caller
+    already has them (the upper and lower solves of one leg share them).
     """
-    if vs.dim != band.dim:
-        raise DomainError(f"volatility structure has {vs.dim} factors but band has {band.dim}")
-    if t1 > min(T, T_i):
-        raise DomainError(f"expiry t1={t1} must not exceed min(T, T_i)=({T}, {T_i})")
-    if t1 < 0.0:
-        raise DomainError(f"expiry must be nonnegative, got {t1}")
-    if max(T, T_i) > curve.horizon:
-        raise DomainError(f"maturities ({T}, {T_i}) exceed curve horizon {curve.horizon}")
+    return solve_options(curve, vs, [(band, T, t1, T_i, payoff, grid, tables)])[0]
 
-    x0 = curve.forward_price(T, T_i)
-    xs = grid.xs
-    if not (grid.x_min <= x0 <= grid.x_max):
-        raise DomainError(f"spot forward price {x0} lies outside the grid [{grid.x_min}, {grid.x_max}]")
 
-    if t1 == 0.0:
-        u = np.asarray(payoff(xs), dtype=float)
-    else:
-        u = window_value(vs, band, (T, T_i), 0.0, t1, payoff, grid)
-    value = float(np.interp(x0, xs, u))
-    return PDESolution(
-        value=value,
-        x0=x0,
-        cash_price=curve.bond_price(T) * value,
-        xs=xs,
-        u0=u,
-    )
+def solve_options(
+    curve: DiscountCurve, vs: VolStructure, options: list[tuple]
+) -> list[PDESolution]:
+    """``solve_single_option`` for each (band, T, t1, T_i, payoff, grid,
+    tables) of options, tables None when the caller has none, with the
+    sweeps of all of them stacked into one (their grids share nx and nt).
+    Each solution equals that option's own sweep to the last bit.
+
+    Meant for degenerate bands, whose every step is one stacked solve.
+    Options that iterate on the policy are cheaper swept one by one: at
+    these grid sizes an iteration costs its number of numpy calls, and the
+    stack iterates until its slowest row stops.
+    """
+    spots = []
+    for band, T, t1, T_i, _, grid, _ in options:
+        if vs.dim != band.dim:
+            raise DomainError(f"volatility structure has {vs.dim} factors but band has {band.dim}")
+        if t1 > min(T, T_i):
+            raise DomainError(f"expiry t1={t1} must not exceed min(T, T_i)=({T}, {T_i})")
+        if t1 < 0.0:
+            raise DomainError(f"expiry must be nonnegative, got {t1}")
+        if max(T, T_i) > curve.horizon:
+            raise DomainError(f"maturities ({T}, {T_i}) exceed curve horizon {curve.horizon}")
+        x0 = curve.forward_price(T, T_i)
+        if not (grid.x_min <= x0 <= grid.x_max):
+            raise DomainError(
+                f"spot forward price {x0} lies outside the grid [{grid.x_min}, {grid.x_max}]"
+            )
+        spots.append(x0)
+    swept = [opt for opt in options if opt[2] != 0.0]
+    rows = iter(window_values(
+        [payoff for *_, payoff, _, _ in swept],
+        [grid for *_, grid, _ in swept],
+        [tables if tables is not None else window_tables(vs, band, (T, T_i), 0.0, t1, grid.nt)
+         for band, T, t1, T_i, _, grid, tables in swept],
+    ) if swept else ())
+    solutions = []
+    for (_, T, t1, _, payoff, grid, _), x0 in zip(options, spots):
+        xs = grid.xs
+        u = next(rows) if t1 != 0.0 else np.asarray(payoff(xs), dtype=float)
+        value = float(np.interp(x0, xs, u))
+        solutions.append(PDESolution(
+            value=value, x0=x0, cash_price=curve.bond_price(T) * value, xs=xs, u0=u
+        ))
+    return solutions
 
 
 def solve_lower(
@@ -285,10 +399,11 @@ def solve_lower(
     T_i: float,
     payoff: Callable[[np.ndarray], np.ndarray],
     grid: PDEGrid,
+    tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PDESolution:
     """Lower expectation: the negated upper solve of -phi (equivalently the
     band extremes swap roles on the Hessian sign)."""
-    sol = solve_single_option(curve, vs, band, T, t1, T_i, lambda x: -payoff(x), grid)
+    sol = solve_single_option(curve, vs, band, T, t1, T_i, lambda x: -payoff(x), grid, tables)
     return PDESolution(
         value=-sol.value,
         x0=sol.x0,

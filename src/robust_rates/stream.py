@@ -11,7 +11,10 @@ A stream attaches one leg to each accrual period [T_{i-1}, T_i]:
 Constant and floating-linear legs are symmetric, so they separate exactly
 from the rest of the stream and price in closed form.  Option legs sharing
 one convexity tag decouple into a sum of single-option prices evaluated at
-the band extremes.  Mixed or general tags force the literal backward
+the band extremes; the legs without a closed form take both extremes from
+one stacked PDE sweep for the whole stream (the band extremes are
+degenerate bands, so each of its steps is one solve).  Mixed or general tags
+force the literal backward
 recursion: the last option leg is a one-dimensional nonlinear PDE solve,
 and the coupling of two adjacent option legs lives on a two-dimensional
 tensor grid whose single driver makes the diffusion rank one (the grid
@@ -42,9 +45,11 @@ from .pde import (
     cell_average,
     default_grid,
     solve_lower,
+    solve_options,
     solve_single_option,
     step_variances,
-    window_value,
+    window_tables,
+    window_values,
 )
 from .uncertainty import PriceBounds, UncertaintyBand, degenerate_band
 from .vol_structure import VolStructure
@@ -226,36 +231,45 @@ def _downgrade_warning(stream, i) -> str:
 
 
 def leg_bounds(
-    curve, vs, band, stream, i, tag: str, nx: int = 241, nt: int = 240
-) -> tuple[float, float]:
-    """(lower, upper) of option leg i on its own, for the given tag.
+    curve, vs, band, stream, tags: dict[int, str], nx: int = 241, nt: int = 240
+) -> list[tuple[float, float]]:
+    """(lower, upper) of each option leg i in tags (leg index -> checked tag),
+    each leg on its own, in the order of tags.
 
     A convex (concave) leg's bounds are its classical values at the band
     extremes, the upper bound at the upper (lower) one: the closed form
     E[g(X)] when the leg has one, else the single-option PDE at that one
-    scaling.  A general leg needs the single-option PDE over the band.
+    scaling.  Those PDE solves, both extremes of every such leg, go through
+    one stacked sweep (``pde.solve_options``).  A general leg needs the
+    single-option PDE over the band: its upper and lower solves share one
+    grid and one pair of variance tables, each in its own sweep.
     """
-    leg = stream.legs[i]
-    t_reset, t_pay = stream.schedule.dates[i], stream.schedule.dates[i + 1]
-    if tag == "general":
-        grid = _leg_grid(curve, vs, band, stream, i, nx, nt)
-        upper = solve_single_option(curve, vs, band, t_reset, t_reset, t_pay, leg, grid).cash_price
-        lower = solve_lower(curve, vs, band, t_reset, t_reset, t_pay, leg, grid).cash_price
-        return lower, upper
-    x0 = curve.forward_price(t_reset, t_pay)
-    p_reset = curve.bond_price(t_reset)
-
-    def classical(scale) -> float:
-        v = math.sqrt(vs.integrated_variance(scale, 0.0, t_reset, t_reset, t_pay))
-        if leg.expected_value is not None:
-            return p_reset * leg.expected_value(x0, v)
-        grid = default_grid(x0, v, nx=nx, nt=nt)
-        return solve_single_option(
-            curve, vs, degenerate_band(scale), t_reset, t_reset, t_pay, leg, grid
-        ).cash_price
-
-    hi_scale, lo_scale = (band.upper, band.lower) if tag == "convex" else (band.lower, band.upper)
-    return classical(lo_scale), classical(hi_scale)
+    bounds = {i: [None, None] for i in tags}  # [lower, upper] per leg
+    stacked = []  # (leg, 0 for lower or 1 for upper, option) of each degenerate PDE solve
+    for i, tag in tags.items():
+        leg = stream.legs[i]
+        t_reset, t_pay = stream.schedule.dates[i], stream.schedule.dates[i + 1]
+        if tag == "general":
+            grid = _leg_grid(curve, vs, band, stream, i, nx, nt)
+            tables = window_tables(vs, band, (t_reset, t_pay), 0.0, t_reset, grid.nt)
+            args = (curve, vs, band, t_reset, t_reset, t_pay, leg, grid, tables)
+            bounds[i][1] = solve_single_option(*args).cash_price
+            bounds[i][0] = solve_lower(*args).cash_price
+            continue
+        x0 = curve.forward_price(t_reset, t_pay)
+        p_reset = curve.bond_price(t_reset)
+        extremes = (band.lower, band.upper) if tag == "convex" else (band.upper, band.lower)
+        for side, scale in enumerate(extremes):
+            v = math.sqrt(vs.integrated_variance(scale, 0.0, t_reset, t_reset, t_pay))
+            if leg.expected_value is not None:
+                bounds[i][side] = p_reset * leg.expected_value(x0, v)
+            else:
+                grid = default_grid(x0, v, nx=nx, nt=nt)
+                option = (degenerate_band(scale), t_reset, t_reset, t_pay, leg, grid, None)
+                stacked.append((i, side, option))
+    for (i, side, _), sol in zip(stacked, solve_options(curve, vs, [opt for *_, opt in stacked])):
+        bounds[i][side] = sol.cash_price
+    return [(lower, upper) for lower, upper in bounds.values()]
 
 
 def _leg_method(tag: str) -> str:
@@ -277,7 +291,7 @@ def price_leg_bounds(
         v = _symmetric_leg_value(curve, stream, i)
         return PriceBounds(lower=v, upper=v, symmetric=True, diagnostics={"method": "closed-form"})
     tag = _checked_tag(curve, vs, band, stream, i, nx, nt)
-    lower, upper = leg_bounds(curve, vs, band, stream, i, tag, nx, nt)
+    [(lower, upper)] = leg_bounds(curve, vs, band, stream, {i: tag}, nx, nt)
     diag: dict[str, Any] = {"method": _leg_method(tag)}
     if tag != leg.convexity:
         diag["warnings"] = [_downgrade_warning(stream, i)]
@@ -314,7 +328,8 @@ def _pair_recursion(
     Step 1 solves the one-dimensional problem for g2 over [T_{i-1}, T_i]
     under its own forward measure; step 2 couples it into the terminal
     condition g1(x1) + x1 * h(x2) of a two-state solve over [0, T_{i-1}].
-    Both signs share the grids and the variance tables.
+    Both signs share the grids and the variance tables (each sign's inner
+    solve is its own one-row sweep).
     """
     if vs.dim != 1:
         raise UnsupportedMethodError(
@@ -373,11 +388,10 @@ def _pair_recursion(
     nt_eff = max(nt, int(math.ceil(0.5 * peak_rate * t_start * weight * 1.05)), 1)
     vu, vd = step_variances(vs, band, np.linspace(0.0, t_start, nt_eff + 1), *pair1)
 
+    inner_tables = window_tables(vs, band, pair2, t_start, t_mid, inner_grid.nt)
     values = []
     for sign in (1.0, -1.0):
-        h_values = window_value(
-            vs, band, pair2, t_start, t_mid, lambda x: sign * g2(x), inner_grid
-        )
+        h_values = window_values([lambda x: sign * g2(x)], [inner_grid], [inner_tables])[0]
         # Cell-average the (possibly kinked) own payoff along y1; the coupling
         # factor x1 * h(x2) is smooth, so pointwise sampling suffices there.
         g1_avg = cell_average(lambda y: sign * g1(np.exp(y)), y1, h1)
@@ -485,7 +499,7 @@ def price_stream(
     tag_set = set(tags.values())
     if len(option_idx) == 1 or tag_set == {"convex"} or tag_set == {"concave"}:
         # One leg, or legs sharing a convexity: every leg is priced on its own.
-        bounds = [leg_bounds(curve, vs, band, stream, i, tags[i], nx, nt) for i in option_idx]
+        bounds = leg_bounds(curve, vs, band, stream, tags, nx, nt)
         upper = sym_value + sum(hi for _, hi in bounds)
         lower = sym_value + sum(lo for lo, _ in bounds)
         diag.update(method=_leg_method(tag_set.pop()), option_legs=len(option_idx))

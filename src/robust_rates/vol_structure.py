@@ -65,6 +65,12 @@ class HoLeeFactor:
         (Ta, Tta), (Tb, Ttb) = pair_a, pair_b
         return self.c**2 * (Tta - Ta) * (Ttb - Tb) * (t1 - t0)
 
+    def fp_var_steps(self, ts: np.ndarray, pair) -> np.ndarray:
+        """fp_cov_integral(ts[k], ts[k + 1], pair, pair) for every step k, in
+        the same operations: c^2 (T~ - T)^2 times the step widths."""
+        T, T_tilde = pair
+        return self.c**2 * (T_tilde - T) * (T_tilde - T) * (ts[1:] - ts[:-1])
+
     def beta_var_integral(self, t0: float, t1: float, T: float) -> float:
         return self.c**2 * (t1 - t0)
 
@@ -105,6 +111,16 @@ class HullWhiteFactor:
         ga = self.c / k * (math.exp(-k * Ta) - math.exp(-k * Tta))
         gb = self.c / k * (math.exp(-k * Tb) - math.exp(-k * Ttb))
         return ga * gb * (math.exp(2.0 * k * t1) - math.exp(2.0 * k * t0)) / (2.0 * k)
+
+    def fp_var_steps(self, ts: np.ndarray, pair) -> np.ndarray:
+        """fp_cov_integral(ts[k], ts[k + 1], pair, pair) for every step k, in
+        the same operations: one math.exp per grid time, then
+        g^2 (E[k+1] - E[k]) / 2 kappa."""
+        T, T_tilde = pair
+        k = self.kappa
+        g = self.c / k * (math.exp(-k * T) - math.exp(-k * T_tilde))
+        e = np.array([math.exp(2.0 * k * t) for t in ts.tolist()])
+        return g * g * (e[1:] - e[:-1]) / (2.0 * k)
 
     def beta_var_integral(self, t0: float, t1: float, T: float) -> float:
         k = self.kappa
@@ -290,6 +306,28 @@ class VolStructure:
         total = 0.0
         for sj, f in zip(s, self.factors):
             total += sj ** 2 * f.fp_cov_integral(t0, t1, pair, pair)
+        return total
+
+    def integrated_variances(self, scale, ts, T: float, T_tilde: float) -> np.ndarray:
+        """integrated_variance(scale, ts[k], ts[k + 1], T, T~) for every step k
+        of the time grid ts, equal to those calls to the last bit.
+
+        Each Ho-Lee or Hull-White factor is one array expression over the
+        steps, and the factor terms add in integrated_variance's order.
+        Tabulated factors, grids with a zero-width step (which the scalar
+        call sets to 0.0 before any arithmetic) and grids integrated_variance
+        rejects take the scalar calls (which raise its errors)."""
+        s = self._check_scale(scale)
+        ts = np.asarray(ts, dtype=float)
+        pair = (float(T), float(T_tilde))
+        widths = ts[1:] - ts[:-1]
+        if not (self.is_separable() and (widths > 0.0).all()
+                and (len(ts) < 2 or ts[-1] <= min(pair))):
+            return np.array([self.integrated_variance(s, ts[k], ts[k + 1], *pair)
+                             for k in range(len(ts) - 1)])
+        total = 0.0
+        for sj, f in zip(s, self.factors):
+            total = total + sj ** 2 * f.fp_var_steps(ts, pair)
         return total
 
     def integrated_covariance(

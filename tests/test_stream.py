@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robust_rates import stream
+from robust_rates import pde, stream
 from robust_rates.curve import DiscountCurve, flat_curve
 from robust_rates.errors import DomainError, UnsupportedMethodError
 from robust_rates.linear_pricing import LinearContract, TenorSchedule
@@ -28,6 +28,7 @@ from robust_rates.linear_pricing import (
     price_fixed_coupon_bond,
     price_floating_rate_note,
 )
+from robust_rates.pde import default_grid, solve_lower, solve_single_option
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
 from robust_rates.vol_structure import ho_lee, hull_white
 
@@ -253,6 +254,106 @@ class TestCoupledRecursion:
         got = price_stream(CURVE, VS, degenerate_band((1.0,)), st, nx=121, nt=120)
         assert got.symmetric
         assert abs(got.upper - got.lower) <= 1e-9
+
+
+def reference_leg_bounds(curve, vs, band, st, i, tag, nx, nt):
+    """Leg i's (lower, upper) priced leg by leg: one single-option solve per
+    band extreme, each building its own tables (the loop the stacked sweep
+    replaced)."""
+    leg = st.legs[i]
+    t_reset, t_pay = st.schedule.dates[i], st.schedule.dates[i + 1]
+    if tag == "general":
+        grid = stream._leg_grid(curve, vs, band, st, i, nx, nt)
+        upper = solve_single_option(curve, vs, band, t_reset, t_reset, t_pay, leg, grid).cash_price
+        lower = solve_lower(curve, vs, band, t_reset, t_reset, t_pay, leg, grid).cash_price
+        return lower, upper
+    x0 = curve.forward_price(t_reset, t_pay)
+
+    def classical(scale):
+        v = np.sqrt(vs.integrated_variance(scale, 0.0, t_reset, t_reset, t_pay))
+        if leg.expected_value is not None:
+            return curve.bond_price(t_reset) * leg.expected_value(x0, v)
+        grid = default_grid(x0, v, nx=nx, nt=nt)
+        return solve_single_option(
+            curve, vs, degenerate_band(scale), t_reset, t_reset, t_pay, leg, grid
+        ).cash_price
+
+    hi, lo = (band.upper, band.lower) if tag == "convex" else (band.lower, band.upper)
+    return classical(lo), classical(hi)
+
+
+def squared_call_leg(strike):
+    """A convex leg with no closed form, so it is priced by the PDE."""
+    return OptionLeg(payoff=lambda p: np.maximum(p - strike, 0.0) ** 2, convexity="convex")
+
+
+DECOUPLED_STREAMS = {
+    "concave": CashflowStream(
+        schedule=TenorSchedule(dates=(0.25, 0.5, 1.0, 1.5, 2.0)),
+        legs=tuple(capped_forward_leg(c) for c in (0.99, 0.985, 0.98, 0.975)),
+    ),
+    "convex": CashflowStream(
+        schedule=TenorSchedule(dates=(0.5, 1.0, 1.5, 2.0, 2.5)),
+        legs=(squared_call_leg(0.98), caplet_leg(0.5, 0.03), ConstantLeg(0.01),
+              squared_call_leg(0.975)),
+    ),
+}
+
+
+class TestStackedLegSolves:
+    """Every degenerate-band PDE solve of a stream goes through one stacked
+    sweep; the bounds must equal the leg-by-leg solves to the last bit."""
+
+    @pytest.mark.parametrize("vs", [VS2, hull_white(0.02, 0.3)], ids=["ho-lee", "hull-white"])
+    @pytest.mark.parametrize("name", DECOUPLED_STREAMS)
+    def test_stream_equals_leg_by_leg(self, vs, name):
+        st = DECOUPLED_STREAMS[name]
+        option_idx = [i for i, leg in enumerate(st.legs) if isinstance(leg, OptionLeg)]
+        ref = [reference_leg_bounds(CURVE, vs, BAND, st, i, name, 41, 40) for i in option_idx]
+        sym = sum(stream._symmetric_leg_value(CURVE, st, i)
+                  for i in range(len(st.legs)) if i not in option_idx)
+        got = price_stream(CURVE, vs, BAND, st, nx=41, nt=40)
+        assert got.diagnostics["method"] == f"{name}-decoupled"
+        assert got.lower == sym + sum(lo for lo, _ in ref)
+        assert got.upper == sym + sum(hi for _, hi in ref)
+        for i, want in zip(option_idx, ref):
+            leg = price_leg_bounds(CURVE, vs, BAND, st, i, nx=41, nt=40)
+            assert (leg.lower, leg.upper) == want
+
+    def test_general_leg_equals_its_own_solves(self):
+        legs = (capped_call_spread_leg(0.97, 0.02), ConstantLeg(0.5))
+        st = CashflowStream(schedule=SCHED, legs=legs)
+        got = price_leg_bounds(CURVE, VS2, BAND, st, 0, nx=41, nt=40)
+        want = reference_leg_bounds(CURVE, VS2, BAND, st, 0, "general", 41, 40)
+        assert (got.lower, got.upper) == want
+
+    def test_concave_stream_is_one_sweep(self, monkeypatch):
+        calls = [0]
+        solve = pde.solve_banded
+
+        def counted(*args):
+            calls[0] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(pde, "solve_banded", counted)
+        price_stream(CURVE, VS2, BAND, DECOUPLED_STREAMS["concave"], nx=41, nt=40)
+        assert calls == [40]
+
+    def test_nan_payoff_on_one_leg_raises_value_error(self):
+        # NaN only between the nodes of the leg's grid: the convexity check,
+        # which reads the nodes, passes, and the cell averages are NaN.
+        base = DECOUPLED_STREAMS["concave"]
+        xs = stream._leg_grid(CURVE, VS2, BAND, base, 2, 41, 40).xs
+        lo, hi = xs[20] + 0.25 * (xs[21] - xs[20]), xs[20] + 0.75 * (xs[21] - xs[20])
+        legs = list(base.legs)
+        legs[2] = OptionLeg(
+            payoff=lambda p: np.where((p > lo) & (p < hi), np.nan, np.minimum(p, 0.98)),
+            convexity="concave",
+        )
+        st = CashflowStream(schedule=base.schedule, legs=tuple(legs))
+        with pytest.raises(ValueError, match="infs or NaNs") as info:
+            price_stream(CURVE, VS2, BAND, st, nx=41, nt=40)
+        assert type(info.value) is ValueError
 
 
 def full_grid_pair_sweep(u, h1, h2, drift2, vu, vd):

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robust_rates.errors import DomainError, ParseError
+from robust_rates.pde import step_variances
+from robust_rates.uncertainty import UncertaintyBand, degenerate_band
 from robust_rates.vol_structure import (
     HoLeeFactor,
     HullWhiteFactor,
@@ -229,3 +232,90 @@ class TestScalarPathExactness:
             vs.integrated_covariance(scale, 0.0, 1.0, (1.0, 2.0), (1.0, 3.0))
         with pytest.raises(DomainError):
             vs.short_rate_var_integral(scale, 0.0, 1.0, 2.0)
+
+
+# -- closed-form step tables ----------------------------------------------------
+
+
+def _scalar_table(vs, scale, ts, T, T_tilde):
+    """The loop the tables replace: one integrated_variance call per step."""
+    return [vs.integrated_variance(scale, ts[k], ts[k + 1], T, T_tilde) for k in range(len(ts) - 1)]
+
+
+_FACTORS = st.one_of(
+    st.builds(HoLeeFactor, c=st.floats(1e-4, 0.05)),
+    st.builds(HullWhiteFactor, c=st.floats(1e-4, 0.05), kappa=st.floats(1e-3, 2.0)),
+)
+
+
+@st.composite
+def _table_cases(draw):
+    factors = draw(st.lists(_FACTORS, min_size=1, max_size=3))
+    T = draw(st.floats(0.05, 30.0))
+    T_tilde = draw(st.floats(0.0, T + 5.0))
+    t_to = draw(st.floats(0.0, min(T, T_tilde)))
+    t_from = draw(st.floats(0.0, t_to))
+    nt = draw(st.integers(1, 300))
+    scale = tuple(draw(st.floats(0.1, 2.0)) for _ in factors)
+    ts = np.linspace(t_from, t_to, nt + 1)
+    return VolStructure(factors=tuple(factors)), scale, ts, T, T_tilde
+
+
+class TestStepVarianceTables:
+    """VolStructure.integrated_variances, and so pde.step_variances, must equal
+    the scalar integrated_variance loop to the last bit."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(_table_cases())
+    def test_tables_equal_scalar_loop(self, case):
+        vs, scale, ts, T, T_tilde = case
+        want = _scalar_table(vs, scale, ts, T, T_tilde)
+        assert vs.integrated_variances(scale, ts, T, T_tilde).tolist() == want
+        band = UncertaintyBand(lower=tuple(0.5 * s for s in scale), upper=scale)
+        a_up, a_dn = step_variances(vs, band, ts, T, T_tilde)
+        assert a_up.tolist() == want
+        assert a_dn.tolist() == _scalar_table(vs, band.lower, ts, T, T_tilde)
+
+    @pytest.mark.parametrize("vs", TestScalarPathExactness.STRUCTURES,
+                             ids=lambda v: f"d{v.dim}-{v.factors[0].kind}")
+    def test_degenerate_band_returns_one_array(self, vs):
+        ts = np.linspace(0.0, 1.0, 31)
+        band = degenerate_band((1.2,) * vs.dim)
+        a_up, a_dn = step_variances(vs, band, ts, 1.0, 1.5)
+        assert a_dn is a_up
+        assert a_up.tolist() == _scalar_table(vs, band.upper, ts, 1.0, 1.5)
+
+    @pytest.mark.parametrize("vs", TestScalarPathExactness.STRUCTURES + [ho_lee(1e153)],
+                             ids=lambda v: f"d{v.dim}-{v.factors[0].kind}-{v.factors[0].c:g}")
+    def test_zero_width_step_gives_zero(self, vs):
+        # With c = 1e153, c^2 (T~ - T)^2 overflows to inf: inf * 0 would be NaN.
+        ts = np.array([0.0, 0.4, 0.4, 0.9, 0.9])
+        got = vs.integrated_variances((1.1,) * vs.dim, ts, 1.0, 31.0)
+        assert got.tolist() == _scalar_table(vs, (1.1,) * vs.dim, ts, 1.0, 31.0)
+        assert got[1] == 0.0 and got[3] == 0.0 and got[0] > 0.0
+
+    def test_tabulated_factors_take_the_scalar_calls(self, monkeypatch):
+        tab = TabulatedFactor(t_grid=(0.0, 3.0), maturity_grid=(0.0, 10.0),
+                              values=((0.01, 0.008), (0.012, 0.009)))
+        vs = VolStructure(factors=(HoLeeFactor(c=0.01), tab))
+        calls = []
+        scalar = VolStructure.integrated_variance
+
+        def counted(self, *args):
+            calls.append(args)
+            return scalar(self, *args)
+
+        ts = np.linspace(0.0, 1.0, 5)
+        want = _scalar_table(vs, (1.0, 1.3), ts, 1.0, 2.0)
+        monkeypatch.setattr(VolStructure, "integrated_variance", counted)
+        assert vs.integrated_variances((1.0, 1.3), ts, 1.0, 2.0).tolist() == want
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("ts, match", [
+        (np.array([0.0, 0.6, 0.5]), "t0 <= t1"),
+        (np.array([0.0, 0.5, 1.2]), "t1 <= min"),
+    ])
+    def test_rejected_grids_raise_the_scalar_errors(self, ts, match):
+        for vs in TestScalarPathExactness.STRUCTURES:
+            with pytest.raises(DomainError, match=match):
+                vs.integrated_variances((1.0,) * vs.dim, ts, 1.0, 2.0)
