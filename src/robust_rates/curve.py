@@ -12,6 +12,11 @@ so no quadrature error enters at this layer.
 Scalar evaluation is exact and runs in plain Python over cached tuples of
 knot maturities, rates and cumulative integrals: on a handful of knots,
 numpy's per-call overhead would dominate the cost.
+
+The contracts of a book read P(T) and P(T~)/P(T) at the same schedule
+dates over and over, so bond_price and forward_price keep a per-instance
+memo (see _memoized): a private dict that lives and dies with the curve,
+holds only values already returned, and never changes a bit of one.
 """
 
 from __future__ import annotations
@@ -19,11 +24,46 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .errors import DomainError, ParseError
 
 INTERPOLATIONS = ("flat-left", "linear")
+
+
+def _memoized(method):
+    """method with a memo of its results in a private dict on the instance.
+
+    The memo is keyed by the positional arguments and filled on first use.
+    It suits only a method of a frozen instance whose result is a float that
+    arguments comparing equal (1, 1.0 and np.float64(1.0); 0.0 and -0.0)
+    determine to the last bit.  An exception propagates and is not stored,
+    so a failing call fails every time.  An unhashable argument (a list or
+    array scale) or a keyword argument takes the uncached call.  The memo
+    sits in the instance's __dict__, as a cached_property does, so it is no
+    dataclass field: ==, hash and repr ignore it, and dataclasses.replace
+    starts a fresh one.  Threads share it through plain dict get/set: a
+    race computes one value twice, with the same bits.
+    """
+    attr = f"_{method.__name__}_memo"
+
+    @wraps(method)
+    def memoized(self, *args, **kwargs):
+        if kwargs:
+            return method(self, *args, **kwargs)
+        memo = self.__dict__.get(attr)
+        if memo is None:
+            memo = self.__dict__.setdefault(attr, {})
+        try:
+            return memo[args]
+        except KeyError:
+            pass
+        except TypeError:
+            return method(self, *args)
+        value = memo[args] = method(self, *args)
+        return value
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -126,10 +166,12 @@ class DiscountCurve:
             seg = 0.5 * (rates[k] + (rates[k] + w * (rates[k + 1] - rates[k]))) * dt
         return cum[k] + seg
 
+    @_memoized
     def bond_price(self, T: float) -> float:
         """Time-0 zero-coupon bond price P(T) = exp(-integral_0^T f)."""
         return math.exp(-self.forward_integral(T))
 
+    @_memoized
     def forward_price(self, T: float, T_tilde: float) -> float:
         """Time-0 forward bond price P(T_tilde)/P(T).
 

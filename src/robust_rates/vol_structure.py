@@ -12,6 +12,11 @@ the pricers need derives from it:
 
 Ho-Lee and Hull-White factors use closed-form antiderivatives; tabulated
 factors fall back on a fixed 64-panel composite Simpson rule.
+
+The contracts of a book ask for the same windows and maturity pairs over
+and over, so VolStructure.integrated_variance keeps a per-instance memo
+(curve._memoized, shared with the curve's bond prices): it lives and dies
+with the structure and returns the uncached call's float to the last bit.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Union
 
 import numpy as np
 
+from .curve import _memoized
 from .errors import DomainError, ParseError
 
 SIMPSON_PANELS = 64
@@ -285,6 +291,7 @@ class VolStructure:
             )
         return float(self._factor(i).fp_vol(float(t), float(T), float(T_tilde)))
 
+    @_memoized
     def integrated_variance(
         self, scale, t0: float, t1: float, T: float, T_tilde: float
     ) -> float:

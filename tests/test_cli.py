@@ -8,7 +8,8 @@ import pytest
 
 from robust_rates.cli import main
 from robust_rates.config import load_config, price_configured
-from robust_rates.errors import ConfigError
+from robust_rates.errors import ConfigError, DomainError
+from robust_rates.vol_structure import HoLeeFactor, VolStructure
 
 
 BOOK = {
@@ -255,8 +256,41 @@ class TestPriceCommand:
     def test_overflowing_factor_level_is_pricing_error(self, tmp_path, capsys, factor):
         cfg = json.loads(json.dumps(BOOK))
         cfg["vol_structure"]["factors"] = [factor]
-        assert main(["price", write_config(tmp_path, cfg)]) == 3
+        path = write_config(tmp_path, cfg)
+        assert main(["price", path]) == 3
         assert "contract 'cap': numerical overflow" in capsys.readouterr().err
+        setup = load_config(path)
+        for _ in range(2):  # the failed variance is not memoized
+            with pytest.raises(DomainError, match="contract 'cap': numerical overflow"):
+                price_configured(setup, setup.contracts[1])
+
+    def test_shared_schedule_evaluates_each_variance_once(self, tmp_path, monkeypatch):
+        """Caps and floors on one schedule read the same variances: each
+        distinct (scale, window, pair) is integrated once per market, and
+        repricing the same contracts integrates nothing."""
+        schedule = [1.0, 1.5, 2.0, 2.5, 3.0]
+        cfg = dict(BOOK, contracts=[
+            {"name": f"{kind}-{k}", "kind": kind, "schedule": schedule, "strike_rate": k}
+            for kind in ("cap", "floor") for k in (0.01, 0.02, 0.04)])
+        integrated, keys = [], []
+        fp_cov, intvar = HoLeeFactor.fp_cov_integral, VolStructure.integrated_variance
+
+        def counted_fp_cov(self, *args):
+            integrated.append(args)
+            return fp_cov(self, *args)
+
+        def recorded_intvar(self, *args):
+            keys.append(args)
+            return intvar(self, *args)
+
+        monkeypatch.setattr(HoLeeFactor, "fp_cov_integral", counted_fp_cov)
+        monkeypatch.setattr(VolStructure, "integrated_variance", recorded_intvar)
+        setup = load_config(write_config(tmp_path, cfg))
+        first = [price_configured(setup, cc) for cc in setup.contracts]
+        assert 0 < len(integrated) == len(set(keys)) < len(keys)
+        done = len(integrated)
+        assert [price_configured(setup, cc) for cc in setup.contracts] == first
+        assert len(integrated) == done
 
     def test_method_on_non_swaption_is_config_error(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BOOK))

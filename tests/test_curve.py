@@ -1,6 +1,9 @@
 """Forward-curve interpolation, exact bond-price integration, CSV loading."""
 
+import dataclasses
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -112,6 +115,45 @@ class TestValidation:
         with pytest.raises(DomainError):
             DiscountCurve(knots=((0.0, 0.02),), interpolation="cubic")
 
+    @pytest.mark.parametrize("call", [
+        lambda c: c.bond_price(30.5),
+        lambda c: c.bond_price(-1.0),
+        lambda c: c.forward_price(1.0, 30.5),
+        lambda c: c.forward_price(30.5, 1.0),
+    ], ids=["bond-past-horizon", "bond-negative", "forward-past-horizon", "forward-first-past"])
+    def test_errors_raise_on_every_call(self, call):
+        curve = linear_curve()
+        for _ in range(2):
+            with pytest.raises(DomainError, match="outside curve horizon"):
+                call(curve)
+
+
+class TestMemo:
+    """bond_price and forward_price keep a per-instance memo of their results."""
+
+    def test_curves_with_different_knots_never_share_values(self):
+        a = DiscountCurve(knots=((0.0, 0.01), (10.0, 0.03)), horizon=30.0)
+        b = DiscountCurve(knots=((0.0, 0.01), (10.0, 0.04)), horizon=30.0)
+        for T, S in ((5.0, 20.0), (20.0, 5.0)):
+            assert a.bond_price(T) != b.bond_price(T)
+            assert b.bond_price(T) == math.exp(-b.forward_integral(T))
+            assert a.forward_price(T, S) != b.forward_price(T, S)
+            assert b.forward_price(T, S) == math.exp(b.forward_integral(T) - b.forward_integral(S))
+
+    def test_memo_is_not_part_of_the_value(self):
+        used, fresh = linear_curve(), linear_curve()
+        used.bond_price(1.0)
+        used.forward_price(1.0, 2.0)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert vars(dataclasses.replace(used)) == vars(fresh)
+        moved = dataclasses.replace(used, knots=((0.0, 0.02),))
+        assert moved.bond_price(1.0) == math.exp(-0.02) != used.bond_price(1.0)
+
+    def test_keyword_call_matches_positional(self):
+        curve = linear_curve()
+        assert curve.bond_price(T=7.0) == curve.bond_price(7.0)
+        assert curve.forward_price(T=1.0, T_tilde=7.0) == curve.forward_price(1.0, 7.0)
+
 
 class TestLoadCurve:
     def test_round_trip_flat(self, tmp_path):
@@ -212,6 +254,22 @@ def _reference_forward_integral(curve, T):
     return float(cum[k] + seg)
 
 
+def _bits(x):
+    """The IEEE bytes of a float result: equal bits, the sign of zero included."""
+    assert type(x) is float
+    return struct.pack("<d", x)
+
+
+def _aliases(x):
+    """x and the keys that compare equal to it, and so share its memo entry."""
+    out = [x, np.float64(x)]
+    if float(x).is_integer():
+        out += [int(x), np.int64(x)]
+    if x == 0.0:
+        out += [-0.0, np.float64(-0.0)]
+    return out
+
+
 def _exactness_curves():
     rng = np.random.default_rng(11)
     knot_sets = [
@@ -238,8 +296,17 @@ def test_scalar_path_bit_identical_to_numpy_reference(curve):
         assert type(rate) is float and type(integral) is float
         assert rate == _reference_forward_rate(curve, T)
         assert integral == _reference_forward_integral(curve, T)
-        assert curve.bond_price(T) == math.exp(-_reference_forward_integral(curve, T))
-    for T, S in zip(points, reversed(points)):
-        expected = math.exp(_reference_forward_integral(curve, T) - _reference_forward_integral(curve, S))
-        assert curve.forward_price(T, S) == expected
+    # bond_price and forward_price answer from a memo: each call, cold or
+    # warm and through every alias of its arguments, returns the reference's
+    # bits.  A fresh copy fills its memo with the aliases in reverse order.
+    for fresh, order in ((curve, 1), (dataclasses.replace(curve), -1)):
+        for T in points:
+            expected = _bits(math.exp(-_reference_forward_integral(curve, T)))
+            for alias in _aliases(T)[::order] * 2:
+                assert _bits(fresh.bond_price(alias)) == expected
+        for T, S in zip(points, reversed(points)):
+            expected = _bits(math.exp(_reference_forward_integral(curve, T)
+                                      - _reference_forward_integral(curve, S)))
+            for pair in list(itertools.product(_aliases(T), _aliases(S)))[::order] * 2:
+                assert _bits(fresh.forward_price(*pair)) == expected
 

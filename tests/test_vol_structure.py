@@ -1,6 +1,11 @@
 """Factor vols: closed forms, quadrature cross-checks, tabulated surfaces."""
 
+import dataclasses
+import itertools
 import math
+import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -176,6 +181,22 @@ class TestValidation:
 # -- bit-exactness of the pure-Python scalar path ----------------------------
 
 
+def _bits(x):
+    """The IEEE bytes of a float result: equal bits, the sign of zero included."""
+    assert type(x) is float
+    return struct.pack("<d", x)
+
+
+def _aliases(x):
+    """x and the keys that compare equal to it, and so share its memo entry."""
+    out = [x, np.float64(x)]
+    if float(x).is_integer():
+        out += [int(x), np.int64(x)]
+    if x == 0.0:
+        out += [-0.0, np.float64(-0.0)]
+    return out
+
+
 def _reference_integrated_variance(vs, scale, t0, t1, T, T_tilde):
     """Numpy evaluation of the same sum: numpy-scalar scales, left to right."""
     s = np.atleast_1d(np.asarray(scale, dtype=float))
@@ -199,21 +220,81 @@ class TestScalarPathExactness:
 
     @pytest.mark.parametrize("vs", STRUCTURES, ids=lambda v: f"d{v.dim}-{v.factors[0].kind}")
     def test_integrated_variance_bit_identical(self, vs):
+        """Every call, cold or warm (integrated_variance keeps a memo) and
+        through every alias of its arguments, returns the reference's bits.
+        A fresh copy fills its memo with the aliases in reverse order."""
         rng = np.random.default_rng(vs.dim)
+        cases = []
         for _ in range(300):
             sc = rng.uniform(0.3, 2.0, vs.dim)
             T = rng.uniform(0.0, 30.0)
             Tt = T + rng.uniform(0.0, 10.0)
             t1 = rng.uniform(0.0, T)
             t0 = rng.uniform(0.0, t1)
-            forms = [tuple(sc.tolist()), sc.tolist(), sc]
-            if vs.dim == 1:
-                forms += [float(sc[0]), sc[0], np.array(sc[0])]
-            expected = _reference_integrated_variance(vs, sc, t0, t1, T, Tt)
-            for form in forms:
-                got = vs.integrated_variance(form, t0, t1, T, Tt)
-                assert type(got) is float
-                assert got == expected
+            window = (t0, t1, T, Tt)
+            cases.append((sc, window, [window, tuple(map(np.float64, window))]))
+        # Integral and zero arguments, whose aliases include ints and -0.0.
+        for window in ((0.0, 1.0, 2.0, 5.0), (0.0, 0.0, 0.0, 3.0), (-1.0, 0.0, 0.0, 0.0),
+                       (1.0, 2.0, 2.0, 2.0), (0.0, 2.0, 3.0, 2.0)):
+            for sc in (np.ones(vs.dim), np.zeros(vs.dim)):
+                windows = [window[:i] + (a,) + window[i + 1:]
+                           for i, x in enumerate(window) for a in _aliases(x)]
+                cases.append((sc, window, windows))
+        for fresh, order in ((vs, 1), (dataclasses.replace(vs), -1)):
+            for sc, window, windows in cases:
+                forms = [sc.tolist(), sc] + [tuple(a) for a in zip(*map(_aliases, sc.tolist()))]
+                if vs.dim == 1:
+                    forms += _aliases(float(sc[0])) + [np.array(sc[0])]
+                expected = _bits(_reference_integrated_variance(vs, sc, *window))
+                for form, args in list(itertools.product(forms, windows))[::order] * 2:
+                    assert _bits(fresh.integrated_variance(form, *args)) == expected
+
+    @pytest.mark.parametrize("vs, args, error", [
+        (hull_white(0.012, 0.1), ((1.0, 1.0), 0.0, 1.0, 1.0, 2.0), DomainError),
+        (hull_white(0.012, 0.1), (("a",), 0.0, 1.0, 1.0, 2.0), DomainError),
+        (hull_white(0.012, 0.1), (1.0, 1.0, 0.5, 1.0, 2.0), DomainError),
+        (hull_white(0.012, 0.1), (1.0, 0.0, 1.5, 1.0, 2.0), DomainError),
+        (hull_white(0.01, 1e6), (1.0, 0.0, 1.0, 1.0, 2.0), OverflowError),
+    ], ids=["scale-length", "scale-type", "t0-past-t1", "t1-past-maturity", "overflow"])
+    def test_errors_raise_on_every_call(self, vs, args, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                vs.integrated_variance(*args)
+
+    def test_memo_is_per_instance_and_not_part_of_the_value(self):
+        low, high = ho_lee(0.01), ho_lee(0.02)
+        assert low.integrated_variance(1.0, 0.0, 1.0, 1.0, 2.0) == 0.01**2 * 1.0 * 1.0 * 1.0
+        assert high.integrated_variance(1.0, 0.0, 1.0, 1.0, 2.0) == 0.02**2 * 1.0 * 1.0 * 1.0
+        used, fresh = self.STRUCTURES[3], dataclasses.replace(self.STRUCTURES[3])
+        used.integrated_variance((1.0,) * 3, 0.0, 1.0, 1.0, 2.0)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert vars(dataclasses.replace(used)) == vars(fresh)
+
+    def test_memo_shared_by_threads_returns_serial_bits(self):
+        """More threads than cores on one structure, switching often, with
+        two band scales as in stress: every thread reads the serial bits."""
+        serial, shared = hull_white(0.012, 0.1), hull_white(0.012, 0.1)
+        calls = [(s, 0.1 * k, 0.1 * k + 0.5, 0.1 * k + 1.0, 0.1 * k + 2.0)
+                 for k in range(60) for s in (0.5, 1.5)]
+        expected = [_bits(serial.integrated_variance(*c)) for c in calls]
+        results = {}
+
+        def work(i):
+            order = 1 if i % 2 else -1
+            results[i] = [_bits(shared.integrated_variance(*c)) for c in calls[::order]][::order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {i: expected for i in range(8)}
 
     def test_covariance_on_equal_pairs_is_the_variance(self):
         for vs in self.STRUCTURES:
