@@ -19,6 +19,13 @@ the lower extreme (the payoffs are convex in the forward prices).  For the
 swaption the one-factor case is evaluated exactly by locating the exercise
 boundary of the comonotone payoff and summing Gaussian tail integrals;
 the multi-factor case falls back to Monte Carlo on the joint terminal law.
+
+The exercise boundary is found by ``_brentq``, a port of scipy's C
+``brentq`` (Brent 1973) that takes the same iterates, and the tail integrals
+use ``lognormal.norm_cdf``, so the one-factor swaption loads no scipy module
+and returns the bits ``scipy.optimize.brentq`` and ``scipy.special.ndtr``
+would give.  A root-find that does not converge within ``_ROOT_ITERATION_CAP``
+iterations, or that meets a NaN, raises ``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -27,12 +34,11 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from .curve import DiscountCurve
-from .errors import DomainError, UnsupportedMethodError
+from .errors import ConvergenceError, DomainError, UnsupportedMethodError
 from .linear_pricing import TenorSchedule
+from .lognormal import norm_cdf
 from .mc import MCConfig, mean_and_se, normals
 from .stream import CashflowStream, caplet_leg, floorlet_leg, in_arrears_leg, leg_bounds
 from .uncertainty import PriceBounds, UncertaintyBand
@@ -42,6 +48,7 @@ OPTION_KINDS = ("cap", "floor", "swaption-payer", "in-arrears-payer-swap")
 SWAPTION_METHODS = ("quadrature-1f", "monte-carlo")
 
 _W_FLOOR = 1e-14
+_ROOT_ITERATION_CAP = 100  # scipy.optimize.brentq's default maxiter
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,10 @@ def _leg_stream_bounds(curve, vs, band, contract, make_leg, label: str) -> Price
     schedule = contract.schedule
     schedule.check_within(curve)
     _check_band(vs, band)
-    legs = tuple(make_leg(delta, contract.strike_rate) for delta in schedule.accruals)
+    # Periods of one accrual share one (immutable) leg.
+    accruals = schedule.accruals
+    leg_of = {delta: make_leg(delta, contract.strike_rate) for delta in set(accruals)}
+    legs = tuple(leg_of[delta] for delta in accruals)
     stream = CashflowStream(schedule=schedule, legs=legs)
     bounds = leg_bounds(curve, vs, band, stream, {i: leg.convexity for i, leg in enumerate(legs)})
     upper = sum(hi for _, hi in bounds)
@@ -157,9 +167,12 @@ def _swaption_value_comonotone(xs, ws, coefs) -> float:
     """
     if np.max(ws) <= _W_FLOOR:
         return max(1.0 - float(np.dot(coefs, xs)), 0.0)
+    weights = coefs * xs
+    neg_ws = -ws
+    half_w2 = 0.5 * ws**2
 
     def gap(z):
-        return 1.0 - float(np.dot(coefs * xs, np.exp(-ws * z - 0.5 * ws**2)))
+        return 1.0 - float(np.dot(weights, np.exp(neg_ws * z - half_w2)))
 
     zmax = 40.0
     if gap(zmax) <= 0.0:
@@ -167,8 +180,68 @@ def _swaption_value_comonotone(xs, ws, coefs) -> float:
     if gap(-zmax) >= 0.0:
         z_star = -zmax  # always exercised; the N(zmax - w_i) vanish once w_i >> zmax
     else:
-        z_star = brentq(gap, -zmax, zmax, xtol=1e-15, rtol=8.9e-16)
-    return float(ndtr(-z_star) - np.dot(coefs * xs, ndtr(-z_star - ws)))
+        z_star = _brentq(gap, -zmax, zmax, 1e-15, 8.9e-16, _ROOT_ITERATION_CAP)
+    tails = np.array([norm_cdf(d) for d in (-z_star - ws).tolist()])
+    return norm_cdf(-z_star) - float(np.dot(weights, tails))
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """A root of f in [xa, xb], where f(xa) and f(xb) have opposite signs.
+
+    A port of scipy's C ``brentq`` (Brent 1973: inverse quadratic
+    interpolation or secant steps, falling back to bisection), step for step,
+    so it evaluates f at the same points and returns the same root.  Where
+    scipy raises a bare ValueError for a NaN value or RuntimeError for
+    non-convergence, this raises ConvergenceError.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre != fpre or fcur != fcur:
+        raise ConvergenceError(f"Brent root-find: NaN function value on [{xa}, {xb}]")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ConvergenceError(f"Brent root-find: no sign change on [{xa}, {xb}]")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ConvergenceError(f"Brent root-find: NaN function value at {xcur}")
+    raise ConvergenceError(
+        f"Brent root-find: no convergence in {maxiter} iterations (last iterate {xcur})"
+    )
 
 
 def _swaption_value_mc(curve, vs, sigma, contract, mc: MCConfig) -> tuple[float, float]:

@@ -15,9 +15,11 @@ standard sufficient condition for convergence to the unique viscosity
 solution.  Each policy iteration solves one tridiagonal system with a
 direct LAPACK ?gtsv call (``solve_banded`` below), the routine
 ``scipy.linalg.solve_banded`` uses for (1, 1) bands, so the results are
-those of that call without its per-call argument handling.  A step whose
-band extremes coincide gives a system that does not depend on the policy, so
-it takes one solve.
+those of that call without its per-call argument handling.  The routine is
+looked up through ``scipy.linalg`` on the first solve, not at import, so
+importing the package and pricing closed-form contracts loads no scipy
+module.  A step whose band extremes coincide gives a system that does not
+depend on the policy, so it takes one solve.
 
 ``window_values`` is the one 1D core: it cell-averages each terminal payoff
 and runs the implicit sweep over the step-variance tables of its window
@@ -38,10 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError  # the class scipy.linalg raises
 
 from .curve import DiscountCurve
 from .errors import ConvergenceError, DomainError
@@ -58,7 +61,15 @@ _GL5_NODES = np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
 _GL5_WEIGHTS = np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
                          0.4786286704993665, 0.2369268850561891])
 
-_GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
+
+@cache
+def _gtsv():
+    """The float64 LAPACK ?gtsv, looked up on the first solve.  Threads
+    racing here both import scipy.linalg under the import lock and get the
+    same routine."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("gtsv",), (np.empty(0),))[0]
 
 
 def check_resolution(nx: int, nt: int) -> None:
@@ -180,7 +191,7 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     if len(b) == 1:
         b /= d[0]
         return b
-    _, _, _, x, info = _GTSV(dl, d, du, b, 1, 1, 1, 1)
+    _, _, _, x, info = _gtsv()(dl, d, du, b, 1, 1, 1, 1)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:

@@ -2,13 +2,15 @@
 
 import json
 import math
+import os
 import re
 
 import pytest
 
+from robust_rates import option_pricing
 from robust_rates.cli import main
 from robust_rates.config import load_config, price_configured
-from robust_rates.errors import ConfigError, DomainError
+from robust_rates.errors import ConfigError, ConvergenceError, DomainError
 from robust_rates.vol_structure import HoLeeFactor, VolStructure
 
 
@@ -330,6 +332,24 @@ class TestPriceCommand:
         assert main(["price", write_config(tmp_path, cfg)]) == 3
         assert "quadrature-1f" in capsys.readouterr().err
 
+    def test_unconverged_root_find_is_pricing_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(option_pricing, "_ROOT_ITERATION_CAP", 2)
+        assert main(["price", write_config(tmp_path, BOOK)]) == 3
+        err = capsys.readouterr().err
+        assert "no convergence in 2 iterations" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_exercise_gap_is_pricing_error(self, tmp_path, capsys):
+        # c^2 overflows to an infinite variance: gap(-40) = 1 - (inf - inf).
+        cfg = dict(BOOK, contracts=BOOK["contracts"][2:],
+                   vol_structure={"factors": [{"kind": "hull-white", "c": 1e160, "kappa": 0.1}]})
+        path = write_config(tmp_path, cfg)
+        assert main(["price", path]) == 3
+        assert "NaN function value" in capsys.readouterr().err
+        setup = load_config(path)
+        with pytest.raises(ConvergenceError):
+            price_configured(setup, setup.contracts[0])
+
     def test_determinism_across_threads(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BOOK))
         cfg["contracts"][2]["method"] = "monte-carlo"
@@ -375,6 +395,23 @@ class TestStressCommand:
         cfg = write_config(tmp_path, BOOK)
         assert main(["stress", cfg, "--epsilon", "1.5"]) == 2
         assert main(["stress", cfg, "--epsilon", "-0.1"]) == 2
+
+
+class TestGoldenOutputs:
+    """The demo book's JSON output at one thread, byte for byte."""
+
+    HERE = os.path.dirname(os.path.abspath(__file__))
+    DEMO_BOOK = os.path.join(HERE, os.pardir, "demos", "data", "book.json")
+
+    @pytest.mark.parametrize("command, golden", [
+        (["price"], "book-price.json"),
+        (["stress", "--epsilon", "0.3"], "book-stress.json"),
+    ], ids=["price", "stress"])
+    def test_demo_book_output_is_golden(self, capsys, command, golden):
+        args = ["--format", "json", "--threads", "1", command[0], self.DEMO_BOOK, *command[1:]]
+        assert main(args) == 0
+        with open(os.path.join(self.HERE, "golden", golden), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
 
 
 class TestVerifyCommand:

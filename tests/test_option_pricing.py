@@ -2,23 +2,30 @@
 properties over random markets."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from robust_rates.config import ConfiguredContract, PricingSetup, price_configured
 from robust_rates.curve import DiscountCurve, flat_curve
-from robust_rates.errors import DomainError, UnsupportedMethodError
+from robust_rates.errors import ConvergenceError, DomainError, UnsupportedMethodError
 from robust_rates.linear_pricing import LinearContract, TenorSchedule, price_swap
 from robust_rates.lognormal import (
     lognormal_call,
     lognormal_put,
     lognormal_second_moment,
+    norm_cdf,
 )
 from robust_rates.mc import MCConfig
 from robust_rates.option_pricing import (
     OptionContract,
+    _brentq,
+    _swaption_inputs,
+    _swaption_value_comonotone,
     price_cap,
     price_floor,
     price_in_arrears_swap,
@@ -482,3 +489,118 @@ class TestRandomMarkets:
                 assert abs(s.upper - b.upper) <= 1e-12, (kind, s.upper, b.upper)
                 prices.append((b.upper, s.upper))
             assert prices[0] == prices[1], kind
+
+
+# -- the in-package ports of scipy.special.ndtr and scipy.optimize.brentq --------
+# scipy is the reference: every value and every root must carry its bits.
+
+MAXLOG = 7.09782712893383996732e2  # Cephes: ln(DBL_MAX)
+# |a| where norm_cdf changes branch, x = a/sqrt(2): erf or erfc at |x| = 1/sqrt(2),
+# 1 - erf or P/Q at 1, P/Q or R/S at 8, and the erfc underflow at x^2 = MAXLOG.
+BRANCH_POINTS = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * MAXLOG))
+SPECIAL_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+                  2.2250738585072014e-308, -2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
+
+
+def ulp_sweep(center: float, n: int = 64) -> list[float]:
+    """center and its n nearest doubles on each side."""
+    i = int(np.float64(center).view(np.int64))
+    return np.arange(i - n, i + n + 1, dtype=np.int64).view(np.float64).tolist()
+
+
+def scipy_swaption_value(xs, ws, coefs) -> float:
+    """The comonotone one-factor swaption value on scipy's brentq and ndtr:
+    the reference that ``_swaption_value_comonotone`` reproduces."""
+    if np.max(ws) <= 1e-14:
+        return max(1.0 - float(np.dot(coefs, xs)), 0.0)
+
+    def gap(z):
+        return 1.0 - float(np.dot(coefs * xs, np.exp(-ws * z - 0.5 * ws**2)))
+
+    if gap(40.0) <= 0.0:
+        return 0.0
+    if gap(-40.0) >= 0.0:
+        z_star = -40.0
+    else:
+        z_star = brentq(gap, -40.0, 40.0, xtol=1e-15, rtol=8.9e-16)
+    return float(ndtr(-z_star) - np.dot(coefs * xs, ndtr(-z_star - ws)))
+
+
+def recorded(f, calls: list):
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g
+
+
+TEXTBOOK_ROOTS = [
+    (lambda x: x * x - 1.0, 0.0, 2.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 2.0, -1.0, 3.0),
+    (lambda x: (x - 1.0 / 3.0) ** 3, -1.0, 1.0),  # triple root: no convergence in 100
+    (lambda x: (x - 0.2) ** 3 + 1e-3 * (x - 0.2), -1.0, 1.0),
+    (lambda x: math.atan(x - 0.1), -40.0, 40.0),
+    (lambda x: x, 0.0, 1.0),  # the root is an endpoint
+    (lambda x: 1.0 if x > 0.25 else -1.0, -2.0, 3.0),  # a jump, no root
+]
+
+
+class TestScipyPorts:
+    def test_norm_cdf_at_branch_points_and_special_values(self):
+        points = [s * a for c in BRANCH_POINTS + (0.0,) for a in ulp_sweep(c) for s in (1.0, -1.0)]
+        points += SPECIAL_VALUES
+        for a in points:
+            assert same_bits(norm_cdf(a), float(ndtr(a))), a
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(a=st.floats() | st.floats(-40.0, 40.0))
+    def test_norm_cdf_matches_scipy(self, a):
+        assert same_bits(norm_cdf(a), float(ndtr(a)))
+
+    @pytest.mark.parametrize("xtol, rtol", [(1e-15, 8.9e-16), (2e-12, 8.881784197001252e-16)])
+    @pytest.mark.parametrize("k", range(len(TEXTBOOK_ROOTS)))
+    def test_brentq_takes_scipys_iterates(self, k, xtol, rtol):
+        f, a, b = TEXTBOOK_ROOTS[k]
+        mine, theirs = [], []
+        ref, info = brentq(recorded(f, theirs), a, b, xtol=xtol, rtol=rtol,
+                           full_output=True, disp=False)
+        if info.converged:
+            assert same_bits(_brentq(recorded(f, mine), a, b, xtol, rtol, 100), ref)
+        else:
+            with pytest.raises(ConvergenceError, match=f"last iterate {ref}"):
+                _brentq(recorded(f, mine), a, b, xtol, rtol, 100)
+        assert mine == theirs
+
+    @SETTINGS
+    @given(market=markets(), band=bands())
+    def test_swaption_root_and_value_match_scipy(self, market, band):
+        curve, vs, sched, strike = market
+        contract = OptionContract(kind="swaption-payer", schedule=sched, strike_rate=strike)
+        for scale in (band.lower, band.upper):
+            xs, ws, coefs = _swaption_inputs(curve, vs, scale, contract)
+            got = _swaption_value_comonotone(xs, ws, coefs)
+            assert same_bits(got, scipy_swaption_value(xs, ws, coefs))
+
+            def gap(z):
+                return 1.0 - float(np.dot(coefs * xs, np.exp(-ws * z - 0.5 * ws**2)))
+
+            if gap(40.0) > 0.0 > gap(-40.0):
+                mine, theirs = [], []
+                root = _brentq(recorded(gap, mine), -40.0, 40.0, 1e-15, 8.9e-16, 100)
+                ref = brentq(recorded(gap, theirs), -40.0, 40.0, xtol=1e-15, rtol=8.9e-16)
+                assert root == ref and mine == theirs
+
+    def test_brentq_failures_are_convergence_errors(self):
+        nan_inside = lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5
+        with pytest.raises(ConvergenceError, match="NaN"):
+            _brentq(nan_inside, -1.0, 2.0, 1e-15, 8.9e-16, 100)
+        with pytest.raises(ConvergenceError, match="NaN"):
+            _brentq(lambda x: math.nan, -1.0, 2.0, 1e-15, 8.9e-16, 100)
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            _brentq(lambda x: 1.0 + x * x, -1.0, 2.0, 1e-15, 8.9e-16, 100)
