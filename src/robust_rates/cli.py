@@ -86,7 +86,7 @@ def _rows_price(setup: PricingSetup, bounds_list, full_diagnostics: bool) -> lis
 
 def _emit(rows: list[dict], fmt: str, numeric_fields: tuple[str, ...]) -> str:
     if fmt == "json":
-        return json.dumps({"contracts": rows}, indent=2)
+        return json.dumps({"contracts": rows}, indent=2, allow_nan=False)
     fields = list(rows[0].keys())
     if fmt == "csv":
         lines = [",".join(fields)]

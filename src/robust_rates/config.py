@@ -378,3 +378,5 @@ def price_configured(
         return price_stream(setup.curve, setup.vol, band, contract, nx=cc.nx, nt=cc.nt)
     except OverflowError as exc:  # a factor level too large for its variance integral
         raise DomainError(f"contract '{cc.name}': numerical overflow ({exc})") from exc
+    except RobustRatesError as exc:
+        raise type(exc)(f"contract '{cc.name}': {exc}") from exc

@@ -52,18 +52,21 @@ def child_seed(seed: int, *indices: int) -> int:
 def normals(seed: int, n_paths: int, n_cols: int, antithetic: bool = False) -> np.ndarray:
     """(n_paths, n_cols) standard normals from Philox(key=seed).
 
-    With antithetic=True the second half of the rows mirrors the first
-    (an odd trailing row gets an independent draw).
+    The rows are path-major.  With antithetic=True, rows [0, n_paths // 2)
+    are the first draws of the stream, rows [n_paths // 2, 2 * (n_paths // 2))
+    are their negatives in the same order, and an odd trailing row is drawn
+    last from the stream.  The array is filled in place, one allocation.
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
     if not antithetic:
         return gen.standard_normal((n_paths, n_cols))
     half = n_paths // 2
-    z = gen.standard_normal((half, n_cols))
-    blocks = [z, -z]
+    z = np.empty((n_paths, n_cols))
+    gen.standard_normal(out=z[:half])
+    np.negative(z[:half], out=z[half:2 * half])
     if n_paths % 2:
-        blocks.append(gen.standard_normal((1, n_cols)))
-    return np.vstack(blocks)
+        gen.standard_normal(out=z[2 * half:])
+    return z
 
 
 def mean_and_se(samples: np.ndarray) -> tuple[float, float]:

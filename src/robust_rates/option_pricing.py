@@ -244,8 +244,10 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
     )
 
 
-def _swaption_value_mc(curve, vs, sigma, contract, mc: MCConfig) -> tuple[float, float]:
-    """Monte Carlo on the joint lognormal terminal vector (mean, standard error).
+def _swaption_value_mc(curve, vs, sigma, contract, z: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo on the joint lognormal terminal vector (mean, standard error)
+    from standard normals z, one column per factor for separable factors and
+    one per forward price otherwise; z is left unchanged.
 
     Separable factors (Ho-Lee, Hull-White) admit an exact one-normal-per-
     factor representation; otherwise the exact per-pair covariance matrix is
@@ -258,17 +260,15 @@ def _swaption_value_mc(curve, vs, sigma, contract, mc: MCConfig) -> tuple[float,
     sig = np.atleast_1d(np.asarray(sigma, dtype=float))
     if vs.is_separable():
         # log X^i = -sum_j load[j, i] Z_j - w_i^2/2 with one Z per factor.
-        loads = np.zeros((vs.dim, n))
+        mix = np.zeros((vs.dim, n))
         for j, f in enumerate(vs.factors):
             cov_jj = [
                 sig[j] ** 2 * f.fp_cov_integral(0.0, t0, (t0, t), (t0, t))
                 for t in s.dates[1:]
             ]
-            loads[j] = np.sqrt(np.maximum(cov_jj, 0.0))
+            mix[j] = np.sqrt(np.maximum(cov_jj, 0.0))
             # Separability makes within-factor correlation exactly 1; signs
             # are all positive because T_i > T_0.
-        z = normals(mc.seed, mc.paths, vs.dim, antithetic=mc.antithetic)
-        log_x = -z @ loads - 0.5 * ws**2
     else:
         cov = np.zeros((n, n))
         pairs = [(t0, t) for t in s.dates[1:]]
@@ -279,11 +279,16 @@ def _swaption_value_mc(curve, vs, sigma, contract, mc: MCConfig) -> tuple[float,
                 )
         # Symmetric PSD factorization tolerant of rank deficiency.
         evals, evecs = np.linalg.eigh(cov)
-        root = evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0)))
-        z = normals(mc.seed, mc.paths, n, antithetic=mc.antithetic)
-        log_x = -(z @ root.T) - 0.5 * ws**2
-    terminal = xs * np.exp(log_x)
-    payoff = np.maximum(1.0 - terminal @ coefs, 0.0)
+        mix = (evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0)))).T
+    # terminal = xs * exp(-(z @ mix) - w^2/2), built in one (paths, n) array.
+    terminal = z @ mix
+    np.negative(terminal, out=terminal)
+    terminal -= 0.5 * ws**2
+    np.exp(terminal, out=terminal)
+    terminal *= xs
+    payoff = terminal @ coefs
+    np.subtract(1.0, payoff, out=payoff)
+    np.maximum(payoff, 0.0, out=payoff)
     return mean_and_se(payoff)
 
 
@@ -319,11 +324,15 @@ def price_swaption(
         lower, upper = values
     elif method == "monte-carlo":
         mc = mc or MCConfig()
-        lo_mean, lo_se = _swaption_value_mc(curve, vs, band.lower, contract, mc)
-        hi_mean, hi_se = _swaption_value_mc(curve, vs, band.upper, contract, mc)
+        # Both extremes read the same draws, so they are drawn once.
+        n_cols = vs.dim if vs.is_separable() else contract.schedule.periods
+        z = normals(mc.seed, mc.paths, n_cols, mc.antithetic)
+        lo_mean, lo_se = _swaption_value_mc(curve, vs, band.lower, contract, z)
+        if band.is_degenerate:  # one belief: both bounds are the same estimate
+            hi_mean, hi_se = lo_mean, lo_se
+        else:
+            hi_mean, hi_se = _swaption_value_mc(curve, vs, band.upper, contract, z)
         lower, upper = p0 * lo_mean, p0 * hi_mean
-        if band.is_degenerate:
-            upper = lower  # one belief: both bounds are the same estimate
         diag.update(
             paths=mc.paths,
             seed=mc.seed,

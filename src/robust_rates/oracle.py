@@ -88,10 +88,10 @@ def lattice_price(
         return float(np.asarray(payoff(np.array([x0])), dtype=float)[0])
     h = LATTICE_STRETCH * math.sqrt(v_max)
 
-    probs = np.empty((steps, 2, 3))
+    probs = []  # per step: the (p_up, p_mid, p_down) of the lower, then the upper extreme
     for k in range(steps):
-        for c, v in enumerate((v_dn[k], v_up[k])):
-            p = _branch_probabilities(v, h)
+        probs.append((_branch_probabilities(v_dn[k], h), _branch_probabilities(v_up[k], h)))
+        for p in probs[k]:
             if min(p) < 0.0 or max(p) > 1.0:
                 total = float(np.sum(v_up))
                 suggested = max(MIN_LATTICE_STEPS, math.ceil(total / 0.04))
@@ -99,20 +99,25 @@ def lattice_price(
                     f"branch probabilities out of [0, 1] at step {k}; "
                     f"use at least {suggested} steps"
                 )
-            probs[k, c] = p
 
+    # The backward loop overwrites values in place, so it starts from a copy:
+    # the payoff may return an array it keeps.
     nodes = np.arange(-steps, steps + 1)
-    values = np.asarray(payoff(x0 * np.exp(h * nodes)), dtype=float)
+    values = np.array(payoff(x0 * np.exp(h * nodes)), dtype=float)
+    cands = (np.empty_like(values), np.empty_like(values))
+    term = np.empty_like(values)
     for k in range(steps - 1, -1, -1):
-        child_d = values[:-2]
-        child_m = values[1:-1]
-        child_u = values[2:]
-        best = None
-        for c in range(2):
-            pu, pm, pd = probs[k, c]
-            cand = pu * child_u + pm * child_m + pd * child_d
-            best = cand if best is None else np.maximum(best, cand)
-        values = best
+        n = 2 * k + 1
+        child_d, child_m, child_u, t = values[:n], values[1:n + 1], values[2:n + 2], term[:n]
+        for (pu, pm, pd), cand in zip(probs[k], cands):
+            # cand = pu * child_u + pm * child_m + pd * child_d, summed left to right
+            cand = cand[:n]
+            np.multiply(child_u, pu, out=cand)
+            np.multiply(child_m, pm, out=t)
+            cand += t
+            np.multiply(child_d, pd, out=t)
+            cand += t
+        np.maximum(cands[0][:n], cands[1][:n], out=values[:n])
     return float(values[0])
 
 
@@ -206,12 +211,15 @@ def _terminal_forward_prices(vs, segments, t_end, pairs, x0s, z) -> np.ndarray:
     driver draws z of shape (paths, n_segments, d): comonotone within each
     factor, exact marginals for every pair."""
     n_paths = z.shape[0]
+    z_flat = z.reshape(n_paths, -1)
     out = np.empty((n_paths, len(pairs)))
     for a, (pair, x0) in enumerate(zip(pairs, x0s)):
         sds = _segment_stdevs(vs, segments, t_end, pair)  # (nseg, d)
-        log_move = np.tensordot(z, sds, axes=([1, 2], [0, 1]))
-        total_var = float(np.sum(sds**2))
-        out[:, a] = x0 * np.exp(log_move - 0.5 * total_var)
+        # The one dot product np.tensordot(z, sds, axes=([1, 2], [0, 1])) makes.
+        log_move = np.dot(z_flat, sds.reshape(-1, 1))[:, 0]
+        log_move -= 0.5 * float(np.sum(sds**2))
+        np.exp(log_move, out=log_move)
+        np.multiply(log_move, x0, out=out[:, a])
     return out
 
 

@@ -12,6 +12,7 @@ diagonal Hessian entries a.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -102,6 +103,8 @@ class PriceBounds:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lower", float(self.lower))
         object.__setattr__(self, "upper", float(self.upper))
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise DomainError(f"price bounds must be finite, got [{self.lower}, {self.upper}]")
         if not (self.upper >= self.lower - SYMMETRIC_REPORTING_TOL):
             raise DomainError(
                 f"price bounds must satisfy upper >= lower, got [{self.lower}, {self.upper}]"

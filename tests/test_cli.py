@@ -10,7 +10,7 @@ import pytest
 from robust_rates import option_pricing
 from robust_rates.cli import main
 from robust_rates.config import load_config, price_configured
-from robust_rates.errors import ConfigError, ConvergenceError, DomainError
+from robust_rates.errors import ConfigError, ConvergenceError, DomainError, UnsupportedMethodError
 from robust_rates.vol_structure import HoLeeFactor, VolStructure
 
 
@@ -349,6 +349,37 @@ class TestPriceCommand:
         setup = load_config(path)
         with pytest.raises(ConvergenceError):
             price_configured(setup, setup.contracts[0])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("contract", [
+        {"name": "arrears", "kind": "in-arrears-payer-swap", "schedule": [1.0, 1.5, 2.0],
+         "strike_rate": 0.03},
+        {"name": "cap", "kind": "cap", "schedule": [1.0, 1.5, 2.0], "strike_rate": 0.04},
+    ], ids=["in-arrears", "cap"])
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_infinite_variance_is_named_pricing_error(self, tmp_path, capsys, contract, fmt):
+        # c^2 overflows to an infinite variance: the bounds come out inf or NaN.
+        cfg = dict(BOOK, contracts=[contract],
+                   vol_structure={"factors": [{"kind": "hull-white", "c": 1e160, "kappa": 0.1}]})
+        assert main(["--format", fmt, "price", write_config(tmp_path, cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert f"contract '{contract['name']}': price bounds must" in err
+        assert "Traceback" not in err
+        assert "Infinity" not in out and "NaN" not in out and "inf" not in out
+
+    def test_every_pricing_error_names_the_contract(self, tmp_path):
+        cfg = json.loads(json.dumps(BOOK))
+        cfg["vol_structure"]["factors"].append({"kind": "ho-lee", "c": 0.01})
+        cfg["band"] = {"sigma_lower": [0.5, 0.5], "sigma_upper": [1.5, 1.5]}
+        setup = load_config(write_config(tmp_path, cfg))
+        with pytest.raises(UnsupportedMethodError, match="^contract 'swaption': quadrature-1f"):
+            price_configured(setup, setup.contracts[2])
+
+    def test_json_output_refuses_non_finite_numbers(self):
+        from robust_rates.cli import _emit
+
+        with pytest.raises(ValueError):
+            _emit([{"name": "x", "lower": math.inf}], "json", ("lower",))
 
     def test_determinism_across_threads(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BOOK))
