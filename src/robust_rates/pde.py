@@ -24,14 +24,12 @@ depend on the policy, so it takes one solve.
 ``window_values`` is the one 1D core: it cell-averages each terminal payoff
 and runs the implicit sweep over the step-variance tables of its window
 [t_from, t_to] (``window_tables``, closed form for Ho-Lee and Hull-White
-factors).  The sweep takes one problem or a stack of independent ones, each
-row with its own grid and tables: every policy iteration solves the rows
-still iterating as one block-diagonal tridiagonal system, and each row stops
-on its own rule, so a stacked row equals its own sweep to the last bit.
-Stacking pays at degenerate bands, where every step is one solve:
-``solve_options`` prices many such options with one sweep, and the stream
-pricer sends both band extremes of its PDE-priced convex or concave legs
-through it.  ``solve_single_option`` prices one option; the lower
+factors).  Policy iteration runs on one problem.  The sweep also takes a
+stack of independent fixed-volatility problems (each with its own grid and
+tables, a_up == a_dn), whose every step is one block-diagonal solve, so a
+stacked row equals its own sweep to the last bit; the stream pricer sends
+both band extremes of its PDE-priced convex or concave legs through one
+such stack.  ``solve_single_option`` prices one option; the lower
 expectation (``solve_lower``) is the negated solve of -phi on the same grid
 and tables.
 """
@@ -199,10 +197,10 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     return x
 
 
-def _convex(u: np.ndarray, dx2) -> np.ndarray:
-    """Where u has a nonnegative second difference along its last axis: the
-    policy that picks the upper band extreme."""
-    return (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx2 >= 0.0
+def _convex(u: np.ndarray, dx2: float) -> np.ndarray:
+    """Where u has a nonnegative second difference: the policy that picks the
+    upper band extreme."""
+    return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx2 >= 0.0
 
 
 def _solve_rows(alpha: np.ndarray, u: np.ndarray, edges: list) -> np.ndarray:
@@ -225,39 +223,17 @@ def _solve_rows(alpha: np.ndarray, u: np.ndarray, edges: list) -> np.ndarray:
     return solve_banded(dl, 1.0 + 2.0 * a, du, b).reshape(alpha.shape)
 
 
-def _policy_iteration(k, u, work, up, dn, edges, dx2, degenerate, policy, prev, first=0):
-    """Howard policy iteration of time step k for the rows of the previous
-    level u, from iteration number `first` and the policy `policy`, with
-    coefficients up and dn at the band extremes.  Each iterate goes into
-    work; returns the last one's interior values and policy.
-
-    A row stops on its own: on a stable policy, on a step whose extremes
-    coincide (degenerate) or on a value change below POLICY_VALUE_TOL.  The
-    rows that go on iterate as a smaller stack, so every row takes the
-    iterates of its one-row sweep."""
-    for it in range(first, POLICY_ITERATION_CAP):
+def _policy_iteration(k, u, work, up, dn, edges, dx2, policy, prev):
+    """Howard policy iteration of time step k from the previous level u and
+    the policy `policy`, with coefficients up and dn at the band extremes.
+    Each iterate goes into work; returns the last one's policy.  Stops on a
+    stable policy or on a value change below POLICY_VALUE_TOL."""
+    for _ in range(POLICY_ITERATION_CAP):
         solved = _solve_rows(np.where(policy, up, dn), u, edges)
-        work[..., 1:-1] = solved
+        work[1:-1] = solved
         new = _convex(work, dx2)
-        # The tests over the whole stack come first: they decide a single row.
-        if (new == policy).all():
-            return solved, new
-        change = np.abs(solved - prev)
-        if change.max() < POLICY_VALUE_TOL:
-            return solved, new
-        if solved.ndim > 1:
-            stable = (new == policy).all(axis=1)
-            done = stable | degenerate | (change.max(axis=1) < POLICY_VALUE_TOL)
-            if done.any():
-                go = ~done
-                if go.any():
-                    solved[go], new[go] = _policy_iteration(
-                        k, u[go], work[go], up[go], dn[go],
-                        [e for e, g in zip(edges, go) if g], dx2[go], degenerate[go],
-                        new[go], solved[go], it + 1,
-                    )
-                    work[go, 1:-1] = solved[go]
-                return solved, new
+        if (new == policy).all() or np.abs(solved - prev).max() < POLICY_VALUE_TOL:
+            return new
         policy, prev = new, solved
     raise ConvergenceError(
         f"policy iteration did not converge within {POLICY_ITERATION_CAP} "
@@ -266,17 +242,20 @@ def _policy_iteration(k, u, work, up, dn, edges, dx2, degenerate, policy, prev, 
 
 
 def _implicit_sweep(u, xs, dx, a_up, a_dn):
-    """Step one problem, or a stack of independent ones, back from its
-    terminal values u over the step-variance tables a_up, a_dn.
+    """Step one problem, or a stack of independent fixed-volatility ones,
+    back from its terminal values u over the step-variance tables a_up, a_dn.
 
     One problem has u and xs of shape (nx,), a spacing dx and tables of
-    shape (nt,).  A stack has u and xs of shape (S, nx), dx of shape (S,)
-    and tables of shape (S, nt): its rows share nx and nt but have their own
-    grids and tables, and each row's result equals its one-problem sweep to
-    the last bit.  A step at which every row's band extremes coincide is one
-    solve with no policy work.  (One problem runs on 1D arrays: at these
-    sizes a numpy call on a stack of one costs more.)
+    shape (nt,); a step whose band extremes coincide is one solve with no
+    policy work.  A stack has u and xs of shape (S, nx), dx of shape (S,)
+    and equal tables a_up == a_dn of shape (S, nt), else ValueError: every
+    step is one block-diagonal solve, and each row equals its one-problem
+    sweep to the last bit.  (One problem runs on 1D arrays: at these sizes
+    a numpy call on a stack of one costs more.)
     """
+    degenerate = a_up == a_dn
+    if u.ndim > 1 and not degenerate.all():
+        raise ValueError("a stacked sweep needs fixed volatility: a_up == a_dn at every step")
     x2 = xs[..., 1:-1] ** 2
     # Each row squares dx as a scalar power, as one problem does: an array
     # square can differ from it in the last bit.
@@ -288,7 +267,6 @@ def _implicit_sweep(u, xs, dx, a_up, a_dn):
     work = u.copy()
     # half[k] holds both extremes' 0.5 * a[k], shaped to scale x2 / dx2.
     half = np.moveaxis(0.5 * np.stack((a_up, a_dn)), -1, 0)[..., None]
-    degenerate = a_up == a_dn
     one_system = degenerate.reshape(-1, degenerate.shape[-1]).all(axis=0)
     # The policy a step starts from is read off the previous level, which is
     # the last iterate of the previous step: its policy carries over.  After
@@ -302,9 +280,7 @@ def _implicit_sweep(u, xs, dx, a_up, a_dn):
             if policy is None:
                 policy = _convex(u, dx2)
             up, dn = half[k] * x2 / dx2
-            _, policy = _policy_iteration(
-                k, u, work, up, dn, edges, dx2, degenerate[..., k], policy, u[..., 1:-1]
-            )
+            policy = _policy_iteration(k, u, work, up, dn, edges, dx2, policy, u[1:-1])
         u, work = work, u
     return u
 
@@ -317,7 +293,8 @@ def window_values(
     """Upper value functions at the start of their windows, one row per
     payoff: payoffs[s] cell-averaged on grids[s].xs and swept back over the
     window tables tables[s] (``window_tables``).  The rows go through one
-    stacked sweep, so the grids share nx and nt."""
+    stacked sweep, so the grids share nx and nt, and more than one row needs
+    fixed volatility (each pair of tables equal)."""
     if len(grids) == 1:
         (grid,), (payoff,), ((a_up, a_dn),) = grids, payoffs, tables
         u = cell_average(payoff, grid.xs, grid.dx)
@@ -351,54 +328,28 @@ def solve_single_option(
     ``window_tables(vs, band, (T, T_i), 0.0, t1, grid.nt)`` when the caller
     already has them (the upper and lower solves of one leg share them).
     """
-    return solve_options(curve, vs, [(band, T, t1, T_i, payoff, grid, tables)])[0]
-
-
-def solve_options(
-    curve: DiscountCurve, vs: VolStructure, options: list[tuple]
-) -> list[PDESolution]:
-    """``solve_single_option`` for each (band, T, t1, T_i, payoff, grid,
-    tables) of options, tables None when the caller has none, with the
-    sweeps of all of them stacked into one (their grids share nx and nt).
-    Each solution equals that option's own sweep to the last bit.
-
-    Meant for degenerate bands, whose every step is one stacked solve.
-    Options that iterate on the policy are cheaper swept one by one: at
-    these grid sizes an iteration costs its number of numpy calls, and the
-    stack iterates until its slowest row stops.
-    """
-    spots = []
-    for band, T, t1, T_i, _, grid, _ in options:
-        if vs.dim != band.dim:
-            raise DomainError(f"volatility structure has {vs.dim} factors but band has {band.dim}")
-        if t1 > min(T, T_i):
-            raise DomainError(f"expiry t1={t1} must not exceed min(T, T_i)=({T}, {T_i})")
-        if t1 < 0.0:
-            raise DomainError(f"expiry must be nonnegative, got {t1}")
-        if max(T, T_i) > curve.horizon:
-            raise DomainError(f"maturities ({T}, {T_i}) exceed curve horizon {curve.horizon}")
-        x0 = curve.forward_price(T, T_i)
-        if not (grid.x_min <= x0 <= grid.x_max):
-            raise DomainError(
-                f"spot forward price {x0} lies outside the grid [{grid.x_min}, {grid.x_max}]"
-            )
-        spots.append(x0)
-    swept = [opt for opt in options if opt[2] != 0.0]
-    rows = iter(window_values(
-        [payoff for *_, payoff, _, _ in swept],
-        [grid for *_, grid, _ in swept],
-        [tables if tables is not None else window_tables(vs, band, (T, T_i), 0.0, t1, grid.nt)
-         for band, T, t1, T_i, _, grid, tables in swept],
-    ) if swept else ())
-    solutions = []
-    for (_, T, t1, _, payoff, grid, _), x0 in zip(options, spots):
-        xs = grid.xs
-        u = next(rows) if t1 != 0.0 else np.asarray(payoff(xs), dtype=float)
-        value = float(np.interp(x0, xs, u))
-        solutions.append(PDESolution(
-            value=value, x0=x0, cash_price=curve.bond_price(T) * value, xs=xs, u0=u
-        ))
-    return solutions
+    if vs.dim != band.dim:
+        raise DomainError(f"volatility structure has {vs.dim} factors but band has {band.dim}")
+    if t1 > min(T, T_i):
+        raise DomainError(f"expiry t1={t1} must not exceed min(T, T_i)=({T}, {T_i})")
+    if t1 < 0.0:
+        raise DomainError(f"expiry must be nonnegative, got {t1}")
+    if max(T, T_i) > curve.horizon:
+        raise DomainError(f"maturities ({T}, {T_i}) exceed curve horizon {curve.horizon}")
+    x0 = curve.forward_price(T, T_i)
+    if not (grid.x_min <= x0 <= grid.x_max):
+        raise DomainError(
+            f"spot forward price {x0} lies outside the grid [{grid.x_min}, {grid.x_max}]"
+        )
+    xs = grid.xs
+    if t1 == 0.0:
+        u = np.asarray(payoff(xs), dtype=float)
+    else:
+        if tables is None:
+            tables = window_tables(vs, band, (T, T_i), 0.0, t1, grid.nt)
+        u = window_values([payoff], [grid], [tables])[0]
+    value = float(np.interp(x0, xs, u))
+    return PDESolution(value=value, x0=x0, cash_price=curve.bond_price(T) * value, xs=xs, u0=u)
 
 
 def solve_lower(

@@ -12,18 +12,17 @@ Constant and floating-linear legs are symmetric, so they separate exactly
 from the rest of the stream and price in closed form.  Option legs sharing
 one convexity tag decouple into a sum of single-option prices evaluated at
 the band extremes; the legs without a closed form take both extremes from
-one stacked PDE sweep for the whole stream (the band extremes are
-degenerate bands, so each of its steps is one solve).  Mixed or general tags
-force the literal backward
-recursion: the last option leg is a one-dimensional nonlinear PDE solve,
-and the coupling of two adjacent option legs lives on a two-dimensional
-tensor grid whose single driver makes the diffusion rank one (the grid
-aspect ratio absorbs the perfect correlation into a diagonal stencil).  Only
-the centre value of that grid is wanted, so each explicit step updates just
-the cells that can still reach the centre (its domain of dependence, a
-square shrinking by one cell per step), in place, as one contiguous range of
-the flattened grid; the boundary columns that range overwrites get their
-terminal values back after every step.
+one stacked fixed-volatility PDE sweep for the whole stream (the band
+extremes are degenerate bands, so each of its steps is one solve).  Mixed or
+general tags force the literal backward recursion: the last option leg is a
+one-dimensional nonlinear PDE solve, and the coupling of two adjacent option
+legs lives on a two-dimensional tensor grid whose single driver makes the
+diffusion rank one (the grid aspect ratio absorbs the perfect correlation
+into a diagonal stencil).  Only the centre value of that grid is wanted, so
+each explicit step updates just the cells that can still reach the centre
+(its domain of dependence, a square shrinking by one cell per step), in
+place, as one contiguous range of the flattened grid; the boundary columns
+that range overwrites get their terminal values back after every step.
 Because pricing is sublinear, the recursion result is sandwiched between
 the per-leg lower-bound sum and the per-leg upper-bound sum.
 """
@@ -45,7 +44,6 @@ from .pde import (
     cell_average,
     default_grid,
     solve_lower,
-    solve_options,
     solve_single_option,
     step_variances,
     window_tables,
@@ -240,18 +238,19 @@ def leg_bounds(
     extremes, the upper bound at the upper (lower) one: the closed form
     E[g(X)] when the leg has one, else the single-option PDE at that one
     scaling.  Those PDE solves, both extremes of every such leg, go through
-    one stacked sweep (``pde.solve_options``).  A general leg needs the
+    one stacked sweep (``pde.window_values``), each row read at the spot
+    forward price and discounted by P(T_{i-1}).  A general leg needs the
     single-option PDE over the band: its upper and lower solves share one
     grid and one pair of variance tables, each in its own sweep.
     """
     bounds = {i: [None, None] for i in tags}  # [lower, upper] per leg
-    stacked = []  # (leg, 0 for lower or 1 for upper, option) of each degenerate PDE solve
+    stacked = []  # (leg index, 0 lower or 1 upper, x0, P(T_{i-1}), payoff, grid, tables)
     for i, tag in tags.items():
         leg = stream.legs[i]
-        t_reset, t_pay = stream.schedule.dates[i], stream.schedule.dates[i + 1]
+        t_reset, t_pay = pair = stream.schedule.dates[i:i + 2]
         if tag == "general":
             grid = _leg_grid(curve, vs, band, stream, i, nx, nt)
-            tables = window_tables(vs, band, (t_reset, t_pay), 0.0, t_reset, grid.nt)
+            tables = window_tables(vs, band, pair, 0.0, t_reset, grid.nt)
             args = (curve, vs, band, t_reset, t_reset, t_pay, leg, grid, tables)
             bounds[i][1] = solve_single_option(*args).cash_price
             bounds[i][0] = solve_lower(*args).cash_price
@@ -265,10 +264,13 @@ def leg_bounds(
                 bounds[i][side] = p_reset * leg.expected_value(x0, v)
             else:
                 grid = default_grid(x0, v, nx=nx, nt=nt)
-                option = (degenerate_band(scale), t_reset, t_reset, t_pay, leg, grid, None)
-                stacked.append((i, side, option))
-    for (i, side, _), sol in zip(stacked, solve_options(curve, vs, [opt for *_, opt in stacked])):
-        bounds[i][side] = sol.cash_price
+                tables = window_tables(vs, degenerate_band(scale), pair, 0.0, t_reset, nt)
+                stacked.append((i, side, x0, p_reset, leg, grid, tables))
+    if stacked:
+        indices, sides, spots, discounts, payoffs, grids, tables = zip(*stacked)
+        rows = window_values(payoffs, grids, tables)
+        for i, side, x0, p_reset, grid, u in zip(indices, sides, spots, discounts, grids, rows):
+            bounds[i][side] = p_reset * float(np.interp(x0, grid.xs, u))
     return [(lower, upper) for lower, upper in bounds.values()]
 
 

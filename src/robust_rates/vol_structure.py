@@ -188,10 +188,17 @@ class TabulatedFactor:
         return _simpson(lambda s: self.beta(np.full_like(s, t), s), t, T)
 
     def fp_vol(self, t, T: float, T_tilde: float):
+        """bond_vol(u, T_tilde) - bond_vol(u, T) for every u of t, as one grid of
+        ``_simpson`` windows (a zero-width window makes ``np.linspace`` divide
+        every window by 2 * SIMPSON_PANELS first, exact for a power of two)."""
         t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return self.bond_vol(float(t), T_tilde) - self.bond_vol(float(t), T)
-        return np.array([self.bond_vol(float(u), T_tilde) - self.bond_vol(float(u), T) for u in t])
+        ends = np.array([T_tilde, T]).reshape((2,) + (1,) * t.ndim)
+        s = np.linspace(t, ends, 2 * SIMPSON_PANELS + 1, axis=-1)
+        ys = self.beta(np.broadcast_to(t[..., None], s.shape), s)
+        odd, even = ys[..., 1::2].sum(axis=-1), ys[..., 2:-1:2].sum(axis=-1)
+        h = (ends - t) / (2 * SIMPSON_PANELS)
+        vols = np.where(t < ends, h / 3.0 * (ys[..., 0] + ys[..., -1] + 4.0 * odd + 2.0 * even), 0)
+        return vols[0] - vols[1]
 
     def fp_cov_integral(self, t0: float, t1: float, pair_a, pair_b) -> float:
         def integrand(u):

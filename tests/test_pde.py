@@ -317,46 +317,25 @@ def _problem(vs, band, payoff, nx, t1=1.0, shift=1.0, nt=30):
     return pde.cell_average(payoff, grid.xs, grid.dx), grid.xs, grid.dx, a_up, a_dn
 
 
-def _partly_degenerate(problem):
-    """The problem with its band extremes made equal on steps 10-19 only."""
-    u, xs, dx, a_up, a_dn = problem
-    a_dn = a_dn.copy()
-    a_dn[10:20] = a_up[10:20]
-    return u, xs, dx, a_up, a_dn
-
-
 def _stack(problems):
     return tuple(np.array(part) for part in zip(*problems))
 
 
 HW = hull_white(0.015, 0.4)
 STACKS = {
-    # Band rows stop after different numbers of policy iterations.
-    "bands": lambda nx: [
-        _problem(VS, BAND, spread_payoff(), nx),
-        _problem(HW, BAND, put_payoff(), nx, t1=0.6, shift=1.01),
-        _problem(VS, UncertaintyBand((0.8,), (1.2,)), lambda x: -spread_payoff()(x), nx,
-                 shift=0.99),
-    ],
     # Every row's band is degenerate: each step is one solve.
     "degenerate": lambda nx: [
         _problem(VS, degenerate_band((1.2,)), spread_payoff(), nx),
         _problem(HW, degenerate_band((0.7,)), put_payoff(), nx, t1=0.4),
         _problem(VS, degenerate_band((0.5,)), lambda x: np.minimum(x, KI), nx, shift=1.02),
     ],
-    "mixed": lambda nx: [
-        _problem(HW, degenerate_band((1.5,)), spread_payoff(), nx),
-        _problem(VS, BAND, spread_payoff(), nx, t1=0.8),
-        _problem(HW, BAND, lambda x: -spread_payoff(0.975)(x), nx, shift=0.995),
-        _partly_degenerate(_problem(VS, BAND, put_payoff(), nx, shift=1.005)),
-    ],
 }
 
 
 class TestStackedSweep:
-    """The rows of a stack are independent problems with their own grids and
-    tables: each must equal its one-problem sweep, and the reference, to the
-    last bit."""
+    """The rows of a stack are independent fixed-volatility problems with
+    their own grids and tables: each must equal its one-problem sweep, and
+    the reference, to the last bit."""
 
     @pytest.mark.parametrize("name", STACKS)
     @pytest.mark.parametrize("nx", [3, 4, 41])
@@ -372,9 +351,10 @@ class TestStackedSweep:
         # bit: a stacked row must square its spacing as one problem does.
         grid = PDEGrid(x_min=1.0889, x_max=1.1, nx=41, nt=30)
         assert grid.dx**2 != grid.dx * grid.dx
+        band = degenerate_band((1.2,))
         problem = (pde.cell_average(spread_payoff(1.094, 0.002), grid.xs, grid.dx), grid.xs,
-                   grid.dx, *pde.window_tables(VS, BAND, (1.0, 1.5), 0.0, 1.0, 30))
-        got = pde._implicit_sweep(*_stack([problem, _problem(VS, BAND, spread_payoff(), 41)]))
+                   grid.dx, *pde.window_tables(VS, band, (1.0, 1.5), 0.0, 1.0, 30))
+        got = pde._implicit_sweep(*_stack([problem, _problem(VS, band, spread_payoff(), 41)]))
         assert np.array_equal(got[0], pde._implicit_sweep(*problem))
 
     @pytest.mark.parametrize("nx", [3, 41])
@@ -383,13 +363,17 @@ class TestStackedSweep:
         pde._implicit_sweep(*_stack(STACKS["degenerate"](nx)))
         assert calls == [30]
 
+    def test_stack_off_fixed_volatility_raises(self):
+        problems = [_problem(VS, degenerate_band((1.2,)), spread_payoff(), 41),
+                    _problem(VS, BAND, spread_payoff(), 41)]
+        with pytest.raises(ValueError, match="fixed volatility"):
+            pde._implicit_sweep(*_stack(problems))
+
     def test_non_converging_row_names_the_step(self, monkeypatch):
-        problems = STACKS["mixed"](41)
+        problem = _problem(VS, BAND, spread_payoff(), 41, t1=0.8)
         monkeypatch.setattr(pde, "POLICY_ITERATION_CAP", 1)
         with pytest.raises(ConvergenceError, match="within 1 iterations at time step 29"):
-            pde._implicit_sweep(*problems[1])
-        with pytest.raises(ConvergenceError, match="within 1 iterations at time step 29"):
-            pde._implicit_sweep(*_stack(problems))
+            pde._implicit_sweep(*problem)
 
     @pytest.mark.parametrize("name", STACKS)
     def test_nan_in_one_row_raises_value_error(self, name):
@@ -400,29 +384,13 @@ class TestStackedSweep:
 
 
 class TestSolveOptions:
-    def options(self):
-        x0 = CURVE.forward_price(1.0, 1.5)
-        grid = lambda scale, t1: default_grid(x0, v_total(VS, scale, t1, 1.0, 1.5), nx=41, nt=30)
-        return [
-            (degenerate_band((0.5,)), 1.0, 1.0, 1.5, spread_payoff(), grid(0.5, 1.0), None),
-            (degenerate_band((1.5,)), 1.0, 0.7, 1.5, put_payoff(), grid(1.5, 0.7), None),
-            (degenerate_band((1.0,)), 1.0, 0.0, 1.5, put_payoff(), grid(1.0, 1.0), None),
-            (BAND, 1.0, 1.0, 1.5, spread_payoff(), grid(1.5, 1.0), None),
-        ]
-
-    def test_each_solution_equals_its_own_solve(self):
-        options = self.options()
-        for got, option in zip(pde.solve_options(CURVE, VS, options), options):
-            want = solve_single_option(CURVE, VS, *option)
-            assert got.value == want.value and got.cash_price == want.cash_price
-            assert np.array_equal(got.u0, want.u0)
+    """Checks and shared tables of single-option solves."""
 
     def test_spot_outside_a_row_grid_raises(self):
-        options = self.options()
-        band, T, t1, T_i, payoff, _, _ = options[1]
-        options[1] = (band, T, t1, T_i, payoff, PDEGrid(x_min=0.5, x_max=0.9, nx=41, nt=30), None)
+        grid = PDEGrid(x_min=0.5, x_max=0.9, nx=41, nt=30)
         with pytest.raises(DomainError, match="outside the grid"):
-            pde.solve_options(CURVE, VS, options)
+            solve_single_option(CURVE, VS, degenerate_band((1.5,)), 1.0, 0.7, 1.5,
+                                put_payoff(), grid)
 
     def test_shared_tables_change_nothing(self):
         x0 = CURVE.forward_price(1.0, 1.5)

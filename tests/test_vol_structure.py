@@ -15,6 +15,7 @@ from robust_rates.errors import DomainError, ParseError
 from robust_rates.pde import step_variances
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
 from robust_rates.vol_structure import (
+    SIMPSON_PANELS,
     HoLeeFactor,
     HullWhiteFactor,
     TabulatedFactor,
@@ -136,6 +137,31 @@ class TestTabulated:
             values=((0.01, 0.02), (0.03, 0.04)),
         )
         assert float(tab.beta(1.0, 1.0)) == pytest.approx(0.025, rel=1e-14)
+
+    def test_fp_vol_bit_identical_to_point_loop(self):
+        # Reference: one bond_vol Simpson rule per point.  The vector form
+        # must give the same bits, also where a window [u, T] has zero width.
+        rng = np.random.Generator(np.random.Philox(key=11))
+        axis = (0.0, 0.7, 2.0, 5.0, 10.0)
+        tab = TabulatedFactor(t_grid=axis, maturity_grid=(0.0, 1.0, 3.0, 6.0, 12.0),
+                              values=rng.uniform(0.005, 0.02, (5, 5)).tolist())
+
+        def loop(t, T, T_tilde):
+            return np.array([tab.bond_vol(u, T_tilde) - tab.bond_vol(u, T) for u in t.tolist()])
+
+        for _ in range(3):
+            T = rng.uniform(0.5, 8.0)
+            pair = (T, T + rng.uniform(0.1, 3.0))
+            for t1 in (T, rng.uniform(0.0, T)):
+                t0 = rng.uniform(0.0, t1)
+                # The grid of the Simpson rule fp_cov_integral runs over [t0, t1].
+                u = np.linspace(t0, t1, 2 * SIMPSON_PANELS + 1)
+                want = loop(u, *pair)
+                assert np.array_equal(tab.fp_vol(u, *pair), want)
+                assert tab.fp_cov_integral(t0, t1, pair, pair) == _simpson(
+                    lambda _: want * want, t0, t1)
+            for x in (0.0, T, pair[1], pair[1] + 1.0):
+                assert tab.fp_vol(x, *pair) == loop(np.array([x]), *pair)[0]
 
     def test_requires_full_grid(self):
         with pytest.raises(DomainError):
