@@ -110,11 +110,23 @@ def _numbers(values, where: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
-def _integer_field(section: dict, field: str, where: str, default: int) -> int:
-    """section[field], a JSON number with an integral value, as an int."""
+# Largest grid and path counts a config may ask for: every committed config
+# and reference grid fits, and a larger count would size arrays beyond memory.
+MAX_NX = 4001
+MAX_NT = 100_000
+MAX_PATHS = 1_000_000
+
+
+def _integer_field(
+    section: dict, field: str, where: str, default: int, maximum: int | None = None
+) -> int:
+    """section[field], a JSON number with an integral value, as an int no
+    larger than maximum."""
     value = section.get(field, default)
     if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{where}.{field}: expected an integer, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{where}.{field}: must be at most {maximum}, got {value!r}")
     return int(value)
 
 
@@ -253,7 +265,7 @@ def _parse_contract(entry, idx: int) -> ConfiguredContract:
     mc = None
     if "mc" in entry:
         m = _object(entry["mc"], f"{where}.mc")
-        paths = _integer_field(m, "paths", f"{where}.mc", 100_000)
+        paths = _integer_field(m, "paths", f"{where}.mc", 100_000, MAX_PATHS)
         seed = _integer_field(m, "seed", f"{where}.mc", 0)
         antithetic = m.get("antithetic", True)
         if not isinstance(antithetic, bool):
@@ -263,8 +275,8 @@ def _parse_contract(entry, idx: int) -> ConfiguredContract:
         except RobustRatesError as exc:
             raise ConfigError(f"{where}.mc: {exc}") from exc
     grid = _object(entry.get("grid", {}), f"{where}.grid")
-    nx = _integer_field(grid, "nx", f"{where}.grid", 241)
-    nt = _integer_field(grid, "nt", f"{where}.grid", 240)
+    nx = _integer_field(grid, "nx", f"{where}.grid", 241, MAX_NX)
+    nt = _integer_field(grid, "nt", f"{where}.grid", 240, MAX_NT)
     try:
         check_resolution(nx, nt)
     except RobustRatesError as exc:

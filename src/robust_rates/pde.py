@@ -13,13 +13,18 @@ second derivative, which is the scalar form of the band's generator.  The
 fully implicit discretization with Howard policy iteration is monotone, the
 standard sufficient condition for convergence to the unique viscosity
 solution.  Each policy iteration solves one tridiagonal system with a
-direct LAPACK ?gtsv call (``solve_banded`` below), the routine
-``scipy.linalg.solve_banded`` uses for (1, 1) bands, so the results are
-those of that call without its per-call argument handling.  The routine is
-looked up through ``scipy.linalg`` on the first solve, not at import, so
-importing the package and pricing closed-form contracts loads no scipy
-module.  A step whose band extremes coincide gives a system that does not
-depend on the policy, so it takes one solve.
+direct LAPACK ?gtsv call, the routine ``scipy.linalg.solve_banded`` uses
+for (1, 1) bands, so the results are those of that call without its
+per-call argument handling.  The routine is looked up through
+``scipy.linalg`` on the first solve, not at import, so importing the
+package and pricing closed-form contracts loads no scipy module.  A step
+whose band extremes coincide gives a system that does not depend on the
+policy, so it takes one solve.
+
+The systems of up to 32 steps are built at once at both band extremes
+(``_coefficient_tables``), so a policy iteration is one ``np.where`` of its
+step's table, a copy of the previous level, two scalar boundary adds and
+one ?gtsv solve in place, and input is checked once where it enters.
 
 ``window_values`` is the one 1D core: it cell-averages each terminal payoff
 and runs the implicit sweep over the step-variance tables of its window
@@ -184,8 +189,14 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     same to the last bit.  Like it, a non-finite input raises ValueError and
     a singular matrix LinAlgError, and a 1x1 system is a division.
     """
-    if not np.isfinite(np.concatenate((dl, d, du, b))).all():
-        raise ValueError("array must not contain infs or NaNs")
+    _require_finite(np.concatenate((dl, d, du, b)))
+    return _solve_tridiagonal(dl, d, du, b)
+
+
+def _solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``solve_banded`` without the input check: the one solve of every
+    sweep step.  Contiguous float64 arrays are overwritten in place, so b
+    then holds the solution."""
     if len(b) == 1:
         b /= d[0]
         return b
@@ -197,48 +208,81 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     return x
 
 
+_NON_FINITE = "array must not contain infs or NaNs"
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(_NON_FINITE)
+
+
 def _convex(u: np.ndarray, dx2: float) -> np.ndarray:
     """Where u has a nonnegative second difference: the policy that picks the
     upper band extreme."""
     return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx2 >= 0.0
 
 
-def _solve_rows(alpha: np.ndarray, u: np.ndarray, edges: list) -> np.ndarray:
-    """One implicit step of each row: coefficients alpha (m,) or (S, m),
-    right-hand sides the interior of u plus the boundary terms of each row's
-    (lo, hi) boundary values in edges.  A stack goes into one tridiagonal
-    solve with zeroed couplings between consecutive rows; ?gtsv eliminates a
-    block-diagonal system block by block, so each row gets the values of its
-    own solve."""
-    m = alpha.shape[-1]
-    a = alpha.reshape(-1)
-    b = u[..., 1:-1].flatten()
-    for first, (lo, hi) in zip(range(0, len(b), m), edges):
-        b[first] += a[first] * lo
-        b[first + m - 1] += a[first + m - 1] * hi
-    dl, du = -a[1:], -a[:-1]
-    if alpha.ndim > 1:
-        dl[m - 1::m] = 0.0
-        du[m - 1::m] = 0.0
-    return solve_banded(dl, 1.0 + 2.0 * a, du, b).reshape(alpha.shape)
+def _coefficient_tables(half: np.ndarray, x2: np.ndarray, dx2: float, lo, hi) -> np.ndarray:
+    """The implicit-step systems of a block of steps at both band extremes,
+    from half (B, 2, 1), each step's 0.5 * a_up and 0.5 * a_dn: rows 1 + 2
+    alpha, -alpha and -alpha of shape (B, 2, 3, m), alpha = half * x2 / dx2.
+    The sub-diagonal is row 1 without its first entry and the
+    super-diagonal row 2 without its last, so those entries hold the
+    boundary terms alpha[0] * lo and alpha[-1] * hi, and one selection by
+    the policy picks the whole system.  Raises ValueError on a non-finite
+    entry."""
+    alpha = half * x2 / dx2
+    tables = np.empty(alpha.shape[:2] + (3, alpha.shape[-1]))
+    tables[:, :, 0] = 1.0 + 2.0 * alpha
+    np.negative(alpha, out=tables[:, :, 1])
+    tables[:, :, 2] = tables[:, :, 1]
+    tables[:, :, 1, 0] = alpha[..., 0] * lo
+    tables[:, :, 2, -1] = alpha[..., -1] * hi
+    _require_finite(tables)
+    return tables
 
 
-def _policy_iteration(k, u, work, up, dn, edges, dx2, policy, prev):
-    """Howard policy iteration of time step k from the previous level u and
-    the policy `policy`, with coefficients up and dn at the band extremes.
-    Each iterate goes into work; returns the last one's policy.  Stops on a
-    stable policy or on a value change below POLICY_VALUE_TOL."""
+def _solve_step(system: np.ndarray, level: np.ndarray, out: np.ndarray) -> None:
+    """One implicit step: out's interior becomes the solution of system (a
+    (3, m) selection of ``_coefficient_tables``, overwritten) with the
+    interior of level plus the two boundary terms on the right-hand side."""
+    rhs = out[1:-1]
+    rhs[:] = level[1:-1]
+    first = level.item(1) + system.item(1, 0)
+    rhs[0] = first
+    last = rhs.item(-1) + system.item(2, -1)
+    rhs[-1] = last
+    if not (math.isfinite(first) and math.isfinite(last)):
+        raise ValueError(_NON_FINITE)
+    _solve_tridiagonal(system[1, 1:], system[0], system[2, :-1], rhs)
+
+
+def _policy_iteration(k, level, out, spare, up, dn, dx2, policy):
+    """Howard policy iteration of time step k from the previous level and
+    the policy `policy`, with the systems up and dn at the band extremes.
+    The iterates go into out and spare in turn, so the stop rule compares
+    the last two; returns the last one's policy and buffer, then the other
+    buffer.  Stops on a stable policy or on a value change below
+    POLICY_VALUE_TOL."""
+    prev = level[1:-1]
     for _ in range(POLICY_ITERATION_CAP):
-        solved = _solve_rows(np.where(policy, up, dn), u, edges)
-        work[1:-1] = solved
-        new = _convex(work, dx2)
+        _solve_step(np.where(policy, up, dn), level, out)
+        solved = out[1:-1]
+        new = _convex(out, dx2)
         if (new == policy).all() or np.abs(solved - prev).max() < POLICY_VALUE_TOL:
-            return new
+            return new, out, spare
         policy, prev = new, solved
+        out, spare = spare, out
     raise ConvergenceError(
         f"policy iteration did not converge within {POLICY_ITERATION_CAP} "
         f"iterations at time step {k}"
     )
+
+
+# Steps whose coefficient tables are built at once: the build is amortised
+# over the block, and a block's tables (2 * 3 * m floats a step) stay small
+# where a whole sweep's would not.
+_TABLE_BLOCK = 32
 
 
 def _implicit_sweep(u, xs, dx, a_up, a_dn):
@@ -247,41 +291,73 @@ def _implicit_sweep(u, xs, dx, a_up, a_dn):
 
     One problem has u and xs of shape (nx,), a spacing dx and tables of
     shape (nt,); a step whose band extremes coincide is one solve with no
-    policy work.  A stack has u and xs of shape (S, nx), dx of shape (S,)
-    and equal tables a_up == a_dn of shape (S, nt), else ValueError: every
-    step is one block-diagonal solve, and each row equals its one-problem
-    sweep to the last bit.  (One problem runs on 1D arrays: at these sizes
-    a numpy call on a stack of one costs more.)
+    policy work.  Its input is checked where it enters (each table block,
+    each level a step starts from, each right-hand side's boundary entries),
+    so a non-finite value raises ValueError before any solve reads it, with
+    numpy warnings off.  A stack has u and xs of shape (S, nx), dx of shape
+    (S,) and tables of shape (S, nt) (``_stacked_sweep``).
     """
-    degenerate = a_up == a_dn
-    if u.ndim > 1 and not degenerate.all():
-        raise ValueError("a stacked sweep needs fixed volatility: a_up == a_dn at every step")
-    x2 = xs[..., 1:-1] ** 2
-    # Each row squares dx as a scalar power, as one problem does: an array
-    # square can differ from it in the last bit.
-    dx2 = dx**2 if u.ndim == 1 else np.array([d**2 for d in dx.tolist()])[:, None]
-    edges = list(zip(u[..., 0].reshape(-1).tolist(), u[..., -1].reshape(-1).tolist()))
-    # u holds the previous time level; work takes each policy iterate with
-    # the boundary values in place and becomes the next u.
-    u = u.copy()
-    work = u.copy()
-    # half[k] holds both extremes' 0.5 * a[k], shaped to scale x2 / dx2.
-    half = np.moveaxis(0.5 * np.stack((a_up, a_dn)), -1, 0)[..., None]
-    one_system = degenerate.reshape(-1, degenerate.shape[-1]).all(axis=0)
+    if u.ndim > 1:
+        return _stacked_sweep(u, xs, dx, a_up, a_dn)
+    x2 = xs[1:-1] ** 2
+    dx2 = dx**2
+    lo, hi = u[0], u[-1]
+    half = 0.5 * np.stack((a_up, a_dn), axis=1)[..., None]
+    one_system = (a_up == a_dn).tolist()
+    # u holds the previous time level; each step's last iterate, in w,
+    # becomes the next u, and spare keeps the iterate before it.
+    u, w, spare = u.copy(), u.copy(), u.copy()
     # The policy a step starts from is read off the previous level, which is
     # the last iterate of the previous step: its policy carries over.  After
     # a step without policy work it is read off u when next needed.
     policy = None
+    with np.errstate(all="ignore"):
+        for top in range(len(half), 0, -_TABLE_BLOCK):
+            base = max(top - _TABLE_BLOCK, 0)
+            tables = _coefficient_tables(half[base:top], x2, dx2, lo, hi)
+            for k in range(top - 1, base - 1, -1):
+                # A finite sum shows every entry finite: only a sum that is
+                # not (a non-finite entry, or an overflow) needs the full check.
+                if not math.isfinite(u.sum()):
+                    _require_finite(u)
+                up, dn = tables[k - base, 0], tables[k - base, 1]
+                if one_system[k]:
+                    _solve_step(up.copy(), u, w)
+                    policy = None
+                else:
+                    if policy is None:
+                        policy = _convex(u, dx2)
+                    policy, w, spare = _policy_iteration(k, u, w, spare, up, dn, dx2, policy)
+                u, w = w, u
+    return u
+
+
+def _stacked_sweep(u, xs, dx, a_up, a_dn):
+    """``_implicit_sweep`` of a stack, which needs a_up == a_dn at every
+    step, else ValueError.  Each step is one tridiagonal solve of all rows
+    with zeroed couplings between consecutive rows; ?gtsv eliminates a
+    block-diagonal system block by block, so each row equals its one-problem
+    sweep to the last bit."""
+    if not (a_up == a_dn).all():
+        raise ValueError("a stacked sweep needs fixed volatility: a_up == a_dn at every step")
+    rows, m = u.shape[0], u.shape[1] - 2
+    x2 = xs[:, 1:-1] ** 2
+    # Each row squares dx as a scalar power, as one problem does: an array
+    # square can differ from it in the last bit.
+    dx2 = np.array([d**2 for d in dx.tolist()])[:, None]
+    edges = list(zip(range(0, rows * m, m), u[:, 0].tolist(), u[:, -1].tolist()))
+    u = u.copy()
+    half = 0.5 * a_up.T[..., None]
     for k in range(len(half) - 1, -1, -1):
-        if one_system[k]:
-            work[..., 1:-1] = _solve_rows(half[k, 0] * x2 / dx2, u, edges)
-            policy = None
-        else:
-            if policy is None:
-                policy = _convex(u, dx2)
-            up, dn = half[k] * x2 / dx2
-            policy = _policy_iteration(k, u, work, up, dn, edges, dx2, policy, u[1:-1])
-        u, work = work, u
+        a = (half[k] * x2 / dx2).reshape(-1)
+        b = u[:, 1:-1].flatten()
+        for first, lo, hi in edges:
+            b[first] += a[first] * lo
+            b[first + m - 1] += a[first + m - 1] * hi
+        dl, du = -a[1:], -a[:-1]
+        dl[m - 1::m] = 0.0
+        du[m - 1::m] = 0.0
+        u[:, 1:-1] = solve_banded(dl, 1.0 + 2.0 * a, du, b).reshape(rows, m)
     return u
 
 

@@ -212,6 +212,12 @@ class TestPriceCommand:
         ("grid", {"nx": 2}, "contracts[2].grid: nx must be at least 3"),
         ("grid", {"nt": 0}, "contracts[2].grid: nt must be at least 1"),
         ("grid", {"nx": math.nan}, "contracts[2].grid.nx: expected an integer"),
+        # Past the maxima: caught at load time, before any grid or path array
+        # is sized from them.
+        ("grid", {"nx": 1e300}, "contracts[2].grid.nx: must be at most 4001"),
+        ("grid", {"nt": 1e300}, "contracts[2].grid.nt: must be at most 100000"),
+        ("mc", {"paths": 1e300}, "contracts[2].mc.paths: must be at most 1000000"),
+        ("mc", {"paths": 1e12}, "contracts[2].mc.paths: must be at most 1000000"),
     ])
     def test_bad_resolution_is_config_error(self, tmp_path, capsys, section, value, field):
         cfg = json.loads(json.dumps(BOOK))

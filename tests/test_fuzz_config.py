@@ -7,7 +7,9 @@ import io
 import json
 import math
 import os
+import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from robust_rates.cli import main
@@ -59,6 +61,18 @@ def mutated(path, value) -> dict:
     return book
 
 
+def leaf(book, path):
+    for key in path:
+        book = book[key]
+    return book
+
+
+# Every number of the demo book (38 fields) takes each extreme magnitude.
+NUMERIC_PATHS = [p for p in PATHS if type(leaf(BOOK, p)) in (int, float)]
+EXTREMES = (1e300, -1e300, 1e-300, -1e-300, sys.float_info.max, -sys.float_info.max,
+            5e-324, -5e-324, 0.0, -0.0)
+
+
 def run_cli(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -66,11 +80,8 @@ def run_cli(args):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(path=st.sampled_from(PATHS), value=st.sampled_from(REPLACEMENTS))
-def test_mutated_demo_book_prices_or_fails_cleanly(tmp_path_factory, path, value):
-    config = tmp_path_factory.mktemp("fuzz") / "book.json"
-    config.write_text(json.dumps(mutated(path, value)))
+def assert_prices_or_fails_cleanly(config, book) -> None:
+    config.write_text(json.dumps(book))
     code, out, err = run_cli(["--format", "json", "price", str(config)])
     assert code in (0, 2, 3), (code, err)
     assert "Traceback" not in err
@@ -79,6 +90,23 @@ def test_mutated_demo_book_prices_or_fails_cleanly(tmp_path_factory, path, value
             lower, upper = row["lower"], row["upper"]
             assert math.isfinite(lower) and math.isfinite(upper), row
             assert lower <= upper, row
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(path=st.sampled_from(PATHS), value=st.sampled_from(REPLACEMENTS))
+def test_mutated_demo_book_prices_or_fails_cleanly(tmp_path_factory, path, value):
+    config = tmp_path_factory.mktemp("fuzz") / "book.json"
+    assert_prices_or_fails_cleanly(config, mutated(path, value))
+
+
+def test_demo_book_has_38_numbers():
+    assert len(NUMERIC_PATHS) == 38
+
+
+@pytest.mark.parametrize("path", NUMERIC_PATHS, ids=lambda p: ".".join(map(str, p)))
+def test_extreme_magnitudes_price_or_fail_cleanly(tmp_path, path):
+    for value in EXTREMES:
+        assert_prices_or_fails_cleanly(tmp_path / "book.json", mutated(path, value))
 
 
 def test_unmutated_demo_book_prices(tmp_path):

@@ -1,6 +1,7 @@
 """Nonlinear PDE engine: martingale identity, convex reduction, the implicit sweep."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,15 +214,16 @@ def reference_implicit_sweep(u, xs, dx, a_up, a_dn):
 
 
 def count_banded_solves(monkeypatch) -> list[int]:
-    """Wrap pde.solve_banded; the returned one-element list counts its calls."""
+    """Wrap pde._solve_tridiagonal, the one solve of every sweep step; the
+    returned one-element list counts its calls."""
     calls = [0]
-    solve = pde.solve_banded
+    solve = pde._solve_tridiagonal
 
     def counted(*args):
         calls[0] += 1
         return solve(*args)
 
-    monkeypatch.setattr(pde, "solve_banded", counted)
+    monkeypatch.setattr(pde, "_solve_tridiagonal", counted)
     return calls
 
 
@@ -330,6 +332,194 @@ STACKS = {
         _problem(VS, degenerate_band((0.5,)), lambda x: np.minimum(x, KI), nx, shift=1.02),
     ],
 }
+
+
+def one_row_loop(u, xs, dx, a_up, a_dn):
+    """Reference: the one-row sweep before coefficient tables.  Each policy
+    iteration builds its system from the step's coefficients and solves it
+    with the checked pde.solve_banded; a step whose band extremes coincide
+    is one solve, and the policy carries over between steps.  Returns the
+    last level and the number of solves."""
+    x2, dx2 = xs[1:-1] ** 2, dx**2
+    u, solves, policy = u.copy(), 0, None
+
+    def step(alpha):
+        b = u[1:-1].copy()
+        b[0] += alpha[0] * u[0]
+        b[-1] += alpha[-1] * u[-1]
+        level = u.copy()
+        level[1:-1] = pde.solve_banded(-alpha[1:], 1.0 + 2.0 * alpha, -alpha[:-1], b)
+        return level
+
+    for k in range(len(a_up) - 1, -1, -1):
+        up, dn = 0.5 * np.array([[a_up[k]], [a_dn[k]]]) * x2 / dx2
+        if a_up[k] == a_dn[k]:
+            u, solves, policy = step(up), solves + 1, None
+            continue
+        if policy is None:
+            policy = pde._convex(u, dx2)
+        prev = u[1:-1]
+        for _ in range(pde.POLICY_ITERATION_CAP):
+            level = step(np.where(policy, up, dn))
+            solves += 1
+            new = pde._convex(level, dx2)
+            if (new == policy).all() or np.abs(level[1:-1] - prev).max() < pde.POLICY_VALUE_TOL:
+                break
+            policy, prev = new, level[1:-1]
+        else:
+            raise ConvergenceError(f"no convergence at time step {k}")
+        u, policy = level, new
+    return u, solves
+
+
+def random_case(seed, nx):
+    """A derandomized problem: Ho-Lee or Hull-White, a band or a degenerate
+    one, a payoff with one to three kinks near the spot, and a step count
+    that is often not a multiple of the table block."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    vs = ho_lee(rng.uniform(0.005, 0.02)) if seed % 2 else hull_white(rng.uniform(0.005, 0.02),
+                                                                       rng.uniform(0.05, 0.5))
+    lower = rng.uniform(0.2, 1.0)
+    band = degenerate_band((lower,)) if seed % 3 == 0 else UncertaintyBand((lower,),
+                                                                          (lower + rng.uniform(0.1, 1.0),))
+    x0 = CURVE.forward_price(1.0, 1.5)
+    k1, k2, k3 = np.sort(x0 * (1.0 + rng.uniform(-0.01, 0.01, size=3)))
+    payoff = [
+        lambda x: np.maximum(k1 - x, 0.0),
+        lambda x: np.minimum(np.maximum(x - k1, 0.0), k2 - k1),
+        lambda x: np.maximum(x - k1, 0.0) - 2.0 * np.maximum(x - k2, 0.0) + np.maximum(x - k3, 0.0),
+        lambda x: np.minimum(x, k2),
+    ][seed % 4]
+    return vs, band, payoff, rng.uniform(0.3, 1.0), (33, 70, 1, 64, 45, 97)[seed % 6]
+
+
+RANDOM_CASES = [(seed, nx) for nx in (3, 4, 41, 241) for seed in range(6)]
+
+
+def solves_before_value_error(monkeypatch, *sweep_args) -> int:
+    """Checks that the sweep raises the non-finite ValueError before any
+    solve reads a non-finite input, and that numpy warns nothing; returns
+    the number of solves made."""
+    solve = pde._solve_tridiagonal
+    inputs_finite = []
+
+    def watched(*arrays):
+        inputs_finite.append(all(np.isfinite(a).all() for a in arrays))
+        return solve(*arrays)
+
+    monkeypatch.setattr(pde, "_solve_tridiagonal", watched)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="infs or NaNs") as info:
+            pde._implicit_sweep(*sweep_args)
+    assert type(info.value) is ValueError
+    assert all(inputs_finite)
+    return len(inputs_finite)
+
+
+class TestTableDrivenSweep:
+    """The one-row sweep reads its systems from per-block coefficient tables
+    and solves in place: every value, policy and solve count is that of the
+    one-row loop it replaced, and input is checked where it enters."""
+
+    @pytest.mark.parametrize("seed, nx", RANDOM_CASES)
+    def test_random_problems_match_reference_bytes(self, monkeypatch, seed, nx):
+        vs, band, payoff, t1, nt = random_case(seed, nx)
+        x0 = CURVE.forward_price(1.0, 1.5)
+        grid = default_grid(x0, v_total(vs, max(band.upper), t1, 1.0, 1.5), nx=nx, nt=nt)
+        for solve in (solve_single_option, solve_lower):
+            got = solve(CURVE, vs, band, 1.0, t1, 1.5, payoff, grid)
+            with monkeypatch.context() as m:
+                m.setattr(pde, "_implicit_sweep", reference_implicit_sweep)
+                ref = solve(CURVE, vs, band, 1.0, t1, 1.5, payoff, grid)
+            assert got.value.hex() == ref.value.hex()
+            assert got.u0.tobytes() == ref.u0.tobytes()
+
+    @pytest.mark.parametrize("seed, nx", RANDOM_CASES)
+    def test_solve_count_is_the_one_row_loops(self, monkeypatch, seed, nx):
+        vs, band, payoff, t1, nt = random_case(seed, nx)
+        problem = _problem(vs, band, payoff, nx, t1=t1, nt=nt)
+        ref, ref_solves = one_row_loop(*problem)
+        calls = count_banded_solves(monkeypatch)
+        got = pde._implicit_sweep(*problem)
+        assert got.tobytes() == ref.tobytes()
+        assert calls == [ref_solves]
+
+    def test_convergence_error_names_the_step_in_a_later_block(self, monkeypatch):
+        # Steps 69..30 carry no variance, so they keep the payoff's kinks,
+        # and the first step that iterates on the policy is 29, in the
+        # sweep's second table block.
+        u, xs, dx, a_up, a_dn = _problem(VS, BAND, spread_payoff(), 41, nt=70)
+        a_up, a_dn = a_up.copy(), a_dn.copy()
+        a_up[30:] = a_dn[30:] = 0.0
+        monkeypatch.setattr(pde, "POLICY_ITERATION_CAP", 1)
+        with pytest.raises(ConvergenceError, match="within 1 iterations at time step 29"):
+            pde._implicit_sweep(u, xs, dx, a_up, a_dn)
+
+    @pytest.mark.parametrize("band", [BAND, degenerate_band((1.2,))], ids=["band", "degenerate"])
+    def test_nan_terminal_value(self, monkeypatch, band):
+        u, xs, dx, a_up, a_dn = _problem(VS, band, spread_payoff(), 41)
+        u[20] = np.nan
+        assert solves_before_value_error(monkeypatch, u, xs, dx, a_up, a_dn) == 0
+
+    @pytest.mark.parametrize("band", [BAND, degenerate_band((1.2,))], ids=["band", "degenerate"])
+    def test_inf_variance_table_entry(self, monkeypatch, band):
+        # In the second table block, at the lower extreme: the payoff is
+        # flat at both ends of the grid, where the policy picks the upper
+        # extreme, so no boundary entry of a right-hand side is inf.
+        u, xs, dx, a_up, a_dn = _problem(VS, band, spread_payoff(), 41, nt=70)
+        a_dn = a_dn.copy()
+        a_dn[20] = np.inf
+        solves_before_value_error(monkeypatch, u, xs, dx, a_up, a_dn)
+
+    def test_overflowing_boundary_sum(self, monkeypatch):
+        # alpha[0] is 2, so alpha[0] * lo is 1e308; the first right-hand
+        # side's entry u[1] + alpha[0] * lo is not finite.
+        xs = np.linspace(1.0, 2.0, 11)
+        dx = xs[1] - xs[0]
+        a = np.full(5, 4.0 * dx**2 / xs[1] ** 2)
+        u = np.zeros(11)
+        u[0], u[1] = 5e307, 1e308
+        assert solves_before_value_error(monkeypatch, u, xs, dx, a, a) == 0
+
+    def test_finite_levels_whose_sums_overflow_solve(self):
+        # Each level's sum is inf; the entrywise check behind it finds
+        # every entry finite.
+        xs = np.linspace(1.0, 2.0, 41)
+        u = np.full(41, 1e308)
+        a = np.full(30, 1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pde._implicit_sweep(u, xs, xs[1] - xs[0], a, a)
+        assert got.tobytes() == one_row_loop(u, xs, xs[1] - xs[0], a, a)[0].tobytes()
+
+    def test_nan_inside_a_level_mid_sweep(self, monkeypatch):
+        # The third solve leaves a NaN inside its level, away from the
+        # entries the boundary terms are added to: the fourth step must not
+        # solve from that level.
+        u, xs, dx, a_up, a_dn = _problem(VS, degenerate_band((1.2,)), spread_payoff(), 41)
+        solve, calls = pde._solve_tridiagonal, [0]
+
+        def leaving_a_nan(*arrays):
+            x = solve(*arrays)
+            calls[0] += 1
+            if calls[0] == 3:
+                x[20] = np.nan
+            return x
+
+        monkeypatch.setattr(pde, "_solve_tridiagonal", leaving_a_nan)
+        assert solves_before_value_error(monkeypatch, u, xs, dx, a_up, a_dn) == 3
+
+    def test_overflowing_level_mid_sweep(self, monkeypatch):
+        # Every input is finite; step 3's solve overflows (elimination of a
+        # large-alpha system scales its right-hand side up), and step 2
+        # must not solve from that level.
+        xs = np.linspace(1.0, 2.0, 41)
+        u = np.full(41, 1e307)
+        u[0] = u[-1] = 0.0
+        a = np.full(30, 1e-8)
+        a[3] = 1e4
+        assert solves_before_value_error(monkeypatch, u, xs, xs[1] - xs[0], a, a) == 27
 
 
 class TestStackedSweep:

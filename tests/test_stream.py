@@ -329,13 +329,13 @@ class TestStackedLegSolves:
 
     def test_concave_stream_is_one_sweep(self, monkeypatch):
         calls = [0]
-        solve = pde.solve_banded
+        solve = pde._solve_tridiagonal
 
         def counted(*args):
             calls[0] += 1
             return solve(*args)
 
-        monkeypatch.setattr(pde, "solve_banded", counted)
+        monkeypatch.setattr(pde, "_solve_tridiagonal", counted)
         price_stream(CURVE, VS2, BAND, DECOUPLED_STREAMS["concave"], nx=41, nt=40)
         assert calls == [40]
 
