@@ -12,31 +12,28 @@ diffusion coefficient switches between the band extremes on the sign of the
 second derivative, which is the scalar form of the band's generator.  The
 fully implicit discretization with Howard policy iteration is monotone, the
 standard sufficient condition for convergence to the unique viscosity
-solution.  Each policy iteration solves one tridiagonal system with a
-direct LAPACK ?gtsv call, the routine ``scipy.linalg.solve_banded`` uses
-for (1, 1) bands, so the results are those of that call without its
-per-call argument handling.  The routine is looked up through
-``scipy.linalg`` on the first solve, not at import, so importing the
-package and pricing closed-form contracts loads no scipy module.  A step
-whose band extremes coincide gives a system that does not depend on the
-policy, so it takes one solve.
+solution.  Each solve is a direct LAPACK ?gtsv call, the routine
+``scipy.linalg.solve_banded`` uses for (1, 1) bands, so the results are
+those of that call without its per-call argument handling.  The routine is
+looked up through ``scipy.linalg`` on the first solve, not at import, so
+importing the package and pricing closed-form contracts loads no scipy
+module.
 
-The systems of up to 32 steps are built at once at both band extremes
-(``_coefficient_tables``), so a policy iteration is one ``np.where`` of its
-step's table, a copy of the previous level, two scalar boundary adds and
-one ?gtsv solve in place, and input is checked once where it enters.
-
-``window_values`` is the one 1D core: it cell-averages each terminal payoff
-and runs the implicit sweep over the step-variance tables of its window
-[t_from, t_to] (``window_tables``, closed form for Ho-Lee and Hull-White
-factors).  Policy iteration runs on one problem.  The sweep also takes a
-stack of independent fixed-volatility problems (each with its own grid and
-tables, a_up == a_dn), whose every step is one block-diagonal solve, so a
-stacked row equals its own sweep to the last bit; the stream pricer sends
-both band extremes of its PDE-priced convex or concave legs through one
-such stack.  ``solve_single_option`` prices one option; the lower
-expectation (``solve_lower``) is the negated solve of -phi on the same grid
-and tables.
+``window_values`` is the one 1D core and the one place that picks a sweep:
+it cell-averages each terminal payoff and reads the step-variance tables of
+its window [t_from, t_to] (``window_tables``, closed form for Ho-Lee and
+Hull-White factors).  Rows whose band extremes coincide at every step
+(fixed volatility) all go through ``_stacked_sweep``, one block-diagonal
+solve a step, so a stacked row equals its own sweep to the last bit; the
+stream pricer sends both band extremes of its PDE-priced convex or concave
+legs through one such stack.  Any other problem is one band row, which
+``_implicit_sweep`` solves by policy iteration at every step; it builds the
+systems of up to 32 steps at once at both band extremes
+(``_coefficient_tables``), so an iteration is one ``np.where``, a copy of
+the previous level, two scalar boundary adds and one ?gtsv solve in place.
+Both sweeps check input once where it enters.  ``solve_single_option``
+prices one option; the lower expectation (``solve_lower``) is the negated
+solve of -phi on the same grid and tables.
 """
 
 from __future__ import annotations
@@ -257,19 +254,18 @@ def _solve_step(system: np.ndarray, level: np.ndarray, out: np.ndarray) -> None:
     _solve_tridiagonal(system[1, 1:], system[0], system[2, :-1], rhs)
 
 
-def _policy_iteration(k, level, out, spare, up, dn, dx2, policy):
+def _policy_iteration(k, level, out, spare, up, dn, dx2, policy, tol):
     """Howard policy iteration of time step k from the previous level and
     the policy `policy`, with the systems up and dn at the band extremes.
     The iterates go into out and spare in turn, so the stop rule compares
     the last two; returns the last one's policy and buffer, then the other
-    buffer.  Stops on a stable policy or on a value change below
-    POLICY_VALUE_TOL."""
+    buffer.  Stops on a stable policy or on a value change below tol."""
     prev = level[1:-1]
     for _ in range(POLICY_ITERATION_CAP):
         _solve_step(np.where(policy, up, dn), level, out)
         solved = out[1:-1]
         new = _convex(out, dx2)
-        if (new == policy).all() or np.abs(solved - prev).max() < POLICY_VALUE_TOL:
+        if (new == policy).all() or np.abs(solved - prev).max() < tol:
             return new, out, spare
         policy, prev = new, solved
         out, spare = spare, out
@@ -286,32 +282,27 @@ _TABLE_BLOCK = 32
 
 
 def _implicit_sweep(u, xs, dx, a_up, a_dn):
-    """Step one problem, or a stack of independent fixed-volatility ones,
-    back from its terminal values u over the step-variance tables a_up, a_dn.
-
-    One problem has u and xs of shape (nx,), a spacing dx and tables of
-    shape (nt,); a step whose band extremes coincide is one solve with no
-    policy work.  Its input is checked where it enters (each table block,
-    each level a step starts from, each right-hand side's boundary entries),
-    so a non-finite value raises ValueError before any solve reads it, with
-    numpy warnings off.  A stack has u and xs of shape (S, nx), dx of shape
-    (S,) and tables of shape (S, nt) (``_stacked_sweep``).
-    """
-    if u.ndim > 1:
-        return _stacked_sweep(u, xs, dx, a_up, a_dn)
+    """Step one band problem back from its terminal values u (shape (nx,),
+    nodes xs, spacing dx) over the step-variance tables a_up, a_dn (shape
+    (nt,)), by policy iteration at every step.  A step whose extremes
+    coincide has a system that does not depend on the policy, so its second
+    iterate repeats the first.  The value-change stop is POLICY_VALUE_TOL
+    times the largest terminal magnitude (at least 1), which bounds every
+    later level.  Input is checked where it enters (each table block, each
+    level a step starts from, each right-hand side's boundary entries), so
+    a non-finite value raises ValueError before any solve reads it, with
+    numpy warnings off."""
     x2 = xs[1:-1] ** 2
     dx2 = dx**2
     lo, hi = u[0], u[-1]
-    half = 0.5 * np.stack((a_up, a_dn), axis=1)[..., None]
-    one_system = (a_up == a_dn).tolist()
     # u holds the previous time level; each step's last iterate, in w,
     # becomes the next u, and spare keeps the iterate before it.
     u, w, spare = u.copy(), u.copy(), u.copy()
-    # The policy a step starts from is read off the previous level, which is
-    # the last iterate of the previous step: its policy carries over.  After
-    # a step without policy work it is read off u when next needed.
-    policy = None
     with np.errstate(all="ignore"):
+        tol = POLICY_VALUE_TOL * max(1.0, float(np.abs(u).max()))
+        half = 0.5 * np.stack((a_up, a_dn), axis=1)[..., None]
+        # A step starts from the policy of the previous step's last iterate.
+        policy = _convex(u, dx2)
         for top in range(len(half), 0, -_TABLE_BLOCK):
             base = max(top - _TABLE_BLOCK, 0)
             tables = _coefficient_tables(half[base:top], x2, dx2, lo, hi)
@@ -321,43 +312,42 @@ def _implicit_sweep(u, xs, dx, a_up, a_dn):
                 if not math.isfinite(u.sum()):
                     _require_finite(u)
                 up, dn = tables[k - base, 0], tables[k - base, 1]
-                if one_system[k]:
-                    _solve_step(up.copy(), u, w)
-                    policy = None
-                else:
-                    if policy is None:
-                        policy = _convex(u, dx2)
-                    policy, w, spare = _policy_iteration(k, u, w, spare, up, dn, dx2, policy)
+                policy, w, spare = _policy_iteration(k, u, w, spare, up, dn, dx2, policy, tol)
                 u, w = w, u
     return u
 
 
-def _stacked_sweep(u, xs, dx, a_up, a_dn):
-    """``_implicit_sweep`` of a stack, which needs a_up == a_dn at every
-    step, else ValueError.  Each step is one tridiagonal solve of all rows
-    with zeroed couplings between consecutive rows; ?gtsv eliminates a
-    block-diagonal system block by block, so each row equals its one-problem
-    sweep to the last bit."""
-    if not (a_up == a_dn).all():
-        raise ValueError("a stacked sweep needs fixed volatility: a_up == a_dn at every step")
+def _stacked_sweep(u, xs, dx, a):
+    """Step a stack of independent fixed-volatility problems back: row s
+    has terminal values u[s], nodes xs[s], spacing dx[s] and one
+    step-variance table a[s].  Each step is one tridiagonal solve of all
+    rows with zeroed couplings between consecutive rows; ?gtsv eliminates a
+    block-diagonal system block by block, so each row equals its own sweep
+    to the last bit.  Each step's diagonal and right-hand side, from which
+    every solve input derives, are checked as in ``_implicit_sweep``."""
     rows, m = u.shape[0], u.shape[1] - 2
-    x2 = xs[:, 1:-1] ** 2
-    # Each row squares dx as a scalar power, as one problem does: an array
-    # square can differ from it in the last bit.
-    dx2 = np.array([d**2 for d in dx.tolist()])[:, None]
     edges = list(zip(range(0, rows * m, m), u[:, 0].tolist(), u[:, -1].tolist()))
     u = u.copy()
-    half = 0.5 * a_up.T[..., None]
-    for k in range(len(half) - 1, -1, -1):
-        a = (half[k] * x2 / dx2).reshape(-1)
-        b = u[:, 1:-1].flatten()
-        for first, lo, hi in edges:
-            b[first] += a[first] * lo
-            b[first + m - 1] += a[first + m - 1] * hi
-        dl, du = -a[1:], -a[:-1]
-        dl[m - 1::m] = 0.0
-        du[m - 1::m] = 0.0
-        u[:, 1:-1] = solve_banded(dl, 1.0 + 2.0 * a, du, b).reshape(rows, m)
+    with np.errstate(all="ignore"):
+        x2 = xs[:, 1:-1] ** 2
+        # Each row squares dx as a scalar power, as one problem does: an
+        # array square can differ from it in the last bit.
+        dx2 = np.array([d**2 for d in dx.tolist()])[:, None]
+        half = 0.5 * a.T[..., None]
+        for k in range(len(half) - 1, -1, -1):
+            alpha = (half[k] * x2 / dx2).reshape(-1)
+            b = u[:, 1:-1].flatten()
+            for first, lo, hi in edges:
+                b[first] += alpha[first] * lo
+                b[first + m - 1] += alpha[first + m - 1] * hi
+            d = 1.0 + 2.0 * alpha
+            if not math.isfinite(d.sum() + b.sum()):
+                _require_finite(d)
+                _require_finite(b)
+            dl, du = -alpha[1:], -alpha[:-1]
+            dl[m - 1::m] = 0.0
+            du[m - 1::m] = 0.0
+            u[:, 1:-1] = _solve_tridiagonal(dl, d, du, b).reshape(rows, m)
     return u
 
 
@@ -368,19 +358,21 @@ def window_values(
 ) -> np.ndarray:
     """Upper value functions at the start of their windows, one row per
     payoff: payoffs[s] cell-averaged on grids[s].xs and swept back over the
-    window tables tables[s] (``window_tables``).  The rows go through one
-    stacked sweep, so the grids share nx and nt, and more than one row needs
-    fixed volatility (each pair of tables equal)."""
-    if len(grids) == 1:
-        (grid,), (payoff,), ((a_up, a_dn),) = grids, payoffs, tables
-        u = cell_average(payoff, grid.xs, grid.dx)
-        return _implicit_sweep(u, grid.xs, grid.dx, a_up, a_dn)[None]
-    u = np.array([cell_average(f, g.xs, g.dx) for f, g in zip(payoffs, grids)])
-    xs = np.array([g.xs for g in grids])
-    dx = np.array([g.dx for g in grids])
-    a_up = np.array([up for up, _ in tables])
-    a_dn = np.array([dn for _, dn in tables])
-    return _implicit_sweep(u, xs, dx, a_up, a_dn)
+    window tables tables[s] (``window_tables``).  If every row has fixed
+    volatility (its tables are one array, as ``step_variances`` gives a
+    degenerate band, or equal entry for entry, NaN to NaN), all rows go
+    through one ``_stacked_sweep``, so the grids share nx and nt.
+    Otherwise the list must be one band row, which goes through
+    ``_implicit_sweep``."""
+    u = [cell_average(f, g.xs, g.dx) for f, g in zip(payoffs, grids)]
+    if all(up is dn or np.array_equal(up, dn, equal_nan=True) for up, dn in tables):
+        xs = np.array([g.xs for g in grids])
+        dx = np.array([g.dx for g in grids])
+        return _stacked_sweep(np.array(u), xs, dx, np.array([up for up, _ in tables]))
+    if len(grids) > 1:
+        raise ValueError("a stacked sweep needs fixed volatility: a_up == a_dn at every step")
+    (grid,), ((a_up, a_dn),) = grids, tables
+    return _implicit_sweep(u[0], grid.xs, grid.dx, a_up, a_dn)[None]
 
 
 def solve_single_option(

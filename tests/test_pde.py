@@ -180,10 +180,12 @@ class TestSchemes:
 
 def reference_implicit_sweep(u, xs, dx, a_up, a_dn):
     """Reference: the policy-iteration sweep with a fresh banded matrix per
-    iteration, solved by scipy.linalg.solve_banded."""
+    iteration, solved by scipy.linalg.solve_banded.  The value-change stop
+    is POLICY_VALUE_TOL times the largest terminal magnitude, at least 1."""
     nx = len(xs)
     x2 = xs[1:-1] ** 2
     lo_bc, hi_bc = u[0], u[-1]
+    tol = pde.POLICY_VALUE_TOL * max(1.0, float(np.abs(u).max()))
     for k in range(len(a_up) - 1, -1, -1):
         d2 = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
         policy = d2 >= 0.0
@@ -202,7 +204,7 @@ def reference_implicit_sweep(u, xs, dx, a_up, a_dn):
             d2 = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / dx**2
             new_policy = d2 >= 0.0
             value_change = float(np.max(np.abs(solved - prev)))
-            if np.array_equal(new_policy, policy) or value_change < pde.POLICY_VALUE_TOL:
+            if np.array_equal(new_policy, policy) or value_change < tol:
                 policy = new_policy
                 break
             policy = new_policy
@@ -251,23 +253,22 @@ class TestImplicitSweepBitExact:
     @pytest.mark.parametrize("nx", [3, 4, 41])
     @pytest.mark.parametrize("solve", [solve_single_option, solve_lower], ids=["upper", "lower"])
     def test_degenerate_band_one_solve_per_step(self, monkeypatch, vs, nx, solve):
-        # Both band extremes give the same system, so each step is one solve,
-        # and its result is the reference's, whose second iteration repeats it.
+        # Both band extremes give the same system, so the stacked sweep makes
+        # one solve a step, and its result is the reference's, whose second
+        # iteration repeats it.
         x0 = CURVE.forward_price(1.0, 1.5)
         nt = 30
         grid = default_grid(x0, v_total(vs, 1.2, 1.0, 1.0, 1.5), nx=nx, nt=nt)
         band = degenerate_band((1.2,))
         calls = count_banded_solves(monkeypatch)
-
-        def run():
-            return solve(CURVE, vs, band, 1.0, 1.0, 1.5, spread_payoff(), grid)
-
-        got = run()
+        got = solve(CURVE, vs, band, 1.0, 1.0, 1.5, spread_payoff(), grid)
         assert calls == [nt]
-        monkeypatch.setattr(pde, "_implicit_sweep", reference_implicit_sweep)
-        ref = run()
-        assert got.value == ref.value
-        assert np.array_equal(got.u0, ref.u0)
+        sign = 1.0 if solve is solve_single_option else -1.0
+        u = pde.cell_average(lambda x: sign * spread_payoff()(x), grid.xs, grid.dx)
+        tables = pde.window_tables(vs, band, (1.0, 1.5), 0.0, 1.0, nt)
+        ref = reference_implicit_sweep(u, grid.xs, grid.dx, *tables)
+        assert got.value == sign * float(np.interp(x0, grid.xs, ref))
+        assert np.array_equal(got.u0, sign * ref)
 
     @pytest.mark.parametrize("vs", [VS, hull_white(0.015, 0.4)], ids=["ho-lee", "hull-white"])
     def test_degenerate_band_builds_one_variance_table(self, vs):
@@ -319,8 +320,19 @@ def _problem(vs, band, payoff, nx, t1=1.0, shift=1.0, nt=30):
     return pde.cell_average(payoff, grid.xs, grid.dx), grid.xs, grid.dx, a_up, a_dn
 
 
-def _stack(problems):
-    return tuple(np.array(part) for part in zip(*problems))
+def stacked(problems):
+    """pde._stacked_sweep of problems, one row each, at each row's a_dn
+    table (one of the two equal tables of a fixed-volatility problem)."""
+    u, xs, dx, _, a_dn = (np.array(part) for part in zip(*problems))
+    return pde._stacked_sweep(u, xs, dx, a_dn)
+
+
+# The two sweeps on one problem's (u, xs, dx, a_up, a_dn); the stacked one
+# reads a_dn only.
+SWEEPS = {
+    "policy": lambda *problem: pde._implicit_sweep(*problem),
+    "stacked": lambda *problem: stacked([problem])[0],
+}
 
 
 HW = hull_white(0.015, 0.4)
@@ -338,9 +350,11 @@ def one_row_loop(u, xs, dx, a_up, a_dn):
     """Reference: the one-row sweep before coefficient tables.  Each policy
     iteration builds its system from the step's coefficients and solves it
     with the checked pde.solve_banded; a step whose band extremes coincide
-    is one solve, and the policy carries over between steps.  Returns the
-    last level and the number of solves."""
+    is one solve, and the policy carries over between steps.  The stop is
+    scaled as in reference_implicit_sweep.  Returns the last level and the
+    number of solves."""
     x2, dx2 = xs[1:-1] ** 2, dx**2
+    tol = pde.POLICY_VALUE_TOL * max(1.0, float(np.abs(u).max()))
     u, solves, policy = u.copy(), 0, None
 
     def step(alpha):
@@ -363,7 +377,7 @@ def one_row_loop(u, xs, dx, a_up, a_dn):
             level = step(np.where(policy, up, dn))
             solves += 1
             new = pde._convex(level, dx2)
-            if (new == policy).all() or np.abs(level[1:-1] - prev).max() < pde.POLICY_VALUE_TOL:
+            if (new == policy).all() or np.abs(level[1:-1] - prev).max() < tol:
                 break
             policy, prev = new, level[1:-1]
         else:
@@ -396,10 +410,10 @@ def random_case(seed, nx):
 RANDOM_CASES = [(seed, nx) for nx in (3, 4, 41, 241) for seed in range(6)]
 
 
-def solves_before_value_error(monkeypatch, *sweep_args) -> int:
-    """Checks that the sweep raises the non-finite ValueError before any
-    solve reads a non-finite input, and that numpy warns nothing; returns
-    the number of solves made."""
+def solves_before_value_error(monkeypatch, sweep, *sweep_args) -> int:
+    """Checks that sweep (a SWEEPS entry) raises the non-finite ValueError
+    before any solve reads a non-finite input, and that numpy warns
+    nothing; returns the number of solves made."""
     solve = pde._solve_tridiagonal
     inputs_finite = []
 
@@ -407,14 +421,23 @@ def solves_before_value_error(monkeypatch, *sweep_args) -> int:
         inputs_finite.append(all(np.isfinite(a).all() for a in arrays))
         return solve(*arrays)
 
-    monkeypatch.setattr(pde, "_solve_tridiagonal", watched)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="infs or NaNs") as info:
-            pde._implicit_sweep(*sweep_args)
+    with monkeypatch.context() as m:
+        m.setattr(pde, "_solve_tridiagonal", watched)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infs or NaNs") as info:
+                SWEEPS[sweep](*sweep_args)
     assert type(info.value) is ValueError
     assert all(inputs_finite)
     return len(inputs_finite)
+
+
+def count_solves(monkeypatch, sweep, *sweep_args) -> int:
+    """The number of solves sweep (a SWEEPS entry) makes on a problem."""
+    with monkeypatch.context() as m:
+        calls = count_banded_solves(m)
+        SWEEPS[sweep](*sweep_args)
+    return calls[0]
 
 
 class TestTableDrivenSweep:
@@ -441,7 +464,8 @@ class TestTableDrivenSweep:
         problem = _problem(vs, band, payoff, nx, t1=t1, nt=nt)
         ref, ref_solves = one_row_loop(*problem)
         calls = count_banded_solves(monkeypatch)
-        got = pde._implicit_sweep(*problem)
+        # A degenerate band's one table goes through the stacked sweep.
+        got = SWEEPS["stacked" if problem[3] is problem[4] else "policy"](*problem)
         assert got.tobytes() == ref.tobytes()
         assert calls == [ref_solves]
 
@@ -460,7 +484,8 @@ class TestTableDrivenSweep:
     def test_nan_terminal_value(self, monkeypatch, band):
         u, xs, dx, a_up, a_dn = _problem(VS, band, spread_payoff(), 41)
         u[20] = np.nan
-        assert solves_before_value_error(monkeypatch, u, xs, dx, a_up, a_dn) == 0
+        for sweep in SWEEPS:
+            assert solves_before_value_error(monkeypatch, sweep, u, xs, dx, a_up, a_dn) == 0
 
     @pytest.mark.parametrize("band", [BAND, degenerate_band((1.2,))], ids=["band", "degenerate"])
     def test_inf_variance_table_entry(self, monkeypatch, band):
@@ -470,7 +495,8 @@ class TestTableDrivenSweep:
         u, xs, dx, a_up, a_dn = _problem(VS, band, spread_payoff(), 41, nt=70)
         a_dn = a_dn.copy()
         a_dn[20] = np.inf
-        solves_before_value_error(monkeypatch, u, xs, dx, a_up, a_dn)
+        for sweep in SWEEPS:
+            solves_before_value_error(monkeypatch, sweep, u, xs, dx, a_up, a_dn)
 
     def test_overflowing_boundary_sum(self, monkeypatch):
         # alpha[0] is 2, so alpha[0] * lo is 1e308; the first right-hand
@@ -480,7 +506,8 @@ class TestTableDrivenSweep:
         a = np.full(5, 4.0 * dx**2 / xs[1] ** 2)
         u = np.zeros(11)
         u[0], u[1] = 5e307, 1e308
-        assert solves_before_value_error(monkeypatch, u, xs, dx, a, a) == 0
+        for sweep in SWEEPS:
+            assert solves_before_value_error(monkeypatch, sweep, u, xs, dx, a, a) == 0
 
     def test_finite_levels_whose_sums_overflow_solve(self):
         # Each level's sum is inf; the entrywise check behind it finds
@@ -488,27 +515,36 @@ class TestTableDrivenSweep:
         xs = np.linspace(1.0, 2.0, 41)
         u = np.full(41, 1e308)
         a = np.full(30, 1e-8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = pde._implicit_sweep(u, xs, xs[1] - xs[0], a, a)
-        assert got.tobytes() == one_row_loop(u, xs, xs[1] - xs[0], a, a)[0].tobytes()
+        want = one_row_loop(u, xs, xs[1] - xs[0], a, a)[0].tobytes()
+        for sweep in SWEEPS.values():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = sweep(u, xs, xs[1] - xs[0], a, a)
+            assert got.tobytes() == want
 
     def test_nan_inside_a_level_mid_sweep(self, monkeypatch):
-        # The third solve leaves a NaN inside its level, away from the
-        # entries the boundary terms are added to: the fourth step must not
-        # solve from that level.
+        # From the third solve on, each solve leaves a NaN inside its level,
+        # away from the entries the boundary terms are added to: no step may
+        # solve from such a level.  The stacked sweep makes one solve a step,
+        # so its fourth step must not solve.  (The policy sweep discards an
+        # iterate that is not a step's last, so its count depends on where
+        # the policy settles.)
         u, xs, dx, a_up, a_dn = _problem(VS, degenerate_band((1.2,)), spread_payoff(), 41)
         solve, calls = pde._solve_tridiagonal, [0]
 
         def leaving_a_nan(*arrays):
             x = solve(*arrays)
             calls[0] += 1
-            if calls[0] == 3:
+            if calls[0] >= 3:
                 x[20] = np.nan
             return x
 
         monkeypatch.setattr(pde, "_solve_tridiagonal", leaving_a_nan)
-        assert solves_before_value_error(monkeypatch, u, xs, dx, a_up, a_dn) == 3
+        solves = {}
+        for sweep in SWEEPS:
+            calls[0] = 0
+            solves[sweep] = solves_before_value_error(monkeypatch, sweep, u, xs, dx, a_up, a_dn)
+        assert solves["stacked"] == 3 and solves["policy"] >= 3
 
     def test_overflowing_level_mid_sweep(self, monkeypatch):
         # Every input is finite; step 3's solve overflows (elimination of a
@@ -519,20 +555,51 @@ class TestTableDrivenSweep:
         u[0] = u[-1] = 0.0
         a = np.full(30, 1e-8)
         a[3] = 1e4
-        assert solves_before_value_error(monkeypatch, u, xs, xs[1] - xs[0], a, a) == 27
+        dx = xs[1] - xs[0]
+        for sweep in SWEEPS:
+            # Every solve of steps 29..3, and none after.
+            want = count_solves(monkeypatch, sweep, u, xs, dx, a[3:], a[3:])
+            assert solves_before_value_error(monkeypatch, sweep, u, xs, dx, a, a) == want
+        assert count_solves(monkeypatch, "stacked", u, xs, dx, a[3:], a[3:]) == 27
+
+    def test_zero_variance_steps_in_a_band_problem(self, monkeypatch):
+        # A step without variance is the identity system at both extremes:
+        # the policy sweep iterates on it and keeps the one-row loop's bits.
+        u, xs, dx, a_up, a_dn = _problem(VS, BAND, spread_payoff(), 41)
+        a_up, a_dn = a_up.copy(), a_dn.copy()
+        a_up[[0, 7, 8, 29]] = a_dn[[0, 7, 8, 29]] = 0.0
+        ref, ref_solves = one_row_loop(u, xs, dx, a_up, a_dn)
+        calls = count_banded_solves(monkeypatch)
+        got = pde._implicit_sweep(u, xs, dx, a_up, a_dn)
+        assert got.tobytes() == ref.tobytes()
+        assert calls == [ref_solves]
+
+    def test_policy_stop_scales_with_the_terminal_values(self):
+        # Levels near 1e300 change by more than 1e-12 between iterates that
+        # agree to the last few bits: an absolute stop never ends the first
+        # step, and the iteration runs into its cap.
+        xs = np.linspace(1.0, 2.0, 41)
+        u = np.full(41, 1e300)
+        u[0] = u[-1] = 0.0
+        a_up = np.full(30, 1e-8)
+        got = pde._implicit_sweep(u, xs, xs[1] - xs[0], a_up, 0.25 * a_up)
+        assert got.tobytes() == one_row_loop(u, xs, xs[1] - xs[0], a_up, 0.25 * a_up)[0].tobytes()
+        assert np.isfinite(got).all() and got.max() <= 1e300 * (1.0 + 1e-12)
 
 
 class TestStackedSweep:
     """The rows of a stack are independent fixed-volatility problems with
-    their own grids and tables: each must equal its one-problem sweep, and
-    the reference, to the last bit."""
+    their own grids and tables: each must equal its own sweep, the policy
+    sweep and the reference, to the last bit.  window_values picks the
+    sweep from the tables."""
 
     @pytest.mark.parametrize("name", STACKS)
     @pytest.mark.parametrize("nx", [3, 4, 41])
     def test_rows_equal_their_own_sweeps(self, name, nx):
         problems = STACKS[name](nx)
-        got = pde._implicit_sweep(*_stack(problems))
+        got = stacked(problems)
         for row, problem in zip(got, problems):
+            assert np.array_equal(row, stacked([problem])[0])
             assert np.array_equal(row, pde._implicit_sweep(*problem))
             assert np.array_equal(row, reference_implicit_sweep(*problem))
 
@@ -544,20 +611,47 @@ class TestStackedSweep:
         band = degenerate_band((1.2,))
         problem = (pde.cell_average(spread_payoff(1.094, 0.002), grid.xs, grid.dx), grid.xs,
                    grid.dx, *pde.window_tables(VS, band, (1.0, 1.5), 0.0, 1.0, 30))
-        got = pde._implicit_sweep(*_stack([problem, _problem(VS, band, spread_payoff(), 41)]))
+        got = stacked([problem, _problem(VS, band, spread_payoff(), 41)])
         assert np.array_equal(got[0], pde._implicit_sweep(*problem))
 
     @pytest.mark.parametrize("nx", [3, 41])
     def test_degenerate_stack_is_one_solve_per_step(self, monkeypatch, nx):
         calls = count_banded_solves(monkeypatch)
-        pde._implicit_sweep(*_stack(STACKS["degenerate"](nx)))
+        stacked(STACKS["degenerate"](nx))
         assert calls == [30]
 
     def test_stack_off_fixed_volatility_raises(self):
-        problems = [_problem(VS, degenerate_band((1.2,)), spread_payoff(), 41),
-                    _problem(VS, BAND, spread_payoff(), 41)]
+        grid = default_grid(CURVE.forward_price(1.0, 1.5), 0.01, nx=41, nt=30)
+        tables = [pde.window_tables(VS, band, (1.0, 1.5), 0.0, 1.0, 30)
+                  for band in (degenerate_band((1.2,)), BAND)]
         with pytest.raises(ValueError, match="fixed volatility"):
-            pde._implicit_sweep(*_stack(problems))
+            pde.window_values([spread_payoff()] * 2, [grid] * 2, tables)
+
+    @pytest.mark.parametrize("case", ["one-table", "equal-tables", "band"])
+    def test_window_values_picks_the_sweep_from_the_tables(self, monkeypatch, case):
+        # Fixed volatility, whether the tables are one array or two equal
+        # ones, goes through the stacked sweep, even for a single row.
+        a_up, a_dn = pde.window_tables(VS, BAND, (1.0, 1.5), 0.0, 1.0, 30)
+        tables = {"one-table": (a_up, a_up), "equal-tables": (a_up, a_up.copy()),
+                  "band": (a_up, a_dn)}[case]
+        grid = default_grid(CURVE.forward_price(1.0, 1.5), 0.01, nx=41, nt=30)
+        picked = []
+        for name in ("_implicit_sweep", "_stacked_sweep"):
+            sweep = getattr(pde, name)
+            monkeypatch.setattr(pde, name, lambda *a, s=sweep, n=name: picked.append(n) or s(*a))
+        got = pde.window_values([spread_payoff()], [grid], [tables])
+        assert picked == ["_implicit_sweep" if case == "band" else "_stacked_sweep"]
+        u = pde.cell_average(spread_payoff(), grid.xs, grid.dx)
+        assert got[0].tobytes() == reference_implicit_sweep(u, grid.xs, grid.dx, *tables).tobytes()
+
+    def test_nan_in_equal_tables_is_a_non_finite_error(self):
+        # Two equal tables with a NaN are fixed volatility as much as one
+        # such table is: the stack names the NaN, not the band.
+        grid = default_grid(CURVE.forward_price(1.0, 1.5), 0.01, nx=41, nt=30)
+        a = pde.window_tables(VS, degenerate_band((1.2,)), (1.0, 1.5), 0.0, 1.0, 30)[0].copy()
+        a[3] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            pde.window_values([spread_payoff()] * 2, [grid] * 2, [(a, a), (a, a.copy())])
 
     def test_non_converging_row_names_the_step(self, monkeypatch):
         problem = _problem(VS, BAND, spread_payoff(), 41, t1=0.8)
@@ -567,10 +661,12 @@ class TestStackedSweep:
 
     @pytest.mark.parametrize("name", STACKS)
     def test_nan_in_one_row_raises_value_error(self, name):
-        u, xs, dx, a_up, a_dn = _stack(STACKS[name](41))
-        u[1, 20] = np.nan
+        problems = STACKS[name](41)
+        u = problems[1][0].copy()
+        u[20] = np.nan
+        problems[1] = (u, *problems[1][1:])
         with pytest.raises(ValueError, match="infs or NaNs"):
-            pde._implicit_sweep(u, xs, dx, a_up, a_dn)
+            stacked(problems)
 
 
 class TestSolveOptions:
