@@ -378,8 +378,9 @@ def price_configured(
         if isinstance(contract, LinearContract):
             return price_linear(setup.curve, contract)
         if isinstance(contract, OptionContract):
-            mc = cc.mc or MCConfig()
-            if not cc.seed_pinned:
+            mc = cc.mc
+            if cc.method == "monte-carlo" and not cc.seed_pinned:
+                mc = mc or MCConfig()
                 seed = child_seed(default_seed, index)
                 mc = MCConfig(paths=mc.paths, seed=seed, antithetic=mc.antithetic)
             return price_option(setup.curve, setup.vol, band, contract, method=cc.method, mc=mc)

@@ -34,19 +34,22 @@ class MCConfig:
             raise DomainError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
 def child_seed(seed: int, *indices: int) -> int:
     """Stable derived seed for a sub-stream (contract index, control index...).
 
-    Uses SplitMix64-style mixing so nearby parents do not collide.
+    Uses SplitMix64 mixing in 64-bit masked int arithmetic, so nearby
+    parents do not collide.
     """
-    h = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    h = seed & _MASK64
     for idx in indices:
-        h = np.uint64((int(h) + 0x9E3779B97F4A7C15 * (idx + 1)) & 0xFFFFFFFFFFFFFFFF)
-        z = int(h)
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        h = np.uint64(z ^ (z >> 31))
-    return int(h)
+        h = (h + 0x9E3779B97F4A7C15 * (idx + 1)) & _MASK64
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
+        h ^= h >> 31
+    return h
 
 
 def normals(seed: int, n_paths: int, n_cols: int, antithetic: bool = False) -> np.ndarray:

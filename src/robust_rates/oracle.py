@@ -13,7 +13,12 @@ Three tools, all deliberately distinct from the engines they police:
     deterministic volatility scenarios (constant or switching at given
     dates).  Every scenario's linear price is a lower estimate of the upper
     bound, so the family maximum must sit below the engine's upper bound up
-    to sampling error.
+    to sampling error.  The members share their draws, as every scenario of
+    the upper expectation lives on one Wiener space: each sampling block (a
+    period, or a swaption's single block) is drawn once, keyed
+    child_seed(mc.seed, i) for period i and mc.seed for a swaption, and the
+    family holds one block's draw at a time next to one running row of
+    path samples per member.  The reported se is the maximizing member's own.
 
   * expectations_hypothesis_check -- simulates the terminal short rate under
     the forward-measure dynamics (drift removed) and compares its sample
@@ -45,14 +50,24 @@ MIN_LATTICE_STEPS = 10
 # -- trinomial lattice ---------------------------------------------------------
 
 
-def _branch_probabilities(v: float, h: float) -> tuple[float, float, float]:
-    """(p_up, p_mid, p_down) for a +h/0/-h move of log X matching the exact
-    lognormal relative moments E[X'/X] = 1 and E[(X'/X)^2] = e^v."""
+def _branch_kernel(h: float) -> Callable[[float], tuple[float, float, float]]:
+    """v -> (p_up, p_mid, p_down) for a +h/0/-h move of log X matching the
+    exact lognormal relative moments E[X'/X] = 1 and E[(X'/X)^2] = e^v.
+    The spacing terms are computed once per spacing h."""
     a = math.exp(h)
-    p_d = (math.exp(v) - 1.0) * a * a / ((a - 1.0) ** 2 * (a + 1.0))
-    p_u = p_d / a
-    p_m = 1.0 - p_u - p_d
-    return p_u, p_m, p_d
+    denom = (a - 1.0) ** 2 * (a + 1.0)
+
+    def probabilities(v: float) -> tuple[float, float, float]:
+        p_d = (math.exp(v) - 1.0) * a * a / denom
+        p_u = p_d / a
+        return p_u, 1.0 - p_u - p_d, p_d
+
+    return probabilities
+
+
+def _branch_probabilities(v: float, h: float) -> tuple[float, float, float]:
+    """One step's (p_up, p_mid, p_down) at spacing h; see _branch_kernel."""
+    return _branch_kernel(h)(v)
 
 
 def lattice_price(
@@ -88,9 +103,10 @@ def lattice_price(
         return float(np.asarray(payoff(np.array([x0])), dtype=float)[0])
     h = LATTICE_STRETCH * math.sqrt(v_max)
 
+    branch = _branch_kernel(h)
     probs = []  # per step: the (p_up, p_mid, p_down) of the lower, then the upper extreme
     for k in range(steps):
-        probs.append((_branch_probabilities(v_dn[k], h), _branch_probabilities(v_up[k], h)))
+        probs.append((branch(v_dn[k]), branch(v_up[k])))
         for p in probs[k]:
             if min(p) < 0.0 or max(p) > 1.0:
                 total = float(np.sum(v_up))
@@ -233,79 +249,72 @@ class ScenarioResult:
     table: tuple[tuple[str, float, float], ...] = field(default=())
 
 
-def _scenario_price(curve, vs, segments, contract, mc: MCConfig, seed: int) -> tuple[float, float]:
-    """Linear Monte Carlo price of one contract under one scenario."""
-    def forwards(t_end, pairs, key):
-        """(paths, len(pairs)) forward prices at t_end from the draws keyed by key."""
-        nseg = len(segments)
-        z = normals(key, mc.paths, nseg * vs.dim, mc.antithetic).reshape(mc.paths, nseg, vs.dim)
-        x0s = [curve.forward_price(*p) for p in pairs]
-        return _terminal_forward_prices(vs, segments, t_end, pairs, x0s, z)
+def _sampling_blocks(curve, contract, seed: int) -> tuple[list, float]:
+    """The contract's sampling blocks and the deterministic part of its price.
 
-    def period(i, pair):
-        return forwards(contract.schedule.dates[i], [pair], child_seed(seed, i))[:, 0]
+    A block is (key, t_end, pairs, payoff): the forward prices with maturity
+    pairs are simulated to t_end from the normals keyed by key, and payoff
+    maps their (paths, len(pairs)) array to the block's per-path price.
+    Period i of a cap, floor, in-arrears swap, linear contract or stream is
+    keyed child_seed(seed, i); the one block of a swaption is keyed seed.
+    """
+    s = contract.schedule
+    blocks, fixed = [], 0.0
+
+    def period(i, pair, payoff):
+        blocks.append((child_seed(seed, i), s.dates[i], [pair], lambda x: payoff(x[:, 0])))
 
     if isinstance(contract, OptionContract):
-        s = contract.schedule
         if contract.kind == "swaption-payer":
             t0 = s.start
-            x = forwards(t0, [(t0, t) for t in s.dates[1:]], seed)
             coefs = np.array(s.accruals) * contract.strike_rate
             coefs[-1] += 1.0
-            samples = curve.bond_price(t0) * np.maximum(1.0 - x @ coefs, 0.0)
-        else:
-            per = []
-            for i in range(s.periods):
-                t_reset, t_pay = s.dates[i], s.dates[i + 1]
-                ki = transformed_strike(t_pay - t_reset, contract.strike_rate)
-                if contract.kind == "in-arrears-payer-swap":
-                    x = period(i, (t_pay, t_reset))  # reversed: the T_i-forward measure
-                    per.append(curve.bond_price(t_pay) * x * (x - 1.0 / ki))
-                    continue
-                x = period(i, (t_reset, t_pay))
-                raw = np.maximum(ki - x, 0.0) if contract.kind == "cap" else np.maximum(x - ki, 0.0)
-                per.append(curve.bond_price(t_reset) / ki * raw)
-            samples = np.sum(per, axis=0)
-        mean, se = mean_and_se(samples)
-        return contract.notional * mean, abs(contract.notional) * se
-
-    if isinstance(contract, LinearContract):
-        s = contract.schedule
-        samples = np.zeros(mc.paths)
-        principal = 0.0
+            bond = curve.bond_price(t0)
+            blocks.append((seed, t0, [(t0, t) for t in s.dates[1:]],
+                           lambda x: bond * np.maximum(1.0 - x @ coefs, 0.0)))
+            return blocks, fixed
         for i in range(s.periods):
             t_reset, t_pay = s.dates[i], s.dates[i + 1]
-            delta = t_pay - t_reset
+            ki = transformed_strike(t_pay - t_reset, contract.strike_rate)
+            if contract.kind == "in-arrears-payer-swap":  # reversed pair: the T_i-forward measure
+                b = curve.bond_price(t_pay)
+                period(i, (t_pay, t_reset), lambda x, b=b, ki=ki: b * x * (x - 1.0 / ki))
+            elif contract.kind == "cap":
+                b = curve.bond_price(t_reset) / ki
+                period(i, (t_reset, t_pay), lambda x, b=b, ki=ki: b * np.maximum(ki - x, 0.0))
+            else:  # floor
+                b = curve.bond_price(t_reset) / ki
+                period(i, (t_reset, t_pay), lambda x, b=b, ki=ki: b * np.maximum(x - ki, 0.0))
+        return blocks, fixed
+
+    if isinstance(contract, LinearContract):
+        for i in range(s.periods):
+            t_reset, t_pay = s.dates[i], s.dates[i + 1]
+            b = curve.bond_price(t_pay)
             if contract.kind == "fixed-coupon-bond":  # deterministic cashflows
-                principal += curve.bond_price(t_pay) * delta * contract.fixed_rate
-                continue
-            float_leg = curve.bond_price(t_pay) * (period(i, (t_pay, t_reset)) - 1.0)  # delta * L
-            if contract.kind == "floating-rate-note":
-                samples += float_leg
+                fixed += b * (t_pay - t_reset) * contract.fixed_rate
+            elif contract.kind == "floating-rate-note":  # delta * L paid at t_pay
+                period(i, (t_pay, t_reset), lambda x, b=b: b * (x - 1.0))
             else:  # payer-swap
-                samples += float_leg - curve.bond_price(t_pay) * delta * contract.fixed_rate
+                c = b * (t_pay - t_reset) * contract.fixed_rate
+                period(i, (t_pay, t_reset), lambda x, b=b, c=c: b * (x - 1.0) - c)
         if contract.kind in ("floating-rate-note", "fixed-coupon-bond"):
-            principal += curve.bond_price(s.end)
-        mean, se = mean_and_se(samples)
-        return contract.notional * (mean + principal), abs(contract.notional) * se
+            fixed += curve.bond_price(s.end)
+        return blocks, fixed
 
     if isinstance(contract, CashflowStream):
-        s = contract.schedule
-        samples = np.zeros(mc.paths)
-        fixed = 0.0
         for i, leg in enumerate(contract.legs):
             t_reset, t_pay = s.dates[i], s.dates[i + 1]
             if isinstance(leg, ConstantLeg):
                 fixed += leg.amount * curve.bond_price(t_pay)
             elif isinstance(leg, FloatingLinearLeg):
-                x = period(i, (t_pay, t_reset))
-                samples += curve.bond_price(t_pay) * (
-                    leg.slope / (t_pay - t_reset) * (x - 1.0) + leg.intercept
-                )
+                b, g = curve.bond_price(t_pay), leg.slope / (t_pay - t_reset)
+                period(i, (t_pay, t_reset),
+                       lambda x, b=b, g=g, c=leg.intercept: b * (g * (x - 1.0) + c))
             else:
-                samples += curve.bond_price(t_reset) * leg(period(i, (t_reset, t_pay)))
-        mean, se = mean_and_se(samples)
-        return contract.notional * (mean + fixed), abs(contract.notional) * se
+                b = curve.bond_price(t_reset)
+                period(i, (t_reset, t_pay), lambda x, b=b, leg=leg: b * leg(x))
+        return blocks, fixed
 
     raise DomainError(f"scenario pricing does not understand {type(contract).__name__}")
 
@@ -319,16 +328,36 @@ def scenario_sup(
     mc: MCConfig | None = None,
 ) -> ScenarioResult:
     """Maximum linear Monte Carlo price over the admissible scenario family:
-    a lower estimate of the engine's upper bound (up to sampling error)."""
+    a lower estimate of the engine's upper bound (up to sampling error).
+
+    Every member prices on the same draws (common random numbers: every
+    scenario lives on one Wiener space).  Each sampling block is drawn once,
+    keyed child_seed(mc.seed, i) for period i and mc.seed for a swaption's
+    single block, and every member prices from that draw.  Blocks run
+    outermost and only one block's draw is held at a time, next to one
+    running row of path samples per member, so memory does not grow with
+    the number of periods.  The reported se is the maximizing member's own.
+    """
     mc = mc or MCConfig()
-    horizon = contract.schedule.end
-    family, labels = _control_family(band, controls, horizon)
+    family, labels = _control_family(band, controls, contract.schedule.end)
     if not family:
         raise DomainError("empty control family")
+    blocks, fixed = _sampling_blocks(curve, contract, mc.seed)
+    nseg = len(family[0])
+    # One running row per member, not one (members, paths) block: freeing a
+    # block of many MB raises glibc's dynamic mmap threshold, and the heap
+    # then keeps later Monte Carlo buffers (about +10 MB peak RSS measured).
+    samples = [np.zeros(mc.paths) for _ in family]
+    for key, t_end, pairs, payoff in blocks:
+        z = normals(key, mc.paths, nseg * vs.dim, mc.antithetic).reshape(mc.paths, nseg, vs.dim)
+        x0s = [curve.forward_price(*p) for p in pairs]
+        for segments, row in zip(family, samples):
+            row += payoff(_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z))
     table = []
     best: tuple[float, float, str] | None = None
-    for idx, (segments, label) in enumerate(zip(family, labels)):
-        value, se = _scenario_price(curve, vs, segments, contract, mc, child_seed(mc.seed, idx))
+    for label, row in zip(labels, samples):
+        mean, se = mean_and_se(row)
+        value, se = contract.notional * (mean + fixed), abs(contract.notional) * se
         table.append((label, value, se))
         if best is None or value > best[0]:
             best = (value, se, label)

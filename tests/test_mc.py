@@ -35,6 +35,28 @@ def test_child_seed_is_stable_and_spreads():
     assert child_seed(42, 1, 2) != child_seed(42, 2, 1)
 
 
+def numpy_child_seed(seed, *indices):
+    """The earlier SplitMix64 formula, carried between steps as np.uint64."""
+    h = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    for idx in indices:
+        h = np.uint64((int(h) + 0x9E3779B97F4A7C15 * (idx + 1)) & 0xFFFFFFFFFFFFFFFF)
+        z = int(h)
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        h = np.uint64(z ^ (z >> 31))
+    return int(h)
+
+
+def test_child_seed_matches_the_numpy_formula():
+    rng = np.random.default_rng(7)
+    for _ in range(2_000):
+        seed = int.from_bytes(rng.bytes(16), "little") >> int(rng.integers(0, 121))  # 8-128 bits
+        indices = tuple(int(i) for i in rng.integers(0, 10_000, size=int(rng.integers(0, 4))))
+        got = child_seed(seed, *indices)
+        assert type(got) is int
+        assert got == numpy_child_seed(seed, *indices)
+
+
 def test_mean_and_se_matches_numpy():
     rng = np.random.default_rng(0)
     x = rng.normal(3.0, 2.0, size=10_000)

@@ -164,9 +164,11 @@ class TestScenarioSup:
         assert pw.value > const.value + 3.0 * max(pw.se, const.se)
 
 
-def reference_scenario_price(curve, vs, segments, contract, mc, seed):
-    """Reference: the per-contract sampling blocks written out one by one,
-    each drawing its normals and forward prices itself."""
+def reference_scenario_price(curve, vs, segments, contract, mc):
+    """Reference: one member's sampling blocks written out one by one, each
+    drawing its normals with the family's shared key (child_seed(mc.seed, i)
+    for period i, mc.seed for the swaption) and its forward prices itself."""
+    seed = mc.seed
     if isinstance(contract, OptionContract):
         s = contract.schedule
         if contract.kind in ("cap", "floor"):
@@ -299,22 +301,61 @@ SCENARIO_MODELS = {
 
 
 class TestScenarioSamplerBitExact:
-    """The scenario pricer draws every period through one sampler; it must
-    reproduce the written-out blocks exactly, not approximately."""
+    """The scenario pricer draws each block once for the whole family; every
+    member must reproduce its written-out blocks exactly, not approximately."""
 
     @pytest.mark.parametrize("controls", [ConstantControls(3), PiecewiseControls(2, (0.7, 1.2))],
                              ids=["constant", "piecewise"])
     @pytest.mark.parametrize("model", list(SCENARIO_MODELS))
     @pytest.mark.parametrize("name", list(SCENARIO_CONTRACTS))
-    def test_matches_reference(self, monkeypatch, name, model, controls):
+    def test_matches_reference(self, name, model, controls):
         vs, band = SCENARIO_MODELS[model]
         curve = DiscountCurve(knots=((0.0, 0.015), (2.0, 0.025), (10.0, 0.03)))
-        args = (curve, vs, band, SCENARIO_CONTRACTS[name], controls, MCConfig(paths=500, seed=17))
-        got = scenario_sup(*args)
-        monkeypatch.setattr(oracle, "_scenario_price", reference_scenario_price)
-        ref = scenario_sup(*args)
-        assert got.table == ref.table
-        assert (got.value, got.se, got.control) == (ref.value, ref.se, ref.control)
+        contract, mc = SCENARIO_CONTRACTS[name], MCConfig(paths=500, seed=17)
+        got = scenario_sup(curve, vs, band, contract, controls, mc)
+        family, labels = oracle._control_family(band, controls, contract.schedule.end)
+        table = tuple(
+            (label, *reference_scenario_price(curve, vs, segments, contract, mc))
+            for segments, label in zip(family, labels)
+        )
+        assert got.table == table
+        best = max(table, key=lambda row: row[1])  # the first maximizing member
+        assert (got.value, got.se, got.control) == (best[1], best[2], best[0])
+
+
+class TestScenarioSharedDraws:
+    """Every member of a family prices from one draw per sampling block."""
+
+    def test_identical_members_price_identically(self):
+        band = degenerate_band((1.0,))
+        c = OptionContract(kind="cap", schedule=SCHED, strike_rate=0.04)
+        res = scenario_sup(CURVE, VS, band, c, PiecewiseControls(2, (0.7, 1.2)),
+                           MCConfig(paths=2_000, seed=9))
+        assert len(res.table) == 8  # 2 levels over 3 segments
+        assert len({(v, s) for _, v, s in res.table}) == 1
+
+    def count_draws(self, monkeypatch, contract, controls):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return normals(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "normals", counting)
+        res = scenario_sup(CURVE, VS, BAND, contract, controls, MCConfig(paths=1_000, seed=5))
+        return res, calls
+
+    def test_one_draw_per_cap_period(self, monkeypatch):
+        c = OptionContract(kind="cap", schedule=SCHED, strike_rate=0.04)
+        res, keys = self.count_draws(monkeypatch, c, PiecewiseControls(2, (0.5, 1.0, 1.5)))
+        assert len(res.table) == 16
+        assert keys == [child_seed(5, 0), child_seed(5, 1)]
+
+    def test_one_draw_per_swaption_family(self, monkeypatch):
+        c = SCENARIO_CONTRACTS["swaption"]
+        res, keys = self.count_draws(monkeypatch, c, ConstantControls(3))
+        assert len(res.table) == 3
+        assert keys == [5]
 
 
 class TestExpectationsHypothesis:
