@@ -7,18 +7,16 @@ Three tools, all deliberately distinct from the engines they police:
     transition kernels built from the band extremes.  Probabilities match
     the exact multiplicative mean (martingale preservation to round-off)
     and lognormal second moment per step, so the tree converges to the same
-    nonlinear PDE value the engine computes.
+    nonlinear PDE value the engine computes.  Only nodes within +-12 sigma
+    of the root are stepped back (Hull & White 1994); the walk leaves that
+    window with probability below about e^-50 at 2000 steps.
 
   * scenario_sup -- Monte Carlo prices under a finite family of admissible
     deterministic volatility scenarios (constant or switching at given
     dates).  Every scenario's linear price is a lower estimate of the upper
     bound, so the family maximum must sit below the engine's upper bound up
-    to sampling error.  The members share their draws, as every scenario of
-    the upper expectation lives on one Wiener space: each sampling block (a
-    period, or a swaption's single block) is drawn once, keyed
-    child_seed(mc.seed, i) for period i and mc.seed for a swaption, and the
-    family holds one block's draw at a time next to one running row of
-    path samples per member.  The reported se is the maximizing member's own.
+    to sampling error.  The members share their draws (common random
+    numbers, one draw per sampling block); see scenario_sup.
 
   * expectations_hypothesis_check -- simulates the terminal short rate under
     the forward-measure dynamics (drift removed) and compares its sample
@@ -44,30 +42,22 @@ from .uncertainty import UncertaintyBand
 from .vol_structure import VolStructure
 
 LATTICE_STRETCH = 1.2
+LATTICE_WINDOW_SIGMAS = 12.0
 MIN_LATTICE_STEPS = 10
 
 
 # -- trinomial lattice ---------------------------------------------------------
 
 
-def _branch_kernel(h: float) -> Callable[[float], tuple[float, float, float]]:
-    """v -> (p_up, p_mid, p_down) for a +h/0/-h move of log X matching the
-    exact lognormal relative moments E[X'/X] = 1 and E[(X'/X)^2] = e^v.
-    The spacing terms are computed once per spacing h."""
+def _branch_probabilities(v, h: float):
+    """(p_up, p_mid, p_down) for a +h/0/-h move of log X over a step of
+    variance v, matching the exact lognormal relative moments E[X'/X] = 1
+    and E[(X'/X)^2] = e^v.  Elementwise on an array v; exp(v) is math.exp
+    of each element, so every element has the scalar call's bits."""
     a = math.exp(h)
-    denom = (a - 1.0) ** 2 * (a + 1.0)
-
-    def probabilities(v: float) -> tuple[float, float, float]:
-        p_d = (math.exp(v) - 1.0) * a * a / denom
-        p_u = p_d / a
-        return p_u, 1.0 - p_u - p_d, p_d
-
-    return probabilities
-
-
-def _branch_probabilities(v: float, h: float) -> tuple[float, float, float]:
-    """One step's (p_up, p_mid, p_down) at spacing h; see _branch_kernel."""
-    return _branch_kernel(h)(v)
+    p_d = (np.vectorize(math.exp, otypes=[float])(v) - 1.0) * a * a / ((a - 1.0) ** 2 * (a + 1.0))
+    p_u = p_d / a
+    return p_u, 1.0 - p_u - p_d, p_d
 
 
 def lattice_price(
@@ -86,15 +76,24 @@ def lattice_price(
     One-factor structures only.  The node spacing is pinned to the band's
     upper extreme with stretch 1.2; per-step local variances handle
     time-dependent factor vols.
+
+    Only the nodes |j| <= J = ceil(12 sigma / h) are stepped back, sigma^2
+    being the upper extreme's total variance; nodes +-(J + 1) keep their
+    payoff values (the truncation of Hull & White 1994, "Numerical
+    procedures for implementing term structure models I").  By Freedman's
+    martingale inequality the walk leaves +-J, under any choice of kernels,
+    with probability below 2 exp(-72 / (1 + 12 h / sigma)), about e^-52 at
+    2000 steps: the root moves by at most that times the payoff's range,
+    and matched the untruncated tree's bits on every case tested.
     """
     if vs.dim != 1 or band.dim != 1:
-        raise UnsupportedMethodError(
-            f"lattice supports one-factor structures only, got d={vs.dim}"
-        )
-    if steps < MIN_LATTICE_STEPS:
-        raise DomainError(f"lattice needs at least {MIN_LATTICE_STEPS} steps, got {steps}")
-    if t1 > min(T, T_i):
-        raise DomainError(f"expiry t1={t1} must not exceed min(T, T_i)=({T}, {T_i})")
+        raise UnsupportedMethodError(f"lattice supports one factor only, got d={vs.dim}")
+    if not isinstance(steps, (int, np.integer)) or steps < MIN_LATTICE_STEPS:
+        raise DomainError(f"lattice needs an integer number of steps, at least "
+                          f"{MIN_LATTICE_STEPS}, got {steps!r}")
+    if not (math.isfinite(t1) and 0.0 <= t1 <= min(T, T_i)):
+        raise DomainError(f"expiry t1={t1} must be finite, nonnegative and at most "
+                          f"min(T, T_i)=({T}, {T_i})")
 
     x0 = curve.forward_price(T, T_i)
     v_up, v_dn = step_variances(vs, band, np.linspace(0.0, t1, steps + 1), T, T_i)
@@ -102,39 +101,40 @@ def lattice_price(
     if v_max <= 0.0:
         return float(np.asarray(payoff(np.array([x0])), dtype=float)[0])
     h = LATTICE_STRETCH * math.sqrt(v_max)
+    total = float(np.sum(v_up))
 
-    branch = _branch_kernel(h)
-    probs = []  # per step: the (p_up, p_mid, p_down) of the lower, then the upper extreme
-    for k in range(steps):
-        probs.append((branch(v_dn[k]), branch(v_up[k])))
-        for p in probs[k]:
-            if min(p) < 0.0 or max(p) > 1.0:
-                total = float(np.sum(v_up))
-                suggested = max(MIN_LATTICE_STEPS, math.ceil(total / 0.04))
-                raise StabilityError(
-                    f"branch probabilities out of [0, 1] at step {k}; "
-                    f"use at least {suggested} steps"
-                )
+    probs = np.array(_branch_probabilities(np.stack((v_dn, v_up)), h))  # (3, 2, steps)
+    bad = ((probs < 0.0) | (probs > 1.0)).any(axis=(0, 1))
+    if bad.any():
+        suggested = max(MIN_LATTICE_STEPS, math.ceil(total / 0.04))
+        raise StabilityError(f"branch probabilities out of [0, 1] at step {int(np.argmax(bad))}; "
+                             f"use at least {suggested} steps")
+    rows = probs.transpose(2, 1, 0).tolist()  # rows[k]: (p_up, p_mid, p_down) at v_dn, v_up
 
+    # values[i] is node i - outer.  Step k updates nodes -m..m, m = min(k, J).
+    outer = min(math.ceil(LATTICE_WINDOW_SIGMAS * math.sqrt(total) / h) + 1, steps)
     # The backward loop overwrites values in place, so it starts from a copy:
     # the payoff may return an array it keeps.
-    nodes = np.arange(-steps, steps + 1)
-    values = np.array(payoff(x0 * np.exp(h * nodes)), dtype=float)
-    cands = (np.empty_like(values), np.empty_like(values))
-    term = np.empty_like(values)
+    values = np.array(payoff(x0 * np.exp(h * np.arange(-outer, outer + 1))), dtype=float)
+    scratch = np.empty((3, 2 * outer - 1))
+
+    def window(m: int) -> tuple[np.ndarray, ...]:
+        """Down, mid and up children of nodes -m..m, then three scratch rows."""
+        lo, hi = outer - m, outer + m + 1
+        return values[lo - 1:hi - 1], values[lo:hi], values[lo + 1:hi + 1], *scratch[:, :hi - lo]
+
+    full = window(outer - 1)  # the views of every step k >= J
     for k in range(steps - 1, -1, -1):
-        n = 2 * k + 1
-        child_d, child_m, child_u, t = values[:n], values[1:n + 1], values[2:n + 2], term[:n]
-        for (pu, pm, pd), cand in zip(probs[k], cands):
+        child_d, child_m, child_u, t, *best = full if k >= outer - 1 else window(k)
+        for (pu, pm, pd), cand in zip(rows[k], best):
             # cand = pu * child_u + pm * child_m + pd * child_d, summed left to right
-            cand = cand[:n]
             np.multiply(child_u, pu, out=cand)
             np.multiply(child_m, pm, out=t)
             cand += t
             np.multiply(child_d, pd, out=t)
             cand += t
-        np.maximum(cands[0][:n], cands[1][:n], out=values[:n])
-    return float(values[0])
+        np.maximum(*best, out=child_m)
+    return float(values[outer])
 
 
 # -- scenario Monte Carlo --------------------------------------------------------

@@ -400,7 +400,7 @@ def solve_single_option(
         raise DomainError(f"volatility structure has {vs.dim} factors but band has {band.dim}")
     if t1 > min(T, T_i):
         raise DomainError(f"expiry t1={t1} must not exceed min(T, T_i)=({T}, {T_i})")
-    if t1 < 0.0:
+    if not t1 >= 0.0:  # also NaN
         raise DomainError(f"expiry must be nonnegative, got {t1}")
     if max(T, T_i) > curve.horizon:
         raise DomainError(f"maturities ({T}, {T_i}) exceed curve horizon {curve.horizon}")

@@ -20,6 +20,7 @@ from robust_rates.mc import MCConfig, mean_and_se, normals
 from robust_rates.option_pricing import OptionContract, _swaption_inputs, price_swaption
 from robust_rates.oracle import (
     LATTICE_STRETCH,
+    LATTICE_WINDOW_SIGMAS,
     MIN_LATTICE_STEPS,
     PiecewiseControls,
     _branch_probabilities,
@@ -29,7 +30,7 @@ from robust_rates.oracle import (
     lattice_price,
 )
 from robust_rates.pde import step_variances
-from robust_rates.stream import capped_call_spread_leg
+from robust_rates.stream import capped_call_spread_leg, caplet_leg
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
 from robust_rates.vol_structure import HoLeeFactor, HullWhiteFactor, VolStructure, ho_lee, hull_white
 
@@ -183,6 +184,65 @@ class TestLattice:
         v = lattice_price(*args)
         assert same_bits(cache["v"], cache["as_returned"])
         assert v == lattice_price(*args) == ref_lattice_price(*args)
+
+
+# The audit's lattices: 2000 steps, one 6-month period starting at 2y; the node
+# window (+-12 sigma) covers about 450 of the 2001 terminal nodes either side.
+AUDIT_MODELS = {"ho-lee": ho_lee(0.01), "hull-white": hull_white(0.012, 0.1)}
+AUDIT_LEGS = {"caplet": caplet_leg(0.5, 0.03), "spread": capped_call_spread_leg(0.985, 0.01)}
+
+
+def window_half_width(vs, band, T, t1, T_i, steps) -> int:
+    """J: the lattice updates the nodes |j| <= J, from the same step tables."""
+    v_up, _ = step_variances(vs, band, np.linspace(0.0, t1, steps + 1), T, T_i)
+    h = LATTICE_STRETCH * math.sqrt(float(np.max(v_up)))
+    return math.ceil(LATTICE_WINDOW_SIGMAS * math.sqrt(float(np.sum(v_up))) / h)
+
+
+def grid_sizes(payoff, sizes):
+    def recorded(p):
+        sizes.append(len(p))
+        return payoff(p)
+    return recorded
+
+
+class TestTruncatedLattice:
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("model", AUDIT_MODELS)
+    @pytest.mark.parametrize("what", AUDIT_LEGS)
+    def test_audit_lattices_match_reference(self, what, model, side):
+        sign = 1.0 if side == "upper" else -1.0
+        leg, vs, sizes = AUDIT_LEGS[what], AUDIT_MODELS[model], []
+        args = (CURVE, vs, BAND, 2.0, 2.0, 2.5, lambda p: sign * leg.payoff(p), 2000)
+        got = lattice_price(*args[:6], grid_sizes(args[6], sizes), 2000)
+        assert got == ref_lattice_price(*args)
+        J = window_half_width(vs, BAND, 2.0, 2.0, 2.5, 2000)
+        assert J < 500 and sizes == [2 * J + 3]
+
+    @pytest.mark.parametrize("model", AUDIT_MODELS)
+    @pytest.mark.parametrize("excess", [-2, -1, 0, 1])
+    def test_window_edges_match_reference(self, model, excess):
+        # Step counts where J = steps + excess: at excess -2 the outermost
+        # nodes +-(steps - 1) are first held at their payoff values; from
+        # excess -1 on the window spans the whole tree.
+        vs = AUDIT_MODELS[model]
+        steps = next(n for n in range(MIN_LATTICE_STEPS, 400)
+                     if window_half_width(vs, BAND, 2.0, 2.0, 2.5, n) == n + excess)
+        payoff, sizes = AUDIT_LEGS["spread"].payoff, []
+        args = (CURVE, vs, BAND, 2.0, 2.0, 2.5, payoff, steps)
+        assert lattice_price(*args[:6], grid_sizes(payoff, sizes), steps) == ref_lattice_price(*args)
+        assert sizes == [2 * min(steps + excess + 1, steps) + 1]
+
+    @pytest.mark.parametrize("model", AUDIT_MODELS)
+    def test_non_affine_tails_within_tail_bound(self, model):
+        # Held outer nodes are exact for a payoff affine in its tails (both
+        # kernels keep the mean); -cos(40 log x) oscillates out to +-J and
+        # beyond (a +-4 sigma window moves this lower bound by about 1e-7).
+        # A path leaves the window with probability below e^-50, so the root
+        # moves by at most that times the payoff's range, 2.
+        payoff = lambda p: -np.cos(40.0 * np.log(p))
+        args = (CURVE, AUDIT_MODELS[model], BAND, 2.0, 2.0, 2.5, payoff, 2000)
+        assert abs(lattice_price(*args) - ref_lattice_price(*args)) <= 2.0 * math.exp(-50.0)
 
 
 # -- terminal forward prices ----------------------------------------------------------

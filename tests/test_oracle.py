@@ -20,6 +20,7 @@ from robust_rates.oracle import (
     lattice_price,
     scenario_sup,
 )
+from robust_rates.pde import step_variances
 from robust_rates.stream import (
     CashflowStream,
     ConstantLeg,
@@ -28,7 +29,7 @@ from robust_rates.stream import (
     transformed_strike,
 )
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
-from robust_rates.vol_structure import HoLeeFactor, HullWhiteFactor, VolStructure, ho_lee
+from robust_rates.vol_structure import HoLeeFactor, HullWhiteFactor, VolStructure, ho_lee, hull_white
 
 CURVE = flat_curve(0.02)
 VS = ho_lee(0.01)
@@ -108,6 +109,33 @@ class TestLatticeValidation:
         vs_big = ho_lee(3.0)
         with pytest.raises(StabilityError, match="at least"):
             lattice_price(flat_curve(0.02), vs_big, BAND, 1.0, 1.0, 3.0, lambda x: x, 10)
+
+    def test_stability_error_names_the_first_failing_step(self):
+        # Hull-White step variances grow towards expiry, so the steps fail
+        # from some k > 0 on; the vectorised check must name the first.
+        vs, steps = hull_white(5.0, 1.0), 10
+        v_up, v_dn = step_variances(vs, BAND, np.linspace(0.0, 1.0, steps + 1), 1.0, 3.0)
+        h = oracle.LATTICE_STRETCH * math.sqrt(max(v_up))
+        first = next(k for k in range(steps) for v in (v_dn[k], v_up[k])
+                     if min(_branch_probabilities(v, h)) < 0.0
+                     or max(_branch_probabilities(v, h)) > 1.0)
+        assert first > 0
+        with pytest.raises(StabilityError, match=f"at step {first};"):
+            lattice_price(CURVE, vs, BAND, 1.0, 1.0, 3.0, lambda x: x, steps)
+
+    @pytest.mark.parametrize("t1", [math.nan, -0.5, math.inf, -math.inf])
+    def test_expiry_must_be_finite_and_nonnegative(self, t1):
+        with pytest.raises(DomainError, match="finite, nonnegative"):
+            lattice_price(CURVE, VS, BAND, 1.0, t1, 1.5, lambda x: x, 50)
+
+    @pytest.mark.parametrize("steps", [50.0, 50.5, "50", None])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(DomainError, match="integer number of steps"):
+            lattice_price(CURVE, VS, BAND, 1.0, 1.0, 1.5, lambda x: x, steps)
+
+    def test_numpy_integer_steps_price_as_int(self):
+        args = (CURVE, VS, BAND, 1.0, 1.0, 1.5, lambda x: np.maximum(KI - x, 0.0))
+        assert lattice_price(*args, np.int64(57)) == lattice_price(*args, 57)
 
 
 class TestScenarioSup:

@@ -701,3 +701,8 @@ class TestValidation:
         grid = PDEGrid(x_min=0.5, x_max=1.5, nx=11, nt=10)
         with pytest.raises(DomainError):
             solve_single_option(CURVE, VS, BAND, 1.0, 2.0, 1.5, put_payoff(), grid)
+
+    def test_nan_expiry_is_a_domain_error(self):
+        grid = PDEGrid(x_min=0.5, x_max=1.5, nx=11, nt=10)
+        with pytest.raises(DomainError, match="nonnegative, got nan"):
+            solve_single_option(CURVE, VS, BAND, 1.0, math.nan, 1.5, put_payoff(), grid)
