@@ -6,7 +6,9 @@ in a single vectorized call with a fixed path-major layout.  The same
 regardless of execution order, thread count, or how callers batch the
 paths afterwards.  Antithetic sampling mirrors the first half of the
 paths; aggregation should use numpy reductions (pairwise summation) so
-totals do not depend on partitioning.
+totals do not depend on partitioning.  Kernels that transform the draws
+work through them in path blocks (path_blocks) and write per-path results
+into one whole vector, so every reduction still sees all paths at once.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ class MCConfig:
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# Paths per block of the Monte Carlo kernels: 64 kB per float64 column, so
+# even a 40-column block buffer (2.6 MB) stays in cache.
+_PATH_BLOCK = 8192
 
 
 def child_seed(seed: int, *indices: int) -> int:
@@ -70,6 +76,23 @@ def normals(seed: int, n_paths: int, n_cols: int, antithetic: bool = False) -> n
     if n_paths % 2:
         gen.standard_normal(out=z[2 * half:])
     return z
+
+
+def path_blocks(n_paths: int) -> tuple[int, list[slice]]:
+    """The widest block and the row slices of consecutive path blocks.
+
+    Blocks start at multiples of _PATH_BLOCK, so the BLAS kernels group a
+    block's rows as they group the whole array's and every row gets the
+    bits it gets unblocked.  A last block of one path joins the block
+    before it: numpy sends a one-row product to a different BLAS routine.
+    (A multi-threaded BLAS splits the rows between its threads at points of
+    its own, which can move bits with or without blocks.)
+    """
+    starts = list(range(0, n_paths, _PATH_BLOCK))
+    if len(starts) > 1 and n_paths - starts[-1] == 1:
+        starts.pop()
+    ends = starts[1:] + [n_paths]
+    return max(e - s for s, e in zip(starts, ends)), [slice(s, e) for s, e in zip(starts, ends)]
 
 
 def mean_and_se(samples: np.ndarray) -> tuple[float, float]:

@@ -39,7 +39,7 @@ from .curve import DiscountCurve
 from .errors import ConvergenceError, DomainError, UnsupportedMethodError
 from .linear_pricing import TenorSchedule
 from .lognormal import norm_cdf
-from .mc import MCConfig, mean_and_se, normals
+from .mc import MCConfig, mean_and_se, normals, path_blocks
 from .stream import CashflowStream, caplet_leg, floorlet_leg, in_arrears_leg, leg_bounds
 from .uncertainty import PriceBounds, UncertaintyBand
 from .vol_structure import VolStructure
@@ -252,6 +252,13 @@ def _swaption_value_mc(curve, vs, sigma, contract, z: np.ndarray) -> tuple[float
     Separable factors (Ho-Lee, Hull-White) admit an exact one-normal-per-
     factor representation; otherwise the exact per-pair covariance matrix is
     factorized and the joint Gaussian drawn from it.
+
+    The terminal vectors are built one path block at a time (mc.path_blocks)
+    in one reused (block, n) buffer, and each block's payoffs go to its rows
+    of one (paths,) vector that mean_and_se reads whole.  Every path takes
+    the same operations in the same order as in one (paths, n) array, and
+    the blocks start where BLAS groups the rows anyway, so every bit is the
+    same as unblocked.
     """
     s = contract.schedule
     t0 = s.start
@@ -280,13 +287,19 @@ def _swaption_value_mc(curve, vs, sigma, contract, z: np.ndarray) -> tuple[float
         # Symmetric PSD factorization tolerant of rank deficiency.
         evals, evecs = np.linalg.eigh(cov)
         mix = (evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0)))).T
-    # terminal = xs * exp(-(z @ mix) - w^2/2), built in one (paths, n) array.
-    terminal = z @ mix
-    np.negative(terminal, out=terminal)
-    terminal -= 0.5 * ws**2
-    np.exp(terminal, out=terminal)
-    terminal *= xs
-    payoff = terminal @ coefs
+    half_var = 0.5 * ws**2
+    width, blocks = path_blocks(z.shape[0])
+    buf = np.empty((width, n))
+    payoff = np.empty(z.shape[0])
+    for rows in blocks:
+        # terminal = xs * exp(-(z @ mix) - w^2/2) for this block's paths.
+        terminal = buf[:rows.stop - rows.start]
+        np.matmul(z[rows], mix, out=terminal)
+        np.negative(terminal, out=terminal)
+        terminal -= half_var
+        np.exp(terminal, out=terminal)
+        terminal *= xs
+        np.matmul(terminal, coefs, out=payoff[rows])
     np.subtract(1.0, payoff, out=payoff)
     np.maximum(payoff, 0.0, out=payoff)
     return mean_and_se(payoff)

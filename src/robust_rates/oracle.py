@@ -16,7 +16,9 @@ Three tools, all deliberately distinct from the engines they police:
     dates).  Every scenario's linear price is a lower estimate of the upper
     bound, so the family maximum must sit below the engine's upper bound up
     to sampling error.  The members share their draws (common random
-    numbers, one draw per sampling block); see scenario_sup.
+    numbers, one draw per sampling block) and price them one path block at
+    a time; their running sums fill one (members, paths) array, so memory
+    is 8 bytes per member and path plus one draw.  See scenario_sup.
 
   * expectations_hypothesis_check -- simulates the terminal short rate under
     the forward-measure dynamics (drift removed) and compares its sample
@@ -34,7 +36,7 @@ import numpy as np
 from .curve import DiscountCurve
 from .errors import DomainError, StabilityError, UnsupportedMethodError
 from .linear_pricing import LinearContract
-from .mc import MCConfig, child_seed, mean_and_se, normals
+from .mc import MCConfig, child_seed, mean_and_se, normals, path_blocks
 from .option_pricing import OptionContract
 from .pde import step_variances
 from .stream import CashflowStream, ConstantLeg, FloatingLinearLeg, transformed_strike
@@ -222,21 +224,27 @@ def _segment_stdevs(vs, segments, t_end: float, pair) -> np.ndarray:
     return np.array(out)  # (n_segments, d)
 
 
-def _terminal_forward_prices(vs, segments, t_end, pairs, x0s, z) -> np.ndarray:
-    """(paths, len(pairs)) terminal forward prices sharing the per-segment
-    driver draws z of shape (paths, n_segments, d): comonotone within each
-    factor, exact marginals for every pair."""
-    n_paths = z.shape[0]
-    z_flat = z.reshape(n_paths, -1)
-    out = np.empty((n_paths, len(pairs)))
-    for a, (pair, x0) in enumerate(zip(pairs, x0s)):
+def _member_moves(vs, segments, t_end: float, pairs) -> list[tuple[np.ndarray, float]]:
+    """One member's log moves, per pair: the (n_segments * d, 1) column of
+    stdevs that multiplies the flattened draws, and half its total variance."""
+    moves = []
+    for pair in pairs:
         sds = _segment_stdevs(vs, segments, t_end, pair)  # (nseg, d)
+        moves.append((sds.reshape(-1, 1), 0.5 * float(np.sum(sds**2))))
+    return moves
+
+
+def _terminal_forward_prices(moves, x0s, z, out, log) -> None:
+    """Write into out (paths, len(pairs)) the terminal forward prices sharing
+    the per-segment driver draws z of shape (paths, n_segments * d):
+    comonotone within each factor, exact marginals for every pair.  moves
+    come from _member_moves; log is a (paths, 1) scratch column."""
+    for a, ((sds, half_var), x0) in enumerate(zip(moves, x0s)):
         # The one dot product np.tensordot(z, sds, axes=([1, 2], [0, 1])) makes.
-        log_move = np.dot(z_flat, sds.reshape(-1, 1))[:, 0]
-        log_move -= 0.5 * float(np.sum(sds**2))
-        np.exp(log_move, out=log_move)
-        np.multiply(log_move, x0, out=out[:, a])
-    return out
+        np.dot(z, sds, out=log)
+        log -= half_var
+        np.exp(log, out=log)
+        np.multiply(log[:, 0], x0, out=out[:, a])
 
 
 @dataclass(frozen=True)
@@ -253,16 +261,19 @@ def _sampling_blocks(curve, contract, seed: int) -> tuple[list, float]:
     """The contract's sampling blocks and the deterministic part of its price.
 
     A block is (key, t_end, pairs, payoff): the forward prices with maturity
-    pairs are simulated to t_end from the normals keyed by key, and payoff
-    maps their (paths, len(pairs)) array to the block's per-path price.
-    Period i of a cap, floor, in-arrears swap, linear contract or stream is
-    keyed child_seed(seed, i); the one block of a swaption is keyed seed.
+    pairs are simulated to t_end from the normals keyed by key, and
+    payoff(x, out) writes the block's per-path price for their (paths,
+    len(pairs)) array x into out, overwriting x as it likes.  Each payoff
+    makes the operations of its plain formula in the same order.  Period i
+    of a cap, floor, in-arrears swap, linear contract or stream is keyed
+    child_seed(seed, i); the one block of a swaption is keyed seed.
     """
     s = contract.schedule
     blocks, fixed = [], 0.0
 
     def period(i, pair, payoff):
-        blocks.append((child_seed(seed, i), s.dates[i], [pair], lambda x: payoff(x[:, 0])))
+        blocks.append((child_seed(seed, i), s.dates[i], [pair],
+                       lambda x, out: payoff(x[:, 0], out)))
 
     if isinstance(contract, OptionContract):
         if contract.kind == "swaption-payer":
@@ -270,21 +281,31 @@ def _sampling_blocks(curve, contract, seed: int) -> tuple[list, float]:
             coefs = np.array(s.accruals) * contract.strike_rate
             coefs[-1] += 1.0
             bond = curve.bond_price(t0)
-            blocks.append((seed, t0, [(t0, t) for t in s.dates[1:]],
-                           lambda x: bond * np.maximum(1.0 - x @ coefs, 0.0)))
+
+            def swaption(x, out):  # bond * max(1 - x @ coefs, 0)
+                np.matmul(x, coefs, out=out)
+                np.subtract(1.0, out, out=out)
+                np.maximum(out, 0.0, out=out)
+                out *= bond
+
+            blocks.append((seed, t0, [(t0, t) for t in s.dates[1:]], swaption))
             return blocks, fixed
         for i in range(s.periods):
             t_reset, t_pay = s.dates[i], s.dates[i + 1]
             ki = transformed_strike(t_pay - t_reset, contract.strike_rate)
             if contract.kind == "in-arrears-payer-swap":  # reversed pair: the T_i-forward measure
+                # b * x * (x - 1 / ki)
                 b = curve.bond_price(t_pay)
-                period(i, (t_pay, t_reset), lambda x, b=b, ki=ki: b * x * (x - 1.0 / ki))
-            elif contract.kind == "cap":
+                period(i, (t_pay, t_reset), lambda x, out, b=b, k=1.0 / ki: np.multiply(
+                    np.subtract(x, k, out=out), np.multiply(x, b, out=x), out=out))
+            elif contract.kind == "cap":  # b * max(ki - x, 0)
                 b = curve.bond_price(t_reset) / ki
-                period(i, (t_reset, t_pay), lambda x, b=b, ki=ki: b * np.maximum(ki - x, 0.0))
-            else:  # floor
+                period(i, (t_reset, t_pay), lambda x, out, b=b, ki=ki: np.multiply(
+                    np.maximum(np.subtract(ki, x, out=out), 0.0, out=out), b, out=out))
+            else:  # floor: b * max(x - ki, 0)
                 b = curve.bond_price(t_reset) / ki
-                period(i, (t_reset, t_pay), lambda x, b=b, ki=ki: b * np.maximum(x - ki, 0.0))
+                period(i, (t_reset, t_pay), lambda x, out, b=b, ki=ki: np.multiply(
+                    np.maximum(np.subtract(x, ki, out=out), 0.0, out=out), b, out=out))
         return blocks, fixed
 
     if isinstance(contract, LinearContract):
@@ -293,11 +314,13 @@ def _sampling_blocks(curve, contract, seed: int) -> tuple[list, float]:
             b = curve.bond_price(t_pay)
             if contract.kind == "fixed-coupon-bond":  # deterministic cashflows
                 fixed += b * (t_pay - t_reset) * contract.fixed_rate
-            elif contract.kind == "floating-rate-note":  # delta * L paid at t_pay
-                period(i, (t_pay, t_reset), lambda x, b=b: b * (x - 1.0))
-            else:  # payer-swap
+            elif contract.kind == "floating-rate-note":  # delta * L paid at t_pay: b * (x - 1)
+                period(i, (t_pay, t_reset), lambda x, out, b=b: np.multiply(
+                    np.subtract(x, 1.0, out=out), b, out=out))
+            else:  # payer-swap: b * (x - 1) - c
                 c = b * (t_pay - t_reset) * contract.fixed_rate
-                period(i, (t_pay, t_reset), lambda x, b=b, c=c: b * (x - 1.0) - c)
+                period(i, (t_pay, t_reset), lambda x, out, b=b, c=c: np.subtract(
+                    np.multiply(np.subtract(x, 1.0, out=out), b, out=out), c, out=out))
         if contract.kind in ("floating-rate-note", "fixed-coupon-bond"):
             fixed += curve.bond_price(s.end)
         return blocks, fixed
@@ -307,16 +330,33 @@ def _sampling_blocks(curve, contract, seed: int) -> tuple[list, float]:
             t_reset, t_pay = s.dates[i], s.dates[i + 1]
             if isinstance(leg, ConstantLeg):
                 fixed += leg.amount * curve.bond_price(t_pay)
-            elif isinstance(leg, FloatingLinearLeg):
+            elif isinstance(leg, FloatingLinearLeg):  # b * (g * (x - 1) + c)
                 b, g = curve.bond_price(t_pay), leg.slope / (t_pay - t_reset)
-                period(i, (t_pay, t_reset),
-                       lambda x, b=b, g=g, c=leg.intercept: b * (g * (x - 1.0) + c))
-            else:
+                period(i, (t_pay, t_reset), lambda x, out, b=b, g=g, c=leg.intercept: np.multiply(
+                    np.add(np.multiply(np.subtract(x, 1.0, out=out), g, out=out), c, out=out),
+                    b, out=out))
+            else:  # b * leg(x)
                 b = curve.bond_price(t_reset)
-                period(i, (t_reset, t_pay), lambda x, b=b, leg=leg: b * leg(x))
+                period(i, (t_reset, t_pay),
+                       lambda x, out, b=b, leg=leg: np.multiply(leg(x), b, out=out))
         return blocks, fixed
 
     raise DomainError(f"scenario pricing does not understand {type(contract).__name__}")
+
+
+def _add_block_prices(sums, z, moves, x0s, payoff) -> None:
+    """Add to every member's row of sums its per-path prices of one sampling
+    block, from the block's draws z, one path block at a time.  moves holds
+    each member's _member_moves; all work happens in three block buffers."""
+    width, path_rows = path_blocks(z.shape[0])
+    x, log, price = np.empty((width, len(x0s))), np.empty((width, 1)), np.empty(width)
+    for rows in path_rows:
+        n = rows.stop - rows.start
+        z_rows, x_rows, log_rows, price_rows = z[rows], x[:n], log[:n], price[:n]
+        for member, row in zip(moves, sums):
+            _terminal_forward_prices(member, x0s, z_rows, x_rows, log_rows)
+            payoff(x_rows, price_rows)
+            row[rows] += price_rows
 
 
 def scenario_sup(
@@ -333,10 +373,15 @@ def scenario_sup(
     Every member prices on the same draws (common random numbers: every
     scenario lives on one Wiener space).  Each sampling block is drawn once,
     keyed child_seed(mc.seed, i) for period i and mc.seed for a swaption's
-    single block, and every member prices from that draw.  Blocks run
-    outermost and only one block's draw is held at a time, next to one
-    running row of path samples per member, so memory does not grow with
-    the number of periods.  The reported se is the maximizing member's own.
+    single block, and every member prices from that draw.  Sampling blocks
+    run outermost and only one block's draw is held at a time.  Within it,
+    each member prices one path block (mc.path_blocks) at a time into
+    reused block buffers and adds the prices to its row of one (members,
+    paths) array of running sums.  Memory is that array (8 bytes per member
+    and path), one draw (8 bytes per path, segment and factor) and block
+    buffers of (pairs + 2) columns, whatever the number of periods; nothing
+    of path size is allocated per member.  The reported se is the
+    maximizing member's own.
     """
     mc = mc or MCConfig()
     family, labels = _control_family(band, controls, contract.schedule.end)
@@ -344,18 +389,16 @@ def scenario_sup(
         raise DomainError("empty control family")
     blocks, fixed = _sampling_blocks(curve, contract, mc.seed)
     nseg = len(family[0])
-    # One running row per member, not one (members, paths) block: freeing a
-    # block of many MB raises glibc's dynamic mmap threshold, and the heap
-    # then keeps later Monte Carlo buffers (about +10 MB peak RSS measured).
-    samples = [np.zeros(mc.paths) for _ in family]
+    sums = np.zeros((len(family), mc.paths))
     for key, t_end, pairs, payoff in blocks:
-        z = normals(key, mc.paths, nseg * vs.dim, mc.antithetic).reshape(mc.paths, nseg, vs.dim)
+        moves = [_member_moves(vs, segments, t_end, pairs) for segments in family]
         x0s = [curve.forward_price(*p) for p in pairs]
-        for segments, row in zip(family, samples):
-            row += payoff(_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z))
+        # The draw goes out of scope before the next block's is made.
+        _add_block_prices(sums, normals(key, mc.paths, nseg * vs.dim, mc.antithetic),
+                          moves, x0s, payoff)
     table = []
     best: tuple[float, float, str] | None = None
-    for label, row in zip(labels, samples):
+    for label, row in zip(labels, sums):
         mean, se = mean_and_se(row)
         value, se = contract.notional * (mean + fixed), abs(contract.notional) * se
         table.append((label, value, se))

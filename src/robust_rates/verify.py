@@ -17,9 +17,9 @@ from .curve import DiscountCurve, flat_curve
 from .errors import DomainError
 from .linear_pricing import LinearContract, TenorSchedule, price_swap
 from .lognormal import lognormal_put
-from .mc import MCConfig
-from .option_pricing import OptionContract, price_cap, price_floor
-from .oracle import expectations_hypothesis_check, lattice_price
+from .mc import MCConfig, child_seed
+from .option_pricing import OptionContract, price_cap, price_floor, price_swaption
+from .oracle import ConstantControls, expectations_hypothesis_check, lattice_price, scenario_sup
 from .pde import default_grid, solve_single_option
 from .stream import (
     CashflowStream,
@@ -161,6 +161,34 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
             rel <= 2e-3,
             f"rel={rel:.2e} tol=2e-3",
         ))
+
+    # Monte Carlo swaption vs the quadrature at both bounds, over several path blocks.
+    band = UncertaintyBand((0.5,), (1.5,))
+    mc = MCConfig(paths=40_000, seed=child_seed(seed, 0))
+    swaption = OptionContract(kind="swaption-payer",
+                              schedule=TenorSchedule(dates=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5)),
+                              strike_rate=0.02)
+    quad = price_swaption(curve, vs, band, swaption, method="quadrature-1f")
+    sim = price_swaption(curve, vs, band, swaption, method="monte-carlo", mc=mc)
+    for side in ("lower", "upper"):
+        gap = abs(getattr(sim, side) - getattr(quad, side))
+        se = sim.diagnostics[f"se_{side}"]
+        out.append(CheckResult(
+            f"Monte Carlo swaption vs quadrature-1f, {side} bound ({mc.paths} paths)",
+            gap <= 4.0 * se,
+            f"gap={gap:.2e} 4se={4 * se:.2e}",
+        ))
+
+    # Constant-scenario family on a cap: its maximum is a lower estimate of the upper bound.
+    cap = OptionContract(kind="cap", schedule=TenorSchedule(dates=(1.0, 1.5, 2.0)), strike_rate=K)
+    engine = price_cap(curve, vs, band, cap).upper
+    res = scenario_sup(curve, vs, band, cap, ConstantControls(3),
+                       MCConfig(paths=40_000, seed=child_seed(seed, 1)))
+    out.append(CheckResult(
+        "constant scenario family on a cap <= engine upper bound + 3 se",
+        res.value <= engine + 3.0 * res.se,
+        f"family max={res.value:.6g} upper={engine:.6g} 3se={3 * res.se:.2e}",
+    ))
     return out
 
 

@@ -8,11 +8,12 @@ same, so every output must be the same to the last bit.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from robust_rates import option_pricing
+from robust_rates import mc as mc_module, option_pricing
 from robust_rates.curve import DiscountCurve
 from robust_rates.errors import DomainError, StabilityError, UnsupportedMethodError
 from robust_rates.linear_pricing import TenorSchedule
@@ -25,9 +26,11 @@ from robust_rates.oracle import (
     PiecewiseControls,
     _branch_probabilities,
     _control_family,
+    _member_moves,
     _segment_stdevs,
     _terminal_forward_prices,
     lattice_price,
+    scenario_sup,
 )
 from robust_rates.pde import step_variances
 from robust_rates.stream import capped_call_spread_leg, caplet_leg
@@ -248,6 +251,14 @@ class TestTruncatedLattice:
 # -- terminal forward prices ----------------------------------------------------------
 
 
+def terminal_forward_prices(vs, segments, t_end, pairs, x0s, z):
+    """The kernel's prices for draws z of shape (paths, n_segments, d), in a fresh array."""
+    out, log = np.empty((z.shape[0], len(pairs))), np.empty((z.shape[0], 1))
+    _terminal_forward_prices(_member_moves(vs, segments, t_end, pairs), x0s,
+                             z.reshape(z.shape[0], -1), out, log)
+    return out
+
+
 class TestTerminalForwardPrices:
     @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("vs, band", [(ho_lee(0.015), BAND), (VS_2F, BAND_2F)], ids=["1f", "2f"])
@@ -260,9 +271,9 @@ class TestTerminalForwardPrices:
         for segments in family:
             z = normals(9, 1001, len(segments) * vs.dim, antithetic)
             z = z.reshape(1001, len(segments), vs.dim)
-            got = _terminal_forward_prices(vs, segments, t_end, pairs, x0s, z)
+            got = terminal_forward_prices(vs, segments, t_end, pairs, x0s, z)
             assert same_bits(got, ref_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z))
-            assert same_bits(got[:, :1], _terminal_forward_prices(
+            assert same_bits(got[:, :1], terminal_forward_prices(
                 vs, segments, t_end, pairs[:1], x0s[:1], z))
 
 
@@ -271,6 +282,12 @@ class TestTerminalForwardPrices:
 SWAPTION = OptionContract(
     kind="swaption-payer", schedule=TenorSchedule(dates=(1.0, 1.5, 2.0, 3.0, 4.0)),
     strike_rate=0.025, notional=-3.0,
+)
+# 40 periods, as the benchmark's two-factor swaption: BLAS groups the rows of
+# a 40-column product differently from a 4-column one.
+LONG_SWAPTION = OptionContract(
+    kind="swaption-payer", schedule=TenorSchedule(dates=tuple(1.0 + 0.2 * k for k in range(41))),
+    strike_rate=0.03, notional=-3.0,
 )
 
 
@@ -286,13 +303,13 @@ class TestMonteCarloSwaption:
         monkeypatch.setattr(option_pricing, "normals", counted)
         return calls
 
-    def check(self, vs, band, mc, normals_calls):
-        b = price_swaption(CURVE, vs, band, SWAPTION, method="monte-carlo", mc=mc)
+    def check(self, vs, band, mc, normals_calls, swaption=SWAPTION):
+        b = price_swaption(CURVE, vs, band, swaption, method="monte-carlo", mc=mc)
         assert len(normals_calls) == 1
-        p0 = CURVE.bond_price(SWAPTION.schedule.start)
-        lo_mean, lo_se = ref_swaption_value_mc(CURVE, vs, band.lower, SWAPTION, mc)
-        hi_mean, hi_se = ref_swaption_value_mc(CURVE, vs, band.upper, SWAPTION, mc)
-        lo, hi = SWAPTION.notional * (p0 * lo_mean), SWAPTION.notional * (p0 * hi_mean)
+        p0 = CURVE.bond_price(swaption.schedule.start)
+        lo_mean, lo_se = ref_swaption_value_mc(CURVE, vs, band.lower, swaption, mc)
+        hi_mean, hi_se = ref_swaption_value_mc(CURVE, vs, band.upper, swaption, mc)
+        lo, hi = swaption.notional * (p0 * lo_mean), swaption.notional * (p0 * hi_mean)
         assert (b.lower, b.upper) == (min(lo, hi), max(lo, hi))
         assert (b.diagnostics["se_lower"], b.diagnostics["se_upper"]) == (p0 * lo_se, p0 * hi_se)
 
@@ -316,6 +333,31 @@ class TestMonteCarloSwaption:
         self.check(VS_2F, degenerate_band((1.1, 0.9)), MCConfig(paths=2001, seed=3), normals_calls)
         assert len(kernel_calls) == 1
 
+    # With 64-path blocks: one block short of full, one full block, one or
+    # two paths over, and two blocks plus one or two paths.  A last block of
+    # one path joins the block before it.
+    BLOCK_EDGES = [63, 64, 65, 66, 129, 130]
+
+    @pytest.mark.parametrize("paths", BLOCK_EDGES)
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("vs, band", [
+        (ho_lee(0.015), BAND), (hull_white(0.012, 0.1), BAND), (VS_2F, BAND_2F),
+    ], ids=["ho-lee", "hull-white", "2f"])
+    def test_separable_block_edges_match_reference(self, monkeypatch, vs, band, antithetic,
+                                                   paths, normals_calls):
+        monkeypatch.setattr(mc_module, "_PATH_BLOCK", 64)
+        self.check(vs, band, MCConfig(paths=paths, seed=29, antithetic=antithetic), normals_calls,
+                   LONG_SWAPTION)
+
+    @pytest.mark.parametrize("paths", BLOCK_EDGES)
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_non_separable_block_edges_match_reference(self, monkeypatch, antithetic, paths,
+                                                       normals_calls):
+        monkeypatch.setattr(mc_module, "_PATH_BLOCK", 64)
+        monkeypatch.setattr(VolStructure, "is_separable", lambda self: False)
+        self.check(VS_2F, BAND_2F, MCConfig(paths=paths, seed=37, antithetic=antithetic),
+                   normals_calls, LONG_SWAPTION)
+
     @pytest.mark.parametrize("antithetic", [True, False])
     def test_non_separable_matches_reference(self, monkeypatch, antithetic, normals_calls):
         # A tabulated surface takes the eigen-factorized joint-covariance
@@ -324,3 +366,42 @@ class TestMonteCarloSwaption:
         monkeypatch.setattr(VolStructure, "is_separable", lambda self: False)
         self.check(VS_2F, BAND_2F, MCConfig(paths=2001, seed=31, antithetic=antithetic),
                    normals_calls)
+
+
+# -- Monte Carlo memory ---------------------------------------------------------------------
+
+
+def traced_peak(f) -> int:
+    """Peak traced bytes of one call of f, after a first call has warmed every cache."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMonteCarloMemory:
+    """The Monte Carlo kernels work in path blocks: no (paths, periods) array
+    and nothing of path size per family member."""
+
+    PATHS = 20_000
+
+    def test_swaption_holds_no_paths_by_periods_array(self):
+        mc = MCConfig(paths=self.PATHS, seed=1)
+        peak = traced_peak(lambda: price_swaption(CURVE, VS_2F, BAND_2F, LONG_SWAPTION,
+                                                  method="monte-carlo", mc=mc))
+        assert peak < self.PATHS * LONG_SWAPTION.schedule.periods * 8  # 6.4 MB
+
+    @pytest.mark.parametrize("vs, band", [(ho_lee(0.015), BAND), (VS_2F, BAND_2F)], ids=["1f", "2f"])
+    def test_piecewise_family_holds_sums_one_draw_and_block_buffers(self, vs, band):
+        cap = OptionContract(kind="cap", schedule=TenorSchedule(dates=(1.0, 1.5, 2.0, 2.5)),
+                             strike_rate=0.04)
+        controls = PiecewiseControls(2, (0.25, 0.5, 0.75))  # 16 members over 4 segments
+        mc = MCConfig(paths=self.PATHS, seed=1)
+        peak = traced_peak(lambda: scenario_sup(CURVE, vs, band, cap, controls, mc))
+        sums = 16 * self.PATHS * 8
+        draw = self.PATHS * 4 * vs.dim * 8
+        block_buffers = mc_module._PATH_BLOCK * (1 + 2) * 8  # one pair, log, price
+        assert peak < sums + draw + block_buffers + 64 * 1024

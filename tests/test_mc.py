@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from robust_rates import mc
 from robust_rates.errors import DomainError
-from robust_rates.mc import MCConfig, child_seed, mean_and_se, normals
+from robust_rates.mc import MCConfig, child_seed, mean_and_se, normals, path_blocks
 
 
 def test_same_seed_same_draws():
@@ -63,6 +64,22 @@ def test_mean_and_se_matches_numpy():
     mean, se = mean_and_se(x)
     assert mean == pytest.approx(np.mean(x), rel=1e-12)
     assert se == pytest.approx(np.std(x, ddof=1) / np.sqrt(len(x)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_paths, width, bounds", [
+    (2, 2, [(0, 2)]),
+    (63, 63, [(0, 63)]),
+    (64, 64, [(0, 64)]),
+    (65, 65, [(0, 65)]),  # a last block of one path joins the one before
+    (66, 64, [(0, 64), (64, 66)]),
+    (129, 65, [(0, 64), (64, 129)]),
+    (130, 64, [(0, 64), (64, 128), (128, 130)]),
+])
+def test_path_blocks_cover_the_paths_from_block_multiples(monkeypatch, n_paths, width, bounds):
+    monkeypatch.setattr(mc, "_PATH_BLOCK", 64)
+    got_width, blocks = path_blocks(n_paths)
+    assert got_width == width
+    assert [(b.start, b.stop) for b in blocks] == bounds
 
 
 def test_config_validation():

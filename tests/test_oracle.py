@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from robust_rates import oracle
+from robust_rates import mc as mc_module, oracle
 from robust_rates.curve import DiscountCurve, flat_curve
 from robust_rates.errors import DomainError, StabilityError, UnsupportedMethodError
 from robust_rates.linear_pricing import LinearContract, TenorSchedule
@@ -192,10 +192,22 @@ class TestScenarioSup:
         assert pw.value > const.value + 3.0 * max(pw.se, const.se)
 
 
+def ref_forward_prices(vs, segments, t_end, pairs, x0s, z):
+    """(paths, len(pairs)) terminal forward prices from draws z of shape
+    (paths, n_segments, d), each pair's log move written out in full."""
+    out = np.empty((z.shape[0], len(pairs)))
+    for a, (pair, x0) in enumerate(zip(pairs, x0s)):
+        sds = oracle._segment_stdevs(vs, segments, t_end, pair)
+        log_move = np.tensordot(z, sds, axes=([1, 2], [0, 1]))
+        out[:, a] = x0 * np.exp(log_move - 0.5 * float(np.sum(sds**2)))
+    return out
+
+
 def reference_scenario_price(curve, vs, segments, contract, mc):
     """Reference: one member's sampling blocks written out one by one, each
     drawing its normals with the family's shared key (child_seed(mc.seed, i)
-    for period i, mc.seed for the swaption) and its forward prices itself."""
+    for period i, mc.seed for the swaption) and its forward prices itself,
+    over all paths at once."""
     seed = mc.seed
     if isinstance(contract, OptionContract):
         s = contract.schedule
@@ -208,7 +220,7 @@ def reference_scenario_price(curve, vs, segments, contract, mc):
                 nseg = len(segments)
                 z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
                 z = z.reshape(mc.paths, nseg, vs.dim)
-                x = oracle._terminal_forward_prices(
+                x = ref_forward_prices(
                     vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
                 )[:, 0]
                 raw = np.maximum(ki - x, 0.0) if contract.kind == "cap" else np.maximum(x - ki, 0.0)
@@ -223,7 +235,7 @@ def reference_scenario_price(curve, vs, segments, contract, mc):
                 nseg = len(segments)
                 z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
                 z = z.reshape(mc.paths, nseg, vs.dim)
-                x = oracle._terminal_forward_prices(
+                x = ref_forward_prices(
                     vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
                 )[:, 0]
                 per.append(curve.bond_price(t_pay) * x * (x - 1.0 / ki))
@@ -235,7 +247,7 @@ def reference_scenario_price(curve, vs, segments, contract, mc):
             nseg = len(segments)
             z = normals(seed, mc.paths, nseg * vs.dim, mc.antithetic)
             z = z.reshape(mc.paths, nseg, vs.dim)
-            x = oracle._terminal_forward_prices(vs, segments, t0, pairs, x0s, z)
+            x = ref_forward_prices(vs, segments, t0, pairs, x0s, z)
             coefs = np.array(s.accruals) * contract.strike_rate
             coefs[-1] += 1.0
             samples = curve.bond_price(t0) * np.maximum(1.0 - x @ coefs, 0.0)
@@ -256,7 +268,7 @@ def reference_scenario_price(curve, vs, segments, contract, mc):
             nseg = len(segments)
             z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
             z = z.reshape(mc.paths, nseg, vs.dim)
-            x = oracle._terminal_forward_prices(
+            x = ref_forward_prices(
                 vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
             )[:, 0]
             float_leg = curve.bond_price(t_pay) * (x - 1.0)  # delta * L payoff
@@ -284,7 +296,7 @@ def reference_scenario_price(curve, vs, segments, contract, mc):
             z = z.reshape(mc.paths, nseg, vs.dim)
             if isinstance(leg, FloatingLinearLeg):
                 pair = (t_pay, t_reset)
-                x = oracle._terminal_forward_prices(
+                x = ref_forward_prices(
                     vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
                 )[:, 0]
                 samples += curve.bond_price(t_pay) * (
@@ -292,7 +304,7 @@ def reference_scenario_price(curve, vs, segments, contract, mc):
                 )
             else:
                 pair = (t_reset, t_pay)
-                x = oracle._terminal_forward_prices(
+                x = ref_forward_prices(
                     vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
                 )[:, 0]
                 samples += curve.bond_price(t_reset) * leg(x)
@@ -349,6 +361,29 @@ class TestScenarioSamplerBitExact:
         assert got.table == table
         best = max(table, key=lambda row: row[1])  # the first maximizing member
         assert (got.value, got.se, got.control) == (best[1], best[2], best[0])
+
+
+    @pytest.mark.parametrize("controls", [ConstantControls(3), PiecewiseControls(2, (0.7, 1.2))],
+                             ids=["constant", "piecewise"])
+    @pytest.mark.parametrize("model", list(SCENARIO_MODELS))
+    @pytest.mark.parametrize("name", list(SCENARIO_CONTRACTS))
+    def test_block_edges_match_reference(self, monkeypatch, name, model, controls):
+        # With 64-path blocks: one block short of full, one full block, one
+        # or two paths over, and two blocks plus one or two paths.  A last
+        # block of one path joins the block before it.
+        monkeypatch.setattr(mc_module, "_PATH_BLOCK", 64)
+        vs, band = SCENARIO_MODELS[model]
+        curve = DiscountCurve(knots=((0.0, 0.015), (2.0, 0.025), (10.0, 0.03)))
+        contract = SCENARIO_CONTRACTS[name]
+        family, labels = oracle._control_family(band, controls, contract.schedule.end)
+        for paths in (63, 64, 65, 66, 129, 130):
+            for antithetic in (True, False):
+                mc = MCConfig(paths=paths, seed=23, antithetic=antithetic)
+                got = scenario_sup(curve, vs, band, contract, controls, mc)
+                assert got.table == tuple(
+                    (label, *reference_scenario_price(curve, vs, segments, contract, mc))
+                    for segments, label in zip(family, labels)
+                )
 
 
 class TestScenarioSharedDraws:
