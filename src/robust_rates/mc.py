@@ -96,7 +96,9 @@ def path_blocks(n_paths: int) -> tuple[int, list[slice]]:
 
 
 def mean_and_se(samples: np.ndarray) -> tuple[float, float]:
-    """Sample mean and standard error of the mean (pairwise summation)."""
+    """Sample mean and standard error of the mean (pairwise summation).  The
+    se takes antithetic pairs as independent samples: on 1e5 antithetic draws
+    it is 1.37x the pair-based se for max(z, 0) and 0.71x for |z|."""
     n = samples.shape[0]
     mean = float(np.mean(samples))
     if n < 2:

@@ -62,6 +62,16 @@ def _branch_probabilities(v, h: float):
     return p_u, 1.0 - p_u - p_d, p_d
 
 
+def _payoff_values(payoff, x: np.ndarray) -> np.ndarray:
+    """payoff(x) copied (the lattice overwrites it), one finite float per node of x."""
+    values = np.array(payoff(x), dtype=float)
+    if values.shape != x.shape or not np.isfinite(values).all():
+        raise DomainError(f"the payoff must give one finite value per lattice node, shape "
+                          f"{x.shape}; got shape {values.shape}, {np.sum(~np.isfinite(values))} "
+                          f"not finite")
+    return values
+
+
 def lattice_price(
     curve: DiscountCurve,
     vs: VolStructure,
@@ -77,16 +87,18 @@ def lattice_price(
 
     One-factor structures only.  The node spacing is pinned to the band's
     upper extreme with stretch 1.2; per-step local variances handle
-    time-dependent factor vols.
+    time-dependent factor vols.  A payoff must give one finite value per
+    node, else DomainError.
 
-    Only the nodes |j| <= J = ceil(12 sigma / h) are stepped back, sigma^2
-    being the upper extreme's total variance; nodes +-(J + 1) keep their
-    payoff values (the truncation of Hull & White 1994, "Numerical
-    procedures for implementing term structure models I").  By Freedman's
-    martingale inequality the walk leaves +-J, under any choice of kernels,
-    with probability below 2 exp(-72 / (1 + 12 h / sigma)), about e^-52 at
-    2000 steps: the root moves by at most that times the payoff's range,
-    and matched the untruncated tree's bits on every case tested.
+    Every step updates the nodes |j| <= J = ceil(12 sigma / h) (|j| < steps
+    if J >= steps), sigma^2 being the upper extreme's total variance; nodes
+    +-(J + 1) keep their payoff values (Hull & White 1994).  By Freedman's
+    martingale inequality the walk leaves +-J, under any kernels, with
+    probability below 2 exp(-72 / (1 + 12 h / sigma)), about e^-52 at 2000
+    steps, so the root moves by at most that times the payoff's range.  At
+    step k the root reads only the nodes |j| <= k, so the other nodes
+    updated there cannot reach it.  Both extremes go in one pass over (2, n)
+    buffers; each node keeps the one-kernel operations and their order.
     """
     if vs.dim != 1 or band.dim != 1:
         raise UnsupportedMethodError(f"lattice supports one factor only, got d={vs.dim}")
@@ -101,41 +113,31 @@ def lattice_price(
     v_up, v_dn = step_variances(vs, band, np.linspace(0.0, t1, steps + 1), T, T_i)
     v_max = float(np.max(v_up))
     if v_max <= 0.0:
-        return float(np.asarray(payoff(np.array([x0])), dtype=float)[0])
+        return float(_payoff_values(payoff, np.array([x0]))[0])
     h = LATTICE_STRETCH * math.sqrt(v_max)
     total = float(np.sum(v_up))
 
-    probs = np.array(_branch_probabilities(np.stack((v_dn, v_up)), h))  # (3, 2, steps)
-    bad = ((probs < 0.0) | (probs > 1.0)).any(axis=(0, 1))
+    # cols[k]: the (2, 1) columns p_up, p_mid, p_down of step k at (v_dn, v_up)
+    cols = np.stack(_branch_probabilities(np.stack((v_dn, v_up), axis=1)[..., None], h), axis=1)
+    bad = ((cols < 0.0) | (cols > 1.0)).any(axis=(1, 2, 3))
     if bad.any():
         suggested = max(MIN_LATTICE_STEPS, math.ceil(total / 0.04))
         raise StabilityError(f"branch probabilities out of [0, 1] at step {int(np.argmax(bad))}; "
                              f"use at least {suggested} steps")
-    rows = probs.transpose(2, 1, 0).tolist()  # rows[k]: (p_up, p_mid, p_down) at v_dn, v_up
 
-    # values[i] is node i - outer.  Step k updates nodes -m..m, m = min(k, J).
+    # values[i] is node i - outer; every step updates nodes -(outer - 1)..outer - 1.
     outer = min(math.ceil(LATTICE_WINDOW_SIGMAS * math.sqrt(total) / h) + 1, steps)
-    # The backward loop overwrites values in place, so it starts from a copy:
-    # the payoff may return an array it keeps.
-    values = np.array(payoff(x0 * np.exp(h * np.arange(-outer, outer + 1))), dtype=float)
-    scratch = np.empty((3, 2 * outer - 1))
-
-    def window(m: int) -> tuple[np.ndarray, ...]:
-        """Down, mid and up children of nodes -m..m, then three scratch rows."""
-        lo, hi = outer - m, outer + m + 1
-        return values[lo - 1:hi - 1], values[lo:hi], values[lo + 1:hi + 1], *scratch[:, :hi - lo]
-
-    full = window(outer - 1)  # the views of every step k >= J
-    for k in range(steps - 1, -1, -1):
-        child_d, child_m, child_u, t, *best = full if k >= outer - 1 else window(k)
-        for (pu, pm, pd), cand in zip(rows[k], best):
-            # cand = pu * child_u + pm * child_m + pd * child_d, summed left to right
-            np.multiply(child_u, pu, out=cand)
-            np.multiply(child_m, pm, out=t)
-            cand += t
-            np.multiply(child_d, pd, out=t)
-            cand += t
-        np.maximum(*best, out=child_m)
+    values = _payoff_values(payoff, x0 * np.exp(h * np.arange(-outer, outer + 1)))
+    child_d, child_m, child_u = values[:-2], values[1:-1], values[2:]
+    cand, t = np.empty((2, 2 * outer - 1)), np.empty((2, 2 * outer - 1))
+    for pu, pm, pd in cols[::-1]:
+        # cand = pu * child_u + pm * child_m + pd * child_d, summed left to right
+        np.multiply(child_u, pu, out=cand)
+        np.multiply(child_m, pm, out=t)
+        cand += t
+        np.multiply(child_d, pd, out=t)
+        cand += t
+        np.maximum(cand[0], cand[1], out=child_m)
     return float(values[outer])
 
 

@@ -1,5 +1,6 @@
 """The oracle and Monte Carlo kernels against straightforward reference
-copies of themselves, compared with ==.
+copies of themselves, compared by float.hex() or bytes (== for the Monte
+Carlo swaption's bounds).
 
 The package kernels write into preallocated buffers and draw each seed
 once; the references below allocate a fresh array per operation, as the
@@ -166,11 +167,11 @@ class TestLattice:
     def test_matches_reference(self, steps, vs, side):
         sign = 1.0 if side == "upper" else -1.0
         args = (CURVE, vs, BAND, 1.0, 1.0, 1.5, lambda p: sign * LEG.payoff(p), steps)
-        assert lattice_price(*args) == ref_lattice_price(*args)
+        assert lattice_price(*args).hex() == ref_lattice_price(*args).hex()
 
     def test_degenerate_band_matches_reference(self):
         args = (CURVE, hull_white(0.012, 0.1), degenerate_band(1.2), 1.0, 1.0, 1.5, LEG.payoff, 57)
-        assert lattice_price(*args) == ref_lattice_price(*args)
+        assert lattice_price(*args).hex() == ref_lattice_price(*args).hex()
 
     def test_cached_payoff_array_comes_back_unmodified(self):
         cache = {}
@@ -186,7 +187,7 @@ class TestLattice:
         args = (CURVE, ho_lee(0.015), BAND, 1.0, 1.0, 1.5, payoff, 57)
         v = lattice_price(*args)
         assert same_bits(cache["v"], cache["as_returned"])
-        assert v == lattice_price(*args) == ref_lattice_price(*args)
+        assert v.hex() == lattice_price(*args).hex() == ref_lattice_price(*args).hex()
 
 
 # The audit's lattices: 2000 steps, one 6-month period starting at 2y; the node
@@ -218,22 +219,27 @@ class TestTruncatedLattice:
         leg, vs, sizes = AUDIT_LEGS[what], AUDIT_MODELS[model], []
         args = (CURVE, vs, BAND, 2.0, 2.0, 2.5, lambda p: sign * leg.payoff(p), 2000)
         got = lattice_price(*args[:6], grid_sizes(args[6], sizes), 2000)
-        assert got == ref_lattice_price(*args)
+        assert got.hex() == ref_lattice_price(*args).hex()
         J = window_half_width(vs, BAND, 2.0, 2.0, 2.5, 2000)
         assert J < 500 and sizes == [2 * J + 3]
 
+    @pytest.mark.parametrize("band", [BAND, degenerate_band((1.2,))], ids=["band", "degenerate"])
+    @pytest.mark.parametrize("side", ["upper", "lower"])
     @pytest.mark.parametrize("model", AUDIT_MODELS)
     @pytest.mark.parametrize("excess", [-2, -1, 0, 1])
-    def test_window_edges_match_reference(self, model, excess):
+    def test_window_edges_match_reference(self, model, excess, side, band):
         # Step counts where J = steps + excess: at excess -2 the outermost
         # nodes +-(steps - 1) are first held at their payoff values; from
-        # excess -1 on the window spans the whole tree.
-        vs = AUDIT_MODELS[model]
+        # excess -1 on the window spans the whole tree.  The lower side
+        # takes the other row of the (2, n) pass at the kinks; at a
+        # degenerate band both rows are the same.
+        vs, sign = AUDIT_MODELS[model], 1.0 if side == "upper" else -1.0
         steps = next(n for n in range(MIN_LATTICE_STEPS, 400)
-                     if window_half_width(vs, BAND, 2.0, 2.0, 2.5, n) == n + excess)
-        payoff, sizes = AUDIT_LEGS["spread"].payoff, []
-        args = (CURVE, vs, BAND, 2.0, 2.0, 2.5, payoff, steps)
-        assert lattice_price(*args[:6], grid_sizes(payoff, sizes), steps) == ref_lattice_price(*args)
+                     if window_half_width(vs, band, 2.0, 2.0, 2.5, n) == n + excess)
+        payoff, sizes = lambda p: sign * AUDIT_LEGS["spread"].payoff(p), []
+        args = (CURVE, vs, band, 2.0, 2.0, 2.5, payoff, steps)
+        got = lattice_price(*args[:6], grid_sizes(payoff, sizes), steps)
+        assert got.hex() == ref_lattice_price(*args).hex()
         assert sizes == [2 * min(steps + excess + 1, steps) + 1]
 
     @pytest.mark.parametrize("model", AUDIT_MODELS)

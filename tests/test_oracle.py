@@ -36,6 +36,7 @@ VS = ho_lee(0.01)
 BAND = UncertaintyBand((0.5,), (1.5,))
 SCHED = TenorSchedule(dates=(1.0, 1.5, 2.0))
 KI = transformed_strike(0.5, 0.04)
+X0 = CURVE.forward_price(1.0, 1.5)
 
 
 class TestLatticeBasics:
@@ -132,6 +133,20 @@ class TestLatticeValidation:
     def test_steps_must_be_an_integer(self, steps):
         with pytest.raises(DomainError, match="integer number of steps"):
             lattice_price(CURVE, VS, BAND, 1.0, 1.0, 1.5, lambda x: x, steps)
+
+    @pytest.mark.parametrize("t1", [1.0, 0.0], ids=["tree", "zero-variance"])
+    @pytest.mark.parametrize("payoff", [
+        lambda x: np.where(x < X0, x, np.nan),
+        lambda x: np.where(x < X0, x, np.inf),
+        lambda x: 1.0,
+        lambda x: x[1:],
+        lambda x: np.stack((x, x)),
+    ], ids=["nan", "inf", "scalar", "short", "2-d"])
+    def test_malformed_payoff_raises_domain_error(self, payoff, t1):
+        # Checked once, on the payoff grid: every node the loop computes is
+        # then a convex combination of finite values.
+        with pytest.raises(DomainError, match="the payoff"):
+            lattice_price(CURVE, VS, BAND, 1.0, t1, 1.5, payoff, 57)
 
     def test_numpy_integer_steps_price_as_int(self):
         args = (CURVE, VS, BAND, 1.0, 1.0, 1.5, lambda x: np.maximum(KI - x, 0.0))
