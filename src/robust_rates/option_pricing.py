@@ -20,12 +20,18 @@ swaption the one-factor case is evaluated exactly by locating the exercise
 boundary of the comonotone payoff and summing Gaussian tail integrals;
 the multi-factor case falls back to Monte Carlo on the joint terminal law.
 
+Both swaption methods read both extremes' inputs from one pass over the
+schedule (``_swaption_inputs``), which raises ``DomainError`` for a total
+variance that is not finite; a degenerate band is solved once.
+
 The exercise boundary is found by ``_brentq``, a port of scipy's C
-``brentq`` (Brent 1973) that takes the same iterates, and the tail integrals
-use ``lognormal.norm_cdf``, so the one-factor swaption loads no scipy module
-and returns the bits ``scipy.optimize.brentq`` and ``scipy.special.ndtr``
-would give.  A root-find that does not converge within ``_ROOT_ITERATION_CAP``
-iterations, or that meets a NaN, raises ``ConvergenceError``.
+``brentq`` (Brent 1973) that takes the same iterates (handed the gap at
+both ends of the bracket, which the quadrature has already evaluated), and
+the tail integrals use ``lognormal.norm_cdf``, so the one-factor swaption
+loads no scipy module and returns the bits ``scipy.optimize.brentq`` and
+``scipy.special.ndtr`` would give.  A root-find that does not converge
+within ``_ROOT_ITERATION_CAP`` iterations, or that meets a NaN, raises
+``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -143,23 +149,34 @@ def price_in_arrears_swap(
 # -- swaptions ---------------------------------------------------------------
 
 
-def _swaption_inputs(curve, vs, sigma, contract):
-    """Forward prices x_i = P(T_i)/P(T_0) and their total stdevs w_i at a
-    constant per-factor scaling sigma, plus the coefficient of each term in
-    the exercise value 1 - x_N e^{.} - K sum delta_i x_i e^{.}."""
+def _swaption_inputs(curve, vs, band, contract):
+    """Both band extremes' inputs from one pass over the schedule: the forward
+    prices x_i = P(T_i)/P(T_0), the coefficient a_i of each term in the
+    exercise value 1 - sum_i a_i x_i e^{.} (a_N carries the final 1), and the
+    total stdevs w_i of the x_i over [0, T_0] at the lower and at the upper
+    extreme (one array twice for a degenerate band), from
+    VolStructure.extreme_variances.  A total variance that is not finite
+    raises DomainError here, before any pricing arithmetic reads it.
+    """
     s = contract.schedule
     t0 = s.start
     xs = np.array([curve.forward_price(t0, t) for t in s.dates[1:]])
-    w2 = np.array(
-        [vs.integrated_variance(sigma, 0.0, t0, t0, t) for t in s.dates[1:]]
-    )
-    coefs = np.array(contract.schedule.accruals) * contract.strike_rate
+    coefs = np.array(s.accruals) * contract.strike_rate
     coefs[-1] += 1.0
-    return xs, np.sqrt(np.maximum(w2, 0.0)), coefs
+    w2_lower, w2_upper = vs.extreme_variances(band.lower, band.upper, (0.0, t0), t0, s.dates[1:])
+    if not (np.isfinite(w2_lower).all() and np.isfinite(w2_upper).all()):
+        raise DomainError(
+            f"swaption total variance over [0, {t0}] is not finite "
+            "(a factor level too large for its variance integral)"
+        )
+    ws_lower = np.sqrt(np.maximum(w2_lower, 0.0))
+    ws_upper = ws_lower if w2_upper is w2_lower else np.sqrt(np.maximum(w2_upper, 0.0))
+    return xs, coefs, ws_lower, ws_upper
 
 
-def _swaption_value_comonotone(xs, ws, coefs) -> float:
-    """E[(1 - sum_i a_i x_i e^{-w_i Z - w_i^2/2})^+] for one common Z.
+def _swaption_value_comonotone(xs, coefs, weights, ws) -> float:
+    """E[(1 - sum_i a_i x_i e^{-w_i Z - w_i^2/2})^+] for one common Z, where
+    weights = coefs * xs (a_i x_i).
 
     The exercise region is {Z >= z*} because every w_i >= 0, so the value
     splits into exact Gaussian tail integrals:
@@ -167,7 +184,6 @@ def _swaption_value_comonotone(xs, ws, coefs) -> float:
     """
     if np.max(ws) <= _W_FLOOR:
         return max(1.0 - float(np.dot(coefs, xs)), 0.0)
-    weights = coefs * xs
     neg_ws = -ws
     half_w2 = 0.5 * ws**2
 
@@ -175,29 +191,35 @@ def _swaption_value_comonotone(xs, ws, coefs) -> float:
         return 1.0 - float(np.dot(weights, np.exp(neg_ws * z - half_w2)))
 
     zmax = 40.0
-    if gap(zmax) <= 0.0:
-        return 0.0  # never exercised within machine-precision tail mass
-    if gap(-zmax) >= 0.0:
-        z_star = -zmax  # always exercised; the N(zmax - w_i) vanish once w_i >> zmax
-    else:
-        z_star = _brentq(gap, -zmax, zmax, 1e-15, 8.9e-16, _ROOT_ITERATION_CAP)
+    # For a large finite w_i, e^{-w_i z - w_i^2/2} overflows at some z < 0:
+    # the gap is then -inf, and the root-find takes it as it is.
+    with np.errstate(over="ignore"):
+        gap_hi = gap(zmax)
+        if gap_hi <= 0.0:
+            return 0.0  # never exercised within machine-precision tail mass
+        gap_lo = gap(-zmax)
+        if gap_lo >= 0.0:
+            z_star = -zmax  # always exercised; the N(zmax - w_i) vanish once w_i >> zmax
+        else:
+            z_star = _brentq(gap, -zmax, zmax, gap_lo, gap_hi, 1e-15, 8.9e-16, _ROOT_ITERATION_CAP)
     tails = np.array([norm_cdf(d) for d in (-z_star - ws).tolist()])
     return norm_cdf(-z_star) - float(np.dot(weights, tails))
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """A root of f in [xa, xb], where f(xa) and f(xb) have opposite signs.
+def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: float,
+            maxiter: int) -> float:
+    """A root of f in [xa, xb], given fa = f(xa) and fb = f(xb) of opposite signs.
 
     A port of scipy's C ``brentq`` (Brent 1973: inverse quadratic
     interpolation or secant steps, falling back to bisection), step for step,
-    so it evaluates f at the same points and returns the same root.  Where
-    scipy raises a bare ValueError for a NaN value or RuntimeError for
-    non-convergence, this raises ConvergenceError.
+    so it evaluates f at the same points after the two endpoints (which the
+    caller has evaluated) and returns the same root.  Where scipy raises a
+    bare ValueError for a NaN value or RuntimeError for non-convergence, this
+    raises ConvergenceError.
     """
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre)
-    fcur = f(xcur)
+    fpre, fcur = fa, fb
     if fpre != fpre or fcur != fcur:
         raise ConvergenceError(f"Brent root-find: NaN function value on [{xa}, {xb}]")
     if fpre == 0.0:
@@ -244,10 +266,11 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
     )
 
 
-def _swaption_value_mc(curve, vs, sigma, contract, z: np.ndarray) -> tuple[float, float]:
+def _swaption_value_mc(vs, sigma, schedule, xs, coefs, ws, z: np.ndarray) -> tuple[float, float]:
     """Monte Carlo on the joint lognormal terminal vector (mean, standard error)
-    from standard normals z, one column per factor for separable factors and
-    one per forward price otherwise; z is left unchanged.
+    at the scaling sigma, from _swaption_inputs' xs, coefs and ws at sigma and
+    standard normals z, one column per factor for separable factors and one
+    per forward price otherwise; z is left unchanged.
 
     Separable factors (Ho-Lee, Hull-White) admit an exact one-normal-per-
     factor representation; otherwise the exact per-pair covariance matrix is
@@ -260,25 +283,19 @@ def _swaption_value_mc(curve, vs, sigma, contract, z: np.ndarray) -> tuple[float
     the blocks start where BLAS groups the rows anyway, so every bit is the
     same as unblocked.
     """
-    s = contract.schedule
-    t0 = s.start
-    xs, ws, coefs = _swaption_inputs(curve, vs, sigma, contract)
+    t0 = schedule.start
     n = len(xs)
     sig = np.atleast_1d(np.asarray(sigma, dtype=float))
     if vs.is_separable():
         # log X^i = -sum_j load[j, i] Z_j - w_i^2/2 with one Z per factor.
-        mix = np.zeros((vs.dim, n))
-        for j, f in enumerate(vs.factors):
-            cov_jj = [
-                sig[j] ** 2 * f.fp_cov_integral(0.0, t0, (t0, t), (t0, t))
-                for t in s.dates[1:]
-            ]
-            mix[j] = np.sqrt(np.maximum(cov_jj, 0.0))
-            # Separability makes within-factor correlation exactly 1; signs
-            # are all positive because T_i > T_0.
+        # Separability makes within-factor correlation exactly 1; signs are
+        # all positive because T_i > T_0.
+        window, ends = np.array([0.0, t0]), np.array(schedule.dates[1:])
+        mix = np.array([np.sqrt(np.maximum(sig[j] ** 2 * f.fp_var_steps(window, (t0, ends)), 0.0))
+                        for j, f in enumerate(vs.factors)])
     else:
         cov = np.zeros((n, n))
-        pairs = [(t0, t) for t in s.dates[1:]]
+        pairs = [(t0, t) for t in schedule.dates[1:]]
         for a in range(n):
             for b in range(a, n):
                 cov[a, b] = cov[b, a] = vs.integrated_covariance(
@@ -330,21 +347,25 @@ def price_swaption(
             raise UnsupportedMethodError(
                 f"quadrature-1f requires a one-factor volatility structure, got d={vs.dim}"
             )
-        values = []
-        for scale in (band.lower, band.upper):
-            xs, ws, coefs = _swaption_inputs(curve, vs, scale, contract)
-            values.append(p0 * _swaption_value_comonotone(xs, ws, coefs))
-        lower, upper = values
+        xs, coefs, ws_lower, ws_upper = _swaption_inputs(curve, vs, band, contract)
+        weights = coefs * xs
+        lower = p0 * _swaption_value_comonotone(xs, coefs, weights, ws_lower)
+        if band.is_degenerate:  # one belief: both bounds are the same value
+            upper = lower
+        else:
+            upper = p0 * _swaption_value_comonotone(xs, coefs, weights, ws_upper)
     elif method == "monte-carlo":
         mc = mc or MCConfig()
+        xs, coefs, ws_lower, ws_upper = _swaption_inputs(curve, vs, band, contract)
         # Both extremes read the same draws, so they are drawn once.
         n_cols = vs.dim if vs.is_separable() else contract.schedule.periods
         z = normals(mc.seed, mc.paths, n_cols, mc.antithetic)
-        lo_mean, lo_se = _swaption_value_mc(curve, vs, band.lower, contract, z)
+        schedule = contract.schedule
+        lo_mean, lo_se = _swaption_value_mc(vs, band.lower, schedule, xs, coefs, ws_lower, z)
         if band.is_degenerate:  # one belief: both bounds are the same estimate
             hi_mean, hi_se = lo_mean, lo_se
         else:
-            hi_mean, hi_se = _swaption_value_mc(curve, vs, band.upper, contract, z)
+            hi_mean, hi_se = _swaption_value_mc(vs, band.upper, schedule, xs, coefs, ws_upper, z)
         lower, upper = p0 * lo_mean, p0 * hi_mean
         diag.update(
             paths=mc.paths,

@@ -152,16 +152,14 @@ def step_variances(
     vs: VolStructure, band: UncertaintyBand, ts: np.ndarray, T: float, T_i: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrated variances of X = P(T_i)/P(T) over each step [ts[k], ts[k+1]]
-    at the band extremes (exact in time), from
-    ``VolStructure.integrated_variances`` (closed form for Ho-Lee and
+    at the band extremes (exact in time), as (upper, lower), from
+    ``VolStructure.extreme_variances`` (closed form for Ho-Lee and
     Hull-White factors).
 
     A degenerate band has one extreme, so both tables are the same array:
     callers only read them."""
-    a_up = vs.integrated_variances(band.upper, ts, T, T_i)
-    if band.is_degenerate:
-        return a_up, a_up
-    return a_up, vs.integrated_variances(band.lower, ts, T, T_i)
+    a_dn, a_up = vs.extreme_variances(band.lower, band.upper, ts, T, T_i)
+    return a_up, a_dn
 
 
 def window_tables(

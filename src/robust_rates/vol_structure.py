@@ -17,6 +17,9 @@ The contracts of a book ask for the same windows and maturity pairs over
 and over, so VolStructure.integrated_variance keeps a per-instance memo
 (curve._memoized, shared with the curve's bond prices): it lives and dies
 with the structure and returns the uncached call's float to the last bit.
+Tables of variances over the steps of a time grid or over an array of
+maturities (VolStructure.extreme_variances) equal those calls to the last
+bit and bypass the memo.
 """
 
 from __future__ import annotations
@@ -42,6 +45,13 @@ def _simpson(fn, lo: float, hi: float, panels: int = SIMPSON_PANELS) -> float:
     ys = np.asarray(fn(xs), dtype=float)
     h = (hi - lo) / (2 * panels)
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1::2].sum() + 2.0 * ys[2:-1:2].sum()))
+
+
+def _math_exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of every element of x, as an array of x's shape.  np.exp
+    differs from math.exp in the last bit on some inputs, and the closed
+    forms below must equal the scalar ones to the last bit."""
+    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,8 @@ class HoLeeFactor:
 
     def fp_var_steps(self, ts: np.ndarray, pair) -> np.ndarray:
         """fp_cov_integral(ts[k], ts[k + 1], pair, pair) for every step k, in
-        the same operations: c^2 (T~ - T)^2 times the step widths."""
+        the same operations: c^2 (T~ - T)^2 times the step widths.  T~ may
+        be an array of maturities that broadcasts against the steps."""
         T, T_tilde = pair
         return self.c**2 * (T_tilde - T) * (T_tilde - T) * (ts[1:] - ts[:-1])
 
@@ -120,12 +131,13 @@ class HullWhiteFactor:
 
     def fp_var_steps(self, ts: np.ndarray, pair) -> np.ndarray:
         """fp_cov_integral(ts[k], ts[k + 1], pair, pair) for every step k, in
-        the same operations: one math.exp per grid time, then
-        g^2 (E[k+1] - E[k]) / 2 kappa."""
+        the same operations: one math.exp per grid time and per maturity,
+        then g^2 (E[k+1] - E[k]) / 2 kappa.  T~ may be an array of maturities
+        that broadcasts against the steps."""
         T, T_tilde = pair
         k = self.kappa
-        g = self.c / k * (math.exp(-k * T) - math.exp(-k * T_tilde))
-        e = np.array([math.exp(2.0 * k * t) for t in ts.tolist()])
+        g = self.c / k * (math.exp(-k * T) - _math_exp(-k * np.asarray(T_tilde)))
+        e = _math_exp(2.0 * k * ts)
         return g * g * (e[1:] - e[:-1]) / (2.0 * k)
 
     def beta_var_integral(self, t0: float, t1: float, T: float) -> float:
@@ -322,27 +334,48 @@ class VolStructure:
             total += sj ** 2 * f.fp_cov_integral(t0, t1, pair, pair)
         return total
 
-    def integrated_variances(self, scale, ts, T: float, T_tilde: float) -> np.ndarray:
+    def integrated_variances(self, scale, ts, T: float, T_tilde) -> np.ndarray:
         """integrated_variance(scale, ts[k], ts[k + 1], T, T~) for every step k
-        of the time grid ts, equal to those calls to the last bit.
+        of the time grid ts, equal to those calls to the last bit.  T~ may be
+        an array of maturities that broadcasts against the steps: a one-step
+        grid gives the variance of every P(T~[m])/P(T) over that window.
 
-        Each Ho-Lee or Hull-White factor is one array expression over the
-        steps, and the factor terms add in integrated_variance's order.
-        Tabulated factors, grids with a zero-width step (which the scalar
-        call sets to 0.0 before any arithmetic) and grids integrated_variance
-        rejects take the scalar calls (which raise its errors)."""
-        s = self._check_scale(scale)
+        Each Ho-Lee or Hull-White factor is one array expression, and the
+        factor terms add in integrated_variance's order; a product that
+        overflows is inf without a warning, as in the scalar call's float
+        arithmetic.  Tabulated factors, grids with a zero-width step (which
+        the scalar call sets to 0.0 before any arithmetic) and inputs
+        integrated_variance rejects take the scalar calls (which raise its
+        errors)."""
+        return self.extreme_variances(scale, scale, ts, T, T_tilde)[0]
+
+    def extreme_variances(self, lower, upper, ts, T: float, T_tilde) -> tuple[np.ndarray, np.ndarray]:
+        """integrated_variances at the scales lower and upper (a band's
+        extremes), with each factor's unscaled term built once: a total is
+        0.0 + sum_j s_j^2 term_j.  Equal scales give one array twice."""
+        scales = [self._check_scale(lower), self._check_scale(upper)]
+        if scales[1] == scales[0]:
+            del scales[1]
         ts = np.asarray(ts, dtype=float)
-        pair = (float(T), float(T_tilde))
+        T, T_tilde = float(T), np.asarray(T_tilde, dtype=float)
         widths = ts[1:] - ts[:-1]
-        if not (self.is_separable() and (widths > 0.0).all()
-                and (len(ts) < 2 or ts[-1] <= min(pair))):
-            return np.array([self.integrated_variance(s, ts[k], ts[k + 1], *pair)
-                             for k in range(len(ts) - 1)])
-        total = 0.0
-        for sj, f in zip(s, self.factors):
-            total = total + sj ** 2 * f.fp_var_steps(ts, pair)
-        return total
+        if (self.is_separable() and (widths > 0.0).all()
+                and (len(ts) < 2 or (ts[-1] <= T and (ts[-1] <= T_tilde).all()))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = [f.fp_var_steps(ts, (T, T_tilde)) for f in self.factors]
+                tables = []
+                for s in scales:
+                    total = 0.0
+                    for sj, term in zip(s, terms):
+                        total = total + sj ** 2 * term
+                    tables.append(total)
+        else:
+            t0s, t1s, Tts = np.broadcast_arrays(ts[:-1], ts[1:], T_tilde)
+            windows = list(zip(t0s.ravel().tolist(), t1s.ravel().tolist(), Tts.ravel().tolist()))
+            tables = [np.array([self.integrated_variance(s, t0, t1, T, Tt) for t0, t1, Tt in windows],
+                               dtype=float).reshape(t0s.shape)
+                      for s in scales]
+        return tables[0], tables[-1]
 
     def integrated_covariance(
         self, scale, t0: float, t1: float, pair_a, pair_b

@@ -19,7 +19,7 @@ from robust_rates.curve import DiscountCurve
 from robust_rates.errors import DomainError, StabilityError, UnsupportedMethodError
 from robust_rates.linear_pricing import TenorSchedule
 from robust_rates.mc import MCConfig, mean_and_se, normals
-from robust_rates.option_pricing import OptionContract, _swaption_inputs, price_swaption
+from robust_rates.option_pricing import OptionContract, price_swaption
 from robust_rates.oracle import (
     LATTICE_STRETCH,
     LATTICE_WINDOW_SIGMAS,
@@ -111,7 +111,11 @@ def ref_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z):
 def ref_swaption_value_mc(curve, vs, sigma, contract, mc):
     s = contract.schedule
     t0 = s.start
-    xs, ws, coefs = _swaption_inputs(curve, vs, sigma, contract)
+    xs = np.array([curve.forward_price(t0, t) for t in s.dates[1:]])
+    w2 = np.array([vs.integrated_variance(sigma, 0.0, t0, t0, t) for t in s.dates[1:]])
+    ws = np.sqrt(np.maximum(w2, 0.0))
+    coefs = np.array(s.accruals) * contract.strike_rate
+    coefs[-1] += 1.0
     n = len(xs)
     sig = np.atleast_1d(np.asarray(sigma, dtype=float))
     if vs.is_separable():

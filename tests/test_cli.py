@@ -10,7 +10,7 @@ import pytest
 from robust_rates import option_pricing
 from robust_rates.cli import main
 from robust_rates.config import load_config, price_configured
-from robust_rates.errors import ConfigError, ConvergenceError, DomainError, UnsupportedMethodError
+from robust_rates.errors import ConfigError, DomainError, UnsupportedMethodError
 from robust_rates.vol_structure import HoLeeFactor, VolStructure
 
 
@@ -344,19 +344,29 @@ class TestPriceCommand:
         err = capsys.readouterr().err
         assert "no convergence in 2 iterations" in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_nan_exercise_gap_is_pricing_error(self, tmp_path, capsys):
-        # c^2 overflows to an infinite variance: gap(-40) = 1 - (inf - inf).
-        cfg = dict(BOOK, contracts=BOOK["contracts"][2:],
-                   vol_structure={"factors": [{"kind": "hull-white", "c": 1e160, "kappa": 0.1}]})
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["quadrature-1f", "monte-carlo"])
+    @pytest.mark.parametrize("factor, schedule", [
+        ({"kind": "hull-white", "c": 1e160, "kappa": 0.1}, [1.0, 1.5, 2.0]),
+        ({"kind": "ho-lee", "c": 1e153}, [5.0 + 0.25 * k for k in range(121)]),
+    ], ids=["hull-white", "ho-lee-120-periods"])
+    def test_infinite_swaption_variance_is_named_pricing_error(self, tmp_path, capsys, factor,
+                                                               schedule, method):
+        # The total variance overflows to inf (c^2 (T_i - T_0)^2 T_0 for Ho-Lee
+        # on a long schedule); it is refused, without a RuntimeWarning, before
+        # the root-find or the Monte Carlo terminal vector reads it.
+        swaption = dict(BOOK["contracts"][2], schedule=schedule, method=method)
+        cfg = dict(BOOK, curve={"knots": [[0.0, 0.02], [40.0, 0.02]]}, contracts=[swaption],
+                   vol_structure={"factors": [factor]})
         path = write_config(tmp_path, cfg)
         assert main(["price", path]) == 3
-        assert "NaN function value" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "contract 'swaption': swaption total variance" in err and "not finite" in err
+        assert "Traceback" not in err
         setup = load_config(path)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(DomainError, match="not finite"):
             price_configured(setup, setup.contracts[0])
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("contract", [
         {"name": "arrears", "kind": "in-arrears-payer-swap", "schedule": [1.0, 1.5, 2.0],
          "strike_rate": 0.03},

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from robust_rates import option_pricing
 from robust_rates.config import ConfiguredContract, PricingSetup, price_configured
 from robust_rates.curve import DiscountCurve, flat_curve
 from robust_rates.errors import ConvergenceError, DomainError, UnsupportedMethodError
@@ -24,7 +25,6 @@ from robust_rates.mc import MCConfig
 from robust_rates.option_pricing import (
     OptionContract,
     _brentq,
-    _swaption_inputs,
     _swaption_value_comonotone,
     price_cap,
     price_floor,
@@ -301,15 +301,33 @@ class TestSwaption:
         se = 3 * max(m.diagnostics["se_upper"], mid.diagnostics["se_upper"])
         assert m.lower - se <= mid.upper <= m.upper + se
 
+    @pytest.mark.parametrize("band, solves", [(BAND, 2), (degenerate_band((1.2,)), 1)],
+                             ids=["wide", "degenerate"])
+    def test_quadrature_solves_each_distinct_extreme_once(self, monkeypatch, band, solves):
+        calls = []
+        kernel = option_pricing._swaption_value_comonotone
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(option_pricing, "_swaption_value_comonotone", counted)
+        q = price_swaption(CURVE, VS, band, self.contract())
+        assert len(calls) == solves
+        assert (q.lower == q.upper) == band.is_degenerate
+
     def test_unknown_method(self):
         with pytest.raises(UnsupportedMethodError):
             price_swaption(CURVE, VS, BAND, self.contract(), method="binomial")
 
-    @pytest.mark.parametrize("c", [1e3, 1e150])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [30.0, 1e3, 1e150])
     def test_huge_factor_level_stays_within_no_arbitrage_range(self, c):
         # Every w_i is far beyond the root bracket, so the swap rate is
         # ~surely below the strike and the payer pays the whole bond: the
         # tail formula gives P(T_0), never the negative intrinsic value.
+        # At c = 30 the upper extreme's w = 45 overflows e^{-w z - w^2/2}
+        # near z = -40, which must not warn.
         s = TenorSchedule(dates=(1.0, 2.0))
         q = price_swaption(CURVE, ho_lee(c), BAND, self.contract(sched=s))
         assert 0.0 <= q.lower <= q.upper <= CURVE.bond_price(1.0)
@@ -513,6 +531,20 @@ def ulp_sweep(center: float, n: int = 64) -> list[float]:
     return np.arange(i - n, i + n + 1, dtype=np.int64).view(np.float64).tolist()
 
 
+def ref_swaption_inputs(curve, vs, sigma, contract):
+    """Forward prices x_i = P(T_i)/P(T_0), total stdevs w_i at the scaling
+    sigma and exercise coefficients a_i, from one scalar forward_price and
+    integrated_variance call per date: the reference for the one-pass inputs
+    the pricer builds for both extremes."""
+    s = contract.schedule
+    t0 = s.start
+    xs = np.array([curve.forward_price(t0, t) for t in s.dates[1:]])
+    w2 = np.array([vs.integrated_variance(sigma, 0.0, t0, t0, t) for t in s.dates[1:]])
+    coefs = np.array(s.accruals) * contract.strike_rate
+    coefs[-1] += 1.0
+    return xs, np.sqrt(np.maximum(w2, 0.0)), coefs
+
+
 def scipy_swaption_value(xs, ws, coefs) -> float:
     """The comonotone one-factor swaption value on scipy's brentq and ndtr:
     the reference that ``_swaption_value_comonotone`` reproduces."""
@@ -570,37 +602,46 @@ class TestScipyPorts:
         mine, theirs = [], []
         ref, info = brentq(recorded(f, theirs), a, b, xtol=xtol, rtol=rtol,
                            full_output=True, disp=False)
+        # Handed f(a) and f(b), _brentq evaluates f at scipy's later points only.
         if info.converged:
-            assert same_bits(_brentq(recorded(f, mine), a, b, xtol, rtol, 100), ref)
+            assert same_bits(_brentq(recorded(f, mine), a, b, f(a), f(b), xtol, rtol, 100), ref)
         else:
             with pytest.raises(ConvergenceError, match=f"last iterate {ref}"):
-                _brentq(recorded(f, mine), a, b, xtol, rtol, 100)
-        assert mine == theirs
+                _brentq(recorded(f, mine), a, b, f(a), f(b), xtol, rtol, 100)
+        assert theirs[:2] == [a, b] and mine == theirs[2:]
 
     @SETTINGS
     @given(market=markets(), band=bands())
     def test_swaption_root_and_value_match_scipy(self, market, band):
         curve, vs, sched, strike = market
         contract = OptionContract(kind="swaption-payer", schedule=sched, strike_rate=strike)
-        for scale in (band.lower, band.upper):
-            xs, ws, coefs = _swaption_inputs(curve, vs, scale, contract)
-            got = _swaption_value_comonotone(xs, ws, coefs)
-            assert same_bits(got, scipy_swaption_value(xs, ws, coefs))
+        bounds = price_swaption(curve, vs, band, contract)
+        p0 = curve.bond_price(sched.start)
+        for scale, bound in ((band.lower, bounds.lower), (band.upper, bounds.upper)):
+            xs, ws, coefs = ref_swaption_inputs(curve, vs, scale, contract)
+            ref_value = scipy_swaption_value(xs, ws, coefs)
+            assert same_bits(_swaption_value_comonotone(xs, coefs, coefs * xs, ws), ref_value)
+            assert same_bits(bound, p0 * ref_value)
 
             def gap(z):
                 return 1.0 - float(np.dot(coefs * xs, np.exp(-ws * z - 0.5 * ws**2)))
 
             if gap(40.0) > 0.0 > gap(-40.0):
                 mine, theirs = [], []
-                root = _brentq(recorded(gap, mine), -40.0, 40.0, 1e-15, 8.9e-16, 100)
+                root = _brentq(recorded(gap, mine), -40.0, 40.0, gap(-40.0), gap(40.0),
+                               1e-15, 8.9e-16, 100)
                 ref = brentq(recorded(gap, theirs), -40.0, 40.0, xtol=1e-15, rtol=8.9e-16)
-                assert root == ref and mine == theirs
+                assert root == ref and mine == theirs[2:]
 
     def test_brentq_failures_are_convergence_errors(self):
         nan_inside = lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5
         with pytest.raises(ConvergenceError, match="NaN"):
-            _brentq(nan_inside, -1.0, 2.0, 1e-15, 8.9e-16, 100)
-        with pytest.raises(ConvergenceError, match="NaN"):
-            _brentq(lambda x: math.nan, -1.0, 2.0, 1e-15, 8.9e-16, 100)
+            _brentq(nan_inside, -1.0, 2.0, -1.5, 1.5, 1e-15, 8.9e-16, 100)
+        # A NaN endpoint value is refused before f is evaluated anywhere.
+        for fa, fb in ((math.nan, 1.0), (-1.0, math.nan), (math.nan, math.nan)):
+            calls = []
+            with pytest.raises(ConvergenceError, match="NaN"):
+                _brentq(recorded(lambda x: x - 0.5, calls), -1.0, 2.0, fa, fb, 1e-15, 8.9e-16, 100)
+            assert calls == []
         with pytest.raises(ConvergenceError, match="no sign change"):
-            _brentq(lambda x: 1.0 + x * x, -1.0, 2.0, 1e-15, 8.9e-16, 100)
+            _brentq(lambda x: 1.0 + x * x, -1.0, 2.0, 2.0, 5.0, 1e-15, 8.9e-16, 100)

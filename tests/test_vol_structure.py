@@ -6,6 +6,7 @@ import math
 import struct
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -426,3 +427,105 @@ class TestStepVarianceTables:
         for vs in TestScalarPathExactness.STRUCTURES:
             with pytest.raises(DomainError, match=match):
                 vs.integrated_variances((1.0,) * vs.dim, ts, 1.0, 2.0)
+
+
+# -- maturity-axis variances ----------------------------------------------------------
+
+
+def _bits_list(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+_LEVELS = st.floats(1e-4, 0.05) | st.floats(1e150, 1e154)  # the second overflows c^2 (T~ - T)^2 t
+_MATURITY_AXIS_FACTORS = st.one_of(
+    st.builds(HoLeeFactor, c=_LEVELS),
+    st.builds(HullWhiteFactor, c=_LEVELS | st.floats(1e155, 1e160), kappa=st.floats(1e-3, 2.0)),
+)
+
+
+@st.composite
+def _maturity_axis_cases(draw):
+    """A one-window grid (t0, t1) and maturities T~ >= t1 on a quarter-year
+    lattice, each argument an int (where integral), a float or an np.float64,
+    over a Ho-Lee, Hull-White or two-factor separable structure."""
+    factors = draw(st.lists(_MATURITY_AXIS_FACTORS, min_size=1, max_size=2))
+    vs = VolStructure(factors=tuple(factors))
+
+    def arg(quarters):
+        x = 0.25 * quarters
+        cast = draw(st.sampled_from([float, np.float64] + ([int] if x.is_integer() else [])))
+        return cast(x)
+
+    q1 = draw(st.integers(1, 40))
+    q0 = draw(st.integers(0, q1 - 1))
+    qT = draw(st.integers(q1, 60))
+    maturities = [arg(q) for q in draw(st.lists(st.integers(q1, 160), min_size=1, max_size=40))]
+    scales = [tuple(draw(st.floats(0.1, 3.0)) for _ in factors) for _ in range(2)]
+    as_given = draw(st.sampled_from([tuple, list, np.array]))
+    return vs, [as_given(s) for s in scales], (arg(q0), arg(q1)), arg(qT), maturities
+
+
+class TestMaturityAxisVariances:
+    """integrated_variances and extreme_variances over an array of maturities
+    must equal one integrated_variance call per maturity to the last bit."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @given(_maturity_axis_cases())
+    def test_equal_scalar_calls(self, case):
+        vs, (lower, upper), window, T, maturities = case
+        want = [_bits_list(vs.integrated_variance(s, *window, T, Tt) for Tt in maturities)
+                for s in (lower, upper)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow gives inf silently, as in the scalar call
+            got = vs.integrated_variances(upper, window, T, maturities)
+            lo, up = vs.extreme_variances(lower, upper, window, T, np.array(maturities))
+        assert got.shape == (len(maturities),)
+        assert _bits_list(got.tolist()) == want[1]
+        assert [_bits_list(lo.tolist()), _bits_list(up.tolist())] == want
+
+    def test_overflowing_levels_give_inf_without_a_warning(self):
+        vs = VolStructure(factors=(HoLeeFactor(c=1e153), HullWhiteFactor(c=1e160, kappa=0.1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = vs.integrated_variances((1.5, 1.5), (0.0, 5.0), 5.0, [5.25, 10.0, 35.0])
+        assert got.tolist() == [math.inf] * 3
+
+    def test_equal_scales_give_one_array(self):
+        vs = TestScalarPathExactness.STRUCTURES[2]
+        lo, up = vs.extreme_variances((1.2, 0.8), [1.2, 0.8], (0.0, 1.0), 1.0, [1.5, 2.0])
+        assert lo is up
+
+    def test_tabulated_factors_take_the_scalar_calls(self, monkeypatch):
+        tab = TabulatedFactor(t_grid=(0.0, 3.0), maturity_grid=(0.0, 10.0),
+                              values=((0.01, 0.008), (0.012, 0.009)))
+        vs = VolStructure(factors=(HoLeeFactor(c=0.01), tab))
+        maturities = [1.5, 2.0, 4.0]
+        want = [[vs.integrated_variance(s, 0.0, 1.0, 1.0, Tt) for Tt in maturities]
+                for s in ((1.0, 1.3), (0.5, 0.7))]
+        calls = []
+        scalar = VolStructure.integrated_variance
+
+        def counted(self, *args):
+            calls.append(args)
+            return scalar(self, *args)
+
+        monkeypatch.setattr(VolStructure, "integrated_variance", counted)
+        assert vs.integrated_variances((1.0, 1.3), (0.0, 1.0), 1.0, maturities).tolist() == want[0]
+        assert len(calls) == 3
+        lo, up = vs.extreme_variances((0.5, 0.7), (1.0, 1.3), (0.0, 1.0), 1.0, maturities)
+        assert [up.tolist(), lo.tolist()] == want
+        assert len(calls) == 9
+
+    @pytest.mark.parametrize("window, maturities, scale, match", [
+        ((0.0, 1.0), [1.5, 0.9, 2.0], 1.0, "t1 <= min"),
+        ((1.0, 0.5), [1.5, 2.0], 1.0, "t0 <= t1"),
+        ((0.0, 1.0), [1.5, math.nan, 2.0], (1.0, 2.0), "scale must have"),
+    ])
+    def test_rejected_inputs_raise_the_scalar_errors(self, window, maturities, scale, match):
+        for vs in (ho_lee(0.01), hull_white(0.012, 0.1)):
+            with pytest.raises(DomainError, match=match):
+                vs.integrated_variance(scale, *window, 1.0, maturities[1])
+            with pytest.raises(DomainError, match=match):
+                vs.integrated_variances(scale, window, 1.0, maturities)
+            with pytest.raises(DomainError, match=match):
+                vs.extreme_variances(1.0, scale, window, 1.0, maturities)
