@@ -385,7 +385,8 @@ def price_configured(
                 mc = MCConfig(paths=mc.paths, seed=seed, antithetic=mc.antithetic)
             return price_option(setup.curve, setup.vol, band, contract, method=cc.method, mc=mc)
         return price_stream(setup.curve, setup.vol, band, contract, nx=cc.nx, nt=cc.nt)
-    except OverflowError as exc:  # a factor level too large for its variance integral
-        raise DomainError(f"contract '{cc.name}': numerical overflow ({exc})") from exc
+    except OverflowError as exc:
+        raise DomainError(f"contract '{cc.name}': numerical overflow (a factor level "
+                          "too large for its variance integral)") from exc
     except RobustRatesError as exc:
         raise type(exc)(f"contract '{cc.name}': {exc}") from exc

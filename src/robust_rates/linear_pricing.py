@@ -15,6 +15,7 @@ uncertainty band by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .curve import DiscountCurve
 from .errors import DomainError
@@ -42,7 +43,7 @@ class TenorSchedule:
     @property
     def accruals(self) -> tuple[float, ...]:
         """Year fractions delta_i = T_i - T_{i-1}."""
-        return tuple(b - a for a, b in zip(self.dates, self.dates[1:]))
+        return tuple(map(sub, self.dates[1:], self.dates))
 
     @property
     def periods(self) -> int:

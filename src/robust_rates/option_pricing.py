@@ -2,11 +2,10 @@
 
 Each contract reduces to a sum of expectations of forward bond prices under
 their natural forward measures.  With a deterministic diffusion the forward
-prices are driftless lognormals, so the bound at each band extreme is a
-classical closed form.  Caps, floors and in-arrears swaps are streams of
-one advance-settled leg per period (``stream.caplet_leg``, ``floorlet_leg``,
-``in_arrears_leg``), each a function of X = P(T_i)/P(T_{i-1}) under the
-reset-date measure, K_i = 1/(1 + delta_i K), discounted by P(T_{i-1}):
+prices are driftless lognormals, and the payoffs are convex in them, so the
+upper (lower) bound is a classical closed form at the band's upper (lower)
+extreme.  With X = P(T_i)/P(T_{i-1}) under the reset-date measure,
+K_i = 1/(1 + delta_i K), and each period discounted by P(T_{i-1}):
 
   * caplet i   : (1/K_i) E[(K_i - X)^+], a put on X;
   * floorlet i : the matching call, via put-call parity against the swap;
@@ -14,24 +13,22 @@ reset-date measure, K_i = 1/(1 + delta_i K), discounted by P(T_{i-1}):
   * swaption   : E[(1 - X^N - K sum_i delta_i X^i)^+] on the family
                  X^i = P(T_i)/P(T_0), discounted by P(T_0).
 
-The upper bound evaluates at the band's upper extreme, the lower bound at
-the lower extreme (the payoffs are convex in the forward prices).  For the
-swaption the one-factor case is evaluated exactly by locating the exercise
-boundary of the comonotone payoff and summing Gaussian tail integrals;
-the multi-factor case falls back to Monte Carlo on the joint terminal law.
+A cap, floor or in-arrears swap is priced in one pass over its periods
+(``_leg_stream_bounds``): one leg per distinct accrual from its constructor
+(``stream.caplet_leg``, ``floorlet_leg``, ``in_arrears_leg``), valued at
+both extremes by ``stream.closed_form_bounds``, the routine
+``stream.leg_bounds`` prices closed-form stream legs with, so a cap and the
+stream of its caplets have the same bits.
 
-Both swaption methods read both extremes' inputs from one pass over the
-schedule (``_swaption_inputs``), which raises ``DomainError`` for a total
-variance that is not finite; a degenerate band is solved once.
-
-The exercise boundary is found by ``_brentq``, a port of scipy's C
-``brentq`` (Brent 1973) that takes the same iterates (handed the gap at
-both ends of the bracket, which the quadrature has already evaluated), and
-the tail integrals use ``lognormal.norm_cdf``, so the one-factor swaption
-loads no scipy module and returns the bits ``scipy.optimize.brentq`` and
-``scipy.special.ndtr`` would give.  A root-find that does not converge
-within ``_ROOT_ITERATION_CAP`` iterations, or that meets a NaN, raises
-``ConvergenceError``.
+The one-factor swaption locates the exercise boundary of the comonotone
+payoff with ``_brentq``, a step-for-step port of scipy's C ``brentq``, and
+sums Gaussian tail integrals with ``lognormal.norm_cdf``: it loads no scipy
+module and returns scipy's bits.  The multi-factor case falls back to Monte
+Carlo on the joint terminal law.  Both read both extremes' inputs from one
+pass over the schedule (``_swaption_inputs``), which raises ``DomainError``
+for a total variance that is not finite; a degenerate band is solved once.
+A root-find that does not converge within ``_ROOT_ITERATION_CAP``
+iterations, or that meets a NaN, raises ``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from .errors import ConvergenceError, DomainError, UnsupportedMethodError
 from .linear_pricing import TenorSchedule
 from .lognormal import norm_cdf
 from .mc import MCConfig, mean_and_se, normals, path_blocks
-from .stream import CashflowStream, caplet_leg, floorlet_leg, in_arrears_leg, leg_bounds
+from .stream import caplet_leg, closed_form_bounds, floorlet_leg, in_arrears_leg
 from .uncertainty import PriceBounds, UncertaintyBand
 from .vol_structure import VolStructure
 
@@ -73,77 +70,60 @@ class OptionContract:
             raise DomainError(f"strike rate must be positive, got {self.strike_rate}")
 
 
-def _check_band(vs: VolStructure, band: UncertaintyBand) -> None:
-    if vs.dim != band.dim:
-        raise DomainError(
-            f"volatility structure has {vs.dim} factors but band has {band.dim}"
-        )
+# kind -> (leg constructor, method label) of each contract priced as a leg stream
+_LEG_STREAMS = {
+    "cap": (caplet_leg, "caplet-closed-form"),
+    "floor": (floorlet_leg, "floorlet-closed-form"),
+    "in-arrears-payer-swap": (in_arrears_leg, "inarrears-second-moment"),
+}
 
 
-def _leg_stream_bounds(curve, vs, band, contract, make_leg, label: str) -> PriceBounds:
-    """The contract as a stream of one make_leg(delta_i, K) leg per period.
-
-    Every leg is convex, so the bounds are the sums of the per-leg values at
-    the band extremes.
-    """
+def _leg_stream_bounds(curve, vs, band, contract, kind: str) -> PriceBounds:
+    """The contract as a stream of one leg per period, priced in one pass
+    over the periods without building the stream: each bound is the sum, in
+    period order, of the legs' ``stream.closed_form_bounds`` at the band
+    extremes, as ``stream.leg_bounds`` values closed-form legs."""
+    if contract.kind != kind:
+        raise DomainError(f"expected {kind}, got {contract.kind}")
+    make_leg, label = _LEG_STREAMS[kind]
     schedule = contract.schedule
     schedule.check_within(curve)
-    _check_band(vs, band)
-    # Periods of one accrual share one (immutable) leg.
-    accruals = schedule.accruals
-    leg_of = {delta: make_leg(delta, contract.strike_rate) for delta in set(accruals)}
-    legs = tuple(leg_of[delta] for delta in accruals)
-    stream = CashflowStream(schedule=schedule, legs=legs)
-    bounds = leg_bounds(curve, vs, band, stream, {i: leg.convexity for i, leg in enumerate(legs)})
-    upper = sum(hi for _, hi in bounds)
-    lower = sum(lo for lo, _ in bounds)
+    band.check_factors(vs)
+    dates = schedule.dates
+    legs = {}  # periods of one accrual share one (immutable) leg
+    bounds = []
+    for i, (delta, t_reset, t_pay) in enumerate(zip(schedule.accruals, dates, dates[1:])):
+        leg = legs.get(delta)
+        if leg is None:
+            leg = legs[delta] = make_leg(delta, contract.strike_rate)
+        bounds.append(closed_form_bounds(curve, vs, band.lower, band.upper, leg, i, t_reset, t_pay))
+    lower, upper = map(sum, zip(*bounds))
     diag = {"method": label, "periods": schedule.periods}
-    return PriceBounds(
-        lower=lower, upper=upper, symmetric=band.is_degenerate, diagnostics=diag
-    ).scaled(contract.notional)
+    return PriceBounds(lower=lower, upper=upper, symmetric=band.is_degenerate,
+                       diagnostics=diag).scaled(contract.notional)
 
 
-def price_cap(
-    curve: DiscountCurve,
-    vs: VolStructure,
-    band: UncertaintyBand,
-    contract: OptionContract,
-) -> PriceBounds:
+def price_cap(curve: DiscountCurve, vs: VolStructure, band: UncertaintyBand,
+              contract: OptionContract) -> PriceBounds:
     """Sum of caplet closed forms at the band extremes."""
-    if contract.kind != "cap":
-        raise DomainError(f"expected cap, got {contract.kind}")
-    return _leg_stream_bounds(curve, vs, band, contract, caplet_leg, "caplet-closed-form")
+    return _leg_stream_bounds(curve, vs, band, contract, "cap")
 
 
-def price_floor(
-    curve: DiscountCurve,
-    vs: VolStructure,
-    band: UncertaintyBand,
-    contract: OptionContract,
-) -> PriceBounds:
+def price_floor(curve: DiscountCurve, vs: VolStructure, band: UncertaintyBand,
+                contract: OptionContract) -> PriceBounds:
     """Sum of floorlet closed forms; satisfies cap - floor = swap at each bound."""
-    if contract.kind != "floor":
-        raise DomainError(f"expected floor, got {contract.kind}")
-    return _leg_stream_bounds(curve, vs, band, contract, floorlet_leg, "floorlet-closed-form")
+    return _leg_stream_bounds(curve, vs, band, contract, "floor")
 
 
-def price_in_arrears_swap(
-    curve: DiscountCurve,
-    vs: VolStructure,
-    band: UncertaintyBand,
-    contract: OptionContract,
-) -> PriceBounds:
+def price_in_arrears_swap(curve: DiscountCurve, vs: VolStructure, band: UncertaintyBand,
+                          contract: OptionContract) -> PriceBounds:
     """Payer swap with the floating rate fixed and paid at the same date.
 
     The convexity of 1/x - 1/K_i makes the bounds sit at the band extremes;
     E[1/X] = e^V/x grows with the variance, so the spread is strictly
     positive whenever the band is nondegenerate and some variance accrues.
     """
-    if contract.kind != "in-arrears-payer-swap":
-        raise DomainError(f"expected in-arrears-payer-swap, got {contract.kind}")
-    return _leg_stream_bounds(
-        curve, vs, band, contract, in_arrears_leg, "inarrears-second-moment"
-    )
+    return _leg_stream_bounds(curve, vs, band, contract, "in-arrears-payer-swap")
 
 
 # -- swaptions ---------------------------------------------------------------
@@ -339,7 +319,7 @@ def price_swaption(
     if contract.kind != "swaption-payer":
         raise DomainError(f"expected swaption-payer, got {contract.kind}")
     contract.schedule.check_within(curve)
-    _check_band(vs, band)
+    band.check_factors(vs)
     p0 = curve.bond_price(contract.schedule.start)
     diag: dict[str, Any] = {"method": method}
     if method == "quadrature-1f":
@@ -392,10 +372,6 @@ def price_option(
     mc: MCConfig | None = None,
 ) -> PriceBounds:
     """Dispatch on the contract kind."""
-    if contract.kind == "cap":
-        return price_cap(curve, vs, band, contract)
-    if contract.kind == "floor":
-        return price_floor(curve, vs, band, contract)
-    if contract.kind == "in-arrears-payer-swap":
-        return price_in_arrears_swap(curve, vs, band, contract)
+    if contract.kind in _LEG_STREAMS:
+        return _leg_stream_bounds(curve, vs, band, contract, contract.kind)
     return price_swaption(curve, vs, band, contract, method=method, mc=mc)

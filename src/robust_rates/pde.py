@@ -394,8 +394,7 @@ def solve_single_option(
     ``window_tables(vs, band, (T, T_i), 0.0, t1, grid.nt)`` when the caller
     already has them (the upper and lower solves of one leg share them).
     """
-    if vs.dim != band.dim:
-        raise DomainError(f"volatility structure has {vs.dim} factors but band has {band.dim}")
+    band.check_factors(vs)
     if t1 > min(T, T_i):
         raise DomainError(f"expiry t1={t1} must not exceed min(T, T_i)=({T}, {T_i})")
     if not t1 >= 0.0:  # also NaN

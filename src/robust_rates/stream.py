@@ -228,6 +228,24 @@ def _downgrade_warning(stream, i) -> str:
     )
 
 
+def closed_form_bounds(curve, vs, lower_scale, upper_scale, leg: OptionLeg, i: int,
+                       t_reset: float, t_pay: float) -> tuple[float, float]:
+    """(lower, upper) of option leg i over [t_reset, t_pay]: P(T_{i-1}) E[g(X)]
+    from its closed form at lower_scale and at upper_scale.  A variance of X
+    that is not finite raises DomainError naming the period, before either
+    closed form reads it."""
+    x0, p_reset = curve.forward_price(t_reset, t_pay), curve.bond_price(t_reset)
+    var_lo = vs.integrated_variance(lower_scale, 0.0, t_reset, t_reset, t_pay)
+    var_hi = vs.integrated_variance(upper_scale, 0.0, t_reset, t_reset, t_pay)
+    if not (math.isfinite(var_lo) and math.isfinite(var_hi)):
+        raise DomainError(
+            f"period {i} [{t_reset}, {t_pay}]: variance over [0, {t_reset}] is not finite "
+            "(a factor level too large for its variance integral)"
+        )
+    return (p_reset * leg.expected_value(x0, math.sqrt(var_lo)),
+            p_reset * leg.expected_value(x0, math.sqrt(var_hi)))
+
+
 def leg_bounds(
     curve, vs, band, stream, tags: dict[int, str], nx: int = 241, nt: int = 240
 ) -> list[tuple[float, float]]:
@@ -235,13 +253,14 @@ def leg_bounds(
     each leg on its own, in the order of tags.
 
     A convex (concave) leg's bounds are its classical values at the band
-    extremes, the upper bound at the upper (lower) one: the closed form
-    E[g(X)] when the leg has one, else the single-option PDE at that one
-    scaling.  Those PDE solves, both extremes of every such leg, go through
-    one stacked sweep (``pde.window_values``), each row read at the spot
-    forward price and discounted by P(T_{i-1}).  A general leg needs the
-    single-option PDE over the band: its upper and lower solves share one
-    grid and one pair of variance tables, each in its own sweep.
+    extremes, the upper bound at the upper (lower) one: ``closed_form_bounds``
+    (which caps, floors and in-arrears swaps sum) when the leg has a closed
+    form, else the single-option PDE at that one scaling.  Those PDE solves,
+    both extremes of every such leg, go through one stacked sweep
+    (``pde.window_values``), each row read at the spot forward price and
+    discounted by P(T_{i-1}).  A general leg needs the single-option PDE over
+    the band: its upper and lower solves share one grid and one pair of
+    variance tables, each in its own sweep.
     """
     bounds = {i: [None, None] for i in tags}  # [lower, upper] per leg
     stacked = []  # (leg index, 0 lower or 1 upper, x0, P(T_{i-1}), payoff, grid, tables)
@@ -255,17 +274,16 @@ def leg_bounds(
             bounds[i][1] = solve_single_option(*args).cash_price
             bounds[i][0] = solve_lower(*args).cash_price
             continue
-        x0 = curve.forward_price(t_reset, t_pay)
-        p_reset = curve.bond_price(t_reset)
         extremes = (band.lower, band.upper) if tag == "convex" else (band.upper, band.lower)
+        if leg.expected_value is not None:
+            bounds[i] = closed_form_bounds(curve, vs, *extremes, leg, i, t_reset, t_pay)
+            continue
+        x0, p_reset = curve.forward_price(t_reset, t_pay), curve.bond_price(t_reset)
         for side, scale in enumerate(extremes):
             v = math.sqrt(vs.integrated_variance(scale, 0.0, t_reset, t_reset, t_pay))
-            if leg.expected_value is not None:
-                bounds[i][side] = p_reset * leg.expected_value(x0, v)
-            else:
-                grid = default_grid(x0, v, nx=nx, nt=nt)
-                tables = window_tables(vs, degenerate_band(scale), pair, 0.0, t_reset, nt)
-                stacked.append((i, side, x0, p_reset, leg, grid, tables))
+            grid = default_grid(x0, v, nx=nx, nt=nt)
+            tables = window_tables(vs, degenerate_band(scale), pair, 0.0, t_reset, nt)
+            stacked.append((i, side, x0, p_reset, leg, grid, tables))
     if stacked:
         indices, sides, spots, discounts, payoffs, grids, tables = zip(*stacked)
         rows = window_values(payoffs, grids, tables)
@@ -474,8 +492,7 @@ def price_stream(
     at most two option legs on adjacent periods.
     """
     stream.schedule.check_within(curve)
-    if vs.dim != band.dim:
-        raise DomainError(f"volatility structure has {vs.dim} factors but band has {band.dim}")
+    band.check_factors(vs)
 
     diag: dict[str, Any] = {}
     sym_value = sum(

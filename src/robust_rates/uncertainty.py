@@ -54,6 +54,11 @@ class UncertaintyBand:
     def dim(self) -> int:
         return len(self.lower)
 
+    def check_factors(self, vs) -> None:
+        """DomainError unless the volatility structure vs has one factor per band entry."""
+        if vs.dim != self.dim:
+            raise DomainError(f"volatility structure has {vs.dim} factors but band has {self.dim}")
+
     @property
     def is_degenerate(self) -> bool:
         """True in the classical limit upper == lower (a single volatility)."""

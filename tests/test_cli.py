@@ -266,11 +266,26 @@ class TestPriceCommand:
         cfg["vol_structure"]["factors"] = [factor]
         path = write_config(tmp_path, cfg)
         assert main(["price", path]) == 3
-        assert "contract 'cap': numerical overflow" in capsys.readouterr().err
+        message = ("contract 'cap': numerical overflow (a factor level too large for its "
+                   "variance integral)")
+        err = capsys.readouterr().err
+        assert message in err and "out of range" not in err
         setup = load_config(path)
         for _ in range(2):  # the failed variance is not memoized
-            with pytest.raises(DomainError, match="contract 'cap': numerical overflow"):
+            with pytest.raises(DomainError, match=re.escape(message)):
                 price_configured(setup, setup.contracts[1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["cap", "floor", "in-arrears-payer-swap", "swaption-payer"])
+    def test_ho_lee_level_overflow_names_contract_and_cause(self, tmp_path, capsys, kind):
+        # c^2 overflows in the variance integral itself (an OverflowError, not inf).
+        contract = {"name": kind, "kind": kind, "schedule": [1.0, 1.5, 2.0], "strike_rate": 0.04}
+        cfg = dict(BOOK, contracts=[contract],
+                   vol_structure={"factors": [{"kind": "ho-lee", "c": 1e160}]})
+        assert main(["price", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"pricing error: contract '{kind}': numerical overflow (a factor level "
+                       "too large for its variance integral)\n")
 
     def test_shared_schedule_evaluates_each_variance_once(self, tmp_path, monkeypatch):
         """Caps and floors on one schedule read the same variances: each
@@ -367,21 +382,31 @@ class TestPriceCommand:
         with pytest.raises(DomainError, match="not finite"):
             price_configured(setup, setup.contracts[0])
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("contract", [
         {"name": "arrears", "kind": "in-arrears-payer-swap", "schedule": [1.0, 1.5, 2.0],
          "strike_rate": 0.03},
         {"name": "cap", "kind": "cap", "schedule": [1.0, 1.5, 2.0], "strike_rate": 0.04},
-    ], ids=["in-arrears", "cap"])
+        {"name": "floor", "kind": "floor", "schedule": [0.5, 1.0, 2.0], "strike_rate": 0.04},
+    ], ids=["in-arrears", "cap", "floor"])
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_infinite_variance_is_named_pricing_error(self, tmp_path, capsys, contract, fmt):
-        # c^2 overflows to an infinite variance: the bounds come out inf or NaN.
+        # The product of two Hull-White loadings of c = 1e160 overflows to an
+        # infinite variance: refused, naming the first period and its window,
+        # before a closed form turns it into an inf or NaN bound.
         cfg = dict(BOOK, contracts=[contract],
                    vol_structure={"factors": [{"kind": "hull-white", "c": 1e160, "kappa": 0.1}]})
-        assert main(["--format", fmt, "price", write_config(tmp_path, cfg)]) == 3
+        path = write_config(tmp_path, cfg)
+        assert main(["--format", fmt, "price", path]) == 3
         out, err = capsys.readouterr()
-        assert f"contract '{contract['name']}': price bounds must" in err
-        assert "Traceback" not in err
+        t0, t1 = contract["schedule"][:2]
+        message = (f"contract '{contract['name']}': period 0 [{t0}, {t1}]: variance over "
+                   f"[0, {t0}] is not finite (a factor level too large for its variance integral)")
+        assert err == f"pricing error: {message}\n"
         assert "Infinity" not in out and "NaN" not in out and "inf" not in out
+        setup = load_config(path)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            price_configured(setup, setup.contracts[0])
 
     def test_every_pricing_error_names_the_contract(self, tmp_path):
         cfg = json.loads(json.dumps(BOOK))

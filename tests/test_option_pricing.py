@@ -37,6 +37,10 @@ from robust_rates.stream import (
     CashflowStream,
     ConstantLeg,
     FloatingLinearLeg,
+    caplet_leg,
+    floorlet_leg,
+    in_arrears_leg,
+    price_leg_bounds,
     price_stream,
     transformed_strike,
 )
@@ -426,6 +430,52 @@ def nested_bands(draw):
     a, b = sorted((draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))))
     inner = UncertaintyBand((lo + a * (hi - lo),), (min(lo + b * (hi - lo), hi),))
     return inner, outer
+
+
+@st.composite
+def leg_markets(draw):
+    """A random curve, a Ho-Lee, Hull-White or two-factor structure with a
+    band of its dimension (degenerate about one time in five), a schedule of
+    1-40 periods whose accruals may differ, a strike rate and a notional."""
+    steps = draw(st.lists(st.sampled_from((0.25, 0.5, 1.0)), min_size=1, max_size=40))
+    dates = [draw(st.sampled_from((0.25, 0.5, 1.0, 2.0, 5.0)))]
+    for step in steps:
+        dates.append(dates[-1] + step)
+    horizon = dates[-1] + 1.0
+    rates = draw(st.lists(st.floats(0.0, 0.06), min_size=2, max_size=2))
+    curve = DiscountCurve(knots=((0.0, rates[0]), (horizon, rates[1])), horizon=horizon)
+    hw = HullWhiteFactor(c=draw(st.floats(0.001, 0.02)), kappa=draw(st.floats(0.01, 0.5)))
+    hl = HoLeeFactor(c=draw(st.floats(0.001, 0.02)))
+    factors = draw(st.sampled_from(((hl,), (hw,), (hw, hl))))
+    lower = tuple(draw(st.floats(0.1, 1.5)) for _ in factors)
+    degenerate = draw(st.integers(0, 4)) == 0
+    upper = lower if degenerate else tuple(lo * (1.0 + draw(st.floats(0.0, 2.0))) for lo in lower)
+    strike = draw(st.floats(1e-6, 0.2))
+    notional = draw(st.sampled_from((1.0, -2.5, 1e6)))
+    return (curve, VolStructure(factors=factors), UncertaintyBand(lower, upper),
+            TenorSchedule(dates=tuple(dates)), strike, notional)
+
+
+LEG_OF_KIND = {"cap": caplet_leg, "floor": floorlet_leg, "in-arrears-payer-swap": in_arrears_leg}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(market=leg_markets())
+def test_leg_contracts_are_streams_of_their_legs(market):
+    """Each bound of a cap, floor or in-arrears swap is, to the last bit,
+    the period-order sum of price_leg_bounds over the stream of its legs,
+    scaled by the notional as PriceBounds.scaled does."""
+    curve, vs, band, sched, strike, notional = market
+    for kind, make_leg in LEG_OF_KIND.items():
+        b = price_option(curve, vs, band, OptionContract(kind=kind, schedule=sched,
+                                                          strike_rate=strike, notional=notional))
+        stream = CashflowStream(schedule=sched, legs=[make_leg(d, strike) for d in sched.accruals])
+        legs = [price_leg_bounds(curve, vs, band, stream, i) for i in range(sched.periods)]
+        lower = notional * sum(leg.lower for leg in legs)
+        upper = notional * sum(leg.upper for leg in legs)
+        if notional < 0:
+            lower, upper = upper, lower
+        assert (float.hex(b.lower), float.hex(b.upper)) == (float.hex(lower), float.hex(upper)), kind
 
 
 REFERENCES = {
