@@ -14,6 +14,7 @@ uncertainty band by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import sub
 
@@ -35,6 +36,8 @@ class TenorSchedule:
         object.__setattr__(self, "dates", dates)
         if len(dates) < 2:
             raise DomainError("schedule needs at least two dates (one accrual period)")
+        if not all(map(math.isfinite, dates)):  # NaN passes the ordering checks below
+            raise DomainError(f"schedule dates must be finite, got {dates}")
         if dates[0] <= 0.0:
             raise DomainError(f"first schedule date must be positive, got {dates[0]}")
         if any(b <= a for a, b in zip(dates, dates[1:])):

@@ -18,7 +18,8 @@ A cap, floor or in-arrears swap is priced in one pass over its periods
 (``stream.caplet_leg``, ``floorlet_leg``, ``in_arrears_leg``), valued at
 both extremes by ``stream.closed_form_bounds``, the routine
 ``stream.leg_bounds`` prices closed-form stream legs with, so a cap and the
-stream of its caplets have the same bits.
+stream of its caplets have the same bits.  ``as_stream`` builds that stream,
+and the legs of a linear contract, for the oracles; the engine does not.
 
 The one-factor swaption locates the exercise boundary of the comonotone
 payoff with ``_brentq``, a step-for-step port of scipy's C ``brentq``, and
@@ -40,10 +41,11 @@ import numpy as np
 
 from .curve import DiscountCurve
 from .errors import ConvergenceError, DomainError, UnsupportedMethodError
-from .linear_pricing import TenorSchedule
+from .linear_pricing import LinearContract, TenorSchedule
 from .lognormal import norm_cdf
 from .mc import MCConfig, mean_and_se, normals, path_blocks
-from .stream import caplet_leg, closed_form_bounds, floorlet_leg, in_arrears_leg
+from .stream import (CashflowStream, ConstantLeg, FloatingLinearLeg, caplet_leg,
+                     closed_form_bounds, floorlet_leg, in_arrears_leg)
 from .uncertainty import PriceBounds, UncertaintyBand
 from .vol_structure import VolStructure
 
@@ -76,6 +78,31 @@ _LEG_STREAMS = {
     "floor": (floorlet_leg, "floorlet-closed-form"),
     "in-arrears-payer-swap": (in_arrears_leg, "inarrears-second-moment"),
 }
+
+
+def as_stream(contract) -> CashflowStream:
+    """The contract as its stream of one leg per period, notional kept: the
+    _LEG_STREAMS leg of a cap, floor or in-arrears swap; ConstantLeg(delta K),
+    FloatingLinearLeg(delta) or FloatingLinearLeg(delta, -delta K) for a bond,
+    note or payer swap, the bond and the note adding their principal 1 in the
+    last period.  A stream comes back as it is; a swaption or any other type
+    raises DomainError."""
+    if isinstance(contract, CashflowStream):
+        return contract
+    kind = getattr(contract, "kind", type(contract).__name__)
+    if isinstance(contract, OptionContract) and kind in _LEG_STREAMS:
+        legs = [_LEG_STREAMS[kind][0](d, contract.strike_rate) for d in contract.schedule.accruals]
+    elif isinstance(contract, LinearContract):
+        k, (*ds, last) = contract.fixed_rate, contract.schedule.accruals
+        if kind == "fixed-coupon-bond":
+            legs = [ConstantLeg(d * k) for d in ds] + [ConstantLeg(last * k + 1.0)]
+        elif kind == "floating-rate-note":
+            legs = [FloatingLinearLeg(d) for d in ds] + [FloatingLinearLeg(last, 1.0)]
+        else:
+            legs = [FloatingLinearLeg(d, -d * k) for d in (*ds, last)]
+    else:
+        raise DomainError(f"{kind} is not a stream of period legs")
+    return CashflowStream(schedule=contract.schedule, legs=legs, notional=contract.notional)
 
 
 def _leg_stream_bounds(curve, vs, band, contract, kind: str) -> PriceBounds:

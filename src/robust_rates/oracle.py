@@ -15,10 +15,11 @@ Three tools, all deliberately distinct from the engines they police:
     deterministic volatility scenarios (constant or switching at given
     dates).  Every scenario's linear price is a lower estimate of the upper
     bound, so the family maximum must sit below the engine's upper bound up
-    to sampling error.  The members share their draws (common random
-    numbers, one draw per sampling block) and price them one path block at
-    a time; their running sums fill one (members, paths) array, so memory
-    is 8 bytes per member and path plus one draw.  See scenario_sup.
+    to sampling error.  Every contract but the swaption samples the legs
+    option_pricing.as_stream lowers it to.  The members share their draws
+    (common random numbers, one draw per sampling block) and price them one
+    path block at a time; their running sums fill one (members, paths)
+    array, so memory is 8 bytes per member and path plus one draw.
 
   * expectations_hypothesis_check -- simulates the terminal short rate under
     the forward-measure dynamics (drift removed) and compares its sample
@@ -35,11 +36,10 @@ import numpy as np
 
 from .curve import DiscountCurve
 from .errors import DomainError, StabilityError, UnsupportedMethodError
-from .linear_pricing import LinearContract
 from .mc import MCConfig, child_seed, mean_and_se, normals, path_blocks
-from .option_pricing import OptionContract
+from .option_pricing import OptionContract, as_stream
 from .pde import step_variances
-from .stream import CashflowStream, ConstantLeg, FloatingLinearLeg, transformed_strike
+from .stream import ConstantLeg, FloatingLinearLeg
 from .uncertainty import UncertaintyBand
 from .vol_structure import VolStructure
 
@@ -264,101 +264,57 @@ def _sampling_blocks(curve, contract, seed: int) -> tuple[list, float]:
 
     A block is (key, t_end, pairs, payoff): the forward prices with maturity
     pairs are simulated to t_end from the normals keyed by key, and
-    payoff(x, out) writes the block's per-path price for their (paths,
-    len(pairs)) array x into out, overwriting x as it likes.  Each payoff
-    makes the operations of its plain formula in the same order.  Period i
-    of a cap, floor, in-arrears swap, linear contract or stream is keyed
-    child_seed(seed, i); the one block of a swaption is keyed seed.
+    payoff(x) returns the block's per-path prices for their (paths,
+    len(pairs)) array x, overwriting x as it likes.  A swaption is one block
+    keyed seed.  Every other contract prices as its stream of legs
+    (option_pricing.as_stream), period i keyed child_seed(seed, i): a
+    constant leg is deterministic, a floating-linear leg samples
+    P(T_{i-1})/P(T_i) under the T_i-forward measure and an option leg
+    P(T_i)/P(T_{i-1}) under the T_{i-1}-forward measure.  Each payoff makes
+    the operations of its plain formula in the same order.
     """
     s = contract.schedule
+    if isinstance(contract, OptionContract) and contract.kind == "swaption-payer":
+        t0 = s.start
+        coefs = np.array(s.accruals) * contract.strike_rate
+        coefs[-1] += 1.0
+        bond = curve.bond_price(t0)
+
+        def swaption(x):  # bond * max(1 - x @ coefs, 0)
+            v = x @ coefs
+            return np.multiply(np.maximum(np.subtract(1.0, v, out=v), 0.0, out=v), bond, out=v)
+
+        return [(seed, t0, [(t0, t) for t in s.dates[1:]], swaption)], 0.0
     blocks, fixed = [], 0.0
-
-    def period(i, pair, payoff):
-        blocks.append((child_seed(seed, i), s.dates[i], [pair],
-                       lambda x, out: payoff(x[:, 0], out)))
-
-    if isinstance(contract, OptionContract):
-        if contract.kind == "swaption-payer":
-            t0 = s.start
-            coefs = np.array(s.accruals) * contract.strike_rate
-            coefs[-1] += 1.0
-            bond = curve.bond_price(t0)
-
-            def swaption(x, out):  # bond * max(1 - x @ coefs, 0)
-                np.matmul(x, coefs, out=out)
-                np.subtract(1.0, out, out=out)
-                np.maximum(out, 0.0, out=out)
-                out *= bond
-
-            blocks.append((seed, t0, [(t0, t) for t in s.dates[1:]], swaption))
-            return blocks, fixed
-        for i in range(s.periods):
-            t_reset, t_pay = s.dates[i], s.dates[i + 1]
-            ki = transformed_strike(t_pay - t_reset, contract.strike_rate)
-            if contract.kind == "in-arrears-payer-swap":  # reversed pair: the T_i-forward measure
-                # b * x * (x - 1 / ki)
-                b = curve.bond_price(t_pay)
-                period(i, (t_pay, t_reset), lambda x, out, b=b, k=1.0 / ki: np.multiply(
-                    np.subtract(x, k, out=out), np.multiply(x, b, out=x), out=out))
-            elif contract.kind == "cap":  # b * max(ki - x, 0)
-                b = curve.bond_price(t_reset) / ki
-                period(i, (t_reset, t_pay), lambda x, out, b=b, ki=ki: np.multiply(
-                    np.maximum(np.subtract(ki, x, out=out), 0.0, out=out), b, out=out))
-            else:  # floor: b * max(x - ki, 0)
-                b = curve.bond_price(t_reset) / ki
-                period(i, (t_reset, t_pay), lambda x, out, b=b, ki=ki: np.multiply(
-                    np.maximum(np.subtract(x, ki, out=out), 0.0, out=out), b, out=out))
-        return blocks, fixed
-
-    if isinstance(contract, LinearContract):
-        for i in range(s.periods):
-            t_reset, t_pay = s.dates[i], s.dates[i + 1]
-            b = curve.bond_price(t_pay)
-            if contract.kind == "fixed-coupon-bond":  # deterministic cashflows
-                fixed += b * (t_pay - t_reset) * contract.fixed_rate
-            elif contract.kind == "floating-rate-note":  # delta * L paid at t_pay: b * (x - 1)
-                period(i, (t_pay, t_reset), lambda x, out, b=b: np.multiply(
-                    np.subtract(x, 1.0, out=out), b, out=out))
-            else:  # payer-swap: b * (x - 1) - c
-                c = b * (t_pay - t_reset) * contract.fixed_rate
-                period(i, (t_pay, t_reset), lambda x, out, b=b, c=c: np.subtract(
-                    np.multiply(np.subtract(x, 1.0, out=out), b, out=out), c, out=out))
-        if contract.kind in ("floating-rate-note", "fixed-coupon-bond"):
-            fixed += curve.bond_price(s.end)
-        return blocks, fixed
-
-    if isinstance(contract, CashflowStream):
-        for i, leg in enumerate(contract.legs):
-            t_reset, t_pay = s.dates[i], s.dates[i + 1]
-            if isinstance(leg, ConstantLeg):
-                fixed += leg.amount * curve.bond_price(t_pay)
-            elif isinstance(leg, FloatingLinearLeg):  # b * (g * (x - 1) + c)
-                b, g = curve.bond_price(t_pay), leg.slope / (t_pay - t_reset)
-                period(i, (t_pay, t_reset), lambda x, out, b=b, g=g, c=leg.intercept: np.multiply(
-                    np.add(np.multiply(np.subtract(x, 1.0, out=out), g, out=out), c, out=out),
-                    b, out=out))
-            else:  # b * leg(x)
-                b = curve.bond_price(t_reset)
-                period(i, (t_reset, t_pay),
-                       lambda x, out, b=b, leg=leg: np.multiply(leg(x), b, out=out))
-        return blocks, fixed
-
-    raise DomainError(f"scenario pricing does not understand {type(contract).__name__}")
+    for i, leg in enumerate(as_stream(contract).legs):
+        t_reset, t_pay = s.dates[i], s.dates[i + 1]
+        if isinstance(leg, ConstantLeg):
+            fixed += leg.amount * curve.bond_price(t_pay)
+            continue
+        if isinstance(leg, FloatingLinearLeg):  # b * (g * (x - 1) + c)
+            b, g = curve.bond_price(t_pay), leg.slope / (t_pay - t_reset)
+            pair, payoff = (t_pay, t_reset), lambda x, b=b, g=g, c=leg.intercept: np.multiply(
+                np.add(np.multiply(np.subtract(x, 1.0, out=x), g, out=x), c, out=x), b, out=x)
+        else:  # b * leg(x)
+            b = curve.bond_price(t_reset)
+            pair, payoff = (t_reset, t_pay), lambda x, b=b, leg=leg: np.multiply(leg(x), b, out=x)
+        blocks.append((child_seed(seed, i), t_reset, [pair], lambda x, f=payoff: f(x[:, 0])))
+    return blocks, fixed
 
 
 def _add_block_prices(sums, z, moves, x0s, payoff) -> None:
     """Add to every member's row of sums its per-path prices of one sampling
     block, from the block's draws z, one path block at a time.  moves holds
-    each member's _member_moves; all work happens in three block buffers."""
+    each member's _member_moves; all work happens in two block buffers and
+    the payoff's own."""
     width, path_rows = path_blocks(z.shape[0])
-    x, log, price = np.empty((width, len(x0s))), np.empty((width, 1)), np.empty(width)
+    x, log = np.empty((width, len(x0s))), np.empty((width, 1))
     for rows in path_rows:
         n = rows.stop - rows.start
-        z_rows, x_rows, log_rows, price_rows = z[rows], x[:n], log[:n], price[:n]
+        z_rows, x_rows, log_rows = z[rows], x[:n], log[:n]
         for member, row in zip(moves, sums):
             _terminal_forward_prices(member, x0s, z_rows, x_rows, log_rows)
-            payoff(x_rows, price_rows)
-            row[rows] += price_rows
+            row[rows] += payoff(x_rows)
 
 
 def scenario_sup(
@@ -380,10 +336,11 @@ def scenario_sup(
     each member prices one path block (mc.path_blocks) at a time into
     reused block buffers and adds the prices to its row of one (members,
     paths) array of running sums.  Memory is that array (8 bytes per member
-    and path), one draw (8 bytes per path, segment and factor) and block
-    buffers of (pairs + 2) columns, whatever the number of periods; nothing
-    of path size is allocated per member.  The reported se is the
-    maximizing member's own.
+    and path), one draw (8 bytes per path, segment and factor), block
+    buffers of (pairs + 1) columns and the payoff's own (one for the swaption
+    and the caplet, floorlet and in-arrears legs), whatever the number of
+    periods; nothing of path size is allocated per member.  The reported
+    se is the maximizing member's own.
     """
     mc = mc or MCConfig()
     family, labels = _control_family(band, controls, contract.schedule.end)

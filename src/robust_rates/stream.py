@@ -128,11 +128,18 @@ def transformed_strike(accrual: float, strike_rate: float) -> float:
     return 1.0 / (1.0 + accrual * strike_rate)
 
 
+def _excess_per_strike(a, b, ki):
+    """max(a - b, 0) / ki in one new array, a 0-d one for scalars."""
+    t = np.subtract(a, b, out=np.empty(np.broadcast(a, b).shape))
+    np.maximum(t, 0.0, out=t)
+    return np.divide(t, ki, out=t)
+
+
 def caplet_leg(accrual: float, strike_rate: float) -> OptionLeg:
     """(1/K_i) (K_i - p)^+ : the advance-settled caplet, convex."""
     ki = transformed_strike(accrual, strike_rate)
     return OptionLeg(
-        payoff=lambda p: np.maximum(ki - p, 0.0) / ki,
+        payoff=lambda p: _excess_per_strike(ki, p, ki),
         convexity="convex",
         expected_value=lambda x, v: lognormal_put(x, ki, v) / ki,
         label=f"caplet(K={strike_rate})",
@@ -143,7 +150,7 @@ def floorlet_leg(accrual: float, strike_rate: float) -> OptionLeg:
     """(1/K_i) (p - K_i)^+ : the advance-settled floorlet, convex."""
     ki = transformed_strike(accrual, strike_rate)
     return OptionLeg(
-        payoff=lambda p: np.maximum(p - ki, 0.0) / ki,
+        payoff=lambda p: _excess_per_strike(p, ki, ki),
         convexity="convex",
         expected_value=lambda x, v: lognormal_call(x, ki, v) / ki,
         label=f"floorlet(K={strike_rate})",
@@ -153,8 +160,13 @@ def floorlet_leg(accrual: float, strike_rate: float) -> OptionLeg:
 def in_arrears_leg(accrual: float, strike_rate: float) -> OptionLeg:
     """1/p - 1/K_i : the in-arrears payer exchange, convex in p."""
     ki = transformed_strike(accrual, strike_rate)
+
+    def payoff(p):  # 1 / p - 1 / ki in one array
+        t = np.divide(1.0, p, out=np.empty(np.shape(p)))
+        return np.subtract(t, 1.0 / ki, out=t)
+
     return OptionLeg(
-        payoff=lambda p: 1.0 / p - 1.0 / ki,
+        payoff=payoff,
         convexity="convex",
         expected_value=lambda x, v: lognormal_reciprocal_mean(x, v) - 1.0 / ki,
         label=f"in-arrears(K={strike_rate})",

@@ -17,7 +17,7 @@ import pytest
 from robust_rates import mc as mc_module, option_pricing
 from robust_rates.curve import DiscountCurve
 from robust_rates.errors import DomainError, StabilityError, UnsupportedMethodError
-from robust_rates.linear_pricing import TenorSchedule
+from robust_rates.linear_pricing import LinearContract, TenorSchedule
 from robust_rates.mc import MCConfig, mean_and_se, normals
 from robust_rates.option_pricing import OptionContract, price_swaption
 from robust_rates.oracle import (
@@ -34,7 +34,13 @@ from robust_rates.oracle import (
     scenario_sup,
 )
 from robust_rates.pde import step_variances
-from robust_rates.stream import capped_call_spread_leg, caplet_leg
+from robust_rates.stream import (
+    capped_call_spread_leg,
+    caplet_leg,
+    floorlet_leg,
+    in_arrears_leg,
+    transformed_strike,
+)
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
 from robust_rates.vol_structure import HoLeeFactor, HullWhiteFactor, VolStructure, ho_lee, hull_white
 
@@ -258,6 +264,33 @@ class TestTruncatedLattice:
         assert abs(lattice_price(*args) - ref_lattice_price(*args)) <= 2.0 * math.exp(-50.0)
 
 
+# -- leg payoffs ---------------------------------------------------------------------
+
+
+class TestLegPayoffs:
+    """Caplet, floorlet and in-arrears payoffs work in one array: the plain
+    formula's operations, in its order, on the scalars it accepts too."""
+
+    KI = transformed_strike(0.5, 0.04)
+    PLAIN = {
+        caplet_leg: lambda p, ki: np.maximum(ki - p, 0.0) / ki,
+        floorlet_leg: lambda p, ki: np.maximum(p - ki, 0.0) / ki,
+        in_arrears_leg: lambda p, ki: 1.0 / p - 1.0 / ki,
+    }
+
+    @pytest.mark.parametrize("make_leg", list(PLAIN), ids=lambda f: f.__name__)
+    def test_same_bits_as_the_plain_formula(self, make_leg):
+        ki, plain = self.KI, self.PLAIN[make_leg]
+        leg = make_leg(0.5, 0.04)
+        p = np.concatenate((np.random.default_rng(3).uniform(0.9, 1.1, 10_000),
+                            [ki, np.nextafter(ki, 0.0), np.nextafter(ki, 2.0), math.nan]))
+        assert same_bits(leg.payoff(p), plain(p, ki))
+        assert same_bits(leg.payoff(p[:7].reshape(7, 1)), plain(p[:7].reshape(7, 1), ki))
+        for x in (0.97, ki, np.float64(1.02), np.asarray(0.99)):
+            assert same_bits(leg.payoff(x), np.asarray(plain(x, ki)))
+            assert same_bits(leg(x), np.asarray(plain(x, ki)))
+
+
 # -- terminal forward prices ----------------------------------------------------------
 
 
@@ -404,14 +437,17 @@ class TestMonteCarloMemory:
                                                   method="monte-carlo", mc=mc))
         assert peak < self.PATHS * LONG_SWAPTION.schedule.periods * 8  # 6.4 MB
 
+    @pytest.mark.parametrize("kind", ["cap", "floor", "in-arrears-payer-swap", "payer-swap"])
     @pytest.mark.parametrize("vs, band", [(ho_lee(0.015), BAND), (VS_2F, BAND_2F)], ids=["1f", "2f"])
-    def test_piecewise_family_holds_sums_one_draw_and_block_buffers(self, vs, band):
-        cap = OptionContract(kind="cap", schedule=TenorSchedule(dates=(1.0, 1.5, 2.0, 2.5)),
-                             strike_rate=0.04)
+    def test_piecewise_family_holds_sums_one_draw_and_block_buffers(self, vs, band, kind):
+        schedule = TenorSchedule(dates=(1.0, 1.5, 2.0, 2.5))
+        contract = (LinearContract(kind=kind, schedule=schedule, fixed_rate=0.04)
+                    if kind == "payer-swap" else
+                    OptionContract(kind=kind, schedule=schedule, strike_rate=0.04))
         controls = PiecewiseControls(2, (0.25, 0.5, 0.75))  # 16 members over 4 segments
         mc = MCConfig(paths=self.PATHS, seed=1)
-        peak = traced_peak(lambda: scenario_sup(CURVE, vs, band, cap, controls, mc))
+        peak = traced_peak(lambda: scenario_sup(CURVE, vs, band, contract, controls, mc))
         sums = 16 * self.PATHS * 8
         draw = self.PATHS * 4 * vs.dim * 8
-        block_buffers = mc_module._PATH_BLOCK * (1 + 2) * 8  # one pair, log, price
+        block_buffers = mc_module._PATH_BLOCK * (1 + 2) * 8  # one pair, log, the payoff's prices
         assert peak < sums + draw + block_buffers + 64 * 1024

@@ -48,6 +48,17 @@ class TestSchedule:
         with pytest.raises(DomainError):
             TenorSchedule(dates=(1.0,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_rejects_non_finite_dates_naming_the_schedule(self, position, bad):
+        # NaN passes the ordering checks; the error must name the schedule,
+        # not the curve a later pricing call would trip over.
+        dates = [1.0, 1.5, 2.0]
+        dates[position] = bad
+        with pytest.raises(DomainError, match=rf"schedule dates must be finite, got "
+                                              rf"\({', '.join(map(str, dates))}\)"):
+            TenorSchedule(dates=tuple(dates))
+
     @given(st.lists(st.floats(0.1, 5.0), min_size=2, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_cumulative_dates_always_valid(self, gaps):

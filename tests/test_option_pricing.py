@@ -14,7 +14,7 @@ from robust_rates import option_pricing
 from robust_rates.config import ConfiguredContract, PricingSetup, price_configured
 from robust_rates.curve import DiscountCurve, flat_curve
 from robust_rates.errors import ConvergenceError, DomainError, UnsupportedMethodError
-from robust_rates.linear_pricing import LinearContract, TenorSchedule, price_swap
+from robust_rates.linear_pricing import LinearContract, TenorSchedule, price_linear, price_swap
 from robust_rates.lognormal import (
     lognormal_call,
     lognormal_put,
@@ -26,6 +26,7 @@ from robust_rates.option_pricing import (
     OptionContract,
     _brentq,
     _swaption_value_comonotone,
+    as_stream,
     price_cap,
     price_floor,
     price_in_arrears_swap,
@@ -476,6 +477,36 @@ def test_leg_contracts_are_streams_of_their_legs(market):
         if notional < 0:
             lower, upper = upper, lower
         assert (float.hex(b.lower), float.hex(b.upper)) == (float.hex(lower), float.hex(upper)), kind
+
+
+@SETTINGS
+@given(market=leg_markets())
+def test_as_stream_prices_as_the_contract(market):
+    """Every contract but the swaption, lowered to its stream of legs and
+    priced by price_stream, has the bounds price_option or price_linear
+    gives it, within 1e-12 per unit notional."""
+    curve, vs, band, sched, strike, notional = market
+    contracts = [OptionContract(kind=kind, schedule=sched, strike_rate=strike, notional=notional)
+                 for kind in LEG_OF_KIND]
+    contracts += [LinearContract(kind=kind, schedule=sched, fixed_rate=rate, notional=notional)
+                  for kind, rate in (("fixed-coupon-bond", strike), ("floating-rate-note", None),
+                                     ("payer-swap", strike))]
+    for contract in contracts:
+        want = (price_option(curve, vs, band, contract) if isinstance(contract, OptionContract)
+                else price_linear(curve, contract))
+        got = price_stream(curve, vs, band, as_stream(contract))
+        assert abs(got.lower - want.lower) <= 1e-12 * abs(notional), contract.kind
+        assert abs(got.upper - want.upper) <= 1e-12 * abs(notional), contract.kind
+
+
+def test_as_stream_returns_a_stream_as_it_is_and_rejects_the_rest():
+    stream = CashflowStream(schedule=SCHED, legs=(ConstantLeg(0.01), caplet_leg(0.5, 0.04)))
+    assert as_stream(stream) is stream
+    swaption = OptionContract(kind="swaption-payer", schedule=SCHED, strike_rate=0.03)
+    with pytest.raises(DomainError, match="swaption-payer is not a stream"):
+        as_stream(swaption)
+    with pytest.raises(DomainError, match="TenorSchedule is not a stream"):
+        as_stream(SCHED)
 
 
 REFERENCES = {

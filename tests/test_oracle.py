@@ -26,6 +26,9 @@ from robust_rates.stream import (
     ConstantLeg,
     FloatingLinearLeg,
     capped_call_spread_leg,
+    caplet_leg,
+    floorlet_leg,
+    in_arrears_leg,
     transformed_strike,
 )
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
@@ -218,115 +221,79 @@ def ref_forward_prices(vs, segments, t_end, pairs, x0s, z):
     return out
 
 
+def reference_stream(contract):
+    """The contract written out as its stream of one leg per period: a
+    caplet, floorlet or in-arrears leg; a bond's coupon, the principal added
+    in the last period; a note's floating rate, the principal as the last
+    intercept; a payer swap's floating rate less its fixed coupon."""
+    if isinstance(contract, CashflowStream):
+        return contract
+    s, last = contract.schedule, contract.schedule.periods - 1
+    if isinstance(contract, OptionContract):
+        make = {"cap": caplet_leg, "floor": floorlet_leg,
+                "in-arrears-payer-swap": in_arrears_leg}[contract.kind]
+        legs = [make(delta, contract.strike_rate) for delta in s.accruals]
+    elif contract.kind == "fixed-coupon-bond":
+        legs = [ConstantLeg(delta * contract.fixed_rate + 1.0) if i == last
+                else ConstantLeg(delta * contract.fixed_rate) for i, delta in enumerate(s.accruals)]
+    elif contract.kind == "floating-rate-note":
+        legs = [FloatingLinearLeg(delta, 1.0 if i == last else 0.0)
+                for i, delta in enumerate(s.accruals)]
+    else:  # payer-swap
+        legs = [FloatingLinearLeg(delta, -delta * contract.fixed_rate) for delta in s.accruals]
+    return CashflowStream(schedule=s, legs=legs, notional=contract.notional)
+
+
 def reference_scenario_price(curve, vs, segments, contract, mc):
     """Reference: one member's sampling blocks written out one by one, each
     drawing its normals with the family's shared key (child_seed(mc.seed, i)
     for period i, mc.seed for the swaption) and its forward prices itself,
-    over all paths at once."""
+    over all paths at once.  Every contract but the swaption prices as its
+    reference_stream."""
     seed = mc.seed
-    if isinstance(contract, OptionContract):
+    nseg = len(segments)
+    if isinstance(contract, OptionContract) and contract.kind == "swaption-payer":
         s = contract.schedule
-        if contract.kind in ("cap", "floor"):
-            per = []
-            for i in range(s.periods):
-                t_reset, t_pay = s.dates[i], s.dates[i + 1]
-                ki = transformed_strike(t_pay - t_reset, contract.strike_rate)
-                pair = (t_reset, t_pay)
-                nseg = len(segments)
-                z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
-                z = z.reshape(mc.paths, nseg, vs.dim)
-                x = ref_forward_prices(
-                    vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
-                )[:, 0]
-                raw = np.maximum(ki - x, 0.0) if contract.kind == "cap" else np.maximum(x - ki, 0.0)
-                per.append(curve.bond_price(t_reset) / ki * raw)
-            samples = np.sum(per, axis=0)
-        elif contract.kind == "in-arrears-payer-swap":
-            per = []
-            for i in range(s.periods):
-                t_reset, t_pay = s.dates[i], s.dates[i + 1]
-                ki = transformed_strike(t_pay - t_reset, contract.strike_rate)
-                pair = (t_pay, t_reset)  # reversed: the T_i-forward measure
-                nseg = len(segments)
-                z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
-                z = z.reshape(mc.paths, nseg, vs.dim)
-                x = ref_forward_prices(
-                    vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
-                )[:, 0]
-                per.append(curve.bond_price(t_pay) * x * (x - 1.0 / ki))
-            samples = np.sum(per, axis=0)
-        else:  # swaption-payer
-            t0 = s.start
-            pairs = [(t0, t) for t in s.dates[1:]]
-            x0s = [curve.forward_price(*p) for p in pairs]
-            nseg = len(segments)
-            z = normals(seed, mc.paths, nseg * vs.dim, mc.antithetic)
-            z = z.reshape(mc.paths, nseg, vs.dim)
-            x = ref_forward_prices(vs, segments, t0, pairs, x0s, z)
-            coefs = np.array(s.accruals) * contract.strike_rate
-            coefs[-1] += 1.0
-            samples = curve.bond_price(t0) * np.maximum(1.0 - x @ coefs, 0.0)
+        t0 = s.start
+        pairs = [(t0, t) for t in s.dates[1:]]
+        x0s = [curve.forward_price(*p) for p in pairs]
+        z = normals(seed, mc.paths, nseg * vs.dim, mc.antithetic)
+        z = z.reshape(mc.paths, nseg, vs.dim)
+        x = ref_forward_prices(vs, segments, t0, pairs, x0s, z)
+        coefs = np.array(s.accruals) * contract.strike_rate
+        coefs[-1] += 1.0
+        samples = curve.bond_price(t0) * np.maximum(1.0 - x @ coefs, 0.0)
         mean, se = mean_and_se(samples)
         return contract.notional * mean, abs(contract.notional) * se
 
-    if isinstance(contract, LinearContract):
-        s = contract.schedule
-        samples = np.zeros(mc.paths)
-        principal = 0.0
-        for i in range(s.periods):
-            t_reset, t_pay = s.dates[i], s.dates[i + 1]
-            delta = t_pay - t_reset
-            if contract.kind == "fixed-coupon-bond":  # deterministic cashflows
-                principal += curve.bond_price(t_pay) * delta * contract.fixed_rate
-                continue
+    stream = reference_stream(contract)
+    s = stream.schedule
+    samples = np.zeros(mc.paths)
+    fixed = 0.0
+    for i, leg in enumerate(stream.legs):
+        t_reset, t_pay = s.dates[i], s.dates[i + 1]
+        delta = t_pay - t_reset
+        if isinstance(leg, ConstantLeg):
+            fixed += leg.amount * curve.bond_price(t_pay)
+            continue
+        z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
+        z = z.reshape(mc.paths, nseg, vs.dim)
+        if isinstance(leg, FloatingLinearLeg):
             pair = (t_pay, t_reset)
-            nseg = len(segments)
-            z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
-            z = z.reshape(mc.paths, nseg, vs.dim)
             x = ref_forward_prices(
                 vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
             )[:, 0]
-            float_leg = curve.bond_price(t_pay) * (x - 1.0)  # delta * L payoff
-            if contract.kind == "floating-rate-note":
-                samples += float_leg
-            else:  # payer-swap
-                samples += float_leg - curve.bond_price(t_pay) * delta * contract.fixed_rate
-        if contract.kind in ("floating-rate-note", "fixed-coupon-bond"):
-            principal += curve.bond_price(s.end)
-        mean, se = mean_and_se(samples)
-        return contract.notional * (mean + principal), abs(contract.notional) * se
-
-    if isinstance(contract, CashflowStream):
-        s = contract.schedule
-        samples = np.zeros(mc.paths)
-        fixed = 0.0
-        for i, leg in enumerate(contract.legs):
-            t_reset, t_pay = s.dates[i], s.dates[i + 1]
-            delta = t_pay - t_reset
-            if isinstance(leg, ConstantLeg):
-                fixed += leg.amount * curve.bond_price(t_pay)
-                continue
-            nseg = len(segments)
-            z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
-            z = z.reshape(mc.paths, nseg, vs.dim)
-            if isinstance(leg, FloatingLinearLeg):
-                pair = (t_pay, t_reset)
-                x = ref_forward_prices(
-                    vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
-                )[:, 0]
-                samples += curve.bond_price(t_pay) * (
-                    leg.slope / delta * (x - 1.0) + leg.intercept
-                )
-            else:
-                pair = (t_reset, t_pay)
-                x = ref_forward_prices(
-                    vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
-                )[:, 0]
-                samples += curve.bond_price(t_reset) * leg(x)
-        mean, se = mean_and_se(samples)
-        return contract.notional * (mean + fixed), abs(contract.notional) * se
-
-    raise DomainError(f"scenario pricing does not understand {type(contract).__name__}")
+            samples += curve.bond_price(t_pay) * (
+                leg.slope / delta * (x - 1.0) + leg.intercept
+            )
+        else:
+            pair = (t_reset, t_pay)
+            x = ref_forward_prices(
+                vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
+            )[:, 0]
+            samples += curve.bond_price(t_reset) * leg(x)
+    mean, se = mean_and_se(samples)
+    return stream.notional * (mean + fixed), abs(stream.notional) * se
 
 
 SCENARIO_CONTRACTS = {
