@@ -21,8 +21,8 @@ module.
 
 ``window_values`` is the one 1D core and the one place that picks a sweep:
 it cell-averages each terminal payoff and reads the step-variance tables of
-its window [t_from, t_to] (``window_tables``, closed form for Ho-Lee and
-Hull-White factors).  Rows whose band extremes coincide at every step
+its window [t_from, t_to] (``window_tables``, one exact array pass for
+every factor kind).  Rows whose band extremes coincide at every step
 (fixed volatility) all go through ``_stacked_sweep``, one block-diagonal
 solve a step, so a stacked row equals its own sweep to the last bit; the
 stream pricer sends both band extremes of its PDE-priced convex or concave
@@ -153,8 +153,8 @@ def step_variances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrated variances of X = P(T_i)/P(T) over each step [ts[k], ts[k+1]]
     at the band extremes (exact in time), as (upper, lower), from
-    ``VolStructure.extreme_variances`` (closed form for Ho-Lee and
-    Hull-White factors).
+    ``VolStructure.extreme_variances`` (one exact array pass for every
+    factor kind).
 
     A degenerate band has one extreme, so both tables are the same array:
     callers only read them."""

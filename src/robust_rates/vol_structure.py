@@ -10,8 +10,8 @@ the pricers need derives from it:
   * integrated (co)variances of forward-price vols over a time window,
     which are the total variances entering every lognormal closed form.
 
-Ho-Lee and Hull-White factors use closed-form antiderivatives; tabulated
-factors fall back on a fixed 64-panel composite Simpson rule.
+Ho-Lee and Hull-White factors use closed-form antiderivatives, and the
+bilinear tabulated factors exact piecewise rules.
 
 The contracts of a book ask for the same windows and maturity pairs over
 and over, so VolStructure.integrated_variance keeps a per-instance memo
@@ -34,18 +34,6 @@ import numpy as np
 from .curve import _memoized
 from .errors import DomainError, ParseError
 
-SIMPSON_PANELS = 64
-
-
-def _simpson(fn, lo: float, hi: float, panels: int = SIMPSON_PANELS) -> float:
-    """Composite Simpson rule with a fixed, even panel count."""
-    if hi <= lo:
-        return 0.0
-    xs = np.linspace(lo, hi, 2 * panels + 1)
-    ys = np.asarray(fn(xs), dtype=float)
-    h = (hi - lo) / (2 * panels)
-    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1::2].sum() + 2.0 * ys[2:-1:2].sum()))
-
 
 def _math_exp(x: np.ndarray) -> np.ndarray:
     """math.exp of every element of x, as an array of x's shape.  np.exp
@@ -66,9 +54,7 @@ class HoLeeFactor:
             raise DomainError(f"ho-lee level must be positive, got {self.c}")
 
     def beta(self, t, T):
-        t = np.asarray(t, dtype=float)
-        T = np.asarray(T, dtype=float)
-        return np.full(np.broadcast_shapes(t.shape, T.shape), self.c)
+        return np.full(np.broadcast_shapes(np.shape(t), np.shape(T)), self.c)
 
     def bond_vol(self, t: float, T: float) -> float:
         return self.c * (T - t)
@@ -107,9 +93,7 @@ class HullWhiteFactor:
             raise DomainError(f"hull-white mean reversion must be positive, got {self.kappa}")
 
     def beta(self, t, T):
-        t = np.asarray(t, dtype=float)
-        T = np.asarray(T, dtype=float)
-        return self.c * np.exp(-self.kappa * (T - t))
+        return self.c * np.exp(-self.kappa * (np.asarray(T, dtype=float) - np.asarray(t, dtype=float)))
 
     def bond_vol(self, t: float, T: float) -> float:
         return self.c / self.kappa * (1.0 - math.exp(-self.kappa * (T - t)))
@@ -145,13 +129,20 @@ class HullWhiteFactor:
         return self.c**2 * math.exp(-2.0 * k * T) * (math.exp(2.0 * k * t1) - math.exp(2.0 * k * t0)) / (2.0 * k)
 
 
+def _cell(grid, x):
+    """Each x's grid cell j and weight w there, in [0, 1]: flat outside the grid."""
+    g, x = np.asarray(grid), np.asarray(x, dtype=float)
+    j = np.minimum(np.maximum(np.searchsorted(g, x, side="right") - 1, 0), len(g) - 2)
+    return j, np.minimum(np.maximum((x - g[j]) / (g[j + 1] - g[j]), 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class TabulatedFactor:
     """Diffusion given on a full rectangular (t, T) grid, bilinear in between.
 
-    t_grid, maturity_grid: strictly increasing axes; values[i, j] = beta at
-    (t_grid[i], maturity_grid[j]).  Outside the grid the surface extends
-    flat, preserving continuity.  All integrals use Simpson quadrature.
+    t_grid, maturity_grid: strictly increasing finite axes; values[i, j] =
+    beta at (t_grid[i], maturity_grid[j]), finite; flat outside the grid.
+    Integrals are exact: trapezoids along T, Simpson's rule between t-knots.
     """
 
     t_grid: tuple[float, ...]
@@ -160,66 +151,83 @@ class TabulatedFactor:
     kind = "tabulated"
 
     def __post_init__(self) -> None:
-        t = tuple(float(v) for v in self.t_grid)
-        m = tuple(float(v) for v in self.maturity_grid)
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "maturity_grid", m)
-        object.__setattr__(self, "values", tuple(tuple(float(v) for v in row) for row in self.values))
+        t, m = tuple(map(float, self.t_grid)), tuple(map(float, self.maturity_grid))
+        fields = {"t_grid": t, "maturity_grid": m, "values": tuple(tuple(map(float, row)) for row in self.values)}
+        for name, entries in fields.items():
+            object.__setattr__(self, name, entries)
         if len(t) < 2 or len(m) < 2:
             raise DomainError("tabulated factor needs at least a 2x2 grid")
+        if len(self.values) != len(t) or any(len(row) != len(m) for row in self.values):
+            raise DomainError("tabulated factor requires a full rectangular grid: "
+                              f"got {len(self.values)} rows for {len(t)} t-points")
+        for name, entries in fields.items():
+            for k, v in np.ndenumerate(entries):
+                if not math.isfinite(v):
+                    at = f" (beta at t={t[k[0]]}, T={m[k[1]]})" if name == "values" else ""
+                    raise DomainError(f"tabulated {name}{list(k)}{at} must be finite, got {v}")
         if any(b <= a for a, b in zip(t, t[1:])) or any(b <= a for a, b in zip(m, m[1:])):
             raise DomainError("tabulated grid axes must be strictly increasing")
-        if len(self.values) != len(t) or any(len(row) != len(m) for row in self.values):
-            raise DomainError(
-                "tabulated factor requires a full rectangular grid: "
-                f"got {len(self.values)} rows for {len(t)} t-points"
-            )
 
     @cached_property
     def _vals(self) -> np.ndarray:
         return np.array(self.values, dtype=float)
 
-    def beta(self, t, T):
-        t = np.clip(np.asarray(t, dtype=float), self.t_grid[0], self.t_grid[-1])
-        T = np.clip(np.asarray(T, dtype=float), self.maturity_grid[0], self.maturity_grid[-1])
+    @cached_property
+    def _row_sums(self) -> np.ndarray:
+        """[j, i]: integral of beta(t_grid[i], s) ds from maturity_grid[0] to maturity_grid[j]."""
+        v = self._vals.T
+        cells = np.diff(self.maturity_grid)[:, None] * (v[:-1] + v[1:]) / 2.0
+        return np.concatenate((np.zeros((1, len(self.t_grid))), np.cumsum(cells, axis=0)))
+
+    def _rows(self, T) -> np.ndarray:
+        """integral of beta(t_grid[i], s) ds from maturity_grid[0] to each T, rows i on the last axis."""
+        T, mg, v = np.asarray(T, dtype=float)[..., None], np.asarray(self.maturity_grid), self._vals.T
+        (j, w), Tc = _cell(mg, T[..., 0]), np.minimum(np.maximum(T, mg[0]), mg[-1])
+        end = v[j] * (1 - w[..., None]) + v[j + 1] * w[..., None]
+        return self._row_sums[j] + (Tc - mg[j][..., None]) * (v[j] + end) / 2.0 + (T - Tc) * end
+
+    @cached_property
+    def _pieces(self) -> tuple[np.ndarray, ...]:
+        """The cut points -inf, t_grid, inf and, for the piece between each
+        two, its t-cell: the knot indices i and i + 1, knot i and the width."""
         tg = np.asarray(self.t_grid)
-        mg = np.asarray(self.maturity_grid)
-        i = np.clip(np.searchsorted(tg, t, side="right") - 1, 0, len(tg) - 2)
-        j = np.clip(np.searchsorted(mg, T, side="right") - 1, 0, len(mg) - 2)
-        wt = (t - tg[i]) / (tg[i + 1] - tg[i])
-        wm = (T - mg[j]) / (mg[j + 1] - mg[j])
-        v = self._vals
-        return (
-            v[i, j] * (1 - wt) * (1 - wm)
-            + v[i + 1, j] * wt * (1 - wm)
-            + v[i, j + 1] * (1 - wt) * wm
-            + v[i + 1, j + 1] * wt * wm
-        )
+        i = np.clip(np.arange(-1, len(tg)), 0, len(tg) - 2)
+        return np.concatenate(([-np.inf], tg, [np.inf])), i, i + 1, tg[i], tg[i + 1] - tg[i]
+
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow is inf, as in the closed forms
+    def _time_integral(self, lo, hi, ya, yb):
+        """integral_lo^hi a(u) b(u) du, a and b linear between t-knots (ya, yb there, last axis)
+        and flat outside: Simpson's rule on each piece, added in order whatever lo's shape."""
+        edges, i, i1, left, width = self._pieces
+        cuts = np.minimum(np.maximum(edges, np.asarray(lo)[..., None]), np.asarray(hi)[..., None])
+        w0, w1 = (np.minimum(np.maximum((x - left) / width, 0.0), 1.0) for x in (cuts[..., :-1], cuts[..., 1:]))
+        (a0, a1), (b0, b1) = ([y[..., i] * (1 - w) + y[..., i1] * w for w in (w0, w1)] for y in (ya, yb))
+        return np.cumsum(np.diff(cuts) / 6.0 * (a0 * b0 + (a0 + a1) * (b0 + b1) + a1 * b1), axis=-1)[..., -1]
+
+    def beta(self, t, T):
+        (i, wt), (j, wm), v = _cell(self.t_grid, t), _cell(self.maturity_grid, T), self._vals
+        return (v[i, j] * (1 - wt) * (1 - wm) + v[i + 1, j] * wt * (1 - wm)
+                + v[i, j + 1] * (1 - wt) * wm + v[i + 1, j + 1] * wt * wm)
 
     def bond_vol(self, t: float, T: float) -> float:
-        return _simpson(lambda s: self.beta(np.full_like(s, t), s), t, T)
+        return float(np.interp(t, self.t_grid, self._rows(T) - self._rows(t)))
 
     def fp_vol(self, t, T: float, T_tilde: float):
-        """bond_vol(u, T_tilde) - bond_vol(u, T) for every u of t, as one grid of
-        ``_simpson`` windows (a zero-width window makes ``np.linspace`` divide
-        every window by 2 * SIMPSON_PANELS first, exact for a power of two)."""
-        t = np.asarray(t, dtype=float)
-        ends = np.array([T_tilde, T]).reshape((2,) + (1,) * t.ndim)
-        s = np.linspace(t, ends, 2 * SIMPSON_PANELS + 1, axis=-1)
-        ys = self.beta(np.broadcast_to(t[..., None], s.shape), s)
-        odd, even = ys[..., 1::2].sum(axis=-1), ys[..., 2:-1:2].sum(axis=-1)
-        h = (ends - t) / (2 * SIMPSON_PANELS)
-        vols = np.where(t < ends, h / 3.0 * (ys[..., 0] + ys[..., -1] + 4.0 * odd + 2.0 * even), 0)
-        return vols[0] - vols[1]
+        """integral_T^T~ beta(t, s) ds, linear in t between t-knots."""
+        return np.interp(t, self.t_grid, self._rows(T_tilde) - self._rows(T))
 
     def fp_cov_integral(self, t0: float, t1: float, pair_a, pair_b) -> float:
-        def integrand(u):
-            return self.fp_vol(u, *pair_a) * self.fp_vol(u, *pair_b)
+        r = self._rows((*pair_a, *pair_b))
+        return float(self._time_integral(t0, t1, r[1] - r[0], r[3] - r[2]))
 
-        return _simpson(integrand, t0, t1)
+    def fp_var_steps(self, ts: np.ndarray, pair) -> np.ndarray:
+        """fp_cov_integral over every step of ts, in the same operations (T~ may be an array)."""
+        y = self._rows(pair[1]) - self._rows(pair[0])
+        return self._time_integral(ts[:-1], ts[1:], y, y)
 
     def beta_var_integral(self, t0: float, t1: float, T: float) -> float:
-        return _simpson(lambda u: self.beta(u, np.full_like(u, T)) ** 2, t0, t1)
+        y = self.beta(self.t_grid, T)
+        return float(self._time_integral(t0, t1, y, y))
 
 
 VolFactor = Union[HoLeeFactor, HullWhiteFactor, TabulatedFactor]
@@ -244,6 +252,8 @@ def load_tabulated_factor(path: str) -> TabulatedFactor:
                 t, T, b = (float(p) for p in parts)
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric field in {line!r}") from None
+            if not (math.isfinite(t) and math.isfinite(T)):  # NaN would break the sort and the grid
+                raise ParseError(f"{path}: line {lineno}: grid point ({t}, {T}) must be finite")
             if (t, T) in entries:
                 raise ParseError(f"{path}: line {lineno}: duplicate grid point ({t}, {T})")
             entries[(t, T)] = b
@@ -311,13 +321,11 @@ class VolStructure:
         return float(self._factor(i).fp_vol(float(t), float(T), float(T_tilde)))
 
     @_memoized
-    def integrated_variance(
-        self, scale, t0: float, t1: float, T: float, T_tilde: float
-    ) -> float:
+    def integrated_variance(self, scale, t0: float, t1: float, T: float, T_tilde: float) -> float:
         """Total variance sum_j scale_j^2 * integral_t0^t1 sigma_j(u; T, T~)^2 du.
 
-        Additive over abutting windows and nonnegative; closed form for
-        Ho-Lee / Hull-White factors, Simpson for tabulated ones.
+        Additive over abutting windows and nonnegative; exact for every
+        factor kind (see the factor classes).
         """
         s = self._check_scale(scale)
         if t0 > t1:
@@ -340,13 +348,10 @@ class VolStructure:
         an array of maturities that broadcasts against the steps: a one-step
         grid gives the variance of every P(T~[m])/P(T) over that window.
 
-        Each Ho-Lee or Hull-White factor is one array expression, and the
-        factor terms add in integrated_variance's order; a product that
-        overflows is inf without a warning, as in the scalar call's float
-        arithmetic.  Tabulated factors, grids with a zero-width step (which
-        the scalar call sets to 0.0 before any arithmetic) and inputs
-        integrated_variance rejects take the scalar calls (which raise its
-        errors)."""
+        Each factor's term is one array pass (fp_var_steps), added in
+        integrated_variance's order; an overflow is inf without a warning, as
+        in the scalar call.  Only grids with a zero-width step (0.0 before any
+        arithmetic there) and rejected inputs take the scalar calls."""
         return self.extreme_variances(scale, scale, ts, T, T_tilde)[0]
 
     def extreme_variances(self, lower, upper, ts, T: float, T_tilde) -> tuple[np.ndarray, np.ndarray]:
@@ -359,8 +364,7 @@ class VolStructure:
         ts = np.asarray(ts, dtype=float)
         T, T_tilde = float(T), np.asarray(T_tilde, dtype=float)
         widths = ts[1:] - ts[:-1]
-        if (self.is_separable() and (widths > 0.0).all()
-                and (len(ts) < 2 or (ts[-1] <= T and (ts[-1] <= T_tilde).all()))):
+        if (widths > 0.0).all() and (len(ts) < 2 or (ts[-1] <= T and (ts[-1] <= T_tilde).all())):
             with np.errstate(over="ignore", invalid="ignore"):
                 terms = [f.fp_var_steps(ts, (T, T_tilde)) for f in self.factors]
                 tables = []
@@ -377,9 +381,7 @@ class VolStructure:
                       for s in scales]
         return tables[0], tables[-1]
 
-    def integrated_covariance(
-        self, scale, t0: float, t1: float, pair_a, pair_b
-    ) -> float:
+    def integrated_covariance(self, scale, t0: float, t1: float, pair_a, pair_b) -> float:
         """sum_j scale_j^2 * integral_t0^t1 sigma_j(u; pair_a) sigma_j(u; pair_b) du."""
         s = self._check_scale(scale)
         if t0 > t1:

@@ -257,6 +257,34 @@ class TestPriceCommand:
             load_config(path)
         assert main(["price", path]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("point, beta, entry", [
+        ((5, 30), "nan", "values[1, 2]"), ((5, 10), "inf", "values[1, 1]"), ((0, 0), "-inf", "values[0, 0]"),
+    ])
+    def test_non_finite_tabulated_beta_is_config_error(self, tmp_path, capsys, point, beta, entry):
+        grid = {(t, T): "0.01" for t in (0, 5) for T in (0, 10, 30)}
+        grid[point] = beta
+        (tmp_path / "beta.csv").write_text("".join(f"{t},{T},{b}\n" for (t, T), b in grid.items()))
+        cfg = dict(BOOK, vol_structure={"factors": [{"kind": "tabulated", "csv": "beta.csv"}]})
+        path = write_config(tmp_path, cfg)
+        message = f"vol_structure.factors[0].csv: tabulated {entry} (beta at t={point[0]:.1f}, T={point[1]:.1f})"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        assert main(["price", path]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "must be finite" in err
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_tabulated_level_is_pricing_error(self, tmp_path, capsys):
+        # beta^2 overflows in the exact time integral: inf without a warning, then a named error.
+        (tmp_path / "beta.csv").write_text("0,0,1e160\n0,10,1e160\n5,0,1e160\n5,10,1e160\n")
+        cfg = dict(BOOK, vol_structure={"factors": [{"kind": "tabulated", "csv": "beta.csv"}]})
+        assert main(["price", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "is not finite (a factor level too large for its variance integral)" in err
+        assert "Traceback" not in err and "Warning" not in err
+
     @pytest.mark.parametrize("factor", [
         {"kind": "ho-lee", "c": 1e200},
         {"kind": "hull-white", "c": 0.01, "kappa": 1e6},

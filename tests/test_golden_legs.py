@@ -119,8 +119,9 @@ def draw_cases() -> dict[str, dict]:
             out.append(out[-1] + float(step))
         return out
 
-    # A tabulated factor integrates by Simpson's rule at each date (about
-    # 10 ms each), so its contracts are few and short.
+    # The random tabulated contracts keep 1 to 3 periods, so the seeded
+    # draws, and with them every other case, stay as first written; the
+    # 40-period tabulated cases are hand-picked below.
     cases = {}
     for k in range(192):
         kind = KINDS[k % 3]
@@ -132,6 +133,7 @@ def draw_cases() -> dict[str, dict]:
             "dates": dates(periods, k % 3 == 1), "strike": strike,
             "notional": -2.5 if k % 7 == 0 else 1.0,
         }
+    tabulated = [factor("tabulated")]
     hand = {
         "strike/1e-12": ([{"kind": "hull-white", "c": 0.01, "kappa": 0.3}], [[0.5], [1.5]],
                          [1.0, 1.5, 2.0, 2.5], 1e-12),
@@ -146,7 +148,9 @@ def draw_cases() -> dict[str, dict]:
         "mixed-accruals/tenths": ([{"kind": "hull-white", "c": 0.01, "kappa": 0.05}], [[0.5], [2.0]],
                                   [1.0 + 0.1 * k for k in range(31)], 0.025),
         "large-variance": ([{"kind": "ho-lee", "c": 0.2}], [[0.5], [3.0]], [10.0, 15.0, 20.0], 0.03),
-        "tabulated/wide": ([factor("tabulated")], [[0.5], [1.5]], [0.5, 1.0, 2.0], 0.025),
+        "tabulated/wide": (tabulated, [[0.5], [1.5]], [0.5, 1.0, 2.0], 0.025),
+        # 40 periods across both t-knots and a maturity knot of the grid.
+        "long/tabulated/wide": (tabulated, [[0.4], [2.0]], [0.5 + 0.5 * k for k in range(41)], 0.03),
     }
     for name, (specs, bnd, ds, strike) in hand.items():
         for kind in KINDS:
@@ -172,6 +176,12 @@ def draw_cases() -> dict[str, dict]:
             "kind": "stream", "factors": factors(vol), "band": band(2 if vol == "2f" else 1, k % 5 == 2),
             "dates": dates(periods, k % 3 == 0), "legs": legs, "notional": -1.5 if k % 3 == 2 else 1.0,
         }
+    legs = [{"type": ("caplet", "floorlet", "in-arrears")[k % 3], "strike_rate": 0.01 + 0.001 * k,
+             "negated": False} for k in range(40)]
+    cases["stream/long/convex/tabulated"] = {
+        "kind": "stream", "factors": tabulated, "band": [[0.4], [2.0]],
+        "dates": [0.5 + 0.5 * k for k in range(41)], "legs": legs, "notional": 1.0,
+    }
     return cases
 
 

@@ -81,8 +81,9 @@ def draw_cases() -> dict[str, dict]:
         values = [[log_uniform(0.003, 0.02) for _ in maturity_grid] for _ in t_grid]
         return {"kind": kind, "t_grid": t_grid, "maturity_grid": maturity_grid, "values": values}
 
-    # A tabulated factor integrates by Simpson's rule at each date (about
-    # 10 ms each), so its contracts are few and short.
+    # The random tabulated contracts keep 1 or 2 periods, so the seeded
+    # draws, and with them every other case, stay as first written; the
+    # 20- and 40-period tabulated cases are hand-picked below.
     cases = {}
     for k in range(186):
         kind = "tabulated" if k % 16 == 15 else ("ho-lee", "hull-white")[k % 2]
@@ -99,6 +100,7 @@ def draw_cases() -> dict[str, dict]:
             "factor": factor(kind), "band": [lower, upper], "dates": dates, "strike": strike,
             "notional": -2.5 if k % 7 == 0 else 1.0, "method": "quadrature-1f", "seed": 0,
         }
+    tabulated = factor("tabulated")
     hand = {
         # gap(40) <= 0: never exercised within the bracket.
         "never-exercised/ho-lee": ({"kind": "ho-lee", "c": 1e-4}, [1.0, 1.0], [1.0, 1.5], 5.0),
@@ -123,7 +125,10 @@ def draw_cases() -> dict[str, dict]:
                              [1.0 + 0.25 * k for k in range(41)], 0.03),
         "long/hull-white/degenerate": ({"kind": "hull-white", "c": 0.012, "kappa": 0.1}, [1.3, 1.3],
                                        [2.0 + 0.5 * k for k in range(41)], 0.028),
-        "tabulated/wide": (factor("tabulated"), [0.5, 1.5], [0.5, 1.0, 1.5, 2.0], 0.025),
+        "tabulated/wide": (tabulated, [0.5, 1.5], [0.5, 1.0, 1.5, 2.0], 0.025),
+        # 20 and 40 periods across both t-knots and a maturity knot of the grid.
+        "long/tabulated/20-periods": (tabulated, [0.6, 1.6], [2.0 + 0.5 * k for k in range(21)], 0.028),
+        "long/tabulated/wide": (tabulated, [0.4, 2.0], [0.5 + 0.5 * k for k in range(41)], 0.03),
         "strike/1e-12": ({"kind": "hull-white", "c": 0.01, "kappa": 0.3}, [0.5, 1.5],
                          [1.0, 1.5, 2.0, 2.5], 1e-12),
         "strike/5": ({"kind": "ho-lee", "c": 0.02}, [0.5, 1.5], [3.0, 4.0, 5.0], 5.0),
@@ -134,7 +139,8 @@ def draw_cases() -> dict[str, dict]:
     # A few of the same contracts by Monte Carlo.
     for name in ("random/001/hull-white", "random/004/ho-lee", "random/015/tabulated",
                  "random/031/tabulated", "random/010/ho-lee", "long/ho-lee/wide", "long/hull-white/degenerate",
-                 "always-exercised/huge-stdev", "never-exercised/hull-white"):
+                 "always-exercised/huge-stdev", "never-exercised/hull-white",
+                 "long/tabulated/20-periods"):
         cases[f"monte-carlo/{name}"] = dict(cases[name], method="monte-carlo", seed=31)
     return cases
 

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import struct
 import sys
 import threading
@@ -16,16 +17,32 @@ from robust_rates.errors import DomainError, ParseError
 from robust_rates.pde import step_variances
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
 from robust_rates.vol_structure import (
-    SIMPSON_PANELS,
     HoLeeFactor,
     HullWhiteFactor,
     TabulatedFactor,
     VolStructure,
-    _simpson,
     ho_lee,
     hull_white,
     load_tabulated_factor,
+    single_factor,
 )
+
+
+def _simpson_rule(lo, hi, knots=(), panels=64):
+    """Nodes and weights of the composite Simpson rule over [lo, hi] cut at
+    the knots inside it, with at least `panels` panels in all, as many on
+    each piece: the reference quadrature of these tests."""
+    cuts = [lo] + sorted(k for k in knots if lo < k < hi) + [hi]
+    per_piece = -(-panels // (len(cuts) - 1))
+    coef = np.concatenate(([1.0], np.tile([4.0, 2.0], per_piece)[:-1], [1.0]))
+    nodes = [np.linspace(a, b, 2 * per_piece + 1) for a, b in zip(cuts, cuts[1:])]
+    weights = [(b - a) / (6 * per_piece) * coef for a, b in zip(cuts, cuts[1:])]
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _simpson(fn, lo, hi, knots=(), panels=64):
+    nodes, weights = _simpson_rule(lo, hi, knots, panels)
+    return float(weights @ fn(nodes))
 
 
 class TestBondVol:
@@ -127,10 +144,10 @@ class TestTabulated:
     def test_matches_ho_lee_when_constant(self):
         tab = VolStructure(factors=(self.constant_table(),))
         hl = ho_lee(0.01)
-        assert tab.bond_vol(0, 0.5, 3.0) == pytest.approx(hl.bond_vol(0, 0.5, 3.0), rel=1e-12)
+        assert tab.bond_vol(0, 0.5, 3.0) == pytest.approx(hl.bond_vol(0, 0.5, 3.0), rel=1e-14)
         a = tab.integrated_variance((1.3,), 0.0, 1.0, 1.0, 2.0)
         b = hl.integrated_variance((1.3,), 0.0, 1.0, 1.0, 2.0)
-        assert a == pytest.approx(b, rel=1e-10)
+        assert a == pytest.approx(b, rel=1e-14)
 
     def test_bilinear_interpolation(self):
         tab = TabulatedFactor(
@@ -140,29 +157,83 @@ class TestTabulated:
         assert float(tab.beta(1.0, 1.0)) == pytest.approx(0.025, rel=1e-14)
 
     def test_fp_vol_bit_identical_to_point_loop(self):
-        # Reference: one bond_vol Simpson rule per point.  The vector form
-        # must give the same bits, also where a window [u, T] has zero width.
+        # The array form gives each point's scalar bits, also at the knots,
+        # at the maturities and beyond the grid, and the differences of
+        # bond_vol agree to round-off.
         rng = np.random.Generator(np.random.Philox(key=11))
         axis = (0.0, 0.7, 2.0, 5.0, 10.0)
         tab = TabulatedFactor(t_grid=axis, maturity_grid=(0.0, 1.0, 3.0, 6.0, 12.0),
                               values=rng.uniform(0.005, 0.02, (5, 5)).tolist())
-
-        def loop(t, T, T_tilde):
-            return np.array([tab.bond_vol(u, T_tilde) - tab.bond_vol(u, T) for u in t.tolist()])
-
         for _ in range(3):
             T = rng.uniform(0.5, 8.0)
             pair = (T, T + rng.uniform(0.1, 3.0))
-            for t1 in (T, rng.uniform(0.0, T)):
+            u = np.concatenate((rng.uniform(0.0, T, 50), axis[:-1], [0.0, T]))
+            u = u[u <= T]
+            got = tab.fp_vol(u, *pair)
+            assert got.tolist() == [float(tab.fp_vol(x, *pair)) for x in u.tolist()]
+            diffs = [tab.bond_vol(x, pair[1]) - tab.bond_vol(x, pair[0]) for x in u.tolist()]
+            assert got == pytest.approx(diffs, rel=1e-14)
+            assert tab.fp_vol(np.array([[12.5, 14.0]]), 13.0, 20.0).tolist() == [
+                [float(tab.fp_vol(12.5, 13.0, 20.0)), float(tab.fp_vol(14.0, 13.0, 20.0))]]
+
+    @pytest.mark.parametrize("axis", ["t_grid", "maturity_grid", "values"])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, axis, position, bad):
+        grid = {"t_grid": [0.0, 1.0, 2.0], "maturity_grid": [0.0, 5.0, 10.0],
+                "values": [[0.01, 0.011, 0.012], [0.013, 0.014, 0.015], [0.016, 0.017, 0.018]]}
+        if axis == "values":
+            grid["values"][position][2 - position] = bad
+            match = re.escape(f"values[{position}, {2 - position}] (beta at t={float(position)}, T=")
+        else:
+            grid[axis][position] = bad
+            match = re.escape(f"{axis}[{position}] must be finite")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=match):
+                TabulatedFactor(**grid)
+
+    def test_exact_forms_match_simpson_split_at_every_knot(self):
+        """On random grids, windows and maturities before, across and beyond
+        the knots of both axes: fp_vol, bond_vol, the (co)variances and
+        beta_var_integral equal a Simpson rule split at every knot, with 2e4
+        panels per integral (fp_vol inside the time integrals takes one panel
+        per piece, exact for beta linear in T), to 1e-12 relative."""
+        rng = np.random.default_rng(22)
+        seen = set()
+        for _ in range(6):
+            t_grid = tuple(rng.uniform(0.0, 1.5) + np.cumsum(rng.uniform(0.2, 3.0, rng.integers(2, 6))))
+            maturity_grid = tuple(rng.uniform(0.5, 4.0) + np.cumsum(rng.uniform(0.3, 5.0, rng.integers(2, 6))))
+            tab = TabulatedFactor(t_grid=t_grid, maturity_grid=maturity_grid,
+                                  values=rng.uniform(1e-3, 0.05, (len(t_grid), len(maturity_grid))).tolist())
+
+            def fp_vol(u, T, T_tilde):
+                # One panel per piece between maturity knots: beta is linear in s there.
+                if T_tilde < T:
+                    return -fp_vol(u, T_tilde, T)
+                s, w = _simpson_rule(T, T_tilde, maturity_grid, panels=1)
+                return tab.beta(u[:, None], s) @ w
+
+            for _ in range(3):
+                T = rng.uniform(0.2, maturity_grid[-1] + 5.0)
+                t1 = rng.uniform(0.0, T)
                 t0 = rng.uniform(0.0, t1)
-                # The grid of the Simpson rule fp_cov_integral runs over [t0, t1].
-                u = np.linspace(t0, t1, 2 * SIMPSON_PANELS + 1)
-                want = loop(u, *pair)
-                assert np.array_equal(tab.fp_vol(u, *pair), want)
-                assert tab.fp_cov_integral(t0, t1, pair, pair) == _simpson(
-                    lambda _: want * want, t0, t1)
-            for x in (0.0, T, pair[1], pair[1] + 1.0):
-                assert tab.fp_vol(x, *pair) == loop(np.array([x]), *pair)[0]
+                pa = (T, T + rng.uniform(0.1, 6.0))
+                pb = (rng.uniform(t1, t1 + 10.0), rng.uniform(t1, t1 + 16.0))
+                nodes, weights = _simpson_rule(t0, t1, t_grid, panels=20000)
+                fa, fb = fp_vol(nodes, *pa), fp_vol(nodes, *pb)
+                assert tab.fp_cov_integral(t0, t1, pa, pa) == pytest.approx(weights @ (fa * fa), rel=1e-12)
+                assert tab.fp_cov_integral(t0, t1, pa, pb) == pytest.approx(weights @ (fa * fb), rel=1e-12)
+                assert tab.beta_var_integral(t0, t1, pb[1]) == pytest.approx(
+                    weights @ tab.beta(nodes, pb[1]) ** 2, rel=1e-12)
+                assert tab.fp_vol(nodes[::1999], *pa) == pytest.approx(fa[::1999], rel=1e-12)
+                for u in (t0, t1):
+                    assert tab.bond_vol(u, pa[1]) == pytest.approx(
+                        _simpson(lambda s: tab.beta(u, s), u, pa[1], maturity_grid, panels=20000), rel=1e-12)
+                seen.add(("t-knot inside", any(t0 < k < t1 for k in t_grid)))
+                seen.add(("window beyond t-axis", t1 > t_grid[-1]))
+                seen.add(("maturity beyond axis", max(pa + pb) > maturity_grid[-1]))
+        assert seen == {(name, b) for name, _ in seen for b in (False, True)}
 
     def test_requires_full_grid(self):
         with pytest.raises(DomainError):
@@ -180,6 +251,13 @@ class TestTabulated:
         p = tmp_path / "beta.csv"
         p.write_text("0,0,0.01\n0,10,0.01\n5,0,0.02\n")
         with pytest.raises(DomainError, match="rectangular"):
+            load_tabulated_factor(str(p))
+
+    @pytest.mark.parametrize("line", ["nan,10,0.01", "5,inf,0.01", "-inf,0,0.01"])
+    def test_load_csv_non_finite_grid_point(self, tmp_path, line):
+        p = tmp_path / "beta.csv"
+        p.write_text("0,0,0.01\n0,10,0.01\n" + line + "\n5,0,0.02\n5,10,0.02\n")
+        with pytest.raises(ParseError, match=r"line 3: grid point .* must be finite"):
             load_tabulated_factor(str(p))
 
     def test_load_csv_bad_line(self, tmp_path):
@@ -350,9 +428,24 @@ def _scalar_table(vs, scale, ts, T, T_tilde):
     return [vs.integrated_variance(scale, ts[k], ts[k + 1], T, T_tilde) for k in range(len(ts) - 1)]
 
 
+@st.composite
+def _tabulated_factors(draw):
+    """A small tabulated factor: 2 to 4 knots on each axis, which the step
+    windows and the maturities can fall before, between or beyond."""
+    def axis(start):
+        steps = draw(st.lists(st.floats(0.05, 6.0), min_size=1, max_size=3))
+        return tuple(itertools.accumulate(steps, initial=draw(start)))
+
+    t_grid, maturity_grid = axis(st.floats(0.0, 3.0)), axis(st.floats(0.0, 10.0))
+    row = st.lists(st.floats(1e-4, 0.05), min_size=len(maturity_grid), max_size=len(maturity_grid))
+    values = draw(st.lists(row, min_size=len(t_grid), max_size=len(t_grid)))
+    return TabulatedFactor(t_grid=t_grid, maturity_grid=maturity_grid, values=values)
+
+
 _FACTORS = st.one_of(
     st.builds(HoLeeFactor, c=st.floats(1e-4, 0.05)),
     st.builds(HullWhiteFactor, c=st.floats(1e-4, 0.05), kappa=st.floats(1e-3, 2.0)),
+    _tabulated_factors(),
 )
 
 
@@ -402,22 +495,31 @@ class TestStepVarianceTables:
         assert got.tolist() == _scalar_table(vs, (1.1,) * vs.dim, ts, 1.0, 31.0)
         assert got[1] == 0.0 and got[3] == 0.0 and got[0] > 0.0
 
-    def test_tabulated_factors_take_the_scalar_calls(self, monkeypatch):
-        tab = TabulatedFactor(t_grid=(0.0, 3.0), maturity_grid=(0.0, 10.0),
-                              values=((0.01, 0.008), (0.012, 0.009)))
-        vs = VolStructure(factors=(HoLeeFactor(c=0.01), tab))
+    def test_tabulated_tables_make_no_scalar_calls(self, monkeypatch):
+        """A tabulated or mixed step_variances table is one array pass: no
+        integrated_variance or fp_cov_integral call, the scalar calls' bits."""
+        tab = TabulatedFactor(t_grid=(0.0, 0.3, 3.0), maturity_grid=(0.0, 1.5, 10.0),
+                              values=((0.01, 0.008, 0.007), (0.011, 0.012, 0.006), (0.012, 0.009, 0.01)))
+        band = UncertaintyBand(lower=(0.5, 0.7), upper=(1.0, 1.3))
+        ts = np.linspace(0.0, 1.0, 241)
         calls = []
-        scalar = VolStructure.integrated_variance
+        scalar, fp_cov = VolStructure.integrated_variance, TabulatedFactor.fp_cov_integral
 
-        def counted(self, *args):
-            calls.append(args)
-            return scalar(self, *args)
+        def counted(method):
+            def wrapper(self, *args):
+                calls.append(args)
+                return method(self, *args)
+            return wrapper
 
-        ts = np.linspace(0.0, 1.0, 5)
-        want = _scalar_table(vs, (1.0, 1.3), ts, 1.0, 2.0)
-        monkeypatch.setattr(VolStructure, "integrated_variance", counted)
-        assert vs.integrated_variances((1.0, 1.3), ts, 1.0, 2.0).tolist() == want
-        assert len(calls) == 4
+        for vs in (single_factor(tab), VolStructure(factors=(HoLeeFactor(c=0.01), tab))):
+            scales = (band.upper[:vs.dim], band.lower[:vs.dim])
+            want = [_scalar_table(vs, s, ts, 1.0, 2.0) for s in scales]
+            with monkeypatch.context() as m:
+                m.setattr(VolStructure, "integrated_variance", counted(scalar))
+                m.setattr(TabulatedFactor, "fp_cov_integral", counted(fp_cov))
+                a_up, a_dn = step_variances(vs, UncertaintyBand(scales[1], scales[0]), ts, 1.0, 2.0)
+            assert calls == []
+            assert [a_up.tolist(), a_dn.tolist()] == want
 
     @pytest.mark.parametrize("ts, match", [
         (np.array([0.0, 0.6, 0.5]), "t0 <= t1"),
@@ -495,11 +597,11 @@ class TestMaturityAxisVariances:
         lo, up = vs.extreme_variances((1.2, 0.8), [1.2, 0.8], (0.0, 1.0), 1.0, [1.5, 2.0])
         assert lo is up
 
-    def test_tabulated_factors_take_the_scalar_calls(self, monkeypatch):
+    def test_tabulated_factors_make_no_scalar_calls(self, monkeypatch):
         tab = TabulatedFactor(t_grid=(0.0, 3.0), maturity_grid=(0.0, 10.0),
                               values=((0.01, 0.008), (0.012, 0.009)))
         vs = VolStructure(factors=(HoLeeFactor(c=0.01), tab))
-        maturities = [1.5, 2.0, 4.0]
+        maturities = [1.5, 2.0, 4.0, 12.0]
         want = [[vs.integrated_variance(s, 0.0, 1.0, 1.0, Tt) for Tt in maturities]
                 for s in ((1.0, 1.3), (0.5, 0.7))]
         calls = []
@@ -511,10 +613,9 @@ class TestMaturityAxisVariances:
 
         monkeypatch.setattr(VolStructure, "integrated_variance", counted)
         assert vs.integrated_variances((1.0, 1.3), (0.0, 1.0), 1.0, maturities).tolist() == want[0]
-        assert len(calls) == 3
         lo, up = vs.extreme_variances((0.5, 0.7), (1.0, 1.3), (0.0, 1.0), 1.0, maturities)
         assert [up.tolist(), lo.tolist()] == want
-        assert len(calls) == 9
+        assert calls == []
 
     @pytest.mark.parametrize("window, maturities, scale, match", [
         ((0.0, 1.0), [1.5, 0.9, 2.0], 1.0, "t1 <= min"),
