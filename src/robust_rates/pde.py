@@ -27,10 +27,14 @@ every factor kind).  Rows whose band extremes coincide at every step
 solve a step, so a stacked row equals its own sweep to the last bit; the
 stream pricer sends both band extremes of its PDE-priced convex or concave
 legs through one such stack.  Any other problem is one band row, which
-``_implicit_sweep`` solves by policy iteration at every step; it builds the
-systems of up to 32 steps at once at both band extremes
+``_implicit_sweep`` solves by policy iteration at every step, in one loop;
+it builds the systems of up to 32 steps at once at both band extremes
 (``_coefficient_tables``), so an iteration is one ``np.where``, a copy of
-the previous level, two scalar boundary adds and one ?gtsv solve in place.
+the previous level, two scalar boundary adds, one ?gtsv solve in place and
+the second difference of the solution.  A policy is compared with the next
+one by its bytes.  The policy is the sign of the second difference v itself
+where 0 < dx**2 <= 1 (there v / dx**2 has the sign of v), and of v / dx**2
+on a wider spacing or one whose square underflows to 0.
 Both sweeps check input once where it enters.  ``solve_single_option``
 prices one option; the lower expectation (``solve_lower``) is the negated
 solve of -phi on the same grid and tables.
@@ -211,12 +215,6 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError(_NON_FINITE)
 
 
-def _convex(u: np.ndarray, dx2: float) -> np.ndarray:
-    """Where u has a nonnegative second difference: the policy that picks the
-    upper band extreme."""
-    return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx2 >= 0.0
-
-
 def _coefficient_tables(half: np.ndarray, x2: np.ndarray, dx2: float, lo, hi) -> np.ndarray:
     """The implicit-step systems of a block of steps at both band extremes,
     from half (B, 2, 1), each step's 0.5 * a_up and 0.5 * a_dn: rows 1 + 2
@@ -237,42 +235,6 @@ def _coefficient_tables(half: np.ndarray, x2: np.ndarray, dx2: float, lo, hi) ->
     return tables
 
 
-def _solve_step(system: np.ndarray, level: np.ndarray, out: np.ndarray) -> None:
-    """One implicit step: out's interior becomes the solution of system (a
-    (3, m) selection of ``_coefficient_tables``, overwritten) with the
-    interior of level plus the two boundary terms on the right-hand side."""
-    rhs = out[1:-1]
-    rhs[:] = level[1:-1]
-    first = level.item(1) + system.item(1, 0)
-    rhs[0] = first
-    last = rhs.item(-1) + system.item(2, -1)
-    rhs[-1] = last
-    if not (math.isfinite(first) and math.isfinite(last)):
-        raise ValueError(_NON_FINITE)
-    _solve_tridiagonal(system[1, 1:], system[0], system[2, :-1], rhs)
-
-
-def _policy_iteration(k, level, out, spare, up, dn, dx2, policy, tol):
-    """Howard policy iteration of time step k from the previous level and
-    the policy `policy`, with the systems up and dn at the band extremes.
-    The iterates go into out and spare in turn, so the stop rule compares
-    the last two; returns the last one's policy and buffer, then the other
-    buffer.  Stops on a stable policy or on a value change below tol."""
-    prev = level[1:-1]
-    for _ in range(POLICY_ITERATION_CAP):
-        _solve_step(np.where(policy, up, dn), level, out)
-        solved = out[1:-1]
-        new = _convex(out, dx2)
-        if (new == policy).all() or np.abs(solved - prev).max() < tol:
-            return new, out, spare
-        policy, prev = new, solved
-        out, spare = spare, out
-    raise ConvergenceError(
-        f"policy iteration did not converge within {POLICY_ITERATION_CAP} "
-        f"iterations at time step {k}"
-    )
-
-
 # Steps whose coefficient tables are built at once: the build is amortised
 # over the block, and a block's tables (2 * 3 * m floats a step) stay small
 # where a whole sweep's would not.
@@ -282,37 +244,70 @@ _TABLE_BLOCK = 32
 def _implicit_sweep(u, xs, dx, a_up, a_dn):
     """Step one band problem back from its terminal values u (shape (nx,),
     nodes xs, spacing dx) over the step-variance tables a_up, a_dn (shape
-    (nt,)), by policy iteration at every step.  A step whose extremes
-    coincide has a system that does not depend on the policy, so its second
-    iterate repeats the first.  The value-change stop is POLICY_VALUE_TOL
-    times the largest terminal magnitude (at least 1), which bounds every
-    later level.  Input is checked where it enters (each table block, each
-    level a step starts from, each right-hand side's boundary entries), so
-    a non-finite value raises ValueError before any solve reads it, with
-    numpy warnings off."""
+    (nt,)), by Howard policy iteration at every step, from the policy of
+    the previous step's last iterate.  A step whose extremes coincide has a
+    system that does not depend on the policy, so its second iterate
+    repeats the first.  The stops are a policy equal byte for byte to the
+    last one and a value change below POLICY_VALUE_TOL times the largest
+    terminal magnitude (at least 1), which bounds every later level.  Input
+    is checked where it enters (each table block, each level a step starts
+    from, each right-hand side's boundary entries), so a non-finite value
+    raises ValueError before any solve reads it, with numpy warnings off."""
     x2 = xs[1:-1] ** 2
     dx2 = dx**2
     lo, hi = u[0], u[-1]
-    # u holds the previous time level; each step's last iterate, in w,
-    # becomes the next u, and spare keeps the iterate before it.
-    u, w, spare = u.copy(), u.copy(), u.copy()
+    # v / dx2 has the sign of the second difference v (also -0.0, inf and
+    # NaN) where 0 < dx2 <= 1: the quotient is no smaller than v, so no
+    # nonzero v rounds to zero.  Only a larger or underflowed dx2 divides.
+    divide = not 0.0 < dx2 <= 1.0
+    # Three rotating buffers with their interior and outer stencil views:
+    # level holds the previous time level, and a step's iterates go into
+    # out and spare in turn, so the stop rule compares the last two.
+    level, out, spare = ((b, b[1:-1], b[2:], b[:-2]) for b in (u.copy(), u.copy(), u.copy()))
     with np.errstate(all="ignore"):
         tol = POLICY_VALUE_TOL * max(1.0, float(np.abs(u).max()))
         half = 0.5 * np.stack((a_up, a_dn), axis=1)[..., None]
-        # A step starts from the policy of the previous step's last iterate.
-        policy = _convex(u, dx2)
+        v = u[2:] - 2.0 * u[1:-1] + u[:-2]
+        policy = (v / dx2 if divide else v) >= 0.0
+        key = policy.tobytes()
         for top in range(len(half), 0, -_TABLE_BLOCK):
             base = max(top - _TABLE_BLOCK, 0)
             tables = _coefficient_tables(half[base:top], x2, dx2, lo, hi)
             for k in range(top - 1, base - 1, -1):
+                full, start = level[0], level[1]
+                prev, first = start, start.item(0)
                 # A finite sum shows every entry finite: only a sum that is
                 # not (a non-finite entry, or an overflow) needs the full check.
-                if not math.isfinite(u.sum()):
-                    _require_finite(u)
-                up, dn = tables[k - base, 0], tables[k - base, 1]
-                policy, w, spare = _policy_iteration(k, u, w, spare, up, dn, dx2, policy, tol)
-                u, w = w, u
-    return u
+                if not math.isfinite(full.sum()):
+                    _require_finite(full)
+                up, dn = tables[k - base]
+                for _ in range(POLICY_ITERATION_CAP):
+                    system = np.where(policy, up, dn)
+                    _, rhs, right, left = out
+                    rhs[:] = start
+                    rhs[0] = head = first + system.item(1, 0)
+                    rhs[-1] = tail = rhs.item(-1) + system.item(2, -1)
+                    if not (math.isfinite(head) and math.isfinite(tail)):
+                        raise ValueError(_NON_FINITE)
+                    _solve_tridiagonal(system[1, 1:], system[0], system[2, :-1], rhs)
+                    # The second difference, then the value change, in v.
+                    np.multiply(rhs, 2.0, out=v)
+                    np.subtract(right, v, out=v)
+                    v += left
+                    new = (v / dx2 if divide else v) >= 0.0
+                    new_key = new.tobytes()
+                    if new_key == key or np.abs(np.subtract(rhs, prev, out=v), out=v).max() < tol:
+                        break
+                    policy, key, prev = new, new_key, rhs
+                    out, spare = spare, out
+                else:
+                    raise ConvergenceError(
+                        f"policy iteration did not converge within {POLICY_ITERATION_CAP} "
+                        f"iterations at time step {k}"
+                    )
+                policy, key = new, new_key
+                level, out = out, level
+    return level[0]
 
 
 def _stacked_sweep(u, xs, dx, a):

@@ -306,11 +306,12 @@ class VolStructure:
 
     def bond_vol(self, i: int, t: float, T: float) -> float:
         """b_i(t, T) = integral_t^T beta_i(t, s) ds; zero at T == t."""
+        factor = self._factor(i)
         if T < t:
             raise DomainError(f"bond_vol requires t <= T, got t={t}, T={T}")
         if T == t:
             return 0.0
-        return float(self._factor(i).bond_vol(float(t), float(T)))
+        return float(factor.bond_vol(float(t), float(T)))
 
     def forward_price_vol(self, i: int, t: float, T: float, T_tilde: float) -> float:
         """sigma_i(t; T, T~) = b_i(t, T~) - b_i(t, T); antisymmetric in (T, T~)."""

@@ -350,9 +350,10 @@ def one_row_loop(u, xs, dx, a_up, a_dn):
     """Reference: the one-row sweep before coefficient tables.  Each policy
     iteration builds its system from the step's coefficients and solves it
     with the checked pde.solve_banded; a step whose band extremes coincide
-    is one solve, and the policy carries over between steps.  The stop is
-    scaled as in reference_implicit_sweep.  Returns the last level and the
-    number of solves."""
+    is one solve, and the policy carries over between steps.  The policy
+    and the stop are those of reference_implicit_sweep: the sign of the
+    second difference divided by dx**2, and a stop scaled by the terminal
+    values.  Returns the last level and the number of solves."""
     x2, dx2 = xs[1:-1] ** 2, dx**2
     tol = pde.POLICY_VALUE_TOL * max(1.0, float(np.abs(u).max()))
     u, solves, policy = u.copy(), 0, None
@@ -371,12 +372,12 @@ def one_row_loop(u, xs, dx, a_up, a_dn):
             u, solves, policy = step(up), solves + 1, None
             continue
         if policy is None:
-            policy = pde._convex(u, dx2)
+            policy = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx2 >= 0.0
         prev = u[1:-1]
         for _ in range(pde.POLICY_ITERATION_CAP):
             level = step(np.where(policy, up, dn))
             solves += 1
-            new = pde._convex(level, dx2)
+            new = (level[2:] - 2.0 * level[1:-1] + level[:-2]) / dx2 >= 0.0
             if (new == policy).all() or np.abs(level[1:-1] - prev).max() < tol:
                 break
             policy, prev = new, level[1:-1]
@@ -585,6 +586,77 @@ class TestTableDrivenSweep:
         got = pde._implicit_sweep(u, xs, xs[1] - xs[0], a_up, 0.25 * a_up)
         assert got.tobytes() == one_row_loop(u, xs, xs[1] - xs[0], a_up, 0.25 * a_up)[0].tobytes()
         assert np.isfinite(got).all() and got.max() <= 1e300 * (1.0 + 1e-12)
+
+
+def special_terminal_values(xs):
+    """A kinked payoff whose level also holds +-0.0 (three of them in a row
+    give a -0.0 second difference), subnormals and entries near 1e300 and
+    1e307, where a second difference divided by dx**2 overflows to inf."""
+    u = np.minimum(np.maximum(xs - 1.4, 0.0), 0.2)
+    u[2:5] = -0.0, 0.0, -0.0
+    u[6:10] = 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310
+    u[12:15] = 1e300, -1e300, 1e300
+    u[-4] = 1e307
+    return u
+
+
+# (terminal values, nodes) of problems on which the policy's sign rule is
+# at an edge: spacing above 1 (the division stays) at ordinary magnitudes
+# and at magnitudes up to the smallest normal, whose levels have second
+# differences of a few subnormal units that a division by dx**2 = 6.25
+# rounds to -0.0, and special terminal values on spacing below 1.
+_WIDE = np.linspace(10.0, 110.0, 41)
+_KINKED = (np.minimum(np.maximum(_WIDE - 55.0, 0.0), 20.0) - np.maximum(_WIDE - 80.0, 0.0)) / 20.0
+SIGN_EDGES = {
+    "wide": (_KINKED, _WIDE),
+    "wide-tiny": (1e-308 * _KINKED, _WIDE),
+    "special-values": (special_terminal_values(np.linspace(1.0, 2.0, 41)), np.linspace(1.0, 2.0, 41)),
+}
+
+
+class TestCurvatureSign:
+    """The policy is the sign of the undivided second difference where
+    0 < dx**2 <= 1 and of its quotient by dx**2 elsewhere: either way every
+    value, policy and solve count is the divided reference's."""
+
+    @pytest.mark.parametrize("name", SIGN_EDGES)
+    def test_edges_match_the_divided_references(self, monkeypatch, name):
+        u, xs = SIGN_EDGES[name]
+        dx = (xs[-1] - xs[0]) / (len(xs) - 1)
+        a = np.full(30, 1e-3 if dx > 1.0 else 2.5e-4)
+        a_up, a_dn = 2.25 * a, 0.25 * a
+        with np.errstate(over="ignore"):
+            ref = reference_implicit_sweep(u, xs, dx, a_up, a_dn)
+            row, ref_solves = one_row_loop(u, xs, dx, a_up, a_dn)
+        assert row.tobytes() == ref.tobytes()
+        calls = count_banded_solves(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pde._implicit_sweep(u, xs, dx, a_up, a_dn)
+        assert got.tobytes() == ref.tobytes()
+        assert calls == [ref_solves]
+
+    def test_wide_spacing_divides(self):
+        # Second differences of -5e-324 divided by 6.25 round to -0.0, so
+        # the divided sign picks the upper extreme where the undivided one
+        # would not (and would give other bytes than the reference).
+        u, xs = SIGN_EDGES["wide-tiny"]
+        dx = (xs[-1] - xs[0]) / (len(xs) - 1)
+        v = u[2:] - 2.0 * u[1:-1] + u[:-2]
+        assert dx > 1.0 and ((v / dx**2 >= 0.0) != (v >= 0.0)).any()
+
+    def test_underflowing_spacing_raises_as_the_references(self, monkeypatch):
+        # dx**2 is 0, so every coefficient is 0 / 0 or inf: each sweep
+        # raises the non-finite ValueError before any solve.
+        xs = np.linspace(1e-300, 2e-300, 41)
+        dx = (xs[-1] - xs[0]) / 40
+        assert dx > 0.0 and dx**2 == 0.0
+        u = np.maximum(xs - 1.5e-300, 0.0)
+        a = np.full(30, 1e-3)
+        for reference in (reference_implicit_sweep, one_row_loop):
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+                reference(u, xs, dx, 2.25 * a, 0.25 * a)
+        assert solves_before_value_error(monkeypatch, "policy", u, xs, dx, 2.25 * a, 0.25 * a) == 0
 
 
 class TestStackedSweep:

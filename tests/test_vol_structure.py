@@ -70,6 +70,12 @@ class TestBondVol:
         with pytest.raises(DomainError):
             ho_lee(0.01).bond_vol(1, 0.0, 1.0)
 
+    @pytest.mark.parametrize("T", [1.0, 2.0], ids=["equal-times", "later-maturity"])
+    def test_index_out_of_range_at_any_maturity(self, T):
+        # The index is checked before the T == t shortcut returns zero.
+        with pytest.raises(DomainError, match="factor index 5 out of range"):
+            ho_lee(0.01).bond_vol(5, 1.0, T)
+
 
 class TestForwardPriceVol:
     def test_ho_lee_value(self):
