@@ -19,25 +19,20 @@ looked up through ``scipy.linalg`` on the first solve, not at import, so
 importing the package and pricing closed-form contracts loads no scipy
 module.
 
-``window_values`` is the one 1D core and the one place that picks a sweep:
-it cell-averages each terminal payoff and reads the step-variance tables of
-its window [t_from, t_to] (``window_tables``, one exact array pass for
-every factor kind).  Rows whose band extremes coincide at every step
-(fixed volatility) all go through ``_stacked_sweep``, one block-diagonal
-solve a step, so a stacked row equals its own sweep to the last bit; the
-stream pricer sends both band extremes of its PDE-priced convex or concave
-legs through one such stack.  Any other problem is one band row, which
-``_implicit_sweep`` solves by policy iteration at every step, in one loop;
-it builds the systems of up to 32 steps at once at both band extremes
-(``_coefficient_tables``), so an iteration is one ``np.where``, a copy of
-the previous level, two scalar boundary adds, one ?gtsv solve in place and
-the second difference of the solution.  A policy is compared with the next
-one by its bytes.  The policy is the sign of the second difference v itself
-where 0 < dx**2 <= 1 (there v / dx**2 has the sign of v), and of v / dx**2
-on a wider spacing or one whose square underflows to 0.
-Both sweeps check input once where it enters.  ``solve_single_option``
-prices one option; the lower expectation (``solve_lower``) is the negated
-solve of -phi on the same grid and tables.
+``window_values`` is the one 1D core: it cell-averages each terminal payoff,
+reads the step-variance tables of its window [t_from, t_to]
+(``window_tables``, one exact array pass for every factor kind) and steps
+the rows back through ``_implicit_sweep``, one loop for every problem.  A
+band problem is one row, solved by policy iteration at every step from
+coefficient tables built for a block of steps at once
+(``_coefficient_tables``); its policy is compared by bytes and is the sign
+of the second difference v itself where 0 < dx**2 <= 1, of v / dx**2
+elsewhere.  Rows with fixed volatility (band extremes that coincide at
+every step) form one stack, one block-diagonal solve a step, so a stacked
+row equals its own sweep to the last bit; the stream pricer sends both band
+extremes of its PDE-priced convex or concave legs through one such stack.
+``solve_single_option`` prices one option; the lower expectation
+(``solve_lower``) is the negated solve of -phi on the same grid and tables.
 """
 
 from __future__ import annotations
@@ -215,133 +210,133 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError(_NON_FINITE)
 
 
-def _coefficient_tables(half: np.ndarray, x2: np.ndarray, dx2: float, lo, hi) -> np.ndarray:
-    """The implicit-step systems of a block of steps at both band extremes,
-    from half (B, 2, 1), each step's 0.5 * a_up and 0.5 * a_dn: rows 1 + 2
-    alpha, -alpha and -alpha of shape (B, 2, 3, m), alpha = half * x2 / dx2.
-    The sub-diagonal is row 1 without its first entry and the
-    super-diagonal row 2 without its last, so those entries hold the
-    boundary terms alpha[0] * lo and alpha[-1] * hi, and one selection by
-    the policy picks the whole system.  Raises ValueError on a non-finite
-    entry."""
+def _coefficient_tables(half: np.ndarray, x2: np.ndarray, dx2: np.ndarray, lo, hi) -> np.ndarray:
+    """The implicit-step systems of a block of B steps, from half (B, E, R,
+    1), each step's half variance at E band extremes (a band row's two, or
+    a fixed-volatility stack's one) on R rows with squared interior nodes x2
+    (R, m), squared spacings dx2 (R, 1) and boundary values lo, hi (R,):
+    rows 1 + 2 alpha, -alpha and -alpha, alpha = half * x2 / dx2, of shape
+    (B, E, 3, R * m), the rows end to end.  The sub- and super-diagonal are
+    rows 1 and 2 without a row's first and last entry, which hold its
+    boundary terms alpha[0] * lo and alpha[-1] * hi; one selection by a
+    policy picks a band row's whole system.  Raises ValueError on a
+    non-finite entry."""
     alpha = half * x2 / dx2
-    tables = np.empty(alpha.shape[:2] + (3, alpha.shape[-1]))
+    tables = np.empty(alpha.shape[:2] + (3,) + alpha.shape[2:])
     tables[:, :, 0] = 1.0 + 2.0 * alpha
     np.negative(alpha, out=tables[:, :, 1])
     tables[:, :, 2] = tables[:, :, 1]
-    tables[:, :, 1, 0] = alpha[..., 0] * lo
-    tables[:, :, 2, -1] = alpha[..., -1] * hi
+    tables[:, :, 1, :, 0] = alpha[..., 0] * lo
+    tables[:, :, 2, :, -1] = alpha[..., -1] * hi
     _require_finite(tables)
-    return tables
+    return tables.reshape(tables.shape[:3] + (-1,))
 
 
-# Steps whose coefficient tables are built at once: the build is amortised
-# over the block, and a block's tables (2 * 3 * m floats a step) stay small
-# where a whole sweep's would not.
+# Steps of a band row whose coefficient tables are built at once (a stack's
+# block holds as many systems): the build is amortised over the block, and
+# a block's tables stay small where a whole sweep's would not.
 _TABLE_BLOCK = 32
 
 
 def _implicit_sweep(u, xs, dx, a_up, a_dn):
-    """Step one band problem back from its terminal values u (shape (nx,),
-    nodes xs, spacing dx) over the step-variance tables a_up, a_dn (shape
-    (nt,)), by Howard policy iteration at every step, from the policy of
-    the previous step's last iterate.  A step whose extremes coincide has a
-    system that does not depend on the policy, so its second iterate
-    repeats the first.  The stops are a policy equal byte for byte to the
-    last one and a value change below POLICY_VALUE_TOL times the largest
-    terminal magnitude (at least 1), which bounds every later level.  Input
-    is checked where it enters (each table block, each level a step starts
-    from, each right-hand side's boundary entries), so a non-finite value
-    raises ValueError before any solve reads it, with numpy warnings off."""
-    x2 = xs[1:-1] ** 2
-    dx2 = dx**2
-    lo, hi = u[0], u[-1]
+    """Step rows back from their terminal values over their step-variance
+    tables: row s has terminal values u[s], nodes xs[s], spacing dx[s] and
+    tables a_up[s], a_dn[s], of one length for all rows; a 1-D u (scalar
+    dx, 1-D tables) is one row, and the result has the shape of u.  A band
+    problem is one row, stepped by Howard policy iteration from the policy
+    of the previous step's last iterate, until a policy equals the last one
+    byte for byte or the value changes by less than POLICY_VALUE_TOL times
+    the largest terminal magnitude (at least 1), which bounds every later
+    level.  Under fixed volatility (a_up is a_dn) the system does not
+    depend on the policy, so a step is one iterate: one solve of all rows
+    as one block-diagonal system, its joints zeroed once their boundary
+    terms are in the right-hand side, so each row equals its own sweep to
+    the last bit.  Input is checked where it enters (each table block, each
+    level a step starts from, each right-hand side's boundary entries), so
+    a non-finite value raises ValueError before any solve reads it, with
+    numpy warnings off."""
+    fixed = a_up is a_dn
+    rows = u.reshape(-1, u.shape[-1])
+    count, m = rows.shape[0], rows.shape[1] - 2
+    if count > 1 and not fixed:
+        raise ValueError("a stack of rows needs fixed volatility: a_up == a_dn at every step")
+    x2 = np.reshape(xs, rows.shape)[:, 1:-1] ** 2
+    # Each row squares dx as a scalar power, as one problem does: an array
+    # square can differ from it in the last bit.
+    squares = np.array([d**2 for d in np.ravel(dx).tolist()])[:, None]
+    dx2 = squares.item(0)
     # v / dx2 has the sign of the second difference v (also -0.0, inf and
     # NaN) where 0 < dx2 <= 1: the quotient is no smaller than v, so no
     # nonzero v rounds to zero.  Only a larger or underflowed dx2 divides.
     divide = not 0.0 < dx2 <= 1.0
-    # Three rotating buffers with their interior and outer stencil views:
-    # level holds the previous time level, and a step's iterates go into
-    # out and spare in turn, so the stop rule compares the last two.
-    level, out, spare = ((b, b[1:-1], b[2:], b[:-2]) for b in (u.copy(), u.copy(), u.copy()))
+    # Three rotating level buffers with their interior and outer stencil
+    # views, each the rows' interiors end to end between the first row's
+    # lower and the last row's upper boundary value (the tables hold the
+    # rest): level holds the previous time level, and a step's iterates go
+    # into out and spare in turn, so the stop rule compares the last two.
+    flat = np.concatenate((rows[0, :1], rows[:, 1:-1].ravel(), rows[-1, -1:]))
+    level, out, spare = ((b, b[1:-1], b[2:], b[:-2]) for b in (flat, flat.copy(), flat.copy()))
     with np.errstate(all="ignore"):
-        tol = POLICY_VALUE_TOL * max(1.0, float(np.abs(u).max()))
-        half = 0.5 * np.stack((a_up, a_dn), axis=1)[..., None]
-        v = u[2:] - 2.0 * u[1:-1] + u[:-2]
-        policy = (v / dx2 if divide else v) >= 0.0
-        key = policy.tobytes()
-        for top in range(len(half), 0, -_TABLE_BLOCK):
-            base = max(top - _TABLE_BLOCK, 0)
-            tables = _coefficient_tables(half[base:top], x2, dx2, lo, hi)
+        if fixed:
+            half = 0.5 * np.reshape(a_up, (count, -1)).T[:, None, :, None]
+            block = max(1, 2 * _TABLE_BLOCK // count)
+        else:
+            half = 0.5 * np.stack((a_up, a_dn), axis=-1).reshape(-1, 2, 1, 1)
+            block = _TABLE_BLOCK
+            tol = POLICY_VALUE_TOL * max(1.0, float(np.abs(u).max()))
+            v = flat[2:] - 2.0 * flat[1:-1] + flat[:-2]
+            policy = (v / dx2 if divide else v) >= 0.0
+            key = policy.tobytes()
+        for top in range(len(half), 0, -block):
+            base = max(top - block, 0)
+            tables = _coefficient_tables(half[base:top], x2, squares, rows[:, 0], rows[:, -1])
             for k in range(top - 1, base - 1, -1):
                 full, start = level[0], level[1]
-                prev, first = start, start.item(0)
                 # A finite sum shows every entry finite: only a sum that is
                 # not (a non-finite entry, or an overflow) needs the full check.
                 if not math.isfinite(full.sum()):
                     _require_finite(full)
-                up, dn = tables[k - base]
-                for _ in range(POLICY_ITERATION_CAP):
-                    system = np.where(policy, up, dn)
-                    _, rhs, right, left = out
+                if fixed:
+                    system, rhs = tables[k - base, 0], out[1]
                     rhs[:] = start
-                    rhs[0] = head = first + system.item(1, 0)
-                    rhs[-1] = tail = rhs.item(-1) + system.item(2, -1)
-                    if not (math.isfinite(head) and math.isfinite(tail)):
-                        raise ValueError(_NON_FINITE)
+                    rhs[::m] += system[1, ::m]
+                    rhs[m - 1::m] += system[2, m - 1::m]
+                    if not math.isfinite(rhs.sum()):
+                        _require_finite(rhs)
+                    system[1, ::m] = system[2, m - 1::m] = 0.0
                     _solve_tridiagonal(system[1, 1:], system[0], system[2, :-1], rhs)
-                    # The second difference, then the value change, in v.
-                    np.multiply(rhs, 2.0, out=v)
-                    np.subtract(right, v, out=v)
-                    v += left
-                    new = (v / dx2 if divide else v) >= 0.0
-                    new_key = new.tobytes()
-                    if new_key == key or np.abs(np.subtract(rhs, prev, out=v), out=v).max() < tol:
-                        break
-                    policy, key, prev = new, new_key, rhs
-                    out, spare = spare, out
                 else:
-                    raise ConvergenceError(
-                        f"policy iteration did not converge within {POLICY_ITERATION_CAP} "
-                        f"iterations at time step {k}"
-                    )
-                policy, key = new, new_key
+                    prev, first = start, start.item(0)
+                    up, dn = tables[k - base]
+                    for _ in range(POLICY_ITERATION_CAP):
+                        system = np.where(policy, up, dn)
+                        _, rhs, right, left = out
+                        rhs[:] = start
+                        rhs[0] = head = first + system.item(1, 0)
+                        rhs[-1] = tail = rhs.item(-1) + system.item(2, -1)
+                        if not (math.isfinite(head) and math.isfinite(tail)):
+                            raise ValueError(_NON_FINITE)
+                        _solve_tridiagonal(system[1, 1:], system[0], system[2, :-1], rhs)
+                        # The second difference, then the value change, in v.
+                        np.multiply(rhs, 2.0, out=v)
+                        np.subtract(right, v, out=v)
+                        v += left
+                        new = (v / dx2 if divide else v) >= 0.0
+                        new_key = new.tobytes()
+                        if new_key == key or np.abs(np.subtract(rhs, prev, out=v), out=v).max() < tol:
+                            break
+                        policy, key, prev = new, new_key, rhs
+                        out, spare = spare, out
+                    else:
+                        raise ConvergenceError(
+                            f"policy iteration did not converge within {POLICY_ITERATION_CAP} "
+                            f"iterations at time step {k}"
+                        )
+                    policy, key = new, new_key
                 level, out = out, level
-    return level[0]
-
-
-def _stacked_sweep(u, xs, dx, a):
-    """Step a stack of independent fixed-volatility problems back: row s
-    has terminal values u[s], nodes xs[s], spacing dx[s] and one
-    step-variance table a[s].  Each step is one tridiagonal solve of all
-    rows with zeroed couplings between consecutive rows; ?gtsv eliminates a
-    block-diagonal system block by block, so each row equals its own sweep
-    to the last bit.  Each step's diagonal and right-hand side, from which
-    every solve input derives, are checked as in ``_implicit_sweep``."""
-    rows, m = u.shape[0], u.shape[1] - 2
-    edges = list(zip(range(0, rows * m, m), u[:, 0].tolist(), u[:, -1].tolist()))
-    u = u.copy()
-    with np.errstate(all="ignore"):
-        x2 = xs[:, 1:-1] ** 2
-        # Each row squares dx as a scalar power, as one problem does: an
-        # array square can differ from it in the last bit.
-        dx2 = np.array([d**2 for d in dx.tolist()])[:, None]
-        half = 0.5 * a.T[..., None]
-        for k in range(len(half) - 1, -1, -1):
-            alpha = (half[k] * x2 / dx2).reshape(-1)
-            b = u[:, 1:-1].flatten()
-            for first, lo, hi in edges:
-                b[first] += alpha[first] * lo
-                b[first + m - 1] += alpha[first + m - 1] * hi
-            d = 1.0 + 2.0 * alpha
-            if not math.isfinite(d.sum() + b.sum()):
-                _require_finite(d)
-                _require_finite(b)
-            dl, du = -alpha[1:], -alpha[:-1]
-            dl[m - 1::m] = 0.0
-            du[m - 1::m] = 0.0
-            u[:, 1:-1] = _solve_tridiagonal(dl, d, du, b).reshape(rows, m)
-    return u
+    values = rows.copy()
+    values[:, 1:-1] = level[1].reshape(count, m)
+    return values.reshape(u.shape)
 
 
 def window_values(
@@ -351,21 +346,25 @@ def window_values(
 ) -> np.ndarray:
     """Upper value functions at the start of their windows, one row per
     payoff: payoffs[s] cell-averaged on grids[s].xs and swept back over the
-    window tables tables[s] (``window_tables``).  If every row has fixed
-    volatility (its tables are one array, as ``step_variances`` gives a
-    degenerate band, or equal entry for entry, NaN to NaN), all rows go
-    through one ``_stacked_sweep``, so the grids share nx and nt.
-    Otherwise the list must be one band row, which goes through
-    ``_implicit_sweep``."""
+    window tables tables[s] (``window_tables``) by ``_implicit_sweep``.
+    Rows have fixed volatility if each one's tables are one array (as
+    ``step_variances`` gives a degenerate band) or equal entry for entry,
+    NaN to NaN; the sweep then steps them as one stack, so they must share
+    nx and the tables' length.  Otherwise the list must be one band row."""
+    fixed = all(up is dn or np.array_equal(up, dn, equal_nan=True) for up, dn in tables)
     u = [cell_average(f, g.xs, g.dx) for f, g in zip(payoffs, grids)]
-    if all(up is dn or np.array_equal(up, dn, equal_nan=True) for up, dn in tables):
-        xs = np.array([g.xs for g in grids])
-        dx = np.array([g.dx for g in grids])
-        return _stacked_sweep(np.array(u), xs, dx, np.array([up for up, _ in tables]))
-    if len(grids) > 1:
-        raise ValueError("a stacked sweep needs fixed volatility: a_up == a_dn at every step")
-    (grid,), ((a_up, a_dn),) = grids, tables
-    return _implicit_sweep(u[0], grid.xs, grid.dx, a_up, a_dn)[None]
+    if len(u) == 1:  # one row, in the sweep's 1-D form
+        (grid,), ((a_up, a_dn),) = grids, tables
+        return _implicit_sweep(u[0], grid.xs, grid.dx, a_up, a_up if fixed else a_dn)[None]
+    shapes = [(g.nx, len(up)) for g, (up, _) in zip(grids, tables)]
+    for s, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise ValueError(f"stacked rows need one (nx, steps): row 0 has {shapes[0]}, "
+                             f"row {s} has {shape}")
+    a_up = np.array([up for up, _ in tables])
+    a_dn = a_up if fixed else np.array([dn for _, dn in tables])
+    xs, dx = np.array([g.xs for g in grids]), np.array([g.dx for g in grids])
+    return _implicit_sweep(np.array(u), xs, dx, a_up, a_dn)
 
 
 def solve_single_option(

@@ -12,10 +12,10 @@ Constant and floating-linear legs are symmetric, so they separate exactly
 from the rest of the stream and price in closed form.  Option legs sharing
 one convexity tag decouple into a sum of single-option prices evaluated at
 the band extremes; the legs without a closed form take both extremes from
-one stacked fixed-volatility PDE sweep for the whole stream (the band
-extremes are degenerate bands, so each of its steps is one solve).  Mixed or
-general tags force the literal backward recursion: the last option leg is a
-one-dimensional nonlinear PDE solve, and the coupling of two adjacent option
+one fixed-volatility stack of the 1D PDE sweep for the whole stream (each
+step is one solve of all rows).  Mixed or general tags force the literal
+backward recursion: the last option leg is a one-dimensional nonlinear PDE
+solve (a band row of the same sweep), and the coupling of two adjacent option
 legs lives on a two-dimensional tensor grid whose single driver makes the
 diffusion rank one (the grid aspect ratio absorbs the perfect correlation
 into a diagonal stencil).  Only the centre value of that grid is wanted, so
@@ -268,11 +268,11 @@ def leg_bounds(
     extremes, the upper bound at the upper (lower) one: ``closed_form_bounds``
     (which caps, floors and in-arrears swaps sum) when the leg has a closed
     form, else the single-option PDE at that one scaling.  Those PDE solves,
-    both extremes of every such leg, go through one stacked sweep
-    (``pde.window_values``), each row read at the spot forward price and
+    both extremes of every such leg, are the rows of one fixed-volatility
+    stack (``pde.window_values``), each read at the spot forward price and
     discounted by P(T_{i-1}).  A general leg needs the single-option PDE over
     the band: its upper and lower solves share one grid and one pair of
-    variance tables, each in its own sweep.
+    variance tables, each a band row of the sweep.
     """
     bounds = {i: [None, None] for i in tags}  # [lower, upper] per leg
     stacked = []  # (leg index, 0 lower or 1 upper, x0, P(T_{i-1}), payoff, grid, tables)
@@ -407,7 +407,7 @@ def _pair_recursion(
     h2 = rho * h1
     y2 = math.log(x2_0) + (np.arange(n) - n // 2) * h2
     x1g = np.exp(y1)[:, None]
-    x2g = np.broadcast_to(np.exp(y2)[None, :], (n, n))
+    x2 = np.exp(y2)
 
     # Per-step variances of the driver integrated against sigma1^2.  The
     # stability bound must hold at the *peak* local variance, not just on
@@ -427,7 +427,7 @@ def _pair_recursion(
         # Cell-average the (possibly kinked) own payoff along y1; the coupling
         # factor x1 * h(x2) is smooth, so pointwise sampling suffices there.
         g1_avg = cell_average(lambda y: sign * g1(np.exp(y)), y1, h1)
-        terminal = g1_avg[:, None] + x1g * np.interp(x2g, inner_grid.xs, h_values)
+        terminal = g1_avg[:, None] + x1g * np.interp(x2, inner_grid.xs, h_values)
         values.append(curve.bond_price(t_start) * _pair_sweep(terminal, h1, h2, drift2, vu, vd))
     return values[0], values[1]
 

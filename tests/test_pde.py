@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from robust_rates import pde
 from robust_rates.curve import flat_curve
@@ -253,8 +254,8 @@ class TestImplicitSweepBitExact:
     @pytest.mark.parametrize("nx", [3, 4, 41])
     @pytest.mark.parametrize("solve", [solve_single_option, solve_lower], ids=["upper", "lower"])
     def test_degenerate_band_one_solve_per_step(self, monkeypatch, vs, nx, solve):
-        # Both band extremes give the same system, so the stacked sweep makes
-        # one solve a step, and its result is the reference's, whose second
+        # Both band extremes give the same system, so the sweep makes one
+        # solve a step, and its result is the reference's, whose second
         # iteration repeats it.
         x0 = CURVE.forward_price(1.0, 1.5)
         nt = 30
@@ -321,14 +322,15 @@ def _problem(vs, band, payoff, nx, t1=1.0, shift=1.0, nt=30):
 
 
 def stacked(problems):
-    """pde._stacked_sweep of problems, one row each, at each row's a_dn
-    table (one of the two equal tables of a fixed-volatility problem)."""
+    """pde._implicit_sweep of problems stacked one row each, at each row's
+    a_dn table passed as both extremes (one of the two equal tables of a
+    fixed-volatility problem)."""
     u, xs, dx, _, a_dn = (np.array(part) for part in zip(*problems))
-    return pde._stacked_sweep(u, xs, dx, a_dn)
+    return pde._implicit_sweep(u, xs, dx, a_dn, a_dn)
 
 
-# The two sweeps on one problem's (u, xs, dx, a_up, a_dn); the stacked one
-# reads a_dn only.
+# The sweep on one problem's (u, xs, dx, a_up, a_dn) as given, and as a
+# one-row fixed-volatility stack of its a_dn table.
 SWEEPS = {
     "policy": lambda *problem: pde._implicit_sweep(*problem),
     "stacked": lambda *problem: stacked([problem])[0],
@@ -465,7 +467,7 @@ class TestTableDrivenSweep:
         problem = _problem(vs, band, payoff, nx, t1=t1, nt=nt)
         ref, ref_solves = one_row_loop(*problem)
         calls = count_banded_solves(monkeypatch)
-        # A degenerate band's one table goes through the stacked sweep.
+        # A degenerate band's one table is a one-row fixed-volatility stack.
         got = SWEEPS["stacked" if problem[3] is problem[4] else "policy"](*problem)
         assert got.tobytes() == ref.tobytes()
         assert calls == [ref_solves]
@@ -526,10 +528,10 @@ class TestTableDrivenSweep:
     def test_nan_inside_a_level_mid_sweep(self, monkeypatch):
         # From the third solve on, each solve leaves a NaN inside its level,
         # away from the entries the boundary terms are added to: no step may
-        # solve from such a level.  The stacked sweep makes one solve a step,
-        # so its fourth step must not solve.  (The policy sweep discards an
-        # iterate that is not a step's last, so its count depends on where
-        # the policy settles.)
+        # solve from such a level.  A fixed-volatility stack makes one solve
+        # a step, so its fourth step must not solve.  (A band problem
+        # discards an iterate that is not a step's last, so its count
+        # depends on where the policy settles.)
         u, xs, dx, a_up, a_dn = _problem(VS, degenerate_band((1.2,)), spread_payoff(), 41)
         solve, calls = pde._solve_tridiagonal, [0]
 
@@ -557,9 +559,10 @@ class TestTableDrivenSweep:
         a = np.full(30, 1e-8)
         a[3] = 1e4
         dx = xs[1] - xs[0]
+        tail = a[3:]  # one array for both extremes, as a is: fixed volatility
         for sweep in SWEEPS:
             # Every solve of steps 29..3, and none after.
-            want = count_solves(monkeypatch, sweep, u, xs, dx, a[3:], a[3:])
+            want = count_solves(monkeypatch, sweep, u, xs, dx, tail, tail)
             assert solves_before_value_error(monkeypatch, sweep, u, xs, dx, a, a) == want
         assert count_solves(monkeypatch, "stacked", u, xs, dx, a[3:], a[3:]) == 27
 
@@ -661,9 +664,9 @@ class TestCurvatureSign:
 
 class TestStackedSweep:
     """The rows of a stack are independent fixed-volatility problems with
-    their own grids and tables: each must equal its own sweep, the policy
-    sweep and the reference, to the last bit.  window_values picks the
-    sweep from the tables."""
+    their own grids and tables: each must equal its own sweep, its 1-D
+    sweep and the reference, to the last bit.  window_values reads fixed
+    volatility from the tables."""
 
     @pytest.mark.parametrize("name", STACKS)
     @pytest.mark.parametrize("nx", [3, 4, 41])
@@ -702,18 +705,18 @@ class TestStackedSweep:
     @pytest.mark.parametrize("case", ["one-table", "equal-tables", "band"])
     def test_window_values_picks_the_sweep_from_the_tables(self, monkeypatch, case):
         # Fixed volatility, whether the tables are one array or two equal
-        # ones, goes through the stacked sweep, even for a single row.
+        # ones, is one solve a step, even for a single row; a band iterates
+        # on the policy as the one-row loop does.
         a_up, a_dn = pde.window_tables(VS, BAND, (1.0, 1.5), 0.0, 1.0, 30)
         tables = {"one-table": (a_up, a_up), "equal-tables": (a_up, a_up.copy()),
                   "band": (a_up, a_dn)}[case]
         grid = default_grid(CURVE.forward_price(1.0, 1.5), 0.01, nx=41, nt=30)
-        picked = []
-        for name in ("_implicit_sweep", "_stacked_sweep"):
-            sweep = getattr(pde, name)
-            monkeypatch.setattr(pde, name, lambda *a, s=sweep, n=name: picked.append(n) or s(*a))
-        got = pde.window_values([spread_payoff()], [grid], [tables])
-        assert picked == ["_implicit_sweep" if case == "band" else "_stacked_sweep"]
         u = pde.cell_average(spread_payoff(), grid.xs, grid.dx)
+        ref_solves = one_row_loop(u, grid.xs, grid.dx, *tables)[1]
+        calls = count_banded_solves(monkeypatch)
+        got = pde.window_values([spread_payoff()], [grid], [tables])
+        assert calls == [30 if case != "band" else ref_solves]
+        assert case != "band" or ref_solves > 30
         assert got[0].tobytes() == reference_implicit_sweep(u, grid.xs, grid.dx, *tables).tobytes()
 
     def test_nan_in_equal_tables_is_a_non_finite_error(self):
@@ -739,6 +742,58 @@ class TestStackedSweep:
         problems[1] = (u, *problems[1][1:])
         with pytest.raises(ValueError, match="infs or NaNs"):
             stacked(problems)
+
+    @pytest.mark.parametrize("nx, nt", [((41, 81), (30, 30)), ((41, 41), (30, 40))],
+                             ids=["nx", "steps"])
+    def test_rows_of_other_shapes_raise(self, nx, nt):
+        x0 = CURVE.forward_price(1.0, 1.5)
+        band = degenerate_band((1.2,))
+        grids = [default_grid(x0, 0.01, nx=n, nt=k) for n, k in zip(nx, nt)]
+        tables = [pde.window_tables(VS, band, (1.0, 1.5), 0.0, 1.0, k) for k in nt]
+        want = rf"row 0 has \({nx[0]}, {nt[0]}\), row 1 has \({nx[1]}, {nt[1]}\)"
+        with pytest.raises(ValueError, match=want):
+            pde.window_values([spread_payoff()] * 2, grids, tables)
+
+
+@st.composite
+def fixed_stacks(draw):
+    """One to four fixed-volatility problems on one nx and step count: Ho-Lee
+    or Hull-White factors, degenerate bands, and payoffs of either sign,
+    shifted in strike, level and grid centre."""
+    nx = draw(st.sampled_from([3, 4, 41]))
+    nt = draw(st.sampled_from([1, 7, 30, 70]))
+    unit = st.floats(0.0, 1.0)
+    problems = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = 0.005 + 0.015 * draw(unit)
+        vs = hull_white(c, 0.05 + 0.45 * draw(unit)) if draw(st.booleans()) else ho_lee(c)
+        band = degenerate_band((0.05 + 1.95 * draw(unit),))
+        strike = CURVE.forward_price(1.0, 1.5) * (0.99 + 0.02 * draw(unit))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        level = 0.02 * draw(unit) - 0.01
+        kink = draw(st.sampled_from([
+            lambda x, k: np.maximum(k - x, 0.0),
+            lambda x, k: np.minimum(np.maximum(x - k, 0.0), 0.01),
+            lambda x, k: np.minimum(x, k),
+        ]))
+        payoff = lambda x, kink=kink, k=strike, sign=sign, level=level: sign * kink(x, k) + level
+        problems.append(_problem(vs, band, payoff, nx, t1=0.3 + 0.7 * draw(unit),
+                                 shift=0.97 + 0.06 * draw(unit), nt=nt))
+    return problems
+
+
+class TestFixedVolatilityStacks:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(problems=fixed_stacks())
+    def test_rows_equal_their_own_sweeps_and_the_reference(self, problems):
+        with pytest.MonkeyPatch.context() as m:
+            calls = count_banded_solves(m)
+            got = stacked(problems)
+        assert calls == [len(problems[0][3])]
+        for row, problem in zip(got, problems):
+            assert row.tobytes() == stacked([problem])[0].tobytes()
+            assert row.tobytes() == pde._implicit_sweep(*problem).tobytes()
+            assert row.tobytes() == reference_implicit_sweep(*problem).tobytes()
 
 
 class TestSolveOptions:
