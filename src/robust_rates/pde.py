@@ -210,86 +210,85 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError(_NON_FINITE)
 
 
-def _coefficient_tables(half: np.ndarray, x2: np.ndarray, dx2: np.ndarray, lo, hi) -> np.ndarray:
-    """The implicit-step systems of a block of B steps, from half (B, E, R,
-    1), each step's half variance at E band extremes (a band row's two, or
-    a fixed-volatility stack's one) on R rows with squared interior nodes x2
-    (R, m), squared spacings dx2 (R, 1) and boundary values lo, hi (R,):
-    rows 1 + 2 alpha, -alpha and -alpha, alpha = half * x2 / dx2, of shape
-    (B, E, 3, R * m), the rows end to end.  The sub- and super-diagonal are
-    rows 1 and 2 without a row's first and last entry, which hold its
-    boundary terms alpha[0] * lo and alpha[-1] * hi; one selection by a
-    policy picks a band row's whole system.  Raises ValueError on a
-    non-finite entry."""
+def _coefficient_tables(half: np.ndarray, x2: np.ndarray, dx2, lo, hi) -> np.ndarray:
+    """The implicit-step systems of a block of B steps, from the steps' half
+    variances half, (B, 2, 1) at the two band extremes of one row or
+    (B, 1, R, 1) on R stacked rows, and each row's squared interior nodes
+    x2, squared spacing dx2 and boundary values lo, hi: rows 1 + 2 alpha,
+    -alpha and -alpha of shape (B, 2, 3, m) or (B, 1, 3, R, m), alpha =
+    half * x2 / dx2, so a stack's step is its rows end to end.  The
+    sub-diagonal is row 1 without its first entry and the super-diagonal
+    row 2 without its last, so those entries hold the boundary terms
+    alpha[0] * lo and alpha[-1] * hi, and one selection by the policy picks
+    a band row's whole system.  Raises ValueError on a non-finite entry."""
     alpha = half * x2 / dx2
     tables = np.empty(alpha.shape[:2] + (3,) + alpha.shape[2:])
     tables[:, :, 0] = 1.0 + 2.0 * alpha
     np.negative(alpha, out=tables[:, :, 1])
     tables[:, :, 2] = tables[:, :, 1]
-    tables[:, :, 1, :, 0] = alpha[..., 0] * lo
-    tables[:, :, 2, :, -1] = alpha[..., -1] * hi
+    tables[:, :, 1, ..., 0] = alpha[..., 0] * lo
+    tables[:, :, 2, ..., -1] = alpha[..., -1] * hi
     _require_finite(tables)
-    return tables.reshape(tables.shape[:3] + (-1,))
+    return tables
 
 
 # Steps of a band row whose coefficient tables are built at once (a stack's
-# block holds as many systems): the build is amortised over the block, and
-# a block's tables stay small where a whole sweep's would not.
+# block holds as many systems): the build is amortised, the tables stay small.
 _TABLE_BLOCK = 32
 
 
-def _implicit_sweep(u, xs, dx, a_up, a_dn):
+def _implicit_sweep(u, xs, dx, a_up, a_dn=None):
     """Step rows back from their terminal values over their step-variance
-    tables: row s has terminal values u[s], nodes xs[s], spacing dx[s] and
-    tables a_up[s], a_dn[s], of one length for all rows; a 1-D u (scalar
-    dx, 1-D tables) is one row, and the result has the shape of u.  A band
-    problem is one row, stepped by Howard policy iteration from the policy
-    of the previous step's last iterate, until a policy equals the last one
-    byte for byte or the value changes by less than POLICY_VALUE_TOL times
-    the largest terminal magnitude (at least 1), which bounds every later
-    level.  Under fixed volatility (a_up is a_dn) the system does not
-    depend on the policy, so a step is one iterate: one solve of all rows
-    as one block-diagonal system, its joints zeroed once their boundary
-    terms are in the right-hand side, so each row equals its own sweep to
-    the last bit.  Input is checked where it enters (each table block, each
-    level a step starts from, each right-hand side's boundary entries), so
-    a non-finite value raises ValueError before any solve reads it, with
-    numpy warnings off."""
-    fixed = a_up is a_dn
+    tables.  With both tables, u is one band row (nx,) with nodes xs,
+    spacing dx and extremes a_up, a_dn (nt,), stepped by Howard policy
+    iteration from the policy of the previous step's last iterate, until a
+    policy equals the last one byte for byte or the value changes by less
+    than POLICY_VALUE_TOL times the largest terminal magnitude (at least
+    1), which bounds every later level; where the extremes coincide the
+    second iterate repeats the first.  With a_up alone (fixed volatility),
+    row s of u has nodes xs[s], spacing dx[s] and table a_up[s] (a 1-D u is
+    one row), and a step is one solve of all rows as one block-diagonal
+    system, its joints zeroed once their boundary terms are in the
+    right-hand side, so each row equals its own sweep to the last bit.
+    Input is checked where it enters (each table block, each level a step
+    starts from, each right-hand side's boundary entries), so a non-finite
+    value raises ValueError before any solve reads it, with numpy warnings
+    off."""
+    fixed = a_dn is None
     rows = u.reshape(-1, u.shape[-1])
     count, m = rows.shape[0], rows.shape[1] - 2
-    if count > 1 and not fixed:
-        raise ValueError("a stack of rows needs fixed volatility: a_up == a_dn at every step")
-    x2 = np.reshape(xs, rows.shape)[:, 1:-1] ** 2
-    # Each row squares dx as a scalar power, as one problem does: an array
-    # square can differ from it in the last bit.
-    squares = np.array([d**2 for d in np.ravel(dx).tolist()])[:, None]
-    dx2 = squares.item(0)
-    # v / dx2 has the sign of the second difference v (also -0.0, inf and
-    # NaN) where 0 < dx2 <= 1: the quotient is no smaller than v, so no
-    # nonzero v rounds to zero.  Only a larger or underflowed dx2 divides.
-    divide = not 0.0 < dx2 <= 1.0
     # Three rotating level buffers with their interior and outer stencil
-    # views, each the rows' interiors end to end between the first row's
-    # lower and the last row's upper boundary value (the tables hold the
-    # rest): level holds the previous time level, and a step's iterates go
-    # into out and spare in turn, so the stop rule compares the last two.
+    # views, each the rows' interiors end to end between the outermost
+    # boundary values: level holds the previous time level, and a step's
+    # iterates go into out and spare in turn, so the stop rule compares them.
     flat = np.concatenate((rows[0, :1], rows[:, 1:-1].ravel(), rows[-1, -1:]))
     level, out, spare = ((b, b[1:-1], b[2:], b[:-2]) for b in (flat, flat.copy(), flat.copy()))
     with np.errstate(all="ignore"):
         if fixed:
+            x2, lo, hi = np.reshape(xs, rows.shape)[:, 1:-1] ** 2, rows[:, 0], rows[:, -1]
+            # Each row squares dx as a scalar power, as one problem does: an
+            # array square can differ from it in the last bit.
+            dx2 = np.array([d**2 for d in np.ravel(dx).tolist()])[:, None]
             half = 0.5 * np.reshape(a_up, (count, -1)).T[:, None, :, None]
             block = max(1, 2 * _TABLE_BLOCK // count)
         else:
-            half = 0.5 * np.stack((a_up, a_dn), axis=-1).reshape(-1, 2, 1, 1)
+            x2, dx2, lo, hi = xs[1:-1] ** 2, dx**2, u[0], u[-1]
+            half = 0.5 * np.stack((a_up, a_dn), axis=1)[..., None]
             block = _TABLE_BLOCK
+            # v / dx2 has the sign of the second difference v (also -0.0,
+            # inf and NaN) where 0 < dx2 <= 1: the quotient is no smaller
+            # than v, so no nonzero v rounds to zero.  Only a larger or
+            # underflowed dx2 divides.
+            divide = not 0.0 < dx2 <= 1.0
             tol = POLICY_VALUE_TOL * max(1.0, float(np.abs(u).max()))
-            v = flat[2:] - 2.0 * flat[1:-1] + flat[:-2]
+            v = u[2:] - 2.0 * u[1:-1] + u[:-2]
             policy = (v / dx2 if divide else v) >= 0.0
             key = policy.tobytes()
         for top in range(len(half), 0, -block):
             base = max(top - block, 0)
-            tables = _coefficient_tables(half[base:top], x2, squares, rows[:, 0], rows[:, -1])
+            tables = _coefficient_tables(half[base:top], x2, dx2, lo, hi)
+            if fixed:  # each step's system, the rows end to end
+                tables = tables.reshape(len(tables), 3, -1)
             for k in range(top - 1, base - 1, -1):
                 full, start = level[0], level[1]
                 # A finite sum shows every entry finite: only a sum that is
@@ -297,7 +296,7 @@ def _implicit_sweep(u, xs, dx, a_up, a_dn):
                 if not math.isfinite(full.sum()):
                     _require_finite(full)
                 if fixed:
-                    system, rhs = tables[k - base, 0], out[1]
+                    system, rhs = tables[k - base], out[1]
                     rhs[:] = start
                     rhs[::m] += system[1, ::m]
                     rhs[m - 1::m] += system[2, m - 1::m]
@@ -349,22 +348,23 @@ def window_values(
     window tables tables[s] (``window_tables``) by ``_implicit_sweep``.
     Rows have fixed volatility if each one's tables are one array (as
     ``step_variances`` gives a degenerate band) or equal entry for entry,
-    NaN to NaN; the sweep then steps them as one stack, so they must share
-    nx and the tables' length.  Otherwise the list must be one band row."""
+    NaN to NaN; the sweep then steps them as one stack on one table each,
+    so they must share nx and the tables' length.  Otherwise the list must
+    be one band row."""
     fixed = all(up is dn or np.array_equal(up, dn, equal_nan=True) for up, dn in tables)
+    if not fixed and len(tables) > 1:
+        raise ValueError("a stacked sweep needs fixed volatility: a_up == a_dn at every step")
     u = [cell_average(f, g.xs, g.dx) for f, g in zip(payoffs, grids)]
     if len(u) == 1:  # one row, in the sweep's 1-D form
         (grid,), ((a_up, a_dn),) = grids, tables
-        return _implicit_sweep(u[0], grid.xs, grid.dx, a_up, a_up if fixed else a_dn)[None]
+        return _implicit_sweep(u[0], grid.xs, grid.dx, a_up, None if fixed else a_dn)[None]
     shapes = [(g.nx, len(up)) for g, (up, _) in zip(grids, tables)]
     for s, shape in enumerate(shapes):
         if shape != shapes[0]:
             raise ValueError(f"stacked rows need one (nx, steps): row 0 has {shapes[0]}, "
                              f"row {s} has {shape}")
-    a_up = np.array([up for up, _ in tables])
-    a_dn = a_up if fixed else np.array([dn for _, dn in tables])
     xs, dx = np.array([g.xs for g in grids]), np.array([g.dx for g in grids])
-    return _implicit_sweep(np.array(u), xs, dx, a_up, a_dn)
+    return _implicit_sweep(np.array(u), xs, dx, np.array([up for up, _ in tables]))
 
 
 def solve_single_option(

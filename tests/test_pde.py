@@ -179,10 +179,12 @@ class TestSchemes:
         assert sol.value == pytest.approx(max(KI - x0, 0.0), abs=1e-12)
 
 
-def reference_implicit_sweep(u, xs, dx, a_up, a_dn):
+def reference_implicit_sweep(u, xs, dx, a_up, a_dn=None):
     """Reference: the policy-iteration sweep with a fresh banded matrix per
     iteration, solved by scipy.linalg.solve_banded.  The value-change stop
-    is POLICY_VALUE_TOL times the largest terminal magnitude, at least 1."""
+    is POLICY_VALUE_TOL times the largest terminal magnitude, at least 1.
+    A missing a_dn is a_up, as in pde._implicit_sweep's fixed volatility."""
+    a_dn = a_up if a_dn is None else a_dn
     nx = len(xs)
     x2 = xs[1:-1] ** 2
     lo_bc, hi_bc = u[0], u[-1]
@@ -323,14 +325,15 @@ def _problem(vs, band, payoff, nx, t1=1.0, shift=1.0, nt=30):
 
 def stacked(problems):
     """pde._implicit_sweep of problems stacked one row each, at each row's
-    a_dn table passed as both extremes (one of the two equal tables of a
-    fixed-volatility problem)."""
+    a_dn table alone (one of the two equal tables of a fixed-volatility
+    problem)."""
     u, xs, dx, _, a_dn = (np.array(part) for part in zip(*problems))
-    return pde._implicit_sweep(u, xs, dx, a_dn, a_dn)
+    return pde._implicit_sweep(u, xs, dx, a_dn)
 
 
-# The sweep on one problem's (u, xs, dx, a_up, a_dn) as given, and as a
-# one-row fixed-volatility stack of its a_dn table.
+# The sweep on one problem's (u, xs, dx, a_up, a_dn): with both tables, by
+# policy iteration even where they are one array, and as a one-row
+# fixed-volatility stack of its a_dn table.
 SWEEPS = {
     "policy": lambda *problem: pde._implicit_sweep(*problem),
     "stacked": lambda *problem: stacked([problem])[0],
@@ -528,10 +531,10 @@ class TestTableDrivenSweep:
     def test_nan_inside_a_level_mid_sweep(self, monkeypatch):
         # From the third solve on, each solve leaves a NaN inside its level,
         # away from the entries the boundary terms are added to: no step may
-        # solve from such a level.  A fixed-volatility stack makes one solve
-        # a step, so its fourth step must not solve.  (A band problem
-        # discards an iterate that is not a step's last, so its count
-        # depends on where the policy settles.)
+        # solve from such a level.  The stacked sweep makes one solve a step,
+        # so its fourth step must not solve.  (The policy sweep discards an
+        # iterate that is not a step's last, so its count depends on where
+        # the policy settles.)
         u, xs, dx, a_up, a_dn = _problem(VS, degenerate_band((1.2,)), spread_payoff(), 41)
         solve, calls = pde._solve_tridiagonal, [0]
 
@@ -559,10 +562,9 @@ class TestTableDrivenSweep:
         a = np.full(30, 1e-8)
         a[3] = 1e4
         dx = xs[1] - xs[0]
-        tail = a[3:]  # one array for both extremes, as a is: fixed volatility
         for sweep in SWEEPS:
             # Every solve of steps 29..3, and none after.
-            want = count_solves(monkeypatch, sweep, u, xs, dx, tail, tail)
+            want = count_solves(monkeypatch, sweep, u, xs, dx, a[3:], a[3:])
             assert solves_before_value_error(monkeypatch, sweep, u, xs, dx, a, a) == want
         assert count_solves(monkeypatch, "stacked", u, xs, dx, a[3:], a[3:]) == 27
 
@@ -664,7 +666,7 @@ class TestCurvatureSign:
 
 class TestStackedSweep:
     """The rows of a stack are independent fixed-volatility problems with
-    their own grids and tables: each must equal its own sweep, its 1-D
+    their own grids and tables: each must equal its own sweep, the policy
     sweep and the reference, to the last bit.  window_values reads fixed
     volatility from the tables."""
 
@@ -695,12 +697,15 @@ class TestStackedSweep:
         stacked(STACKS["degenerate"](nx))
         assert calls == [30]
 
-    def test_stack_off_fixed_volatility_raises(self):
-        grid = default_grid(CURVE.forward_price(1.0, 1.5), 0.01, nx=41, nt=30)
+    @pytest.mark.parametrize("nx", [(41, 41), (41, 81)], ids=["same-shape", "other-shape"])
+    def test_stack_off_fixed_volatility_raises(self, nx):
+        # The band row is named even where the shapes differ too.
+        x0 = CURVE.forward_price(1.0, 1.5)
+        grids = [default_grid(x0, 0.01, nx=n, nt=30) for n in nx]
         tables = [pde.window_tables(VS, band, (1.0, 1.5), 0.0, 1.0, 30)
                   for band in (degenerate_band((1.2,)), BAND)]
         with pytest.raises(ValueError, match="fixed volatility"):
-            pde.window_values([spread_payoff()] * 2, [grid] * 2, tables)
+            pde.window_values([spread_payoff()] * 2, grids, tables)
 
     @pytest.mark.parametrize("case", ["one-table", "equal-tables", "band"])
     def test_window_values_picks_the_sweep_from_the_tables(self, monkeypatch, case):
