@@ -16,7 +16,8 @@ numpy's per-call overhead would dominate the cost.
 The contracts of a book read P(T) and P(T~)/P(T) at the same schedule
 dates over and over, so bond_price and forward_price keep a per-instance
 memo (see _memoized): a private dict that lives and dies with the curve,
-holds only values already returned, and never changes a bit of one.
+holds only values already returned, and never changes a bit of one;
+period_prices reads both for one closed-form option period in one lookup.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ def _memoized(method):
     """method with a memo of its results in a private dict on the instance.
 
     The memo is keyed by the positional arguments and filled on first use.
-    It suits only a method of a frozen instance whose result is a float that
-    arguments comparing equal (1, 1.0 and np.float64(1.0); 0.0 and -0.0)
-    determine to the last bit.  An exception propagates and is not stored,
-    so a failing call fails every time.  An unhashable argument (a list or
-    array scale) or a keyword argument takes the uncached call.  The memo
-    sits in the instance's __dict__, as a cached_property does, so it is no
-    dataclass field: ==, hash and repr ignore it, and dataclasses.replace
-    starts a fresh one.  Threads share it through plain dict get/set: a
+    It suits only a method of a frozen instance whose result (a float, a
+    tuple of floats or a read-only array) arguments comparing equal (1, 1.0
+    and np.float64(1.0); 0.0 and -0.0) determine to the last bit.  An
+    exception propagates and is not stored, so a failing call fails every
+    time.  An unhashable argument (a list or array scale) or a keyword
+    argument takes the uncached call.  The memo sits in the instance's
+    __dict__, as a cached_property does, so it is no dataclass field: ==,
+    hash and repr ignore it, and dataclasses.replace starts a fresh one.  Threads share it through plain dict get/set: a
     race computes one value twice, with the same bits.
     """
     attr = f"_{method.__name__}_memo"
@@ -179,6 +180,11 @@ class DiscountCurve:
         floating round-off.
         """
         return math.exp(self.forward_integral(T) - self.forward_integral(T_tilde))
+
+    @_memoized
+    def period_prices(self, T: float, T_tilde: float) -> tuple[float, float]:
+        """(P(T), P(T_tilde)/P(T)), as bond_price and forward_price return them."""
+        return self.bond_price(T), self.forward_price(T, T_tilde)
 
 
 def flat_curve(rate: float, horizon: float = 30.0) -> DiscountCurve:

@@ -16,10 +16,11 @@ K_i = 1/(1 + delta_i K), and each period discounted by P(T_{i-1}):
 A cap, floor or in-arrears swap is priced in one pass over its periods
 (``_leg_stream_bounds``): one leg per distinct accrual from its constructor
 (``stream.caplet_leg``, ``floorlet_leg``, ``in_arrears_leg``), valued at
-both extremes by ``stream.closed_form_bounds``, the routine
-``stream.leg_bounds`` prices closed-form stream legs with, so a cap and the
-stream of its caplets have the same bits.  ``as_stream`` builds that stream,
-and the legs of a linear contract, for the oracles; the engine does not.
+both extremes by ``stream.closed_form_bounds``, the loop over closed-form
+periods that ``stream.leg_bounds`` uses too, so a cap and the stream of its
+caplets have the same bits.  A period there is two memo lookups and two
+closed forms.  ``as_stream`` builds that stream, and the legs of a linear
+contract, for the oracles; the engine does not.
 
 The one-factor swaption locates the exercise boundary of the comonotone
 payoff with ``_brentq``, a step-for-step port of scipy's C ``brentq``, and
@@ -34,6 +35,7 @@ iterations, or that meets a NaN, raises ``ConvergenceError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -68,8 +70,8 @@ class OptionContract:
     def __post_init__(self) -> None:
         if self.kind not in OPTION_KINDS:
             raise DomainError(f"kind must be one of {OPTION_KINDS}, got {self.kind!r}")
-        if not self.strike_rate > 0.0:
-            raise DomainError(f"strike rate must be positive, got {self.strike_rate}")
+        if not 0.0 < self.strike_rate < math.inf:
+            raise DomainError(f"strike rate must be finite and positive, got {self.strike_rate}")
 
 
 # kind -> (leg constructor, method label) of each contract priced as a leg stream
@@ -106,10 +108,10 @@ def as_stream(contract) -> CashflowStream:
 
 
 def _leg_stream_bounds(curve, vs, band, contract, kind: str) -> PriceBounds:
-    """The contract as a stream of one leg per period, priced in one pass
-    over the periods without building the stream: each bound is the sum, in
-    period order, of the legs' ``stream.closed_form_bounds`` at the band
-    extremes, as ``stream.leg_bounds`` values closed-form legs."""
+    """The contract as a stream of one leg per period, priced without
+    building the stream: ``stream.closed_form_bounds`` sums its periods'
+    closed forms at the band extremes in period order, as it does for the
+    closed-form legs of ``stream.leg_bounds``."""
     if contract.kind != kind:
         raise DomainError(f"expected {kind}, got {contract.kind}")
     make_leg, label = _LEG_STREAMS[kind]
@@ -117,14 +119,15 @@ def _leg_stream_bounds(curve, vs, band, contract, kind: str) -> PriceBounds:
     schedule.check_within(curve)
     band.check_factors(vs)
     dates = schedule.dates
-    legs = {}  # periods of one accrual share one (immutable) leg
-    bounds = []
-    for i, (delta, t_reset, t_pay) in enumerate(zip(schedule.accruals, dates, dates[1:])):
-        leg = legs.get(delta)
-        if leg is None:
-            leg = legs[delta] = make_leg(delta, contract.strike_rate)
-        bounds.append(closed_form_bounds(curve, vs, band.lower, band.upper, leg, i, t_reset, t_pay))
-    lower, upper = map(sum, zip(*bounds))
+
+    def periods():
+        legs = {}  # periods of one accrual share one (immutable) leg
+        for i, (t_reset, t_pay) in enumerate(zip(dates, dates[1:])):
+            if (leg := legs.get(t_pay - t_reset)) is None:
+                leg = legs[t_pay - t_reset] = make_leg(t_pay - t_reset, contract.strike_rate)
+            yield i, leg, t_reset, t_pay
+
+    lower, upper = closed_form_bounds(curve, vs, band.lower, band.upper, periods())
     diag = {"method": label, "periods": schedule.periods}
     return PriceBounds(lower=lower, upper=upper, symmetric=band.is_degenerate,
                        diagnostics=diag).scaled(contract.notional)

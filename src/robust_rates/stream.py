@@ -121,9 +121,9 @@ class CashflowStream:
 
 def transformed_strike(accrual: float, strike_rate: float) -> float:
     """K_i = 1 / (1 + delta_i K), the bond-price strike of a rate option."""
-    if accrual <= 0.0 or strike_rate <= 0.0:
+    if not (0.0 < accrual < math.inf and 0.0 < strike_rate < math.inf):
         raise DomainError(
-            f"transformed strike needs positive accrual and rate, got {accrual}, {strike_rate}"
+            f"transformed strike needs finite positive accrual and rate, got {accrual}, {strike_rate}"
         )
     return 1.0 / (1.0 + accrual * strike_rate)
 
@@ -240,22 +240,24 @@ def _downgrade_warning(stream, i) -> str:
     )
 
 
-def closed_form_bounds(curve, vs, lower_scale, upper_scale, leg: OptionLeg, i: int,
-                       t_reset: float, t_pay: float) -> tuple[float, float]:
-    """(lower, upper) of option leg i over [t_reset, t_pay]: P(T_{i-1}) E[g(X)]
-    from its closed form at lower_scale and at upper_scale.  A variance of X
-    that is not finite raises DomainError naming the period, before either
-    closed form reads it."""
-    x0, p_reset = curve.forward_price(t_reset, t_pay), curve.bond_price(t_reset)
-    var_lo = vs.integrated_variance(lower_scale, 0.0, t_reset, t_reset, t_pay)
-    var_hi = vs.integrated_variance(upper_scale, 0.0, t_reset, t_reset, t_pay)
-    if not (math.isfinite(var_lo) and math.isfinite(var_hi)):
-        raise DomainError(
-            f"period {i} [{t_reset}, {t_pay}]: variance over [0, {t_reset}] is not finite "
-            "(a factor level too large for its variance integral)"
-        )
-    return (p_reset * leg.expected_value(x0, math.sqrt(var_lo)),
-            p_reset * leg.expected_value(x0, math.sqrt(var_hi)))
+def closed_form_bounds(curve, vs, lower_scale, upper_scale, periods) -> tuple[float, float]:
+    """(lower, upper): the sums, in the order of periods, of P(T_{i-1}) E[g(X)]
+    for each option period (i, leg, T_{i-1}, T_i), from the leg's closed form
+    at lower_scale and at upper_scale, its inputs from curve.period_prices and
+    vs.extreme_variance.  A variance of X that is not finite raises
+    DomainError naming period i, before either closed form reads it."""
+    lower = upper = -0.0  # the additive identity: one period's sum is its value
+    for i, leg, t_reset, t_pay in periods:
+        p_reset, x0 = curve.period_prices(t_reset, t_pay)
+        var_lo, var_hi = vs.extreme_variance(lower_scale, upper_scale, 0.0, t_reset, t_reset, t_pay)
+        if not (math.isfinite(var_lo) and math.isfinite(var_hi)):
+            raise DomainError(
+                f"period {i} [{t_reset}, {t_pay}]: variance over [0, {t_reset}] is not finite "
+                "(a factor level too large for its variance integral)"
+            )
+        lower += p_reset * leg.expected_value(x0, math.sqrt(var_lo))
+        upper += p_reset * leg.expected_value(x0, math.sqrt(var_hi))
+    return lower, upper
 
 
 def leg_bounds(
@@ -288,7 +290,7 @@ def leg_bounds(
             continue
         extremes = (band.lower, band.upper) if tag == "convex" else (band.upper, band.lower)
         if leg.expected_value is not None:
-            bounds[i] = closed_form_bounds(curve, vs, *extremes, leg, i, t_reset, t_pay)
+            bounds[i] = closed_form_bounds(curve, vs, *extremes, ((i, leg, t_reset, t_pay),))
             continue
         x0, p_reset = curve.forward_price(t_reset, t_pay), curve.bond_price(t_reset)
         for side, scale in enumerate(extremes):

@@ -16,10 +16,12 @@ bilinear tabulated factors exact piecewise rules.
 The contracts of a book ask for the same windows and maturity pairs over
 and over, so VolStructure.integrated_variance keeps a per-instance memo
 (curve._memoized, shared with the curve's bond prices): it lives and dies
-with the structure and returns the uncached call's float to the last bit.
-Tables of variances over the steps of a time grid or over an array of
-maturities (VolStructure.extreme_variances) equal those calls to the last
-bit and bypass the memo.
+with the structure and returns the uncached call's float to the last bit,
+as do VolStructure.extreme_variance (both band extremes of a closed-form
+period in one lookup) and a tabulated factor's row integrals per maturity
+pair.  Tables of variances over the steps of a time grid or over an array
+of maturities (VolStructure.extreme_variances) equal those calls to the
+last bit and bypass the memo.
 """
 
 from __future__ import annotations
@@ -216,9 +218,15 @@ class TabulatedFactor:
         """integral_T^T~ beta(t, s) ds, linear in t between t-knots."""
         return np.interp(t, self.t_grid, self._rows(T_tilde) - self._rows(T))
 
+    @_memoized
+    def _fp_rows(self, T: float, T_tilde: float) -> np.ndarray:
+        """integral_T^T~ beta(t_grid[i], s) ds for every row i, read-only."""
+        y = np.subtract(*self._rows((T_tilde, T)))
+        y.flags.writeable = False
+        return y
+
     def fp_cov_integral(self, t0: float, t1: float, pair_a, pair_b) -> float:
-        r = self._rows((*pair_a, *pair_b))
-        return float(self._time_integral(t0, t1, r[1] - r[0], r[3] - r[2]))
+        return float(self._time_integral(t0, t1, self._fp_rows(*pair_a), self._fp_rows(*pair_b)))
 
     def fp_var_steps(self, ts: np.ndarray, pair) -> np.ndarray:
         """fp_cov_integral over every step of ts, in the same operations (T~ may be an array)."""
@@ -342,6 +350,12 @@ class VolStructure:
         for sj, f in zip(s, self.factors):
             total += sj ** 2 * f.fp_cov_integral(t0, t1, pair, pair)
         return total
+
+    @_memoized
+    def extreme_variance(self, lower, upper, *window) -> tuple[float, float]:
+        """integrated_variance(scale, t0, t1, T, T~) at the scales lower and
+        upper (a band's extremes): the scalar twin of extreme_variances."""
+        return self.integrated_variance(lower, *window), self.integrated_variance(upper, *window)
 
     def integrated_variances(self, scale, ts, T: float, T_tilde) -> np.ndarray:
         """integrated_variance(scale, ts[k], ts[k + 1], T, T~) for every step k

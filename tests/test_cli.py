@@ -10,6 +10,7 @@ import pytest
 from robust_rates import option_pricing
 from robust_rates.cli import main
 from robust_rates.config import load_config, price_configured
+from robust_rates.curve import DiscountCurve
 from robust_rates.errors import ConfigError, DomainError, UnsupportedMethodError
 from robust_rates.vol_structure import HoLeeFactor, VolStructure
 
@@ -316,32 +317,43 @@ class TestPriceCommand:
                        "too large for its variance integral)\n")
 
     def test_shared_schedule_evaluates_each_variance_once(self, tmp_path, monkeypatch):
-        """Caps and floors on one schedule read the same variances: each
-        distinct (scale, window, pair) is integrated once per market, and
-        repricing the same contracts integrates nothing."""
+        """Caps and floors on one schedule read the same periods: each
+        contract-period makes one period_prices and one extreme_variance
+        lookup, each distinct period is evaluated once (one P(T_{i-1}), one
+        forward price, one variance per band extreme), each distinct
+        (scale, window, pair) is integrated once per market, and repricing
+        the same contracts integrates nothing."""
         schedule = [1.0, 1.5, 2.0, 2.5, 3.0]
         cfg = dict(BOOK, contracts=[
             {"name": f"{kind}-{k}", "kind": kind, "schedule": schedule, "strike_rate": k}
             for kind in ("cap", "floor") for k in (0.01, 0.02, 0.04)])
-        integrated, keys = [], []
-        fp_cov, intvar = HoLeeFactor.fp_cov_integral, VolStructure.integrated_variance
+        calls = {}
 
-        def counted_fp_cov(self, *args):
-            integrated.append(args)
-            return fp_cov(self, *args)
+        def record(cls, name):
+            method = getattr(cls, name)
 
-        def recorded_intvar(self, *args):
-            keys.append(args)
-            return intvar(self, *args)
+            def recorded(self, *args):
+                calls.setdefault(name, []).append(args)
+                return method(self, *args)
 
-        monkeypatch.setattr(HoLeeFactor, "fp_cov_integral", counted_fp_cov)
-        monkeypatch.setattr(VolStructure, "integrated_variance", recorded_intvar)
+            monkeypatch.setattr(cls, name, recorded)
+
+        record(HoLeeFactor, "fp_cov_integral")
+        for name in ("integrated_variance", "extreme_variance"):
+            record(VolStructure, name)
+        for name in ("bond_price", "forward_price", "period_prices"):
+            record(DiscountCurve, name)
         setup = load_config(write_config(tmp_path, cfg))
         first = [price_configured(setup, cc) for cc in setup.contracts]
-        assert 0 < len(integrated) == len(set(keys)) < len(keys)
-        done = len(integrated)
+        contract_periods, periods = 6 * 4, 4
+        assert len(calls["period_prices"]) == len(calls["extreme_variance"]) == contract_periods
+        assert len(calls["bond_price"]) == len(calls["forward_price"]) == periods
+        keys = calls["integrated_variance"]
+        assert len(calls["fp_cov_integral"]) == len(set(keys)) == len(keys) == 2 * periods
+        done = {name: len(args) for name, args in calls.items()}
         assert [price_configured(setup, cc) for cc in setup.contracts] == first
-        assert len(integrated) == done
+        assert {name: len(args) for name, args in calls.items()} == dict(
+            done, period_prices=2 * contract_periods, extreme_variance=2 * contract_periods)
 
     def test_method_on_non_swaption_is_config_error(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(BOOK))

@@ -144,6 +144,7 @@ class TestMemo:
         used, fresh = linear_curve(), linear_curve()
         used.bond_price(1.0)
         used.forward_price(1.0, 2.0)
+        used.period_prices(1.0, 2.0)
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         assert vars(dataclasses.replace(used)) == vars(fresh)
         moved = dataclasses.replace(used, knots=((0.0, 0.02),))
@@ -153,6 +154,7 @@ class TestMemo:
         curve = linear_curve()
         assert curve.bond_price(T=7.0) == curve.bond_price(7.0)
         assert curve.forward_price(T=1.0, T_tilde=7.0) == curve.forward_price(1.0, 7.0)
+        assert curve.period_prices(T=1.0, T_tilde=7.0) == curve.period_prices(1.0, 7.0)
 
 
 class TestLoadCurve:
@@ -296,9 +298,10 @@ def test_scalar_path_bit_identical_to_numpy_reference(curve):
         assert type(rate) is float and type(integral) is float
         assert rate == _reference_forward_rate(curve, T)
         assert integral == _reference_forward_integral(curve, T)
-    # bond_price and forward_price answer from a memo: each call, cold or
-    # warm and through every alias of its arguments, returns the reference's
-    # bits.  A fresh copy fills its memo with the aliases in reverse order.
+    # bond_price, forward_price and period_prices answer from a memo: each
+    # call, cold or warm and through every alias of its arguments, returns the
+    # reference's bits.  A fresh copy fills its memo with the aliases in
+    # reverse order.
     for fresh, order in ((curve, 1), (dataclasses.replace(curve), -1)):
         for T in points:
             expected = _bits(math.exp(-_reference_forward_integral(curve, T)))
@@ -307,6 +310,8 @@ def test_scalar_path_bit_identical_to_numpy_reference(curve):
         for T, S in zip(points, reversed(points)):
             expected = _bits(math.exp(_reference_forward_integral(curve, T)
                                       - _reference_forward_integral(curve, S)))
+            period = (_bits(math.exp(-_reference_forward_integral(curve, T))), expected)
             for pair in list(itertools.product(_aliases(T), _aliases(S)))[::order] * 2:
                 assert _bits(fresh.forward_price(*pair)) == expected
+                assert tuple(map(_bits, fresh.period_prices(*pair))) == period
 

@@ -1,8 +1,12 @@
 """Caps, floors, in-arrears swaps, swaptions: closed forms, their oracles, and
 properties over random markets."""
 
+import dataclasses
 import math
+import re
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from robust_rates.lognormal import (
 )
 from robust_rates.mc import MCConfig
 from robust_rates.option_pricing import (
+    OPTION_KINDS,
     OptionContract,
     _brentq,
     _swaption_value_comonotone,
@@ -39,14 +44,23 @@ from robust_rates.stream import (
     ConstantLeg,
     FloatingLinearLeg,
     caplet_leg,
+    closed_form_bounds,
     floorlet_leg,
     in_arrears_leg,
+    leg_bounds,
     price_leg_bounds,
     price_stream,
     transformed_strike,
 )
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
-from robust_rates.vol_structure import HoLeeFactor, HullWhiteFactor, VolStructure, ho_lee, hull_white
+from robust_rates.vol_structure import (
+    HoLeeFactor,
+    HullWhiteFactor,
+    TabulatedFactor,
+    VolStructure,
+    ho_lee,
+    hull_white,
+)
 
 CURVE = flat_curve(0.02)
 VS = ho_lee(0.01)
@@ -108,6 +122,169 @@ class TestTransformedStrike:
             transformed_strike(0.0, 0.04)
         with pytest.raises(DomainError):
             transformed_strike(0.5, -0.01)
+
+    @pytest.mark.parametrize("accrual, rate", [(0.5, math.inf), (math.inf, 0.03), (0.5, math.nan),
+                                               (math.nan, 0.03)])
+    def test_finiteness_required(self, accrual, rate):
+        # An infinite rate or accrual would make K_i = 0.0, and the leg a
+        # ZeroDivisionError or a DomainError about k=0.0 at pricing time.
+        message = f"finite positive accrual and rate, got {accrual}, {rate}"
+        for make in (transformed_strike, caplet_leg, floorlet_leg, in_arrears_leg):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                make(accrual, rate)
+
+    @pytest.mark.parametrize("kind", OPTION_KINDS)
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan, 0.0])
+    def test_contract_strike_must_be_finite_and_positive(self, kind, rate):
+        with pytest.raises(DomainError, match=f"strike rate must be finite and positive, got {rate}"):
+            OptionContract(kind=kind, schedule=SCHED, strike_rate=rate)
+
+
+def _plain_period(curve, vs, lower, upper, leg, t_reset, t_pay):
+    """A closed-form period from the four scalar calls, each past its memo."""
+    p_reset = DiscountCurve.bond_price.__wrapped__(curve, t_reset)
+    x0 = DiscountCurve.forward_price.__wrapped__(curve, t_reset, t_pay)
+    return tuple(
+        p_reset * leg.expected_value(x0, math.sqrt(VolStructure.integrated_variance.__wrapped__(
+            vs, s, 0.0, t_reset, t_reset, t_pay)))
+        for s in (lower, upper))
+
+
+def _fresh(vs):
+    """A copy of vs whose memos, and its factors' memos, start cold."""
+    return VolStructure(factors=tuple(map(dataclasses.replace, vs.factors)))
+
+
+PERIOD_STRUCTURES = [
+    ho_lee(0.01),
+    hull_white(0.012, 0.1),
+    VolStructure(factors=(HullWhiteFactor(c=0.012, kappa=0.1), HoLeeFactor(c=0.007))),
+    VolStructure(factors=(TabulatedFactor(t_grid=(0.0, 1.2, 4.0), maturity_grid=(0.0, 2.0, 7.5),
+                                          values=((0.011, 0.009, 0.008), (0.012, 0.01, 0.007),
+                                                  (0.009, 0.01, 0.006))),)),
+]
+
+
+class TestClosedFormPeriods:
+    """closed_form_bounds reads each period from two memo lookups
+    (DiscountCurve.period_prices, VolStructure.extreme_variance) and keeps
+    every bit of the scalar calls they replace."""
+
+    DATES = (1.0, 1.5, 2.0, 3.0, 3.25)
+    ALIASES = (1, np.float64(1.5), 2, np.float64(3.0), np.float64(3.25))
+
+    @pytest.mark.parametrize("vs", PERIOD_STRUCTURES, ids=["ho-lee", "hull-white", "two-factor",
+                                                           "tabulated"])
+    def test_periods_are_the_four_plain_scalar_calls(self, vs):
+        curve = DiscountCurve(knots=((0.0, 0.015), (2.0, 0.025), (10.0, 0.03)), horizon=30.0)
+        lower, upper = (0.5,) * vs.dim, (1.5,) * vs.dim
+        legs = [make(0.25, k) for make in (caplet_leg, floorlet_leg, in_arrears_leg)
+                for k in (0.01, 0.04)]
+        curve, vs = dataclasses.replace(curve), _fresh(vs)  # cold memos
+        # A band, its swapped extremes (a concave leg's) and a degenerate band;
+        # float dates fill the memos, then int and np.float64 aliases read them.
+        for dates in (self.DATES, self.ALIASES, self.DATES):
+            for scales in ((lower, upper), (upper, lower), (upper, upper)):
+                for leg in legs:
+                    periods = [(i, leg, a, b) for i, (a, b) in enumerate(zip(dates, dates[1:]))]
+                    want_lo = want_hi = -0.0
+                    for _, _, a, b in periods:
+                        lo, hi = _plain_period(curve, vs, *scales, leg, float(a), float(b))
+                        want_lo += lo
+                        want_hi += hi
+                    got = closed_form_bounds(curve, vs, *scales, periods)
+                    assert tuple(map(float.hex, got)) == (want_lo.hex(), want_hi.hex())
+                    [(i, _, a, b)] = periods[2:3]
+                    single = closed_form_bounds(curve, vs, *scales, [(i, leg, a, b)])
+                    plain = _plain_period(curve, vs, *scales, leg, float(a), float(b))
+                    assert tuple(map(float.hex, single)) == tuple(map(float.hex, plain))
+
+    def test_used_market_equals_a_fresh_one(self):
+        curve, vs = flat_curve(0.02), PERIOD_STRUCTURES[3]
+        fresh_curve = dataclasses.replace(curve)
+        fresh_vs = _fresh(vs)
+        price_cap(curve, vs, BAND, cap())
+        assert vars(curve) != vars(fresh_curve) and vars(vs) != vars(fresh_vs)  # filled memos
+        for used, fresh in ((curve, fresh_curve), (vs, fresh_vs), (vs.factors[0], fresh_vs.factors[0])):
+            assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+            assert vars(dataclasses.replace(used)) == vars(dataclasses.replace(fresh))
+
+    @pytest.mark.parametrize("vs", PERIOD_STRUCTURES[1::2], ids=["hull-white", "tabulated"])
+    def test_shared_by_threads_returns_serial_bits(self, vs):
+        """More threads than cores on one market, switching often, each
+        pricing caps and floors under two bands (as a stress run's two bands
+        read one memo): every thread reads the serial bits."""
+        curve = DiscountCurve(knots=((0.0, 0.015), (2.0, 0.025), (10.0, 0.03)), horizon=30.0)
+        bands = UncertaintyBand((0.5,), (1.5,)), UncertaintyBand((0.7,), (1.2,))
+        jobs = [(b, OptionContract(kind=kind, schedule=TenorSchedule(
+                     dates=tuple(0.5 + 0.25 * (j + k) for k in range(6))), strike_rate=0.03))
+                for j in range(12) for kind in ("cap", "floor") for b in bands]
+
+        def bits(curve, vs, jobs):
+            return [(b.lower.hex(), b.upper.hex())
+                    for b in (price_option(curve, vs, band_, c) for band_, c in jobs)]
+
+        expected = bits(dataclasses.replace(curve), _fresh(vs), jobs)
+        shared_curve, shared_vs = dataclasses.replace(curve), _fresh(vs)
+        results = {}
+
+        def work(i):
+            order = 1 if i % 2 else -1
+            results[i] = bits(shared_curve, shared_vs, jobs[::order])[::order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {i: expected for i in range(8)}
+
+
+class TestOverflowingPeriods:
+    """A period whose variance is not finite, or overflows, stores nothing in
+    a memo: a cap and a stream's closed-form leg fail alike on every call."""
+
+    STREAM = CashflowStream(schedule=TenorSchedule(dates=(0.5, 1.0, 1.5)),
+                            legs=[ConstantLeg(0.01), caplet_leg(0.5, 0.04)])
+
+    @pytest.mark.parametrize("kind", ["cap", "floor", "in-arrears-payer-swap"])
+    def test_infinite_variance_names_the_period_every_time(self, kind):
+        vs = hull_white(1e160, 0.1)
+        contract = OptionContract(kind=kind, schedule=SCHED, strike_rate=0.04)
+        message = ("period 0 [1.0, 1.5]: variance over [0, 1.0] is not finite "
+                   "(a factor level too large for its variance integral)")
+        for _ in range(3):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                price_option(CURVE, vs, BAND, contract)
+
+    @pytest.mark.parametrize("tag", ["convex", "concave"])
+    def test_stream_leg_names_its_period_every_time(self, tag):
+        vs = hull_white(1e160, 0.1)
+        message = "period 1 [1.0, 1.5]: variance over [0, 1.0] is not finite"
+        for _ in range(3):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                leg_bounds(CURVE, vs, BAND, self.STREAM, {1: tag})
+
+    def test_level_overflow_is_named_every_time(self):
+        # c^2 overflows in the variance integral itself: an OverflowError,
+        # which price_configured names with the contract.
+        vs = ho_lee(1e160)
+        setup = PricingSetup(curve=CURVE, vol=vs, band=BAND, contracts=())
+        message = ("contract 'x': numerical overflow (a factor level too large for its "
+                   "variance integral)")
+        for contract in (cap(), self.STREAM):
+            for _ in range(3):
+                with pytest.raises(DomainError, match=re.escape(message)):
+                    price_configured(setup, ConfiguredContract(name="x", contract=contract))
+        for _ in range(3):
+            with pytest.raises(OverflowError):
+                leg_bounds(CURVE, vs, BAND, self.STREAM, {1: "convex"})
 
 
 class TestLognormalDegenerate:

@@ -155,6 +155,39 @@ class TestTabulated:
         b = hl.integrated_variance((1.3,), 0.0, 1.0, 1.0, 2.0)
         assert a == pytest.approx(b, rel=1e-14)
 
+    def test_fp_cov_integral_keeps_the_bits_of_one_row_pass(self):
+        """fp_cov_integral reads each maturity pair's row integrals from a
+        per-factor memo, read-only: the bits of one _rows pass over all four
+        maturities, cold or warm, through int and np.float64 aliases."""
+        rng = np.random.Generator(np.random.Philox(key=5))
+        tab = TabulatedFactor(t_grid=(0.0, 0.7, 2.0, 5.0), maturity_grid=(0.0, 1.0, 3.0, 6.0, 12.0),
+                              values=rng.uniform(0.005, 0.02, (4, 5)).tolist())
+
+        def one_pass(t0, t1, pair_a, pair_b):
+            r = tab._rows((*pair_a, *pair_b))
+            return float(tab._time_integral(t0, t1, r[1] - r[0], r[3] - r[2]))
+
+        cases = [(0.0, 1.0, (1.0, 2.0), (1.0, 2.0)), (0.5, 3.0, (3.0, 7.0), (4.0, 13.0)),
+                 (0.0, 0.0, (0.0, 2.0), (2.0, 0.0))]
+        for _ in range(40):
+            T, Tb = rng.uniform(0.0, 14.0, 2)
+            pair_a, pair_b = (T, T + rng.uniform(0.0, 3.0)), (Tb, Tb + rng.uniform(0.0, 3.0))
+            t1 = rng.uniform(0.0, min(T, Tb))
+            cases.append((rng.uniform(0.0, t1), t1, pair_a, pair_b))
+        expected = [_bits(one_pass(*case)) for case in cases]
+        for used in (tab, dataclasses.replace(tab)):
+            for forms in (lambda x: x, np.float64, lambda x: int(x) if float(x).is_integer() else x):
+                for case, want in zip(cases, expected):
+                    t0, t1, pair_a, pair_b = case
+                    args = (t0, t1, tuple(map(forms, pair_a)), tuple(map(forms, pair_b)))
+                    assert _bits(used.fp_cov_integral(*args)) == want
+        rows = tab._fp_rows(1.0, 2.0)
+        assert rows is tab._fp_rows(1, np.float64(2.0)) and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0] = 0.0
+        assert tab == dataclasses.replace(tab) and hash(tab) == hash(dataclasses.replace(tab))
+        assert repr(tab) == repr(dataclasses.replace(tab))
+
     def test_bilinear_interpolation(self):
         tab = TabulatedFactor(
             t_grid=(0.0, 2.0), maturity_grid=(0.0, 2.0),
@@ -376,10 +409,32 @@ class TestScalarPathExactness:
         low, high = ho_lee(0.01), ho_lee(0.02)
         assert low.integrated_variance(1.0, 0.0, 1.0, 1.0, 2.0) == 0.01**2 * 1.0 * 1.0 * 1.0
         assert high.integrated_variance(1.0, 0.0, 1.0, 1.0, 2.0) == 0.02**2 * 1.0 * 1.0 * 1.0
+        assert high.extreme_variance(1.0, 2.0, 0.0, 1.0, 1.0, 2.0) == (0.02**2, 2.0**2 * 0.02**2)
         used, fresh = self.STRUCTURES[3], dataclasses.replace(self.STRUCTURES[3])
         used.integrated_variance((1.0,) * 3, 0.0, 1.0, 1.0, 2.0)
+        used.extreme_variance((1.0,) * 3, (2.0,) * 3, 0.0, 1.0, 1.0, 2.0)
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         assert vars(dataclasses.replace(used)) == vars(fresh)
+
+    @pytest.mark.parametrize("vs", STRUCTURES, ids=lambda v: f"d{v.dim}-{v.factors[0].kind}")
+    def test_extreme_variance_is_two_plain_calls(self, vs):
+        """extreme_variance(lower, upper, window) is the pair of uncached
+        integrated_variance calls, to the last bit: for a band, its swapped
+        (concave) extremes and a degenerate band, cold or warm, through
+        every alias of the window's ends."""
+        plain = VolStructure.integrated_variance.__wrapped__
+        lower, upper = (0.5,) * vs.dim, (1.5,) * vs.dim
+        fresh = dataclasses.replace(vs)
+        for window in ((0.0, 1.0, 1.0, 1.5), (0.0, 2.0, 2.0, 3.0), (0.0, 0.0, 0.0, 0.25),
+                       (0.5, 1.25, 4.0, 2.0)):
+            windows = [window[:i] + (a,) + window[i + 1:]
+                       for i, x in enumerate(window) for a in _aliases(x)]
+            for scales in ((lower, upper), (upper, lower), (upper, upper)):
+                expected = tuple(_bits(plain(vs, s, *window)) for s in scales)
+                for args in windows * 2:
+                    assert tuple(map(_bits, fresh.extreme_variance(*scales, *args))) == expected
+        with pytest.raises(DomainError, match="t0 <= t1"):
+            fresh.extreme_variance(lower, upper, 1.0, 0.5, 1.0, 2.0)
 
     def test_memo_shared_by_threads_returns_serial_bits(self):
         """More threads than cores on one structure, switching often, with
