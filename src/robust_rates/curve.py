@@ -14,10 +14,12 @@ knot maturities, rates and cumulative integrals: on a handful of knots,
 numpy's per-call overhead would dominate the cost.
 
 The contracts of a book read P(T) and P(T~)/P(T) at the same schedule
-dates over and over, so bond_price and forward_price keep a per-instance
-memo (see _memoized): a private dict that lives and dies with the curve,
-holds only values already returned, and never changes a bit of one;
-period_prices reads both for one closed-form option period in one lookup.
+dates over and over, so forward_integral, bond_price and forward_price keep
+a per-instance memo (see _memoized): a private dict that lives and dies
+with the curve, holds only values already returned, and never changes a bit
+of one.  period_prices reads both prices of one closed-form option period in
+one lookup, and forward_prices the forward prices of a whole schedule from
+one integral per date.
 """
 
 from __future__ import annotations
@@ -38,13 +40,16 @@ def _memoized(method):
     The memo is keyed by the positional arguments and filled on first use.
     It suits only a method of a frozen instance whose result (a float, a
     tuple of floats or a read-only array) arguments comparing equal (1, 1.0
-    and np.float64(1.0); 0.0 and -0.0) determine to the last bit.  An
-    exception propagates and is not stored, so a failing call fails every
-    time.  An unhashable argument (a list or array scale) or a keyword
-    argument takes the uncached call.  The memo sits in the instance's
-    __dict__, as a cached_property does, so it is no dataclass field: ==,
-    hash and repr ignore it, and dataclasses.replace starts a fresh one.  Threads share it through plain dict get/set: a
-    race computes one value twice, with the same bits.
+    and np.float64(1.0); 0.0 and -0.0) determine to the last bit.  A method
+    whose result keeps the sign of a zero argument (T * f(0) at T = +-0.0)
+    must not pass a zero to the memo: the first of the two zeros asked for
+    would answer for both.  An exception propagates and is not stored, so a
+    failing call fails every time.  An unhashable argument (a list or array
+    scale) or a keyword argument takes the uncached call.  The memo sits in
+    the instance's __dict__, as a cached_property does, so it is no
+    dataclass field: ==, hash and repr ignore it, and dataclasses.replace
+    starts a fresh one.  Threads share it through plain dict get/set: a race
+    computes one value twice, with the same bits.
     """
     attr = f"_{method.__name__}_memo"
 
@@ -151,7 +156,16 @@ class DiscountCurve:
         return rates[k] + w * (rates[k + 1] - rates[k])
 
     def forward_integral(self, T: float) -> float:
-        """integral_0^T f(s) ds, evaluated with closed-form antiderivatives."""
+        """integral_0^T f(s) ds, evaluated with closed-form antiderivatives.
+
+        Memoized at every maturity but zero, whose result T * f(0) keeps the
+        sign of T: 0.0 and -0.0 would share one memo entry (see _memoized).
+        """
+        if T == 0.0:
+            return self._integral(T)
+        return self._memoized_integral(T)
+
+    def _integral(self, T: float) -> float:
         T = self._check_maturity(T)
         mats, rates, cum = self._table
         if T <= mats[0]:
@@ -166,6 +180,8 @@ class DiscountCurve:
             w = dt / (mats[k + 1] - mats[k])
             seg = 0.5 * (rates[k] + (rates[k] + w * (rates[k + 1] - rates[k]))) * dt
         return cum[k] + seg
+
+    _memoized_integral = _memoized(_integral)
 
     @_memoized
     def bond_price(self, T: float) -> float:
@@ -185,6 +201,13 @@ class DiscountCurve:
     def period_prices(self, T: float, T_tilde: float) -> tuple[float, float]:
         """(P(T), P(T_tilde)/P(T)), as bond_price and forward_price return them."""
         return self.bond_price(T), self.forward_price(T, T_tilde)
+
+    def forward_prices(self, T: float, maturities) -> list[float]:
+        """[P(T_k)/P(T) for T_k in maturities], each as forward_price(T, T_k)
+        returns it, from one forward_integral read per date."""
+        integral = self.forward_integral
+        start = integral(T)
+        return [math.exp(start - integral(t)) for t in maturities]
 
 
 def flat_curve(rate: float, horizon: float = 30.0) -> DiscountCurve:

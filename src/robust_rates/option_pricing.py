@@ -29,6 +29,10 @@ module and returns scipy's bits.  The multi-factor case falls back to Monte
 Carlo on the joint terminal law.  Both read both extremes' inputs from one
 pass over the schedule (``_swaption_inputs``), which raises ``DomainError``
 for a total variance that is not finite; a degenerate band is solved once.
+That pass reads the forward prices P(T_k)/P(T_0) from
+``DiscountCurve.forward_prices``: one memoized curve integral per date,
+shared by every contract of the market on that date, with
+``forward_price``'s bits.
 A root-find that does not converge within ``_ROOT_ITERATION_CAP``
 iterations, or that meets a NaN, raises ``ConvergenceError``.
 """
@@ -161,16 +165,16 @@ def price_in_arrears_swap(curve: DiscountCurve, vs: VolStructure, band: Uncertai
 
 def _swaption_inputs(curve, vs, band, contract):
     """Both band extremes' inputs from one pass over the schedule: the forward
-    prices x_i = P(T_i)/P(T_0), the coefficient a_i of each term in the
-    exercise value 1 - sum_i a_i x_i e^{.} (a_N carries the final 1), and the
-    total stdevs w_i of the x_i over [0, T_0] at the lower and at the upper
-    extreme (one array twice for a degenerate band), from
-    VolStructure.extreme_variances.  A total variance that is not finite
+    prices x_i = P(T_i)/P(T_0) (curve.forward_prices), the coefficient a_i
+    of each term in the exercise value 1 - sum_i a_i x_i e^{.} (a_N carries
+    the final 1), and the total stdevs w_i of the x_i over [0, T_0] at the
+    lower and at the upper extreme (one array twice for a degenerate band),
+    from VolStructure.extreme_variances.  A total variance that is not finite
     raises DomainError here, before any pricing arithmetic reads it.
     """
     s = contract.schedule
     t0 = s.start
-    xs = np.array([curve.forward_price(t0, t) for t in s.dates[1:]])
+    xs = np.array(curve.forward_prices(t0, s.dates[1:]))
     coefs = np.array(s.accruals) * contract.strike_rate
     coefs[-1] += 1.0
     w2_lower, w2_upper = vs.extreme_variances(band.lower, band.upper, (0.0, t0), t0, s.dates[1:])

@@ -125,7 +125,13 @@ def transformed_strike(accrual: float, strike_rate: float) -> float:
         raise DomainError(
             f"transformed strike needs finite positive accrual and rate, got {accrual}, {strike_rate}"
         )
-    return 1.0 / (1.0 + accrual * strike_rate)
+    gross = 1.0 + accrual * strike_rate
+    if gross == math.inf:
+        raise DomainError(
+            f"transformed strike: 1 + accrual * strike rate is not finite for accrual {accrual}, "
+            f"strike rate {strike_rate}"
+        )
+    return 1.0 / gross
 
 
 def _excess_per_strike(a, b, ki):
@@ -211,12 +217,24 @@ def _symmetric_leg_value(curve: DiscountCurve, stream: CashflowStream, i: int) -
     )
 
 
+def _variance_error(i, t_reset, t_pay, t0, t1) -> DomainError:
+    """The error for a variance of period i's forward price P(T_i)/P(T_{i-1})
+    over [t0, t1] that is not finite, raised before any grid or closed form
+    reads it."""
+    return DomainError(
+        f"period {i} [{t_reset}, {t_pay}]: variance over [{t0}, {t1}] is not finite "
+        "(a factor level too large for its variance integral)"
+    )
+
+
 def _leg_grid(curve, vs, band, stream, i, nx: int, nt: int) -> PDEGrid:
     """Period i's single-option grid: six sigma of the band's upper variance
     around the spot forward price."""
     t_reset, t_pay = stream.schedule.dates[i], stream.schedule.dates[i + 1]
-    v = math.sqrt(vs.integrated_variance(band.upper, 0.0, t_reset, t_reset, t_pay))
-    return default_grid(curve.forward_price(t_reset, t_pay), v, nx=nx, nt=nt)
+    var = vs.integrated_variance(band.upper, 0.0, t_reset, t_reset, t_pay)
+    if not math.isfinite(var):
+        raise _variance_error(i, t_reset, t_pay, 0, t_reset)
+    return default_grid(curve.forward_price(t_reset, t_pay), math.sqrt(var), nx=nx, nt=nt)
 
 
 def _checked_tag(curve, vs, band, stream, i, nx: int, nt: int) -> str:
@@ -251,10 +269,7 @@ def closed_form_bounds(curve, vs, lower_scale, upper_scale, periods) -> tuple[fl
         p_reset, x0 = curve.period_prices(t_reset, t_pay)
         var_lo, var_hi = vs.extreme_variance(lower_scale, upper_scale, 0.0, t_reset, t_reset, t_pay)
         if not (math.isfinite(var_lo) and math.isfinite(var_hi)):
-            raise DomainError(
-                f"period {i} [{t_reset}, {t_pay}]: variance over [0, {t_reset}] is not finite "
-                "(a factor level too large for its variance integral)"
-            )
+            raise _variance_error(i, t_reset, t_pay, 0, t_reset)
         lower += p_reset * leg.expected_value(x0, math.sqrt(var_lo))
         upper += p_reset * leg.expected_value(x0, math.sqrt(var_hi))
     return lower, upper
@@ -294,8 +309,10 @@ def leg_bounds(
             continue
         x0, p_reset = curve.forward_price(t_reset, t_pay), curve.bond_price(t_reset)
         for side, scale in enumerate(extremes):
-            v = math.sqrt(vs.integrated_variance(scale, 0.0, t_reset, t_reset, t_pay))
-            grid = default_grid(x0, v, nx=nx, nt=nt)
+            var = vs.integrated_variance(scale, 0.0, t_reset, t_reset, t_pay)
+            if not math.isfinite(var):
+                raise _variance_error(i, t_reset, t_pay, 0, t_reset)
+            grid = default_grid(x0, math.sqrt(var), nx=nx, nt=nt)
             tables = window_tables(vs, degenerate_band(scale), pair, 0.0, t_reset, nt)
             stacked.append((i, side, x0, p_reset, leg, grid, tables))
     if stacked:
@@ -382,9 +399,13 @@ def _pair_recursion(
 
     # Inner solve: h(x2) = upper value of g2 at t = T_{i-1}, on a domain wide
     # enough to cover the outer grid plus the diffusion left until T_i.
-    v2_outer = math.sqrt(vs.integrated_variance(band.upper, 0.0, t_start, *pair2))
-    v2_inner = math.sqrt(vs.integrated_variance(band.upper, t_start, t_mid, *pair2))
-    half_width = 6.0 * max(v2_outer, 1e-6) + 6.0 * max(v2_inner, 1e-6)
+    var2_outer = vs.integrated_variance(band.upper, 0.0, t_start, *pair2)
+    if not math.isfinite(var2_outer):
+        raise _variance_error(i + 1, *pair2, 0, t_start)
+    var2_inner = vs.integrated_variance(band.upper, t_start, t_mid, *pair2)
+    if not math.isfinite(var2_inner):
+        raise _variance_error(i + 1, *pair2, t_start, t_mid)
+    half_width = 6.0 * max(math.sqrt(var2_outer), 1e-6) + 6.0 * max(math.sqrt(var2_inner), 1e-6)
     inner_grid = PDEGrid(
         x_min=x2_0 * math.exp(-half_width),
         x_max=x2_0 * math.exp(half_width),
@@ -402,6 +423,8 @@ def _pair_recursion(
     rho = s2 / s1
 
     v1_up = vs.integrated_variance(band.upper, 0.0, t_start, *pair1)
+    if not math.isfinite(v1_up):
+        raise _variance_error(i, *pair1, 0, t_start)
     half1 = 6.0 * max(math.sqrt(v1_up), 1e-6)
     n = _pair_nodes(nx)
     y1 = np.linspace(math.log(x1_0) - half1, math.log(x1_0) + half1, n)

@@ -207,6 +207,23 @@ class TestPriceCommand:
         assert main(["price", write_config(tmp_path, cfg)]) == 2
         assert f"contracts[0].legs[0].{field}" in capsys.readouterr().err
 
+    def test_overflowing_strike_is_named(self, tmp_path, capsys):
+        # 1 + 2.0 * 1e308 overflows: a cap's strike is a pricing error (exit 3),
+        # a stream leg's a config error at load (exit 2); both name the rate.
+        message = ("transformed strike: 1 + accrual * strike rate is not finite for accrual 2.0, "
+                   "strike rate 1e+308")
+        cfg = dict(BOOK, contracts=[{"name": "cap", "kind": "cap", "schedule": [1.0, 3.0],
+                                     "strike_rate": 1e308}])
+        assert main(["price", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"contract 'cap': {message}" in err and "Traceback" not in err
+        cfg["contracts"] = [dict(STREAM, schedule=[1.0, 3.0],
+                                 legs=[{"type": "caplet", "strike_rate": 1e308}])]
+        with pytest.raises(ConfigError, match=re.escape(f"contracts[0].legs[0]: {message}")):
+            load_config(write_config(tmp_path, cfg))
+        assert main(["price", write_config(tmp_path, cfg)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, value, field", [
         ("mc", {"paths": 1}, "contracts[2].mc: need at least 2 paths"),
         ("mc", {"paths": "many"}, "contracts[2].mc.paths: expected an integer"),

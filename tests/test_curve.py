@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -120,7 +122,13 @@ class TestValidation:
         lambda c: c.bond_price(-1.0),
         lambda c: c.forward_price(1.0, 30.5),
         lambda c: c.forward_price(30.5, 1.0),
-    ], ids=["bond-past-horizon", "bond-negative", "forward-past-horizon", "forward-first-past"])
+        lambda c: c.forward_integral(30.5),
+        lambda c: c.forward_integral(-1.0),
+        lambda c: c.forward_prices(1.0, [2.0, 30.5]),
+        lambda c: c.forward_prices(30.5, [2.0]),
+    ], ids=["bond-past-horizon", "bond-negative", "forward-past-horizon", "forward-first-past",
+            "integral-past-horizon", "integral-negative", "schedule-past-horizon",
+            "schedule-start-past"])
     def test_errors_raise_on_every_call(self, call):
         curve = linear_curve()
         for _ in range(2):
@@ -129,7 +137,8 @@ class TestValidation:
 
 
 class TestMemo:
-    """bond_price and forward_price keep a per-instance memo of their results."""
+    """forward_integral, bond_price and forward_price keep a per-instance memo
+    of their results."""
 
     def test_curves_with_different_knots_never_share_values(self):
         a = DiscountCurve(knots=((0.0, 0.01), (10.0, 0.03)), horizon=30.0)
@@ -145,6 +154,8 @@ class TestMemo:
         used.bond_price(1.0)
         used.forward_price(1.0, 2.0)
         used.period_prices(1.0, 2.0)
+        used.forward_integral(3.0)
+        used.forward_prices(1.0, [2.0, 3.0])
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         assert vars(dataclasses.replace(used)) == vars(fresh)
         moved = dataclasses.replace(used, knots=((0.0, 0.02),))
@@ -155,6 +166,57 @@ class TestMemo:
         assert curve.bond_price(T=7.0) == curve.bond_price(7.0)
         assert curve.forward_price(T=1.0, T_tilde=7.0) == curve.forward_price(1.0, 7.0)
         assert curve.period_prices(T=1.0, T_tilde=7.0) == curve.period_prices(1.0, 7.0)
+        assert curve.forward_integral(T=7.0) == curve.forward_integral(7.0)
+
+    @pytest.mark.parametrize("rate", [0.02, -0.01])
+    def test_each_zero_maturity_keeps_its_own_sign(self, rate):
+        # integral_0^T f = T * f(0) at T = +-0.0: 0.0 and -0.0 compare equal
+        # and hash alike, so one memo entry would answer both with the sign
+        # of whichever came first.
+        curve = DiscountCurve(knots=((0.0, rate), (10.0, 0.03)), horizon=30.0)
+
+        def want(z):
+            return _bits(float(z) * rate)
+
+        assert want(0.0) != want(-0.0)
+        for order in ((0.0, -0.0), (-0.0, 0.0), (np.float64(-0.0), 0, np.float64(0.0))):
+            fresh = dataclasses.replace(curve)
+            for z in order * 2:
+                assert _bits(fresh.forward_integral(z)) == want(z)
+
+    def test_shared_by_threads_returns_serial_bits(self):
+        """More threads than cores read one curve's integrals and schedules,
+        switching often: every thread reads the serial bits."""
+        curve = DiscountCurve(knots=((0.0, 0.015), (2.0, 0.025), (10.0, 0.03)), horizon=30.0)
+        starts = (0.0, 0.5, 1.25, 2.0)
+        jobs = [(t0, [t0 + 0.25 * k for k in range(1, 41)]) for t0 in starts]
+
+        def bits(curve, order):
+            out = [[x.hex() for x in curve.forward_prices(t0, dates)] for t0, dates in jobs[::order]]
+            out += [[curve.forward_integral(t).hex() for t in dates] for _, dates in jobs[::order]]
+            return out
+
+        expected = bits(dataclasses.replace(curve), 1)
+        shared = dataclasses.replace(curve)
+        results = {}
+
+        def work(i):
+            order = 1 if i % 2 else -1
+            got = bits(shared, order)
+            results[i] = got[:len(jobs)][::order] + got[len(jobs):][::order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {i: expected for i in range(8)}
 
 
 class TestLoadCurve:
@@ -298,14 +360,26 @@ def test_scalar_path_bit_identical_to_numpy_reference(curve):
         assert type(rate) is float and type(integral) is float
         assert rate == _reference_forward_rate(curve, T)
         assert integral == _reference_forward_integral(curve, T)
-    # bond_price, forward_price and period_prices answer from a memo: each
-    # call, cold or warm and through every alias of its arguments, returns the
-    # reference's bits.  A fresh copy fills its memo with the aliases in
-    # reverse order.
+    # forward_integral, bond_price, forward_price and period_prices answer
+    # from a memo, and forward_prices reads forward_integral's: each call,
+    # cold or warm and through every alias of its arguments, returns the
+    # reference's bits (each signed zero its own).  A fresh copy fills its
+    # memo with the aliases in reverse order.
+    integrals = [_reference_forward_integral(curve, S) for S in points]
     for fresh, order in ((curve, 1), (dataclasses.replace(curve), -1)):
+        # Schedules from zero, the horizon, its slack and every knot, over
+        # every point (between knots, past the last one, at the horizon).
+        for T in points[:3 + len(curve.knots)][::order]:
+            for start in _aliases(T)[::order]:
+                base = _reference_forward_integral(curve, start)
+                want = [_bits(math.exp(base - i)) for i in integrals]
+                dates = points if order == 1 else [np.float64(S) for S in points]
+                assert list(map(_bits, fresh.forward_prices(start, dates))) == want
         for T in points:
             expected = _bits(math.exp(-_reference_forward_integral(curve, T)))
             for alias in _aliases(T)[::order] * 2:
+                assert _bits(fresh.forward_integral(alias)) == _bits(
+                    _reference_forward_integral(curve, alias))
                 assert _bits(fresh.bond_price(alias)) == expected
         for T, S in zip(points, reversed(points)):
             expected = _bits(math.exp(_reference_forward_integral(curve, T)

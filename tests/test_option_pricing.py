@@ -44,6 +44,8 @@ from robust_rates.stream import (
     ConstantLeg,
     FloatingLinearLeg,
     caplet_leg,
+    capped_call_spread_leg,
+    capped_forward_leg,
     closed_form_bounds,
     floorlet_leg,
     in_arrears_leg,
@@ -132,6 +134,18 @@ class TestTransformedStrike:
         for make in (transformed_strike, caplet_leg, floorlet_leg, in_arrears_leg):
             with pytest.raises(DomainError, match=re.escape(message)):
                 make(accrual, rate)
+
+    def test_overflowing_gross_rate_is_named(self):
+        # 1 + 2.0 * 1e308 is inf: K_i would be 1/inf = 0.0, and a cap on the
+        # period a DomainError about k=0.0 from lognormal_put.
+        message = ("transformed strike: 1 + accrual * strike rate is not finite for accrual 2.0, "
+                   "strike rate 1e+308")
+        for make in (transformed_strike, caplet_leg, floorlet_leg, in_arrears_leg):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                make(2.0, 1e308)
+        contract = cap(k=1e308, sched=TenorSchedule(dates=(1.0, 3.0)))
+        with pytest.raises(DomainError, match=re.escape(message)):
+            price_cap(CURVE, VS, BAND, contract)
 
     @pytest.mark.parametrize("kind", OPTION_KINDS)
     @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan, 0.0])
@@ -246,6 +260,25 @@ class TestClosedFormPeriods:
         assert results == {i: expected for i in range(8)}
 
 
+@pytest.mark.parametrize("vs", PERIOD_STRUCTURES, ids=["ho-lee", "hull-white", "two-factor",
+                                                       "tabulated"])
+def test_swaption_inputs_read_each_forward_price(vs):
+    """_swaption_inputs reads a schedule's forward prices from one integral
+    per date (DiscountCurve.forward_prices): the bits of forward_price(T_0,
+    T_k), on a cold curve and on a warm one."""
+    curve = DiscountCurve(knots=((0.0, 0.015), (2.0, 0.025), (10.0, 0.03)), horizon=30.0)
+    band = UncertaintyBand((0.5,) * vs.dim, (1.5,) * vs.dim)
+    for dates in ((1.0, 1.5, 2.0, 3.0, 3.25), tuple(0.75 + 0.25 * k for k in range(41))):
+        contract = OptionContract(kind="swaption-payer", schedule=TenorSchedule(dates=dates),
+                                  strike_rate=0.03)
+        want = [DiscountCurve.forward_price.__wrapped__(curve, dates[0], t).hex() for t in dates[1:]]
+        fresh = dataclasses.replace(curve)
+        for _ in range(2):
+            xs = option_pricing._swaption_inputs(fresh, vs, band, contract)[0]
+            assert [x.hex() for x in xs.tolist()] == want
+            assert [fresh.forward_price(dates[0], t).hex() for t in dates[1:]] == want
+
+
 class TestOverflowingPeriods:
     """A period whose variance is not finite, or overflows, stores nothing in
     a memo: a cap and a stream's closed-form leg fail alike on every call."""
@@ -270,6 +303,37 @@ class TestOverflowingPeriods:
         for _ in range(3):
             with pytest.raises(DomainError, match=re.escape(message)):
                 leg_bounds(CURVE, vs, BAND, self.STREAM, {1: tag})
+
+    @pytest.mark.parametrize("legs, message", [
+        ((ConstantLeg(0.01), caplet_leg(0.5, 0.04)), "period 1 [1.0, 1.5]: variance over [0, 1.0]"),
+        ((capped_forward_leg(0.99), capped_forward_leg(0.99)),
+         "period 0 [0.5, 1.0]: variance over [0, 0.5]"),
+        ((ConstantLeg(0.01), capped_call_spread_leg(0.98, 0.01)),
+         "period 1 [1.0, 1.5]: variance over [0, 1.0]"),
+        ((capped_call_spread_leg(0.98, 0.01), caplet_leg(0.5, 0.04)),
+         "period 1 [1.0, 1.5]: variance over [0, 1.0]"),
+        # Two general legs reach the coupled recursion without a chord check.
+        ((capped_call_spread_leg(0.98, 0.01), capped_call_spread_leg(0.98, 0.02)),
+         "period 1 [1.0, 1.5]: variance over [0, 0.5]"),
+    ], ids=["constant-caplet", "two-capped-forwards", "capped-call-spread", "spread-caplet-pair",
+            "spread-spread-pair"])
+    def test_stream_grid_names_its_period_every_time(self, legs, message):
+        # A grid six upper stdevs wide would start at x_min = 0.0: the stream
+        # names the period instead, as a cap does.
+        stream = CashflowStream(schedule=self.STREAM.schedule, legs=legs)
+        setup = PricingSetup(curve=CURVE, vol=hull_white(1e160, 0.1), band=BAND, contracts=())
+        cc = ConfiguredContract(name="st", contract=stream, nx=41, nt=30)
+        message = (f"contract 'st': {message} is not finite "
+                   "(a factor level too large for its variance integral)")
+        for _ in range(3):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                price_configured(setup, cc)
+
+    def test_stacked_leg_names_its_period(self):
+        stream = CashflowStream(schedule=self.STREAM.schedule,
+                                legs=[ConstantLeg(0.01), capped_forward_leg(0.99)])
+        with pytest.raises(DomainError, match=re.escape("period 1 [1.0, 1.5]: variance over")):
+            leg_bounds(CURVE, hull_white(1e160, 0.1), BAND, stream, {1: "concave"}, nx=41, nt=30)
 
     def test_level_overflow_is_named_every_time(self):
         # c^2 overflows in the variance integral itself: an OverflowError,
