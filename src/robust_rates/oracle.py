@@ -151,8 +151,8 @@ class ConstantControls:
     k: int = 3
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"need at least one control, got k={self.k}")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise DomainError(f"need an integer count of at least one control, got k={self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -165,11 +165,11 @@ class PiecewiseControls:
     max_family: int = 256
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"need at least one level, got k={self.k}")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise DomainError(f"need an integer count of at least one level, got k={self.k!r}")
         dates = tuple(sorted(float(d) for d in self.switch_dates))
-        if any(d <= 0 for d in dates):
-            raise DomainError("switch dates must be positive")
+        if not all(0.0 < d < math.inf for d in dates):
+            raise DomainError(f"switch dates must be finite and positive, got {self.switch_dates}")
         object.__setattr__(self, "switch_dates", dates)
 
 

@@ -8,23 +8,22 @@ A stream attaches one leg to each accrual period [T_{i-1}, T_i]:
                                       i.e. a function of the period bond
                                       price, settled in advance.
 
-Constant and floating-linear legs are symmetric, so they separate exactly
-from the rest of the stream and price in closed form.  Option legs sharing
-one convexity tag decouple into a sum of single-option prices evaluated at
-the band extremes; the legs without a closed form take both extremes from
-one fixed-volatility stack of the 1D PDE sweep for the whole stream (each
-step is one solve of all rows).  Mixed or general tags force the literal
-backward recursion: the last option leg is a one-dimensional nonlinear PDE
-solve (a band row of the same sweep), and the coupling of two adjacent option
-legs lives on a two-dimensional tensor grid whose single driver makes the
-diffusion rank one (the grid aspect ratio absorbs the perfect correlation
-into a diagonal stencil).  Only the centre value of that grid is wanted, so
-each explicit step updates just the cells that can still reach the centre
-(its domain of dependence, a square shrinking by one cell per step), in
-place, as one contiguous range of the flattened grid; the boundary columns
-that range overwrites get their terminal values back after every step.
-Because pricing is sublinear, the recursion result is sandwiched between
-the per-leg lower-bound sum and the per-leg upper-bound sum.
+Dispatch, in order.  Constant and floating-linear legs are symmetric, so
+they separate exactly and price in closed form.  Under a degenerate band
+(one volatility) pricing is linear, so every option leg, whatever its tag
+or position, adds its classical value.  Otherwise option legs sharing one
+convexity tag decouple into single-option prices at the band extremes;
+legs without a closed form take them from one fixed-volatility stack of
+the 1D PDE sweep (each step one solve of all rows).  Mixed or general tags
+force the backward recursion: the last option leg is a band row of the
+same sweep, and the coupling of two adjacent option legs lives on a 2D
+tensor grid whose single driver makes the diffusion rank one (the grid
+aspect ratio absorbs the perfect correlation into a diagonal stencil).
+Each explicit step updates, in place, only the cells that can still reach
+the wanted centre value (a square shrinking by one cell per step), as one
+contiguous range of the flattened grid; the boundary columns it overwrites
+get their terminal values back.  Because pricing is sublinear, the result
+is sandwiched between the per-leg lower- and upper-bound sums.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .pde import (
     window_tables,
     window_values,
 )
-from .uncertainty import PriceBounds, UncertaintyBand, degenerate_band
+from .uncertainty import PriceBounds, UncertaintyBand, degenerate_band, symmetric_price
 from .vol_structure import VolStructure
 
 CONVEXITY_TAGS = ("convex", "concave", "general")
@@ -181,8 +180,10 @@ def in_arrears_leg(accrual: float, strike_rate: float) -> OptionLeg:
 
 def capped_call_spread_leg(strike: float, cap: float) -> OptionLeg:
     """min((p - strike)^+, cap): convex then concave, tagged general."""
-    if cap <= 0.0:
-        raise DomainError(f"cap must be positive, got {cap}")
+    if not math.isfinite(strike):
+        raise DomainError(f"capped spread strike must be finite, got {strike}")
+    if not 0.0 < cap < math.inf:
+        raise DomainError(f"capped spread cap must be finite and positive, got {cap}")
     return OptionLeg(
         payoff=lambda p: np.minimum(np.maximum(p - strike, 0.0), cap),
         convexity="general",
@@ -192,8 +193,8 @@ def capped_call_spread_leg(strike: float, cap: float) -> OptionLeg:
 
 def capped_forward_leg(cap: float) -> OptionLeg:
     """min(p, cap): concave."""
-    if cap <= 0.0:
-        raise DomainError(f"cap must be positive, got {cap}")
+    if not 0.0 < cap < math.inf:
+        raise DomainError(f"capped forward cap must be finite and positive, got {cap}")
     return OptionLeg(
         payoff=lambda p: np.minimum(p, cap),
         convexity="concave",
@@ -339,17 +340,16 @@ def price_leg_bounds(
     """Robust bounds for leg i priced on its own (unit stream notional)."""
     leg = stream.legs[i]
     if not isinstance(leg, OptionLeg):
-        v = _symmetric_leg_value(curve, stream, i)
-        return PriceBounds(lower=v, upper=v, symmetric=True, diagnostics={"method": "closed-form"})
-    tag = _checked_tag(curve, vs, band, stream, i, nx, nt)
+        return symmetric_price(_symmetric_leg_value(curve, stream, i), method="closed-form")
+    if band.is_degenerate:  # its classical value, as price_stream adds it
+        tag, diag = "convex", {"method": "classical-legs"}
+    else:
+        tag = _checked_tag(curve, vs, band, stream, i, nx, nt)
+        diag = {"method": _leg_method(tag)}
+        if tag != leg.convexity:
+            diag["warnings"] = [_downgrade_warning(stream, i)]
     [(lower, upper)] = leg_bounds(curve, vs, band, stream, {i: tag}, nx, nt)
-    diag: dict[str, Any] = {"method": _leg_method(tag)}
-    if tag != leg.convexity:
-        diag["warnings"] = [_downgrade_warning(stream, i)]
-    return PriceBounds(
-        lower=lower, upper=upper,
-        symmetric=band.is_degenerate, diagnostics=diag,
-    )
+    return PriceBounds(lower=lower, upper=upper, symmetric=band.is_degenerate, diagnostics=diag)
 
 
 # -- the coupled two-leg recursion ---------------------------------------------
@@ -523,10 +523,12 @@ def price_stream(
 ) -> PriceBounds:
     """Robust bounds for the whole stream.
 
-    Dispatch: symmetric legs always separate exactly; option legs sharing a
-    convexity tag decouple into per-leg closed forms at the band extremes;
-    mixed or general tags trigger the backward PDE recursion, supported for
-    at most two option legs on adjacent periods.
+    Dispatch, in order: symmetric legs always separate exactly; under a
+    degenerate band every option leg adds its classical value (pricing is
+    linear), whatever its tag or position; option legs sharing a convexity
+    tag decouple into per-leg values at the band extremes; mixed or general
+    tags trigger the backward PDE recursion, supported for at most two
+    option legs on adjacent periods.
     """
     stream.schedule.check_within(curve)
     band.check_factors(vs)
@@ -539,18 +541,23 @@ def price_stream(
     )
     option_idx = [i for i, leg in enumerate(stream.legs) if isinstance(leg, OptionLeg)]
 
+    if not option_idx:
+        return symmetric_price(sym_value, method="symmetric-closed-form").scaled(stream.notional)
+    if band.is_degenerate:  # both "convex" extremes are the one scale: equal to the bit
+        bounds = leg_bounds(curve, vs, band, stream, dict.fromkeys(option_idx, "convex"), nx, nt)
+        diag.update(method="classical-legs", option_legs=len(option_idx))
+        return PriceBounds(
+            lower=sym_value + sum(lo for lo, _ in bounds),
+            upper=sym_value + sum(hi for _, hi in bounds),
+            symmetric=True, diagnostics=diag,
+        ).scaled(stream.notional)
+
     # The checked tags pick the method.  A downgrade is not silent: its
     # warning lands in the diagnostics.
     tags = {i: _checked_tag(curve, vs, band, stream, i, nx, nt) for i in option_idx}
     warnings = [
         _downgrade_warning(stream, i) for i in option_idx if tags[i] != stream.legs[i].convexity
     ]
-
-    if not option_idx:
-        diag.update(method="symmetric-closed-form")
-        return PriceBounds(
-            lower=sym_value, upper=sym_value, symmetric=True, diagnostics=diag
-        ).scaled(stream.notional)
 
     tag_set = set(tags.values())
     if len(option_idx) == 1 or tag_set == {"convex"} or tag_set == {"concave"}:
@@ -581,12 +588,6 @@ def price_stream(
         diag.update(method="coupled-pair-pde", option_legs=2, nx=_pair_nodes(nx), nt=nt)
     if warnings:
         diag["warnings"] = warnings
-    symmetric = band.is_degenerate and not warnings
-    # Guard against tiny reversed bounds from independent numerical paths.
-    if band.is_degenerate:
-        lo_, hi_ = min(lower, upper), max(lower, upper)
-        lower, upper = lo_, hi_
-        symmetric = abs(hi_ - lo_) <= 1e-9
     return PriceBounds(
-        lower=lower, upper=upper, symmetric=symmetric, diagnostics=diag
+        lower=lower, upper=upper, symmetric=False, diagnostics=diag
     ).scaled(stream.notional)

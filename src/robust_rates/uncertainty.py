@@ -20,9 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 
-# Absolute slack allowed between the two bounds of a symmetric contract
-# (unit notional).  Symmetric pricers compute one number for both bounds,
-# so this only guards cross-method diagnostics.
+# Absolute slack by which an asymmetric result's upper bound may sit below its lower one.
 SYMMETRIC_REPORTING_TOL = 1e-9
 
 
@@ -96,8 +94,9 @@ class PriceBounds:
     """Lower/upper no-arbitrage price bounds with method metadata.
 
     ``symmetric`` is a structural fact set by the pricer (the payoff admits a
-    single price), never inferred from the numbers.  For symmetric results
-    both bounds agree to SYMMETRIC_REPORTING_TOL by construction.
+    single price, or the band is degenerate and pricing linear), never
+    inferred from the numbers.  A symmetric result's bounds are one number,
+    equal to the bit; an asymmetric one's may cross by SYMMETRIC_REPORTING_TOL.
     """
 
     lower: float
@@ -114,11 +113,8 @@ class PriceBounds:
             raise DomainError(
                 f"price bounds must satisfy upper >= lower, got [{self.lower}, {self.upper}]"
             )
-        if self.symmetric and abs(self.upper - self.lower) > SYMMETRIC_REPORTING_TOL:
-            raise DomainError(
-                "symmetric contract with bounds further apart than the reporting "
-                f"tolerance: [{self.lower}, {self.upper}]"
-            )
+        if self.symmetric and self.upper != self.lower:
+            raise DomainError(f"symmetric result with unequal bounds: [{self.lower}, {self.upper}]")
 
     @property
     def mid(self) -> float:

@@ -194,6 +194,29 @@ class TestScenarioSup:
                 MCConfig(paths=1_000, seed=1),
             )
 
+    @pytest.mark.parametrize("make", [
+        lambda: ConstantControls(k=2.5),
+        lambda: ConstantControls(k="3"),
+        lambda: ConstantControls(k=0),
+        lambda: PiecewiseControls(k=2.5),
+        lambda: PiecewiseControls(k=3.0, switch_dates=(1.0,)),
+    ], ids=["constant-float", "constant-str", "constant-zero", "piecewise-float", "piecewise-whole-float"])
+    def test_control_count_must_be_a_positive_integer(self, make):
+        with pytest.raises(DomainError, match="integer count"):
+            make()
+
+    @pytest.mark.parametrize("dates", [(math.nan,), (0.5, math.inf), (-math.inf,), (0.0,)])
+    def test_switch_dates_must_be_finite_and_positive(self, dates):
+        with pytest.raises(DomainError, match="switch dates must be finite and positive"):
+            PiecewiseControls(k=2, switch_dates=dates)
+
+    def test_numpy_integer_count_prices_as_int(self):
+        c = OptionContract(kind="cap", schedule=SCHED, strike_rate=0.04)
+        mc = MCConfig(paths=1_000, seed=1)
+        for make in (ConstantControls, lambda k: PiecewiseControls(k, (1.2,))):
+            got = scenario_sup(CURVE, VS, BAND, c, make(np.int64(2)), mc)
+            assert got.value == scenario_sup(CURVE, VS, BAND, c, make(2), mc).value
+
     def test_piecewise_labels_and_ordering(self):
         from robust_rates.stream import CashflowStream, capped_forward_leg, caplet_leg
 

@@ -1,5 +1,7 @@
 """Stream engine: dispatch paths, decoupling theorems, the coupled recursion."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from robust_rates import pde, stream
 from robust_rates.curve import DiscountCurve, flat_curve
 from robust_rates.errors import DomainError, UnsupportedMethodError
 from robust_rates.linear_pricing import LinearContract, TenorSchedule
+from robust_rates.lognormal import lognormal_call
 from robust_rates.mc import MCConfig
 from robust_rates.option_pricing import OptionContract, price_cap, price_in_arrears_swap
 from robust_rates.oracle import PiecewiseControls, scenario_sup
@@ -30,7 +33,7 @@ from robust_rates.linear_pricing import (
 )
 from robust_rates.pde import default_grid, solve_lower, solve_single_option
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
-from robust_rates.vol_structure import ho_lee, hull_white
+from robust_rates.vol_structure import TabulatedFactor, VolStructure, ho_lee, hull_white
 
 CURVE = flat_curve(0.02)
 VS = ho_lee(0.01)
@@ -99,8 +102,6 @@ class TestConvexDecoupling:
         got = price_stream(CURVE, VS2, BAND, st)
         # classical value at a constant scaling, per leg, via the PDE-free
         # formula E[min(X, c)] = x - E[(X - c)^+]
-        from robust_rates.lognormal import lognormal_call
-
         def classical(scale):
             total = 0.0
             for i in range(2):
@@ -253,7 +254,7 @@ class TestCoupledRecursion:
         )
         got = price_stream(CURVE, VS, degenerate_band((1.0,)), st, nx=121, nt=120)
         assert got.symmetric
-        assert abs(got.upper - got.lower) <= 1e-9
+        assert got.lower == got.upper
 
 
 def reference_leg_bounds(curve, vs, band, st, i, tag, nx, nt):
@@ -480,7 +481,8 @@ class TestRandomMixedPairs:
     def test_sandwich_between_leg_bounds(self, case):
         curve, vs, band, pair, nx = case
         sb = price_stream(curve, vs, band, pair, nx=nx, nt=nx - 1)
-        assert sb.diagnostics["method"] == "coupled-pair-pde"
+        method = "classical-legs" if band.is_degenerate else "coupled-pair-pde"
+        assert sb.diagnostics["method"] == method
         alone = [
             CashflowStream(schedule=pair.schedule, legs=(pair.legs[0], ZERO_LEG)),
             CashflowStream(schedule=pair.schedule, legs=(ZERO_LEG, pair.legs[1])),
@@ -491,8 +493,177 @@ class TestRandomMixedPairs:
         assert lo_sum <= sb.lower + 1e-9
         assert sb.lower <= sb.upper + 1e-9
         assert sb.upper <= hi_sum + 1e-9
-        if band.is_degenerate:
-            assert sb.lower == sb.upper and sb.symmetric
+        if band.is_degenerate:  # linear: the pair is the sum of its legs, to the bit
+            assert sb.symmetric and sb.lower == sb.upper == lo_sum == hi_sum
+
+
+LEG_KINDS = ("caplet", "floorlet", "in-arrears", "capped-spread", "capped-forward")
+TABULATED = VolStructure(factors=(TabulatedFactor(
+    t_grid=(0.0, 1.2, 4.0, 10.0), maturity_grid=(0.0, 2.0, 7.5, 15.0),
+    values=((0.011, 0.009, 0.008, 0.007), (0.012, 0.01, 0.007, 0.006),
+            (0.009, 0.01, 0.006, 0.006), (0.008, 0.008, 0.006, 0.005)),
+),))
+
+
+@st.composite
+def degenerate_streams(draw):
+    """1-4 option legs of every config leg type, among 0-2 constant or
+    floating legs in any order (so adjacent or not), on a Ho-Lee, Hull-White
+    or tabulated factor under a degenerate band, with a coarse grid.  Also
+    returns, per capped leg, E[g(X)] of a lognormal X as a function of (x, v)."""
+    kinds = draw(st.lists(st.sampled_from(LEG_KINDS), min_size=1, max_size=4))
+    kinds += draw(st.lists(st.sampled_from(("constant", "floating")), max_size=2))
+    kinds = draw(st.permutations(kinds))
+    accrual = draw(st.sampled_from((0.25, 0.5, 1.0)))
+    start = draw(st.sampled_from((0.25, 0.5, 1.0, 2.0)))
+    dates = tuple(start + accrual * k for k in range(len(kinds) + 1))
+    curve = flat_curve(draw(st.floats(0.0, 0.06)))
+    c = draw(st.floats(0.002, 0.02))
+    vs = draw(st.sampled_from((ho_lee(c), hull_white(c, draw(st.floats(0.01, 0.5))), TABULATED)))
+    legs, closed = [], {}
+    for i, kind in enumerate(kinds):
+        x0 = curve.forward_price(dates[i], dates[i + 1])
+        rate, shift = draw(st.floats(0.005, 0.05)), x0 * (1.0 + draw(st.floats(-0.03, 0.01)))
+        if kind == "capped-spread":
+            cap = draw(st.floats(0.001, 0.03))
+            legs.append(capped_call_spread_leg(shift, cap))
+            closed[i] = lambda x, v, k=shift, c=cap: lognormal_call(x, k, v) - lognormal_call(x, k + c, v)
+        elif kind == "capped-forward":
+            legs.append(capped_forward_leg(shift))
+            closed[i] = lambda x, v, c=shift: x - lognormal_call(x, c, v)
+        else:
+            legs.append({"caplet": caplet_leg, "floorlet": floorlet_leg, "in-arrears": in_arrears_leg,
+                         "constant": lambda a, r: ConstantLeg(a * r),
+                         "floating": lambda a, r: FloatingLinearLeg(a, -a * r)}[kind](accrual, rate))
+    band = degenerate_band((draw(st.floats(0.3, 2.0)),))
+    nx = draw(st.sampled_from((31, 41, 61)))
+    return curve, vs, band, CashflowStream(schedule=TenorSchedule(dates=dates), legs=tuple(legs)), nx, closed
+
+
+def _no_call(name):
+    return mock.patch.object(stream, name, side_effect=AssertionError(f"{name} called"))
+
+
+DEGENERATE_SWEEP = {
+    "caplet": (SCHED, (ConstantLeg(0.01), caplet_leg(0.5, 0.04))),
+    "floorlet": (SCHED, (ConstantLeg(0.01), floorlet_leg(0.5, 0.03))),
+    "in-arrears": (SCHED, (ConstantLeg(0.01), in_arrears_leg(0.5, 0.04))),
+    "capped-spread": (SCHED, (ConstantLeg(0.01), capped_call_spread_leg(0.985, 0.01))),
+    "capped-forward": (SCHED, (ConstantLeg(0.01), capped_forward_leg(0.99))),
+    "general-caplet": (SCHED, (ConstantLeg(0.01), as_general(caplet_leg(0.5, 0.04)))),
+    "mistagged-spread": (SCHED, (ConstantLeg(0.01), OptionLeg(
+        payoff=capped_call_spread_leg(0.985, 0.01).payoff, convexity="convex"))),
+    "caplets": (SCHED, (caplet_leg(0.5, 0.03), caplet_leg(0.5, 0.04))),
+    "floorlet-in-arrears": (DECOUPLED_STREAMS["convex"].schedule, (
+        floorlet_leg(0.5, 0.02), FloatingLinearLeg(0.5, 0.001), in_arrears_leg(0.5, 0.03), ConstantLeg(0.02))),
+    "capped-forwards": (DECOUPLED_STREAMS["convex"].schedule, DECOUPLED_STREAMS["concave"].legs),
+    "squared-and-caplet": (DECOUPLED_STREAMS["convex"].schedule, DECOUPLED_STREAMS["convex"].legs),
+}
+
+# float.hex of both bounds (always equal) of each DEGENERATE_SWEEP stream
+# under degenerate bands 0.8 and 1.3, nx = 41, nt = 40, as priced before the
+# classical route: one closed-form leg, one PDE leg or legs of one convexity.
+DEGENERATE_SWEEP_HEX = {
+    "ho-lee/0.8/caplet": "0x1.580ed56bafbeap-7",
+    "ho-lee/0.8/floorlet": "0x1.0bdb232b2c9b4p-6",
+    "ho-lee/0.8/in-arrears": "0x1.2b72bafa911c0p-13",
+    "ho-lee/0.8/capped-spread": "0x1.dd072797d3296p-7",
+    "ho-lee/0.8/capped-forward": "0x1.eef13131d58e5p-1",
+    "ho-lee/0.8/general-caplet": "0x1.5930113a4706bp-7",
+    "ho-lee/0.8/mistagged-spread": "0x1.dd072797d3296p-7",
+    "ho-lee/0.8/caplets": "0x1.12ed93d1d0854p-9",
+    "ho-lee/0.8/floorlet-in-arrears": "0x1.be70669f5494cp-6",
+    "ho-lee/0.8/capped-forwards": "0x1.ea15521a34920p+1",
+    "ho-lee/0.8/squared-and-caplet": "0x1.74da2b8453d08p-7",
+    "ho-lee/1.3/caplet": "0x1.91a57478999c2p-7",
+    "ho-lee/1.3/floorlet": "0x1.2fee4e2cc4426p-6",
+    "ho-lee/1.3/in-arrears": "0x1.37a2051fb5580p-12",
+    "ho-lee/1.3/capped-spread": "0x1.dc5555fee8165p-7",
+    "ho-lee/1.3/capped-forward": "0x1.edc2b07cbf0f4p-1",
+    "ho-lee/1.3/general-caplet": "0x1.91cf7602fb3bcp-7",
+    "ho-lee/1.3/mistagged-spread": "0x1.dc5555fee8165p-7",
+    "ho-lee/1.3/caplets": "0x1.6f35237a8d0f2p-8",
+    "ho-lee/1.3/floorlet-in-arrears": "0x1.d7d8cd6a8f522p-6",
+    "ho-lee/1.3/capped-forwards": "0x1.e9473c901bb9cp+1",
+    "ho-lee/1.3/squared-and-caplet": "0x1.b53a32594e566p-7",
+    "hull-white/0.8/caplet": "0x1.482565ee0a3d4p-7",
+    "hull-white/0.8/floorlet": "0x1.fdb841653e074p-7",
+    "hull-white/0.8/in-arrears": "0x1.ac9d101389a00p-14",
+    "hull-white/0.8/capped-spread": "0x1.dd69bf7060c43p-7",
+    "hull-white/0.8/capped-forward": "0x1.ef6b4a491ec7ap-1",
+    "hull-white/0.8/general-caplet": "0x1.48f58eed82803p-7",
+    "hull-white/0.8/mistagged-spread": "0x1.dd69bf7060c43p-7",
+    "hull-white/0.8/caplets": "0x1.278c70103e26ap-10",
+    "hull-white/0.8/floorlet-in-arrears": "0x1.b8c39002af369p-6",
+    "hull-white/0.8/capped-forwards": "0x1.ea4a0a52945f8p+1",
+    "hull-white/0.8/squared-and-caplet": "0x1.62d42f414a588p-7",
+    "hull-white/1.3/caplet": "0x1.6ac978a7d030cp-7",
+    "hull-white/1.3/floorlet": "0x1.1889f6ef6ea7ap-6",
+    "hull-white/1.3/in-arrears": "0x1.8e69578cb6040p-13",
+    "hull-white/1.3/capped-spread": "0x1.dcca19550cfeap-7",
+    "hull-white/1.3/capped-forward": "0x1.ee82f7f5ebce8p-1",
+    "hull-white/1.3/general-caplet": "0x1.6bea986efc68ap-7",
+    "hull-white/1.3/mistagged-spread": "0x1.dcca19550cfeap-7",
+    "hull-white/1.3/caplets": "0x1.cbd590f17f3fep-9",
+    "hull-white/1.3/floorlet-in-arrears": "0x1.cdf2e5297ec03p-6",
+    "hull-white/1.3/capped-forwards": "0x1.e9c19012326c5p+1",
+    "hull-white/1.3/squared-and-caplet": "0x1.92736cec6a793p-7",
+}
+
+
+class TestDegenerateBandIsLinear:
+    """Under a degenerate band pricing is linear: a stream is the sum of its
+    legs' classical values, whatever their tags, count or positions, and
+    neither the chord check nor the pair solve runs."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(case=degenerate_streams())
+    def test_stream_is_sum_of_classical_legs(self, case):
+        curve, vs, band, st_, nx, closed = case
+        with _no_call("_pair_recursion"), _no_call("_checked_tag"):
+            got = price_stream(curve, vs, band, st_, nx=nx, nt=nx - 1)
+            legs = [price_leg_bounds(curve, vs, band, st_, i, nx=nx, nt=nx - 1)
+                    for i in range(len(st_.legs))]
+        assert got.symmetric and got.lower == got.upper
+        assert got.diagnostics["method"] == "classical-legs"
+        option = [i for i, leg in enumerate(st_.legs) if isinstance(leg, OptionLeg)]
+        sym = sum(legs[i].lower for i in range(len(legs)) if i not in option)
+        assert got.lower == sym + sum(legs[i].lower for i in option)
+        for i in option:
+            assert legs[i].symmetric and legs[i].lower == legs[i].upper
+            assert legs[i].diagnostics["method"] == "classical-legs"
+        for i, expected_value in closed.items():
+            t_reset, t_pay = st_.schedule.dates[i:i + 2]
+            x0 = curve.forward_price(t_reset, t_pay)
+            sd = np.sqrt(vs.integrated_variance(band.upper, 0.0, t_reset, t_reset, t_pay))
+            want = curve.bond_price(t_reset) * expected_value(x0, sd)
+            assert abs(legs[i].lower - want) <= 1e-2 * x0 * sd  # grid error at nx <= 61
+
+    @pytest.mark.parametrize("vs", [VS2, hull_white(0.02, 0.3)], ids=["ho-lee", "hull-white"])
+    @pytest.mark.parametrize("scale", [0.8, 1.3])
+    @pytest.mark.parametrize("name", DEGENERATE_SWEEP)
+    def test_one_leg_or_one_convexity_keeps_its_bits(self, vs, scale, name):
+        schedule, legs = DEGENERATE_SWEEP[name]
+        got = price_stream(CURVE, vs, degenerate_band((scale,)), CashflowStream(schedule, legs),
+                           nx=41, nt=40)
+        model = "ho-lee" if vs is VS2 else "hull-white"
+        want = DEGENERATE_SWEEP_HEX[f"{model}/{scale}/{name}"]
+        assert (got.lower.hex(), got.upper.hex()) == (want, want)
+
+    def test_demo_mixed_stream_matches_lognormal_closed_form(self):
+        # Capped spread then caplet at unit volatility in the demo book's
+        # market (its mixed stream): the pair solve was 5.8e-7 away.
+        st_ = CashflowStream(SCHED, (capped_call_spread_leg(0.985, 0.01), caplet_leg(0.5, 0.04)))
+        got = price_stream(CURVE, VS, degenerate_band((1.0,)), st_)
+        (p1, x1, v1), (p2, x2, v2) = [
+            (CURVE.bond_price(a), CURVE.forward_price(a, b),
+             np.sqrt(VS.integrated_variance((1.0,), 0.0, a, a, b)))
+            for a, b in zip(SCHED.dates, SCHED.dates[1:])
+        ]
+        want = (p1 * (lognormal_call(x1, 0.985, v1) - lognormal_call(x1, 0.995, v1))
+                + p2 * st_.legs[1].expected_value(x2, v2))
+        assert got.lower == got.upper
+        assert abs(got.upper - want) <= 5e-8
 
 
 class TestUnsupportedShapes:
@@ -513,8 +684,6 @@ class TestUnsupportedShapes:
             price_stream(CURVE, VS, BAND, CashflowStream(schedule=s4, legs=legs))
 
     def test_tabulated_factor_rejected_on_coupled_path(self):
-        from robust_rates.vol_structure import TabulatedFactor, VolStructure
-
         tab = VolStructure(
             factors=(
                 TabulatedFactor(
@@ -526,6 +695,23 @@ class TestUnsupportedShapes:
         legs = (as_general(caplet_leg(0.5, 0.04)), as_general(caplet_leg(0.5, 0.04)))
         with pytest.raises(UnsupportedMethodError, match="separable"):
             price_stream(CURVE, tab, BAND, CashflowStream(schedule=SCHED, legs=legs))
+
+    # Degenerate twins: one volatility makes each shape linear, so it prices.
+    @pytest.mark.parametrize("shape", ["three", "non-adjacent", "tabulated"])
+    def test_degenerate_band_prices_every_shape(self, shape):
+        s4 = TenorSchedule(dates=(1.0, 1.5, 2.0, 2.5))
+        general = as_general(caplet_leg(0.5, 0.04))
+        st_, vs = {
+            "three": (CashflowStream(schedule=s4, legs=(general,) * 3), VS),
+            "non-adjacent": (CashflowStream(schedule=s4, legs=(general, ConstantLeg(0.0), general)), VS),
+            "tabulated": (CashflowStream(schedule=SCHED, legs=(general, general)), TABULATED),
+        }[shape]
+        band = degenerate_band((1.0,))
+        with _no_call("_pair_recursion"), _no_call("_checked_tag"):
+            got = price_stream(CURVE, vs, band, st_)
+            legs = [price_leg_bounds(CURVE, vs, band, st_, i) for i in range(len(st_.legs))]
+        assert got.symmetric and got.lower == got.upper == sum(b.lower for b in legs)
+        assert got.diagnostics == {"method": "classical-legs", "option_legs": 3 if shape == "three" else 2}
 
     def test_leg_count_must_match_periods(self):
         with pytest.raises(DomainError):
@@ -557,6 +743,20 @@ class TestLegHelpers:
             CURVE, VS, BAND, OptionContract(kind="floor", schedule=SCHED, strike_rate=0.04)
         )
         assert got.upper == pytest.approx(ref.upper, abs=1e-12)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: capped_forward_leg(np.nan), "cap"),
+        (lambda: capped_forward_leg(np.inf), "cap"),
+        (lambda: capped_forward_leg(0.0), "cap"),
+        (lambda: capped_call_spread_leg(np.nan, 0.01), "strike"),
+        (lambda: capped_call_spread_leg(-np.inf, 0.01), "strike"),
+        (lambda: capped_call_spread_leg(0.98, np.nan), "cap"),
+        (lambda: capped_call_spread_leg(0.98, np.inf), "cap"),
+        (lambda: capped_call_spread_leg(0.98, -0.01), "cap"),
+    ])
+    def test_capped_legs_need_finite_parameters(self, make, field):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            make()
 
     def test_payoff_shapes(self):
         p = np.array([0.9, 0.97, 0.975, 0.99, 1.05])

@@ -1,5 +1,7 @@
 """Uncertainty band, sublinear generator, price-bounds container."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from robust_rates.errors import DomainError
 from robust_rates.uncertainty import (
+    SYMMETRIC_REPORTING_TOL,
     PriceBounds,
     UncertaintyBand,
     degenerate_band,
@@ -92,6 +95,14 @@ class TestPriceBounds:
     def test_symmetric_tolerance_enforced(self):
         with pytest.raises(DomainError):
             PriceBounds(lower=0.0, upper=1e-6, symmetric=True)
+
+    def test_symmetric_bounds_one_ulp_apart_rejected(self):
+        with pytest.raises(DomainError, match="unequal bounds"):
+            PriceBounds(lower=0.01, upper=math.nextafter(0.01, 1.0), symmetric=True)
+
+    def test_asymmetric_bounds_may_cross_by_the_tolerance(self):
+        b = PriceBounds(lower=0.01, upper=0.01 - 0.5 * SYMMETRIC_REPORTING_TOL, symmetric=False)
+        assert b.upper < b.lower
 
     def test_symmetric_price_helper(self):
         b = symmetric_price(3.14, method="closed-form")
