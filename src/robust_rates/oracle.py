@@ -9,7 +9,11 @@ Three tools, all deliberately distinct from the engines they police:
     and lognormal second moment per step, so the tree converges to the same
     nonlinear PDE value the engine computes.  Only nodes within +-12 sigma
     of the root are stepped back (Hull & White 1994); the walk leaves that
-    window with probability below about e^-50 at 2000 steps.
+    window with probability below about e^-50 at 2000 steps.  Each backward
+    step is one BLAS product, the step's (2, 3) kernel matrix (rows the band
+    extremes, columns p_down, p_mid, p_up) times the (3, n) child values,
+    then the nodewise max; BLAS picks each node's order of summation, so a
+    value's last bits depend on the BLAS build.
 
   * scenario_sup -- Monte Carlo prices under a finite family of admissible
     deterministic volatility scenarios (constant or switching at given
@@ -33,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .curve import DiscountCurve
 from .errors import DomainError, StabilityError, UnsupportedMethodError
@@ -97,8 +102,14 @@ def lattice_price(
     probability below 2 exp(-72 / (1 + 12 h / sigma)), about e^-52 at 2000
     steps, so the root moves by at most that times the payoff's range.  At
     step k the root reads only the nodes |j| <= k, so the other nodes
-    updated there cannot reach it.  Both extremes go in one pass over (2, n)
-    buffers; each node keeps the one-kernel operations and their order.
+    updated there cannot reach it.
+
+    Each step copies the three child rows (down, mid, up) into one
+    contiguous (3, n) buffer, multiplies it by that step's (2, 3) kernel
+    matrix, rows (v_dn, v_up), and keeps the nodewise max of the two rows.  The product sums each node's three terms
+    in the BLAS build's order, not left to right, so it moves a value from
+    the elementwise sum p_up u + p_mid m + p_down d by rounding only (each
+    tested lattice is within steps * 2^-52 * max|payoff| of it).
     """
     if vs.dim != 1 or band.dim != 1:
         raise UnsupportedMethodError(f"lattice supports one factor only, got d={vs.dim}")
@@ -117,9 +128,9 @@ def lattice_price(
     h = LATTICE_STRETCH * math.sqrt(v_max)
     total = float(np.sum(v_up))
 
-    # cols[k]: the (2, 1) columns p_up, p_mid, p_down of step k at (v_dn, v_up)
-    cols = np.stack(_branch_probabilities(np.stack((v_dn, v_up), axis=1)[..., None], h), axis=1)
-    bad = ((cols < 0.0) | (cols > 1.0)).any(axis=(1, 2, 3))
+    # kernel[k]: rows (v_dn, v_up), columns (p_down, p_mid, p_up) of step k
+    kernel = np.stack(_branch_probabilities(np.stack((v_dn, v_up), axis=1), h)[::-1], axis=2)
+    bad = ((kernel < 0.0) | (kernel > 1.0)).any(axis=(1, 2))
     if bad.any():
         suggested = max(MIN_LATTICE_STEPS, math.ceil(total / 0.04))
         raise StabilityError(f"branch probabilities out of [0, 1] at step {int(np.argmax(bad))}; "
@@ -128,15 +139,11 @@ def lattice_price(
     # values[i] is node i - outer; every step updates nodes -(outer - 1)..outer - 1.
     outer = min(math.ceil(LATTICE_WINDOW_SIGMAS * math.sqrt(total) / h) + 1, steps)
     values = _payoff_values(payoff, x0 * np.exp(h * np.arange(-outer, outer + 1)))
-    child_d, child_m, child_u = values[:-2], values[1:-1], values[2:]
-    cand, t = np.empty((2, 2 * outer - 1)), np.empty((2, 2 * outer - 1))
-    for pu, pm, pd in cols[::-1]:
-        # cand = pu * child_u + pm * child_m + pd * child_d, summed left to right
-        np.multiply(child_u, pu, out=cand)
-        np.multiply(child_m, pm, out=t)
-        cand += t
-        np.multiply(child_d, pd, out=t)
-        cand += t
+    children, child_m = sliding_window_view(values, 3).T, values[1:-1]  # rows d, m, u
+    stacked, cand = np.empty((3, 2 * outer - 1)), np.empty((2, 2 * outer - 1))
+    for step_kernel in kernel[::-1]:
+        np.copyto(stacked, children)  # contiguous, so matmul stays in BLAS
+        np.matmul(step_kernel, stacked, out=cand)
         np.maximum(cand[0], cand[1], out=child_m)
     return float(values[outer])
 
@@ -167,6 +174,9 @@ class PiecewiseControls:
     def __post_init__(self) -> None:
         if not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise DomainError(f"need an integer count of at least one level, got k={self.k!r}")
+        if not isinstance(self.max_family, (int, np.integer)) or self.max_family < 1:
+            raise DomainError(f"need an integer family cap of at least one member, "
+                              f"got max_family={self.max_family!r}")
         dates = tuple(sorted(float(d) for d in self.switch_dates))
         if not all(0.0 < d < math.inf for d in dates):
             raise DomainError(f"switch dates must be finite and positive, got {self.switch_dates}")
@@ -392,6 +402,9 @@ def expectations_hypothesis_check(
     the check vacuous, so the default here is plain sampling; the standard
     error respects pairing when antithetics are requested anyway.
     """
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise DomainError(f"need an integer number of at least one time step, "
+                          f"got n_steps={n_steps!r}")
     mc = mc or MCConfig(antithetic=False)
     f0 = curve.forward_rate(T)
     ts = np.linspace(0.0, T, n_steps + 1)

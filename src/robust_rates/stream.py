@@ -286,14 +286,15 @@ def leg_bounds(
     extremes, the upper bound at the upper (lower) one: ``closed_form_bounds``
     (which caps, floors and in-arrears swaps sum) when the leg has a closed
     form, else the single-option PDE at that one scaling.  Those PDE solves,
-    both extremes of every such leg, are the rows of one fixed-volatility
-    stack (``pde.window_values``), each read at the spot forward price and
+    both extremes of every such leg (one row under a degenerate band, whose
+    extremes are one scale), are the rows of one fixed-volatility stack
+    (``pde.window_values``), each read at the spot forward price and
     discounted by P(T_{i-1}).  A general leg needs the single-option PDE over
     the band: its upper and lower solves share one grid and one pair of
     variance tables, each a band row of the sweep.
     """
     bounds = {i: [None, None] for i in tags}  # [lower, upper] per leg
-    stacked = []  # (leg index, 0 lower or 1 upper, x0, P(T_{i-1}), payoff, grid, tables)
+    stacked = []  # (leg index, sides: 0 lower, 1 upper, x0, P(T_{i-1}), payoff, grid, tables)
     for i, tag in tags.items():
         leg = stream.legs[i]
         t_reset, t_pay = pair = stream.schedule.dates[i:i + 2]
@@ -309,18 +310,22 @@ def leg_bounds(
             bounds[i] = closed_form_bounds(curve, vs, *extremes, ((i, leg, t_reset, t_pay),))
             continue
         x0, p_reset = curve.forward_price(t_reset, t_pay), curve.bond_price(t_reset)
-        for side, scale in enumerate(extremes):
+        # The bounds each row fills: a degenerate band's one scale fills both.
+        fills = ((0, 1),) if band.is_degenerate else ((0,), (1,))
+        for sides, scale in zip(fills, extremes):
             var = vs.integrated_variance(scale, 0.0, t_reset, t_reset, t_pay)
             if not math.isfinite(var):
                 raise _variance_error(i, t_reset, t_pay, 0, t_reset)
             grid = default_grid(x0, math.sqrt(var), nx=nx, nt=nt)
             tables = window_tables(vs, degenerate_band(scale), pair, 0.0, t_reset, nt)
-            stacked.append((i, side, x0, p_reset, leg, grid, tables))
+            stacked.append((i, sides, x0, p_reset, leg, grid, tables))
     if stacked:
         indices, sides, spots, discounts, payoffs, grids, tables = zip(*stacked)
         rows = window_values(payoffs, grids, tables)
-        for i, side, x0, p_reset, grid, u in zip(indices, sides, spots, discounts, grids, rows):
-            bounds[i][side] = p_reset * float(np.interp(x0, grid.xs, u))
+        for i, row_sides, x0, p_reset, grid, u in zip(indices, sides, spots, discounts, grids, rows):
+            value = p_reset * float(np.interp(x0, grid.xs, u))
+            for side in row_sides:
+                bounds[i][side] = value
     return [(lower, upper) for lower, upper in bounds.values()]
 
 

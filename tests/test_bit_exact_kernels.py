@@ -6,6 +6,11 @@ The package kernels write into preallocated buffers and draw each seed
 once; the references below allocate a fresh array per operation, as the
 kernels did before.  Every floating-point operation and its order are the
 same, so every output must be the same to the last bit.
+
+The lattice reference steps the whole tree back with the lattice's own
+(2, 3) @ (3, m) kernel product; the bits of a product element depend on the
+BLAS build.  The elementwise kernel the lattice used before stays as a
+second reference, within the rounding bound steps * 2^-52 * max|payoff|.
 """
 
 import math
@@ -70,7 +75,29 @@ def ref_normals(seed, n_paths, n_cols, antithetic=False):
     return np.vstack(blocks)
 
 
-def ref_lattice_price(curve, vs, band, T, t1, T_i, payoff, steps):
+def product_step(kernel, values):
+    """One backward step over the whole tree: the (2, 3) kernel, rows (v_dn,
+    v_up) and columns (p_down, p_mid, p_up), times the (3, m) children.  The
+    last step has one column, where numpy leaves the matrix product for
+    another BLAS path, so the children are padded to three columns."""
+    m = len(values) - 2
+    children = np.stack((values[:-2], values[1:-1], values[2:]))
+    if m < 3:
+        children = np.pad(children, ((0, 0), (0, 3 - m)))
+    cand = np.matmul(kernel, children)
+    return np.maximum(cand[0], cand[1])[:m]
+
+
+def elementwise_step(kernel, values):
+    """One backward step as the lattice took it before the kernel product:
+    p_up * child_u + p_mid * child_m + p_down * child_d, left to right, for
+    both kernels at once."""
+    pd, pm, pu = kernel.T[..., None]
+    cand = pu * values[2:] + pm * values[1:-1] + pd * values[:-2]
+    return np.maximum(cand[0], cand[1])
+
+
+def ref_lattice_price(curve, vs, band, T, t1, T_i, payoff, steps, step=product_step):
     if vs.dim != 1 or band.dim != 1:
         raise UnsupportedMethodError("one factor only")
     if steps < MIN_LATTICE_STEPS:
@@ -81,26 +108,30 @@ def ref_lattice_price(curve, vs, band, T, t1, T_i, payoff, steps):
     if v_max <= 0.0:
         return float(np.asarray(payoff(np.array([x0])), dtype=float)[0])
     h = LATTICE_STRETCH * math.sqrt(v_max)
-    probs = np.empty((steps, 2, 3))
-    for k in range(steps):
-        for c, v in enumerate((v_dn[k], v_up[k])):
-            p = _branch_probabilities(v, h)
-            if min(p) < 0.0 or max(p) > 1.0:
-                raise StabilityError("branch probabilities out of [0, 1]")
-            probs[k, c] = p
+    pu, pm, pd = _branch_probabilities(np.array([v_dn, v_up]), h)  # each (2, steps)
+    kernels = np.stack((pd.T, pm.T, pu.T), axis=-1)
+    if kernels.min() < 0.0 or kernels.max() > 1.0:
+        raise StabilityError("branch probabilities out of [0, 1]")
     nodes = np.arange(-steps, steps + 1)
     values = np.asarray(payoff(x0 * np.exp(h * nodes)), dtype=float)
     for k in range(steps - 1, -1, -1):
-        child_d = values[:-2]
-        child_m = values[1:-1]
-        child_u = values[2:]
-        best = None
-        for c in range(2):
-            pu, pm, pd = probs[k, c]
-            cand = pu * child_u + pm * child_m + pd * child_d
-            best = cand if best is None else np.maximum(best, cand)
-        values = best
+        values = step(kernels[k], values)
     return float(values[0])
+
+
+def assert_rounds_to_elementwise(got, args):
+    """got is within steps * 2^-52 * max|payoff| (over the tree's nodes) of
+    the elementwise kernel's value."""
+    *market, payoff, steps = args
+    peak = []
+
+    def recorded(p):
+        values = payoff(p)
+        peak.append(float(np.max(np.abs(values))))
+        return values
+
+    want = ref_lattice_price(*market, recorded, steps, step=elementwise_step)
+    assert abs(got - want) <= steps * 2.0**-52 * peak[0]
 
 
 def ref_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z):
@@ -177,11 +208,15 @@ class TestLattice:
     def test_matches_reference(self, steps, vs, side):
         sign = 1.0 if side == "upper" else -1.0
         args = (CURVE, vs, BAND, 1.0, 1.0, 1.5, lambda p: sign * LEG.payoff(p), steps)
-        assert lattice_price(*args).hex() == ref_lattice_price(*args).hex()
+        got = lattice_price(*args)
+        assert got.hex() == ref_lattice_price(*args).hex()
+        assert_rounds_to_elementwise(got, args)
 
     def test_degenerate_band_matches_reference(self):
         args = (CURVE, hull_white(0.012, 0.1), degenerate_band(1.2), 1.0, 1.0, 1.5, LEG.payoff, 57)
-        assert lattice_price(*args).hex() == ref_lattice_price(*args).hex()
+        got = lattice_price(*args)
+        assert got.hex() == ref_lattice_price(*args).hex()
+        assert_rounds_to_elementwise(got, args)
 
     def test_cached_payoff_array_comes_back_unmodified(self):
         cache = {}
@@ -230,6 +265,7 @@ class TestTruncatedLattice:
         args = (CURVE, vs, BAND, 2.0, 2.0, 2.5, lambda p: sign * leg.payoff(p), 2000)
         got = lattice_price(*args[:6], grid_sizes(args[6], sizes), 2000)
         assert got.hex() == ref_lattice_price(*args).hex()
+        assert_rounds_to_elementwise(got, args)
         J = window_half_width(vs, BAND, 2.0, 2.0, 2.5, 2000)
         assert J < 500 and sizes == [2 * J + 3]
 
@@ -250,6 +286,7 @@ class TestTruncatedLattice:
         args = (CURVE, vs, band, 2.0, 2.0, 2.5, payoff, steps)
         got = lattice_price(*args[:6], grid_sizes(payoff, sizes), steps)
         assert got.hex() == ref_lattice_price(*args).hex()
+        assert_rounds_to_elementwise(got, args)
         assert sizes == [2 * min(steps + excess + 1, steps) + 1]
 
     @pytest.mark.parametrize("model", AUDIT_MODELS)
@@ -261,7 +298,9 @@ class TestTruncatedLattice:
         # moves by at most that times the payoff's range, 2.
         payoff = lambda p: -np.cos(40.0 * np.log(p))
         args = (CURVE, AUDIT_MODELS[model], BAND, 2.0, 2.0, 2.5, payoff, 2000)
-        assert abs(lattice_price(*args) - ref_lattice_price(*args)) <= 2.0 * math.exp(-50.0)
+        got = lattice_price(*args)
+        assert abs(got - ref_lattice_price(*args)) <= 2.0 * math.exp(-50.0)
+        assert_rounds_to_elementwise(got, args)
 
 
 # -- leg payoffs ---------------------------------------------------------------------

@@ -79,7 +79,10 @@ class TestLatticeBasics:
 
     def test_degenerate_band_equals_classical_singleton_tree(self):
         # Rebuild the single-sigma tree independently; results must agree to
-        # the bit since the max over identical candidates is a no-op.
+        # the bit since the max over identical candidates is a no-op.  Each
+        # step is the lattice's kernel product: two identical kernel rows
+        # times the (3, m) children, padded to three columns at the last
+        # step, since numpy sends a one-column product to another BLAS path.
         band = degenerate_band((1.2,))
         steps = 120
         payoff = lambda x: np.maximum(KI - x, 0.0)
@@ -93,8 +96,11 @@ class TestLatticeBasics:
         h = 1.2 * math.sqrt(max(vs_step))
         values = payoff(x0 * np.exp(h * np.arange(-steps, steps + 1)))
         for k in range(steps - 1, -1, -1):
-            pu, pm, pd = _branch_probabilities(vs_step[k], h)
-            values = pu * values[2:] + pm * values[1:-1] + pd * values[:-2]
+            kernel = np.array([_branch_probabilities(vs_step[k], h)[::-1]] * 2)
+            m = len(values) - 2
+            children = np.zeros((3, max(m, 3)))
+            children[0, :m], children[1, :m], children[2, :m] = values[:-2], values[1:-1], values[2:]
+            values = (kernel @ children)[0, :m]
         assert got == values[0]
 
 
@@ -204,6 +210,15 @@ class TestScenarioSup:
     def test_control_count_must_be_a_positive_integer(self, make):
         with pytest.raises(DomainError, match="integer count"):
             make()
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, 0, -3, 2.5, 256.0, "256"])
+    def test_family_cap_must_be_a_positive_integer(self, cap):
+        # NaN or inf would turn the cap off (k ** nseg > cap is never true).
+        with pytest.raises(DomainError, match="max_family"):
+            PiecewiseControls(k=2, switch_dates=(0.5, 1.0), max_family=cap)
+
+    def test_numpy_integer_family_cap(self):
+        assert PiecewiseControls(k=2, max_family=np.int64(4)).max_family == 4
 
     @pytest.mark.parametrize("dates", [(math.nan,), (0.5, math.inf), (-math.inf,), (0.0,)])
     def test_switch_dates_must_be_finite_and_positive(self, dates):
@@ -446,3 +461,16 @@ class TestExpectationsHypothesis:
             CURVE, VS, (1.5,), 2.0, MCConfig(paths=10_000, seed=4, antithetic=True)
         )
         assert res.gap <= 1e-15
+
+    @pytest.mark.parametrize("n_steps", [0, -1, 2.5, 16.0, math.nan, "16"])
+    def test_step_count_must_be_a_positive_integer(self, n_steps):
+        # At 0 steps the simulated mean is the forward rate itself, so the
+        # check could never fail.
+        with pytest.raises(DomainError, match="n_steps"):
+            expectations_hypothesis_check(CURVE, VS, (1.0,), 2.0, MCConfig(paths=100, seed=2),
+                                          n_steps=n_steps)
+
+    def test_numpy_integer_step_count(self):
+        mc = MCConfig(paths=1_000, seed=2, antithetic=False)
+        got = expectations_hypothesis_check(CURVE, VS, (1.0,), 2.0, mc, n_steps=np.int64(4))
+        assert got == expectations_hypothesis_check(CURVE, VS, (1.0,), 2.0, mc, n_steps=4)

@@ -650,6 +650,25 @@ class TestDegenerateBandIsLinear:
         want = DEGENERATE_SWEEP_HEX[f"{model}/{scale}/{name}"]
         assert (got.lower.hex(), got.upper.hex()) == (want, want)
 
+    def test_one_sweep_row_per_pde_leg(self, monkeypatch):
+        # Both extremes of a degenerate band are the one scale, so each PDE
+        # leg is one row of the stacked sweep, read for both bounds, and a
+        # stacked row has the bits of its own solve.
+        legs = tuple(capped_call_spread_leg(0.98 + 0.005 * k, 0.01) for k in range(3))
+        st_ = CashflowStream(TenorSchedule(dates=(1.0, 1.5, 2.0, 2.5)), legs)
+        band, rows, sweep = degenerate_band((1.2,)), [], stream.window_values
+
+        def spied(payoffs, grids, tables):
+            rows.append(len(payoffs))
+            return sweep(payoffs, grids, tables)
+
+        monkeypatch.setattr(stream, "window_values", spied)
+        got = price_stream(CURVE, VS2, band, st_, nx=41, nt=40)
+        assert rows == [3]
+        ref = [reference_leg_bounds(CURVE, VS2, band, st_, i, "convex", 41, 40) for i in range(3)]
+        assert all(lo == hi for lo, hi in ref)
+        assert got.lower == got.upper == sum(lo for lo, _ in ref)
+
     def test_demo_mixed_stream_matches_lognormal_closed_form(self):
         # Capped spread then caplet at unit volatility in the demo book's
         # market (its mixed stream): the pair solve was 5.8e-7 away.
