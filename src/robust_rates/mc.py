@@ -30,6 +30,13 @@ class MCConfig:
     antithetic: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("paths", "seed"):  # Philox keyed a float or bool seed as int(seed)
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {name}={value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.antithetic, bool):
+            raise DomainError(f"antithetic must be a bool, got antithetic={self.antithetic!r}")
         if self.paths < 2:
             raise DomainError(f"need at least 2 paths, got {self.paths}")
         if not 0 <= self.seed < 2**128:  # the Philox key is 128 bits
@@ -38,8 +45,8 @@ class MCConfig:
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Paths per block of the Monte Carlo kernels: 64 kB per float64 column, so
-# even a 40-column block buffer (2.6 MB) stays in cache.
+# Paths per block of the Monte Carlo kernels: 64 kB per float64 row of a
+# (rows, paths) block, so even a 40-row block buffer is only 2.6 MB.
 _PATH_BLOCK = 8192
 
 
@@ -79,14 +86,15 @@ def normals(seed: int, n_paths: int, n_cols: int, antithetic: bool = False) -> n
 
 
 def path_blocks(n_paths: int) -> tuple[int, list[slice]]:
-    """The widest block and the row slices of consecutive path blocks.
+    """The widest block and the path slices of consecutive path blocks: rows
+    of the (paths, cols) draws and columns of the (rows, paths) products.
 
-    Blocks start at multiples of _PATH_BLOCK, so the BLAS kernels group a
-    block's rows as they group the whole array's and every row gets the
-    bits it gets unblocked.  A last block of one path joins the block
-    before it: numpy sends a one-row product to a different BLAS routine.
-    (A multi-threaded BLAS splits the rows between its threads at points of
-    its own, which can move bits with or without blocks.)
+    Blocks start at multiples of _PATH_BLOCK, where the tested BLAS builds
+    group a block's paths as they group the whole array's, so every path
+    gets its unblocked bits.  A last block of one path joins the block
+    before it: numpy sends a one-path product to a different BLAS routine.
+    (A multi-threaded BLAS splits the paths between its threads at points
+    of its own, which can move bits with or without blocks.)
     """
     starts = list(range(0, n_paths, _PATH_BLOCK))
     if len(starts) > 1 and n_paths - starts[-1] == 1:

@@ -290,47 +290,45 @@ def _swaption_value_mc(vs, sigma, schedule, xs, coefs, ws, z: np.ndarray) -> tup
     factor representation; otherwise the exact per-pair covariance matrix is
     factorized and the joint Gaussian drawn from it.
 
-    The terminal vectors are built one path block at a time (mc.path_blocks)
-    in one reused (block, n) buffer, and each block's payoffs go to its rows
-    of one (paths,) vector that mean_and_se reads whole.  Every path takes
-    the same operations in the same order as in one (paths, n) array, and
-    the blocks start where BLAS groups the rows anyway, so every bit is the
-    same as unblocked.
+    The terminal vectors fill one reused (n, block) buffer per path block
+    (mc.path_blocks), a row per period: one product (-mix) @ z[cols].T (the
+    minus exact by sign symmetry), one subtract of the (n, 1) half
+    variances, one exp, one multiply by the (n, 1) forward prices, and
+    coefs @ terminal into one (paths,) vector that mean_and_se reads whole.
+    BLAS picks each sum's order, so a payoff can differ from a (paths, n)
+    layout's in its last bits; blocking moves none (see path_blocks).
     """
     t0 = schedule.start
     n = len(xs)
     sig = np.atleast_1d(np.asarray(sigma, dtype=float))
     if vs.is_separable():
-        # log X^i = -sum_j load[j, i] Z_j - w_i^2/2 with one Z per factor.
+        # log X^i = -sum_j mix[i, j] Z_j - w_i^2/2 with one Z per factor.
         # Separability makes within-factor correlation exactly 1; signs are
         # all positive because T_i > T_0.
         window, ends = np.array([0.0, t0]), np.array(schedule.dates[1:])
-        mix = np.array([np.sqrt(np.maximum(sig[j] ** 2 * f.fp_var_steps(window, (t0, ends)), 0.0))
-                        for j, f in enumerate(vs.factors)])
+        mix = np.stack([np.sqrt(np.maximum(sig[j] ** 2 * f.fp_var_steps(window, (t0, ends)), 0.0))
+                        for j, f in enumerate(vs.factors)], axis=1)
     else:
         cov = np.zeros((n, n))
         pairs = [(t0, t) for t in schedule.dates[1:]]
         for a in range(n):
             for b in range(a, n):
-                cov[a, b] = cov[b, a] = vs.integrated_covariance(
-                    sigma, 0.0, t0, pairs[a], pairs[b]
-                )
+                cov[a, b] = cov[b, a] = vs.integrated_covariance(sigma, 0.0, t0, pairs[a], pairs[b])
         # Symmetric PSD factorization tolerant of rank deficiency.
         evals, evecs = np.linalg.eigh(cov)
-        mix = (evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0)))).T
-    half_var = 0.5 * ws**2
+        mix = evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0)))
+    loads, half_var, x0s = -mix, 0.5 * ws[:, None] ** 2, xs[:, None]
     width, blocks = path_blocks(z.shape[0])
-    buf = np.empty((width, n))
+    buf = np.empty((n, width))
     payoff = np.empty(z.shape[0])
-    for rows in blocks:
-        # terminal = xs * exp(-(z @ mix) - w^2/2) for this block's paths.
-        terminal = buf[:rows.stop - rows.start]
-        np.matmul(z[rows], mix, out=terminal)
-        np.negative(terminal, out=terminal)
+    for cols in blocks:
+        # terminal = xs * exp(-(mix @ z.T) - w^2/2) for this block's paths.
+        terminal = buf[:, :cols.stop - cols.start]
+        np.matmul(loads, z[cols].T, out=terminal)
         terminal -= half_var
         np.exp(terminal, out=terminal)
-        terminal *= xs
-        np.matmul(terminal, coefs, out=payoff[rows])
+        terminal *= x0s
+        np.matmul(coefs, terminal, out=payoff[cols])
     np.subtract(1.0, payoff, out=payoff)
     np.maximum(payoff, 0.0, out=payoff)
     return mean_and_se(payoff)

@@ -22,8 +22,11 @@ Three tools, all deliberately distinct from the engines they police:
     to sampling error.  Every contract but the swaption samples the legs
     option_pricing.as_stream lowers it to.  The members share their draws
     (common random numbers, one draw per sampling block) and price them one
-    path block at a time; their running sums fill one (members, paths)
-    array, so memory is 8 bytes per member and path plus one draw.
+    path block at a time, each member one (pairs, block) product, a row per
+    forward price; their running sums fill one (members, paths) array, so
+    memory is 8 bytes per member and path plus one draw.  A one-pair block
+    (a leg) keeps a per-pair gemv's bits; a swaption's rows sum in BLAS's
+    order, so their last bits depend on the BLAS build.
 
   * expectations_hypothesis_check -- simulates the terminal short rate under
     the forward-measure dynamics (drift removed) and compares its sample
@@ -217,46 +220,33 @@ def _control_family(band, controls, horizon: float):
 
 
 def _segment_stdevs(vs, segments, t_end: float, pair) -> np.ndarray:
-    """Per-(segment, factor) stdevs of log X over [0, t_end] for a forward
-    price with maturity pair, under a piecewise-constant scaling."""
-    out = []
-    for lo, hi, scale in segments:
-        lo_c, hi_c = max(lo, 0.0), min(hi, t_end)
-        if hi_c <= lo_c:
-            out.append(np.zeros(vs.dim))
-            continue
-        sds = [
-            abs(scale[j])
-            * math.sqrt(
-                max(vs.factors[j].fp_cov_integral(lo_c, hi_c, pair, pair), 0.0)
-            )
-            for j in range(vs.dim)
-        ]
-        out.append(np.array(sds))
-    return np.array(out)  # (n_segments, d)
+    """(n_segments, d) stdevs of log X over [0, t_end] for a forward price
+    with maturity pair, under a piecewise-constant scaling; zero on a
+    segment outside [0, t_end]."""
+    def sd(lo, hi, s, f):
+        return abs(s) * math.sqrt(max(f.fp_cov_integral(lo, hi, pair, pair), 0.0)) if hi > lo else 0.0
+    return np.array([[sd(max(lo, 0.0), min(hi, t_end), s, f) for s, f in zip(scale, vs.factors)]
+                     for lo, hi, scale in segments])
 
 
-def _member_moves(vs, segments, t_end: float, pairs) -> list[tuple[np.ndarray, float]]:
-    """One member's log moves, per pair: the (n_segments * d, 1) column of
-    stdevs that multiplies the flattened draws, and half its total variance."""
-    moves = []
-    for pair in pairs:
-        sds = _segment_stdevs(vs, segments, t_end, pair)  # (nseg, d)
-        moves.append((sds.reshape(-1, 1), 0.5 * float(np.sum(sds**2))))
-    return moves
+def _member_moves(vs, segments, t_end: float, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """One member's log moves: the (pairs, n_segments * d) loading matrix (a
+    row of stdevs per pair) and the (pairs, 1) column of half total variances."""
+    loads = np.array([_segment_stdevs(vs, segments, t_end, pair).ravel() for pair in pairs])
+    return loads, 0.5 * np.sum(loads**2, axis=1, keepdims=True)
 
 
-def _terminal_forward_prices(moves, x0s, z, out, log) -> None:
-    """Write into out (paths, len(pairs)) the terminal forward prices sharing
-    the per-segment driver draws z of shape (paths, n_segments * d):
-    comonotone within each factor, exact marginals for every pair.  moves
-    come from _member_moves; log is a (paths, 1) scratch column."""
-    for a, ((sds, half_var), x0) in enumerate(zip(moves, x0s)):
-        # The one dot product np.tensordot(z, sds, axes=([1, 2], [0, 1])) makes.
-        np.dot(z, sds, out=log)
-        log -= half_var
-        np.exp(log, out=log)
-        np.multiply(log[:, 0], x0, out=out[:, a])
+def _terminal_forward_prices(loads, half_var, x0s, z, out) -> None:
+    """Write into out (pairs, paths) the terminal forward prices sharing the
+    per-segment driver draws z of shape (paths, n_segments * d): comonotone
+    within each factor, exact marginals for every pair.  loads and half_var
+    come from _member_moves, x0s is the (pairs, 1) column of spot forward
+    prices.  One pair's row has the bits of the gemv np.dot(z, loads[0]);
+    several pairs' rows can differ from it in the last bit (BLAS's order)."""
+    np.matmul(loads, z.T, out=out)
+    out -= half_var
+    np.exp(out, out=out)
+    out *= x0s
 
 
 @dataclass(frozen=True)
@@ -274,10 +264,12 @@ def _sampling_blocks(curve, contract, seed: int) -> tuple[list, float]:
 
     A block is (key, t_end, pairs, payoff): the forward prices with maturity
     pairs are simulated to t_end from the normals keyed by key, and
-    payoff(x) returns the block's per-path prices for their (paths,
-    len(pairs)) array x, overwriting x as it likes.  A swaption is one block
-    keyed seed.  Every other contract prices as its stream of legs
-    (option_pricing.as_stream), period i keyed child_seed(seed, i): a
+    payoff(x) returns the block's (paths,) prices for their (len(pairs),
+    paths) array x, a row per pair, overwriting x as it likes and
+    allocating at most one (paths,) vector.  A swaption is one block keyed
+    seed, its payoff reading coefs @ x.  Every other contract prices as its
+    stream of legs (option_pricing.as_stream), period i keyed
+    child_seed(seed, i), a leg's payoff reading x[0]: a
     constant leg is deterministic, a floating-linear leg samples
     P(T_{i-1})/P(T_i) under the T_i-forward measure and an option leg
     P(T_i)/P(T_{i-1}) under the T_{i-1}-forward measure.  Each payoff makes
@@ -290,8 +282,8 @@ def _sampling_blocks(curve, contract, seed: int) -> tuple[list, float]:
         coefs[-1] += 1.0
         bond = curve.bond_price(t0)
 
-        def swaption(x):  # bond * max(1 - x @ coefs, 0)
-            v = x @ coefs
+        def swaption(x):  # bond * max(1 - coefs @ x, 0)
+            v = coefs @ x
             return np.multiply(np.maximum(np.subtract(1.0, v, out=v), 0.0, out=v), bond, out=v)
 
         return [(seed, t0, [(t0, t) for t in s.dates[1:]], swaption)], 0.0
@@ -308,23 +300,22 @@ def _sampling_blocks(curve, contract, seed: int) -> tuple[list, float]:
         else:  # b * leg(x)
             b = curve.bond_price(t_reset)
             pair, payoff = (t_reset, t_pay), lambda x, b=b, leg=leg: np.multiply(leg(x), b, out=x)
-        blocks.append((child_seed(seed, i), t_reset, [pair], lambda x, f=payoff: f(x[:, 0])))
+        blocks.append((child_seed(seed, i), t_reset, [pair], lambda x, f=payoff: f(x[0])))
     return blocks, fixed
 
 
 def _add_block_prices(sums, z, moves, x0s, payoff) -> None:
     """Add to every member's row of sums its per-path prices of one sampling
     block, from the block's draws z, one path block at a time.  moves holds
-    each member's _member_moves; all work happens in two block buffers and
-    the payoff's own."""
-    width, path_rows = path_blocks(z.shape[0])
-    x, log = np.empty((width, len(x0s))), np.empty((width, 1))
-    for rows in path_rows:
-        n = rows.stop - rows.start
-        z_rows, x_rows, log_rows = z[rows], x[:n], log[:n]
-        for member, row in zip(moves, sums):
-            _terminal_forward_prices(member, x0s, z_rows, x_rows, log_rows)
-            row[rows] += payoff(x_rows)
+    each member's _member_moves; all work happens in one (pairs, block)
+    buffer and the payoff's own."""
+    width, blocks = path_blocks(z.shape[0])
+    x = np.empty((len(x0s), width))
+    for cols in blocks:
+        z_cols, x_cols = z[cols], x[:, :cols.stop - cols.start]
+        for (loads, half_var), row in zip(moves, sums):
+            _terminal_forward_prices(loads, half_var, x0s, z_cols, x_cols)
+            row[cols] += payoff(x_cols)
 
 
 def scenario_sup(
@@ -343,14 +334,15 @@ def scenario_sup(
     keyed child_seed(mc.seed, i) for period i and mc.seed for a swaption's
     single block, and every member prices from that draw.  Sampling blocks
     run outermost and only one block's draw is held at a time.  Within it,
-    each member prices one path block (mc.path_blocks) at a time into
-    reused block buffers and adds the prices to its row of one (members,
-    paths) array of running sums.  Memory is that array (8 bytes per member
-    and path), one draw (8 bytes per path, segment and factor), block
-    buffers of (pairs + 1) columns and the payoff's own (one for the swaption
-    and the caplet, floorlet and in-arrears legs), whatever the number of
-    periods; nothing of path size is allocated per member.  The reported
-    se is the maximizing member's own.
+    each member fills one reused (pairs, block) buffer per path block
+    (mc.path_blocks) with one product of its (pairs, segments * d) loadings
+    and the block's transposed draws, and adds the payoff's (block,) prices
+    to its row of one (members, paths) array of running sums.  Memory is
+    that array (8 bytes per member and path), one draw (8 bytes per path,
+    segment and factor), the (pairs, block) buffer and the payoff's own (one
+    block vector for the swaption and the caplet, floorlet and in-arrears
+    legs), whatever the number of periods; nothing of path size is
+    allocated per member.  The reported se is the maximizing member's own.
     """
     mc = mc or MCConfig()
     family, labels = _control_family(band, controls, contract.schedule.end)
@@ -361,19 +353,14 @@ def scenario_sup(
     sums = np.zeros((len(family), mc.paths))
     for key, t_end, pairs, payoff in blocks:
         moves = [_member_moves(vs, segments, t_end, pairs) for segments in family]
-        x0s = [curve.forward_price(*p) for p in pairs]
+        x0s = np.array([[curve.forward_price(*p)] for p in pairs])
         # The draw goes out of scope before the next block's is made.
         _add_block_prices(sums, normals(key, mc.paths, nseg * vs.dim, mc.antithetic),
                           moves, x0s, payoff)
-    table = []
-    best: tuple[float, float, str] | None = None
-    for label, row in zip(labels, sums):
-        mean, se = mean_and_se(row)
-        value, se = contract.notional * (mean + fixed), abs(contract.notional) * se
-        table.append((label, value, se))
-        if best is None or value > best[0]:
-            best = (value, se, label)
-    return ScenarioResult(value=best[0], se=best[1], control=best[2], table=tuple(table))
+    table = tuple((label, contract.notional * (mean + fixed), abs(contract.notional) * se)
+                  for label, (mean, se) in zip(labels, map(mean_and_se, sums)))
+    label, value, se = max(table, key=lambda row: row[1])  # the first maximizing member
+    return ScenarioResult(value=value, se=se, control=label, table=table)
 
 
 # -- robust expectations hypothesis ------------------------------------------------

@@ -19,7 +19,8 @@ from .linear_pricing import LinearContract, TenorSchedule, price_swap
 from .lognormal import lognormal_put
 from .mc import MCConfig, child_seed
 from .option_pricing import OptionContract, price_cap, price_floor, price_swaption
-from .oracle import ConstantControls, expectations_hypothesis_check, lattice_price, scenario_sup
+from .oracle import (ConstantControls, PiecewiseControls, expectations_hypothesis_check,
+                     lattice_price, scenario_sup)
 from .pde import default_grid, solve_single_option
 from .stream import (
     CashflowStream,
@@ -179,16 +180,20 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
             f"gap={gap:.2e} 4se={4 * se:.2e}",
         ))
 
-    # Constant-scenario family on a cap: its maximum is a lower estimate of the upper bound.
+    # Scenario families on a cap and on the swaption: a maximum is a lower estimate of the upper bound.
     cap = OptionContract(kind="cap", schedule=TenorSchedule(dates=(1.0, 1.5, 2.0)), strike_rate=K)
-    engine = price_cap(curve, vs, band, cap).upper
-    res = scenario_sup(curve, vs, band, cap, ConstantControls(3),
-                       MCConfig(paths=40_000, seed=child_seed(seed, 1)))
-    out.append(CheckResult(
-        "constant scenario family on a cap <= engine upper bound + 3 se",
-        res.value <= engine + 3.0 * res.se,
-        f"family max={res.value:.6g} upper={engine:.6g} 3se={3 * res.se:.2e}",
-    ))
+    for i, (what, contract, controls, upper) in enumerate((
+            ("constant scenario family on a cap <= engine", cap, ConstantControls(3),
+             price_cap(curve, vs, band, cap).upper),
+            ("piecewise scenario family on the swaption <= quadrature-1f", swaption,
+             PiecewiseControls(2, (0.25, 0.5, 0.75)), quad.upper)), start=1):
+        res = scenario_sup(curve, vs, band, contract, controls,
+                           MCConfig(paths=40_000, seed=child_seed(seed, i)))
+        out.append(CheckResult(
+            f"{what} upper bound + 3 se",
+            res.value <= upper + 3.0 * res.se,
+            f"family max={res.value:.6g} upper={upper:.6g} 3se={3 * res.se:.2e}",
+        ))
     return out
 
 

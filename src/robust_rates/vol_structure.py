@@ -203,7 +203,9 @@ class TabulatedFactor:
         edges, i, i1, left, width = self._pieces
         cuts = np.minimum(np.maximum(edges, np.asarray(lo)[..., None]), np.asarray(hi)[..., None])
         w0, w1 = (np.minimum(np.maximum((x - left) / width, 0.0), 1.0) for x in (cuts[..., :-1], cuts[..., 1:]))
-        (a0, a1), (b0, b1) = ([y[..., i] * (1 - w) + y[..., i1] * w for w in (w0, w1)] for y in (ya, yb))
+        ab = [[y[..., i] * (1 - w) + y[..., i1] * w for w in (w0, w1)]
+              for y in ((ya,) if yb is ya else (ya, yb))]  # a variance interpolates once
+        (a0, a1), (b0, b1) = ab[0], ab[-1]
         return np.cumsum(np.diff(cuts) / 6.0 * (a0 * b0 + (a0 + a1) * (b0 + b1) + a1 * b1), axis=-1)[..., -1]
 
     def beta(self, t, T):

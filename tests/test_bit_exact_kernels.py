@@ -11,6 +11,10 @@ The lattice reference steps the whole tree back with the lattice's own
 (2, 3) @ (3, m) kernel product; the bits of a product element depend on the
 BLAS build.  The elementwise kernel the lattice used before stays as a
 second reference, within the rounding bound steps * 2^-52 * max|payoff|.
+Likewise the scenario and Monte Carlo swaption references fill one
+(pairs, paths) product over all paths at once, as the kernels do per path
+block; the (paths, pairs) forms the kernels used before stay as second
+references within stated ulp bounds.
 """
 
 import math
@@ -135,17 +139,30 @@ def assert_rounds_to_elementwise(got, args):
 
 
 def ref_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z):
-    n_paths = z.shape[0]
-    out = np.empty((n_paths, len(pairs)))
+    """(pairs, paths) prices for draws z of shape (paths, n_segments, d): the
+    pairs' rows of stdevs stacked into one loading matrix times the
+    transposed draws, over all paths at once."""
+    loads = np.array([_segment_stdevs(vs, segments, t_end, pair).ravel() for pair in pairs])
+    log_move = np.matmul(loads, z.reshape(z.shape[0], -1).T)
+    total_var = np.sum(loads**2, axis=1, keepdims=True)
+    return np.array(x0s)[:, None] * np.exp(log_move - 0.5 * total_var)
+
+
+def column_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z):
+    """The same (pairs, paths) prices, each pair's log move its own
+    tensordot over (paths, pairs) columns, as the kernel made them before."""
+    out = np.empty((z.shape[0], len(pairs)))
     for a, (pair, x0) in enumerate(zip(pairs, x0s)):
         sds = _segment_stdevs(vs, segments, t_end, pair)
         log_move = np.tensordot(z, sds, axes=([1, 2], [0, 1]))
         total_var = float(np.sum(sds**2))
         out[:, a] = x0 * np.exp(log_move - 0.5 * total_var)
-    return out
+    return out.T
 
 
 def ref_swaption_value_mc(curve, vs, sigma, contract, mc):
+    """(mean, se) on a (periods, paths) array, and (mean, se) on the (paths,
+    periods) array the kernel filled before."""
     s = contract.schedule
     t0 = s.start
     xs = np.array([curve.forward_price(t0, t) for t in s.dates[1:]])
@@ -164,7 +181,6 @@ def ref_swaption_value_mc(curve, vs, sigma, contract, mc):
             ]
             loads[j] = np.sqrt(np.maximum(cov_jj, 0.0))
         z = ref_normals(mc.seed, mc.paths, vs.dim, antithetic=mc.antithetic)
-        log_x = -z @ loads - 0.5 * ws**2
     else:
         cov = np.zeros((n, n))
         pairs = [(t0, t) for t in s.dates[1:]]
@@ -174,12 +190,13 @@ def ref_swaption_value_mc(curve, vs, sigma, contract, mc):
                     sigma, 0.0, t0, pairs[a], pairs[b]
                 )
         evals, evecs = np.linalg.eigh(cov)
-        root = evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0)))
+        loads = (evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0)))).T
         z = ref_normals(mc.seed, mc.paths, n, antithetic=mc.antithetic)
-        log_x = -(z @ root.T) - 0.5 * ws**2
-    terminal = xs * np.exp(log_x)
-    payoff = np.maximum(1.0 - terminal @ coefs, 0.0)
-    return mean_and_se(payoff)
+    log_x = np.matmul(-loads.T, z.T) - 0.5 * ws[:, None] ** 2
+    periods_major = np.maximum(1.0 - coefs @ (xs[:, None] * np.exp(log_x)), 0.0)
+    log_x = -(z @ loads) - 0.5 * ws**2
+    paths_major = np.maximum(1.0 - (xs * np.exp(log_x)) @ coefs, 0.0)
+    return mean_and_se(periods_major), mean_and_se(paths_major)
 
 
 # -- normals -----------------------------------------------------------------------
@@ -334,10 +351,10 @@ class TestLegPayoffs:
 
 
 def terminal_forward_prices(vs, segments, t_end, pairs, x0s, z):
-    """The kernel's prices for draws z of shape (paths, n_segments, d), in a fresh array."""
-    out, log = np.empty((z.shape[0], len(pairs))), np.empty((z.shape[0], 1))
-    _terminal_forward_prices(_member_moves(vs, segments, t_end, pairs), x0s,
-                             z.reshape(z.shape[0], -1), out, log)
+    """The kernel's (pairs, paths) prices for draws z of shape (paths, n_segments, d), in a fresh array."""
+    out = np.empty((len(pairs), z.shape[0]))
+    _terminal_forward_prices(*_member_moves(vs, segments, t_end, pairs), np.array(x0s)[:, None],
+                             z.reshape(z.shape[0], -1), out)
     return out
 
 
@@ -355,8 +372,14 @@ class TestTerminalForwardPrices:
             z = z.reshape(1001, len(segments), vs.dim)
             got = terminal_forward_prices(vs, segments, t_end, pairs, x0s, z)
             assert same_bits(got, ref_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z))
-            assert same_bits(got[:, :1], terminal_forward_prices(
-                vs, segments, t_end, pairs[:1], x0s[:1], z))
+            # One pair's row is the gemv of the per-column form, bit for bit.
+            assert same_bits(terminal_forward_prices(vs, segments, t_end, pairs[:1], x0s[:1], z),
+                             column_terminal_forward_prices(vs, segments, t_end, pairs[:1], x0s[:1], z))
+            # Several pairs' rows sum their k <= 8 terms in BLAS's order: the
+            # log moves (|move| < 1) then differ by under an ulp of the exp's
+            # input, and the prices by at most 4 ulp.
+            columns = column_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z)
+            assert np.all(np.abs(got - columns) <= 4 * np.spacing(columns))
 
 
 # -- Monte Carlo swaption -----------------------------------------------------------------
@@ -389,11 +412,22 @@ class TestMonteCarloSwaption:
         b = price_swaption(CURVE, vs, band, swaption, method="monte-carlo", mc=mc)
         assert len(normals_calls) == 1
         p0 = CURVE.bond_price(swaption.schedule.start)
-        lo_mean, lo_se = ref_swaption_value_mc(CURVE, vs, band.lower, swaption, mc)
-        hi_mean, hi_se = ref_swaption_value_mc(CURVE, vs, band.upper, swaption, mc)
-        lo, hi = swaption.notional * (p0 * lo_mean), swaption.notional * (p0 * hi_mean)
-        assert (b.lower, b.upper) == (min(lo, hi), max(lo, hi))
-        assert (b.diagnostics["se_lower"], b.diagnostics["se_upper"]) == (p0 * lo_se, p0 * hi_se)
+        got = (b.lower, b.upper, b.diagnostics["se_lower"], b.diagnostics["se_upper"])
+        refs = zip(ref_swaption_value_mc(CURVE, vs, band.lower, swaption, mc),
+                   ref_swaption_value_mc(CURVE, vs, band.upper, swaption, mc))
+        for periods_major, ((lo_mean, lo_se), (hi_mean, hi_se)) in zip((True, False), refs):
+            lo, hi = swaption.notional * (p0 * lo_mean), swaption.notional * (p0 * hi_mean)
+            want = (min(lo, hi), max(lo, hi), p0 * lo_se, p0 * hi_se)
+            if periods_major:
+                assert got == want
+            else:
+                # A (paths, periods) array sums each path's n periods in
+                # another order; a payoff is nonzero only where that sum is
+                # below 1, so the payoffs, their mean and their se move by at
+                # most n * 2^-52, and the scaling by 2 more ulp.
+                n = swaption.schedule.periods
+                tol = (n + 2) * 2.0**-52 * p0 * abs(swaption.notional)
+                assert max(abs(g - w) for g, w in zip(got, want)) <= tol
 
     @pytest.mark.parametrize("paths", [2000, 2001])
     @pytest.mark.parametrize("antithetic", [True, False])
@@ -490,3 +524,16 @@ class TestMonteCarloMemory:
         draw = self.PATHS * 4 * vs.dim * 8
         block_buffers = mc_module._PATH_BLOCK * (1 + 2) * 8  # one pair, log, the payoff's prices
         assert peak < sums + draw + block_buffers + 64 * 1024
+
+    @pytest.mark.parametrize("vs, band", [(ho_lee(0.015), BAND), (VS_2F, BAND_2F)], ids=["1f", "2f"])
+    def test_piecewise_swaption_family_holds_sums_one_draw_and_one_pairs_block(self, vs, band):
+        swaption = OptionContract(kind="swaption-payer", strike_rate=0.03,
+                                  schedule=TenorSchedule(dates=tuple(1.0 + 0.25 * k for k in range(9))))
+        controls = PiecewiseControls(2, (0.25, 0.5, 0.75))  # 16 members over 4 segments
+        mc = MCConfig(paths=self.PATHS, seed=1)
+        peak = traced_peak(lambda: scenario_sup(CURVE, vs, band, swaption, controls, mc))
+        sums = 16 * self.PATHS * 8
+        draw = self.PATHS * 4 * vs.dim * 8
+        pairs_block = mc_module._PATH_BLOCK * 8 * 8  # the 8 pairs' forward prices
+        payoff = mc_module._PATH_BLOCK * 8  # coefs @ x
+        assert peak < sums + draw + pairs_block + payoff + 64 * 1024

@@ -85,3 +85,21 @@ def test_path_blocks_cover_the_paths_from_block_multiples(monkeypatch, n_paths, 
 def test_config_validation():
     with pytest.raises(DomainError):
         MCConfig(paths=1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("paths", 2.5), ("paths", 1000.0), ("paths", float("nan")), ("paths", True), ("paths", "1000"),
+    ("seed", 1.5), ("seed", 1.0), ("seed", True), ("seed", None),
+    ("antithetic", "no"), ("antithetic", 0), ("antithetic", None), ("antithetic", np.True_),
+])
+def test_config_fields_must_have_their_types(field, value):
+    # A float or bool seed keyed int(seed)'s stream, a float path count failed
+    # only when pricing, and any truthy antithetic sampled antithetically.
+    with pytest.raises(DomainError, match=field):
+        MCConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers_as_their_python_values():
+    got = MCConfig(paths=np.int64(1000), seed=np.uint64(7))
+    assert got == MCConfig(paths=1000, seed=7)
+    assert (type(got.paths), type(got.seed)) == (int, int)

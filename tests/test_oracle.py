@@ -249,14 +249,23 @@ class TestScenarioSup:
 
 
 def ref_forward_prices(vs, segments, t_end, pairs, x0s, z):
-    """(paths, len(pairs)) terminal forward prices from draws z of shape
-    (paths, n_segments, d), each pair's log move written out in full."""
+    """(len(pairs), paths) terminal forward prices from draws z of shape
+    (paths, n_segments, d): the pairs' rows of stdevs stacked into one
+    loading matrix times the transposed draws, over all paths at once."""
+    loads = np.array([oracle._segment_stdevs(vs, segments, t_end, pair).ravel() for pair in pairs])
+    log_move = np.matmul(loads, z.reshape(z.shape[0], -1).T)
+    return np.array(x0s)[:, None] * np.exp(log_move - 0.5 * np.sum(loads**2, axis=1, keepdims=True))
+
+
+def column_forward_prices(vs, segments, t_end, pairs, x0s, z):
+    """The same prices with each pair's log move written out in full as its
+    own column, the form the sampler used before."""
     out = np.empty((z.shape[0], len(pairs)))
     for a, (pair, x0) in enumerate(zip(pairs, x0s)):
         sds = oracle._segment_stdevs(vs, segments, t_end, pair)
         log_move = np.tensordot(z, sds, axes=([1, 2], [0, 1]))
         out[:, a] = x0 * np.exp(log_move - 0.5 * float(np.sum(sds**2)))
-    return out
+    return out.T
 
 
 def reference_stream(contract):
@@ -282,7 +291,7 @@ def reference_stream(contract):
     return CashflowStream(schedule=s, legs=legs, notional=contract.notional)
 
 
-def reference_scenario_price(curve, vs, segments, contract, mc):
+def reference_scenario_price(curve, vs, segments, contract, mc, forward_prices=ref_forward_prices):
     """Reference: one member's sampling blocks written out one by one, each
     drawing its normals with the family's shared key (child_seed(mc.seed, i)
     for period i, mc.seed for the swaption) and its forward prices itself,
@@ -297,10 +306,10 @@ def reference_scenario_price(curve, vs, segments, contract, mc):
         x0s = [curve.forward_price(*p) for p in pairs]
         z = normals(seed, mc.paths, nseg * vs.dim, mc.antithetic)
         z = z.reshape(mc.paths, nseg, vs.dim)
-        x = ref_forward_prices(vs, segments, t0, pairs, x0s, z)
+        x = forward_prices(vs, segments, t0, pairs, x0s, z)
         coefs = np.array(s.accruals) * contract.strike_rate
         coefs[-1] += 1.0
-        samples = curve.bond_price(t0) * np.maximum(1.0 - x @ coefs, 0.0)
+        samples = curve.bond_price(t0) * np.maximum(1.0 - coefs @ x, 0.0)
         mean, se = mean_and_se(samples)
         return contract.notional * mean, abs(contract.notional) * se
 
@@ -318,17 +327,17 @@ def reference_scenario_price(curve, vs, segments, contract, mc):
         z = z.reshape(mc.paths, nseg, vs.dim)
         if isinstance(leg, FloatingLinearLeg):
             pair = (t_pay, t_reset)
-            x = ref_forward_prices(
+            x = forward_prices(
                 vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
-            )[:, 0]
+            )[0]
             samples += curve.bond_price(t_pay) * (
                 leg.slope / delta * (x - 1.0) + leg.intercept
             )
         else:
             pair = (t_reset, t_pay)
-            x = ref_forward_prices(
+            x = forward_prices(
                 vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
-            )[:, 0]
+            )[0]
             samples += curve.bond_price(t_reset) * leg(x)
     mean, se = mean_and_se(samples)
     return stream.notional * (mean + fixed), abs(stream.notional) * se
@@ -404,6 +413,26 @@ class TestScenarioSamplerBitExact:
                     (label, *reference_scenario_price(curve, vs, segments, contract, mc))
                     for segments, label in zip(family, labels)
                 )
+
+    @pytest.mark.parametrize("model", list(SCENARIO_MODELS))
+    @pytest.mark.parametrize("name", list(SCENARIO_CONTRACTS))
+    def test_per_column_form_within_rounding(self, name, model):
+        # The (paths, pairs) form the sampler used before: every one-pair
+        # block keeps its bits.  The swaption's several pairs sum their
+        # segments in BLAS's order (prices within 4 ulp) and coefs @ x its n
+        # periods in another, so a member's mean and se move by at most
+        # (n + 6) * 2^-52 of |notional| * P(T_0).
+        vs, band = SCENARIO_MODELS[model]
+        curve = DiscountCurve(knots=((0.0, 0.015), (2.0, 0.025), (10.0, 0.03)))
+        contract, mc = SCENARIO_CONTRACTS[name], MCConfig(paths=500, seed=17)
+        s = contract.schedule
+        tol = ((s.periods + 6) * 2.0**-52 * abs(contract.notional) * curve.bond_price(s.start)
+               if name == "swaption" else 0.0)
+        family, _ = oracle._control_family(band, PiecewiseControls(2, (0.7, 1.2)), s.end)
+        for segments in family:
+            got = reference_scenario_price(curve, vs, segments, contract, mc)
+            old = reference_scenario_price(curve, vs, segments, contract, mc, column_forward_prices)
+            assert abs(got[0] - old[0]) <= tol and abs(got[1] - old[1]) <= tol
 
 
 class TestScenarioSharedDraws:
