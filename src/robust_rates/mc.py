@@ -91,16 +91,29 @@ def path_blocks(n_paths: int) -> tuple[int, list[slice]]:
 
     Blocks start at multiples of _PATH_BLOCK, where the tested BLAS builds
     group a block's paths as they group the whole array's, so every path
-    gets its unblocked bits.  A last block of one path joins the block
-    before it: numpy sends a one-path product to a different BLAS routine.
-    (A multi-threaded BLAS splits the paths between its threads at points
-    of its own, which can move bits with or without blocks.)
+    gets its unblocked bits at that width only (64-path blocks move a few
+    tail columns of a 17-row product at 8191 paths in the last bit).  A
+    last block of one path joins the block before it: numpy sends a
+    one-path product to a different BLAS routine.  (A multi-threaded BLAS
+    splits the paths between its threads at points of its own, which can
+    move bits with or without blocks.)
     """
     starts = list(range(0, n_paths, _PATH_BLOCK))
     if len(starts) > 1 and n_paths - starts[-1] == 1:
         starts.pop()
     ends = starts[1:] + [n_paths]
     return max(e - s for s, e in zip(starts, ends)), [slice(s, e) for s, e in zip(starts, ends)]
+
+
+def terminal_prices(loads, half_var, x0s, z, out) -> None:
+    """Write into out (rows, paths) the terminal prices x0s * exp(loads @ z.T
+    - half_var) of one path block's (paths, k) draws z, in four calls.  One
+    row has the bits of the gemv np.dot(z, loads[0]); several rows can
+    differ from it in the last bit (BLAS's order)."""
+    np.matmul(loads, z.T, out=out)
+    out -= half_var
+    np.exp(out, out=out)
+    out *= x0s
 
 
 def mean_and_se(samples: np.ndarray) -> tuple[float, float]:

@@ -49,7 +49,7 @@ from .curve import DiscountCurve
 from .errors import ConvergenceError, DomainError, UnsupportedMethodError
 from .linear_pricing import LinearContract, TenorSchedule
 from .lognormal import norm_cdf
-from .mc import MCConfig, mean_and_se, normals, path_blocks
+from .mc import MCConfig, mean_and_se, normals, path_blocks, terminal_prices
 from .stream import (CashflowStream, ConstantLeg, FloatingLinearLeg, caplet_leg,
                      closed_form_bounds, floorlet_leg, in_arrears_leg)
 from .uncertainty import PriceBounds, UncertaintyBand
@@ -163,20 +163,26 @@ def price_in_arrears_swap(curve: DiscountCurve, vs: VolStructure, band: Uncertai
 # -- swaptions ---------------------------------------------------------------
 
 
+def exercise_coefficients(schedule, strike_rate: float) -> np.ndarray:
+    """a_i = delta_i K in a payer swaption's exercise value 1 - sum_i a_i x_i,
+    x_i = P(T_i)/P(T_0); a_N carries the final 1."""
+    coefs = np.array(schedule.accruals) * strike_rate
+    coefs[-1] += 1.0
+    return coefs
+
+
 def _swaption_inputs(curve, vs, band, contract):
     """Both band extremes' inputs from one pass over the schedule: the forward
-    prices x_i = P(T_i)/P(T_0) (curve.forward_prices), the coefficient a_i
-    of each term in the exercise value 1 - sum_i a_i x_i e^{.} (a_N carries
-    the final 1), and the total stdevs w_i of the x_i over [0, T_0] at the
-    lower and at the upper extreme (one array twice for a degenerate band),
-    from VolStructure.extreme_variances.  A total variance that is not finite
+    prices x_i = P(T_i)/P(T_0) (curve.forward_prices), their exercise
+    coefficients a_i (exercise_coefficients), and the total stdevs w_i of
+    the x_i over [0, T_0] at the lower and at the upper extreme (one array
+    twice for a degenerate band), from VolStructure.extreme_variances.  A total variance that is not finite
     raises DomainError here, before any pricing arithmetic reads it.
     """
     s = contract.schedule
     t0 = s.start
     xs = np.array(curve.forward_prices(t0, s.dates[1:]))
-    coefs = np.array(s.accruals) * contract.strike_rate
-    coefs[-1] += 1.0
+    coefs = exercise_coefficients(s, contract.strike_rate)
     w2_lower, w2_upper = vs.extreme_variances(band.lower, band.upper, (0.0, t0), t0, s.dates[1:])
     if not (np.isfinite(w2_lower).all() and np.isfinite(w2_upper).all()):
         raise DomainError(
@@ -301,19 +307,22 @@ def _swaption_value_mc(vs, sigma, schedule, xs, coefs, ws, z: np.ndarray) -> tup
     t0 = schedule.start
     n = len(xs)
     sig = np.atleast_1d(np.asarray(sigma, dtype=float))
+    window, ends = np.array([0.0, t0]), np.array(schedule.dates[1:])
     if vs.is_separable():
         # log X^i = -sum_j mix[i, j] Z_j - w_i^2/2 with one Z per factor.
         # Separability makes within-factor correlation exactly 1; signs are
         # all positive because T_i > T_0.
-        window, ends = np.array([0.0, t0]), np.array(schedule.dates[1:])
-        mix = np.stack([np.sqrt(np.maximum(sig[j] ** 2 * f.fp_var_steps(window, (t0, ends)), 0.0))
+        pair = (t0, ends)
+        mix = np.stack([np.sqrt(np.maximum(sig[j] ** 2 * f.fp_cov_steps(window, pair, pair), 0.0))
                         for j, f in enumerate(vs.factors)], axis=1)
     else:
+        # integrated_covariance(sigma, 0, t0, pair_a, pair_b) for every two
+        # periods in one pass per factor; fp_cov_steps is not bit-symmetric
+        # in its pairs, so the upper triangle is mirrored.
         cov = np.zeros((n, n))
-        pairs = [(t0, t) for t in schedule.dates[1:]]
-        for a in range(n):
-            for b in range(a, n):
-                cov[a, b] = cov[b, a] = vs.integrated_covariance(sigma, 0.0, t0, pairs[a], pairs[b])
+        for sj, f in zip(sig.tolist(), vs.factors):
+            cov = cov + sj ** 2 * f.fp_cov_steps(window, (t0, ends[:, None]), (t0, ends[None, :]))
+        cov = np.where(np.tri(n, k=-1, dtype=bool), cov.T, cov)
         # Symmetric PSD factorization tolerant of rank deficiency.
         evals, evecs = np.linalg.eigh(cov)
         mix = evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0)))
@@ -324,10 +333,7 @@ def _swaption_value_mc(vs, sigma, schedule, xs, coefs, ws, z: np.ndarray) -> tup
     for cols in blocks:
         # terminal = xs * exp(-(mix @ z.T) - w^2/2) for this block's paths.
         terminal = buf[:, :cols.stop - cols.start]
-        np.matmul(loads, z[cols].T, out=terminal)
-        terminal -= half_var
-        np.exp(terminal, out=terminal)
-        terminal *= x0s
+        terminal_prices(loads, half_var, x0s, z[cols], terminal)
         np.matmul(coefs, terminal, out=payoff[cols])
     np.subtract(1.0, payoff, out=payoff)
     np.maximum(payoff, 0.0, out=payoff)

@@ -44,9 +44,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .curve import DiscountCurve
 from .errors import DomainError, StabilityError, UnsupportedMethodError
-from .mc import MCConfig, child_seed, mean_and_se, normals, path_blocks
-from .option_pricing import OptionContract, as_stream
-from .pde import step_variances
+from .mc import MCConfig, child_seed, mean_and_se, normals, path_blocks, terminal_prices
+from .option_pricing import OptionContract, as_stream, exercise_coefficients
 from .stream import ConstantLeg, FloatingLinearLeg
 from .uncertainty import UncertaintyBand
 from .vol_structure import VolStructure
@@ -124,7 +123,7 @@ def lattice_price(
                           f"min(T, T_i)=({T}, {T_i})")
 
     x0 = curve.forward_price(T, T_i)
-    v_up, v_dn = step_variances(vs, band, np.linspace(0.0, t1, steps + 1), T, T_i)
+    v_dn, v_up = vs.extreme_variances(band.lower, band.upper, np.linspace(0.0, t1, steps + 1), T, T_i)
     v_max = float(np.max(v_up))
     if v_max <= 0.0:
         return float(_payoff_values(payoff, np.array([x0]))[0])
@@ -219,34 +218,24 @@ def _control_family(band, controls, horizon: float):
     raise DomainError(f"unknown control family {controls!r}")
 
 
-def _segment_stdevs(vs, segments, t_end: float, pair) -> np.ndarray:
-    """(n_segments, d) stdevs of log X over [0, t_end] for a forward price
-    with maturity pair, under a piecewise-constant scaling; zero on a
-    segment outside [0, t_end]."""
-    def sd(lo, hi, s, f):
-        return abs(s) * math.sqrt(max(f.fp_cov_integral(lo, hi, pair, pair), 0.0)) if hi > lo else 0.0
-    return np.array([[sd(max(lo, 0.0), min(hi, t_end), s, f) for s, f in zip(scale, vs.factors)]
-                     for lo, hi, scale in segments])
-
-
-def _member_moves(vs, segments, t_end: float, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """One member's log moves: the (pairs, n_segments * d) loading matrix (a
-    row of stdevs per pair) and the (pairs, 1) column of half total variances."""
-    loads = np.array([_segment_stdevs(vs, segments, t_end, pair).ravel() for pair in pairs])
-    return loads, 0.5 * np.sum(loads**2, axis=1, keepdims=True)
-
-
-def _terminal_forward_prices(loads, half_var, x0s, z, out) -> None:
-    """Write into out (pairs, paths) the terminal forward prices sharing the
-    per-segment driver draws z of shape (paths, n_segments * d): comonotone
-    within each factor, exact marginals for every pair.  loads and half_var
-    come from _member_moves, x0s is the (pairs, 1) column of spot forward
-    prices.  One pair's row has the bits of the gemv np.dot(z, loads[0]);
-    several pairs' rows can differ from it in the last bit (BLAS's order)."""
-    np.matmul(loads, z.T, out=out)
-    out -= half_var
-    np.exp(out, out=out)
-    out *= x0s
+def _member_moves(vs, family, t_end: float, pairs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each member's (pairs, n_segments * d) loadings (a row of stdevs per
+    pair) and (pairs, 1) half total variances over [0, t_end].  The pairs
+    share their first maturity and the members their switch dates, so one
+    unscaled (pairs, n_segments, d) stdev table (0.0 on a segment outside
+    [0, t_end]) serves all, each member scaling it by its |levels|."""
+    segments = family[0]
+    ts = np.minimum([lo for lo, _, _ in segments] + [segments[-1][1]], t_end)
+    pair = (pairs[0][0], np.array([[T_tilde] for _, T_tilde in pairs]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sds = np.stack([np.sqrt(np.maximum(f.fp_cov_steps(ts, pair, pair), 0.0)) for f in vs.factors],
+                       axis=-1)
+    sds = np.where((ts[1:] > ts[:-1])[:, None], sds, 0.0)
+    moves = []
+    for segments in family:
+        loads = (sds * np.abs([scale for _, _, scale in segments])).reshape(len(pairs), -1)
+        moves.append((loads, 0.5 * np.sum(loads**2, axis=1, keepdims=True)))
+    return moves
 
 
 @dataclass(frozen=True)
@@ -278,8 +267,7 @@ def _sampling_blocks(curve, contract, seed: int) -> tuple[list, float]:
     s = contract.schedule
     if isinstance(contract, OptionContract) and contract.kind == "swaption-payer":
         t0 = s.start
-        coefs = np.array(s.accruals) * contract.strike_rate
-        coefs[-1] += 1.0
+        coefs = exercise_coefficients(s, contract.strike_rate)
         bond = curve.bond_price(t0)
 
         def swaption(x):  # bond * max(1 - coefs @ x, 0)
@@ -307,14 +295,14 @@ def _sampling_blocks(curve, contract, seed: int) -> tuple[list, float]:
 def _add_block_prices(sums, z, moves, x0s, payoff) -> None:
     """Add to every member's row of sums its per-path prices of one sampling
     block, from the block's draws z, one path block at a time.  moves holds
-    each member's _member_moves; all work happens in one (pairs, block)
-    buffer and the payoff's own."""
+    each member's loadings and half variances (_member_moves); all work
+    happens in one (pairs, block) buffer and the payoff's own."""
     width, blocks = path_blocks(z.shape[0])
     x = np.empty((len(x0s), width))
     for cols in blocks:
         z_cols, x_cols = z[cols], x[:, :cols.stop - cols.start]
         for (loads, half_var), row in zip(moves, sums):
-            _terminal_forward_prices(loads, half_var, x0s, z_cols, x_cols)
+            terminal_prices(loads, half_var, x0s, z_cols, x_cols)
             row[cols] += payoff(x_cols)
 
 
@@ -344,6 +332,7 @@ def scenario_sup(
     legs), whatever the number of periods; nothing of path size is
     allocated per member.  The reported se is the maximizing member's own.
     """
+    band.check_factors(vs)
     mc = mc or MCConfig()
     family, labels = _control_family(band, controls, contract.schedule.end)
     if not family:
@@ -352,7 +341,7 @@ def scenario_sup(
     nseg = len(family[0])
     sums = np.zeros((len(family), mc.paths))
     for key, t_end, pairs, payoff in blocks:
-        moves = [_member_moves(vs, segments, t_end, pairs) for segments in family]
+        moves = _member_moves(vs, family, t_end, pairs)
         x0s = np.array([[curve.forward_price(*p)] for p in pairs])
         # The draw goes out of scope before the next block's is made.
         _add_block_prices(sums, normals(key, mc.paths, nseg * vs.dim, mc.antithetic),

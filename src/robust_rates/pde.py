@@ -147,20 +147,6 @@ def cell_average(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, dx: floa
     return u
 
 
-def step_variances(
-    vs: VolStructure, band: UncertaintyBand, ts: np.ndarray, T: float, T_i: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrated variances of X = P(T_i)/P(T) over each step [ts[k], ts[k+1]]
-    at the band extremes (exact in time), as (upper, lower), from
-    ``VolStructure.extreme_variances`` (one exact array pass for every
-    factor kind).
-
-    A degenerate band has one extreme, so both tables are the same array:
-    callers only read them."""
-    a_dn, a_up = vs.extreme_variances(band.lower, band.upper, ts, T, T_i)
-    return a_up, a_dn
-
-
 def window_tables(
     vs: VolStructure,
     band: UncertaintyBand,
@@ -169,9 +155,13 @@ def window_tables(
     t_to: float,
     nt: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """step_variances of X = P(pair[1])/P(pair[0]) over nt equal steps of
-    [t_from, t_to]: the tables a sweep over that window reads."""
-    return step_variances(vs, band, np.linspace(t_from, t_to, nt + 1), *pair)
+    """Integrated variances of X = P(pair[1])/P(pair[0]) over each of nt
+    equal steps of [t_from, t_to] at the band extremes, as (upper, lower):
+    the tables a sweep over that window reads, from
+    ``VolStructure.extreme_variances``.  A degenerate band has one extreme,
+    so both tables are the same array: callers only read them."""
+    a_dn, a_up = vs.extreme_variances(band.lower, band.upper, np.linspace(t_from, t_to, nt + 1), *pair)
+    return a_up, a_dn
 
 
 def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -347,7 +337,7 @@ def window_values(
     payoff: payoffs[s] cell-averaged on grids[s].xs and swept back over the
     window tables tables[s] (``window_tables``) by ``_implicit_sweep``.
     Rows have fixed volatility if each one's tables are one array (as
-    ``step_variances`` gives a degenerate band) or equal entry for entry,
+    ``window_tables`` gives a degenerate band) or equal entry for entry,
     NaN to NaN; the sweep then steps them as one stack on one table each,
     so they must share nx and the tables' length.  Otherwise the list must
     be one band row."""

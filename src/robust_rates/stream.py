@@ -44,7 +44,6 @@ from .pde import (
     default_grid,
     solve_lower,
     solve_single_option,
-    step_variances,
     window_tables,
     window_values,
 )
@@ -448,7 +447,7 @@ def _pair_recursion(
     weight = 2.0 / h1**2 + 1.0 / h1 + drift2 / h2
     peak_rate = band.upper[0] ** 2 * vs.forward_price_vol(0, t_start, *pair1) ** 2
     nt_eff = max(nt, int(math.ceil(0.5 * peak_rate * t_start * weight * 1.05)), 1)
-    vu, vd = step_variances(vs, band, np.linspace(0.0, t_start, nt_eff + 1), *pair1)
+    vd, vu = vs.extreme_variances(band.lower, band.upper, np.linspace(0.0, t_start, nt_eff + 1), *pair1)
 
     inner_tables = window_tables(vs, band, pair2, t_start, t_mid, inner_grid.nt)
     values = []

@@ -13,15 +13,17 @@ the pricers need derives from it:
 Ho-Lee and Hull-White factors use closed-form antiderivatives, and the
 bilinear tabulated factors exact piecewise rules.
 
-The contracts of a book ask for the same windows and maturity pairs over
-and over, so VolStructure.integrated_variance keeps a per-instance memo
-(curve._memoized, shared with the curve's bond prices): it lives and dies
-with the structure and returns the uncached call's float to the last bit,
-as do VolStructure.extreme_variance (both band extremes of a closed-form
-period in one lookup) and a tabulated factor's row integrals per maturity
-pair.  Tables of variances over the steps of a time grid or over an array
-of maturities (VolStructure.extreme_variances) equal those calls to the
-last bit and bypass the memo.
+Each factor computes its (co)variance integrals in two forms, the same
+operations term by term, so both give the same bits.  fp_cov_integral (one
+window) is the scalar path: VolStructure.integrated_variance sums it over
+the factors behind a per-instance memo (curve._memoized) that returns the
+uncached call's float, as do extreme_variance (both band extremes of a
+closed-form period in one lookup) and a tabulated factor's row integrals.
+A book asks for the same windows over and over, and a memo miss, on the
+vanilla book's hot path, costs less in floats than in an array set-up.
+fp_cov_steps (every step of a grid, maturities in arrays) is the only
+builder of tables: extreme_variances, the scenario loadings and the Monte
+Carlo swaption's covariance.  Tables bypass the memo.
 """
 
 from __future__ import annotations
@@ -69,12 +71,12 @@ class HoLeeFactor:
         (Ta, Tta), (Tb, Ttb) = pair_a, pair_b
         return self.c**2 * (Tta - Ta) * (Ttb - Tb) * (t1 - t0)
 
-    def fp_var_steps(self, ts: np.ndarray, pair) -> np.ndarray:
-        """fp_cov_integral(ts[k], ts[k + 1], pair, pair) for every step k, in
-        the same operations: c^2 (T~ - T)^2 times the step widths.  T~ may
-        be an array of maturities that broadcasts against the steps."""
-        T, T_tilde = pair
-        return self.c**2 * (T_tilde - T) * (T_tilde - T) * (ts[1:] - ts[:-1])
+    def fp_cov_steps(self, ts: np.ndarray, pair_a, pair_b) -> np.ndarray:
+        """fp_cov_integral(ts[k], ts[k + 1], pair_a, pair_b) for every step k,
+        in the same operations: c^2 (T~a - Ta)(T~b - Tb) times the step
+        widths.  Each T~ may be an array that broadcasts against the steps."""
+        (Ta, Tta), (Tb, Ttb) = pair_a, pair_b
+        return self.c**2 * (Tta - Ta) * (Ttb - Tb) * (ts[1:] - ts[:-1])
 
     def beta_var_integral(self, t0: float, t1: float, T: float) -> float:
         return self.c**2 * (t1 - t0)
@@ -115,16 +117,17 @@ class HullWhiteFactor:
         gb = self.c / k * (math.exp(-k * Tb) - math.exp(-k * Ttb))
         return ga * gb * (math.exp(2.0 * k * t1) - math.exp(2.0 * k * t0)) / (2.0 * k)
 
-    def fp_var_steps(self, ts: np.ndarray, pair) -> np.ndarray:
-        """fp_cov_integral(ts[k], ts[k + 1], pair, pair) for every step k, in
-        the same operations: one math.exp per grid time and per maturity,
-        then g^2 (E[k+1] - E[k]) / 2 kappa.  T~ may be an array of maturities
-        that broadcasts against the steps."""
-        T, T_tilde = pair
+    def fp_cov_steps(self, ts: np.ndarray, pair_a, pair_b) -> np.ndarray:
+        """fp_cov_integral(ts[k], ts[k + 1], pair_a, pair_b) for every step k,
+        in the same operations: one math.exp per grid time and per maturity,
+        then ga gb (E[k+1] - E[k]) / 2 kappa, g computed once for a variance
+        (pair_b is pair_a).  Each T~ may be an array that broadcasts against
+        the steps; each T is a number."""
         k = self.kappa
-        g = self.c / k * (math.exp(-k * T) - _math_exp(-k * np.asarray(T_tilde)))
+        g = [self.c / k * (math.exp(-k * T) - _math_exp(-k * np.asarray(T_tilde)))
+             for T, T_tilde in ((pair_a,) if pair_b is pair_a else (pair_a, pair_b))]
         e = _math_exp(2.0 * k * ts)
-        return g * g * (e[1:] - e[:-1]) / (2.0 * k)
+        return g[0] * g[-1] * (e[1:] - e[:-1]) / (2.0 * k)
 
     def beta_var_integral(self, t0: float, t1: float, T: float) -> float:
         k = self.kappa
@@ -230,10 +233,12 @@ class TabulatedFactor:
     def fp_cov_integral(self, t0: float, t1: float, pair_a, pair_b) -> float:
         return float(self._time_integral(t0, t1, self._fp_rows(*pair_a), self._fp_rows(*pair_b)))
 
-    def fp_var_steps(self, ts: np.ndarray, pair) -> np.ndarray:
-        """fp_cov_integral over every step of ts, in the same operations (T~ may be an array)."""
-        y = self._rows(pair[1]) - self._rows(pair[0])
-        return self._time_integral(ts[:-1], ts[1:], y, y)
+    def fp_cov_steps(self, ts: np.ndarray, pair_a, pair_b) -> np.ndarray:
+        """fp_cov_integral over every step of ts, in the same operations (each
+        T~ may be an array); a variance (pair_b is pair_a) interpolates once."""
+        ya = self._rows(pair_a[1]) - self._rows(pair_a[0])
+        yb = ya if pair_b is pair_a else self._rows(pair_b[1]) - self._rows(pair_b[0])
+        return self._time_integral(ts[:-1], ts[1:], ya, yb)
 
     def beta_var_integral(self, t0: float, t1: float, T: float) -> float:
         y = self.beta(self.t_grid, T)
@@ -331,6 +336,25 @@ class VolStructure:
             )
         return float(self._factor(i).fp_vol(float(t), float(T), float(T_tilde)))
 
+    def _scalar_sum(self, name, scale, t0, t1, pair_a, pair_b=None) -> float:
+        """name's checks, then sum_j scale_j^2 fp_cov_integral_j(t0, t1, pair_a, pair_b);
+        pair_b=None is pair_a's variance, whose window must end by min(T, T~)."""
+        s = self._check_scale(scale)
+        if t0 > t1:
+            raise DomainError(f"{name} requires t0 <= t1, got {t0} > {t1}")
+        if pair_b is None and t1 > min(pair_a):
+            raise DomainError(
+                f"{name} requires t1 <= min(T, T~), got t1={t1}, T={pair_a[0]}, T~={pair_a[1]}"
+            )
+        if t1 == t0:
+            return 0.0
+        t0, t1, a = float(t0), float(t1), (float(pair_a[0]), float(pair_a[1]))
+        b = a if pair_b is None else (float(pair_b[0]), float(pair_b[1]))
+        total = 0.0
+        for sj, f in zip(s, self.factors):
+            total += sj ** 2 * f.fp_cov_integral(t0, t1, a, b)
+        return total
+
     @_memoized
     def integrated_variance(self, scale, t0: float, t1: float, T: float, T_tilde: float) -> float:
         """Total variance sum_j scale_j^2 * integral_t0^t1 sigma_j(u; T, T~)^2 du.
@@ -338,20 +362,7 @@ class VolStructure:
         Additive over abutting windows and nonnegative; exact for every
         factor kind (see the factor classes).
         """
-        s = self._check_scale(scale)
-        if t0 > t1:
-            raise DomainError(f"integrated_variance requires t0 <= t1, got {t0} > {t1}")
-        if t1 > min(T, T_tilde):
-            raise DomainError(
-                f"integrated_variance requires t1 <= min(T, T~), got t1={t1}, T={T}, T~={T_tilde}"
-            )
-        if t1 == t0:
-            return 0.0
-        t0, t1, pair = float(t0), float(t1), (float(T), float(T_tilde))
-        total = 0.0
-        for sj, f in zip(s, self.factors):
-            total += sj ** 2 * f.fp_cov_integral(t0, t1, pair, pair)
-        return total
+        return self._scalar_sum("integrated_variance", scale, t0, t1, (T, T_tilde))
 
     @_memoized
     def extreme_variance(self, lower, upper, *window) -> tuple[float, float]:
@@ -359,59 +370,46 @@ class VolStructure:
         upper (a band's extremes): the scalar twin of extreme_variances."""
         return self.integrated_variance(lower, *window), self.integrated_variance(upper, *window)
 
-    def integrated_variances(self, scale, ts, T: float, T_tilde) -> np.ndarray:
-        """integrated_variance(scale, ts[k], ts[k + 1], T, T~) for every step k
-        of the time grid ts, equal to those calls to the last bit.  T~ may be
-        an array of maturities that broadcasts against the steps: a one-step
-        grid gives the variance of every P(T~[m])/P(T) over that window.
-
-        Each factor's term is one array pass (fp_var_steps), added in
-        integrated_variance's order; an overflow is inf without a warning, as
-        in the scalar call.  Only grids with a zero-width step (0.0 before any
-        arithmetic there) and rejected inputs take the scalar calls."""
-        return self.extreme_variances(scale, scale, ts, T, T_tilde)[0]
-
     def extreme_variances(self, lower, upper, ts, T: float, T_tilde) -> tuple[np.ndarray, np.ndarray]:
-        """integrated_variances at the scales lower and upper (a band's
-        extremes), with each factor's unscaled term built once: a total is
-        0.0 + sum_j s_j^2 term_j.  Equal scales give one array twice."""
+        """integrated_variance(scale, ts[k], ts[k + 1], T, T~) for every step k
+        of the time grid ts, at the scales lower and upper (a band's
+        extremes), equal to those calls to the last bit.  T~ may be an array
+        of maturities that broadcasts against the steps: a one-step grid
+        gives the variance of every P(T~[m])/P(T) over that window.
+
+        Each factor's term is one array pass (fp_cov_steps), a total 0.0 +
+        sum_j s_j^2 term_j; an overflow is inf without a warning, as in the
+        scalar call.  A grid with a step that is not positive or an end past
+        a maturity is checked window by window: the first window
+        integrated_variance rejects raises its error, and a zero-width step
+        is 0.0, an inf term too.  Equal scales give one array twice."""
         scales = [self._check_scale(lower), self._check_scale(upper)]
         if scales[1] == scales[0]:
             del scales[1]
         ts = np.asarray(ts, dtype=float)
         T, T_tilde = float(T), np.asarray(T_tilde, dtype=float)
-        widths = ts[1:] - ts[:-1]
-        if (widths > 0.0).all() and (len(ts) < 2 or (ts[-1] <= T and (ts[-1] <= T_tilde).all())):
-            with np.errstate(over="ignore", invalid="ignore"):
-                terms = [f.fp_var_steps(ts, (T, T_tilde)) for f in self.factors]
-                tables = []
-                for s in scales:
-                    total = 0.0
-                    for sj, term in zip(s, terms):
-                        total = total + sj ** 2 * term
-                    tables.append(total)
-        else:
+        empty = None
+        if not ((ts[1:] > ts[:-1]).all() and (len(ts) < 2 or (ts[-1] <= T and (ts[-1] <= T_tilde).all()))):
             t0s, t1s, Tts = np.broadcast_arrays(ts[:-1], ts[1:], T_tilde)
-            windows = list(zip(t0s.ravel().tolist(), t1s.ravel().tolist(), Tts.ravel().tolist()))
-            tables = [np.array([self.integrated_variance(s, t0, t1, T, Tt) for t0, t1, Tt in windows],
-                               dtype=float).reshape(t0s.shape)
-                      for s in scales]
+            rejected = (t0s > t1s) | (t1s > np.where(Tts < T, Tts, T))  # min(T, T~) as Python's min
+            if rejected.any():  # integrated_variance raises its error for the first
+                t0, t1, Tt = (float(a.flat[np.argmax(rejected)]) for a in (t0s, t1s, Tts))
+                self.integrated_variance(scales[0], t0, t1, T, Tt)
+            empty = t1s == t0s if (t1s == t0s).any() else None
+        pair = (T, T_tilde)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = [f.fp_cov_steps(ts, pair, pair) for f in self.factors]
+            tables = []
+            for s in scales:
+                total = 0.0
+                for sj, term in zip(s, terms):
+                    total = total + sj ** 2 * term
+                tables.append(total if empty is None else np.where(empty, 0.0, total))
         return tables[0], tables[-1]
 
     def integrated_covariance(self, scale, t0: float, t1: float, pair_a, pair_b) -> float:
         """sum_j scale_j^2 * integral_t0^t1 sigma_j(u; pair_a) sigma_j(u; pair_b) du."""
-        s = self._check_scale(scale)
-        if t0 > t1:
-            raise DomainError(f"integrated_covariance requires t0 <= t1, got {t0} > {t1}")
-        if t1 == t0:
-            return 0.0
-        t0, t1 = float(t0), float(t1)
-        a = (float(pair_a[0]), float(pair_a[1]))
-        b = (float(pair_b[0]), float(pair_b[1]))
-        total = 0.0
-        for sj, f in zip(s, self.factors):
-            total += sj ** 2 * f.fp_cov_integral(t0, t1, a, b)
-        return total
+        return self._scalar_sum("integrated_covariance", scale, t0, t1, pair_a, pair_b)
 
     def short_rate_var_integral(self, scale, t0: float, t1: float, T: float) -> float:
         """sum_j scale_j^2 * integral_t0^t1 beta_j(u, T)^2 du: the variance of

@@ -27,7 +27,7 @@ from robust_rates import mc as mc_module, option_pricing
 from robust_rates.curve import DiscountCurve
 from robust_rates.errors import DomainError, StabilityError, UnsupportedMethodError
 from robust_rates.linear_pricing import LinearContract, TenorSchedule
-from robust_rates.mc import MCConfig, mean_and_se, normals
+from robust_rates.mc import MCConfig, mean_and_se, normals, terminal_prices
 from robust_rates.option_pricing import OptionContract, price_swaption
 from robust_rates.oracle import (
     LATTICE_STRETCH,
@@ -37,12 +37,9 @@ from robust_rates.oracle import (
     _branch_probabilities,
     _control_family,
     _member_moves,
-    _segment_stdevs,
-    _terminal_forward_prices,
     lattice_price,
     scenario_sup,
 )
-from robust_rates.pde import step_variances
 from robust_rates.stream import (
     capped_call_spread_leg,
     caplet_leg,
@@ -51,9 +48,19 @@ from robust_rates.stream import (
     transformed_strike,
 )
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
-from robust_rates.vol_structure import HoLeeFactor, HullWhiteFactor, VolStructure, ho_lee, hull_white
+from robust_rates.vol_structure import (
+    HoLeeFactor,
+    HullWhiteFactor,
+    TabulatedFactor,
+    VolStructure,
+    ho_lee,
+    hull_white,
+    single_factor,
+)
 
 CURVE = DiscountCurve(knots=((0.0, 0.015), (2.0, 0.025), (10.0, 0.03)))
+TAB = TabulatedFactor(t_grid=(0.0, 0.3, 3.0), maturity_grid=(0.0, 1.5, 10.0),
+                      values=((0.01, 0.008, 0.007), (0.011, 0.012, 0.006), (0.012, 0.009, 0.01)))
 BAND = UncertaintyBand((0.5,), (1.5,))
 VS_2F = VolStructure(factors=(HullWhiteFactor(c=0.01, kappa=0.2), HoLeeFactor(c=0.006)))
 BAND_2F = UncertaintyBand((0.5, 0.8), (1.5, 1.2))
@@ -107,7 +114,7 @@ def ref_lattice_price(curve, vs, band, T, t1, T_i, payoff, steps, step=product_s
     if steps < MIN_LATTICE_STEPS:
         raise DomainError("too few steps")
     x0 = curve.forward_price(T, T_i)
-    v_up, v_dn = step_variances(vs, band, np.linspace(0.0, t1, steps + 1), T, T_i)
+    v_dn, v_up = vs.extreme_variances(band.lower, band.upper, np.linspace(0.0, t1, steps + 1), T, T_i)
     v_max = float(np.max(v_up))
     if v_max <= 0.0:
         return float(np.asarray(payoff(np.array([x0])), dtype=float)[0])
@@ -138,11 +145,21 @@ def assert_rounds_to_elementwise(got, args):
     assert abs(got - want) <= steps * 2.0**-52 * peak[0]
 
 
+def segment_stdevs(vs, segments, t_end, pair) -> np.ndarray:
+    """(n_segments, d) stdevs of log X over [0, t_end] for the forward price
+    with maturity pair, one scalar integral per segment and factor: zero on
+    a segment outside [0, t_end]."""
+    def sd(lo, hi, s, f):
+        return abs(s) * math.sqrt(max(f.fp_cov_integral(lo, hi, pair, pair), 0.0)) if hi > lo else 0.0
+    return np.array([[sd(max(lo, 0.0), min(hi, t_end), s, f) for s, f in zip(scale, vs.factors)]
+                     for lo, hi, scale in segments])
+
+
 def ref_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z):
     """(pairs, paths) prices for draws z of shape (paths, n_segments, d): the
     pairs' rows of stdevs stacked into one loading matrix times the
     transposed draws, over all paths at once."""
-    loads = np.array([_segment_stdevs(vs, segments, t_end, pair).ravel() for pair in pairs])
+    loads = np.array([segment_stdevs(vs, segments, t_end, pair).ravel() for pair in pairs])
     log_move = np.matmul(loads, z.reshape(z.shape[0], -1).T)
     total_var = np.sum(loads**2, axis=1, keepdims=True)
     return np.array(x0s)[:, None] * np.exp(log_move - 0.5 * total_var)
@@ -153,7 +170,7 @@ def column_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z):
     tensordot over (paths, pairs) columns, as the kernel made them before."""
     out = np.empty((z.shape[0], len(pairs)))
     for a, (pair, x0) in enumerate(zip(pairs, x0s)):
-        sds = _segment_stdevs(vs, segments, t_end, pair)
+        sds = segment_stdevs(vs, segments, t_end, pair)
         log_move = np.tensordot(z, sds, axes=([1, 2], [0, 1]))
         total_var = float(np.sum(sds**2))
         out[:, a] = x0 * np.exp(log_move - 0.5 * total_var)
@@ -260,7 +277,7 @@ AUDIT_LEGS = {"caplet": caplet_leg(0.5, 0.03), "spread": capped_call_spread_leg(
 
 def window_half_width(vs, band, T, t1, T_i, steps) -> int:
     """J: the lattice updates the nodes |j| <= J, from the same step tables."""
-    v_up, _ = step_variances(vs, band, np.linspace(0.0, t1, steps + 1), T, T_i)
+    _, v_up = vs.extreme_variances(band.lower, band.upper, np.linspace(0.0, t1, steps + 1), T, T_i)
     h = LATTICE_STRETCH * math.sqrt(float(np.max(v_up)))
     return math.ceil(LATTICE_WINDOW_SIGMAS * math.sqrt(float(np.sum(v_up))) / h)
 
@@ -350,11 +367,11 @@ class TestLegPayoffs:
 # -- terminal forward prices ----------------------------------------------------------
 
 
-def terminal_forward_prices(vs, segments, t_end, pairs, x0s, z):
-    """The kernel's (pairs, paths) prices for draws z of shape (paths, n_segments, d), in a fresh array."""
-    out = np.empty((len(pairs), z.shape[0]))
-    _terminal_forward_prices(*_member_moves(vs, segments, t_end, pairs), np.array(x0s)[:, None],
-                             z.reshape(z.shape[0], -1), out)
+def terminal_forward_prices(moves, x0s, z):
+    """The kernel's (pairs, paths) prices for one member's moves and draws z
+    of shape (paths, n_segments, d), in a fresh array."""
+    out = np.empty((len(x0s), z.shape[0]))
+    terminal_prices(*moves, np.array(x0s)[:, None], z.reshape(z.shape[0], -1), out)
     return out
 
 
@@ -367,19 +384,40 @@ class TestTerminalForwardPrices:
         pairs = [(2.0, 2.5), (2.0, 3.0), (2.0, 4.0)]
         x0s = [CURVE.forward_price(*p) for p in pairs]
         family, _ = _control_family(band, PiecewiseControls(2, switches), t_end)
-        for segments in family:
+        moves, first_moves = (_member_moves(vs, family, t_end, p) for p in (pairs, pairs[:1]))
+        for segments, member, first in zip(family, moves, first_moves):
             z = normals(9, 1001, len(segments) * vs.dim, antithetic)
             z = z.reshape(1001, len(segments), vs.dim)
-            got = terminal_forward_prices(vs, segments, t_end, pairs, x0s, z)
+            got = terminal_forward_prices(member, x0s, z)
             assert same_bits(got, ref_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z))
             # One pair's row is the gemv of the per-column form, bit for bit.
-            assert same_bits(terminal_forward_prices(vs, segments, t_end, pairs[:1], x0s[:1], z),
+            assert same_bits(terminal_forward_prices(first, x0s[:1], z),
                              column_terminal_forward_prices(vs, segments, t_end, pairs[:1], x0s[:1], z))
             # Several pairs' rows sum their k <= 8 terms in BLAS's order: the
             # log moves (|move| < 1) then differ by under an ulp of the exp's
             # input, and the prices by at most 4 ulp.
             columns = column_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z)
             assert np.all(np.abs(got - columns) <= 4 * np.spacing(columns))
+
+
+    @pytest.mark.parametrize("vs", [
+        ho_lee(0.015), hull_white(0.012, 0.1), VS_2F, single_factor(TAB),
+        VolStructure(factors=(TAB, HullWhiteFactor(c=0.01, kappa=0.2))),
+        VolStructure(factors=(HoLeeFactor(c=1e153), HullWhiteFactor(c=1e160, kappa=0.1))),
+    ], ids=["ho-lee", "hull-white", "2f", "tabulated", "tabulated-hw", "overflowing"])
+    @pytest.mark.parametrize("switches", [(), (0.7,), (0.7, 1.2, 1.2), (0.3, 1.0, 2.5)],
+                             ids=["constant", "one", "repeated", "past-t-end"])
+    @pytest.mark.parametrize("pairs", [[(1.0, 1.5), (1.0, 2.0), (1.0, 4.0)], [(1.5, 1.0)]],
+                             ids=["swaption", "floating-leg"])
+    def test_member_moves_equal_scalar_stdevs(self, vs, switches, pairs):
+        """One unscaled table scaled by each member's |levels| has the bits
+        of one scalar integral per member, segment and factor."""
+        band = UncertaintyBand((0.5,) * vs.dim, (1.5,) * vs.dim)
+        family, _ = _control_family(band, PiecewiseControls(2, switches), 2.0)
+        for segments, (loads, half_var) in zip(family, _member_moves(vs, family, 1.0, pairs)):
+            want = np.array([segment_stdevs(vs, segments, 1.0, pair).ravel() for pair in pairs])
+            assert same_bits(loads, want)
+            assert same_bits(half_var, 0.5 * np.sum(want**2, axis=1, keepdims=True))
 
 
 # -- Monte Carlo swaption -----------------------------------------------------------------

@@ -20,7 +20,6 @@ from robust_rates.oracle import (
     lattice_price,
     scenario_sup,
 )
-from robust_rates.pde import step_variances
 from robust_rates.stream import (
     CashflowStream,
     ConstantLeg,
@@ -124,7 +123,7 @@ class TestLatticeValidation:
         # Hull-White step variances grow towards expiry, so the steps fail
         # from some k > 0 on; the vectorised check must name the first.
         vs, steps = hull_white(5.0, 1.0), 10
-        v_up, v_dn = step_variances(vs, BAND, np.linspace(0.0, 1.0, steps + 1), 1.0, 3.0)
+        v_dn, v_up = vs.extreme_variances(BAND.lower, BAND.upper, np.linspace(0.0, 1.0, steps + 1), 1.0, 3.0)
         h = oracle.LATTICE_STRETCH * math.sqrt(max(v_up))
         first = next(k for k in range(steps) for v in (v_dn[k], v_up[k])
                      if min(_branch_probabilities(v, h)) < 0.0
@@ -191,6 +190,17 @@ class TestScenarioSup:
         vals = {round(v, 15) for _, v, _ in res.table}
         assert len(vals) == 1
 
+    @pytest.mark.parametrize("vs, band", [
+        (VolStructure(factors=(HoLeeFactor(c=0.01), HullWhiteFactor(c=0.01, kappa=0.1))), BAND),
+        (VS, UncertaintyBand((0.5, 0.8), (1.5, 1.2))),
+    ], ids=["2f-structure-1f-band", "1f-structure-2f-band"])
+    @pytest.mark.parametrize("controls", [ConstantControls(2), PiecewiseControls(2, (0.7,))],
+                             ids=["constant", "piecewise"])
+    def test_band_must_match_the_structure(self, vs, band, controls):
+        c = OptionContract(kind="cap", schedule=SCHED, strike_rate=0.04)
+        with pytest.raises(DomainError, match="factors but band has"):
+            scenario_sup(CURVE, vs, band, c, controls, MCConfig(paths=1_000, seed=1))
+
     def test_piecewise_family_size_capped(self):
         with pytest.raises(DomainError, match="cap"):
             scenario_sup(
@@ -248,11 +258,21 @@ class TestScenarioSup:
         assert pw.value > const.value + 3.0 * max(pw.se, const.se)
 
 
+def segment_stdevs(vs, segments, t_end, pair) -> np.ndarray:
+    """(n_segments, d) stdevs of log X over [0, t_end] for the forward price
+    with maturity pair, one scalar integral per segment and factor: zero on
+    a segment outside [0, t_end]."""
+    def sd(lo, hi, s, f):
+        return abs(s) * math.sqrt(max(f.fp_cov_integral(lo, hi, pair, pair), 0.0)) if hi > lo else 0.0
+    return np.array([[sd(max(lo, 0.0), min(hi, t_end), s, f) for s, f in zip(scale, vs.factors)]
+                     for lo, hi, scale in segments])
+
+
 def ref_forward_prices(vs, segments, t_end, pairs, x0s, z):
     """(len(pairs), paths) terminal forward prices from draws z of shape
     (paths, n_segments, d): the pairs' rows of stdevs stacked into one
     loading matrix times the transposed draws, over all paths at once."""
-    loads = np.array([oracle._segment_stdevs(vs, segments, t_end, pair).ravel() for pair in pairs])
+    loads = np.array([segment_stdevs(vs, segments, t_end, pair).ravel() for pair in pairs])
     log_move = np.matmul(loads, z.reshape(z.shape[0], -1).T)
     return np.array(x0s)[:, None] * np.exp(log_move - 0.5 * np.sum(loads**2, axis=1, keepdims=True))
 
@@ -262,7 +282,7 @@ def column_forward_prices(vs, segments, t_end, pairs, x0s, z):
     own column, the form the sampler used before."""
     out = np.empty((z.shape[0], len(pairs)))
     for a, (pair, x0) in enumerate(zip(pairs, x0s)):
-        sds = oracle._segment_stdevs(vs, segments, t_end, pair)
+        sds = segment_stdevs(vs, segments, t_end, pair)
         log_move = np.tensordot(z, sds, axes=([1, 2], [0, 1]))
         out[:, a] = x0 * np.exp(log_move - 0.5 * float(np.sum(sds**2)))
     return out.T

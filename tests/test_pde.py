@@ -276,7 +276,7 @@ class TestImplicitSweepBitExact:
     @pytest.mark.parametrize("vs", [VS, hull_white(0.015, 0.4)], ids=["ho-lee", "hull-white"])
     def test_degenerate_band_builds_one_variance_table(self, vs):
         ts = np.linspace(0.0, 1.0, 31)
-        a_up, a_dn = pde.step_variances(vs, degenerate_band((1.2,)), ts, 1.0, 1.5)
+        a_up, a_dn = pde.window_tables(vs, degenerate_band((1.2,)), (1.0, 1.5), 0.0, 1.0, 30)
         assert a_dn is a_up
         want = [vs.integrated_variance((1.2,), ts[k], ts[k + 1], 1.0, 1.5) for k in range(30)]
         assert a_up.tolist() == want

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robust_rates.errors import DomainError, ParseError
-from robust_rates.pde import step_variances
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
 from robust_rates.vol_structure import (
     HoLeeFactor,
@@ -489,6 +488,17 @@ def _scalar_table(vs, scale, ts, T, T_tilde):
     return [vs.integrated_variance(scale, ts[k], ts[k + 1], T, T_tilde) for k in range(len(ts) - 1)]
 
 
+def _table(vs, scale, ts, T, T_tilde):
+    """extreme_variances at one scale."""
+    return vs.extreme_variances(scale, scale, ts, T, T_tilde)[0]
+
+
+def _band_tables(vs, band, ts, T, T_tilde):
+    """extreme_variances at the band's extremes, as (upper, lower)."""
+    a_dn, a_up = vs.extreme_variances(band.lower, band.upper, ts, T, T_tilde)
+    return a_up, a_dn
+
+
 @st.composite
 def _tabulated_factors(draw):
     """A small tabulated factor: 2 to 4 knots on each axis, which the step
@@ -524,17 +534,17 @@ def _table_cases(draw):
 
 
 class TestStepVarianceTables:
-    """VolStructure.integrated_variances, and so pde.step_variances, must equal
-    the scalar integrated_variance loop to the last bit."""
+    """VolStructure.extreme_variances, at one scale and at a band's extremes,
+    must equal the scalar integrated_variance loop to the last bit."""
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(_table_cases())
     def test_tables_equal_scalar_loop(self, case):
         vs, scale, ts, T, T_tilde = case
         want = _scalar_table(vs, scale, ts, T, T_tilde)
-        assert vs.integrated_variances(scale, ts, T, T_tilde).tolist() == want
+        assert _table(vs, scale, ts, T, T_tilde).tolist() == want
         band = UncertaintyBand(lower=tuple(0.5 * s for s in scale), upper=scale)
-        a_up, a_dn = step_variances(vs, band, ts, T, T_tilde)
+        a_up, a_dn = _band_tables(vs, band, ts, T, T_tilde)
         assert a_up.tolist() == want
         assert a_dn.tolist() == _scalar_table(vs, band.lower, ts, T, T_tilde)
 
@@ -543,21 +553,26 @@ class TestStepVarianceTables:
     def test_degenerate_band_returns_one_array(self, vs):
         ts = np.linspace(0.0, 1.0, 31)
         band = degenerate_band((1.2,) * vs.dim)
-        a_up, a_dn = step_variances(vs, band, ts, 1.0, 1.5)
+        a_up, a_dn = _band_tables(vs, band, ts, 1.0, 1.5)
         assert a_dn is a_up
         assert a_up.tolist() == _scalar_table(vs, band.upper, ts, 1.0, 1.5)
 
-    @pytest.mark.parametrize("vs", TestScalarPathExactness.STRUCTURES + [ho_lee(1e153)],
-                             ids=lambda v: f"d{v.dim}-{v.factors[0].kind}-{v.factors[0].c:g}")
+    @pytest.mark.parametrize("vs", TestScalarPathExactness.STRUCTURES + [
+        ho_lee(1e153), hull_white(1e160, 0.1),
+        VolStructure(factors=(HoLeeFactor(c=1e153), HoLeeFactor(c=0.01))),
+    ], ids=lambda v: f"d{v.dim}-{v.factors[0].kind}-{v.factors[0].c:g}")
     def test_zero_width_step_gives_zero(self, vs):
-        # With c = 1e153, c^2 (T~ - T)^2 overflows to inf: inf * 0 would be NaN.
+        # With c = 1e153, c^2 (T~ - T)^2 overflows to inf, and with c = 1e160
+        # so does g^2: inf * 0 would be NaN.
         ts = np.array([0.0, 0.4, 0.4, 0.9, 0.9])
-        got = vs.integrated_variances((1.1,) * vs.dim, ts, 1.0, 31.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow is inf without a warning
+            got = _table(vs, (1.1,) * vs.dim, ts, 1.0, 31.0)
         assert got.tolist() == _scalar_table(vs, (1.1,) * vs.dim, ts, 1.0, 31.0)
         assert got[1] == 0.0 and got[3] == 0.0 and got[0] > 0.0
 
     def test_tabulated_tables_make_no_scalar_calls(self, monkeypatch):
-        """A tabulated or mixed step_variances table is one array pass: no
+        """A tabulated or mixed extreme_variances table is one array pass: no
         integrated_variance or fp_cov_integral call, the scalar calls' bits."""
         tab = TabulatedFactor(t_grid=(0.0, 0.3, 3.0), maturity_grid=(0.0, 1.5, 10.0),
                               values=((0.01, 0.008, 0.007), (0.011, 0.012, 0.006), (0.012, 0.009, 0.01)))
@@ -578,7 +593,7 @@ class TestStepVarianceTables:
             with monkeypatch.context() as m:
                 m.setattr(VolStructure, "integrated_variance", counted(scalar))
                 m.setattr(TabulatedFactor, "fp_cov_integral", counted(fp_cov))
-                a_up, a_dn = step_variances(vs, UncertaintyBand(scales[1], scales[0]), ts, 1.0, 2.0)
+                a_up, a_dn = _band_tables(vs, UncertaintyBand(scales[1], scales[0]), ts, 1.0, 2.0)
             assert calls == []
             assert [a_up.tolist(), a_dn.tolist()] == want
 
@@ -589,7 +604,7 @@ class TestStepVarianceTables:
     def test_rejected_grids_raise_the_scalar_errors(self, ts, match):
         for vs in TestScalarPathExactness.STRUCTURES:
             with pytest.raises(DomainError, match=match):
-                vs.integrated_variances((1.0,) * vs.dim, ts, 1.0, 2.0)
+                _table(vs, (1.0,) * vs.dim, ts, 1.0, 2.0)
 
 
 # -- maturity-axis variances ----------------------------------------------------------
@@ -629,7 +644,7 @@ def _maturity_axis_cases(draw):
 
 
 class TestMaturityAxisVariances:
-    """integrated_variances and extreme_variances over an array of maturities
+    """extreme_variances over an array of maturities, at one scale and at two,
     must equal one integrated_variance call per maturity to the last bit."""
 
     @settings(max_examples=120, derandomize=True, deadline=None, database=None)
@@ -640,7 +655,7 @@ class TestMaturityAxisVariances:
                 for s in (lower, upper)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow gives inf silently, as in the scalar call
-            got = vs.integrated_variances(upper, window, T, maturities)
+            got = _table(vs, upper, window, T, maturities)
             lo, up = vs.extreme_variances(lower, upper, window, T, np.array(maturities))
         assert got.shape == (len(maturities),)
         assert _bits_list(got.tolist()) == want[1]
@@ -650,7 +665,7 @@ class TestMaturityAxisVariances:
         vs = VolStructure(factors=(HoLeeFactor(c=1e153), HullWhiteFactor(c=1e160, kappa=0.1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = vs.integrated_variances((1.5, 1.5), (0.0, 5.0), 5.0, [5.25, 10.0, 35.0])
+            got = _table(vs, (1.5, 1.5), (0.0, 5.0), 5.0, [5.25, 10.0, 35.0])
         assert got.tolist() == [math.inf] * 3
 
     def test_equal_scales_give_one_array(self):
@@ -673,7 +688,7 @@ class TestMaturityAxisVariances:
             return scalar(self, *args)
 
         monkeypatch.setattr(VolStructure, "integrated_variance", counted)
-        assert vs.integrated_variances((1.0, 1.3), (0.0, 1.0), 1.0, maturities).tolist() == want[0]
+        assert _table(vs, (1.0, 1.3), (0.0, 1.0), 1.0, maturities).tolist() == want[0]
         lo, up = vs.extreme_variances((0.5, 0.7), (1.0, 1.3), (0.0, 1.0), 1.0, maturities)
         assert [up.tolist(), lo.tolist()] == want
         assert calls == []
@@ -688,6 +703,93 @@ class TestMaturityAxisVariances:
             with pytest.raises(DomainError, match=match):
                 vs.integrated_variance(scale, *window, 1.0, maturities[1])
             with pytest.raises(DomainError, match=match):
-                vs.integrated_variances(scale, window, 1.0, maturities)
+                _table(vs, scale, window, 1.0, maturities)
             with pytest.raises(DomainError, match=match):
                 vs.extreme_variances(1.0, scale, window, 1.0, maturities)
+
+
+# -- tables on awkward grids, and covariance tables ---------------------------------
+
+_EDGE_FACTORS = st.one_of(_MATURITY_AXIS_FACTORS, _tabulated_factors())
+
+
+@st.composite
+def _edge_grid_cases(draw):
+    """A Ho-Lee, Hull-White, tabulated or mixed structure (levels that may
+    overflow) and a short grid with repeated points, a NaN, a reversed step
+    or an end past a maturity, against one maturity or a column of them."""
+    factors = draw(st.lists(_EDGE_FACTORS, min_size=1, max_size=3))
+    T = draw(st.floats(0.5, 20.0))
+    points = sorted(draw(st.lists(st.floats(0.0, T), min_size=2, max_size=6)))
+    for i in draw(st.lists(st.integers(0, len(points) - 1), max_size=2)):
+        points.insert(i, points[i])  # a zero-width step
+    edit = draw(st.sampled_from(["none", "nan", "reverse", "past-maturity"]))
+    k = draw(st.integers(0, len(points) - 2))
+    if edit == "nan":
+        points[k] = math.nan
+    elif edit == "reverse":
+        points[k], points[k + 1] = points[k + 1] + 0.25, points[k]
+    elif edit == "past-maturity":
+        points[-1] = T + 1.0
+    maturities = draw(st.lists(st.floats(T, T + 10.0) | st.just(math.nan), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        maturities[-1] = draw(st.floats(0.0, T))  # may end before the grid
+    T_tilde = np.array(maturities)[:, None] if draw(st.booleans()) else maturities[0]
+    scales = [tuple(draw(st.floats(0.1, 3.0)) for _ in factors) for _ in range(2)]
+    return VolStructure(factors=tuple(factors)), scales, np.array(points), T, T_tilde
+
+
+class TestEdgeGridTables:
+    """extreme_variances has no scalar fallback: on any grid it equals one
+    integrated_variance call per window to the last bit (NaN included), or
+    raises the first rejected window's error."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_edge_grid_cases())
+    def test_equal_scalar_calls_or_their_error(self, case):
+        vs, (lower, upper), ts, T, T_tilde = case
+        t0s, t1s, Tts = np.broadcast_arrays(ts[:-1], ts[1:], T_tilde)
+        windows = list(zip(t0s.ravel().tolist(), t1s.ravel().tolist(), Tts.ravel().tolist()))
+        try:
+            want = [_bits_list(vs.integrated_variance(s, t0, t1, T, Tt) for t0, t1, Tt in windows)
+                    for s in (lower, upper)]
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                vs.extreme_variances(lower, upper, ts, T, T_tilde)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, up = vs.extreme_variances(lower, upper, ts, T, T_tilde)
+        assert lo.shape == up.shape == t0s.shape
+        assert [_bits_list(lo.ravel().tolist()), _bits_list(up.ravel().tolist())] == want
+
+
+@st.composite
+def _covariance_cases(draw):
+    """A structure, a nonempty window [t0, t1] (a swaption's [0, T_0], T_0 >
+    0) and 1 to 8 later maturities T~ of the forward prices P(T~)/P(t1)."""
+    factors = draw(st.lists(_EDGE_FACTORS, min_size=1, max_size=3))
+    t1 = draw(st.floats(0.05, 10.0))
+    t0 = draw(st.floats(0.0, t1, exclude_max=True))
+    ends = draw(st.lists(st.floats(t1, t1 + 30.0), min_size=1, max_size=8))
+    scale = tuple(draw(st.floats(0.1, 3.0)) for _ in factors)
+    return VolStructure(factors=tuple(factors)), scale, t0, t1, np.array(ends)
+
+
+class TestCovarianceTables:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(_covariance_cases())
+    def test_mirrored_upper_triangle_equals_scalar_calls(self, case):
+        """The Monte Carlo swaption's covariance: one fp_cov_steps table per
+        factor on (n, 1) x (1, n) maturities, summed in integrated_covariance's
+        order and mirrored, has its bits on and above the diagonal."""
+        vs, scale, t0, t1, ends = case
+        n, window = len(ends), np.array([t0, t1])
+        cov = np.zeros((n, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for sj, f in zip(scale, vs.factors):
+                cov = cov + sj ** 2 * f.fp_cov_steps(window, (t1, ends[:, None]), (t1, ends[None, :]))
+        cov = np.where(np.tri(n, k=-1, dtype=bool), cov.T, cov)
+        want = [[vs.integrated_covariance(scale, t0, t1, (t1, ends[min(a, b)]), (t1, ends[max(a, b)]))
+                 for b in range(n)] for a in range(n)]
+        assert _bits_list(cov.ravel().tolist()) == _bits_list(np.ravel(want).tolist())
