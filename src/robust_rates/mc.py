@@ -1,4 +1,5 @@
-"""Monte Carlo configuration and reproducible normal draws.
+"""Monte Carlo configuration, reproducible normal draws, and the one sampler
+of terminal forward prices.
 
 Draws come from a counter-based Philox stream keyed by the seed, generated
 in a single vectorized call with a fixed path-major layout.  The same
@@ -6,9 +7,15 @@ in a single vectorized call with a fixed path-major layout.  The same
 regardless of execution order, thread count, or how callers batch the
 paths afterwards.  Antithetic sampling mirrors the first half of the
 paths; aggregation should use numpy reductions (pairwise summation) so
-totals do not depend on partitioning.  Kernels that transform the draws
-work through them in path blocks (path_blocks) and write per-path results
-into one whole vector, so every reduction still sees all paths at once.
+totals do not depend on partitioning.
+
+The one sampler (_member_moves, _add_block_prices) prices a family of
+deterministic volatility scenarios on one draw, in path blocks
+(path_blocks), into one (members, paths) array that every reduction reads
+whole; the scenario oracle and the Monte Carlo swaption (a one-segment
+family of the band extremes) both sample through it.  The draw has a column
+per segment and factor, or per segment and forward price for several
+forward prices on a non-separable structure (their exact joint law).
 """
 
 from __future__ import annotations
@@ -114,6 +121,65 @@ def terminal_prices(loads, half_var, x0s, z, out) -> None:
     out -= half_var
     np.exp(out, out=out)
     out *= x0s
+
+
+def _member_moves(vs, family, t_end: float, pairs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each member's loadings -L and (pairs, 1) half variances v/2 over [0,
+    t_end] (v the row sums of L^2) for the terminal prices x0 exp(-L z - v/2)
+    of the forward prices with maturity pairs, which share their first
+    maturity; a member is a list of (t_lo, t_hi, levels) segments, the same
+    switch dates for all.  A segment outside [0, t_end] loads nothing.  One
+    pair or a separable structure takes a column per segment and factor: one
+    stdev table, scaled by each member's |levels|.  Several pairs on a
+    non-separable one take a column per segment and pair: the eigen-factor
+    of their exact covariance at the member's levels (one fp_cov_steps table
+    per factor, upper triangle mirrored), DomainError if it is not finite."""
+    segments = family[0]
+    ts = np.minimum([lo for lo, _, _ in segments] + [segments[-1][1]], t_end)
+    live, T, ends = ts[1:] > ts[:-1], pairs[0][0], np.array([T_tilde for _, T_tilde in pairs])
+    n, moves = len(pairs), []
+    if n == 1 or vs.is_separable():
+        pair = (T, ends[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sds = np.stack([np.sqrt(np.maximum(f.fp_cov_steps(ts, pair, pair), 0.0))
+                            for f in vs.factors], axis=-1)
+        sds = np.where(live[:, None], sds, 0.0)
+        for segments in family:
+            moves.append((sds * -np.abs([scale for _, _, scale in segments])).reshape(n, -1))
+    else:
+        lower, eye = np.tri(n, k=-1, dtype=bool), np.eye(n)
+        with np.errstate(over="ignore", invalid="ignore"):  # (segments, pairs, pairs) tables
+            tables = [np.moveaxis(f.fp_cov_steps(ts, (T, ends[:, None, None]), (T, ends[None, :, None])),
+                                  -1, 0) for f in vs.factors]
+            tables = [np.where(live[:, None, None], np.where(lower, c.swapaxes(1, 2), c), 0.0)
+                      for c in tables]
+            for segments in family:
+                levels, cov = np.array([scale for _, _, scale in segments]), 0.0
+                for j, table in enumerate(tables):
+                    cov = cov + levels[:, j, None, None] ** 2 * table
+                if not np.isfinite(cov).all():
+                    raise DomainError("scenario covariance is not finite "
+                                      "(a factor level too large for its variance integral)")
+                evals, evecs = np.linalg.eigh(cov)
+                mix = evecs @ (np.sqrt(np.maximum(evals, 0.0))[:, :, None] * eye)
+                moves.append(np.negative(mix).transpose(1, 0, 2).reshape(n, -1))
+    return [(loads, 0.5 * np.sum(loads**2, axis=1, keepdims=True)) for loads in moves]
+
+
+def _add_block_prices(sums, key: int, antithetic: bool, moves, x0s, payoff) -> None:
+    """Add to every member's row of sums (members, paths) its per-path prices
+    payoff(x) of one sampling block, x the (pairs, block) terminal prices of
+    the (pairs, 1) spot forward prices x0s on one draw normals(key, paths,
+    columns, antithetic) and the member's moves (_member_moves), one path
+    block at a time in one buffer that payoff may overwrite."""
+    z = normals(key, sums.shape[1], moves[0][0].shape[1], antithetic)
+    width, blocks = path_blocks(z.shape[0])
+    x = np.empty((len(x0s), width))
+    for cols in blocks:
+        z_cols, x_cols = z[cols], x[:, :cols.stop - cols.start]
+        for (loads, half_var), row in zip(moves, sums):
+            terminal_prices(loads, half_var, x0s, z_cols, x_cols)
+            row[cols] += payoff(x_cols)
 
 
 def mean_and_se(samples: np.ndarray) -> tuple[float, float]:

@@ -26,9 +26,13 @@ The one-factor swaption locates the exercise boundary of the comonotone
 payoff with ``_brentq``, a step-for-step port of scipy's C ``brentq``, and
 sums Gaussian tail integrals with ``lognormal.norm_cdf``: it loads no scipy
 module and returns scipy's bits.  The multi-factor case falls back to Monte
-Carlo on the joint terminal law.  Both read both extremes' inputs from one
-pass over the schedule (``_swaption_inputs``), which raises ``DomainError``
-for a total variance that is not finite; a degenerate band is solved once.
+Carlo on the joint terminal law: ``mc``'s one sampler prices the constant
+scenario family of the band extremes on one draw, a column per factor (per
+forward price on a non-separable structure), x0 exp(-L z - v/2) with v the
+row sums of L^2, as ``oracle.scenario_sup`` prices a family.  Both read
+both extremes' inputs from one pass over the schedule
+(``_swaption_inputs``), which raises ``DomainError`` for a total variance
+that is not finite; a degenerate band is solved once.
 That pass reads the forward prices P(T_k)/P(T_0) from
 ``DiscountCurve.forward_prices``: one memoized curve integral per date,
 shared by every contract of the market on that date, with
@@ -49,7 +53,7 @@ from .curve import DiscountCurve
 from .errors import ConvergenceError, DomainError, UnsupportedMethodError
 from .linear_pricing import LinearContract, TenorSchedule
 from .lognormal import norm_cdf
-from .mc import MCConfig, mean_and_se, normals, path_blocks, terminal_prices
+from .mc import MCConfig, _add_block_prices, _member_moves, mean_and_se
 from .stream import (CashflowStream, ConstantLeg, FloatingLinearLeg, caplet_leg,
                      closed_form_bounds, floorlet_leg, in_arrears_leg)
 from .uncertainty import PriceBounds, UncertaintyBand
@@ -286,60 +290,6 @@ def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float, rtol: fl
     )
 
 
-def _swaption_value_mc(vs, sigma, schedule, xs, coefs, ws, z: np.ndarray) -> tuple[float, float]:
-    """Monte Carlo on the joint lognormal terminal vector (mean, standard error)
-    at the scaling sigma, from _swaption_inputs' xs, coefs and ws at sigma and
-    standard normals z, one column per factor for separable factors and one
-    per forward price otherwise; z is left unchanged.
-
-    Separable factors (Ho-Lee, Hull-White) admit an exact one-normal-per-
-    factor representation; otherwise the exact per-pair covariance matrix is
-    factorized and the joint Gaussian drawn from it.
-
-    The terminal vectors fill one reused (n, block) buffer per path block
-    (mc.path_blocks), a row per period: one product (-mix) @ z[cols].T (the
-    minus exact by sign symmetry), one subtract of the (n, 1) half
-    variances, one exp, one multiply by the (n, 1) forward prices, and
-    coefs @ terminal into one (paths,) vector that mean_and_se reads whole.
-    BLAS picks each sum's order, so a payoff can differ from a (paths, n)
-    layout's in its last bits; blocking moves none (see path_blocks).
-    """
-    t0 = schedule.start
-    n = len(xs)
-    sig = np.atleast_1d(np.asarray(sigma, dtype=float))
-    window, ends = np.array([0.0, t0]), np.array(schedule.dates[1:])
-    if vs.is_separable():
-        # log X^i = -sum_j mix[i, j] Z_j - w_i^2/2 with one Z per factor.
-        # Separability makes within-factor correlation exactly 1; signs are
-        # all positive because T_i > T_0.
-        pair = (t0, ends)
-        mix = np.stack([np.sqrt(np.maximum(sig[j] ** 2 * f.fp_cov_steps(window, pair, pair), 0.0))
-                        for j, f in enumerate(vs.factors)], axis=1)
-    else:
-        # integrated_covariance(sigma, 0, t0, pair_a, pair_b) for every two
-        # periods in one pass per factor; fp_cov_steps is not bit-symmetric
-        # in its pairs, so the upper triangle is mirrored.
-        cov = np.zeros((n, n))
-        for sj, f in zip(sig.tolist(), vs.factors):
-            cov = cov + sj ** 2 * f.fp_cov_steps(window, (t0, ends[:, None]), (t0, ends[None, :]))
-        cov = np.where(np.tri(n, k=-1, dtype=bool), cov.T, cov)
-        # Symmetric PSD factorization tolerant of rank deficiency.
-        evals, evecs = np.linalg.eigh(cov)
-        mix = evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0)))
-    loads, half_var, x0s = -mix, 0.5 * ws[:, None] ** 2, xs[:, None]
-    width, blocks = path_blocks(z.shape[0])
-    buf = np.empty((n, width))
-    payoff = np.empty(z.shape[0])
-    for cols in blocks:
-        # terminal = xs * exp(-(mix @ z.T) - w^2/2) for this block's paths.
-        terminal = buf[:, :cols.stop - cols.start]
-        terminal_prices(loads, half_var, x0s, z[cols], terminal)
-        np.matmul(coefs, terminal, out=payoff[cols])
-    np.subtract(1.0, payoff, out=payoff)
-    np.maximum(payoff, 0.0, out=payoff)
-    return mean_and_se(payoff)
-
-
 def price_swaption(
     curve: DiscountCurve,
     vs: VolStructure,
@@ -373,17 +323,19 @@ def price_swaption(
         else:
             upper = p0 * _swaption_value_comonotone(xs, coefs, weights, ws_upper)
     elif method == "monte-carlo":
+        # A one-segment constant scenario family, the lower extreme then the
+        # upper (one member under a degenerate band), on one shared draw.
         mc = mc or MCConfig()
-        xs, coefs, ws_lower, ws_upper = _swaption_inputs(curve, vs, band, contract)
-        # Both extremes read the same draws, so they are drawn once.
-        n_cols = vs.dim if vs.is_separable() else contract.schedule.periods
-        z = normals(mc.seed, mc.paths, n_cols, mc.antithetic)
-        schedule = contract.schedule
-        lo_mean, lo_se = _swaption_value_mc(vs, band.lower, schedule, xs, coefs, ws_lower, z)
-        if band.is_degenerate:  # one belief: both bounds are the same estimate
-            hi_mean, hi_se = lo_mean, lo_se
-        else:
-            hi_mean, hi_se = _swaption_value_mc(vs, band.upper, schedule, xs, coefs, ws_upper, z)
+        xs, coefs, _, _ = _swaption_inputs(curve, vs, band, contract)
+        t0 = contract.schedule.start
+        extremes = (band.lower,) if band.is_degenerate else (band.lower, band.upper)
+        moves = _member_moves(vs, [[(0.0, t0, s)] for s in extremes], t0,
+                             [(t0, t) for t in contract.schedule.dates[1:]])
+        sums = np.zeros((len(moves), mc.paths))
+        _add_block_prices(sums, mc.seed, mc.antithetic, moves, xs[:, None],
+                         lambda x: np.maximum(1.0 - coefs @ x, 0.0))
+        stats = [mean_and_se(row) for row in sums]
+        (lo_mean, lo_se), (hi_mean, hi_se) = stats[0], stats[-1]
         lower, upper = p0 * lo_mean, p0 * hi_mean
         diag.update(
             paths=mc.paths,

@@ -20,13 +20,17 @@ Three tools, all deliberately distinct from the engines they police:
     dates).  Every scenario's linear price is a lower estimate of the upper
     bound, so the family maximum must sit below the engine's upper bound up
     to sampling error.  Every contract but the swaption samples the legs
-    option_pricing.as_stream lowers it to.  The members share their draws
-    (common random numbers, one draw per sampling block) and price them one
-    path block at a time, each member one (pairs, block) product, a row per
-    forward price; their running sums fill one (members, paths) array, so
-    memory is 8 bytes per member and path plus one draw.  A one-pair block
-    (a leg) keeps a per-pair gemv's bits; a swaption's rows sum in BLAS's
-    order, so their last bits depend on the BLAS build.
+    option_pricing.as_stream lowers it to.  The family samples through mc's
+    one sampler (mc._member_moves, mc._add_block_prices), as the Monte Carlo
+    swaption does: the members share their draws (common random numbers, one
+    draw per sampling block) and price them one path block at a time, each
+    member one (pairs, block) product, a row per forward price; their
+    running sums fill one (members, paths) array, so memory is 8 bytes per
+    member and path plus one draw.  A swaption on a non-separable
+    (tabulated) structure draws its forward prices' exact joint law, not a
+    comonotone one.  A one-pair block (a leg) keeps a per-pair gemv's bits;
+    a swaption's rows sum in BLAS's order, so their last bits depend on the
+    BLAS build.
 
   * expectations_hypothesis_check -- simulates the terminal short rate under
     the forward-measure dynamics (drift removed) and compares its sample
@@ -44,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .curve import DiscountCurve
 from .errors import DomainError, StabilityError, UnsupportedMethodError
-from .mc import MCConfig, child_seed, mean_and_se, normals, path_blocks, terminal_prices
+from .mc import MCConfig, _add_block_prices, _member_moves, child_seed, mean_and_se, normals
 from .option_pricing import OptionContract, as_stream, exercise_coefficients
 from .stream import ConstantLeg, FloatingLinearLeg
 from .uncertainty import UncertaintyBand
@@ -167,7 +171,7 @@ class ConstantControls:
 @dataclass(frozen=True)
 class PiecewiseControls:
     """All combinations of k diagonal levels over the segments cut by the
-    switch dates (family size k^(segments), capped)."""
+    distinct switch dates (family size k^(segments), capped)."""
 
     k: int = 2
     switch_dates: tuple[float, ...] = ()
@@ -179,7 +183,7 @@ class PiecewiseControls:
         if not isinstance(self.max_family, (int, np.integer)) or self.max_family < 1:
             raise DomainError(f"need an integer family cap of at least one member, "
                               f"got max_family={self.max_family!r}")
-        dates = tuple(sorted(float(d) for d in self.switch_dates))
+        dates = tuple(sorted({float(d) for d in self.switch_dates}))  # a repeat cuts no segment
         if not all(0.0 < d < math.inf for d in dates):
             raise DomainError(f"switch dates must be finite and positive, got {self.switch_dates}")
         object.__setattr__(self, "switch_dates", dates)
@@ -216,26 +220,6 @@ def _control_family(band, controls, horizon: float):
             labels.append("piecewise" + str(tuple(int(c) for c in combo)))
         return fam, labels
     raise DomainError(f"unknown control family {controls!r}")
-
-
-def _member_moves(vs, family, t_end: float, pairs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each member's (pairs, n_segments * d) loadings (a row of stdevs per
-    pair) and (pairs, 1) half total variances over [0, t_end].  The pairs
-    share their first maturity and the members their switch dates, so one
-    unscaled (pairs, n_segments, d) stdev table (0.0 on a segment outside
-    [0, t_end]) serves all, each member scaling it by its |levels|."""
-    segments = family[0]
-    ts = np.minimum([lo for lo, _, _ in segments] + [segments[-1][1]], t_end)
-    pair = (pairs[0][0], np.array([[T_tilde] for _, T_tilde in pairs]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        sds = np.stack([np.sqrt(np.maximum(f.fp_cov_steps(ts, pair, pair), 0.0)) for f in vs.factors],
-                       axis=-1)
-    sds = np.where((ts[1:] > ts[:-1])[:, None], sds, 0.0)
-    moves = []
-    for segments in family:
-        loads = (sds * np.abs([scale for _, _, scale in segments])).reshape(len(pairs), -1)
-        moves.append((loads, 0.5 * np.sum(loads**2, axis=1, keepdims=True)))
-    return moves
 
 
 @dataclass(frozen=True)
@@ -292,20 +276,6 @@ def _sampling_blocks(curve, contract, seed: int) -> tuple[list, float]:
     return blocks, fixed
 
 
-def _add_block_prices(sums, z, moves, x0s, payoff) -> None:
-    """Add to every member's row of sums its per-path prices of one sampling
-    block, from the block's draws z, one path block at a time.  moves holds
-    each member's loadings and half variances (_member_moves); all work
-    happens in one (pairs, block) buffer and the payoff's own."""
-    width, blocks = path_blocks(z.shape[0])
-    x = np.empty((len(x0s), width))
-    for cols in blocks:
-        z_cols, x_cols = z[cols], x[:, :cols.stop - cols.start]
-        for (loads, half_var), row in zip(moves, sums):
-            terminal_prices(loads, half_var, x0s, z_cols, x_cols)
-            row[cols] += payoff(x_cols)
-
-
 def scenario_sup(
     curve: DiscountCurve,
     vs: VolStructure,
@@ -323,14 +293,16 @@ def scenario_sup(
     single block, and every member prices from that draw.  Sampling blocks
     run outermost and only one block's draw is held at a time.  Within it,
     each member fills one reused (pairs, block) buffer per path block
-    (mc.path_blocks) with one product of its (pairs, segments * d) loadings
-    and the block's transposed draws, and adds the payoff's (block,) prices
-    to its row of one (members, paths) array of running sums.  Memory is
-    that array (8 bytes per member and path), one draw (8 bytes per path,
-    segment and factor), the (pairs, block) buffer and the payoff's own (one
-    block vector for the swaption and the caplet, floorlet and in-arrears
-    legs), whatever the number of periods; nothing of path size is
-    allocated per member.  The reported se is the maximizing member's own.
+    (mc.path_blocks) with one product of its (pairs, columns) loadings
+    (mc._member_moves) and the block's transposed draws, and adds the
+    payoff's (block,) prices to its row of one (members, paths) array of
+    running sums.  Memory is that array (8 bytes per member and path), one
+    draw (8 bytes per path and column: a column per segment and factor, or
+    per segment and forward price for a swaption on a non-separable
+    structure), the (pairs, block) buffer and the payoff's own (one block
+    vector for the swaption and the caplet, floorlet and in-arrears legs),
+    whatever the number of periods; nothing of path size is allocated per
+    member.  The reported se is the maximizing member's own.
     """
     band.check_factors(vs)
     mc = mc or MCConfig()
@@ -338,14 +310,10 @@ def scenario_sup(
     if not family:
         raise DomainError("empty control family")
     blocks, fixed = _sampling_blocks(curve, contract, mc.seed)
-    nseg = len(family[0])
     sums = np.zeros((len(family), mc.paths))
     for key, t_end, pairs, payoff in blocks:
-        moves = _member_moves(vs, family, t_end, pairs)
-        x0s = np.array([[curve.forward_price(*p)] for p in pairs])
-        # The draw goes out of scope before the next block's is made.
-        _add_block_prices(sums, normals(key, mc.paths, nseg * vs.dim, mc.antithetic),
-                          moves, x0s, payoff)
+        _add_block_prices(sums, key, mc.antithetic, _member_moves(vs, family, t_end, pairs),
+                         np.array([[curve.forward_price(*p)] for p in pairs]), payoff)
     table = tuple((label, contract.notional * (mean + fixed), abs(contract.notional) * se)
                   for label, (mean, se) in zip(labels, map(mean_and_se, sums)))
     label, value, se = max(table, key=lambda row: row[1])  # the first maximizing member

@@ -227,13 +227,20 @@ def _variance_error(i, t_reset, t_pay, t0, t1) -> DomainError:
     )
 
 
+def _finite_variance(vs, scale, i, t0, t1, T, T_tilde) -> float:
+    """vs.integrated_variance(scale, t0, t1, T, T~) of period i's forward
+    price P(T~)/P(T), raising _variance_error if it is not finite."""
+    var = vs.integrated_variance(scale, t0, t1, T, T_tilde)
+    if not math.isfinite(var):
+        raise _variance_error(i, T, T_tilde, t0, t1)
+    return var
+
+
 def _leg_grid(curve, vs, band, stream, i, nx: int, nt: int) -> PDEGrid:
     """Period i's single-option grid: six sigma of the band's upper variance
     around the spot forward price."""
     t_reset, t_pay = stream.schedule.dates[i], stream.schedule.dates[i + 1]
-    var = vs.integrated_variance(band.upper, 0.0, t_reset, t_reset, t_pay)
-    if not math.isfinite(var):
-        raise _variance_error(i, t_reset, t_pay, 0, t_reset)
+    var = _finite_variance(vs, band.upper, i, 0, t_reset, t_reset, t_pay)
     return default_grid(curve.forward_price(t_reset, t_pay), math.sqrt(var), nx=nx, nt=nt)
 
 
@@ -312,9 +319,7 @@ def leg_bounds(
         # The bounds each row fills: a degenerate band's one scale fills both.
         fills = ((0, 1),) if band.is_degenerate else ((0,), (1,))
         for sides, scale in zip(fills, extremes):
-            var = vs.integrated_variance(scale, 0.0, t_reset, t_reset, t_pay)
-            if not math.isfinite(var):
-                raise _variance_error(i, t_reset, t_pay, 0, t_reset)
+            var = _finite_variance(vs, scale, i, 0, t_reset, t_reset, t_pay)
             grid = default_grid(x0, math.sqrt(var), nx=nx, nt=nt)
             tables = window_tables(vs, degenerate_band(scale), pair, 0.0, t_reset, nt)
             stacked.append((i, sides, x0, p_reset, leg, grid, tables))
@@ -403,12 +408,8 @@ def _pair_recursion(
 
     # Inner solve: h(x2) = upper value of g2 at t = T_{i-1}, on a domain wide
     # enough to cover the outer grid plus the diffusion left until T_i.
-    var2_outer = vs.integrated_variance(band.upper, 0.0, t_start, *pair2)
-    if not math.isfinite(var2_outer):
-        raise _variance_error(i + 1, *pair2, 0, t_start)
-    var2_inner = vs.integrated_variance(band.upper, t_start, t_mid, *pair2)
-    if not math.isfinite(var2_inner):
-        raise _variance_error(i + 1, *pair2, t_start, t_mid)
+    var2_outer = _finite_variance(vs, band.upper, i + 1, 0, t_start, *pair2)
+    var2_inner = _finite_variance(vs, band.upper, i + 1, t_start, t_mid, *pair2)
     half_width = 6.0 * max(math.sqrt(var2_outer), 1e-6) + 6.0 * max(math.sqrt(var2_inner), 1e-6)
     inner_grid = PDEGrid(
         x_min=x2_0 * math.exp(-half_width),
@@ -426,9 +427,7 @@ def _pair_recursion(
         raise DomainError("coupled recursion requires positive forward-price vols")
     rho = s2 / s1
 
-    v1_up = vs.integrated_variance(band.upper, 0.0, t_start, *pair1)
-    if not math.isfinite(v1_up):
-        raise _variance_error(i, *pair1, 0, t_start)
+    v1_up = _finite_variance(vs, band.upper, i, 0, t_start, *pair1)
     half1 = 6.0 * max(math.sqrt(v1_up), 1e-6)
     n = _pair_nodes(nx)
     y1 = np.linspace(math.log(x1_0) - half1, math.log(x1_0) + half1, n)

@@ -338,11 +338,12 @@ class VolStructure:
 
     def _scalar_sum(self, name, scale, t0, t1, pair_a, pair_b=None) -> float:
         """name's checks, then sum_j scale_j^2 fp_cov_integral_j(t0, t1, pair_a, pair_b);
-        pair_b=None is pair_a's variance, whose window must end by min(T, T~)."""
+        pair_b=None is pair_a's variance, whose window must end by min(T, T~);
+        a window end or maturity that is not finite fails those checks."""
         s = self._check_scale(scale)
-        if t0 > t1:
+        if not -math.inf < t0 <= t1 < math.inf:  # a NaN fails every comparison
             raise DomainError(f"{name} requires t0 <= t1, got {t0} > {t1}")
-        if pair_b is None and t1 > min(pair_a):
+        if pair_b is None and not (t1 <= pair_a[0] < math.inf and t1 <= pair_a[1] < math.inf):
             raise DomainError(
                 f"{name} requires t1 <= min(T, T~), got t1={t1}, T={pair_a[0]}, T~={pair_a[1]}"
             )
@@ -379,19 +380,23 @@ class VolStructure:
 
         Each factor's term is one array pass (fp_cov_steps), a total 0.0 +
         sum_j s_j^2 term_j; an overflow is inf without a warning, as in the
-        scalar call.  A grid with a step that is not positive or an end past
-        a maturity is checked window by window: the first window
-        integrated_variance rejects raises its error, and a zero-width step
-        is 0.0, an inf term too.  Equal scales give one array twice."""
+        scalar call.  A grid with a step that is not positive, an end past a
+        maturity or a point or maturity that is not finite is checked window
+        by window: the first window integrated_variance rejects raises its
+        error, and a zero-width step is 0.0, an inf term too.  Equal scales
+        give one array twice."""
         scales = [self._check_scale(lower), self._check_scale(upper)]
         if scales[1] == scales[0]:
             del scales[1]
         ts = np.asarray(ts, dtype=float)
         T, T_tilde = float(T), np.asarray(T_tilde, dtype=float)
         empty = None
-        if not ((ts[1:] > ts[:-1]).all() and (len(ts) < 2 or (ts[-1] <= T and (ts[-1] <= T_tilde).all()))):
+        ends_ok = len(ts) < 2 or (-math.inf < ts[0] and ts[-1] <= T < math.inf
+                                  and (ts[-1] <= T_tilde).all() and (T_tilde < math.inf).all())
+        if not ((ts[1:] > ts[:-1]).all() and ends_ok):
             t0s, t1s, Tts = np.broadcast_arrays(ts[:-1], ts[1:], T_tilde)
-            rejected = (t0s > t1s) | (t1s > np.where(Tts < T, Tts, T))  # min(T, T~) as Python's min
+            rejected = ~((-math.inf < t0s) & (t0s <= t1s) & (t1s <= T) & (T < math.inf)
+                         & (t1s <= Tts) & (Tts < math.inf))  # as integrated_variance: NaN fails
             if rejected.any():  # integrated_variance raises its error for the first
                 t0, t1, Tt = (float(a.flat[np.argmax(rejected)]) for a in (t0s, t1s, Tts))
                 self.integrated_variance(scales[0], t0, t1, T, Tt)

@@ -12,9 +12,10 @@ The lattice reference steps the whole tree back with the lattice's own
 BLAS build.  The elementwise kernel the lattice used before stays as a
 second reference, within the rounding bound steps * 2^-52 * max|payoff|.
 Likewise the scenario and Monte Carlo swaption references fill one
-(pairs, paths) product over all paths at once, as the kernels do per path
-block; the (paths, pairs) forms the kernels used before stay as second
-references within stated ulp bounds.
+(pairs, paths) product over all paths at once, as the one sampler
+(mc._member_moves, mc._add_block_prices) does per path block, from loadings
+built by scalar integrals; the (paths, pairs) forms the kernels used before
+stay as second references within stated ulp bounds.
 """
 
 import math
@@ -27,7 +28,7 @@ from robust_rates import mc as mc_module, option_pricing
 from robust_rates.curve import DiscountCurve
 from robust_rates.errors import DomainError, StabilityError, UnsupportedMethodError
 from robust_rates.linear_pricing import LinearContract, TenorSchedule
-from robust_rates.mc import MCConfig, mean_and_se, normals, terminal_prices
+from robust_rates.mc import MCConfig, _member_moves, mean_and_se, normals, terminal_prices
 from robust_rates.option_pricing import OptionContract, price_swaption
 from robust_rates.oracle import (
     LATTICE_STRETCH,
@@ -36,7 +37,6 @@ from robust_rates.oracle import (
     PiecewiseControls,
     _branch_probabilities,
     _control_family,
-    _member_moves,
     lattice_price,
     scenario_sup,
 )
@@ -145,73 +145,60 @@ def assert_rounds_to_elementwise(got, args):
     assert abs(got - want) <= steps * 2.0**-52 * peak[0]
 
 
-def segment_stdevs(vs, segments, t_end, pair) -> np.ndarray:
-    """(n_segments, d) stdevs of log X over [0, t_end] for the forward price
-    with maturity pair, one scalar integral per segment and factor: zero on
-    a segment outside [0, t_end]."""
-    def sd(lo, hi, s, f):
-        return abs(s) * math.sqrt(max(f.fp_cov_integral(lo, hi, pair, pair), 0.0)) if hi > lo else 0.0
-    return np.array([[sd(max(lo, 0.0), min(hi, t_end), s, f) for s, f in zip(scale, vs.factors)]
-                     for lo, hi, scale in segments])
+def segment_loadings(vs, segments, t_end, pairs) -> np.ndarray:
+    """(pairs, columns) loadings L of the log forward prices over [0, t_end]
+    (zero on a segment outside it), from scalar integrals.  For one pair or
+    a separable structure, one column per segment and factor: the stdev
+    |level| sqrt(fp_cov_integral).  Otherwise, per segment, the columns of
+    the eigen-factor of the pairs' covariance matrix, one
+    integrated_covariance call per entry on and above the diagonal."""
+    windows = [(max(lo, 0.0), min(hi, t_end), scale) for lo, hi, scale in segments]
+    if len(pairs) == 1 or vs.is_separable():
+        return np.array([[abs(s) * math.sqrt(max(f.fp_cov_integral(lo, hi, p, p), 0.0)) if hi > lo else 0.0
+                          for lo, hi, scale in windows for s, f in zip(scale, vs.factors)] for p in pairs])
+    n, blocks = len(pairs), []
+    for lo, hi, scale in windows:
+        cov = np.array([[vs.integrated_covariance(scale, lo, hi, pairs[min(a, b)], pairs[max(a, b)])
+                         if hi > lo else 0.0 for b in range(n)] for a in range(n)])
+        evals, evecs = np.linalg.eigh(cov)
+        blocks.append(evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0))))
+    return np.hstack(blocks)
 
 
-def ref_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z):
-    """(pairs, paths) prices for draws z of shape (paths, n_segments, d): the
-    pairs' rows of stdevs stacked into one loading matrix times the
-    transposed draws, over all paths at once."""
-    loads = np.array([segment_stdevs(vs, segments, t_end, pair).ravel() for pair in pairs])
-    log_move = np.matmul(loads, z.reshape(z.shape[0], -1).T)
+def ref_terminal_forward_prices(loads, x0s, z):
+    """(pairs, paths) prices x0 exp(-L z - v/2) for draws z of shape (paths,
+    columns), v the row sums of L^2: one loading matrix times the transposed
+    draws, over all paths at once."""
+    log_move = np.matmul(-loads, z.T)
     total_var = np.sum(loads**2, axis=1, keepdims=True)
     return np.array(x0s)[:, None] * np.exp(log_move - 0.5 * total_var)
 
 
-def column_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z):
-    """The same (pairs, paths) prices, each pair's log move its own
-    tensordot over (paths, pairs) columns, as the kernel made them before."""
-    out = np.empty((z.shape[0], len(pairs)))
-    for a, (pair, x0) in enumerate(zip(pairs, x0s)):
-        sds = segment_stdevs(vs, segments, t_end, pair)
-        log_move = np.tensordot(z, sds, axes=([1, 2], [0, 1]))
-        total_var = float(np.sum(sds**2))
-        out[:, a] = x0 * np.exp(log_move - 0.5 * total_var)
+def column_terminal_forward_prices(loads, x0s, z):
+    """The same (pairs, paths) prices, each pair's log move its own dot over
+    (paths, pairs) columns, as the kernel made them before."""
+    out = np.empty((z.shape[0], len(x0s)))
+    for a, (row, x0) in enumerate(zip(loads, x0s)):
+        out[:, a] = x0 * np.exp(np.dot(z, -row) - 0.5 * float(np.sum(row**2)))
     return out.T
 
 
 def ref_swaption_value_mc(curve, vs, sigma, contract, mc):
     """(mean, se) on a (periods, paths) array, and (mean, se) on the (paths,
-    periods) array the kernel filled before."""
+    periods) array the kernel filled before: the one-segment constant member
+    at sigma, its loadings from segment_loadings."""
     s = contract.schedule
     t0 = s.start
-    xs = np.array([curve.forward_price(t0, t) for t in s.dates[1:]])
-    w2 = np.array([vs.integrated_variance(sigma, 0.0, t0, t0, t) for t in s.dates[1:]])
-    ws = np.sqrt(np.maximum(w2, 0.0))
+    pairs = [(t0, t) for t in s.dates[1:]]
+    xs = np.array([curve.forward_price(*p) for p in pairs])
     coefs = np.array(s.accruals) * contract.strike_rate
     coefs[-1] += 1.0
-    n = len(xs)
-    sig = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if vs.is_separable():
-        loads = np.zeros((vs.dim, n))
-        for j, f in enumerate(vs.factors):
-            cov_jj = [
-                sig[j] ** 2 * f.fp_cov_integral(0.0, t0, (t0, t), (t0, t))
-                for t in s.dates[1:]
-            ]
-            loads[j] = np.sqrt(np.maximum(cov_jj, 0.0))
-        z = ref_normals(mc.seed, mc.paths, vs.dim, antithetic=mc.antithetic)
-    else:
-        cov = np.zeros((n, n))
-        pairs = [(t0, t) for t in s.dates[1:]]
-        for a in range(n):
-            for b in range(a, n):
-                cov[a, b] = cov[b, a] = vs.integrated_covariance(
-                    sigma, 0.0, t0, pairs[a], pairs[b]
-                )
-        evals, evecs = np.linalg.eigh(cov)
-        loads = (evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0)))).T
-        z = ref_normals(mc.seed, mc.paths, n, antithetic=mc.antithetic)
-    log_x = np.matmul(-loads.T, z.T) - 0.5 * ws[:, None] ** 2
+    loads = segment_loadings(vs, [(0.0, t0, sigma)], t0, pairs)
+    half_var = 0.5 * np.sum(loads**2, axis=1, keepdims=True)
+    z = ref_normals(mc.seed, mc.paths, loads.shape[1], antithetic=mc.antithetic)
+    log_x = np.matmul(-loads, z.T) - half_var
     periods_major = np.maximum(1.0 - coefs @ (xs[:, None] * np.exp(log_x)), 0.0)
-    log_x = -(z @ loads) - 0.5 * ws**2
+    log_x = -(z @ loads.T) - half_var.T
     paths_major = np.maximum(1.0 - (xs * np.exp(log_x)) @ coefs, 0.0)
     return mean_and_se(periods_major), mean_and_se(paths_major)
 
@@ -369,15 +356,16 @@ class TestLegPayoffs:
 
 def terminal_forward_prices(moves, x0s, z):
     """The kernel's (pairs, paths) prices for one member's moves and draws z
-    of shape (paths, n_segments, d), in a fresh array."""
+    of shape (paths, columns), in a fresh array."""
     out = np.empty((len(x0s), z.shape[0]))
-    terminal_prices(*moves, np.array(x0s)[:, None], z.reshape(z.shape[0], -1), out)
+    terminal_prices(*moves, np.array(x0s)[:, None], z, out)
     return out
 
 
 class TestTerminalForwardPrices:
     @pytest.mark.parametrize("antithetic", [True, False])
-    @pytest.mark.parametrize("vs, band", [(ho_lee(0.015), BAND), (VS_2F, BAND_2F)], ids=["1f", "2f"])
+    @pytest.mark.parametrize("vs, band", [(ho_lee(0.015), BAND), (VS_2F, BAND_2F), (single_factor(TAB), BAND)],
+                             ids=["1f", "2f", "tabulated"])
     @pytest.mark.parametrize("switches", [(), (0.7, 1.2)], ids=["constant", "piecewise"])
     def test_matches_reference(self, switches, vs, band, antithetic):
         t_end = 2.0
@@ -386,17 +374,18 @@ class TestTerminalForwardPrices:
         family, _ = _control_family(band, PiecewiseControls(2, switches), t_end)
         moves, first_moves = (_member_moves(vs, family, t_end, p) for p in (pairs, pairs[:1]))
         for segments, member, first in zip(family, moves, first_moves):
-            z = normals(9, 1001, len(segments) * vs.dim, antithetic)
-            z = z.reshape(1001, len(segments), vs.dim)
+            loads, first_loads = (segment_loadings(vs, segments, t_end, p) for p in (pairs, pairs[:1]))
+            z = normals(9, 1001, loads.shape[1], antithetic)
             got = terminal_forward_prices(member, x0s, z)
-            assert same_bits(got, ref_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z))
+            assert same_bits(got, ref_terminal_forward_prices(loads, x0s, z))
             # One pair's row is the gemv of the per-column form, bit for bit.
-            assert same_bits(terminal_forward_prices(first, x0s[:1], z),
-                             column_terminal_forward_prices(vs, segments, t_end, pairs[:1], x0s[:1], z))
-            # Several pairs' rows sum their k <= 8 terms in BLAS's order: the
+            z_first = z[:, :first_loads.shape[1]]
+            assert same_bits(terminal_forward_prices(first, x0s[:1], z_first),
+                             column_terminal_forward_prices(first_loads, x0s[:1], z_first))
+            # Several pairs' rows sum their k <= 9 terms in BLAS's order: the
             # log moves (|move| < 1) then differ by under an ulp of the exp's
             # input, and the prices by at most 4 ulp.
-            columns = column_terminal_forward_prices(vs, segments, t_end, pairs, x0s, z)
+            columns = column_terminal_forward_prices(loads, x0s, z)
             assert np.all(np.abs(got - columns) <= 4 * np.spacing(columns))
 
 
@@ -409,15 +398,23 @@ class TestTerminalForwardPrices:
                              ids=["constant", "one", "repeated", "past-t-end"])
     @pytest.mark.parametrize("pairs", [[(1.0, 1.5), (1.0, 2.0), (1.0, 4.0)], [(1.5, 1.0)]],
                              ids=["swaption", "floating-leg"])
-    def test_member_moves_equal_scalar_stdevs(self, vs, switches, pairs):
-        """One unscaled table scaled by each member's |levels| has the bits
-        of one scalar integral per member, segment and factor."""
+    def test_member_moves_equal_scalar_loadings(self, vs, switches, pairs):
+        """One unscaled stdev table scaled by each member's |levels|, or per
+        segment the eigen-factor of one covariance table per factor, has the
+        bits of the loadings from scalar integrals (negated), and the half
+        variances those of their row sums of squares."""
         band = UncertaintyBand((0.5,) * vs.dim, (1.5,) * vs.dim)
         family, _ = _control_family(band, PiecewiseControls(2, switches), 2.0)
         for segments, (loads, half_var) in zip(family, _member_moves(vs, family, 1.0, pairs)):
-            want = np.array([segment_stdevs(vs, segments, 1.0, pair).ravel() for pair in pairs])
-            assert same_bits(loads, want)
+            want = segment_loadings(vs, segments, 1.0, pairs)
+            assert same_bits(loads, -want)
             assert same_bits(half_var, 0.5 * np.sum(want**2, axis=1, keepdims=True))
+
+    def test_non_finite_covariance_is_a_domain_error(self):
+        huge = UncertaintyBand((1e160,), (1e160,))
+        family, _ = _control_family(huge, PiecewiseControls(1), 2.0)
+        with pytest.raises(DomainError, match="factor level too large"):
+            _member_moves(single_factor(TAB), family, 1.0, [(1.0, 1.5), (1.0, 2.0)])
 
 
 # -- Monte Carlo swaption -----------------------------------------------------------------
@@ -443,7 +440,7 @@ class TestMonteCarloSwaption:
             calls.append(args)
             return normals(*args, **kwargs)
 
-        monkeypatch.setattr(option_pricing, "normals", counted)
+        monkeypatch.setattr(mc_module, "normals", counted)
         return calls
 
     def check(self, vs, band, mc, normals_calls, swaption=SWAPTION):
@@ -476,16 +473,20 @@ class TestMonteCarloSwaption:
         self.check(vs, band, MCConfig(paths=paths, seed=23, antithetic=antithetic), normals_calls)
 
     def test_degenerate_band_prices_one_extreme(self, monkeypatch, normals_calls):
-        kernel_calls = []
-        kernel = option_pricing._swaption_value_mc
+        families = []
 
-        def counted(*args):
-            kernel_calls.append(args)
-            return kernel(*args)
+        def counted(vs, family, *args):
+            families.append(family)
+            return _member_moves(vs, family, *args)
 
-        monkeypatch.setattr(option_pricing, "_swaption_value_mc", counted)
+        monkeypatch.setattr(option_pricing, "_member_moves", counted)
         self.check(VS_2F, degenerate_band((1.1, 0.9)), MCConfig(paths=2001, seed=3), normals_calls)
-        assert len(kernel_calls) == 1
+        assert [len(family) for family in families] == [1]
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_tabulated_matches_reference(self, antithetic, normals_calls):
+        self.check(single_factor(TAB), BAND, MCConfig(paths=2001, seed=41, antithetic=antithetic),
+                   normals_calls)
 
     # With 64-path blocks: one block short of full, one full block, one or
     # two paths over, and two blocks plus one or two paths.  A last block of

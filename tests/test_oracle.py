@@ -11,7 +11,7 @@ from robust_rates.errors import DomainError, StabilityError, UnsupportedMethodEr
 from robust_rates.linear_pricing import LinearContract, TenorSchedule
 from robust_rates.lognormal import lognormal_put
 from robust_rates.mc import MCConfig, child_seed, mean_and_se, normals
-from robust_rates.option_pricing import OptionContract, price_cap, price_floor
+from robust_rates.option_pricing import OptionContract, price_cap, price_floor, price_swaption
 from robust_rates.oracle import (
     ConstantControls,
     PiecewiseControls,
@@ -31,7 +31,15 @@ from robust_rates.stream import (
     transformed_strike,
 )
 from robust_rates.uncertainty import UncertaintyBand, degenerate_band
-from robust_rates.vol_structure import HoLeeFactor, HullWhiteFactor, VolStructure, ho_lee, hull_white
+from robust_rates.vol_structure import (
+    HoLeeFactor,
+    HullWhiteFactor,
+    TabulatedFactor,
+    VolStructure,
+    ho_lee,
+    hull_white,
+    single_factor,
+)
 
 CURVE = flat_curve(0.02)
 VS = ho_lee(0.01)
@@ -39,6 +47,8 @@ BAND = UncertaintyBand((0.5,), (1.5,))
 SCHED = TenorSchedule(dates=(1.0, 1.5, 2.0))
 KI = transformed_strike(0.5, 0.04)
 X0 = CURVE.forward_price(1.0, 1.5)
+TAB = TabulatedFactor(t_grid=(0.0, 0.3, 3.0), maturity_grid=(0.0, 1.5, 10.0),
+                      values=((0.01, 0.008, 0.007), (0.011, 0.012, 0.006), (0.012, 0.009, 0.01)))
 
 
 class TestLatticeBasics:
@@ -235,6 +245,16 @@ class TestScenarioSup:
         with pytest.raises(DomainError, match="switch dates must be finite and positive"):
             PiecewiseControls(k=2, switch_dates=dates)
 
+    def test_repeated_switch_dates_cut_one_segment(self):
+        # A repeat would add an empty segment and k times as many members,
+        # each pricing as one of the others.
+        controls = PiecewiseControls(2, (0.7, 0.7))
+        assert controls.switch_dates == (0.7,)
+        c = OptionContract(kind="cap", schedule=SCHED, strike_rate=0.04)
+        res = scenario_sup(CURVE, VS, BAND, c, controls, MCConfig(paths=1_000, seed=1))
+        assert len(res.table) == 4
+        assert len({value for _, value, _ in res.table}) == 4
+
     def test_numpy_integer_count_prices_as_int(self):
         c = OptionContract(kind="cap", schedule=SCHED, strike_rate=0.04)
         mc = MCConfig(paths=1_000, seed=1)
@@ -258,33 +278,40 @@ class TestScenarioSup:
         assert pw.value > const.value + 3.0 * max(pw.se, const.se)
 
 
-def segment_stdevs(vs, segments, t_end, pair) -> np.ndarray:
-    """(n_segments, d) stdevs of log X over [0, t_end] for the forward price
-    with maturity pair, one scalar integral per segment and factor: zero on
-    a segment outside [0, t_end]."""
-    def sd(lo, hi, s, f):
-        return abs(s) * math.sqrt(max(f.fp_cov_integral(lo, hi, pair, pair), 0.0)) if hi > lo else 0.0
-    return np.array([[sd(max(lo, 0.0), min(hi, t_end), s, f) for s, f in zip(scale, vs.factors)]
-                     for lo, hi, scale in segments])
+def segment_loadings(vs, segments, t_end, pairs) -> np.ndarray:
+    """(pairs, columns) loadings L of the log forward prices over [0, t_end]
+    (zero on a segment outside it), from scalar integrals.  For one pair or
+    a separable structure, one column per segment and factor: the stdev
+    |level| sqrt(fp_cov_integral).  Otherwise, per segment, the columns of
+    the eigen-factor of the pairs' covariance matrix, one
+    integrated_covariance call per entry on and above the diagonal."""
+    windows = [(max(lo, 0.0), min(hi, t_end), scale) for lo, hi, scale in segments]
+    if len(pairs) == 1 or vs.is_separable():
+        return np.array([[abs(s) * math.sqrt(max(f.fp_cov_integral(lo, hi, p, p), 0.0)) if hi > lo else 0.0
+                          for lo, hi, scale in windows for s, f in zip(scale, vs.factors)] for p in pairs])
+    n, blocks = len(pairs), []
+    for lo, hi, scale in windows:
+        cov = np.array([[vs.integrated_covariance(scale, lo, hi, pairs[min(a, b)], pairs[max(a, b)])
+                         if hi > lo else 0.0 for b in range(n)] for a in range(n)])
+        evals, evecs = np.linalg.eigh(cov)
+        blocks.append(evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0))))
+    return np.hstack(blocks)
 
 
-def ref_forward_prices(vs, segments, t_end, pairs, x0s, z):
-    """(len(pairs), paths) terminal forward prices from draws z of shape
-    (paths, n_segments, d): the pairs' rows of stdevs stacked into one
-    loading matrix times the transposed draws, over all paths at once."""
-    loads = np.array([segment_stdevs(vs, segments, t_end, pair).ravel() for pair in pairs])
-    log_move = np.matmul(loads, z.reshape(z.shape[0], -1).T)
+def ref_forward_prices(loads, x0s, z):
+    """(len(x0s), paths) terminal forward prices x0 exp(-L z - v/2) from
+    draws z of shape (paths, columns), v the row sums of L^2: one loading
+    matrix times the transposed draws, over all paths at once."""
+    log_move = np.matmul(-loads, z.T)
     return np.array(x0s)[:, None] * np.exp(log_move - 0.5 * np.sum(loads**2, axis=1, keepdims=True))
 
 
-def column_forward_prices(vs, segments, t_end, pairs, x0s, z):
-    """The same prices with each pair's log move written out in full as its
-    own column, the form the sampler used before."""
-    out = np.empty((z.shape[0], len(pairs)))
-    for a, (pair, x0) in enumerate(zip(pairs, x0s)):
-        sds = segment_stdevs(vs, segments, t_end, pair)
-        log_move = np.tensordot(z, sds, axes=([1, 2], [0, 1]))
-        out[:, a] = x0 * np.exp(log_move - 0.5 * float(np.sum(sds**2)))
+def column_forward_prices(loads, x0s, z):
+    """The same prices with each pair's log move its own dot over the
+    draws' columns, the form the sampler used before."""
+    out = np.empty((z.shape[0], len(x0s)))
+    for a, (row, x0) in enumerate(zip(loads, x0s)):
+        out[:, a] = x0 * np.exp(np.dot(z, -row) - 0.5 * float(np.sum(row**2)))
     return out.T
 
 
@@ -314,19 +341,20 @@ def reference_stream(contract):
 def reference_scenario_price(curve, vs, segments, contract, mc, forward_prices=ref_forward_prices):
     """Reference: one member's sampling blocks written out one by one, each
     drawing its normals with the family's shared key (child_seed(mc.seed, i)
-    for period i, mc.seed for the swaption) and its forward prices itself,
-    over all paths at once.  Every contract but the swaption prices as its
-    reference_stream."""
+    for period i, mc.seed for the swaption), one column per loading of
+    segment_loadings, and its forward prices itself, over all paths at once.
+    Every contract but the swaption prices as its reference_stream."""
     seed = mc.seed
-    nseg = len(segments)
+
+    def sample(key, t_end, pairs):
+        loads = segment_loadings(vs, segments, t_end, pairs)
+        z = normals(key, mc.paths, loads.shape[1], mc.antithetic)
+        return forward_prices(loads, [curve.forward_price(*p) for p in pairs], z)
+
     if isinstance(contract, OptionContract) and contract.kind == "swaption-payer":
         s = contract.schedule
         t0 = s.start
-        pairs = [(t0, t) for t in s.dates[1:]]
-        x0s = [curve.forward_price(*p) for p in pairs]
-        z = normals(seed, mc.paths, nseg * vs.dim, mc.antithetic)
-        z = z.reshape(mc.paths, nseg, vs.dim)
-        x = forward_prices(vs, segments, t0, pairs, x0s, z)
+        x = sample(seed, t0, [(t0, t) for t in s.dates[1:]])
         coefs = np.array(s.accruals) * contract.strike_rate
         coefs[-1] += 1.0
         samples = curve.bond_price(t0) * np.maximum(1.0 - coefs @ x, 0.0)
@@ -343,21 +371,13 @@ def reference_scenario_price(curve, vs, segments, contract, mc, forward_prices=r
         if isinstance(leg, ConstantLeg):
             fixed += leg.amount * curve.bond_price(t_pay)
             continue
-        z = normals(child_seed(seed, i), mc.paths, nseg * vs.dim, mc.antithetic)
-        z = z.reshape(mc.paths, nseg, vs.dim)
         if isinstance(leg, FloatingLinearLeg):
-            pair = (t_pay, t_reset)
-            x = forward_prices(
-                vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
-            )[0]
+            x = sample(child_seed(seed, i), t_reset, [(t_pay, t_reset)])[0]
             samples += curve.bond_price(t_pay) * (
                 leg.slope / delta * (x - 1.0) + leg.intercept
             )
         else:
-            pair = (t_reset, t_pay)
-            x = forward_prices(
-                vs, segments, t_reset, [pair], [curve.forward_price(*pair)], z
-            )[0]
+            x = sample(child_seed(seed, i), t_reset, [(t_reset, t_pay)])[0]
             samples += curve.bond_price(t_reset) * leg(x)
     mean, se = mean_and_se(samples)
     return stream.notional * (mean + fixed), abs(stream.notional) * se
@@ -386,7 +406,14 @@ SCENARIO_MODELS = {
         VolStructure(factors=(HullWhiteFactor(c=0.01, kappa=0.2), HoLeeFactor(c=0.006))),
         UncertaintyBand((0.5, 0.8), (1.5, 1.2)),
     ),
+    # Non-separable: a swaption samples the eigen-factor of its exact
+    # per-segment covariance, one column per segment and pair (a leg, one
+    # pair, samples as on the separable models).
+    "1f-tabulated": (single_factor(TAB), BAND),
 }
+SAMPLER_CASES = [(name, model) for model in SCENARIO_MODELS for name in SCENARIO_CONTRACTS
+                 if name == "swaption" or model != "1f-tabulated"]
+SAMPLER_IDS = [f"{name}-{model}" for name, model in SAMPLER_CASES]
 
 
 class TestScenarioSamplerBitExact:
@@ -395,8 +422,7 @@ class TestScenarioSamplerBitExact:
 
     @pytest.mark.parametrize("controls", [ConstantControls(3), PiecewiseControls(2, (0.7, 1.2))],
                              ids=["constant", "piecewise"])
-    @pytest.mark.parametrize("model", list(SCENARIO_MODELS))
-    @pytest.mark.parametrize("name", list(SCENARIO_CONTRACTS))
+    @pytest.mark.parametrize("name, model", SAMPLER_CASES, ids=SAMPLER_IDS)
     def test_matches_reference(self, name, model, controls):
         vs, band = SCENARIO_MODELS[model]
         curve = DiscountCurve(knots=((0.0, 0.015), (2.0, 0.025), (10.0, 0.03)))
@@ -414,8 +440,7 @@ class TestScenarioSamplerBitExact:
 
     @pytest.mark.parametrize("controls", [ConstantControls(3), PiecewiseControls(2, (0.7, 1.2))],
                              ids=["constant", "piecewise"])
-    @pytest.mark.parametrize("model", list(SCENARIO_MODELS))
-    @pytest.mark.parametrize("name", list(SCENARIO_CONTRACTS))
+    @pytest.mark.parametrize("name, model", SAMPLER_CASES, ids=SAMPLER_IDS)
     def test_block_edges_match_reference(self, monkeypatch, name, model, controls):
         # With 64-path blocks: one block short of full, one full block, one
         # or two paths over, and two blocks plus one or two paths.  A last
@@ -434,8 +459,7 @@ class TestScenarioSamplerBitExact:
                     for segments, label in zip(family, labels)
                 )
 
-    @pytest.mark.parametrize("model", list(SCENARIO_MODELS))
-    @pytest.mark.parametrize("name", list(SCENARIO_CONTRACTS))
+    @pytest.mark.parametrize("name, model", SAMPLER_CASES, ids=SAMPLER_IDS)
     def test_per_column_form_within_rounding(self, name, model):
         # The (paths, pairs) form the sampler used before: every one-pair
         # block keeps its bits.  The swaption's several pairs sum their
@@ -453,6 +477,32 @@ class TestScenarioSamplerBitExact:
             got = reference_scenario_price(curve, vs, segments, contract, mc)
             old = reference_scenario_price(curve, vs, segments, contract, mc, column_forward_prices)
             assert abs(got[0] - old[0]) <= tol and abs(got[1] - old[1]) <= tol
+
+
+class TestMonteCarloSwaptionIsAConstantFamily:
+    """price_swaption(method="monte-carlo") samples the one-segment constant
+    family of its band extremes through the scenario oracle's sampler, so
+    under a degenerate band it is ConstantControls(1) on the same seed: the
+    same draw, loadings and per-path payoffs.  The oracle multiplies each
+    path's payoff by P(T_0) before the pairwise sums (one rounding a path),
+    the engine the mean after, so the value and the se move by rounding only:
+    the sums' depth stays below 30 at 5001 paths."""
+
+    TOL = 32 * 2.0**-52
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("model", list(SCENARIO_MODELS))
+    def test_equals_the_one_member_family(self, model, antithetic):
+        vs, band = SCENARIO_MODELS[model]
+        curve = DiscountCurve(knots=((0.0, 0.015), (2.0, 0.025), (10.0, 0.03)))
+        contract, mc = SCENARIO_CONTRACTS["swaption"], MCConfig(paths=5001, seed=43, antithetic=antithetic)
+        point = degenerate_band(tuple(1.1 * level for level in band.midpoint()))
+        family = scenario_sup(curve, vs, point, contract, ConstantControls(1), mc)
+        engine = price_swaption(curve, vs, point, contract, method="monte-carlo", mc=mc)
+        assert engine.lower == engine.upper
+        assert abs(family.value - engine.upper) <= self.TOL * abs(family.value)
+        se = abs(contract.notional) * engine.diagnostics["se_upper"]
+        assert abs(family.se - se) <= self.TOL * family.se
 
 
 class TestScenarioSharedDraws:
@@ -473,7 +523,7 @@ class TestScenarioSharedDraws:
             calls.append(args[0])
             return normals(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "normals", counting)
+        monkeypatch.setattr(mc_module, "normals", counting)
         res = scenario_sup(CURVE, VS, BAND, contract, controls, MCConfig(paths=1_000, seed=5))
         return res, calls
 

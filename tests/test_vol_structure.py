@@ -741,8 +741,8 @@ def _edge_grid_cases(draw):
 
 class TestEdgeGridTables:
     """extreme_variances has no scalar fallback: on any grid it equals one
-    integrated_variance call per window to the last bit (NaN included), or
-    raises the first rejected window's error."""
+    integrated_variance call per window to the last bit (an overflow's inf or
+    NaN included), or raises the first rejected window's error."""
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(_edge_grid_cases())
@@ -762,6 +762,43 @@ class TestEdgeGridTables:
             lo, up = vs.extreme_variances(lower, upper, ts, T, T_tilde)
         assert lo.shape == up.shape == t0s.shape
         assert [_bits_list(lo.ravel().tolist()), _bits_list(up.ravel().tolist())] == want
+
+
+class TestNonFiniteWindows:
+    """A window end or maturity that is not finite is a DomainError, never a
+    NaN or inf variance: every comparison with a NaN is false, so a check
+    written as "reject if t0 > t1" lets it through."""
+
+    STRUCTURES = [ho_lee(0.01), hull_white(0.012, 0.1),
+                  single_factor(TabulatedFactor(t_grid=(0.0, 3.0), maturity_grid=(0.0, 8.0),
+                                                values=((0.01, 0.008), (0.011, 0.012))))]
+
+    @pytest.mark.parametrize("position, bad, match", [
+        (0, math.nan, "t0 <= t1"), (0, -math.inf, "t0 <= t1"), (1, math.nan, "t0 <= t1"),
+        (2, math.nan, "t1 <= min"), (2, math.inf, "t1 <= min"),
+        (3, math.nan, "t1 <= min"), (3, math.inf, "t1 <= min"),
+    ], ids=["t0-nan", "t0-minus-inf", "t1-nan", "T-nan", "T-inf", "T~-nan", "T~-inf"])
+    def test_integrated_variance_raises(self, position, bad, match):
+        window = [0.0, 1.0, 1.0, 2.0]
+        window[position] = bad
+        for vs in self.STRUCTURES:
+            with pytest.raises(DomainError, match=match):
+                vs.integrated_variance(1.0, *window)
+            with pytest.raises(DomainError, match=match):
+                vs.extreme_variance(0.5, 1.5, *window)
+
+    @pytest.mark.parametrize("ts, T, T_tilde, match", [
+        ([math.nan, 0.5, 1.0], 1.0, 2.0, "t0 <= t1"),
+        ([0.0, math.nan, 1.0], 1.0, 2.0, "t0 <= t1"),
+        ([0.0, 0.5, math.nan], 1.0, 2.0, "t0 <= t1"),
+        ([0.0, 0.5, 1.0], math.nan, 2.0, "t1 <= min"),
+        ([0.0, 0.5, 1.0], 1.0, [[2.0], [math.nan]], "t1 <= min"),
+        ([0.0, 0.5, 1.0], 1.0, [[2.0], [math.inf]], "t1 <= min"),
+    ], ids=["first-point", "middle-point", "last-point", "T", "T~-nan", "T~-inf"])
+    def test_extreme_variances_raise(self, ts, T, T_tilde, match):
+        for vs in self.STRUCTURES:
+            with pytest.raises(DomainError, match=match):
+                vs.extreme_variances(0.5, 1.5, ts, T, T_tilde)
 
 
 @st.composite
