@@ -6,16 +6,18 @@ in a single vectorized call with a fixed path-major layout.  The same
 (seed, n_paths, n_steps) request therefore yields bit-identical numbers
 regardless of execution order, thread count, or how callers batch the
 paths afterwards.  Antithetic sampling mirrors the first half of the
-paths; aggregation should use numpy reductions (pairwise summation) so
-totals do not depend on partitioning.
+paths.
 
-The one sampler (_member_moves, _add_block_prices) prices a family of
-deterministic volatility scenarios on one draw, in path blocks
-(path_blocks), into one (members, paths) array that every reduction reads
-whole; the scenario oracle and the Monte Carlo swaption (a one-segment
-family of the band extremes) both sample through it.  The draw has a column
-per segment and factor, or per segment and forward price for several
-forward prices on a non-separable structure (their exact joint law).
+The one sampler (_member_moves, _block_moments) prices a family of
+deterministic volatility scenarios on one draw, in path blocks that start
+at fixed multiples of _PATH_BLOCK (path_blocks), and folds each member's
+prices into its running mean and sum of squared deviations one path block
+at a time (Chan, Golub & LeVeque), so no array of path size is held per
+member and the statistics depend on the path count only; the scenario
+oracle and the Monte Carlo swaption (a one-segment family of the band
+extremes) both sample through it.  The draw has a column per segment and
+factor, or per segment and forward price for several forward prices on a
+non-separable structure (their exact joint law).
 """
 
 from __future__ import annotations
@@ -166,20 +168,48 @@ def _member_moves(vs, family, t_end: float, pairs) -> list[tuple[np.ndarray, np.
     return [(loads, 0.5 * np.sum(loads**2, axis=1, keepdims=True)) for loads in moves]
 
 
-def _add_block_prices(sums, key: int, antithetic: bool, moves, x0s, payoff) -> None:
-    """Add to every member's row of sums (members, paths) its per-path prices
-    payoff(x) of one sampling block, x the (pairs, block) terminal prices of
-    the (pairs, 1) spot forward prices x0s on one draw normals(key, paths,
-    columns, antithetic) and the member's moves (_member_moves), one path
-    block at a time in one buffer that payoff may overwrite."""
-    z = normals(key, sums.shape[1], moves[0][0].shape[1], antithetic)
-    width, blocks = path_blocks(z.shape[0])
+def _block_moments(key: int, n_paths: int, antithetic: bool, moves, x0s, payoff):
+    """Each member's (mean, M2) of its per-path prices payoff(x) over one
+    sampling block, M2 the sum of squared deviations from the mean: x the
+    (pairs, block) terminal prices of the (pairs, 1) spot forward prices
+    x0s on one draw normals(key, n_paths, columns, antithetic) and the
+    member's moves (_member_moves), one path block at a time in one buffer
+    that payoff may overwrite.  payoff returns a writable (block,) vector (a
+    row of x or its own), which _add_path_block folds in and overwrites.
+    Nothing of path size is held but the draw, the buffer and the payoff's
+    own vector."""
+    z = normals(key, n_paths, moves[0][0].shape[1], antithetic)
+    width, blocks = path_blocks(n_paths)
     x = np.empty((len(x0s), width))
+    stats, seen = [(0.0, 0.0)] * len(moves), 0
     for cols in blocks:
         z_cols, x_cols = z[cols], x[:, :cols.stop - cols.start]
-        for (loads, half_var), row in zip(moves, sums):
+        for m, (loads, half_var) in enumerate(moves):
             terminal_prices(loads, half_var, x0s, z_cols, x_cols)
-            row[cols] += payoff(x_cols)
+            # the prices die with the call: one payoff vector alive at a time
+            stats[m] = _add_path_block(*stats[m], seen, payoff(x_cols))
+        seen = cols.stop
+    return stats
+
+
+def _add_path_block(mean: float, m2: float, seen: int, prices: np.ndarray) -> tuple[float, float]:
+    """(mean, M2) of seen paths and a path block's prices: the block's sum
+    (pairwise) and mean, its M2 in one dot of the prices centred in place,
+    combined by the pairwise update of Chan, Golub & LeVeque (1983), exact
+    for seen = 0."""
+    n = len(prices)
+    block_mean = float(np.sum(prices)) / n
+    prices -= block_mean
+    delta, total = block_mean - mean, seen + n
+    return (mean + delta * (n / total),
+            m2 + float(np.dot(prices, prices)) + delta * delta * (seen * n / total))
+
+
+def _se_of_mean(m2: float, n_paths: int) -> float:
+    """Standard error of the mean of n_paths samples whose sum of squared
+    deviations is m2, sqrt(m2 / (n - 1) / n): antithetic pairs taken as
+    independent samples, as in mean_and_se."""
+    return math.sqrt(m2 / (n_paths - 1) / n_paths)
 
 
 def mean_and_se(samples: np.ndarray) -> tuple[float, float]:

@@ -29,7 +29,10 @@ module and returns scipy's bits.  The multi-factor case falls back to Monte
 Carlo on the joint terminal law: ``mc``'s one sampler prices the constant
 scenario family of the band extremes on one draw, a column per factor (per
 forward price on a non-separable structure), x0 exp(-L z - v/2) with v the
-row sums of L^2, as ``oracle.scenario_sup`` prices a family.  Both read
+row sums of L^2, as ``oracle.scenario_sup`` prices a family, and streams
+each extreme's mean and sum of squared deviations M2 one path block at a
+time (``mc._block_moments``); the standard error is
+P(T_0) sqrt(M2 / (n - 1) / n) over n paths.  Both read
 both extremes' inputs from one pass over the schedule
 (``_swaption_inputs``), which raises ``DomainError`` for a total variance
 that is not finite; a degenerate band is solved once.
@@ -53,7 +56,7 @@ from .curve import DiscountCurve
 from .errors import ConvergenceError, DomainError, UnsupportedMethodError
 from .linear_pricing import LinearContract, TenorSchedule
 from .lognormal import norm_cdf
-from .mc import MCConfig, _add_block_prices, _member_moves, mean_and_se
+from .mc import MCConfig, _block_moments, _member_moves, _se_of_mean
 from .stream import (CashflowStream, ConstantLeg, FloatingLinearLeg, caplet_leg,
                      closed_form_bounds, floorlet_leg, in_arrears_leg)
 from .uncertainty import PriceBounds, UncertaintyBand
@@ -331,18 +334,20 @@ def price_swaption(
         extremes = (band.lower,) if band.is_degenerate else (band.lower, band.upper)
         moves = _member_moves(vs, [[(0.0, t0, s)] for s in extremes], t0,
                              [(t0, t) for t in contract.schedule.dates[1:]])
-        sums = np.zeros((len(moves), mc.paths))
-        _add_block_prices(sums, mc.seed, mc.antithetic, moves, xs[:, None],
-                         lambda x: np.maximum(1.0 - coefs @ x, 0.0))
-        stats = [mean_and_se(row) for row in sums]
-        (lo_mean, lo_se), (hi_mean, hi_se) = stats[0], stats[-1]
+
+        def payoff(x):  # max(1 - coefs @ x, 0), in the one vector coefs @ x
+            v = coefs @ x
+            return np.maximum(np.subtract(1.0, v, out=v), 0.0, out=v)
+
+        stats = _block_moments(mc.seed, mc.paths, mc.antithetic, moves, xs[:, None], payoff)
+        (lo_mean, lo_m2), (hi_mean, hi_m2) = stats[0], stats[-1]
         lower, upper = p0 * lo_mean, p0 * hi_mean
         diag.update(
             paths=mc.paths,
             seed=mc.seed,
             antithetic=mc.antithetic,
-            se_lower=p0 * lo_se,
-            se_upper=p0 * hi_se,
+            se_lower=p0 * _se_of_mean(lo_m2, mc.paths),
+            se_upper=p0 * _se_of_mean(hi_m2, mc.paths),
         )
     else:
         raise UnsupportedMethodError(

@@ -21,16 +21,16 @@ Three tools, all deliberately distinct from the engines they police:
     bound, so the family maximum must sit below the engine's upper bound up
     to sampling error.  Every contract but the swaption samples the legs
     option_pricing.as_stream lowers it to.  The family samples through mc's
-    one sampler (mc._member_moves, mc._add_block_prices), as the Monte Carlo
+    one sampler (mc._member_moves, mc._block_moments), as the Monte Carlo
     swaption does: the members share their draws (common random numbers, one
     draw per sampling block) and price them one path block at a time, each
-    member one (pairs, block) product, a row per forward price; their
-    running sums fill one (members, paths) array, so memory is 8 bytes per
-    member and path plus one draw.  A swaption on a non-separable
-    (tabulated) structure draws its forward prices' exact joint law, not a
-    comonotone one.  A one-pair block (a leg) keeps a per-pair gemv's bits;
-    a swaption's rows sum in BLAS's order, so their last bits depend on the
-    BLAS build.
+    member one (pairs, block) product, a row per forward price, folded into
+    the member's running mean and sum of squared deviations, so memory is
+    one draw and one block buffer whatever the family size.  A swaption on
+    a non-separable (tabulated) structure draws its forward prices' exact
+    joint law, not a comonotone one.  A one-pair block (a leg) keeps a
+    per-pair gemv's bits; a swaption's rows sum in BLAS's order, so their
+    last bits depend on the BLAS build.
 
   * expectations_hypothesis_check -- simulates the terminal short rate under
     the forward-measure dynamics (drift removed) and compares its sample
@@ -48,7 +48,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .curve import DiscountCurve
 from .errors import DomainError, StabilityError, UnsupportedMethodError
-from .mc import MCConfig, _add_block_prices, _member_moves, child_seed, mean_and_se, normals
+from .mc import (MCConfig, _block_moments, _member_moves, _se_of_mean, child_seed, mean_and_se,
+                 normals)
 from .option_pricing import OptionContract, as_stream, exercise_coefficients
 from .stream import ConstantLeg, FloatingLinearLeg
 from .uncertainty import UncertaintyBand
@@ -294,15 +295,18 @@ def scenario_sup(
     run outermost and only one block's draw is held at a time.  Within it,
     each member fills one reused (pairs, block) buffer per path block
     (mc.path_blocks) with one product of its (pairs, columns) loadings
-    (mc._member_moves) and the block's transposed draws, and adds the
-    payoff's (block,) prices to its row of one (members, paths) array of
-    running sums.  Memory is that array (8 bytes per member and path), one
-    draw (8 bytes per path and column: a column per segment and factor, or
-    per segment and forward price for a swaption on a non-separable
-    structure), the (pairs, block) buffer and the payoff's own (one block
-    vector for the swaption and the caplet, floorlet and in-arrears legs),
-    whatever the number of periods; nothing of path size is allocated per
-    member.  The reported se is the maximizing member's own.
+    (mc._member_moves) and the block's transposed draws, and folds the
+    payoff's (block,) prices into its mean and M2, the sum of squared
+    deviations (mc._block_moments: the pairwise update of Chan, Golub &
+    LeVeque).  The sampling blocks' keys are independent, so a member's
+    mean is the sum of its blocks' means and its se sqrt(sum M2 / (n - 1) /
+    n) over the n = mc.paths paths.  Memory is one draw (8 bytes per path
+    and column: a column per segment and factor, or per segment and forward
+    price for a swaption on a non-separable structure), the (pairs, block)
+    buffer and the payoff's own (one block vector for the swaption and the
+    caplet, floorlet and in-arrears legs), whatever the number of members
+    or periods; nothing of path size is held per member.  The reported se
+    is the maximizing member's own.
     """
     band.check_factors(vs)
     mc = mc or MCConfig()
@@ -310,12 +314,14 @@ def scenario_sup(
     if not family:
         raise DomainError("empty control family")
     blocks, fixed = _sampling_blocks(curve, contract, mc.seed)
-    sums = np.zeros((len(family), mc.paths))
+    totals = np.zeros((len(family), 2))  # each member's summed (mean, M2)
     for key, t_end, pairs, payoff in blocks:
-        _add_block_prices(sums, key, mc.antithetic, _member_moves(vs, family, t_end, pairs),
-                         np.array([[curve.forward_price(*p)] for p in pairs]), payoff)
-    table = tuple((label, contract.notional * (mean + fixed), abs(contract.notional) * se)
-                  for label, (mean, se) in zip(labels, map(mean_and_se, sums)))
+        totals += _block_moments(key, mc.paths, mc.antithetic,
+                                 _member_moves(vs, family, t_end, pairs),
+                                 np.array([[curve.forward_price(*p)] for p in pairs]), payoff)
+    table = tuple((label, contract.notional * (mean + fixed),
+                   abs(contract.notional) * _se_of_mean(m2, mc.paths))
+                  for label, (mean, m2) in zip(labels, totals.tolist()))
     label, value, se = max(table, key=lambda row: row[1])  # the first maximizing member
     return ScenarioResult(value=value, se=se, control=label, table=table)
 

@@ -413,7 +413,15 @@ class VolStructure:
         return tables[0], tables[-1]
 
     def integrated_covariance(self, scale, t0: float, t1: float, pair_a, pair_b) -> float:
-        """sum_j scale_j^2 * integral_t0^t1 sigma_j(u; pair_a) sigma_j(u; pair_b) du."""
+        """sum_j scale_j^2 * integral_t0^t1 sigma_j(u; pair_a) sigma_j(u; pair_b) du.
+
+        The window must end by min(T, T~) of both pairs, whose maturities
+        must be finite: integrated_variance's checks, pair by pair."""
+        for T, T_tilde in (pair_a, pair_b):
+            if not (t1 <= T < math.inf and t1 <= T_tilde < math.inf):  # a NaN fails
+                raise DomainError(
+                    f"integrated_covariance requires t1 <= min(T, T~), got t1={t1}, T={T}, T~={T_tilde}"
+                )
         return self._scalar_sum("integrated_covariance", scale, t0, t1, pair_a, pair_b)
 
     def short_rate_var_integral(self, scale, t0: float, t1: float, T: float) -> float:

@@ -13,9 +13,10 @@ BLAS build.  The elementwise kernel the lattice used before stays as a
 second reference, within the rounding bound steps * 2^-52 * max|payoff|.
 Likewise the scenario and Monte Carlo swaption references fill one
 (pairs, paths) product over all paths at once, as the one sampler
-(mc._member_moves, mc._add_block_prices) does per path block, from loadings
-built by scalar integrals; the (paths, pairs) forms the kernels used before
-stay as second references within stated ulp bounds.
+(mc._member_moves, mc._block_moments) does per path block, from loadings
+built by scalar integrals, and fold its statistics one path block at a time
+as the sampler does; the (paths, pairs) forms and whole-array statistics
+the kernels used before stay as second references within stated bounds.
 """
 
 import math
@@ -57,6 +58,8 @@ from robust_rates.vol_structure import (
     hull_white,
     single_factor,
 )
+
+from streamed_moments import streamed_moments
 
 CURVE = DiscountCurve(knots=((0.0, 0.015), (2.0, 0.025), (10.0, 0.03)))
 TAB = TabulatedFactor(t_grid=(0.0, 0.3, 3.0), maturity_grid=(0.0, 1.5, 10.0),
@@ -184,9 +187,10 @@ def column_terminal_forward_prices(loads, x0s, z):
 
 
 def ref_swaption_value_mc(curve, vs, sigma, contract, mc):
-    """(mean, se) on a (periods, paths) array, and (mean, se) on the (paths,
-    periods) array the kernel filled before: the one-segment constant member
-    at sigma, its loadings from segment_loadings."""
+    """The streamed (mean, se) on a (periods, paths) array; then mean_and_se
+    of that array and of the (paths, periods) array the kernel filled
+    before, the forms it took before: the one-segment constant member at
+    sigma, its loadings from segment_loadings."""
     s = contract.schedule
     t0 = s.start
     pairs = [(t0, t) for t in s.dates[1:]]
@@ -200,7 +204,9 @@ def ref_swaption_value_mc(curve, vs, sigma, contract, mc):
     periods_major = np.maximum(1.0 - coefs @ (xs[:, None] * np.exp(log_x)), 0.0)
     log_x = -(z @ loads.T) - half_var.T
     paths_major = np.maximum(1.0 - (xs * np.exp(log_x)) @ coefs, 0.0)
-    return mean_and_se(periods_major), mean_and_se(paths_major)
+    mean, m2 = streamed_moments(periods_major)
+    return ((mean, math.sqrt(m2 / (mc.paths - 1) / mc.paths)), mean_and_se(periods_major),
+            mean_and_se(paths_major))
 
 
 # -- normals -----------------------------------------------------------------------
@@ -450,19 +456,24 @@ class TestMonteCarloSwaption:
         got = (b.lower, b.upper, b.diagnostics["se_lower"], b.diagnostics["se_upper"])
         refs = zip(ref_swaption_value_mc(CURVE, vs, band.lower, swaption, mc),
                    ref_swaption_value_mc(CURVE, vs, band.upper, swaption, mc))
-        for periods_major, ((lo_mean, lo_se), (hi_mean, hi_se)) in zip((True, False), refs):
+        for form, ((lo_mean, lo_se), (hi_mean, hi_se)) in enumerate(refs):
             lo, hi = swaption.notional * (p0 * lo_mean), swaption.notional * (p0 * hi_mean)
             want = (min(lo, hi), max(lo, hi), p0 * lo_se, p0 * hi_se)
-            if periods_major:
+            if form == 0:
                 assert got == want
             else:
-                # A (paths, periods) array sums each path's n periods in
-                # another order; a payoff is nonzero only where that sum is
-                # below 1, so the payoffs, their mean and their se move by at
-                # most n * 2^-52, and the scaling by 2 more ulp.
+                # The whole-array statistics sum the payoffs (in [0, 1]) and
+                # their squared deviations in other orders: the means move by
+                # a few ulp and the se, M2 a sum of paths nonnegative terms,
+                # by at most paths * 2^-52 of itself.  A (paths, periods)
+                # array also sums each path's n periods in another order; a
+                # payoff is nonzero only where that sum is below 1, so the
+                # payoffs move by at most n * 2^-52, and the scaling by 2 more.
                 n = swaption.schedule.periods
                 tol = (n + 2) * 2.0**-52 * p0 * abs(swaption.notional)
-                assert max(abs(g - w) for g, w in zip(got, want)) <= tol
+                assert max(abs(g - w) for g, w in zip(got[:2], want[:2])) <= tol
+                assert all(abs(g - w) <= tol + mc.paths * 2.0**-52 * w
+                           for g, w in zip(got[2:], want[2:]))
 
     @pytest.mark.parametrize("paths", [2000, 2001])
     @pytest.mark.parametrize("antithetic", [True, False])
@@ -538,8 +549,10 @@ def traced_peak(f) -> int:
 
 
 class TestMonteCarloMemory:
-    """The Monte Carlo kernels work in path blocks: no (paths, periods) array
-    and nothing of path size per family member."""
+    """The Monte Carlo kernels work in path blocks and fold each member's
+    statistics one path block at a time: no (paths, periods) array and
+    nothing of path size per family member, only one draw, the (pairs,
+    block) buffer and the payoff's own (block,) vector."""
 
     PATHS = 20_000
 
@@ -547,11 +560,15 @@ class TestMonteCarloMemory:
         mc = MCConfig(paths=self.PATHS, seed=1)
         peak = traced_peak(lambda: price_swaption(CURVE, VS_2F, BAND_2F, LONG_SWAPTION,
                                                   method="monte-carlo", mc=mc))
-        assert peak < self.PATHS * LONG_SWAPTION.schedule.periods * 8  # 6.4 MB
+        periods = LONG_SWAPTION.schedule.periods
+        draw = self.PATHS * VS_2F.dim * 8  # one segment
+        pairs_block = mc_module._PATH_BLOCK * periods * 8  # the 40 pairs' forward prices
+        payoff = mc_module._PATH_BLOCK * 8  # coefs @ x
+        assert peak < draw + pairs_block + payoff + 64 * 1024
 
     @pytest.mark.parametrize("kind", ["cap", "floor", "in-arrears-payer-swap", "payer-swap"])
     @pytest.mark.parametrize("vs, band", [(ho_lee(0.015), BAND), (VS_2F, BAND_2F)], ids=["1f", "2f"])
-    def test_piecewise_family_holds_sums_one_draw_and_block_buffers(self, vs, band, kind):
+    def test_piecewise_family_holds_one_draw_and_block_buffers(self, vs, band, kind):
         schedule = TenorSchedule(dates=(1.0, 1.5, 2.0, 2.5))
         contract = (LinearContract(kind=kind, schedule=schedule, fixed_rate=0.04)
                     if kind == "payer-swap" else
@@ -559,20 +576,34 @@ class TestMonteCarloMemory:
         controls = PiecewiseControls(2, (0.25, 0.5, 0.75))  # 16 members over 4 segments
         mc = MCConfig(paths=self.PATHS, seed=1)
         peak = traced_peak(lambda: scenario_sup(CURVE, vs, band, contract, controls, mc))
-        sums = 16 * self.PATHS * 8
         draw = self.PATHS * 4 * vs.dim * 8
-        block_buffers = mc_module._PATH_BLOCK * (1 + 2) * 8  # one pair, log, the payoff's prices
-        assert peak < sums + draw + block_buffers + 64 * 1024
+        block_buffers = mc_module._PATH_BLOCK * (1 + 1) * 8  # one pair, the payoff's prices
+        assert peak < draw + block_buffers + 64 * 1024
 
     @pytest.mark.parametrize("vs, band", [(ho_lee(0.015), BAND), (VS_2F, BAND_2F)], ids=["1f", "2f"])
-    def test_piecewise_swaption_family_holds_sums_one_draw_and_one_pairs_block(self, vs, band):
+    def test_piecewise_swaption_family_holds_one_draw_and_one_pairs_block(self, vs, band):
         swaption = OptionContract(kind="swaption-payer", strike_rate=0.03,
                                   schedule=TenorSchedule(dates=tuple(1.0 + 0.25 * k for k in range(9))))
         controls = PiecewiseControls(2, (0.25, 0.5, 0.75))  # 16 members over 4 segments
         mc = MCConfig(paths=self.PATHS, seed=1)
         peak = traced_peak(lambda: scenario_sup(CURVE, vs, band, swaption, controls, mc))
-        sums = 16 * self.PATHS * 8
         draw = self.PATHS * 4 * vs.dim * 8
         pairs_block = mc_module._PATH_BLOCK * 8 * 8  # the 8 pairs' forward prices
         payoff = mc_module._PATH_BLOCK * 8  # coefs @ x
-        assert peak < sums + draw + pairs_block + payoff + 64 * 1024
+        assert peak < draw + pairs_block + payoff + 64 * 1024
+
+    def test_non_separable_swaption_family_holds_one_draw_and_one_pairs_block(self, monkeypatch):
+        # A non-separable structure draws a column per segment and forward
+        # price (the eigen-factor of their exact joint law): 32 columns here.
+        monkeypatch.setattr(VolStructure, "is_separable", lambda self: False)
+        swaption = OptionContract(kind="swaption-payer", strike_rate=0.03,
+                                  schedule=TenorSchedule(dates=tuple(1.0 + 0.25 * k for k in range(9))))
+        controls = PiecewiseControls(2, (0.25, 0.5, 0.75))  # 16 members over 4 segments
+        mc = MCConfig(paths=self.PATHS, seed=1)
+        peak = traced_peak(lambda: scenario_sup(CURVE, VS_2F, BAND_2F, swaption, controls, mc))
+        members, pairs = 16, swaption.schedule.periods
+        draw = self.PATHS * 4 * pairs * 8
+        moves = members * pairs * (4 * pairs + 1) * 8  # each member's loadings and half variances
+        pairs_block = mc_module._PATH_BLOCK * pairs * 8
+        payoff = mc_module._PATH_BLOCK * 8  # coefs @ x
+        assert draw < peak < draw + moves + pairs_block + payoff + 64 * 1024

@@ -1,7 +1,10 @@
 """Reproducible Monte Carlo plumbing."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robust_rates import mc
 from robust_rates.errors import DomainError
@@ -103,3 +106,41 @@ def test_config_accepts_numpy_integers_as_their_python_values():
     got = MCConfig(paths=np.int64(1000), seed=np.uint64(7))
     assert got == MCConfig(paths=1000, seed=7)
     assert (type(got.paths), type(got.seed)) == (int, int)
+
+
+U = 2.0**-52
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_block_moments_match_a_two_pass_fsum(data):
+    """The sampler's streamed (mean, M2) of 2 to 3 path blocks of prices, an
+    offset up to 1e8 times their spread, against math.fsum's two passes.
+    e = 64 ulp of max|x| bounds each computed mean's error (a block's
+    pairwise sum and Chan's update of at most 3 blocks).  M2 then moves by
+    (n + 8) ulp of itself from rounding the deviations, their squares and
+    their sums, and by 4 e sqrt(n M2) + 4 n e^2 from the means' errors
+    (Cauchy-Schwarz)."""
+    block = data.draw(st.integers(2, 16), label="block")
+    n = data.draw(st.integers(2 * block, 3 * block), label="paths")
+    spread = data.draw(st.floats(1e-6, 1e6), label="spread")
+    offset = data.draw(st.floats(-1e8, 1e8), label="offset") * spread
+    x = offset + spread * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+                                             label="u"))
+    taken = []
+
+    def payoff(buffer):  # the next path block of x, in a fresh vector
+        start = sum(taken)
+        taken.append(buffer.shape[1])
+        return x[start:start + buffer.shape[1]].copy()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_PATH_BLOCK", block)
+        ((mean, m2),) = mc._block_moments(3, n, True, [(np.zeros((1, 1)), np.zeros((1, 1)))],
+                                           np.ones((1, 1)), payoff)
+    assert sum(taken) == n and len(taken) in (2, 3)
+    want_mean = math.fsum(x) / n
+    want_m2 = math.fsum((x - want_mean) ** 2)
+    e = 64 * U * float(np.max(np.abs(x)))
+    assert abs(mean - want_mean) <= e
+    assert abs(m2 - want_m2) <= (n + 8) * U * want_m2 + 4 * e * math.sqrt(n * want_m2) + 4 * n * e * e

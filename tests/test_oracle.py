@@ -41,6 +41,8 @@ from robust_rates.vol_structure import (
     single_factor,
 )
 
+from streamed_moments import streamed_moments
+
 CURVE = flat_curve(0.02)
 VS = ho_lee(0.01)
 BAND = UncertaintyBand((0.5,), (1.5,))
@@ -338,12 +340,34 @@ def reference_stream(contract):
     return CashflowStream(schedule=s, legs=legs, notional=contract.notional)
 
 
-def reference_scenario_price(curve, vs, segments, contract, mc, forward_prices=ref_forward_prices):
+def streamed_mean_and_se(blocks, n):
+    """The sampler's statistics over n paths: the sum of the sampling
+    blocks' means, and the se of the sum of their M2 (independent keys: the
+    variances add); no block is a mean and se of 0."""
+    mean = m2 = 0.0
+    for samples in blocks:
+        block_mean, block_m2 = streamed_moments(samples)
+        mean, m2 = mean + block_mean, m2 + block_m2
+    return mean, math.sqrt(m2 / (n - 1) / n)
+
+
+def whole_array_mean_and_se(blocks, n):
+    """The statistics the sampler took before: mean_and_se of the (n,) sum
+    of the sampling blocks' samples."""
+    samples = np.zeros(n)
+    for block in blocks:
+        samples += block
+    return mean_and_se(samples)
+
+
+def reference_scenario_price(curve, vs, segments, contract, mc, forward_prices=ref_forward_prices,
+                             statistics=streamed_mean_and_se):
     """Reference: one member's sampling blocks written out one by one, each
     drawing its normals with the family's shared key (child_seed(mc.seed, i)
     for period i, mc.seed for the swaption), one column per loading of
-    segment_loadings, and its forward prices itself, over all paths at once.
-    Every contract but the swaption prices as its reference_stream."""
+    segment_loadings, and its forward prices itself, over all paths at once;
+    statistics reduces the blocks' (paths,) samples to (mean, se).  Every
+    contract but the swaption prices as its reference_stream."""
     seed = mc.seed
 
     def sample(key, t_end, pairs):
@@ -357,13 +381,12 @@ def reference_scenario_price(curve, vs, segments, contract, mc, forward_prices=r
         x = sample(seed, t0, [(t0, t) for t in s.dates[1:]])
         coefs = np.array(s.accruals) * contract.strike_rate
         coefs[-1] += 1.0
-        samples = curve.bond_price(t0) * np.maximum(1.0 - coefs @ x, 0.0)
-        mean, se = mean_and_se(samples)
+        mean, se = statistics([curve.bond_price(t0) * np.maximum(1.0 - coefs @ x, 0.0)], mc.paths)
         return contract.notional * mean, abs(contract.notional) * se
 
     stream = reference_stream(contract)
     s = stream.schedule
-    samples = np.zeros(mc.paths)
+    blocks = []
     fixed = 0.0
     for i, leg in enumerate(stream.legs):
         t_reset, t_pay = s.dates[i], s.dates[i + 1]
@@ -373,13 +396,11 @@ def reference_scenario_price(curve, vs, segments, contract, mc, forward_prices=r
             continue
         if isinstance(leg, FloatingLinearLeg):
             x = sample(child_seed(seed, i), t_reset, [(t_pay, t_reset)])[0]
-            samples += curve.bond_price(t_pay) * (
-                leg.slope / delta * (x - 1.0) + leg.intercept
-            )
+            blocks.append(curve.bond_price(t_pay) * (leg.slope / delta * (x - 1.0) + leg.intercept))
         else:
             x = sample(child_seed(seed, i), t_reset, [(t_reset, t_pay)])[0]
-            samples += curve.bond_price(t_reset) * leg(x)
-    mean, se = mean_and_se(samples)
+            blocks.append(curve.bond_price(t_reset) * leg(x))
+    mean, se = statistics(blocks, mc.paths)
     return stream.notional * (mean + fixed), abs(stream.notional) * se
 
 
@@ -458,6 +479,37 @@ class TestScenarioSamplerBitExact:
                     (label, *reference_scenario_price(curve, vs, segments, contract, mc))
                     for segments, label in zip(family, labels)
                 )
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("name, model", SAMPLER_CASES, ids=SAMPLER_IDS)
+    def test_whole_array_statistics_within_bounds(self, name, model, antithetic):
+        # mean_and_se of the (paths,) sum of the blocks' samples, the form the
+        # sampler took before.  The means sum the same K * n samples (below 1
+        # in size here) in another order: within 64 ulp of |notional|.  One
+        # sampling block's se is the same estimator, its M2 a sum of n
+        # nonnegative terms in another order: within n ulp.  Over K blocks the
+        # sampler adds the blocks' variances and the whole array adds their
+        # sample covariances too: (se_old / se_new)^2 - 1 = 2 sum c / sum v,
+        # at most (K - 1) max|rho| in size, the blocks' sample correlations
+        # over n / 2 independent pairs; 4 sd is 4 / sqrt(n / 2).
+        vs, band = SCENARIO_MODELS[model]
+        curve = DiscountCurve(knots=((0.0, 0.015), (2.0, 0.025), (10.0, 0.03)))
+        contract = SCENARIO_CONTRACTS[name]
+        mc = MCConfig(paths=500, seed=17, antithetic=antithetic)
+        controls = PiecewiseControls(2, (0.7, 1.2))
+        got = scenario_sup(curve, vs, band, contract, controls, mc)
+        k = len(oracle._sampling_blocks(curve, contract, mc.seed)[0])
+        family, _ = oracle._control_family(band, controls, contract.schedule.end)
+        for segments, (_, value, se) in zip(family, got.table):
+            mean, old_se = reference_scenario_price(curve, vs, segments, contract, mc,
+                                                    statistics=whole_array_mean_and_se)
+            assert abs(value - mean) <= 64 * 2.0**-52 * abs(contract.notional)
+            if k == 1:
+                assert abs(se - old_se) <= mc.paths * 2.0**-52 * old_se
+            elif k > 1:
+                assert abs((old_se / se) ** 2 - 1.0) <= (k - 1) * 4.0 / math.sqrt(mc.paths / 2)
+            else:
+                assert se == old_se == 0.0
 
     @pytest.mark.parametrize("name, model", SAMPLER_CASES, ids=SAMPLER_IDS)
     def test_per_column_form_within_rounding(self, name, model):

@@ -468,6 +468,19 @@ class TestScalarPathExactness:
             assert vs.integrated_covariance(sc, 0.2, 0.9, (1.0, 2.5), (1.0, 2.5)) == v
             assert type(vs.short_rate_var_integral(list(sc), 0.2, 0.9, 2.5)) is float
 
+    @pytest.mark.parametrize("t1, pair", [(1.0, (1.0, math.nan)), (1.0, (1.0, math.inf)),
+                                          (2.0, (1.0, 2.0))], ids=["nan", "inf", "past-T"])
+    def test_covariance_rejects_the_maturities_the_variance_rejects(self, t1, pair):
+        # A non-finite maturity, or a window ending past a first maturity, in
+        # either pair: integrated_variance's error, not a nan, inf or price.
+        for vs in self.STRUCTURES:
+            sc = (1.0,) * vs.dim
+            with pytest.raises(DomainError, match="t1 <= min"):
+                vs.integrated_variance(sc, 0.0, t1, *pair)
+            for pairs in ((pair, (1.0, 1.5)), ((1.0, 1.5), pair)):
+                with pytest.raises(DomainError, match="t1 <= min"):
+                    vs.integrated_covariance(sc, 0.0, t1, *pairs)
+
     @pytest.mark.parametrize("scale", [(1.0,), [1.0, 1.0, 1.0], np.ones(3), 1.0, [[1.0, 1.0]],
                                        ("a", "b")])
     def test_wrong_scale_rejected(self, scale):
