@@ -1,12 +1,13 @@
 """Monte Carlo configuration, reproducible normal draws, and the one sampler
 of terminal forward prices.
 
-Draws come from a counter-based Philox stream keyed by the seed, generated
-in a single vectorized call with a fixed path-major layout.  The same
-(seed, n_paths, n_steps) request therefore yields bit-identical numbers
-regardless of execution order, thread count, or how callers batch the
-paths afterwards.  Antithetic sampling mirrors the first half of the
-paths.
+Draws come from a counter-based Philox stream keyed by the seed, each
+path's numbers consecutive in the stream, and are stored column-major: a
+(columns, paths) array, so every product of the sampler reads contiguous
+rows.  The same (seed, n_paths, n_steps) request therefore yields
+bit-identical numbers regardless of execution order, thread count, or how
+callers batch the paths afterwards.  Antithetic sampling mirrors the first
+half of the paths.
 
 The one sampler (_member_moves, _block_moments) prices a family of
 deterministic volatility scenarios on one draw, in path blocks that start
@@ -75,37 +76,53 @@ def child_seed(seed: int, *indices: int) -> int:
 
 
 def normals(seed: int, n_paths: int, n_cols: int, antithetic: bool = False) -> np.ndarray:
-    """(n_paths, n_cols) standard normals from Philox(key=seed).
+    """(n_cols, n_paths) standard normals from Philox(key=seed), in C order:
+    a row per column, so a product with (rows, n_cols) loadings reads
+    contiguous rows.
 
-    The rows are path-major.  With antithetic=True, rows [0, n_paths // 2)
-    are the first draws of the stream, rows [n_paths // 2, 2 * (n_paths // 2))
-    are their negatives in the same order, and an odd trailing row is drawn
-    last from the stream.  The array is filled in place, one allocation.
+    Path p's n_cols numbers are consecutive in the stream.  With
+    antithetic=True, paths [0, n_paths // 2) are the first draws of the
+    stream, paths [n_paths // 2, 2 * (n_paths // 2)) are their negatives in
+    the same order, and an odd trailing path is drawn last from the stream.
+    The paths pass through one chunk of _PATH_BLOCK doubles (64 kB) on their
+    way to their columns, and a one-column draw is filled in place, so
+    memory is the draw and at most that chunk.
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
-    if not antithetic:
-        return gen.standard_normal((n_paths, n_cols))
-    half = n_paths // 2
-    z = np.empty((n_paths, n_cols))
-    gen.standard_normal(out=z[:half])
-    np.negative(z[:half], out=z[half:2 * half])
-    if n_paths % 2:
-        gen.standard_normal(out=z[2 * half:])
+    z = np.empty((n_cols, n_paths))
+    chunk = np.empty((max(_PATH_BLOCK // n_cols, 1), n_cols)) if n_cols > 1 else None
+
+    def fill(start: int, stop: int) -> None:  # paths [start, stop) from the stream
+        if chunk is None:
+            gen.standard_normal(out=z[0, start:stop])
+            return
+        for lo in range(start, stop, len(chunk)):
+            rows = chunk[:min(len(chunk), stop - lo)]
+            gen.standard_normal(out=rows)
+            z[:, lo:lo + len(rows)] = rows.T
+
+    half = n_paths // 2 if antithetic else n_paths
+    fill(0, half)
+    if antithetic:
+        np.negative(z[:, :half], out=z[:, half:2 * half])
+        fill(2 * half, n_paths)
     return z
 
 
 def path_blocks(n_paths: int) -> tuple[int, list[slice]]:
-    """The widest block and the path slices of consecutive path blocks: rows
-    of the (paths, cols) draws and columns of the (rows, paths) products.
+    """The widest block and the path slices of consecutive path blocks:
+    columns of the (cols, paths) draws and of the (rows, paths) products.
 
     Blocks start at multiples of _PATH_BLOCK, where the tested BLAS builds
-    group a block's paths as they group the whole array's, so every path
-    gets its unblocked bits at that width only (64-path blocks move a few
-    tail columns of a 17-row product at 8191 paths in the last bit).  A
-    last block of one path joins the block before it: numpy sends a
-    one-path product to a different BLAS routine.  (A multi-threaded BLAS
-    splits the paths between its threads at points of its own, which can
-    move bits with or without blocks.)
+    group a block's paths as they group the whole array's, so every path of
+    a several-row product (a gemm) gets its unblocked bits at that width
+    only (64-path blocks move a few tail columns of a 40-row product with 4
+    draw columns in the last bit).  A one-row product (a gemv over the
+    draw rows) and a one-column one (a broadcast multiply) give every path
+    the same bits at any block width.  A last block of one path joins the
+    block before it: numpy sends a one-path product to a different BLAS
+    routine.  (A multi-threaded BLAS splits the paths between its threads at
+    points of its own, which can move bits with or without blocks.)
     """
     starts = list(range(0, n_paths, _PATH_BLOCK))
     if len(starts) > 1 and n_paths - starts[-1] == 1:
@@ -115,11 +132,16 @@ def path_blocks(n_paths: int) -> tuple[int, list[slice]]:
 
 
 def terminal_prices(loads, half_var, x0s, z, out) -> None:
-    """Write into out (rows, paths) the terminal prices x0s * exp(loads @ z.T
-    - half_var) of one path block's (paths, k) draws z, in four calls.  One
-    row has the bits of the gemv np.dot(z, loads[0]); several rows can
-    differ from it in the last bit (BLAS's order)."""
-    np.matmul(loads, z.T, out=out)
+    """Write into out (rows, paths) the terminal prices x0s * exp(loads @ z
+    - half_var) of one path block's (k, paths) draws z, in four calls.  The
+    product reads z's contiguous rows: a gemv for one row, a gemm for
+    several (whose order of summation is BLAS's, so its last bits depend on
+    the build), and for one draw column the broadcast loads * z, one
+    rounding per element, as a rank-1 product has."""
+    if z.shape[0] == 1:
+        np.multiply(loads, z, out=out)
+    else:
+        np.matmul(loads, z, out=out)
     out -= half_var
     np.exp(out, out=out)
     out *= x0s
@@ -173,8 +195,9 @@ def _block_moments(key: int, n_paths: int, antithetic: bool, moves, x0s, payoff)
     sampling block, M2 the sum of squared deviations from the mean: x the
     (pairs, block) terminal prices of the (pairs, 1) spot forward prices
     x0s on one draw normals(key, n_paths, columns, antithetic) and the
-    member's moves (_member_moves), one path block at a time in one buffer
-    that payoff may overwrite.  payoff returns a writable (block,) vector (a
+    member's moves (_member_moves), one path block (a column range of the
+    draw, its rows contiguous) at a time in one buffer that payoff may
+    overwrite.  payoff returns a writable (block,) vector (a
     row of x or its own), which _add_path_block folds in and overwrites.
     Nothing of path size is held but the draw, the buffer and the payoff's
     own vector."""
@@ -183,7 +206,7 @@ def _block_moments(key: int, n_paths: int, antithetic: bool, moves, x0s, payoff)
     x = np.empty((len(x0s), width))
     stats, seen = [(0.0, 0.0)] * len(moves), 0
     for cols in blocks:
-        z_cols, x_cols = z[cols], x[:, :cols.stop - cols.start]
+        z_cols, x_cols = z[:, cols], x[:, :cols.stop - cols.start]
         for m, (loads, half_var) in enumerate(moves):
             terminal_prices(loads, half_var, x0s, z_cols, x_cols)
             # the prices die with the call: one payoff vector alive at a time

@@ -165,7 +165,7 @@ class ConstantControls:
     k: int = 3
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise DomainError(f"need an integer count of at least one control, got k={self.k!r}")
 
 
@@ -179,9 +179,10 @@ class PiecewiseControls:
     max_family: int = 256
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise DomainError(f"need an integer count of at least one level, got k={self.k!r}")
-        if not isinstance(self.max_family, (int, np.integer)) or self.max_family < 1:
+        if (isinstance(self.max_family, bool) or not isinstance(self.max_family, (int, np.integer))
+                or self.max_family < 1):
             raise DomainError(f"need an integer family cap of at least one member, "
                               f"got max_family={self.max_family!r}")
         dates = tuple(sorted({float(d) for d in self.switch_dates}))  # a repeat cuts no segment
@@ -295,7 +296,7 @@ def scenario_sup(
     run outermost and only one block's draw is held at a time.  Within it,
     each member fills one reused (pairs, block) buffer per path block
     (mc.path_blocks) with one product of its (pairs, columns) loadings
-    (mc._member_moves) and the block's transposed draws, and folds the
+    (mc._member_moves) and the block's (columns, block) draws, and folds the
     payoff's (block,) prices into its mean and M2, the sum of squared
     deviations (mc._block_moments: the pairwise update of Chan, Golub &
     LeVeque).  The sampling blocks' keys are independent, so a member's
@@ -349,10 +350,12 @@ def expectations_hypothesis_check(
     rate) at a constant scaling sigma and report |sample mean - f_0(T)|.
 
     Antithetic draws cancel a linear Gaussian statistic exactly, which makes
-    the check vacuous, so the default here is plain sampling; the standard
-    error respects pairing when antithetics are requested anyway.
+    the check vacuous, so the default here is plain sampling.  When
+    antithetics are requested anyway, the mean and standard error are those
+    of the pair means of the first 2 * (paths // 2) draws; an odd trailing
+    draw has no pair and is dropped.
     """
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise DomainError(f"need an integer number of at least one time step, "
                           f"got n_steps={n_steps!r}")
     mc = mc or MCConfig(antithetic=False)
@@ -365,9 +368,9 @@ def expectations_hypothesis_check(
         ]
     )
     z = normals(mc.seed, mc.paths, n_steps, mc.antithetic)
-    terminal = f0 + z @ sds
-    if mc.antithetic and mc.paths % 2 == 0:
+    terminal = f0 + sds @ z
+    if mc.antithetic:
         half = mc.paths // 2
-        terminal = 0.5 * (terminal[:half] + terminal[half:])
+        terminal = 0.5 * (terminal[:half] + terminal[half:2 * half])
     mean, se = mean_and_se(terminal)
     return ExpectationsCheck(simulated_mean=mean, forward_rate=f0, gap=abs(mean - f0), se=se)

@@ -180,13 +180,17 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
             f"gap={gap:.2e} 4se={4 * se:.2e}",
         ))
 
-    # Scenario families on a cap and on the swaption: a maximum is a lower estimate of the upper bound.
+    # Scenario families on a cap (one-pair blocks, one draw column or one per
+    # segment) and on the swaption (multi-pair blocks): a maximum is a lower
+    # estimate of the upper bound.
     cap = OptionContract(kind="cap", schedule=TenorSchedule(dates=(1.0, 1.5, 2.0)), strike_rate=K)
+    cap_upper = price_cap(curve, vs, band, cap).upper
     for i, (what, contract, controls, upper) in enumerate((
-            ("constant scenario family on a cap <= engine", cap, ConstantControls(3),
-             price_cap(curve, vs, band, cap).upper),
+            ("constant scenario family on a cap <= engine", cap, ConstantControls(3), cap_upper),
             ("piecewise scenario family on the swaption <= quadrature-1f", swaption,
-             PiecewiseControls(2, (0.25, 0.5, 0.75)), quad.upper)), start=1):
+             PiecewiseControls(2, (0.25, 0.5, 0.75)), quad.upper),
+            ("piecewise scenario family on a cap <= engine", cap,
+             PiecewiseControls(2, (0.5, 1.0, 1.5)), cap_upper)), start=1):
         res = scenario_sup(curve, vs, band, contract, controls,
                            MCConfig(paths=40_000, seed=child_seed(seed, i)))
         out.append(CheckResult(

@@ -29,7 +29,8 @@ from robust_rates import mc as mc_module, option_pricing
 from robust_rates.curve import DiscountCurve
 from robust_rates.errors import DomainError, StabilityError, UnsupportedMethodError
 from robust_rates.linear_pricing import LinearContract, TenorSchedule
-from robust_rates.mc import MCConfig, _member_moves, mean_and_se, normals, terminal_prices
+from robust_rates.mc import (MCConfig, _member_moves, mean_and_se, normals, path_blocks,
+                              terminal_prices)
 from robust_rates.option_pricing import OptionContract, price_swaption
 from robust_rates.oracle import (
     LATTICE_STRETCH,
@@ -169,21 +170,21 @@ def segment_loadings(vs, segments, t_end, pairs) -> np.ndarray:
 
 
 def ref_terminal_forward_prices(loads, x0s, z):
-    """(pairs, paths) prices x0 exp(-L z - v/2) for draws z of shape (paths,
-    columns), v the row sums of L^2: one loading matrix times the transposed
+    """(pairs, paths) prices x0 exp(-L z - v/2) for draws z of shape
+    (columns, paths), v the row sums of L^2: one loading matrix times the
     draws, over all paths at once."""
-    log_move = np.matmul(-loads, z.T)
+    log_move = np.matmul(-loads, z)
     total_var = np.sum(loads**2, axis=1, keepdims=True)
     return np.array(x0s)[:, None] * np.exp(log_move - 0.5 * total_var)
 
 
 def column_terminal_forward_prices(loads, x0s, z):
     """The same (pairs, paths) prices, each pair's log move its own dot over
-    (paths, pairs) columns, as the kernel made them before."""
-    out = np.empty((z.shape[0], len(x0s)))
+    the draws' columns, as the kernel made them before."""
+    out = np.empty((len(x0s), z.shape[1]))
     for a, (row, x0) in enumerate(zip(loads, x0s)):
-        out[:, a] = x0 * np.exp(np.dot(z, -row) - 0.5 * float(np.sum(row**2)))
-    return out.T
+        out[a] = x0 * np.exp(np.dot(-row, z) - 0.5 * float(np.sum(row**2)))
+    return out
 
 
 def ref_swaption_value_mc(curve, vs, sigma, contract, mc):
@@ -214,12 +215,12 @@ def ref_swaption_value_mc(curve, vs, sigma, contract, mc):
 
 class TestNormals:
     @pytest.mark.parametrize("antithetic", [True, False])
-    @pytest.mark.parametrize("n_cols", [1, 4])
-    @pytest.mark.parametrize("n_paths", [1, 2, 7, 10, 1001])
+    @pytest.mark.parametrize("n_cols", [1, 4, 40])
+    @pytest.mark.parametrize("n_paths", [1, 2, 7, 10, 1001, 20001])
     def test_matches_reference(self, n_paths, n_cols, antithetic):
         for seed in (0, 5, 2**127 + 3):
             got = normals(seed, n_paths, n_cols, antithetic)
-            assert same_bits(got, ref_normals(seed, n_paths, n_cols, antithetic))
+            assert same_bits(got, ref_normals(seed, n_paths, n_cols, antithetic).T)
             assert got.flags.c_contiguous
 
 
@@ -362,8 +363,8 @@ class TestLegPayoffs:
 
 def terminal_forward_prices(moves, x0s, z):
     """The kernel's (pairs, paths) prices for one member's moves and draws z
-    of shape (paths, columns), in a fresh array."""
-    out = np.empty((len(x0s), z.shape[0]))
+    of shape (columns, paths), in a fresh array."""
+    out = np.empty((len(x0s), z.shape[1]))
     terminal_prices(*moves, np.array(x0s)[:, None], z, out)
     return out
 
@@ -385,7 +386,7 @@ class TestTerminalForwardPrices:
             got = terminal_forward_prices(member, x0s, z)
             assert same_bits(got, ref_terminal_forward_prices(loads, x0s, z))
             # One pair's row is the gemv of the per-column form, bit for bit.
-            z_first = z[:, :first_loads.shape[1]]
+            z_first = z[:first_loads.shape[1]]
             assert same_bits(terminal_forward_prices(first, x0s[:1], z_first),
                              column_terminal_forward_prices(first_loads, x0s[:1], z_first))
             # Several pairs' rows sum their k <= 9 terms in BLAS's order: the
@@ -415,6 +416,25 @@ class TestTerminalForwardPrices:
             want = segment_loadings(vs, segments, 1.0, pairs)
             assert same_bits(loads, -want)
             assert same_bits(half_var, 0.5 * np.sum(want**2, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("n_paths", [8191, 8193, 20001])
+    @pytest.mark.parametrize("k", [1, 3, 4, 8])
+    def test_one_row_is_independent_of_block_width(self, monkeypatch, k, n_paths):
+        """One row's product reads contiguous draw rows (a gemv, or the
+        broadcast multiply for one column), so 64-path blocks give every
+        path its unblocked bits."""
+        loads = -np.abs(np.random.default_rng(k).normal(0.0, 0.1, (1, k)))
+        moves = (loads, 0.5 * np.sum(loads**2, axis=1, keepdims=True))
+        z = normals(11, n_paths, k, True)
+        whole = terminal_forward_prices(moves, [0.98], z)
+        monkeypatch.setattr(mc_module, "_PATH_BLOCK", 64)
+        width, blocks = path_blocks(n_paths)
+        x, blocked = np.empty((1, width)), np.empty((1, n_paths))
+        for cols in blocks:  # as the sampler fills its (pairs, block) buffer
+            x_cols = x[:, :cols.stop - cols.start]
+            terminal_prices(*moves, np.array([[0.98]]), z[:, cols], x_cols)
+            blocked[:, cols] = x_cols
+        assert same_bits(blocked, whole)
 
     def test_non_finite_covariance_is_a_domain_error(self):
         huge = UncertaintyBand((1e160,), (1e160,))
@@ -555,6 +575,15 @@ class TestMonteCarloMemory:
     block) buffer and the payoff's own (block,) vector."""
 
     PATHS = 20_000
+
+    @pytest.mark.parametrize("n_paths, n_cols, antithetic", [(100_001, 4, True), (20_001, 32, False)])
+    def test_draw_holds_one_draw_and_one_chunk(self, n_paths, n_cols, antithetic):
+        # The paths pass through one chunk of _PATH_BLOCK doubles on their
+        # way to their columns; 4 kB more for the generator and the views.
+        peak = traced_peak(lambda: normals(3, n_paths, n_cols, antithetic))
+        draw = n_paths * n_cols * 8
+        chunk = mc_module._PATH_BLOCK * 8
+        assert draw < peak <= draw + chunk + 4 * 1024
 
     def test_swaption_holds_no_paths_by_periods_array(self):
         mc = MCConfig(paths=self.PATHS, seed=1)

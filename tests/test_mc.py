@@ -23,13 +23,13 @@ def test_different_seeds_differ():
 
 def test_antithetic_mirrors_first_half():
     z = normals(7, 1000, 3, antithetic=True)
-    assert np.array_equal(z[:500], -z[500:1000])
+    assert np.array_equal(z[:, :500], -z[:, 500:1000])
 
 
 def test_antithetic_odd_path_count():
     z = normals(7, 101, 2, antithetic=True)
-    assert z.shape == (101, 2)
-    assert np.array_equal(z[:50], -z[50:100])
+    assert z.shape == (2, 101)
+    assert np.array_equal(z[:, :50], -z[:, 50:100])
 
 
 def test_child_seed_is_stable_and_spreads():

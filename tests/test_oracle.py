@@ -228,12 +228,15 @@ class TestScenarioSup:
         lambda: ConstantControls(k=0),
         lambda: PiecewiseControls(k=2.5),
         lambda: PiecewiseControls(k=3.0, switch_dates=(1.0,)),
-    ], ids=["constant-float", "constant-str", "constant-zero", "piecewise-float", "piecewise-whole-float"])
+        lambda: ConstantControls(k=True),
+        lambda: PiecewiseControls(k=True),
+    ], ids=["constant-float", "constant-str", "constant-zero", "piecewise-float", "piecewise-whole-float",
+            "constant-bool", "piecewise-bool"])
     def test_control_count_must_be_a_positive_integer(self, make):
         with pytest.raises(DomainError, match="integer count"):
             make()
 
-    @pytest.mark.parametrize("cap", [math.nan, math.inf, 0, -3, 2.5, 256.0, "256"])
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, 0, -3, 2.5, 256.0, "256", True])
     def test_family_cap_must_be_a_positive_integer(self, cap):
         # NaN or inf would turn the cap off (k ** nseg > cap is never true).
         with pytest.raises(DomainError, match="max_family"):
@@ -302,19 +305,19 @@ def segment_loadings(vs, segments, t_end, pairs) -> np.ndarray:
 
 def ref_forward_prices(loads, x0s, z):
     """(len(x0s), paths) terminal forward prices x0 exp(-L z - v/2) from
-    draws z of shape (paths, columns), v the row sums of L^2: one loading
-    matrix times the transposed draws, over all paths at once."""
-    log_move = np.matmul(-loads, z.T)
+    draws z of shape (columns, paths), v the row sums of L^2: one loading
+    matrix times the draws, over all paths at once."""
+    log_move = np.matmul(-loads, z)
     return np.array(x0s)[:, None] * np.exp(log_move - 0.5 * np.sum(loads**2, axis=1, keepdims=True))
 
 
 def column_forward_prices(loads, x0s, z):
     """The same prices with each pair's log move its own dot over the
     draws' columns, the form the sampler used before."""
-    out = np.empty((z.shape[0], len(x0s)))
+    out = np.empty((len(x0s), z.shape[1]))
     for a, (row, x0) in enumerate(zip(loads, x0s)):
-        out[:, a] = x0 * np.exp(np.dot(z, -row) - 0.5 * float(np.sum(row**2)))
-    return out.T
+        out[a] = x0 * np.exp(np.dot(-row, z) - 0.5 * float(np.sum(row**2)))
+    return out
 
 
 def reference_stream(contract):
@@ -613,7 +616,16 @@ class TestExpectationsHypothesis:
         )
         assert res.gap <= 1e-15
 
-    @pytest.mark.parametrize("n_steps", [0, -1, 2.5, 16.0, math.nan, "16"])
+    @pytest.mark.parametrize("paths", [101, 10_001])
+    def test_odd_antithetic_count_drops_the_unpaired_draw(self, paths):
+        # The pairs of the first paths - 1 draws cancel the linear statistic
+        # exactly; the unpaired last draw used to give an se of 1.5e-3 at 101.
+        check = lambda n: expectations_hypothesis_check(
+            CURVE, VS, (1.0,), 2.0, MCConfig(paths=n, seed=1, antithetic=True))
+        assert check(paths) == check(paths - 1)
+        assert check(paths).se <= 1e-15
+
+    @pytest.mark.parametrize("n_steps", [0, -1, 2.5, 16.0, math.nan, "16", True])
     def test_step_count_must_be_a_positive_integer(self, n_steps):
         # At 0 steps the simulated mean is the forward rate itself, so the
         # check could never fail.
