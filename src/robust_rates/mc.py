@@ -19,6 +19,15 @@ oracle and the Monte Carlo swaption (a one-segment family of the band
 extremes) both sample through it.  The draw has a column per segment and
 factor, or per segment and forward price for several forward prices on a
 non-separable structure (their exact joint law).
+
+Bits.  Two host routines decide the last bits of a Monte Carlo or lattice
+value: the BLAS build, whose kernel picks the order of summation of every
+product with several terms per element (a gemv or a gemm; CI pins one
+BLAS thread, since threads split the paths at points of their own), and
+np.exp, whose SIMD kernel (numpy picks it by CPU: AVX-512 or not) need
+not round as math.exp does.  A broadcast multiply rounds once per element, the same on
+any host.  The docstrings here and in oracle name which of these a
+routine uses and refer to this paragraph.
 """
 
 from __future__ import annotations
@@ -117,12 +126,11 @@ def path_blocks(n_paths: int) -> tuple[int, list[slice]]:
     group a block's paths as they group the whole array's, so every path of
     a several-row product (a gemm) gets its unblocked bits at that width
     only (64-path blocks move a few tail columns of a 40-row product with 4
-    draw columns in the last bit).  A one-row product (a gemv over the
-    draw rows) and a one-column one (a broadcast multiply) give every path
-    the same bits at any block width.  A last block of one path joins the
-    block before it: numpy sends a one-path product to a different BLAS
-    routine.  (A multi-threaded BLAS splits the paths between its threads at
-    points of its own, which can move bits with or without blocks.)
+    draw columns in the last bit).  A one-row product (a gemv) and a
+    one-column one (a broadcast multiply) give every path the same bits at
+    any block width.  A last block of one path joins the block before it:
+    numpy sends a one-path product to another BLAS routine (Bits, in the
+    module docstring).
     """
     starts = list(range(0, n_paths, _PATH_BLOCK))
     if len(starts) > 1 and n_paths - starts[-1] == 1:
@@ -135,9 +143,9 @@ def terminal_prices(loads, half_var, x0s, z, out) -> None:
     """Write into out (rows, paths) the terminal prices x0s * exp(loads @ z
     - half_var) of one path block's (k, paths) draws z, in four calls.  The
     product reads z's contiguous rows: a gemv for one row, a gemm for
-    several (whose order of summation is BLAS's, so its last bits depend on
-    the build), and for one draw column the broadcast loads * z, one
-    rounding per element, as a rank-1 product has."""
+    several, and for one draw column the broadcast loads * z, one rounding
+    per element, as a rank-1 product has; then np.exp (Bits, in the module
+    docstring)."""
     if z.shape[0] == 1:
         np.multiply(loads, z, out=out)
     else:
@@ -200,7 +208,8 @@ def _block_moments(key: int, n_paths: int, antithetic: bool, moves, x0s, payoff)
     overwrite.  payoff returns a writable (block,) vector (a
     row of x or its own), which _add_path_block folds in and overwrites.
     Nothing of path size is held but the draw, the buffer and the payoff's
-    own vector."""
+    own vector.  A member's bits are terminal_prices' at path_blocks'
+    widths."""
     z = normals(key, n_paths, moves[0][0].shape[1], antithetic)
     width, blocks = path_blocks(n_paths)
     x = np.empty((len(x0s), width))

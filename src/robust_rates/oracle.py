@@ -12,8 +12,7 @@ Three tools, all deliberately distinct from the engines they police:
     window with probability below about e^-50 at 2000 steps.  Each backward
     step is one BLAS product, the step's (2, 3) kernel matrix (rows the band
     extremes, columns p_down, p_mid, p_up) times the (3, n) child values,
-    then the nodewise max; BLAS picks each node's order of summation, so a
-    value's last bits depend on the BLAS build.
+    then the nodewise max.
 
   * scenario_sup -- Monte Carlo prices under a finite family of admissible
     deterministic volatility scenarios (constant or switching at given
@@ -28,13 +27,15 @@ Three tools, all deliberately distinct from the engines they police:
     the member's running mean and sum of squared deviations, so memory is
     one draw and one block buffer whatever the family size.  A swaption on
     a non-separable (tabulated) structure draws its forward prices' exact
-    joint law, not a comonotone one.  A one-pair block (a leg) keeps a
-    per-pair gemv's bits; a swaption's rows sum in BLAS's order, so their
-    last bits depend on the BLAS build.
+    joint law, not a comonotone one.  A one-pair block (a leg) is a gemv,
+    a swaption's several rows a gemm.
 
   * expectations_hypothesis_check -- simulates the terminal short rate under
     the forward-measure dynamics (drift removed) and compares its sample
     mean against today's forward rate.
+
+The BLAS products and np.exp decide the last bits of the lattice and Monte
+Carlo values, as the mc module docstring's Bits paragraph says.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .vol_structure import VolStructure
 LATTICE_STRETCH = 1.2
 LATTICE_WINDOW_SIGMAS = 12.0
 MIN_LATTICE_STEPS = 10
+MAX_FAMILY = 256  # largest piecewise scenario family
 
 
 # -- trinomial lattice ---------------------------------------------------------
@@ -113,10 +115,11 @@ def lattice_price(
 
     Each step copies the three child rows (down, mid, up) into one
     contiguous (3, n) buffer, multiplies it by that step's (2, 3) kernel
-    matrix, rows (v_dn, v_up), and keeps the nodewise max of the two rows.  The product sums each node's three terms
-    in the BLAS build's order, not left to right, so it moves a value from
-    the elementwise sum p_up u + p_mid m + p_down d by rounding only (each
-    tested lattice is within steps * 2^-52 * max|payoff| of it).
+    matrix, rows (v_dn, v_up), and keeps the nodewise max of the two rows.
+    The product's order of summation (Bits, in the mc module docstring)
+    moves a value from the elementwise sum p_up u + p_mid m + p_down d by
+    rounding only (each tested lattice is within steps * 2^-52 *
+    max|payoff| of it); the node prices come from np.exp.
     """
     if vs.dim != 1 or band.dim != 1:
         raise UnsupportedMethodError(f"lattice supports one factor only, got d={vs.dim}")
@@ -172,19 +175,14 @@ class ConstantControls:
 @dataclass(frozen=True)
 class PiecewiseControls:
     """All combinations of k diagonal levels over the segments cut by the
-    distinct switch dates (family size k^(segments), capped)."""
+    distinct switch dates (family size k^(segments), at most MAX_FAMILY)."""
 
     k: int = 2
     switch_dates: tuple[float, ...] = ()
-    max_family: int = 256
 
     def __post_init__(self) -> None:
         if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise DomainError(f"need an integer count of at least one level, got k={self.k!r}")
-        if (isinstance(self.max_family, bool) or not isinstance(self.max_family, (int, np.integer))
-                or self.max_family < 1):
-            raise DomainError(f"need an integer family cap of at least one member, "
-                              f"got max_family={self.max_family!r}")
         dates = tuple(sorted({float(d) for d in self.switch_dates}))  # a repeat cuts no segment
         if not all(0.0 < d < math.inf for d in dates):
             raise DomainError(f"switch dates must be finite and positive, got {self.switch_dates}")
@@ -211,9 +209,9 @@ def _control_family(band, controls, horizon: float):
         cuts = [0.0] + [d for d in controls.switch_dates if d < horizon] + [horizon]
         nseg = len(cuts) - 1
         levels = _diagonal_levels(band, controls.k)
-        if controls.k ** nseg > controls.max_family:
+        if controls.k ** nseg > MAX_FAMILY:
             raise DomainError(
-                f"piecewise family size {controls.k}^{nseg} exceeds cap {controls.max_family}"
+                f"piecewise family size {controls.k}^{nseg} exceeds MAX_FAMILY = {MAX_FAMILY}"
             )
         fam, labels = [], []
         idx = np.indices([controls.k] * nseg).reshape(nseg, -1).T

@@ -8,13 +8,16 @@ A stream attaches one leg to each accrual period [T_{i-1}, T_i]:
                                       i.e. a function of the period bond
                                       price, settled in advance.
 
-Dispatch, in order.  Constant and floating-linear legs are symmetric, so
-they separate exactly and price in closed form.  Under a degenerate band
-(one volatility) pricing is linear, so every option leg, whatever its tag
-or position, adds its classical value.  Otherwise option legs sharing one
-convexity tag decouple into single-option prices at the band extremes;
-legs without a closed form take them from one fixed-volatility stack of
-the 1D PDE sweep (each step one solve of all rows).  Mixed or general tags
+Dispatch (price_stream), in order.  Constant and floating-linear legs
+are symmetric, so they separate exactly and price in closed form.  Under
+a degenerate band (one volatility) pricing is linear, so every option
+leg, whatever its tag or position, is taken as convex, with no chord
+check or warning, and adds its classical value (method classical-legs,
+one number for both bounds).  Otherwise one leg, or option legs sharing
+one checked convexity tag, decouple into single-option prices at the
+band extremes (the same leg_bounds call as the degenerate route); legs
+without a closed form take them from one fixed-volatility stack of the
+1D PDE sweep (each step one solve of all rows).  Mixed or general tags
 force the backward recursion: the last option leg is a band row of the
 same sweep, and the coupling of two adjacent option legs lives on a 2D
 tensor grid whose single driver makes the diffusion rank one (the grid
@@ -23,7 +26,9 @@ Each explicit step updates, in place, only the cells that can still reach
 the wanted centre value (a square shrinking by one cell per step), as one
 contiguous range of the flattened grid; the boundary columns it overwrites
 get their terminal values back.  Because pricing is sublinear, the result
-is sandwiched between the per-leg lower- and upper-bound sums.
+is sandwiched between the per-leg lower- and upper-bound sums; a leg's
+bounds (price_leg_bounds) are price_stream on the stream of that leg
+alone, so they take the same route.
 """
 
 from __future__ import annotations
@@ -257,14 +262,6 @@ def _checked_tag(curve, vs, band, stream, i, nx: int, nt: int) -> str:
     return leg.convexity if holds else "general"
 
 
-def _downgrade_warning(stream, i) -> str:
-    leg = stream.legs[i]
-    return (
-        f"leg {i} ({leg.label}): declared {leg.convexity} failed the chord "
-        "(second-difference) check; treated as general"
-    )
-
-
 def closed_form_bounds(curve, vs, lower_scale, upper_scale, periods) -> tuple[float, float]:
     """(lower, upper): the sums, in the order of periods, of P(T_{i-1}) E[g(X)]
     for each option period (i, leg, T_{i-1}, T_i), from the leg's closed form
@@ -333,10 +330,6 @@ def leg_bounds(
     return [(lower, upper) for lower, upper in bounds.values()]
 
 
-def _leg_method(tag: str) -> str:
-    return "single-option-pde" if tag == "general" else f"{tag}-decoupled"
-
-
 def price_leg_bounds(
     curve: DiscountCurve,
     vs: VolStructure,
@@ -346,19 +339,15 @@ def price_leg_bounds(
     nx: int = 241,
     nt: int = 240,
 ) -> PriceBounds:
-    """Robust bounds for leg i priced on its own (unit stream notional)."""
-    leg = stream.legs[i]
-    if not isinstance(leg, OptionLeg):
-        return symmetric_price(_symmetric_leg_value(curve, stream, i), method="closed-form")
-    if band.is_degenerate:  # its classical value, as price_stream adds it
-        tag, diag = "convex", {"method": "classical-legs"}
-    else:
-        tag = _checked_tag(curve, vs, band, stream, i, nx, nt)
-        diag = {"method": _leg_method(tag)}
-        if tag != leg.convexity:
-            diag["warnings"] = [_downgrade_warning(stream, i)]
-    [(lower, upper)] = leg_bounds(curve, vs, band, stream, {i: tag}, nx, nt)
-    return PriceBounds(lower=lower, upper=upper, symmetric=band.is_degenerate, diagnostics=diag)
+    """Robust bounds for leg i priced on its own: price_stream (dispatch in
+    the module docstring) on the unit-notional stream of the same schedule
+    that holds leg i in period i and ConstantLeg(0.0) in every other one."""
+    periods = stream.schedule.periods
+    if not 0 <= i < periods:
+        raise DomainError(f"leg index {i} outside [0, {periods}): the stream has {periods} periods")
+    legs = [ConstantLeg(0.0)] * periods
+    legs[i] = stream.legs[i]
+    return price_stream(curve, vs, band, CashflowStream(stream.schedule, tuple(legs)), nx, nt)
 
 
 # -- the coupled two-leg recursion ---------------------------------------------
@@ -524,15 +513,8 @@ def price_stream(
     nx: int = 241,
     nt: int = 240,
 ) -> PriceBounds:
-    """Robust bounds for the whole stream.
-
-    Dispatch, in order: symmetric legs always separate exactly; under a
-    degenerate band every option leg adds its classical value (pricing is
-    linear), whatever its tag or position; option legs sharing a convexity
-    tag decouple into per-leg values at the band extremes; mixed or general
-    tags trigger the backward PDE recursion, supported for at most two
-    option legs on adjacent periods.
-    """
+    """Robust bounds for the whole stream, routed as the module docstring
+    lists: the one place that dispatches option legs."""
     stream.schedule.check_within(curve)
     band.check_factors(vs)
 
@@ -547,20 +529,14 @@ def price_stream(
     if not option_idx:
         return symmetric_price(sym_value, method="symmetric-closed-form").scaled(stream.notional)
     if band.is_degenerate:  # both "convex" extremes are the one scale: equal to the bit
-        bounds = leg_bounds(curve, vs, band, stream, dict.fromkeys(option_idx, "convex"), nx, nt)
-        diag.update(method="classical-legs", option_legs=len(option_idx))
-        return PriceBounds(
-            lower=sym_value + sum(lo for lo, _ in bounds),
-            upper=sym_value + sum(hi for _, hi in bounds),
-            symmetric=True, diagnostics=diag,
-        ).scaled(stream.notional)
-
-    # The checked tags pick the method.  A downgrade is not silent: its
-    # warning lands in the diagnostics.
-    tags = {i: _checked_tag(curve, vs, band, stream, i, nx, nt) for i in option_idx}
-    warnings = [
-        _downgrade_warning(stream, i) for i in option_idx if tags[i] != stream.legs[i].convexity
-    ]
+        tags, warnings = dict.fromkeys(option_idx, "convex"), []
+    else:  # the checked tags pick the method; a downgrade's warning lands in the diagnostics
+        tags = {i: _checked_tag(curve, vs, band, stream, i, nx, nt) for i in option_idx}
+        warnings = [
+            f"leg {i} ({stream.legs[i].label}): declared {stream.legs[i].convexity} failed "
+            "the chord (second-difference) check; treated as general"
+            for i, tag in tags.items() if tag != stream.legs[i].convexity
+        ]
 
     tag_set = set(tags.values())
     if len(option_idx) == 1 or tag_set == {"convex"} or tag_set == {"concave"}:
@@ -568,7 +544,10 @@ def price_stream(
         bounds = leg_bounds(curve, vs, band, stream, tags, nx, nt)
         upper = sym_value + sum(hi for _, hi in bounds)
         lower = sym_value + sum(lo for lo, _ in bounds)
-        diag.update(method=_leg_method(tag_set.pop()), option_legs=len(option_idx))
+        tag = tag_set.pop()
+        method = ("classical-legs" if band.is_degenerate
+                  else "single-option-pde" if tag == "general" else f"{tag}-decoupled")
+        diag.update(method=method, option_legs=len(option_idx))
     else:
         if len(option_idx) > MAX_CONTROL_DIM:
             raise UnsupportedMethodError(
@@ -592,5 +571,5 @@ def price_stream(
     if warnings:
         diag["warnings"] = warnings
     return PriceBounds(
-        lower=lower, upper=upper, symmetric=False, diagnostics=diag
+        lower=lower, upper=upper, symmetric=band.is_degenerate, diagnostics=diag
     ).scaled(stream.notional)

@@ -214,13 +214,22 @@ class TestScenarioSup:
             scenario_sup(CURVE, vs, band, c, controls, MCConfig(paths=1_000, seed=1))
 
     def test_piecewise_family_size_capped(self):
-        with pytest.raises(DomainError, match="cap"):
+        with pytest.raises(DomainError, match=r"family size 5\^4 exceeds MAX_FAMILY = 256"):
             scenario_sup(
                 CURVE, VS, BAND,
                 OptionContract(kind="cap", schedule=SCHED, strike_rate=0.04),
-                PiecewiseControls(k=5, switch_dates=(0.5, 1.0, 1.5), max_family=100),
+                PiecewiseControls(k=5, switch_dates=(0.5, 1.0, 1.5)),
                 MCConfig(paths=1_000, seed=1),
             )
+
+    def test_family_at_the_cap_builds(self):
+        # 2^8 members is the cap itself; one more segment is past it.
+        assert oracle.MAX_FAMILY == 256
+        dates = tuple(0.25 * j for j in range(1, 8))
+        family, _ = oracle._control_family(BAND, PiecewiseControls(2, dates), 2.0)
+        assert len(family) == 256
+        with pytest.raises(DomainError, match=r"2\^9 exceeds MAX_FAMILY"):
+            oracle._control_family(BAND, PiecewiseControls(2, dates + (1.9,)), 2.0)
 
     @pytest.mark.parametrize("make", [
         lambda: ConstantControls(k=2.5),
@@ -235,15 +244,6 @@ class TestScenarioSup:
     def test_control_count_must_be_a_positive_integer(self, make):
         with pytest.raises(DomainError, match="integer count"):
             make()
-
-    @pytest.mark.parametrize("cap", [math.nan, math.inf, 0, -3, 2.5, 256.0, "256", True])
-    def test_family_cap_must_be_a_positive_integer(self, cap):
-        # NaN or inf would turn the cap off (k ** nseg > cap is never true).
-        with pytest.raises(DomainError, match="max_family"):
-            PiecewiseControls(k=2, switch_dates=(0.5, 1.0), max_family=cap)
-
-    def test_numpy_integer_family_cap(self):
-        assert PiecewiseControls(k=2, max_family=np.int64(4)).max_family == 4
 
     @pytest.mark.parametrize("dates", [(math.nan,), (0.5, math.inf), (-math.inf,), (0.0,)])
     def test_switch_dates_must_be_finite_and_positive(self, dates):

@@ -741,6 +741,51 @@ class TestUnsupportedShapes:
             OptionLeg(payoff=lambda p: p, convexity="monotone")
 
 
+class TestLegBounds:
+    """price_leg_bounds is price_stream on the one-leg stream: the stream's
+    checks, routes and diagnostics."""
+
+    @pytest.mark.parametrize("i", [5, 2, -1])
+    def test_leg_index_outside_the_periods_rejected(self, i):
+        # 5 once raised a bare IndexError; -1 priced the last leg over the
+        # reversed period (2.0, 1.0).
+        st_ = CashflowStream(schedule=SCHED, legs=(caplet_leg(0.5, 0.04), ConstantLeg(0.01)))
+        with pytest.raises(DomainError, match=rf"leg index {i} outside \[0, 2\): the stream has 2 periods"):
+            price_leg_bounds(CURVE, VS, BAND, st_, i)
+
+    @pytest.mark.parametrize("leg", [ConstantLeg(0.01), caplet_leg(0.5, 0.04)], ids=["constant", "caplet"])
+    @pytest.mark.parametrize("case", ["band-dimension", "past-horizon"])
+    def test_leg_bounds_get_the_stream_checks(self, leg, case):
+        # A leg alone fails as its stream does, with the stream's message.
+        st_ = CashflowStream(schedule=SCHED, legs=(leg, ConstantLeg(0.01)))
+        curve, band = {"band-dimension": (CURVE, UncertaintyBand((0.5, 0.5), (1.5, 1.5))),
+                       "past-horizon": (flat_curve(0.02, horizon=1.8), BAND)}[case]
+        with pytest.raises(DomainError) as want:
+            price_stream(curve, VS, band, st_)
+        for i in range(2):
+            with pytest.raises(DomainError) as got:
+                price_leg_bounds(curve, VS, band, st_, i)
+            assert str(got.value) == str(want.value)
+
+    MISTAGGED = OptionLeg(payoff=lambda p: np.minimum(np.maximum(p - 0.975, 0.0), 0.02),
+                          convexity="convex", label="spread")
+
+    @pytest.mark.parametrize("leg, band, want", [
+        (ConstantLeg(0.01), BAND, {"method": "symmetric-closed-form"}),
+        (caplet_leg(0.5, 0.04), BAND, {"method": "convex-decoupled", "option_legs": 1}),
+        (MISTAGGED, BAND, {"method": "single-option-pde", "option_legs": 1, "warnings": [
+            "leg 1 (spread): declared convex failed the chord (second-difference) check; "
+            "treated as general"]}),
+        (MISTAGGED, degenerate_band((1.0,)), {"method": "classical-legs", "option_legs": 1}),
+    ], ids=["constant", "caplet", "mistagged", "mistagged-degenerate"])
+    def test_diagnostics_are_the_stream_route(self, leg, band, want):
+        # The leg keeps its period index; a degenerate band checks no tag.
+        st_ = CashflowStream(schedule=SCHED, legs=(ConstantLeg(0.5), leg))
+        got = price_leg_bounds(CURVE, VS2, band, st_, 1, nx=41, nt=40)
+        assert got.diagnostics == want
+        assert got.symmetric == (want["method"] in ("symmetric-closed-form", "classical-legs"))
+
+
 class TestNotional:
     def test_scaling(self):
         st1 = CashflowStream(schedule=SCHED, legs=(caplet_leg(0.5, 0.04), caplet_leg(0.5, 0.04)))
