@@ -29,6 +29,7 @@ from .mc import MCConfig, child_seed
 from .option_pricing import OPTION_KINDS, SWAPTION_METHODS, OptionContract, price_option
 from .pde import check_resolution
 from .stream import (
+    DEFAULT_GRID,
     CashflowStream,
     ConstantLeg,
     FloatingLinearLeg,
@@ -54,8 +55,8 @@ class ConfiguredContract:
     contract: LinearContract | OptionContract | CashflowStream
     method: str = "quadrature-1f"
     mc: MCConfig | None = None
-    nx: int = 241
-    nt: int = 240
+    nx: int = DEFAULT_GRID[0]
+    nt: int = DEFAULT_GRID[1]
     seed_pinned: bool = False
 
 
@@ -260,27 +261,21 @@ def _parse_leg(leg, accrual: float, where: str):
     raise ConfigError(f"{where}.type: unknown leg type {kind!r}")
 
 
+# Which contracts read each optional section; on any other it is a ConfigError.
+_SECTIONS = {
+    "method": (lambda kind, method: kind == "swaption-payer", "swaption-payer contracts take a method"),
+    "mc": (lambda kind, method: method == "monte-carlo",
+           "swaption-payer contracts of method 'monte-carlo' take an mc"),
+    "grid": (lambda kind, method: kind == "stream", "stream contracts take a grid"),
+}
+
+
 def _parse_contract(entry, idx: int) -> ConfiguredContract:
     where = f"contracts[{idx}]"
     kind = _require(_object(entry, where), "kind", where)
     name = str(entry.get("name", f"contract-{idx}"))
     notional = _parse_notional(entry, where)
     schedule = _parse_schedule(entry, where, name)
-    mc = None
-    if "mc" in entry:
-        m = _object(entry["mc"], f"{where}.mc")
-        paths = _integer_field(m, "paths", f"{where}.mc", 100_000, MAX_PATHS)
-        seed = _integer_field(m, "seed", f"{where}.mc", 0)
-        antithetic = m.get("antithetic", True)
-        if not isinstance(antithetic, bool):
-            raise ConfigError(f"{where}.mc.antithetic: expected true or false, got {antithetic!r}")
-        with _config_errors(f"{where}.mc"):
-            mc = MCConfig(paths=paths, seed=seed, antithetic=antithetic)
-    grid = _object(entry.get("grid", {}), f"{where}.grid")
-    nx = _integer_field(grid, "nx", f"{where}.grid", 241, MAX_NX)
-    nt = _integer_field(grid, "nt", f"{where}.grid", 240, MAX_NT)
-    with _config_errors(f"{where}.grid"):
-        check_resolution(nx, nt)
     with _config_errors(where):
         if kind in LINEAR_KINDS:
             rate = entry.get("fixed_rate")
@@ -311,27 +306,38 @@ def _parse_contract(entry, idx: int) -> ConfiguredContract:
         else:
             raise ConfigError(f"{where}.kind: unknown contract kind {kind!r}")
     method = entry.get("method", "quadrature-1f")
-    if "method" in entry and kind != "swaption-payer":
-        raise ConfigError(f"{where}.method: only swaption-payer contracts take a method")
-    if method not in SWAPTION_METHODS:
+    if kind == "swaption-payer" and method not in SWAPTION_METHODS:
         raise ConfigError(
             f"{where}.method: unknown swaption method {method!r}; use one of {SWAPTION_METHODS}"
         )
-    return ConfiguredContract(
-        name=name,
-        contract=contract,
-        method=method,
-        mc=mc,
-        nx=nx,
-        nt=nt,
-        seed_pinned="mc" in entry and "seed" in entry["mc"],
-    )
+    for section, (reads, takers) in _SECTIONS.items():
+        if section in entry and not reads(kind, method):
+            raise ConfigError(f"{where}.{section}: only {takers}")
+    settings = {}  # the sections read, over ConfiguredContract's defaults
+    if "mc" in entry:
+        m = _object(entry["mc"], f"{where}.mc")
+        paths = _integer_field(m, "paths", f"{where}.mc", 100_000, MAX_PATHS)
+        seed = _integer_field(m, "seed", f"{where}.mc", 0)
+        antithetic = m.get("antithetic", True)
+        if not isinstance(antithetic, bool):
+            raise ConfigError(f"{where}.mc.antithetic: expected true or false, got {antithetic!r}")
+        with _config_errors(f"{where}.mc"):
+            settings.update(mc=MCConfig(paths=paths, seed=seed, antithetic=antithetic),
+                            seed_pinned="seed" in m)
+    if "grid" in entry:
+        grid = _object(entry["grid"], f"{where}.grid")
+        nx = _integer_field(grid, "nx", f"{where}.grid", DEFAULT_GRID[0], MAX_NX)
+        nt = _integer_field(grid, "nt", f"{where}.grid", DEFAULT_GRID[1], MAX_NT)
+        with _config_errors(f"{where}.grid"):
+            check_resolution(nx, nt)
+        settings.update(nx=nx, nt=nt)
+    return ConfiguredContract(name=name, contract=contract, method=method, **settings)
 
 
 def load_config(path: str) -> PricingSetup:
     """Parse and validate a run configuration file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -215,6 +215,25 @@ def flat_curve(rate: float, horizon: float = 30.0) -> DiscountCurve:
     return DiscountCurve(knots=((0.0, rate),), horizon=horizon)
 
 
+def _csv_rows(path: str, fields: str):
+    """(line number, floats) of each non-blank line of a header-free CSV of
+    fields (e.g. "maturity,rate"), skipping a leading UTF-8 byte-order mark
+    as spreadsheets write one; ParseError on a malformed line."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != fields.count(",") + 1:
+                raise ParseError(f"{path}: line {lineno}: expected {fields!r}, got {line!r}")
+            try:
+                row = tuple(map(float, parts))
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: non-numeric field in {line!r}") from None
+            yield lineno, row
+
+
 def load_curve(
     path: str,
     interpolation: str = "linear",
@@ -227,24 +246,7 @@ def load_curve(
     offending line number on malformed input, DomainError on invariant
     violations (unsorted or duplicate maturities).
     """
-    knots: list[tuple[float, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected 'maturity,rate', got {line!r}"
-                )
-            try:
-                m, r = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}: non-numeric field in {line!r}"
-                ) from None
-            knots.append((m, r))
+    knots = [row for _, row in _csv_rows(path, "maturity,rate")]
     if not knots:
         raise ParseError(f"{path}: no curve rows found")
     mats = [m for m, _ in knots]

@@ -57,6 +57,7 @@ from .vol_structure import VolStructure
 
 CONVEXITY_TAGS = ("convex", "concave", "general")
 MAX_CONTROL_DIM = 2  # live forward prices carried on the tensor grid
+DEFAULT_GRID = (241, 240)  # (nx, nt) of every stream PDE solve unless a config sets its grid
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,8 @@ def closed_form_bounds(curve, vs, lower_scale, upper_scale, periods) -> tuple[fl
 
 
 def leg_bounds(
-    curve, vs, band, stream, tags: dict[int, str], nx: int = 241, nt: int = 240
+    curve, vs, band, stream, tags: dict[int, str],
+    nx: int = DEFAULT_GRID[0], nt: int = DEFAULT_GRID[1],
 ) -> list[tuple[float, float]]:
     """(lower, upper) of each option leg i in tags (leg index -> checked tag),
     each leg on its own, in the order of tags.
@@ -336,8 +338,8 @@ def price_leg_bounds(
     band: UncertaintyBand,
     stream: CashflowStream,
     i: int,
-    nx: int = 241,
-    nt: int = 240,
+    nx: int = DEFAULT_GRID[0],
+    nt: int = DEFAULT_GRID[1],
 ) -> PriceBounds:
     """Robust bounds for leg i priced on its own: price_stream (dispatch in
     the module docstring) on the unit-notional stream of the same schedule
@@ -510,8 +512,8 @@ def price_stream(
     vs: VolStructure,
     band: UncertaintyBand,
     stream: CashflowStream,
-    nx: int = 241,
-    nt: int = 240,
+    nx: int = DEFAULT_GRID[0],
+    nt: int = DEFAULT_GRID[1],
 ) -> PriceBounds:
     """Robust bounds for the whole stream, routed as the module docstring
     lists: the one place that dispatches option legs."""

@@ -33,8 +33,6 @@ from .stream import (
 from .uncertainty import UncertaintyBand, degenerate_band
 from .vol_structure import ho_lee
 
-SUITES = ("parity", "sublinearity", "oracle", "expectations-hypothesis", "convergence")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -257,6 +255,7 @@ _SUITE_FNS: dict[str, Callable[[int], list[CheckResult]]] = {
     "expectations-hypothesis": suite_expectations_hypothesis,
     "convergence": suite_convergence,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:

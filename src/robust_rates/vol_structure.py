@@ -35,7 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from .curve import _memoized
+from .curve import _csv_rows, _memoized
 from .errors import DomainError, ParseError
 
 
@@ -248,6 +248,18 @@ class TabulatedFactor:
 VolFactor = Union[HoLeeFactor, HullWhiteFactor, TabulatedFactor]
 
 
+def _check_window(name: str, t0, t1, *pairs) -> None:
+    """-inf < t0 <= t1 < inf and t1 <= T < inf for each maturity of each pair,
+    (T, T~) or (T,), else a DomainError naming name (a NaN fails every test)."""
+    if not -math.inf < t0 <= t1 < math.inf:
+        raise DomainError(f"{name} requires t0 <= t1, got {t0} > {t1}")
+    for pair in pairs:
+        if not (t1 <= pair[0] < math.inf and t1 <= pair[-1] < math.inf):
+            bound = "min(T, T~)" if len(pair) == 2 else "T"
+            got = ", ".join(f"{k}={v}" for k, v in zip(("T", "T~"), pair))
+            raise DomainError(f"{name} requires t1 <= {bound}, got t1={t1}, {got}")
+
+
 def load_tabulated_factor(path: str) -> TabulatedFactor:
     """Read a tabulated factor from header-free ``t,T,beta`` CSV lines.
 
@@ -255,23 +267,12 @@ def load_tabulated_factor(path: str) -> TabulatedFactor:
     distinct t and T values exactly once, in any order).
     """
     entries: dict[tuple[float, float], float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"{path}: line {lineno}: expected 't,T,beta', got {line!r}")
-            try:
-                t, T, b = (float(p) for p in parts)
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric field in {line!r}") from None
-            if not (math.isfinite(t) and math.isfinite(T)):  # NaN would break the sort and the grid
-                raise ParseError(f"{path}: line {lineno}: grid point ({t}, {T}) must be finite")
-            if (t, T) in entries:
-                raise ParseError(f"{path}: line {lineno}: duplicate grid point ({t}, {T})")
-            entries[(t, T)] = b
+    for lineno, (t, T, b) in _csv_rows(path, "t,T,beta"):
+        if not (math.isfinite(t) and math.isfinite(T)):  # NaN would break the sort and the grid
+            raise ParseError(f"{path}: line {lineno}: grid point ({t}, {T}) must be finite")
+        if (t, T) in entries:
+            raise ParseError(f"{path}: line {lineno}: duplicate grid point ({t}, {T})")
+        entries[(t, T)] = b
     ts = sorted({t for t, _ in entries})
     ms = sorted({T for _, T in entries})
     if len(entries) != len(ts) * len(ms):
@@ -337,20 +338,15 @@ class VolStructure:
         return float(self._factor(i).fp_vol(float(t), float(T), float(T_tilde)))
 
     def _scalar_sum(self, name, scale, t0, t1, pair_a, pair_b=None) -> float:
-        """name's checks, then sum_j scale_j^2 fp_cov_integral_j(t0, t1, pair_a, pair_b);
-        pair_b=None is pair_a's variance, whose window must end by min(T, T~);
-        a window end or maturity that is not finite fails those checks."""
+        """name's checks (_check_window on both pairs), then sum_j scale_j^2
+        fp_cov_integral_j(t0, t1, pair_a, pair_b); pair_b=None is pair_a's variance."""
         s = self._check_scale(scale)
-        if not -math.inf < t0 <= t1 < math.inf:  # a NaN fails every comparison
-            raise DomainError(f"{name} requires t0 <= t1, got {t0} > {t1}")
-        if pair_b is None and not (t1 <= pair_a[0] < math.inf and t1 <= pair_a[1] < math.inf):
-            raise DomainError(
-                f"{name} requires t1 <= min(T, T~), got t1={t1}, T={pair_a[0]}, T~={pair_a[1]}"
-            )
+        pair_b = pair_a if pair_b is None else pair_b
+        _check_window(name, t0, t1, pair_a, pair_b)
         if t1 == t0:
             return 0.0
         t0, t1, a = float(t0), float(t1), (float(pair_a[0]), float(pair_a[1]))
-        b = a if pair_b is None else (float(pair_b[0]), float(pair_b[1]))
+        b = a if pair_b is pair_a else (float(pair_b[0]), float(pair_b[1]))
         total = 0.0
         for sj, f in zip(s, self.factors):
             total += sj ** 2 * f.fp_cov_integral(t0, t1, a, b)
@@ -417,20 +413,14 @@ class VolStructure:
 
         The window must end by min(T, T~) of both pairs, whose maturities
         must be finite: integrated_variance's checks, pair by pair."""
-        for T, T_tilde in (pair_a, pair_b):
-            if not (t1 <= T < math.inf and t1 <= T_tilde < math.inf):  # a NaN fails
-                raise DomainError(
-                    f"integrated_covariance requires t1 <= min(T, T~), got t1={t1}, T={T}, T~={T_tilde}"
-                )
         return self._scalar_sum("integrated_covariance", scale, t0, t1, pair_a, pair_b)
 
     def short_rate_var_integral(self, scale, t0: float, t1: float, T: float) -> float:
         """sum_j scale_j^2 * integral_t0^t1 beta_j(u, T)^2 du: the variance of
-        the forward rate f(T) accumulated over [t0, t1] under a constant
-        scaling of each factor."""
+        the forward rate f(T) accumulated over [t0, t1], which must end by T
+        (_check_window), under a constant scaling of each factor."""
         s = self._check_scale(scale)
-        if t0 > t1:
-            raise DomainError(f"short_rate_var_integral requires t0 <= t1, got {t0} > {t1}")
+        _check_window("short_rate_var_integral", t0, t1, (T,))
         t0, t1, T = float(t0), float(t1), float(T)
         total = 0.0
         for sj, f in zip(s, self.factors):

@@ -35,6 +35,15 @@ STREAM = {
 }
 
 
+# A stream, the one kind that takes a grid: appended to BOOK as contracts[3]
+# where a test sets a grid.  A Monte Carlo swaption, the one contract that
+# takes an mc, is BOOK's contracts[2] with method "monte-carlo".
+GRID_STREAM = {
+    "name": "grid-stream", "kind": "stream", "schedule": [1.0, 1.5, 2.0],
+    "legs": [{"type": "constant", "amount": 0.01}, {"type": "caplet", "strike_rate": 0.04}],
+}
+
+
 def write_config(tmp_path, payload, name="book.json"):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
@@ -227,19 +236,22 @@ class TestPriceCommand:
     @pytest.mark.parametrize("section, value, field", [
         ("mc", {"paths": 1}, "contracts[2].mc: need at least 2 paths"),
         ("mc", {"paths": "many"}, "contracts[2].mc.paths: expected an integer"),
-        ("grid", {"nx": 2}, "contracts[2].grid: nx must be at least 3"),
-        ("grid", {"nt": 0}, "contracts[2].grid: nt must be at least 1"),
-        ("grid", {"nx": math.nan}, "contracts[2].grid.nx: expected an integer"),
+        ("grid", {"nx": 2}, "contracts[3].grid: nx must be at least 3"),
+        ("grid", {"nt": 0}, "contracts[3].grid: nt must be at least 1"),
+        ("grid", {"nx": math.nan}, "contracts[3].grid.nx: expected an integer"),
         # Past the maxima: caught at load time, before any grid or path array
         # is sized from them.
-        ("grid", {"nx": 1e300}, "contracts[2].grid.nx: must be at most 4001"),
-        ("grid", {"nt": 1e300}, "contracts[2].grid.nt: must be at most 100000"),
+        ("grid", {"nx": 1e300}, "contracts[3].grid.nx: must be at most 4001"),
+        ("grid", {"nt": 1e300}, "contracts[3].grid.nt: must be at most 100000"),
         ("mc", {"paths": 1e300}, "contracts[2].mc.paths: must be at most 1000000"),
         ("mc", {"paths": 1e12}, "contracts[2].mc.paths: must be at most 1000000"),
     ])
     def test_bad_resolution_is_config_error(self, tmp_path, capsys, section, value, field):
         cfg = json.loads(json.dumps(BOOK))
-        cfg["contracts"][2][section] = value
+        if section == "grid":
+            cfg["contracts"].append(dict(GRID_STREAM, grid=value))
+        else:
+            cfg["contracts"][2].update(method="monte-carlo", mc=value)
         with pytest.raises(ConfigError, match=re.escape(field)):
             load_config(write_config(tmp_path, cfg))
         assert main(["price", write_config(tmp_path, cfg)]) == 2
@@ -381,13 +393,59 @@ class TestPriceCommand:
         assert main(["price", path]) == 2
         assert "swaption-payer" in capsys.readouterr().err
 
+    SCHEDULE = [1.0, 1.5, 2.0]
+    KINDS = {
+        "fixed-coupon-bond": {"fixed_rate": 0.03},
+        "floating-rate-note": {},
+        "payer-swap": {"fixed_rate": 0.03},
+        "cap": {"strike_rate": 0.04},
+        "floor": {"strike_rate": 0.04},
+        "in-arrears-payer-swap": {"strike_rate": 0.04},
+        "swaption-payer": {"strike_rate": 0.04},
+        "swaption-payer/quadrature-1f": {"strike_rate": 0.04, "method": "quadrature-1f"},
+        "swaption-payer/monte-carlo": {"strike_rate": 0.04, "method": "monte-carlo"},
+        "stream": {"legs": GRID_STREAM["legs"]},
+    }
+    SECTIONS = {"grid": {"nx": 31, "nt": 30}, "mc": {"paths": 1000, "seed": 3},
+                "method": "monte-carlo"}
+    READERS = {("stream", "grid"), ("swaption-payer", "method"),
+               ("swaption-payer/quadrature-1f", "method"), ("swaption-payer/monte-carlo", "method"),
+               ("swaption-payer/monte-carlo", "mc")}
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_section_only_on_the_contracts_that_read_it(self, tmp_path, capsys, kind, section):
+        # grid on streams, method on swaptions, mc on Monte Carlo swaptions
+        # only: on any other contract no pricer reads it, so it is refused.
+        contract = {"name": "c", "kind": kind.split("/")[0], "schedule": self.SCHEDULE,
+                    **self.KINDS[kind], section: self.SECTIONS[section]}
+        path = write_config(tmp_path, dict(BOOK, contracts=[dict(BOOK["contracts"][0]), contract]))
+        if (kind, section) in self.READERS:
+            cc = load_config(path).contracts[1]
+            read = {"grid": (cc.nx, cc.nt), "mc": cc.mc and (cc.mc.paths, cc.mc.seed),
+                    "method": cc.method}
+            assert read[section] == {"grid": (31, 30), "mc": (1000, 3), "method": "monte-carlo"}[section]
+            return
+        field = f"contracts[1].{section}: only "
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_config(path)
+        assert main(["price", path]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_byte_order_mark_config_loads(self, tmp_path):
+        # As a spreadsheet or editor exports UTF-8 JSON.
+        p = tmp_path / "book.json"
+        p.write_bytes(b"\xef\xbb\xbf" + json.dumps(BOOK).encode())
+        assert load_config(str(p)) == load_config(write_config(tmp_path, BOOK, "plain.json"))
+
     @pytest.mark.parametrize("mutate, field", [
         (lambda c: 5, "config: expected an object"),
         (lambda c: dict(c, vol_structure=5), "vol_structure: expected an object"),
         (lambda c: dict(c, band=5), "band: expected an object"),
         (lambda c: dict(c, vol_structure={"factors": 5}), "vol_structure.factors: expected a list"),
         (lambda c: dict(c, contracts=[dict(STREAM, legs=5)]), "contracts[0].legs: expected a list"),
-        (lambda c: c["contracts"][2].update(mc={"antithetic": "no"}) or c,
+        (lambda c: c["contracts"][2].update(method="monte-carlo", mc={"antithetic": "no"}) or c,
          "contracts[2].mc.antithetic: expected true or false"),
         (lambda c: c["contracts"][2].update(method="montecarlo") or c,
          "contracts[2].method: unknown swaption method 'montecarlo'"),
@@ -558,10 +616,14 @@ class TestConfigNumbers:
     """Numbers are JSON numbers; integer fields take integral values."""
 
     @pytest.mark.parametrize("mutate, field", [
-        (lambda c: c["contracts"][2].update(grid={"nx": 30.7}), "contracts[2].grid.nx: expected an integer"),
-        (lambda c: c["contracts"][2].update(grid={"nt": True}), "contracts[2].grid.nt: expected an integer"),
-        (lambda c: c["contracts"][2].update(mc={"paths": 1000.5}), "contracts[2].mc.paths: expected an integer"),
-        (lambda c: c["contracts"][2].update(mc={"seed": True}), "contracts[2].mc.seed: expected an integer"),
+        (lambda c: c["contracts"].append(dict(GRID_STREAM, grid={"nx": 30.7})),
+         "contracts[3].grid.nx: expected an integer"),
+        (lambda c: c["contracts"].append(dict(GRID_STREAM, grid={"nt": True})),
+         "contracts[3].grid.nt: expected an integer"),
+        (lambda c: c["contracts"][2].update(method="monte-carlo", mc={"paths": 1000.5}),
+         "contracts[2].mc.paths: expected an integer"),
+        (lambda c: c["contracts"][2].update(method="monte-carlo", mc={"seed": True}),
+         "contracts[2].mc.seed: expected an integer"),
         (lambda c: c["contracts"][2].update(method="monte-carlo", mc={"paths": 1000, "seed": -1}),
          "contracts[2].mc: seed must be in [0, 2**128)"),
         (lambda c: c["contracts"][2].update(method="monte-carlo", mc={"paths": 1000, "seed": 2**128}),
@@ -596,7 +658,9 @@ class TestConfigNumbers:
 
     def test_integral_numbers_load_as_integers(self, tmp_path):
         cfg = json.loads(json.dumps(BOOK))
-        cfg["contracts"][2].update(grid={"nx": 31.0, "nt": 30}, mc={"paths": 1000.0, "seed": 2**128 - 1})
-        cc = load_config(write_config(tmp_path, cfg)).contracts[2]
-        assert (cc.nx, cc.nt, cc.mc.paths, cc.mc.seed) == (31, 30, 1000, 2**128 - 1)
-        assert all(type(v) is int for v in (cc.nx, cc.nt, cc.mc.paths, cc.mc.seed))
+        cfg["contracts"][2].update(method="monte-carlo", mc={"paths": 1000.0, "seed": 2**128 - 1})
+        cfg["contracts"].append(dict(GRID_STREAM, grid={"nx": 31.0, "nt": 30}))
+        swaption, stream = load_config(write_config(tmp_path, cfg)).contracts[2:]
+        values = (stream.nx, stream.nt, swaption.mc.paths, swaption.mc.seed)
+        assert values == (31, 30, 1000, 2**128 - 1)
+        assert all(type(v) is int for v in values)

@@ -251,6 +251,18 @@ class TestLoadCurve:
         with pytest.raises(ParseError, match="line 2"):
             load_curve(str(p))
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # As a spreadsheet exports UTF-8 CSV; the messages keep their text.
+        p = tmp_path / "curve.csv"
+        p.write_bytes(b"\xef\xbb\xbf0.0,0.02\n30,0.03\n")
+        assert load_curve(str(p)).knots == ((0.0, 0.02), (30.0, 0.03))
+        p.write_bytes(b"\xef\xbb\xbf0.0,0.02\n1,abc\n")
+        with pytest.raises(ParseError, match=r"line 2: non-numeric field in '1,abc'$"):
+            load_curve(str(p))
+        p.write_bytes(b"\xef\xbb\xbf0.0\n")
+        with pytest.raises(ParseError, match=r"line 1: expected 'maturity,rate', got '0.0'$"):
+            load_curve(str(p))
+
 
 @given(
     rates=st.lists(st.floats(min_value=0.0, max_value=0.2), min_size=2, max_size=6),

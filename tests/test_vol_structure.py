@@ -304,6 +304,20 @@ class TestTabulated:
         with pytest.raises(ParseError, match="line 2"):
             load_tabulated_factor(str(p))
 
+    def test_load_csv_byte_order_mark_skipped(self, tmp_path):
+        # As a spreadsheet exports UTF-8 CSV; the messages keep their text.
+        p = tmp_path / "beta.csv"
+        p.write_bytes(b"\xef\xbb\xbf0,0,0.01\n0,10,0.01\n5,0,0.02\n5,10,0.02\n")
+        f = load_tabulated_factor(str(p))
+        assert (f.t_grid, f.maturity_grid, f.values) == ((0.0, 5.0), (0.0, 10.0),
+                                                         ((0.01, 0.01), (0.02, 0.02)))
+        p.write_bytes(b"\xef\xbb\xbf0,0\n")
+        with pytest.raises(ParseError, match=r"line 1: expected 't,T,beta', got '0,0'$"):
+            load_tabulated_factor(str(p))
+        p.write_bytes(b"\xef\xbb\xbf0,0,x\n")
+        with pytest.raises(ParseError, match=r"line 1: non-numeric field in '0,0,x'$"):
+            load_tabulated_factor(str(p))
+
 
 class TestValidation:
     def test_positive_levels_required(self):
@@ -799,6 +813,20 @@ class TestNonFiniteWindows:
                 vs.integrated_variance(1.0, *window)
             with pytest.raises(DomainError, match=match):
                 vs.extreme_variance(0.5, 1.5, *window)
+
+    @pytest.mark.parametrize("window, match", [
+        ((math.nan, 1.0, 2.0), "t0 <= t1"), ((-math.inf, 1.0, 2.0), "t0 <= t1"),
+        ((0.0, math.nan, 2.0), "t0 <= t1"), ((1.0, 0.5, 2.0), "t0 <= t1"),
+        ((0.0, 1.0, math.nan), "t1 <= T"), ((0.0, 1.0, math.inf), "t1 <= T"),
+        ((0.0, 3.0, 2.0), "t1 <= T"),
+    ], ids=["t0-nan", "t0-minus-inf", "t1-nan", "reversed", "T-nan", "T-inf", "past-T"])
+    def test_short_rate_var_integral_raises(self, window, match):
+        # f(T) accumulates variance only until T: a window past T, or one
+        # with a point that is not finite, is refused, not a number.
+        for vs in self.STRUCTURES:
+            with pytest.raises(DomainError, match=match):
+                vs.short_rate_var_integral(1.0, *window)
+            assert vs.short_rate_var_integral(1.0, 0.0, 2.0, 2.0) > 0.0
 
     @pytest.mark.parametrize("ts, T, T_tilde, match", [
         ([math.nan, 0.5, 1.0], 1.0, 2.0, "t0 <= t1"),
